@@ -95,12 +95,16 @@ def _top_k_aggregate(sims: np.ndarray, deviations: np.ndarray, k: int) -> float 
     return float(np.sum(weights * deviations[pos]) / np.sum(np.abs(weights)))
 
 
-class UserKnn(_ClampMixin):
-    """Mean-centered user-based kNN with cosine similarity.
+class _CosineKnn(_ClampMixin):
+    """Mean-centered cosine kNN shared by :class:`UserKnn` and :class:`ItemKnn`.
 
-    Similarities are computed lazily per query from the sparse rating
-    matrix: only the rows of users who rated the target item are touched,
-    so no n_users x n_users matrix is ever materialized.
+    The *entities* (users or items) are the rows compared with each other.
+    A query (entity, column) takes as neighbors the other entities rated in
+    that column and aggregates the deviations of the k most similar
+    positive ones.  Similarities are computed per query from the CSR arrays
+    of both axes, so memory stays O(ratings) and nothing is shared or
+    mutated between queries.  Subclasses set `user_major` (entities are
+    users) and `compute_stats` (the means deviations are centered on).
     """
 
     def __init__(self, config: KnnConfig | None = None, clamp: bool = True):
@@ -108,88 +112,82 @@ class UserKnn(_ClampMixin):
         self.clamp = clamp
         self.train = None
 
-    def fit(self, train: RatingDataset) -> "UserKnn":
+    def fit(self, train: RatingDataset) -> "_CosineKnn":
         self.train = train
-        self.user_stats = compute_user_stats(train)
-        self._R = train.sparse_by_user()
-        self._norms = np.sqrt(np.asarray(self._R.multiply(self._R).sum(axis=1)).ravel())
-        if self.config.min_overlap > 1:
-            self._pattern = self._R.copy()
-            self._pattern.data = np.ones_like(self._pattern.data)
-        else:
-            self._pattern = None
+        self.stats = self.compute_stats(train)
+        by_user = train.sparse_by_user()
+        by_item = by_user.T.tocsr()
+        rows, cols = (by_user, by_item) if self.user_major else (by_item, by_user)
+        self._norms = np.sqrt(np.asarray(rows.multiply(rows).sum(axis=1)).ravel())
+        # intp indices spare a cast in every per-query gather and bincount
+        self._rows = (rows.indptr.astype(np.intp), rows.indices.astype(np.intp), rows.data)
+        self._cols = (cols.indptr.astype(np.intp), cols.indices.astype(np.intp), cols.data)
         return self
 
-    def predict(self, user: int, item: int) -> float:
-        mean = self.user_stats.mean(user)
+    def _predict(self, entity: int, column: int) -> float:
+        mean = self.stats.mean(entity)
         if mean is None:
-            return self._clamp(self.user_stats.global_mean)
-        raters, ratings = self.train.by_item[item]
-        keep = raters != user
-        raters, ratings = raters[keep], ratings[keep]
-        if len(raters) == 0 or self._norms[user] == 0.0:
+            return self._clamp(self.stats.global_mean)
+        cp, ci, cd = self._cols
+        neighbors, ratings = ci[cp[column]:cp[column + 1]], cd[cp[column]:cp[column + 1]]
+        keep = neighbors != entity
+        neighbors, ratings = neighbors[keep], ratings[keep]
+        if len(neighbors) == 0 or self._norms[entity] == 0.0:
             return self._clamp(mean)
 
-        order = np.argsort(raters, kind="stable")
-        raters, ratings = raters[order], ratings[order]
-        dots = np.asarray((self._R[user] @ self._R[raters].T).todense()).ravel()
-        sims = dots / (self._norms[user] * self._norms[raters])
-        if self._pattern is not None:
-            overlap = np.asarray((self._pattern[user] @ self._pattern[raters].T).todense()).ravel()
+        # Every (entity, rating) in each column the query entity rated, in
+        # ascending column order; bincount then sums each dot product in the
+        # same order as a sparse row-times-matrix product would.
+        rp, ri, rd = self._rows
+        lo, hi = rp[entity], rp[entity + 1]
+        starts = cp[ri[lo:hi]]
+        lengths = cp[ri[lo:hi] + 1] - starts
+        ends = np.cumsum(lengths)
+        pos = np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
+        who = ci[pos]
+        n = len(self._norms)
+        dots = np.bincount(who, weights=np.repeat(rd[lo:hi], lengths) * cd[pos], minlength=n)[neighbors]
+        # an all-zero neighbor has no direction: similarity 0, not 0/0
+        denom = self._norms[entity] * self._norms[neighbors]
+        sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
+        if self.config.min_overlap > 1:
+            overlap = np.bincount(who, minlength=n)[neighbors]
             sims[overlap < self.config.min_overlap] = 0.0
-        deviations = ratings - self.user_stats.means[raters]
+        deviations = ratings - self.stats.means[neighbors]
         agg = _top_k_aggregate(sims, deviations, self.config.k)
         if agg is None:
             return self._clamp(mean)
         return self._clamp(mean + agg)
 
 
-class ItemKnn(_ClampMixin):
-    """Mean-centered item-based kNN, the transpose of :class:`UserKnn`.
+class UserKnn(_CosineKnn):
+    """User-based kNN: neighbors are the item's other raters, deviations are
+    centered on user means.
+
+    Falls back to the user's mean when no rater has positive similarity,
+    then to the global mean for users absent from training.
+    """
+
+    user_major = True
+    compute_stats = staticmethod(compute_user_stats)
+
+    def predict(self, user: int, item: int) -> float:
+        return self._predict(user, item)
+
+
+class ItemKnn(_CosineKnn):
+    """Item-based kNN, the transpose of :class:`UserKnn`: neighbors are the
+    user's other rated items, deviations are centered on item means.
 
     Falls back to the item's mean when the user rated nothing comparable,
     then to the global mean for items absent from training.
     """
 
-    def __init__(self, config: KnnConfig | None = None, clamp: bool = True):
-        self.config = config or KnnConfig()
-        self.clamp = clamp
-        self.train = None
-
-    def fit(self, train: RatingDataset) -> "ItemKnn":
-        self.train = train
-        self.item_stats = compute_item_stats(train)
-        self._R = train.sparse_by_user().T.tocsr()   # item-major
-        self._norms = np.sqrt(np.asarray(self._R.multiply(self._R).sum(axis=1)).ravel())
-        if self.config.min_overlap > 1:
-            self._pattern = self._R.copy()
-            self._pattern.data = np.ones_like(self._pattern.data)
-        else:
-            self._pattern = None
-        return self
+    user_major = False
+    compute_stats = staticmethod(compute_item_stats)
 
     def predict(self, user: int, item: int) -> float:
-        item_mean = self.item_stats.mean(item)
-        if item_mean is None:
-            return self._clamp(self.item_stats.global_mean)
-        rated, ratings = self.train.by_user[user]
-        keep = rated != item
-        rated, ratings = rated[keep], ratings[keep]
-        if len(rated) == 0 or self._norms[item] == 0.0:
-            return self._clamp(item_mean)
-
-        order = np.argsort(rated, kind="stable")
-        rated, ratings = rated[order], ratings[order]
-        dots = np.asarray((self._R[item] @ self._R[rated].T).todense()).ravel()
-        sims = dots / (self._norms[item] * self._norms[rated])
-        if self._pattern is not None:
-            overlap = np.asarray((self._pattern[item] @ self._pattern[rated].T).todense()).ravel()
-            sims[overlap < self.config.min_overlap] = 0.0
-        deviations = ratings - self.item_stats.means[rated]
-        agg = _top_k_aggregate(sims, deviations, self.config.k)
-        if agg is None:
-            return self._clamp(item_mean)
-        return self._clamp(item_mean + agg)
+        return self._predict(item, user)
 
 
 class MatrixFactorization(_ClampMixin):

@@ -3,8 +3,9 @@
 Everything here recomputes from raw inputs along a different code path than
 the library: the clustering oracle uses the closed-form merge cost over the
 original distance matrix, the prediction oracle enumerates cluster members
-top-down and re-derives intervals from the raw ratings, and the statistical
-constants are frozen from published tables.
+top-down and re-derives intervals from the raw ratings, the kNN oracle
+ranks neighbors from dense rating vectors, and the statistical constants
+are frozen from published tables.
 """
 
 import math
@@ -139,3 +140,51 @@ def wilcoxon_enumerated_p(diffs) -> float:
         if w <= observed:
             hits += 1
     return min(2.0 * hits / 2**m, 1.0)
+
+
+def knn_prediction(dataset, user, item, k=30, min_overlap=1, user_based=True, clamp=True):
+    """Brute-force mean-centered cosine kNN from dense rating vectors.
+
+    The entities are users (``user_based``) or items, each a dense vector
+    over the other axis with 0 where nothing was rated.  Every other entity
+    rated in the query column is a candidate; its cosine is recomputed with
+    ``math.fsum`` and it counts only with positive similarity and at least
+    ``min_overlap`` co-rated columns.  Candidates are ranked by similarity,
+    ties by index, and the first k aggregate.  Fallbacks: the entity's mean,
+    then the global mean for entities without ratings.
+    """
+    rows, cols = (dataset.users, dataset.items) if user_based else (dataset.items, dataset.users)
+    n_rows = dataset.n_users if user_based else dataset.n_items
+    n_cols = dataset.n_items if user_based else dataset.n_users
+    entity, column = (user, item) if user_based else (item, user)
+    dense = np.zeros((n_rows, n_cols))
+    rated = np.zeros((n_rows, n_cols), dtype=bool)
+    for a, b, r in zip(rows, cols, dataset.ratings):
+        dense[a, b] = r
+        rated[a, b] = True
+
+    def mean_of(a):
+        return math.fsum(dense[a][rated[a]]) / int(rated[a].sum())
+
+    if not rated[entity].any():
+        return _clamp(math.fsum(dataset.ratings) / len(dataset.ratings), dataset, clamp)
+    base = mean_of(entity)
+    norm_e = math.sqrt(math.fsum(dense[entity] ** 2))
+    ranked = []
+    for other in range(n_rows if norm_e > 0.0 else 0):
+        if other == entity or not rated[other, column]:
+            continue
+        norm_o = math.sqrt(math.fsum(dense[other] ** 2))
+        if norm_o == 0.0:
+            continue
+        sim = math.fsum(dense[entity] * dense[other]) / (norm_e * norm_o)
+        overlap = int((rated[entity] & rated[other]).sum())
+        if sim > 0.0 and overlap >= min_overlap:
+            ranked.append((-sim, other))
+    ranked.sort()
+    chosen = ranked[:k]
+    if not chosen:
+        return _clamp(base, dataset, clamp)
+    num = math.fsum(-s * (dense[o, column] - mean_of(o)) for s, o in chosen)
+    den = math.fsum(-s for s, _ in chosen)
+    return _clamp(base + num / den, dataset, clamp)

@@ -6,6 +6,7 @@ import pytest
 from cobar import ItemKnn, KnnConfig, MatrixFactorization, MfConfig, MostPopular, UserKnn
 from cobar.kernels import available_backends
 from conftest import make_dataset, random_grid_dataset
+from oracles import knn_prediction
 
 
 class TestMostPopular:
@@ -169,6 +170,87 @@ class TestItemKnn:
         num = sim(x, y) * (4.0 - means[y]) + sim(x, z) * (1.5 - means[z])
         den = abs(sim(x, y)) + abs(sim(x, z))
         assert model.predict(c, x) == pytest.approx(means[x] + num / den, abs=1e-12)
+
+
+def _transpose(rows):
+    return [(i, u, r) for u, i, r in rows]
+
+
+def _knn_query(cls, rows, entity, column, config=None):
+    """Fit `cls` on `rows` and predict (entity, column): the rows name users
+    first for UserKnn and are transposed for ItemKnn, so one table states
+    the same neighborhood for both classes.  Returns the dataset, the
+    (user, item) pair, the entity index lookup and the prediction."""
+    transpose = cls is ItemKnn
+    ds = make_dataset(_transpose(rows) if transpose else rows)
+    index = ds.item_index if transpose else ds.user_index
+    other = ds.user_index if transpose else ds.item_index
+    user, item = (other(column), index(entity)) if transpose else (index(entity), other(column))
+    value = cls(config, clamp=False).fit(ds).predict(user, item)
+    return ds, (user, item), index, value
+
+
+def _random_real_dataset(seed, n_users=14, n_items=12, density=0.4):
+    """Random dataset on a continuous scale, so sums are not exact in binary."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for u in range(n_users):
+        count = max(1, int(rng.binomial(n_items, density)))
+        for i in rng.choice(n_items, size=count, replace=False):
+            rows.append((f"u{u}", f"i{i}", float(rng.uniform(0.1, 9.9))))
+    return make_dataset(rows)
+
+
+class TestKnnAgainstOracle:
+    @pytest.mark.parametrize("k,min_overlap", [(2, 1), (2, 2), (30, 1), (30, 2)])
+    @pytest.mark.parametrize("cls,user_based", [(UserKnn, True), (ItemKnn, False)])
+    def test_random_non_grid_data(self, cls, user_based, k, min_overlap):
+        for seed in range(4):
+            ds = _random_real_dataset(seed)
+            model = cls(KnnConfig(k=k, min_overlap=min_overlap), clamp=False).fit(ds)
+            for u in range(ds.n_users):
+                for i in range(ds.n_items):
+                    expected = knn_prediction(ds, u, i, k, min_overlap, user_based, clamp=False)
+                    assert model.predict(u, i) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("cls", [UserKnn, ItemKnn])
+class TestKnnEdgeCases:
+    @pytest.mark.filterwarnings("error")
+    def test_zero_norm_neighbor_has_similarity_zero(self, cls):
+        # z rated a and b with 0: its rating vector has norm 0
+        rows = [
+            ("q", "a", 3.0), ("q", "c", 2.0),
+            ("n", "a", 4.0), ("n", "b", 5.0), ("n", "c", 1.0),
+            ("z", "a", 0.0), ("z", "b", 0.0),
+        ]
+        _, _, _, value = _knn_query(cls, rows, "q", "b")
+        # only n counts: q's mean plus n's deviation on b
+        assert value == pytest.approx(2.5 + (5.0 - 10.0 / 3), abs=1e-12)
+
+    @pytest.mark.parametrize("tied_first", ["n1", "n2"])
+    def test_ties_at_k_cutoff_keep_lowest_index(self, cls, tied_first):
+        # n1 and n2 have exactly equal similarity to q (same dot, same norm)
+        # but different deviations on t; n0 is more similar than both
+        tied = {
+            "n1": [("n1", "a", 3.0), ("n1", "t", 1.0), ("n1", "x", 4.0)],
+            "n2": [("n2", "b", 3.0), ("n2", "t", 4.0), ("n2", "y", 1.0)],
+        }
+        second = "n2" if tied_first == "n1" else "n1"
+        rows = (
+            [("q", "a", 3.0), ("q", "b", 3.0)]
+            + tied[tied_first] + tied[second]
+            + [("n0", "a", 3.0), ("n0", "b", 3.0), ("n0", "t", 2.0)]
+        )
+        ds, (user, item), index, value = _knn_query(cls, rows, "q", "t", KnnConfig(k=2))
+        assert index(tied_first) < index(second)
+
+        s0, s1 = np.sqrt(18.0 / 22.0), 9.0 / np.sqrt(18.0 * 26.0)
+        dev = {"n1": 1.0 - 8.0 / 3, "n2": 4.0 - 8.0 / 3}
+        expected = 3.0 + (s0 * (2.0 - 8.0 / 3) + s1 * dev[tied_first]) / (s0 + s1)
+        assert value == pytest.approx(expected, abs=1e-12)
+        oracle = knn_prediction(ds, user, item, k=2, user_based=cls is UserKnn, clamp=False)
+        assert value == pytest.approx(oracle, abs=1e-12)
 
 
 def _rank_one_dataset(n_users=12, n_items=10, seed=0):
