@@ -1,7 +1,7 @@
-"""Build script for the optional compiled kernels.
+"""Build script for the optional compiled MF kernel.
 
 The package works without the extension: cobar.kernels falls back to the
-pure numpy implementations when the compiled module is missing.  Set
+pure numpy implementation when the compiled module is missing.  Set
 COBAR_SKIP_EXTENSION=1 to install without attempting to compile.
 """
 
@@ -19,7 +19,7 @@ class OptionalBuildExt(build_ext):
         try:
             super().run()
         except Exception as exc:  # compiler missing, etc.
-            warnings.warn(f"compiled kernels skipped ({exc}); using pure-Python fallback")
+            warnings.warn(f"compiled kernel skipped ({exc}); using pure-Python fallback")
 
     def build_extension(self, ext):
         try:
@@ -30,23 +30,6 @@ class OptionalBuildExt(build_ext):
 
 extensions = []
 if not os.environ.get("COBAR_SKIP_EXTENSION"):
-    try:
-        import numpy
-        from Cython.Build import cythonize
-
-        extensions = cythonize(
-            [
-                Extension(
-                    "cobar.kernels._accel",
-                    ["src/cobar/kernels/_accel.pyx"],
-                    include_dirs=[numpy.get_include()],
-                    define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        warnings.warn("Cython or numpy unavailable at build time; installing pure-Python only")
+    extensions = [Extension("cobar.kernels._mf", ["src/cobar/kernels/_mf.c"])]
 
 setup(ext_modules=extensions, cmdclass={"build_ext": OptionalBuildExt})

@@ -141,13 +141,10 @@ def clusterable_users(dataset: RatingDataset) -> np.ndarray:
 def agglomerate(
     dataset: RatingDataset,
     users: np.ndarray | None = None,
-    ward_linkage=None,
 ) -> Dendrogram:
     """Cluster the dataset's users into a full merge hierarchy.
 
     `users` defaults to every clusterable user, in ascending index order.
-    `ward_linkage` overrides the kernel backend (used by tests and the
-    benchmark); the default is the backend selected at import.
     """
     if dataset.n_ratings == 0:
         raise ValueError("cannot cluster an empty dataset")
@@ -156,10 +153,9 @@ def agglomerate(
     users = np.asarray(users, dtype=np.int64)
     if len(users) == 0:
         raise ValueError("no users with ratings to cluster")
-    kernel = ward_linkage if ward_linkage is not None else kernels.ward_linkage
 
     dist = cosine_distance_matrix(dataset, users)
-    merges, heights_sq = kernel(dist**2)
+    merges, heights_sq = kernels.ward_linkage(dist**2)
     heights = np.sqrt(np.maximum(heights_sq, 0.0))
     return Dendrogram(
         n_leaves=len(users),

@@ -84,21 +84,12 @@ class RatingDataset:
     @cached_property
     def by_user(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-user adjacency: ``(item indices, ratings)`` for each user."""
-        return self._group(self.users, self.items, self.n_users)
-
-    @cached_property
-    def by_item(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-item adjacency: ``(user indices, ratings)`` for each item."""
-        return self._group(self.items, self.users, self.n_items)
-
-    def _group(self, keys, values, n) -> list[tuple[np.ndarray, np.ndarray]]:
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        bounds = np.searchsorted(sorted_keys, np.arange(n + 1))
+        order = np.argsort(self.users, kind="stable")
+        bounds = np.searchsorted(self.users[order], np.arange(self.n_users + 1))
         out = []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             sel = order[lo:hi]
-            out.append((values[sel], self.ratings[sel]))
+            out.append((self.items[sel], self.ratings[sel]))
         return out
 
     def sparse_by_user(self):

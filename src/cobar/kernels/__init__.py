@@ -1,34 +1,27 @@
-"""Hot-kernel dispatch: compiled extension when available, numpy fallback otherwise.
+"""Hot-kernel dispatch.
 
-The compiled module is optional; set ``COBAR_PURE_PYTHON=1`` to force the
-fallback even when the extension is installed.  ``BACKEND`` names the
-implementation selected at import time.
+The MF SGD epoch has a compiled version, the C extension `_mf`, built at
+install time when a C compiler is available; without it the numpy version
+in `_python` runs.  Set ``COBAR_PURE_PYTHON=1`` to force the numpy version
+even when the extension is built.  ``BACKEND`` names the MF epoch selected
+at import: ``"c"`` or ``"python"``.  The Ward merge loop has one
+implementation, in `_python`.
 """
 
 from __future__ import annotations
 
-import importlib
 import os
 
 from . import _python
 
-_accel = None
+_compiled = None
 if not os.environ.get("COBAR_PURE_PYTHON"):
     try:
-        _accel = importlib.import_module("cobar.kernels._accel")
+        from . import _mf as _compiled
     except ImportError:
-        _accel = None
+        pass
 
-_active = _accel if _accel is not None else _python
-BACKEND: str = "cython" if _accel is not None else "python"
+BACKEND: str = "c" if _compiled is not None else "python"
 
-ward_linkage = _active.ward_linkage
-mf_sgd_epoch = _active.mf_sgd_epoch
-
-
-def available_backends() -> dict:
-    """Importable kernel modules keyed by backend name."""
-    backends = {"python": _python}
-    if _accel is not None:
-        backends["cython"] = _accel
-    return backends
+ward_linkage = _python.ward_linkage
+mf_sgd_epoch = (_compiled or _python).mf_sgd_epoch

@@ -1,9 +1,8 @@
 """Pure numpy implementations of the hot kernels.
 
-These are the fallback for environments without the compiled extension and
-the reference the Cython module is tested against.  `ward_linkage` here and
-in `_accel` perform the same floating-point operations in the same order,
-so the two backends produce bit-identical merge trees.
+`ward_linkage` is the only Ward merge loop.  `mf_sgd_epoch` is the fallback
+for environments without the compiled `_mf` extension and the reference
+that extension is tested against.
 """
 
 from __future__ import annotations

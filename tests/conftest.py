@@ -1,12 +1,19 @@
 """Shared fixtures: fixture-file paths, dataset builders, kernel backends,
 and the acceptance-suite summary printed at the end of the run."""
 
+import importlib.util
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
 
-from cobar import parse_ratings
-from cobar.kernels import available_backends
+from cobar import kernels, parse_ratings
+from cobar.kernels import _python
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO_ROOT / "data"
@@ -51,14 +58,51 @@ def random_grid_dataset(rng, max_users=20, max_items=15, density=0.45):
     return make_dataset(rows)
 
 
-def backend_params():
-    return [pytest.param(mod, id=name) for name, mod in available_backends().items()]
+def c_compiler_found() -> bool:
+    compiler = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    return shutil.which(shlex.split(compiler)[0]) is not None
 
 
-@pytest.fixture(params=backend_params())
+@pytest.fixture(scope="session")
+def compiled_build(tmp_path_factory) -> Path:
+    """`setup.py build_ext` run into a temporary directory, so nothing under
+    `src/` is written; returns the build directory, which holds
+    `cobar/kernels/_mf*`.  Skips only when no C compiler is found: with a
+    compiler, a failed build fails the test."""
+    if not c_compiler_found():
+        pytest.skip("no C compiler found")
+    build = tmp_path_factory.mktemp("build_ext")
+    out = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(build), "--build-temp", str(build / "tmp")],
+        cwd=REPO_ROOT, capture_output=True, text=True,
+    )
+    if out.returncode != 0 or not list((build / "cobar" / "kernels").glob("_mf*")):
+        pytest.fail(f"building the MF extension failed:\n{out.stdout}\n{out.stderr}")
+    return build
+
+
+@pytest.fixture(scope="session")
+def compiled_mf(compiled_build):
+    """The `_mf` extension module built from this checkout's source."""
+    path = next((compiled_build / "cobar" / "kernels").glob("_mf*"))
+    spec = importlib.util.spec_from_file_location("cobar.kernels._mf", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(params=["python", "c"])
 def kernel_backend(request):
-    """Runs the test once per importable kernel backend."""
-    return request.param
+    """Runs the test once per MF kernel backend: the numpy module and the
+    compiled extension."""
+    return _python if request.param == "python" else request.getfixturevalue("compiled_mf")
+
+
+@pytest.fixture(params=["python"])
+def ward_linkage():
+    """`cobar.kernels.ward_linkage`, the one Ward merge loop; its tests keep
+    the backend id `python`."""
+    return kernels.ward_linkage
 
 
 # --- acceptance criteria summary -------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cobar import ItemKnn, KnnConfig, MatrixFactorization, MfConfig, MostPopular, UserKnn
-from cobar.kernels import available_backends
+from cobar.kernels import _python
 from conftest import make_dataset, random_grid_dataset
 from oracles import knn_prediction
 
@@ -133,7 +133,7 @@ class TestItemKnn:
         ds = make_dataset(rows)
         model = ItemKnn(clamp=False).fit(ds)
         c, x = ds.user_index("c"), ds.item_index("x")
-        item_means = {i: np.mean(ds.by_item[i][1]) for i in range(ds.n_items)}
+        item_means = {i: np.mean(ds.ratings[ds.items == i]) for i in range(ds.n_items)}
         y = ds.item_index("y")
         expected = item_means[x] + (2.0 - item_means[y])   # sim(x,y)=1 via users a,b
         assert model.predict(c, x) == pytest.approx(expected, abs=1e-12)
@@ -313,14 +313,11 @@ class TestMatrixFactorization:
         model2 = MatrixFactorization(MfConfig(epochs=5, seed=2), clamp=False).fit(train2)
         assert model2.predict(ds2.user_index("c"), ds2.item_index("z")) == float(train2.ratings.mean())
 
-    def test_backends_agree(self):
-        backends = available_backends()
-        if len(backends) < 2:
-            pytest.skip("compiled backend not built")
+    def test_backends_agree(self, compiled_mf):
         ds = _rank_one_dataset(seed=5)
         results = []
-        for mod in backends.values():
-            model = MatrixFactorization(MfConfig(epochs=10, seed=7), kernel=mod.mf_sgd_epoch).fit(ds)
+        for kernel in (_python.mf_sgd_epoch, compiled_mf.mf_sgd_epoch):
+            model = MatrixFactorization(MfConfig(epochs=10, seed=7), kernel=kernel).fit(ds)
             results.append([model.predict(int(u), int(i)) for u, i in zip(ds.users, ds.items)])
         np.testing.assert_allclose(results[0], results[1], atol=1e-8)
 

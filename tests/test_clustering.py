@@ -70,41 +70,24 @@ class TestAgglomerate:
         assert first_two == {(0, 1), (2, 3)}
         assert dend.merges[2].tolist() == [4, 5]
 
-    def test_matches_closed_form_oracle(self, kernel_backend):
+    def test_matches_closed_form_oracle(self, ward_linkage):
         rng = np.random.default_rng(100)
         for _ in range(25):
             n = int(rng.integers(2, 12))
             d = rng.uniform(0.05, 1.9, size=(n, n))
             d = np.triu(d, 1)
             d = d + d.T
-            merges, heights_sq = kernel_backend.ward_linkage(d**2)
+            merges, heights_sq = ward_linkage(d**2)
             oracle_merges, oracle_heights = ward_agglomeration(d**2)
             np.testing.assert_array_equal(merges, oracle_merges)
             np.testing.assert_allclose(heights_sq, oracle_heights, rtol=1e-9, atol=1e-12)
 
-    def test_exact_tie_break_lexicographic(self, kernel_backend):
+    def test_exact_tie_break_lexicographic(self, ward_linkage):
         # three identical points: every pairwise distance is 0
         d2 = np.zeros((3, 3))
-        merges, heights = kernel_backend.ward_linkage(d2)
+        merges, heights = ward_linkage(d2)
         assert merges.tolist() == [[0, 1], [2, 3]]
         assert heights.tolist() == [0.0, 0.0]
-
-    def test_backends_bit_identical(self):
-        from cobar.kernels import available_backends
-
-        backends = available_backends()
-        if len(backends) < 2:
-            pytest.skip("compiled backend not built")
-        rng = np.random.default_rng(41)
-        for _ in range(10):
-            n = int(rng.integers(2, 40))
-            d = rng.uniform(0.0, 2.0, size=(n, n))
-            d = np.triu(d, 1)
-            d = d + d.T
-            results = [mod.ward_linkage(d**2) for mod in backends.values()]
-            for merges, heights in results[1:]:
-                np.testing.assert_array_equal(merges, results[0][0])
-                np.testing.assert_array_equal(heights, results[0][1])
 
     def test_empty_dataset_rejected(self):
         ds = make_dataset([("a", "x", 3.0)]).subset(np.array([], dtype=int))

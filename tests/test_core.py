@@ -67,7 +67,7 @@ class TestBuildItemStats:
         dend = agglomerate(ds)
         stats = build_item_stats(dend, ds)
         for item in range(ds.n_items):
-            users, ratings = ds.by_item[item]
+            ratings = ds.ratings[ds.items == item]
             entry = stats.get(dend.root, item)
             assert entry[0] == len(ratings)
             assert entry[1] == pytest.approx(ratings.sum(), abs=1e-12)

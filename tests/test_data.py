@@ -79,7 +79,7 @@ class TestParseRatings:
         from_items = {
             (int(u), i, float(r))
             for i in range(ds.n_items)
-            for u, r in zip(*ds.by_item[i])
+            for u, r in zip(ds.users[ds.items == i], ds.ratings[ds.items == i])
         }
         assert triples == from_users == from_items
 

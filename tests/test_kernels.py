@@ -1,12 +1,17 @@
-"""Backend dispatch and cross-backend agreement of the hot kernels."""
+"""Backend dispatch of the hot kernels, the Ward loop, and agreement and
+input checking of the two MF epoch backends."""
 
+import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from cobar.kernels import available_backends
+from cobar import kernels
+from cobar.kernels import _python
+from conftest import REPO_ROOT
 
 
 def _random_sq_dist(rng, n):
@@ -16,12 +21,25 @@ def _random_sq_dist(rng, n):
     return d**2
 
 
+def _kernels_in_fresh_process(pythonpath, **env):
+    """BACKEND and the modules of the two kernels, as a new interpreter that
+    imports cobar from `pythonpath` sees them."""
+    environ = {k: v for k, v in os.environ.items() if k != "COBAR_PURE_PYTHON"}
+    environ.update(PYTHONPATH=str(pythonpath), **env)
+    code = (
+        "import cobar.kernels as k; "
+        "print(k.BACKEND, k.mf_sgd_epoch.__module__, k.ward_linkage.__module__)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=environ, capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
+
 class TestDispatch:
     def test_backend_reported(self):
-        from cobar import kernels
-
-        assert kernels.BACKEND in ("python", "cython")
-        assert "python" in available_backends()
+        assert kernels.BACKEND in ("python", "c")
+        expected = kernels._compiled if kernels.BACKEND == "c" else _python
+        assert kernels.mf_sgd_epoch is expected.mf_sgd_epoch
+        assert kernels.ward_linkage is _python.ward_linkage
 
     def test_env_var_forces_fallback(self):
         code = (
@@ -33,31 +51,58 @@ class TestDispatch:
         )
         assert out.stdout.strip() == "python"
 
+    def test_built_extension_selected(self, compiled_build, tmp_path):
+        # the package as installed: sources plus the extension beside them
+        pkg = tmp_path / "cobar"
+        shutil.copytree(REPO_ROOT / "src" / "cobar", pkg, ignore=shutil.ignore_patterns("*.so", "*.pyd"))
+        for ext in (compiled_build / "cobar" / "kernels").glob("_mf*"):
+            shutil.copy(ext, pkg / "kernels")
+        assert _kernels_in_fresh_process(tmp_path) == ["c", "cobar.kernels._mf", "cobar.kernels._python"]
+        forced = _kernels_in_fresh_process(tmp_path, COBAR_PURE_PYTHON="1")
+        assert forced == ["python", "cobar.kernels._python", "cobar.kernels._python"]
+
 
 class TestWardKernel:
-    def test_rejects_non_square(self, kernel_backend):
+    def test_rejects_non_square(self, ward_linkage):
         with pytest.raises(ValueError):
-            kernel_backend.ward_linkage(np.zeros((2, 3)))
+            ward_linkage(np.zeros((2, 3)))
 
-    def test_n_equals_one(self, kernel_backend):
-        merges, heights = kernel_backend.ward_linkage(np.zeros((1, 1)))
+    def test_n_equals_one(self, ward_linkage):
+        merges, heights = ward_linkage(np.zeros((1, 1)))
         assert merges.shape == (0, 2) and heights.shape == (0,)
 
-    def test_monotone_heights(self, kernel_backend):
+    def test_monotone_heights(self, ward_linkage):
         rng = np.random.default_rng(71)
         for _ in range(20):
             n = int(rng.integers(2, 30))
-            _, heights = kernel_backend.ward_linkage(_random_sq_dist(rng, n))
+            _, heights = ward_linkage(_random_sq_dist(rng, n))
             assert np.all(np.diff(heights) >= 0.0)
 
-    def test_merge_ids_form_a_tree(self, kernel_backend):
+    def test_merge_ids_form_a_tree(self, ward_linkage):
         rng = np.random.default_rng(72)
         n = 15
-        merges, _ = kernel_backend.ward_linkage(_random_sq_dist(rng, n))
+        merges, _ = ward_linkage(_random_sq_dist(rng, n))
         children = merges.ravel().tolist()
         assert len(children) == len(set(children))        # merged away once
         assert set(children) <= set(range(2 * n - 2))     # root never merged
         assert merges.shape == (n - 1, 2)
+
+
+def _mf_problem(seed=15, n_u=20, n_i=15, n_r=120, f=6):
+    rng = np.random.default_rng(seed)
+    return {
+        "users": rng.integers(0, n_u, n_r).astype(np.int32),
+        "items": rng.integers(0, n_i, n_r).astype(np.int32),
+        "ratings": rng.uniform(1, 5, n_r),
+        "order": rng.permutation(n_r),
+        "user_factors": rng.normal(0, 0.1, (n_u, f)),
+        "item_factors": rng.normal(0, 0.1, (n_i, f)),
+        "user_bias": np.zeros(n_u),
+        "item_bias": np.zeros(n_i),
+        "global_mean": 3.0,
+        "learning_rate": 0.01,
+        "regularization": 0.015,
+    }
 
 
 class TestMfKernel:
@@ -79,24 +124,62 @@ class TestMfKernel:
         assert p[0, 0] == pytest.approx(0.5 + lr * (err * 0.25 - reg * 0.5), abs=1e-15)
         assert q[0, 0] == pytest.approx(0.25 + lr * (err * 0.5 - reg * 0.25), abs=1e-15)
 
-    def test_backends_track_each_other(self):
-        backends = available_backends()
-        if len(backends) < 2:
-            pytest.skip("compiled backend not built")
-        rng = np.random.default_rng(15)
-        n_u, n_i, n_r, f = 20, 15, 120, 6
-        users = rng.integers(0, n_u, n_r).astype(np.int32)
-        items = rng.integers(0, n_i, n_r).astype(np.int32)
-        ratings = rng.uniform(1, 5, n_r)
-        order = rng.permutation(n_r)
-        p0 = rng.normal(0, 0.1, (n_u, f))
-        q0 = rng.normal(0, 0.1, (n_i, f))
+    def test_backends_track_each_other(self, compiled_mf):
         states = []
-        for mod in backends.values():
-            p, q = p0.copy(), q0.copy()
-            bu, bi = np.zeros(n_u), np.zeros(n_i)
+        for kernel in (_python.mf_sgd_epoch, compiled_mf.mf_sgd_epoch):
+            args = _mf_problem()
             for _ in range(5):
-                mod.mf_sgd_epoch(users, items, ratings, order, p, q, bu, bi, 3.0, 0.01, 0.015)
-            states.append((p, q, bu, bi))
+                kernel(**args)
+            states.append([args[name] for name in ("user_factors", "item_factors", "user_bias", "item_bias")])
         for a, b in zip(states[0], states[1]):
             np.testing.assert_allclose(a, b, atol=1e-10)
+
+    @pytest.mark.parametrize("name, position", [("order", 7), ("users", 3), ("items", 3)])
+    def test_out_of_range_index_raises(self, kernel_backend, name, position):
+        args = _mf_problem()
+        bound = {"order": len(args["ratings"]), "users": 20, "items": 15}[name]
+        if name == "order":
+            args["order"][position] = bound
+        else:
+            args[name][args["order"][position]] = bound
+        with pytest.raises(IndexError):
+            kernel_backend.mf_sgd_epoch(**args)
+
+
+class TestCompiledMfChecksInputs:
+    """The compiled epoch rejects bad arrays before it reads or writes them."""
+
+    def test_negative_index_raises(self, compiled_mf):
+        # numpy would wrap -1 around; the compiled epoch rejects it
+        args = _mf_problem()
+        args["users"][args["order"][0]] = -1
+        before = args["user_factors"].copy()
+        with pytest.raises(IndexError):
+            compiled_mf.mf_sgd_epoch(**args)
+        np.testing.assert_array_equal(args["user_factors"], before)   # failed on the first step
+
+    @pytest.mark.parametrize("name, value, error", [
+        ("users", lambda a: a.astype(np.int64), TypeError),
+        ("order", lambda a: a.astype(np.int32), TypeError),
+        ("ratings", lambda a: a.astype(np.float32), TypeError),
+        ("ratings", lambda a: a.tolist(), TypeError),
+        ("user_factors", lambda a: np.asfortranarray(a), ValueError),
+        ("item_factors", lambda a: a[:, ::2], ValueError),
+        ("user_bias", lambda a: a.reshape(-1, 1), ValueError),
+        ("item_factors", lambda a: a.ravel(), ValueError),
+        ("item_bias", lambda a: a[:-1], ValueError),
+        ("items", lambda a: a[:-1], ValueError),
+        ("ratings", lambda a: a[:-1], ValueError),
+    ])
+    def test_bad_array_rejected(self, compiled_mf, name, value, error):
+        args = _mf_problem()
+        args[name] = value(args[name])
+        with pytest.raises(error):
+            compiled_mf.mf_sgd_epoch(**args)
+
+    @pytest.mark.parametrize("name", ["user_factors", "item_factors", "user_bias", "item_bias"])
+    def test_read_only_output_rejected(self, compiled_mf, name):
+        args = _mf_problem()
+        args[name].setflags(write=False)
+        with pytest.raises(ValueError, match="writable"):
+            compiled_mf.mf_sgd_epoch(**args)
