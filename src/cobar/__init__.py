@@ -20,9 +20,9 @@ from .core import (
 )
 from .data import (
     FoldSplit,
+    MeanStats,
     ParseError,
     RatingDataset,
-    UserStats,
     compute_item_stats,
     compute_user_stats,
     fold_train_test,
@@ -52,13 +52,13 @@ __all__ = [
     "ItemKnn",
     "KnnConfig",
     "MatrixFactorization",
+    "MeanStats",
     "MfConfig",
     "MostPopular",
     "ParseError",
     "Prediction",
     "RatingDataset",
     "UserKnn",
-    "UserStats",
     "WilcoxonResult",
     "agglomerate",
     "build_algorithms",

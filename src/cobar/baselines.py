@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .data import RatingDataset, compute_item_stats, compute_user_stats
+from .data import RatingDataset, _ClampMixin, compute_item_stats, compute_user_stats
 
 
 @dataclass
@@ -51,13 +51,6 @@ class MfConfig:
             raise ValueError("learning_rate must be > 0, regularization and init_scale >= 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-
-
-class _ClampMixin:
-    def _clamp(self, value: float) -> float:
-        if not self.clamp:
-            return value
-        return min(max(value, self.train.rating_min), self.train.rating_max)
 
 
 class MostPopular(_ClampMixin):

@@ -107,7 +107,7 @@ def _check_clustering_budget(dataset, needs_clustering: bool) -> None:
 
 
 def _cobar_config(args) -> CobarConfig:
-    return CobarConfig(gamma=args.gamma, confidence_level=args.confidence, clamp=not args.no_clamp)
+    return CobarConfig(gamma=args.gamma, confidence_level=args.confidence)
 
 
 def cmd_evaluate(args) -> int:
@@ -157,7 +157,7 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     dataset = _load_dataset(args)
     _check_clustering_budget(dataset, needs_clustering=True)
-    model = CobarModel(_cobar_config(args)).fit(dataset)
+    model = CobarModel(_cobar_config(args), clamp=not args.no_clamp).fit(dataset)
     if args.dendrogram_out:
         model.dendrogram.save(args.dendrogram_out)
         print(f"dendrogram written to {args.dendrogram_out}")

@@ -89,13 +89,6 @@ class Dendrogram:
     def root(self) -> int:
         return self.n_nodes - 1
 
-    def children(self, node: int) -> tuple[int, int] | None:
-        """(left, right) ids for an internal node, None for a leaf."""
-        if node < self.n_leaves:
-            return None
-        left, right = self.merges[node - self.n_leaves]
-        return int(left), int(right)
-
     def ancestor_chain(self, leaf: int) -> np.ndarray:
         """Node ids from the user's leaf up to the root, inclusive."""
         if not 0 <= leaf < self.n_leaves:

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import stats as _scipy_stats
 
 from .clustering import Dendrogram, agglomerate
-from .data import RatingDataset, UserStats, compute_user_stats
+from .data import MeanStats, RatingDataset, _ClampMixin, compute_user_stats
 
 
 @lru_cache(maxsize=None)
@@ -58,16 +58,12 @@ class Fallback(enum.Enum):
 class CobarConfig:
     gamma: float = 0.5
     confidence_level: float = 0.95
-    clamp: bool = True
-    tie_break: str = "smallest"   # smallest | largest cluster at equal width
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if not 0.0 < self.confidence_level < 1.0:
             raise ValueError(f"confidence level must be in (0, 1), got {self.confidence_level}")
-        if self.tie_break not in ("smallest", "largest"):
-            raise ValueError(f"unknown tie_break {self.tie_break!r}")
 
 
 @dataclass
@@ -88,17 +84,18 @@ class Prediction:
 class ClusterItemStats:
     """Per (dendrogram node, item) rating accumulators.
 
-    Built bottom-up: each internal node's map is the entrywise sum of its
-    children's (count, sum, sum of squares) triples, so construction costs
-    O(total ratings x tree depth) instead of a from-scratch pass per node.
+    Built bottom-up: each internal node's map combines its children's
+    (count, sum, sum of squares, min, max) entries, the first three by sum
+    and the last two by min and max, so construction costs O(total ratings
+    x tree depth) instead of a from-scratch pass per node.
     """
 
-    def __init__(self, node_maps: list[dict[int, tuple[int, float, float]]], level: float):
+    def __init__(self, node_maps: list[dict[int, tuple[int, float, float, float, float]]], level: float):
         self._maps = node_maps
         self.level = level
 
-    def get(self, node: int, item: int) -> tuple[int, float, float] | None:
-        """(n, sum, sum_sq) for the item inside the node's cluster, if any."""
+    def get(self, node: int, item: int) -> tuple[int, float, float, float, float] | None:
+        """(n, sum, sum_sq, min, max) for the item inside the node's cluster, if any."""
         return self._maps[node].get(item)
 
     def count(self, node: int, item: int) -> int:
@@ -106,42 +103,52 @@ class ClusterItemStats:
         return entry[0] if entry else 0
 
     def mean(self, node: int, item: int) -> float:
-        n, total, _ = self._maps[node][item]
+        n, total, _, _, _ = self._maps[node][item]
         return total / n
 
     def variance(self, node: int, item: int) -> float:
-        """(n-1)-denominator sample variance, clipped at zero."""
-        n, total, total_sq = self._maps[node][item]
+        """(n-1)-denominator sample variance, clipped at zero.
+
+        Exactly zero when all ratings are equal (min == max).  Off a
+        binary-exact grid such as 0.5 steps the sums round, and the
+        sum-of-squares formula alone gives small positive values that break
+        "smaller cluster wins at equal width".
+        """
+        n, total, total_sq, lo, hi = self._maps[node][item]
         if n < 2:
             raise ValueError(f"variance undefined for n={n}")
+        if lo == hi:
+            return 0.0
         s2 = (total_sq - total * total / n) / (n - 1)
         return max(s2, 0.0)
 
     def half_width(self, node: int, item: int) -> float:
-        n, _, _ = self._maps[node][item]
+        n, _, _, _, _ = self._maps[node][item]
         return confidence_half_width(n, self.variance(node, item), self.level)
 
-    def items_at(self, node: int) -> dict[int, tuple[int, float, float]]:
+    def items_at(self, node: int) -> dict[int, tuple[int, float, float, float, float]]:
         return self._maps[node]
 
 
 def build_item_stats(dendrogram: Dendrogram, train: RatingDataset, level: float = 0.95) -> ClusterItemStats:
-    """Accumulate (n, sum, sum_sq) per item for every node of the hierarchy."""
-    maps: list[dict[int, tuple[int, float, float]]] = [dict() for _ in range(dendrogram.n_nodes)]
+    """Accumulate (n, sum, sum_sq, min, max) per item for every node of the hierarchy."""
+    maps: list[dict[int, tuple[int, float, float, float, float]]] = [dict() for _ in range(dendrogram.n_nodes)]
     for leaf, user in enumerate(dendrogram.leaf_users):
         items, ratings = train.by_user[int(user)]
-        maps[leaf] = {int(i): (1, float(r), float(r) * float(r)) for i, r in zip(items, ratings)}
+        # one float object serves as the sum, the min and the max
+        maps[leaf] = {i: (1, r, r * r, r, r) for i, r in zip(items.tolist(), ratings.tolist())}
     for m, (left, right) in enumerate(dendrogram.merges):
         a, b = maps[int(left)], maps[int(right)]
         if len(b) > len(a):
             a, b = b, a
         merged = dict(a)
-        for item, (n2, s2, q2) in b.items():
+        for item, entry in b.items():
             cur = merged.get(item)
             if cur is None:
-                merged[item] = (n2, s2, q2)
+                merged[item] = entry
             else:
-                merged[item] = (cur[0] + n2, cur[1] + s2, cur[2] + q2)
+                n2, s2, q2, lo2, hi2 = entry
+                merged[item] = (cur[0] + n2, cur[1] + s2, cur[2] + q2, min(cur[3], lo2), max(cur[4], hi2))
         maps[dendrogram.n_leaves + m] = merged
     return ClusterItemStats(maps, level)
 
@@ -158,39 +165,39 @@ def select_optimal_cluster(
     chain: np.ndarray,
     item: int,
     stats: ClusterItemStats,
-    config: CobarConfig,
     sizes: np.ndarray,
 ) -> ClusterChoice | None:
     """Narrowest-interval cluster for the item among the chain's nodes.
 
     Only nodes with >= 2 ratings for the item qualify.  Walking leaf to
     root, a strict improvement is required, so at equal half-width the
-    smaller (earlier) cluster wins; `tie_break="largest"` flips that.
-    Returns None when no chain node qualifies.
+    smaller (earlier) cluster wins.  Returns None when no chain node
+    qualifies.
     """
     best: ClusterChoice | None = None
-    strict = config.tie_break == "smallest"
     for node in chain:
         node = int(node)
         entry = stats.get(node, item)
         if entry is None or entry[0] < 2:
             continue
         hw = stats.half_width(node, item)
-        if best is None or (hw < best.half_width if strict else hw <= best.half_width):
+        if best is None or hw < best.half_width:
             best = ClusterChoice(node=node, size=int(sizes[node]), mean=stats.mean(node, item), half_width=hw)
     return best
 
 
-class CobarModel:
-    """Trains the hierarchy and statistics, then serves predictions.
+class CobarModel(_ClampMixin):
+    """Trains the hierarchy and statistics, then serves predictions,
+    clamped to the training scale unless constructed with `clamp=False`.
 
     All state is immutable after :meth:`fit`; predictions are pure reads.
     """
 
-    def __init__(self, config: CobarConfig | None = None):
+    def __init__(self, config: CobarConfig | None = None, clamp: bool = True):
         self.config = config or CobarConfig()
+        self.clamp = clamp
         self.train: RatingDataset | None = None
-        self.user_stats: UserStats | None = None
+        self.user_stats: MeanStats | None = None
         self.dendrogram: Dendrogram | None = None
         self.stats: ClusterItemStats | None = None
         self._leaf_of: dict[int, int] = {}
@@ -204,11 +211,6 @@ class CobarModel:
         self._leaf_of = {int(u): leaf for leaf, u in enumerate(self.dendrogram.leaf_users)}
         self._item_counts = np.bincount(train.items, minlength=train.n_items)
         return self
-
-    def _clamp(self, value: float) -> float:
-        if not self.config.clamp:
-            return value
-        return min(max(value, self.train.rating_min), self.train.rating_max)
 
     def predict_detailed(self, user: int, item: int) -> Prediction:
         if self.train is None:
@@ -231,7 +233,7 @@ class CobarModel:
         choice = None
         if leaf is not None:
             chain = self.dendrogram.ancestor_chain(leaf)
-            choice = select_optimal_cluster(chain, item, self.stats, self.config, self.dendrogram.sizes)
+            choice = select_optimal_cluster(chain, item, self.stats, self.dendrogram.sizes)
         if choice is None:
             # item has at most one reachable training rating (or the user's
             # vector was unclusterable): predict the plain user mean

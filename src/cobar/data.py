@@ -1,4 +1,5 @@
-"""Rating data ingestion, per-user/per-item statistics and k-fold splits.
+"""Rating data ingestion, per-user/per-item statistics, the clamp to the
+rating scale and k-fold splits.
 
 A :class:`RatingDataset` stores the ratings as three parallel arrays plus
 external-id maps.  Cross-validation works on *triple indices*: a fold's
@@ -231,58 +232,52 @@ def parse_ratings(
 
 
 @dataclass
-class UserStats:
-    """Per-user training means; NaN marks users with no training ratings."""
+class MeanStats:
+    """Per-user or per-item training means; NaN marks a user or item with no
+    training ratings."""
 
-    means: np.ndarray    # float64 (n_users,), NaN when undefined
-    counts: np.ndarray   # int64 (n_users,)
+    means: np.ndarray    # float64 (n_keys,), NaN when undefined
+    counts: np.ndarray   # int64 (n_keys,)
     global_mean: float
 
-    def mean(self, user: int) -> float | None:
-        m = self.means[user]
+    def mean(self, key: int) -> float | None:
+        m = self.means[key]
         return None if math.isnan(m) else float(m)
 
-    def mean_or_global(self, user: int) -> float:
-        m = self.means[user]
+    def mean_or_global(self, key: int) -> float:
+        m = self.means[key]
         return self.global_mean if math.isnan(m) else float(m)
 
 
-def compute_user_stats(train: RatingDataset) -> UserStats:
+def _mean_stats(train: RatingDataset, keys: np.ndarray, n_keys: int) -> MeanStats:
+    """Arithmetic mean of the training ratings per key plus the global mean."""
+    if train.n_ratings == 0:
+        raise ValueError("cannot compute statistics of an empty training set")
+    counts = np.bincount(keys, minlength=n_keys).astype(np.int64)
+    sums = np.bincount(keys, weights=train.ratings, minlength=n_keys)
+    with np.errstate(invalid="ignore"):
+        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    return MeanStats(means=means, counts=counts, global_mean=float(train.ratings.mean()))
+
+
+def compute_user_stats(train: RatingDataset) -> MeanStats:
     """Arithmetic mean of each user's training ratings plus the global mean."""
-    if train.n_ratings == 0:
-        raise ValueError("cannot compute statistics of an empty training set")
-    counts = np.bincount(train.users, minlength=train.n_users).astype(np.int64)
-    sums = np.bincount(train.users, weights=train.ratings, minlength=train.n_users)
-    with np.errstate(invalid="ignore"):
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return UserStats(means=means, counts=counts, global_mean=float(train.ratings.mean()))
+    return _mean_stats(train, train.users, train.n_users)
 
 
-@dataclass
-class ItemStats:
-    """Per-item training means, mirroring :class:`UserStats`."""
-
-    means: np.ndarray
-    counts: np.ndarray
-    global_mean: float
-
-    def mean(self, item: int) -> float | None:
-        m = self.means[item]
-        return None if math.isnan(m) else float(m)
-
-    def mean_or_global(self, item: int) -> float:
-        m = self.means[item]
-        return self.global_mean if math.isnan(m) else float(m)
+def compute_item_stats(train: RatingDataset) -> MeanStats:
+    """Arithmetic mean of each item's training ratings plus the global mean."""
+    return _mean_stats(train, train.items, train.n_items)
 
 
-def compute_item_stats(train: RatingDataset) -> ItemStats:
-    if train.n_ratings == 0:
-        raise ValueError("cannot compute statistics of an empty training set")
-    counts = np.bincount(train.items, minlength=train.n_items).astype(np.int64)
-    sums = np.bincount(train.items, weights=train.ratings, minlength=train.n_items)
-    with np.errstate(invalid="ignore"):
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return ItemStats(means=means, counts=counts, global_mean=float(train.ratings.mean()))
+class _ClampMixin:
+    """`_clamp` clips a prediction to the training rating scale, unless the
+    predictor was built with `clamp=False`; shared by every predictor."""
+
+    def _clamp(self, value: float) -> float:
+        if not self.clamp:
+            return value
+        return min(max(value, self.train.rating_min), self.train.rating_max)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
@@ -262,12 +262,10 @@ def build_algorithms(
 ) -> dict[str, Callable[[], object]]:
     """Factories for the registered predictors, in the requested order."""
     cobar_cfg = cobar_config or CobarConfig()
-    if cobar_cfg.clamp != clamp:
-        cobar_cfg = replace(cobar_cfg, clamp=clamp)
     knn_cfg = knn_config or KnnConfig()
     mf_cfg = mf_config or MfConfig()
     registry: dict[str, Callable[[], object]] = {
-        "cobar": lambda: CobarModel(cobar_cfg),
+        "cobar": lambda: CobarModel(cobar_cfg, clamp=clamp),
         "mp": lambda: MostPopular(clamp=clamp),
         "uknn": lambda: UserKnn(knn_cfg, clamp=clamp),
         "iknn": lambda: ItemKnn(knn_cfg, clamp=clamp),

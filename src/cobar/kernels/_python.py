@@ -99,6 +99,11 @@ def ward_linkage(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return merges, heights
 
 
+def _check_range(name: str, index: np.ndarray, bound: int) -> None:
+    if len(index) and (index.min() < 0 or index.max() >= bound):
+        raise IndexError(f"{name} holds an index out of range [0, {bound})")
+
+
 def mf_sgd_epoch(
     users: np.ndarray,
     items: np.ndarray,
@@ -115,8 +120,13 @@ def mf_sgd_epoch(
     """One stochastic gradient pass over the ratings, updating in place.
 
     `order` gives the sample visiting order; drawing it outside the kernel
-    keeps both backends on the same trajectory.
+    keeps both backends on the same trajectory.  Every visited index is
+    checked before anything is written: numpy would wrap a negative one
+    around, where the compiled epoch raises `IndexError`.
     """
+    _check_range("order", order, len(ratings))
+    _check_range("users", users[order], len(user_factors))
+    _check_range("items", items[order], len(item_factors))
     lr = learning_rate
     reg = regularization
     for t in order:

@@ -162,16 +162,17 @@ def test_c7_aggregation_exactness():
         stats = build_item_stats(dend, ds)
         for node in range(dend.n_nodes):
             members = set(dend.leaf_users[dend.leaves_under(node)].tolist())
-            expected: dict[int, tuple[int, float, float]] = {}
+            expected: dict[int, tuple[int, float, float, float, float]] = {}
             for u, i, r in zip(ds.users, ds.items, ds.ratings):
                 if int(u) in members:
-                    n, s, q = expected.get(int(i), (0, 0.0, 0.0))
-                    expected[int(i)] = (n + 1, s + float(r), q + float(r) * float(r))
+                    r = float(r)
+                    n, s, q, lo, hi = expected.get(int(i), (0, 0.0, 0.0, r, r))
+                    expected[int(i)] = (n + 1, s + r, q + r * r, min(lo, r), max(hi, r))
             assert stats.items_at(node) == expected
         for m, (left, right) in enumerate(dend.merges):
             parent = dend.n_leaves + m
             for child in (int(left), int(right)):
-                for item, (n, _, _) in stats.items_at(child).items():
+                for item, (n, *_) in stats.items_at(child).items():
                     assert stats.count(parent, item) >= n
 
 

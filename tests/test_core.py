@@ -51,14 +51,14 @@ class TestBuildItemStats:
         ds = make_dataset([("a", "x", 4.0), ("b", "x", 2.0)])
         dend = agglomerate(ds)
         stats = build_item_stats(dend, ds)
-        assert stats.get(0, 0) == (1, 4.0, 16.0)
+        assert stats.get(0, 0) == (1, 4.0, 16.0, 4.0, 4.0)
         assert stats.mean(0, 0) == 4.0
 
     def test_parent_merges_children(self):
         ds = make_dataset([("a", "x", 2.0), ("b", "x", 4.0)])
         dend = agglomerate(ds)
         stats = build_item_stats(dend, ds)
-        assert stats.get(2, 0) == (2, 6.0, 20.0)
+        assert stats.get(2, 0) == (2, 6.0, 20.0, 2.0, 4.0)
         assert stats.mean(2, 0) == 3.0
 
     def test_root_equals_global(self):
@@ -81,16 +81,17 @@ class TestBuildItemStats:
             stats = build_item_stats(dend, ds)
             for node in range(dend.n_nodes):
                 members = set(dend.leaf_users[dend.leaves_under(node)].tolist())
-                expected: dict[int, tuple[int, float, float]] = {}
+                expected: dict[int, tuple[int, float, float, float, float]] = {}
                 for u, i, r in zip(ds.users, ds.items, ds.ratings):
                     if int(u) in members:
-                        n, s, q = expected.get(int(i), (0, 0.0, 0.0))
-                        expected[int(i)] = (n + 1, s + float(r), q + float(r) * float(r))
+                        r = float(r)
+                        n, s, q, lo, hi = expected.get(int(i), (0, 0.0, 0.0, r, r))
+                        expected[int(i)] = (n + 1, s + r, q + r * r, min(lo, r), max(hi, r))
                 got = stats.items_at(node)
                 assert set(got) == set(expected)
-                for item, (n, s, q) in expected.items():
-                    gn, gs, gq = got[item]
-                    assert gn == n and gs == s and gq == q
+                for item, (n, s, q, lo, hi) in expected.items():
+                    gn, gs, gq, glo, ghi = got[item]
+                    assert gn == n and gs == s and gq == q and glo == lo and ghi == hi
 
     def test_parent_counts_monotone(self):
         rng = np.random.default_rng(29)
@@ -100,20 +101,20 @@ class TestBuildItemStats:
         for m, (left, right) in enumerate(dend.merges):
             node = dend.n_leaves + m
             for child in (int(left), int(right)):
-                for item, (n, _, _) in stats.items_at(child).items():
+                for item, (n, *_) in stats.items_at(child).items():
                     assert stats.count(node, item) >= n
 
 
 class TestSelectOptimalCluster:
-    def _model(self, rows, **config):
+    def _model(self, rows):
         ds = make_dataset(rows)
-        model = CobarModel(CobarConfig(**config)).fit(ds)
+        model = CobarModel().fit(ds)
         return ds, model
 
     def test_single_rating_item_yields_none(self):
         ds, model = self._model([("a", "x", 4.0), ("a", "z", 3.0), ("b", "y", 2.0), ("b", "z", 4.0)])
         chain = model.dendrogram.ancestor_chain(0)
-        choice = select_optimal_cluster(chain, ds.item_index("x"), model.stats, model.config, model.dendrogram.sizes)
+        choice = select_optimal_cluster(chain, ds.item_index("x"), model.stats, model.dendrogram.sizes)
         assert choice is None
 
     def test_smaller_cluster_wins_ties(self):
@@ -127,13 +128,29 @@ class TestSelectOptimalCluster:
         ds, model = self._model(rows)
         chain = model.dendrogram.ancestor_chain(0)
         item = ds.item_index("x")
-        choice = select_optimal_cluster(chain, item, model.stats, model.config, model.dendrogram.sizes)
+        choice = select_optimal_cluster(chain, item, model.stats, model.dendrogram.sizes)
         assert choice.size == 2          # the pair, not the 3-user root
         assert choice.half_width == 0.0
 
-        largest = CobarConfig(tie_break="largest")
-        choice2 = select_optimal_cluster(chain, item, model.stats, largest, model.dendrogram.sizes)
-        assert choice2.size == 3
+    def test_smallest_constant_cluster_wins_off_grid(self):
+        # every user rates x exactly 0.7: each qualifying node has width 0,
+        # so the first node with two ratings of x must win.  In binary the
+        # sums of 0.7 round, and (n, sum, sum_sq) alone gives positive
+        # widths of about 1e-8 that differ from node to node.
+        rng = np.random.default_rng(61)
+        rows = []
+        for u in range(60):
+            rows.append((f"u{u}", "x", 0.7))
+            for i in rng.choice(12, size=3, replace=False):
+                rows.append((f"u{u}", f"y{i}", round(float(rng.integers(1, 10)) / 10, 1)))
+        ds, model = self._model(rows)
+        item = ds.item_index("x")
+        for leaf in range(model.dendrogram.n_leaves):
+            chain = model.dendrogram.ancestor_chain(leaf)
+            first = next(int(node) for node in chain if model.stats.count(int(node), item) >= 2)
+            choice = select_optimal_cluster(chain, item, model.stats, model.dendrogram.sizes)
+            assert (choice.node, choice.half_width) == (first, 0.0)
+            assert all(model.stats.variance(int(node), item) == 0.0 for node in chain[chain >= first])
 
     def test_selected_width_is_minimal(self):
         rng = np.random.default_rng(37)
@@ -146,7 +163,7 @@ class TestSelectOptimalCluster:
                     continue
                 chain = model.dendrogram.ancestor_chain(leaf)
                 for item in range(ds.n_items):
-                    choice = select_optimal_cluster(chain, item, model.stats, model.config, model.dendrogram.sizes)
+                    choice = select_optimal_cluster(chain, item, model.stats, model.dendrogram.sizes)
                     if choice is None:
                         continue
                     widths = [
@@ -207,7 +224,7 @@ class TestPredict:
         for _ in range(10):
             ds = random_grid_dataset(rng, max_users=10)
             gamma = float(rng.uniform(0, 1))
-            model = CobarModel(CobarConfig(gamma=gamma, clamp=False)).fit(ds)
+            model = CobarModel(CobarConfig(gamma=gamma), clamp=False).fit(ds)
             for user in range(ds.n_users):
                 for item in range(ds.n_items):
                     pred = model.predict_detailed(user, item)
@@ -245,7 +262,7 @@ class TestPredict:
         # user mean far above the only cluster mean; gamma extreme
         rows = [("a", "x", 4.0), ("a", "y", 4.0), ("b", "x", 0.5), ("b", "y", 0.5)]
         ds = make_dataset(rows)
-        unclamped = CobarModel(CobarConfig(clamp=False)).fit(ds)
+        unclamped = CobarModel(clamp=False).fit(ds)
         clamped = CobarModel().fit(ds)
         for user in range(2):
             for item in range(2):

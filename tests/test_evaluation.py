@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from cobar import build_algorithms, rmse, run_cross_validation, wilcoxon_signed_rank
-from cobar.evaluation import EXACT_WILCOXON_LIMIT
+from cobar import MfConfig, build_algorithms, rmse, run_cross_validation, wilcoxon_signed_rank
+from cobar.evaluation import ALGORITHM_NAMES, EXACT_WILCOXON_LIMIT
 from conftest import make_dataset, random_grid_dataset
 from oracles import WILCOXON_CRITICAL, wilcoxon_enumerated_p
 
@@ -241,3 +241,25 @@ class TestRunCrossValidation:
         pair = report.wilcoxon[0]
         assert pair["method"] == "exact"
         assert pair["p_value"] <= 0.05
+
+
+class TestBuildAlgorithms:
+    def test_clamp_false_reaches_all_five_predictors(self):
+        rng = np.random.default_rng(31)
+        ds = random_grid_dataset(rng, max_users=12)
+        train = ds.subset(np.arange(ds.n_ratings)[: ds.n_ratings * 3 // 4])
+        lo, hi = ds.rating_min, ds.rating_max
+        mf = MfConfig(epochs=5, seed=1)
+        clamped = build_algorithms(ALGORITHM_NAMES, mf_config=mf)
+        raw = build_algorithms(ALGORITHM_NAMES, mf_config=mf, clamp=False)
+        outside = 0
+        for name in ALGORITHM_NAMES:
+            on, off = clamped[name]().fit(train), raw[name]().fit(train)
+            assert on.clamp is True and off.clamp is False, name
+            assert off._clamp(hi + 1.0) == hi + 1.0 and on._clamp(hi + 1.0) == hi, name
+            for u in range(ds.n_users):
+                for i in range(ds.n_items):
+                    value = off.predict(u, i)
+                    assert on.predict(u, i) == min(max(value, lo), hi), name
+                    outside += not lo <= value <= hi
+        assert outside > 0

@@ -21,11 +21,10 @@ def _random_sq_dist(rng, n):
     return d**2
 
 
-def _kernels_in_fresh_process(pythonpath, **env):
+def _kernels_in_fresh_process(pythonpath):
     """BACKEND and the modules of the two kernels, as a new interpreter that
     imports cobar from `pythonpath` sees them."""
-    environ = {k: v for k, v in os.environ.items() if k != "COBAR_PURE_PYTHON"}
-    environ.update(PYTHONPATH=str(pythonpath), **env)
+    environ = dict(os.environ, PYTHONPATH=str(pythonpath))
     code = (
         "import cobar.kernels as k; "
         "print(k.BACKEND, k.mf_sgd_epoch.__module__, k.ward_linkage.__module__)"
@@ -41,16 +40,6 @@ class TestDispatch:
         assert kernels.mf_sgd_epoch is expected.mf_sgd_epoch
         assert kernels.ward_linkage is _python.ward_linkage
 
-    def test_env_var_forces_fallback(self):
-        code = (
-            "import os; os.environ['COBAR_PURE_PYTHON'] = '1'; "
-            "import cobar.kernels as k; print(k.BACKEND)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "python"
-
     def test_built_extension_selected(self, compiled_build, tmp_path):
         # the package as installed: sources plus the extension beside them
         pkg = tmp_path / "cobar"
@@ -58,8 +47,6 @@ class TestDispatch:
         for ext in (compiled_build / "cobar" / "kernels").glob("_mf*"):
             shutil.copy(ext, pkg / "kernels")
         assert _kernels_in_fresh_process(tmp_path) == ["c", "cobar.kernels._mf", "cobar.kernels._python"]
-        forced = _kernels_in_fresh_process(tmp_path, COBAR_PURE_PYTHON="1")
-        assert forced == ["python", "cobar.kernels._python", "cobar.kernels._python"]
 
 
 class TestWardKernel:
@@ -145,18 +132,23 @@ class TestMfKernel:
         with pytest.raises(IndexError):
             kernel_backend.mf_sgd_epoch(**args)
 
+    def test_negative_index_raises(self, kernel_backend):
+        # numpy indexing would wrap -1 around to the last entry
+        for name in ("order", "users", "items"):
+            args = _mf_problem()
+            if name == "order":
+                args["order"][0] = -1
+            else:
+                args[name][args["order"][0]] = -1
+            before = {key: args[key].copy() for key in ("user_factors", "item_factors", "user_bias", "item_bias")}
+            with pytest.raises(IndexError):
+                kernel_backend.mf_sgd_epoch(**args)
+            for key, value in before.items():   # failed on the first step
+                np.testing.assert_array_equal(args[key], value)
+
 
 class TestCompiledMfChecksInputs:
     """The compiled epoch rejects bad arrays before it reads or writes them."""
-
-    def test_negative_index_raises(self, compiled_mf):
-        # numpy would wrap -1 around; the compiled epoch rejects it
-        args = _mf_problem()
-        args["users"][args["order"][0]] = -1
-        before = args["user_factors"].copy()
-        with pytest.raises(IndexError):
-            compiled_mf.mf_sgd_epoch(**args)
-        np.testing.assert_array_equal(args["user_factors"], before)   # failed on the first step
 
     @pytest.mark.parametrize("name, value, error", [
         ("users", lambda a: a.astype(np.int64), TypeError),
