@@ -9,9 +9,9 @@ Two subcommands:
   blended value, user mean, chosen cluster (with member count and interval
   half-width) or the fallback that fired.
 
-Clustering holds an n x n distance matrix, so datasets with more than
-``MAX_CLUSTERING_USERS`` users must be reduced with ``--max-users``
-(seeded user subsampling).
+Clustering holds two n x n float64 matrices, 2 * 8 * n * n bytes (137 MB
+at 3000 users), so datasets with more than ``MAX_CLUSTERING_USERS`` users
+must be reduced with ``--max-users`` (seeded user subsampling).
 """
 
 from __future__ import annotations
@@ -101,7 +101,8 @@ def _check_clustering_budget(dataset, needs_clustering: bool) -> None:
     if n > MAX_CLUSTERING_USERS:
         raise SystemExit(
             f"error: {n} users exceed the clustering budget of {MAX_CLUSTERING_USERS} "
-            f"(the hierarchy needs an n x n distance matrix); "
+            f"(the hierarchy needs two n x n float64 matrices, "
+            f"{2 * 8 * n * n / 2**20:.3g} MB for {n} users); "
             f"rerun with --max-users {MAX_CLUSTERING_USERS} (seeded via --subsample-seed)"
         )
 

@@ -40,6 +40,12 @@ def cosine_distance_matrix(dataset: RatingDataset, users: np.ndarray | None = No
     Uses a sparse self-product, so the cost is driven by the number of
     ratings rather than n_users * n_items.  All listed users must have at
     least one nonzero rating.
+
+    The result is the only n x n array made.  It is filled one block of
+    rows at a time: the block's product with the users from its first row
+    on, its share of the upper triangle, goes through a buffer of at most
+    1/16 of the entries into the block's rows and, transposed, into the
+    columns below them.
     """
     R = dataset.sparse_by_user()
     if users is not None:
@@ -48,13 +54,27 @@ def cosine_distance_matrix(dataset: RatingDataset, users: np.ndarray | None = No
     if np.any(norms == 0.0):
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise ValueError(f"user at position {bad} has a zero-norm rating vector")
-    S = np.asarray((R @ R.T).todense(), dtype=np.float64)
-    cos = S / norms[:, None] / norms[None, :]
-    dist = 1.0 - np.clip(cos, -1.0, 1.0)
-    np.clip(dist, 0.0, 2.0, out=dist)
-    # exact symmetry so the merge loop's tie handling sees one value per pair
-    upper = np.triu(dist, 1)
-    return upper + upper.T
+    n = R.shape[0]
+    dist = np.empty((n, n), dtype=np.float64)
+    RT = R.T.tocsr()
+    step = max(1, -(-n // 16))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        upper = (R[start:stop] @ RT[:, start:]).toarray()
+        np.divide(upper, norms[start:stop, None], out=upper)
+        np.divide(upper, norms[None, start:], out=upper)
+        # 1 - cos clipped to [0, 2] equals 1 - (cos clipped to [-1, 1])
+        np.subtract(1.0, upper, out=upper)
+        np.clip(upper, 0.0, 2.0, out=upper)
+        dist[start:stop, start:] = upper
+        dist[stop:, start:stop] = upper[:, stop - start:].T
+        # exact symmetry inside the diagonal block too, so the merge loop's
+        # tie handling sees one value per pair
+        corner = dist[start:stop, start:stop]
+        lower = np.tril_indices(stop - start, -1)
+        corner[lower] = corner.T[lower]
+    np.fill_diagonal(dist, 0.0)
+    return dist
 
 
 @dataclass
@@ -148,7 +168,8 @@ def agglomerate(
         raise ValueError("no users with ratings to cluster")
 
     dist = cosine_distance_matrix(dataset, users)
-    merges, heights_sq = kernels.ward_linkage(dist**2)
+    np.square(dist, out=dist)
+    merges, heights_sq = kernels.ward_linkage(dist)
     heights = np.sqrt(np.maximum(heights_sq, 0.0))
     return Dendrogram(
         n_leaves=len(users),

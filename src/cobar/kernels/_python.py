@@ -17,7 +17,8 @@ def ward_linkage(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ----------
     d2:
         Symmetric (n, n) matrix of squared pairwise distances between the
-        n singleton clusters.
+        n singleton clusters, every entry finite and nonnegative;
+        `ValueError` otherwise.  It is copied once and never written.
 
     Returns
     -------
@@ -30,34 +31,47 @@ def ward_linkage(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Equal minimal linkages are broken by the lexicographically smallest
     (id, id) pair, which makes the result deterministic.
+
+    The working copy keeps the a active clusters in slots 0..a-1, so
+    ``D[:a, :a]`` is always the live block.  Merging the clusters in slots
+    i < j writes the Ward update into row and column i and moves the last
+    active slot into the freed slot j.  The tie-break compares node ids,
+    not slots, so the moves leave the result unchanged.
     """
-    d2 = np.asarray(d2, dtype=np.float64)
-    n = d2.shape[0]
-    if d2.shape != (n, n):
-        raise ValueError(f"distance matrix must be square, got {d2.shape}")
+    D = np.array(d2, dtype=np.float64)
+    n = D.shape[0]
+    if D.shape != (n, n):
+        raise ValueError(f"distance matrix must be square, got {D.shape}")
+    # min() and max() propagate NaN, so one comparison catches it
+    if D.size and not (D.min() >= 0.0 and D.max() < np.inf):
+        raise ValueError("squared distances must be finite and nonnegative")
+    # the loop reads a column's old values from the matching row; checked
+    # in blocks of rows, so no n x n temporary is made
+    step = max(1, -(-n // 16))
+    for start in range(0, n, step):
+        if not np.array_equal(D[start:start + step, start:], D[start:, start:start + step].T):
+            raise ValueError("distance matrix must be symmetric")
     merges = np.empty((n - 1 if n > 1 else 0, 2), dtype=np.int64)
     heights = np.empty(n - 1 if n > 1 else 0, dtype=np.float64)
     if n < 2:
         return merges, heights
 
-    D = d2.copy()
     np.fill_diagonal(D, np.inf)
-    active = np.ones(n, dtype=bool)
     node_id = np.arange(n, dtype=np.int64)
     size = np.ones(n, dtype=np.float64)
     row_min = D.min(axis=1)
 
     for m in range(n - 1):
-        act = np.flatnonzero(active)
-        g = row_min[act].min()
+        a = n - m
+        g = row_min[:a].min()
 
         # all pairs at the minimum, lexicographic smallest id pair wins
         best_ids = None
         best_slots = None
-        for r in act[row_min[act] == g]:
-            for c in np.flatnonzero(D[r] == g):
-                a, b = node_id[r], node_id[c]
-                ids = (a, b) if a < b else (b, a)
+        for r in np.flatnonzero(row_min[:a] == g):
+            for c in np.flatnonzero(D[r, :a] == g):
+                x, y = node_id[r], node_id[c]
+                ids = (x, y) if x < y else (y, x)
                 if best_ids is None or ids < best_ids:
                     best_ids = ids
                     best_slots = (r, c) if r < c else (c, r)
@@ -65,36 +79,41 @@ def ward_linkage(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         merges[m, 0], merges[m, 1] = best_ids
         heights[m] = g
 
-        # Ward update of the kept slot i against every other active cluster
-        keep = active.copy()
-        keep[i] = keep[j] = False
-        k = np.flatnonzero(keep)
-        denom = size[i] + size[j] + size[k]
-        new_d = ((size[i] + size[k]) * D[i, k] + (size[j] + size[k]) * D[j, k] - size[k] * g) / denom
-        new_d = np.maximum(new_d, 0.0)
+        # Ward update of slot i against every active slot.  D is symmetric,
+        # so rows i and j are also the old columns; their diagonal inf
+        # makes new_d inf at i and j.
+        old_i = D[i, :a]
+        old_j = D[j, :a]
+        s = size[:a]
+        new_d = ((size[i] + s) * old_i + (size[j] + s) * old_j - s * g) / (size[i] + size[j] + s)
+        np.maximum(new_d, 0.0, out=new_d)
 
-        old_col_i = D[:, i].copy()
-        old_col_j = D[:, j].copy()
-        D[i, :] = np.inf
-        D[:, i] = np.inf
-        D[i, k] = new_d
-        D[k, i] = new_d
-        D[j, :] = np.inf
-        D[:, j] = np.inf
-
-        active[j] = False
+        # row minima: direct improvement, else recompute rows whose old
+        # minimum was their distance to i or j (row i is recomputed below,
+        # row j leaves)
+        rm = row_min[:a]
+        improved = new_d < rm
+        stale = ~improved & ((rm == old_i) | (rm == old_j))
+        stale[i] = stale[j] = False
+        rm[improved] = new_d[improved]
+        D[i, :a] = new_d
+        D[:a, i] = new_d
         size[i] += size[j]
         node_id[i] = n + m
 
-        # row minima: direct improvement, else recompute rows whose old
-        # minimum sat in a rewritten column
-        if len(k):
-            improved = D[k, i] < row_min[k]
-            row_min[k[improved]] = D[k[improved], i]
-            stale = ~improved & ((row_min[k] == old_col_i[k]) | (row_min[k] == old_col_j[k]))
-            for r in k[stale]:
-                row_min[r] = D[r].min()
-        row_min[i] = D[i].min() if len(k) else np.inf
+        # the last active slot moves into the freed slot j
+        last = a - 1
+        if j != last:
+            D[j, :last] = D[last, :last]
+            D[:last, j] = D[:last, last]
+            D[j, j] = np.inf
+            size[j] = size[last]
+            node_id[j] = node_id[last]
+            row_min[j] = row_min[last]
+            stale[j] = stale[last]
+        for r in np.flatnonzero(stale[:last]):
+            row_min[r] = D[r, :last].min()
+        row_min[i] = D[i, :last].min() if last > 1 else np.inf
 
     return merges, heights
 

@@ -5,7 +5,9 @@ the library: the clustering oracle uses the closed-form merge cost over the
 original distance matrix, the prediction oracle enumerates cluster members
 top-down and re-derives intervals from the raw ratings, the kNN oracle
 ranks neighbors from dense rating vectors, and the statistical constants
-are frozen from published tables.
+are frozen from published tables.  The Ward and cosine references are the
+earlier, allocation-heavy implementations, which the in-place ones must
+match bit for bit.
 """
 
 import math
@@ -69,6 +71,101 @@ def ward_agglomeration(d2: np.ndarray):
         merges.append((ida, idb))
         heights.append(cost)
     return np.asarray(merges, dtype=np.int64), np.asarray(heights, dtype=np.float64)
+
+
+def ward_reference(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The earlier Ward merge loop, kept verbatim as a bit-identity reference.
+
+    It masks merged clusters out with a boolean array and rewrites their
+    rows and columns to inf; `ward_linkage` must give the same merges and
+    the same heights, bit for bit, including on exact ties.
+    """
+    d2 = np.asarray(d2, dtype=np.float64)
+    n = d2.shape[0]
+    if d2.shape != (n, n):
+        raise ValueError(f"distance matrix must be square, got {d2.shape}")
+    merges = np.empty((n - 1 if n > 1 else 0, 2), dtype=np.int64)
+    heights = np.empty(n - 1 if n > 1 else 0, dtype=np.float64)
+    if n < 2:
+        return merges, heights
+
+    D = d2.copy()
+    np.fill_diagonal(D, np.inf)
+    active = np.ones(n, dtype=bool)
+    node_id = np.arange(n, dtype=np.int64)
+    size = np.ones(n, dtype=np.float64)
+    row_min = D.min(axis=1)
+
+    for m in range(n - 1):
+        act = np.flatnonzero(active)
+        g = row_min[act].min()
+
+        # all pairs at the minimum, lexicographic smallest id pair wins
+        best_ids = None
+        best_slots = None
+        for r in act[row_min[act] == g]:
+            for c in np.flatnonzero(D[r] == g):
+                a, b = node_id[r], node_id[c]
+                ids = (a, b) if a < b else (b, a)
+                if best_ids is None or ids < best_ids:
+                    best_ids = ids
+                    best_slots = (r, c) if r < c else (c, r)
+        i, j = best_slots
+        merges[m, 0], merges[m, 1] = best_ids
+        heights[m] = g
+
+        # Ward update of the kept slot i against every other active cluster
+        keep = active.copy()
+        keep[i] = keep[j] = False
+        k = np.flatnonzero(keep)
+        denom = size[i] + size[j] + size[k]
+        new_d = ((size[i] + size[k]) * D[i, k] + (size[j] + size[k]) * D[j, k] - size[k] * g) / denom
+        new_d = np.maximum(new_d, 0.0)
+
+        old_col_i = D[:, i].copy()
+        old_col_j = D[:, j].copy()
+        D[i, :] = np.inf
+        D[:, i] = np.inf
+        D[i, k] = new_d
+        D[k, i] = new_d
+        D[j, :] = np.inf
+        D[:, j] = np.inf
+
+        active[j] = False
+        size[i] += size[j]
+        node_id[i] = n + m
+
+        # row minima: direct improvement, else recompute rows whose old
+        # minimum sat in a rewritten column
+        if len(k):
+            improved = D[k, i] < row_min[k]
+            row_min[k[improved]] = D[k[improved], i]
+            stale = ~improved & ((row_min[k] == old_col_i[k]) | (row_min[k] == old_col_j[k]))
+            for r in k[stale]:
+                row_min[r] = D[r].min()
+        row_min[i] = D[i].min() if len(k) else np.inf
+
+    return merges, heights
+
+
+def cosine_distance_reference(dataset, users=None) -> np.ndarray:
+    """The earlier cosine distance matrix, kept verbatim as a bit-identity
+    reference: the whole sparse product made dense, then each step as a
+    new array and `upper + upper.T` for exact symmetry."""
+    R = dataset.sparse_by_user()
+    if users is not None:
+        R = R[np.asarray(users)]
+    norms = np.sqrt(np.asarray(R.multiply(R).sum(axis=1)).ravel())
+    if np.any(norms == 0.0):
+        bad = int(np.flatnonzero(norms == 0.0)[0])
+        raise ValueError(f"user at position {bad} has a zero-norm rating vector")
+    S = np.asarray((R @ R.T).todense(), dtype=np.float64)
+    cos = S / norms[:, None] / norms[None, :]
+    dist = 1.0 - np.clip(cos, -1.0, 1.0)
+    np.clip(dist, 0.0, 2.0, out=dist)
+    # exact symmetry so the merge loop's tie handling sees one value per pair
+    upper = np.triu(dist, 1)
+    return upper + upper.T
 
 
 def interval_half_width(ratings, level=0.95) -> float:

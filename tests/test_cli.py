@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from cobar import cli
+from cobar import cli, parse_ratings
+from cobar.clustering import clusterable_users
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +63,9 @@ class TestEvaluate:
         with pytest.raises(SystemExit) as exc:
             cli.main(["evaluate", "--data", str(data_dir / "two_clusters.tsv"), "--algos", "cobar"])
         assert "--max-users" in str(exc.value)
+        # the memory the guard protects: two n x n float64 matrices
+        n = len(clusterable_users(parse_ratings(data_dir / "two_clusters.tsv")))
+        assert f"two n x n float64 matrices, {2 * 8 * n * n / 2**20:.3g} MB for {n} users" in str(exc.value)
 
     def test_max_users_subsampling_unlocks_run(self, data_dir, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_CLUSTERING_USERS", 6)

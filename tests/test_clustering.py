@@ -1,12 +1,32 @@
 """Cosine distances, the agglomeration kernel, and dendrogram structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cobar import agglomerate, cosine_distance, cosine_distance_matrix
 from cobar.clustering import Dendrogram, clusterable_users
 from conftest import make_dataset, random_grid_dataset
-from oracles import ward_agglomeration
+from oracles import cosine_distance_reference, ward_agglomeration, ward_reference
+
+
+def signed_dataset(rng, n_users=400, n_items=150):
+    """Non-grid ratings of both signs, so cosines fall below 0, plus copies
+    and negated copies of some users, whose cosines of +-1 can round past
+    the clip bounds."""
+    rows = []
+    for u in range(n_users):
+        items = rng.choice(n_items, size=int(rng.integers(1, 25)), replace=False)
+        for i in items:
+            rows.append((f"u{u}", f"i{i}", round(float(rng.normal(0.3, 2.0)), 3)))
+    ratings_of = {}
+    for u, i, r in rows:
+        ratings_of.setdefault(u, []).append((i, r))
+    for k, u in enumerate(list(ratings_of)[:40]):
+        sign = -1.0 if k % 2 else 1.0
+        rows.extend((f"copy{k}", i, sign * r * 1.5) for i, r in ratings_of[u])
+    return make_dataset(rows)
 
 
 class TestCosineDistance:
@@ -39,6 +59,22 @@ class TestCosineDistance:
                 assert dist[a, b] == pytest.approx(expected, abs=1e-10)
         np.testing.assert_array_equal(dist, dist.T)
         assert np.all(np.diag(dist) == 0.0)
+
+    def test_matrix_bit_identical_to_reference(self):
+        ds = signed_dataset(np.random.default_rng(8))
+        users = clusterable_users(ds)
+        assert len(users) >= 400
+        dist = cosine_distance_matrix(ds, users)
+        ref = cosine_distance_reference(ds, users)
+        assert ref.max() > 1.0   # negative cosines present
+        assert np.array_equal(dist, ref)
+        shuffled = np.random.default_rng(9).permutation(users)
+        assert np.array_equal(cosine_distance_matrix(ds, shuffled), cosine_distance_reference(ds, shuffled))
+        # and the hierarchy built on it
+        dend = agglomerate(ds)
+        ref_merges, ref_heights = ward_reference(ref**2)
+        assert np.array_equal(dend.merges, ref_merges)
+        assert np.array_equal(dend.heights, np.sqrt(np.maximum(ref_heights, 0.0)))
 
 
 class TestAgglomerate:
@@ -88,6 +124,25 @@ class TestAgglomerate:
         merges, heights = ward_linkage(d2)
         assert merges.tolist() == [[0, 1], [2, 3]]
         assert heights.tolist() == [0.0, 0.0]
+
+    def test_peak_memory_two_matrices(self):
+        # the distance matrix and the merge loop's working copy, nothing
+        # else of size n x n
+        rng = np.random.default_rng(12)
+        rows = [
+            (f"u{u}", f"i{i}", int(rng.integers(1, 11)) / 2.0)
+            for u in range(1000)
+            for i in rng.choice(300, size=40, replace=False)
+        ]
+        ds = make_dataset(rows)
+        n = len(clusterable_users(ds))
+        tracemalloc.start()
+        try:
+            agglomerate(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 8 * n * n
 
     def test_empty_dataset_rejected(self):
         ds = make_dataset([("a", "x", 3.0)]).subset(np.array([], dtype=int))

@@ -12,6 +12,7 @@ import pytest
 from cobar import kernels
 from cobar.kernels import _python
 from conftest import REPO_ROOT
+from oracles import ward_reference
 
 
 def _random_sq_dist(rng, n):
@@ -19,6 +20,14 @@ def _random_sq_dist(rng, n):
     d = np.triu(d, 1)
     d = d + d.T
     return d**2
+
+
+def _tie_heavy_sq_dist(rng, n):
+    """Symmetric squared distances on a quarter grid with few levels, so
+    many pairs, and many Ward updates, tie exactly."""
+    levels = int(rng.integers(1, 9))
+    d = np.triu(rng.integers(0, levels, size=(n, n)) / 4.0, 1)
+    return d + d.T
 
 
 def _kernels_in_fresh_process(pythonpath):
@@ -64,6 +73,59 @@ class TestWardKernel:
             n = int(rng.integers(2, 30))
             _, heights = ward_linkage(_random_sq_dist(rng, n))
             assert np.all(np.diff(heights) >= 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry(self, ward_linkage, bad):
+        d2 = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 2.0], [4.0, 2.0, 0.0]])
+        d2[0, 2] = d2[2, 0] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ward_linkage(d2)
+
+    def test_rejects_negative_entry(self, ward_linkage):
+        # without the check this gives heights [-1.0, 2.33]
+        d2 = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 2.0], [-1.0, 2.0, 0.0]])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ward_linkage(d2)
+
+    def test_rejects_asymmetric(self, ward_linkage):
+        # the loop reads old column values from rows; unchecked, the first
+        # input fails in the tie scan with a TypeError
+        rng = np.random.default_rng(75)
+        scattered = rng.uniform(0.0, 4.0, size=(8, 8))
+        np.fill_diagonal(scattered, 0.0)
+        one_entry = _random_sq_dist(rng, 40)
+        one_entry[30, 3] += 0.5
+        for d2 in (scattered, one_entry):
+            with pytest.raises(ValueError, match="symmetric"):
+                ward_linkage(d2)
+
+    def test_input_not_written(self, ward_linkage):
+        rng = np.random.default_rng(73)
+        for d2 in (_random_sq_dist(rng, 25), _tie_heavy_sq_dist(rng, 25)):
+            before = d2.copy()
+            ward_linkage(d2)
+            np.testing.assert_array_equal(d2, before)
+
+    def test_bit_identical_to_reference_on_ties(self, ward_linkage):
+        rng = np.random.default_rng(74)
+        cases = [_tie_heavy_sq_dist(rng, int(rng.integers(2, 41))) for _ in range(200)]
+        for n in (2, 3, 7, 40):
+            cases.append(np.ones((n, n)) - np.eye(n))   # every pair equal
+            cases.append(np.zeros((n, n)))
+        for _ in range(30):
+            # duplicate rows: points repeated, so zero distances and
+            # identical Ward updates
+            n = int(rng.integers(2, 41))
+            base = _tie_heavy_sq_dist(rng, int(rng.integers(1, n + 1)))
+            pick = rng.integers(0, len(base), size=n)
+            d2 = base[np.ix_(pick, pick)]
+            np.fill_diagonal(d2, 0.0)
+            cases.append(d2)
+        for d2 in cases:
+            merges, heights = ward_linkage(d2)
+            ref_merges, ref_heights = ward_reference(d2)
+            assert np.array_equal(merges, ref_merges)
+            assert np.array_equal(heights, ref_heights)
 
     def test_merge_ids_form_a_tree(self, ward_linkage):
         rng = np.random.default_rng(72)
