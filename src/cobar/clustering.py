@@ -77,6 +77,19 @@ def cosine_distance_matrix(dataset: RatingDataset, users: np.ndarray | None = No
     return dist
 
 
+def _leaf_chains(parents: list[int], n_leaves: int) -> tuple[tuple[int, ...], ...]:
+    """Each leaf's node ids from the leaf up to its root, as Python ints.
+
+    A parent's id is always above its children's, so one pass from the
+    highest id down finds every parent's chain before its children's.
+    """
+    chains: list[tuple[int, ...]] = [()] * len(parents)
+    for node in range(len(parents) - 1, -1, -1):
+        parent = parents[node]
+        chains[node] = (node,) if parent == -1 else (node,) + chains[parent]
+    return tuple(chains[:n_leaves])
+
+
 @dataclass
 class Dendrogram:
     """Binary merge tree; leaves 0..n-1 are users, node n+m is merge m."""
@@ -87,19 +100,21 @@ class Dendrogram:
     leaf_users: np.ndarray  # (n_leaves,) dataset user index per leaf
     parents: np.ndarray = field(init=False, repr=False)
     sizes: np.ndarray = field(init=False, repr=False)
+    chains: tuple[tuple[int, ...], ...] = field(init=False, repr=False)  # per leaf, up to the root
 
     def __post_init__(self):
         n = self.n_leaves
         total = 2 * n - 1 if n else 0
-        parents = np.full(total, -1, dtype=np.int64)
-        sizes = np.ones(total, dtype=np.int64)
-        for m, (left, right) in enumerate(self.merges):
+        parents = [-1] * total
+        sizes = [1] * total
+        for m, (left, right) in enumerate(self.merges.tolist()):
             new = n + m
             parents[left] = new
             parents[right] = new
             sizes[new] = sizes[left] + sizes[right]
-        self.parents = parents
-        self.sizes = sizes
+        self.parents = np.array(parents, dtype=np.int64)
+        self.sizes = np.array(sizes, dtype=np.int64)
+        self.chains = _leaf_chains(parents, n)
 
     @property
     def n_nodes(self) -> int:
@@ -113,12 +128,7 @@ class Dendrogram:
         """Node ids from the user's leaf up to the root, inclusive."""
         if not 0 <= leaf < self.n_leaves:
             raise ValueError(f"leaf index {leaf} out of range [0, {self.n_leaves})")
-        chain = [leaf]
-        node = leaf
-        while self.parents[node] != -1:
-            node = int(self.parents[node])
-            chain.append(node)
-        return np.asarray(chain, dtype=np.int64)
+        return np.asarray(self.chains[leaf], dtype=np.int64)
 
     def leaves_under(self, node: int) -> np.ndarray:
         """Leaf ids contained in the cluster rooted at `node`."""

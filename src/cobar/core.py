@@ -81,6 +81,20 @@ class Prediction:
     user_mean: float | None = None
 
 
+def _variance(n: int, total: float, total_sq: float, lo: float, hi: float) -> float:
+    """(n-1)-denominator sample variance of an accumulator, clipped at zero.
+
+    Exactly zero when all ratings are equal (min == max).  Off a
+    binary-exact grid such as 0.5 steps the sums round, and the
+    sum-of-squares formula alone gives small positive values that break
+    "smaller cluster wins at equal width".
+    """
+    if lo == hi:
+        return 0.0
+    s2 = (total_sq - total * total / n) / (n - 1)
+    return max(s2, 0.0)
+
+
 class ClusterItemStats:
     """Per (dendrogram node, item) rating accumulators.
 
@@ -91,6 +105,8 @@ class ClusterItemStats:
     """
 
     def __init__(self, node_maps: list[dict[int, tuple[int, float, float, float, float]]], level: float):
+        if not 0.0 < level < 1.0:
+            raise ValueError(f"confidence level must be in (0, 1), got {level}")
         self._maps = node_maps
         self.level = level
 
@@ -98,29 +114,16 @@ class ClusterItemStats:
         """(n, sum, sum_sq, min, max) for the item inside the node's cluster, if any."""
         return self._maps[node].get(item)
 
-    def count(self, node: int, item: int) -> int:
-        entry = self._maps[node].get(item)
-        return entry[0] if entry else 0
-
     def mean(self, node: int, item: int) -> float:
         n, total, _, _, _ = self._maps[node][item]
         return total / n
 
     def variance(self, node: int, item: int) -> float:
-        """(n-1)-denominator sample variance, clipped at zero.
-
-        Exactly zero when all ratings are equal (min == max).  Off a
-        binary-exact grid such as 0.5 steps the sums round, and the
-        sum-of-squares formula alone gives small positive values that break
-        "smaller cluster wins at equal width".
-        """
-        n, total, total_sq, lo, hi = self._maps[node][item]
-        if n < 2:
-            raise ValueError(f"variance undefined for n={n}")
-        if lo == hi:
-            return 0.0
-        s2 = (total_sq - total * total / n) / (n - 1)
-        return max(s2, 0.0)
+        """(n-1)-denominator sample variance, clipped at zero; see `_variance`."""
+        entry = self._maps[node][item]
+        if entry[0] < 2:
+            raise ValueError(f"variance undefined for n={entry[0]}")
+        return _variance(*entry)
 
     def half_width(self, node: int, item: int) -> float:
         n, _, _, _, _ = self._maps[node][item]
@@ -162,7 +165,7 @@ class ClusterChoice:
 
 
 def select_optimal_cluster(
-    chain: np.ndarray,
+    chain: tuple[int, ...] | np.ndarray,
     item: int,
     stats: ClusterItemStats,
     sizes: np.ndarray,
@@ -174,16 +177,24 @@ def select_optimal_cluster(
     smaller (earlier) cluster wins.  Returns None when no chain node
     qualifies.
     """
-    best: ClusterChoice | None = None
+    maps, level = stats._maps, stats.level
+    best = None
+    best_hw = 0.0
     for node in chain:
-        node = int(node)
-        entry = stats.get(node, item)
-        if entry is None or entry[0] < 2:
+        entry = maps[node].get(item)
+        if entry is None:
             continue
-        hw = stats.half_width(node, item)
-        if best is None or hw < best.half_width:
-            best = ClusterChoice(node=node, size=int(sizes[node]), mean=stats.mean(node, item), half_width=hw)
-    return best
+        n, total, total_sq, lo, hi = entry
+        if n < 2:
+            continue
+        # confidence_half_width's expression, without its argument checks
+        hw = _t_critical(level, n - 1) * math.sqrt(_variance(n, total, total_sq, lo, hi) / n)
+        if best is None or hw < best_hw:
+            best, best_hw = node, hw
+    if best is None:
+        return None
+    n, total, _, _, _ = maps[best][item]
+    return ClusterChoice(node=int(best), size=int(sizes[best]), mean=total / n, half_width=best_hw)
 
 
 class CobarModel(_ClampMixin):
@@ -232,8 +243,7 @@ class CobarModel(_ClampMixin):
         leaf = self._leaf_of.get(user)
         choice = None
         if leaf is not None:
-            chain = self.dendrogram.ancestor_chain(leaf)
-            choice = select_optimal_cluster(chain, item, self.stats, self.dendrogram.sizes)
+            choice = select_optimal_cluster(self.dendrogram.chains[leaf], item, self.stats, self.dendrogram.sizes)
         if choice is None:
             # item has at most one reachable training rating (or the user's
             # vector was unclusterable): predict the plain user mean

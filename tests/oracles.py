@@ -7,10 +7,14 @@ top-down and re-derives intervals from the raw ratings, the kNN oracle
 ranks neighbors from dense rating vectors, and the statistical constants
 are frozen from published tables.  The Ward and cosine references are the
 earlier, allocation-heavy implementations, which the in-place ones must
-match bit for bit.
+match bit for bit, and the per-query prediction reference is the earlier
+method-per-node chain walk, which the flat interval loop must match bit for
+bit.
 """
 
 import math
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -285,3 +289,147 @@ def knn_prediction(dataset, user, item, k=30, min_overlap=1, user_based=True, cl
     num = math.fsum(-s * (dense[o, column] - mean_of(o)) for s, o in chosen)
     den = math.fsum(-s for s, _ in chosen)
     return _clamp(base + num / den, dataset, clamp)
+
+
+@lru_cache(maxsize=None)
+def _t_critical_reference(level: float, dof: int) -> float:
+    return float(scipy_stats.t.ppf(0.5 + level / 2.0, dof))
+
+
+def confidence_half_width_reference(n: int, s2: float, level: float = 0.95) -> float:
+    """`confidence_half_width` as it stood beside the method-per-node walk."""
+    if n < 2:
+        raise ValueError(f"confidence interval undefined for n={n} (need n >= 2)")
+    if s2 < 0.0:
+        s2 = 0.0
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"confidence level must be in (0, 1), got {level}")
+    return _t_critical_reference(level, n - 1) * math.sqrt(s2 / n)
+
+
+class ClusterItemStatsReference:
+    """The earlier per-(node, item) accessors of `ClusterItemStats`, verbatim,
+    over the same accumulator maps."""
+
+    def __init__(self, node_maps, level):
+        self._maps = node_maps
+        self.level = level
+
+    def get(self, node, item):
+        return self._maps[node].get(item)
+
+    def mean(self, node, item):
+        n, total, _, _, _ = self._maps[node][item]
+        return total / n
+
+    def variance(self, node, item):
+        n, total, total_sq, lo, hi = self._maps[node][item]
+        if n < 2:
+            raise ValueError(f"variance undefined for n={n}")
+        if lo == hi:
+            return 0.0
+        s2 = (total_sq - total * total / n) / (n - 1)
+        return max(s2, 0.0)
+
+    def half_width(self, node, item):
+        n, _, _, _, _ = self._maps[node][item]
+        return confidence_half_width_reference(n, self.variance(node, item), self.level)
+
+
+def ancestor_chain_reference(dendrogram, leaf):
+    """The earlier `Dendrogram.ancestor_chain`: walks `parents` per call."""
+    if not 0 <= leaf < dendrogram.n_leaves:
+        raise ValueError(f"leaf index {leaf} out of range [0, {dendrogram.n_leaves})")
+    chain = [leaf]
+    node = leaf
+    while dendrogram.parents[node] != -1:
+        node = int(dendrogram.parents[node])
+        chain.append(node)
+    return np.asarray(chain, dtype=np.int64)
+
+
+@dataclass
+class ClusterChoiceReference:
+    node: int
+    size: int
+    mean: float
+    half_width: float
+
+
+def select_optimal_cluster_reference(chain, item, stats, sizes):
+    """The earlier `select_optimal_cluster`, verbatim: four accessor calls
+    per qualifying node and a new choice object at every improvement."""
+    best = None
+    for node in chain:
+        node = int(node)
+        entry = stats.get(node, item)
+        if entry is None or entry[0] < 2:
+            continue
+        hw = stats.half_width(node, item)
+        if best is None or hw < best.half_width:
+            best = ClusterChoiceReference(node=node, size=int(sizes[node]), mean=stats.mean(node, item), half_width=hw)
+    return best
+
+
+class CobarReference:
+    """The earlier `CobarModel.predict_detailed`, verbatim, over a fitted
+    model's state, through the reference chain walk and accessors above."""
+
+    def __init__(self, model):
+        self.config = model.config
+        self.train = model.train
+        self.user_stats = model.user_stats
+        self.dendrogram = model.dendrogram
+        maps = [model.stats.items_at(node) for node in range(model.dendrogram.n_nodes)]
+        self.stats = ClusterItemStatsReference(maps, model.stats.level)
+        self._leaf_of = model._leaf_of
+        self._item_counts = model._item_counts
+        self._clamp = model._clamp
+
+    def predict_detailed(self, user, item):
+        from cobar import Fallback, Prediction
+
+        if self.train is None:
+            raise RuntimeError("model is not fitted")
+        if not 0 <= user < self.train.n_users:
+            raise ValueError(f"user index {user} out of range")
+        if not 0 <= item < self.train.n_items:
+            raise ValueError(f"item index {item} out of range")
+
+        user_mean = self.user_stats.mean(user)
+        if user_mean is None:
+            return Prediction(
+                user=user,
+                item=item,
+                value=self._clamp(self.user_stats.global_mean),
+                fallback=Fallback.COLD_USER,
+            )
+
+        leaf = self._leaf_of.get(user)
+        choice = None
+        if leaf is not None:
+            chain = ancestor_chain_reference(self.dendrogram, leaf)
+            choice = select_optimal_cluster_reference(chain, item, self.stats, self.dendrogram.sizes)
+        if choice is None:
+            fallback = Fallback.COLD_ITEM if self._item_counts[item] == 0 else Fallback.SINGLE_RATING
+            return Prediction(
+                user=user,
+                item=item,
+                value=self._clamp(user_mean),
+                fallback=fallback,
+                user_mean=user_mean,
+            )
+
+        gamma = self.config.gamma
+        value = gamma * user_mean + (1.0 - gamma) * choice.mean
+        return Prediction(
+            user=user,
+            item=item,
+            value=self._clamp(value),
+            fallback=Fallback.NONE,
+            chosen_node=choice.node,
+            cluster_size=choice.size,
+            cluster_mean=choice.mean,
+            half_width=choice.half_width,
+            user_mean=user_mean,
+        )

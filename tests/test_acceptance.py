@@ -173,7 +173,7 @@ def test_c7_aggregation_exactness():
             parent = dend.n_leaves + m
             for child in (int(left), int(right)):
                 for item, (n, *_) in stats.items_at(child).items():
-                    assert stats.count(parent, item) >= n
+                    assert stats.get(parent, item)[0] >= n
 
 
 @pytest.mark.acceptance("C8 sparse items fall back to the user mean exactly")

@@ -8,7 +8,7 @@ import pytest
 from cobar import agglomerate, cosine_distance, cosine_distance_matrix
 from cobar.clustering import Dendrogram, clusterable_users
 from conftest import make_dataset, random_grid_dataset
-from oracles import cosine_distance_reference, ward_agglomeration, ward_reference
+from oracles import ancestor_chain_reference, cosine_distance_reference, ward_agglomeration, ward_reference
 
 
 def signed_dataset(rng, n_users=400, n_items=150):
@@ -209,6 +209,18 @@ class TestDendrogramStructure:
             # consecutive entries are child -> parent
             for child, parent in zip(chain[:-1], chain[1:]):
                 assert dend.parents[child] == parent
+
+    def test_chain_table_matches_parent_walk(self):
+        rng = np.random.default_rng(62)
+        for _ in range(20):
+            dend = agglomerate(random_grid_dataset(rng, max_users=16))
+            assert len(dend.chains) == dend.n_leaves
+            for leaf in range(dend.n_leaves):
+                walked = ancestor_chain_reference(dend, leaf)
+                assert dend.chains[leaf] == tuple(walked.tolist())
+                assert all(type(node) is int for node in dend.chains[leaf])
+                got = dend.ancestor_chain(leaf)
+                assert got.dtype == np.int64 and got.tolist() == walked.tolist()
 
     def test_demo_fixture_chain_topology(self, demo_dataset):
         # the shipped 5-user fixture: the active user pairs up first, gains a

@@ -2,6 +2,8 @@
 and the blended prediction, checked against from-scratch recomputation."""
 
 import math
+from collections import Counter
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -16,7 +18,13 @@ from cobar import (
     select_optimal_cluster,
 )
 from conftest import make_dataset, random_grid_dataset
-from oracles import T_TABLE_95, brute_force_prediction, interval_half_width
+from oracles import (
+    T_TABLE_95,
+    CobarReference,
+    ancestor_chain_reference,
+    brute_force_prediction,
+    interval_half_width,
+)
 
 
 class TestConfidenceHalfWidth:
@@ -102,7 +110,13 @@ class TestBuildItemStats:
             node = dend.n_leaves + m
             for child in (int(left), int(right)):
                 for item, (n, *_) in stats.items_at(child).items():
-                    assert stats.count(node, item) >= n
+                    assert stats.get(node, item)[0] >= n
+
+
+def _count(stats, node, item):
+    """Ratings of the item inside the node's cluster, 0 when it has none."""
+    entry = stats.get(node, item)
+    return entry[0] if entry else 0
 
 
 class TestSelectOptimalCluster:
@@ -147,7 +161,7 @@ class TestSelectOptimalCluster:
         item = ds.item_index("x")
         for leaf in range(model.dendrogram.n_leaves):
             chain = model.dendrogram.ancestor_chain(leaf)
-            first = next(int(node) for node in chain if model.stats.count(int(node), item) >= 2)
+            first = next(int(node) for node in chain if _count(model.stats, int(node), item) >= 2)
             choice = select_optimal_cluster(chain, item, model.stats, model.dendrogram.sizes)
             assert (choice.node, choice.half_width) == (first, 0.0)
             assert all(model.stats.variance(int(node), item) == 0.0 for node in chain[chain >= first])
@@ -169,7 +183,7 @@ class TestSelectOptimalCluster:
                     widths = [
                         model.stats.half_width(int(node), item)
                         for node in chain
-                        if model.stats.count(int(node), item) >= 2
+                        if _count(model.stats, int(node), item) >= 2
                     ]
                     assert choice.half_width <= min(widths)
 
@@ -288,3 +302,100 @@ class TestPredict:
             assert model.stats.half_width(int(node), item) == pytest.approx(
                 interval_half_width(raw), abs=1e-9
             )
+
+
+def _non_grid_split(seed):
+    """A dataset and a training subset of it with cold users and items.
+
+    Ratings lie on a 0.1 grid from 0.1 to 9.9, whose sums round in binary.
+    Five items get one constant rating each from a block of twelve users
+    and from about a third of the others, so zero widths and exact width
+    ties between a node and its ancestors occur.  Two items have a single
+    rating.  Training drops every rating of two users and two items, and
+    every fifth other rating except the single ones.
+    """
+    rng = np.random.default_rng(seed)
+    constant = [0.3, 0.7, 1.1, 2.9, 9.9]
+    rows = []
+    for u in range(48):
+        for i in rng.choice(30, size=int(rng.integers(2, 12)), replace=False):
+            rows.append((f"u{u}", f"i{i}", int(rng.integers(1, 100)) / 10))
+        if rng.random() < 0.35:
+            k = int(rng.integers(0, 5))
+            rows.append((f"u{u}", f"k{k}", constant[k]))
+    for u in range(12):
+        for k in range(5):
+            rows.append((f"c{u}", f"k{k}", constant[k]))
+        rows.append((f"c{u}", f"i{int(rng.integers(0, 30))}", int(rng.integers(1, 100)) / 10))
+    rows += [("u2", "s0", 4.4), ("c0", "s1", 0.1)]
+    ds = make_dataset(rows)
+    cold_users = [ds.user_index("u0"), ds.user_index("u1")]
+    cold_items = [ds.item_index("i0"), ds.item_index("i1")]
+    keep = ~(np.isin(ds.users, cold_users) | np.isin(ds.items, cold_items))
+    keep &= (np.arange(ds.n_ratings) % 5 != 0) | np.isin(ds.items, [ds.item_index("s0"), ds.item_index("s1")])
+    return ds, ds.subset(np.flatnonzero(keep))
+
+
+class TestPredictionAgainstReference:
+    """Every `Prediction` field, bit for bit, against the earlier
+    method-per-node chain walk kept in `oracles.CobarReference`."""
+
+    @pytest.mark.parametrize("clamp", [True, False])
+    @pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
+    def test_every_pair_bit_identical(self, level, clamp):
+        ds, train = _non_grid_split(71)
+        # a scale narrower than the ratings, so that clamping changes values
+        train = replace(train, rating_min=2.0, rating_max=8.0)
+        model = CobarModel(CobarConfig(confidence_level=level), clamp=clamp).fit(train)
+        reference = CobarReference(model)
+        fallbacks = Counter()
+        off_scale = zero_widths = ties = 0
+        for user in range(ds.n_users):
+            for item in range(ds.n_items):
+                got = model.predict_detailed(user, item)
+                want = reference.predict_detailed(user, item)
+                # repr tells -0.0 from 0.0 and a numpy scalar from a Python one
+                assert repr(astuple(got)) == repr(astuple(want)), (user, item)
+                fallbacks[got.fallback] += 1
+                off_scale += not 2.0 <= got.value <= 8.0
+                if got.fallback is not Fallback.NONE:
+                    continue
+                zero_widths += got.half_width == 0.0
+                chain = ancestor_chain_reference(model.dendrogram, model._leaf_of[user]).tolist()
+                later = chain[chain.index(got.chosen_node) + 1:]
+                ties += any(
+                    _count(reference.stats, node, item) >= 2
+                    and reference.stats.half_width(node, item) == got.half_width
+                    for node in later
+                )
+        assert set(fallbacks) == set(Fallback)
+        assert zero_widths > 0 and ties > 0
+        assert (off_scale == 0) if clamp else (off_scale > 0)
+
+
+class TestPredictionIsPureRead:
+    def test_catalogue_order_and_model_state(self):
+        ds, train = _non_grid_split(83)
+        model = CobarModel().fit(train)
+        state = dict(vars(model))
+        lengths = {key: len(value) for key, value in state.items() if hasattr(value, "__len__")}
+        chains = model.dendrogram.chains
+        chain_lengths = [len(chain) for chain in chains]
+        entries = [len(model.stats.items_at(node)) for node in range(model.dendrogram.n_nodes)]
+
+        pairs = [(user, item) for user in range(ds.n_users) for item in range(ds.n_items)]
+        forwards = np.array([model.predict(user, item) for user, item in pairs])
+        backwards = np.array([model.predict(user, item) for user, item in reversed(pairs)])[::-1]
+        assert forwards.tobytes() == backwards.tobytes()
+
+        assert vars(model).keys() == state.keys()
+        assert all(vars(model)[key] is value for key, value in state.items())
+        assert {key: len(vars(model)[key]) for key in lengths} == lengths
+        assert model.dendrogram.chains is chains
+        assert [len(chain) for chain in model.dendrogram.chains] == chain_lengths
+        assert [len(model.stats.items_at(node)) for node in range(model.dendrogram.n_nodes)] == entries
+
+
+def test_bad_level_rejected_when_stats_are_built(demo_dataset):
+    with pytest.raises(ValueError, match="confidence level"):
+        build_item_stats(agglomerate(demo_dataset), demo_dataset, level=1.5)
