@@ -7,7 +7,7 @@ baselines plus a cross-validation evaluation harness and CLI.
 """
 
 from .baselines import ItemKnn, KnnConfig, MatrixFactorization, MfConfig, MostPopular, UserKnn
-from .clustering import Dendrogram, agglomerate, cosine_distance, cosine_distance_matrix
+from .clustering import Dendrogram, agglomerate, cosine_distance_matrix
 from .core import (
     ClusterItemStats,
     CobarConfig,
@@ -15,7 +15,6 @@ from .core import (
     Fallback,
     Prediction,
     build_item_stats,
-    confidence_half_width,
     select_optimal_cluster,
 )
 from .data import (
@@ -65,8 +64,6 @@ __all__ = [
     "build_item_stats",
     "compute_item_stats",
     "compute_user_stats",
-    "confidence_half_width",
-    "cosine_distance",
     "cosine_distance_matrix",
     "fold_train_test",
     "kfold_split",

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .data import RatingDataset, _ClampMixin, compute_item_stats, compute_user_stats
+from .data import RatingDataset, _PredictorMixin, compute_item_stats, compute_user_stats
+
+INIT_SCALE = 0.1   # standard deviation of the normal the MF latent factors start from
 
 
 @dataclass
@@ -20,13 +22,10 @@ class KnnConfig:
     """Cosine-similarity neighborhood settings (shared by both kNN variants)."""
 
     k: int = 30
-    min_overlap: int = 1
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"neighbor count must be >= 1, got {self.k}")
-        if self.min_overlap < 1:
-            raise ValueError(f"min_overlap must be >= 1, got {self.min_overlap}")
 
 
 @dataclass
@@ -41,19 +40,18 @@ class MfConfig:
     learning_rate: float = 0.01
     regularization: float = 0.015
     epochs: int = 30
-    init_scale: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         if self.factors < 1:
             raise ValueError("factors must be >= 1")
-        if self.learning_rate <= 0 or self.regularization < 0 or self.init_scale < 0:
-            raise ValueError("learning_rate must be > 0, regularization and init_scale >= 0")
+        if self.learning_rate <= 0 or self.regularization < 0:
+            raise ValueError("learning_rate must be > 0, regularization >= 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
 
 
-class MostPopular(_ClampMixin):
+class MostPopular(_PredictorMixin):
     """Non-personalized baseline: each item's global mean training rating."""
 
     def __init__(self, clamp: bool = True):
@@ -67,6 +65,7 @@ class MostPopular(_ClampMixin):
         return self
 
     def predict(self, user: int, item: int) -> float:
+        self._check_query(user, item)
         return self._clamp(self.item_stats.mean_or_global(item))
 
 
@@ -88,7 +87,7 @@ def _top_k_aggregate(sims: np.ndarray, deviations: np.ndarray, k: int) -> float 
     return float(np.sum(weights * deviations[pos]) / np.sum(np.abs(weights)))
 
 
-class _CosineKnn(_ClampMixin):
+class _CosineKnn(_PredictorMixin):
     """Mean-centered cosine kNN shared by :class:`UserKnn` and :class:`ItemKnn`.
 
     The *entities* (users or items) are the rows compared with each other.
@@ -143,14 +142,15 @@ class _CosineKnn(_ClampMixin):
         # an all-zero neighbor has no direction: similarity 0, not 0/0
         denom = self._norms[entity] * self._norms[neighbors]
         sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
-        if self.config.min_overlap > 1:
-            overlap = np.bincount(who, minlength=n)[neighbors]
-            sims[overlap < self.config.min_overlap] = 0.0
         deviations = ratings - self.stats.means[neighbors]
         agg = _top_k_aggregate(sims, deviations, self.config.k)
         if agg is None:
             return self._clamp(mean)
         return self._clamp(mean + agg)
+
+    def predict(self, user: int, item: int) -> float:
+        self._check_query(user, item)
+        return self._predict(user, item) if self.user_major else self._predict(item, user)
 
 
 class UserKnn(_CosineKnn):
@@ -164,9 +164,6 @@ class UserKnn(_CosineKnn):
     user_major = True
     compute_stats = staticmethod(compute_user_stats)
 
-    def predict(self, user: int, item: int) -> float:
-        return self._predict(user, item)
-
 
 class ItemKnn(_CosineKnn):
     """Item-based kNN, the transpose of :class:`UserKnn`: neighbors are the
@@ -179,11 +176,8 @@ class ItemKnn(_CosineKnn):
     user_major = False
     compute_stats = staticmethod(compute_item_stats)
 
-    def predict(self, user: int, item: int) -> float:
-        return self._predict(item, user)
 
-
-class MatrixFactorization(_ClampMixin):
+class MatrixFactorization(_PredictorMixin):
     """Biased matrix factorization fit by SGD.
 
     Model: global_mean + user_bias + item_bias + user_factors . item_factors,
@@ -204,8 +198,8 @@ class MatrixFactorization(_ClampMixin):
         self.train = train
         rng = np.random.default_rng(cfg.seed)
         self.global_mean = float(train.ratings.mean())
-        self.user_factors = rng.normal(0.0, cfg.init_scale, (train.n_users, cfg.factors))
-        self.item_factors = rng.normal(0.0, cfg.init_scale, (train.n_items, cfg.factors))
+        self.user_factors = rng.normal(0.0, INIT_SCALE, (train.n_users, cfg.factors))
+        self.item_factors = rng.normal(0.0, INIT_SCALE, (train.n_items, cfg.factors))
         self.user_bias = np.zeros(train.n_users)
         self.item_bias = np.zeros(train.n_items)
         self.user_seen = np.bincount(train.users, minlength=train.n_users) > 0
@@ -242,6 +236,7 @@ class MatrixFactorization(_ClampMixin):
         return float(np.mean((t.ratings - pred) ** 2))
 
     def predict(self, user: int, item: int) -> float:
+        self._check_query(user, item)
         value = self.global_mean
         if self.user_seen[user]:
             value += self.user_bias[user]

@@ -44,13 +44,16 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
                         help="seed for --max-users subsampling (default: 7)")
 
 
-def _add_model_args(parser: argparse.ArgumentParser) -> None:
+def _add_cobar_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gamma", type=float, default=0.5,
                         help="weight of the user mean in the blend (default: 0.5)")
     parser.add_argument("--confidence", type=float, default=0.95,
                         help="confidence level for the cluster intervals (default: 0.95)")
     parser.add_argument("--no-clamp", action="store_true",
                         help="do not clip predictions to the training rating scale")
+
+
+def _add_baseline_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--knn-k", type=int, default=30, help="kNN neighborhood size (default: 30)")
     parser.add_argument("--mf-factors", type=int, default=10, help="MF latent factors (default: 10)")
     parser.add_argument("--mf-lr", type=float, default=0.01, help="MF learning rate (default: 0.01)")
@@ -65,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("evaluate", help="k-fold cross-validated comparison")
     _add_data_args(ev)
-    _add_model_args(ev)
+    _add_cobar_args(ev)
+    _add_baseline_args(ev)
     ev.add_argument("--algos", default=",".join(ALGORITHM_NAMES),
                     help=f"comma-separated algorithms from {{{','.join(ALGORITHM_NAMES)}}} (default: all)")
     ev.add_argument("--folds", type=int, default=10, help="cross-validation folds (default: 10)")
@@ -76,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("predict", help="explain one prediction, trained on the full file")
     _add_data_args(pr)
-    _add_model_args(pr)
+    _add_cobar_args(pr)
     pr.add_argument("--user", required=True, help="external user id")
     pr.add_argument("--item", required=True, help="external item id")
     pr.add_argument("--dendrogram-out", default=None, metavar="PATH",

@@ -21,19 +21,6 @@ from . import kernels
 from .data import RatingDataset
 
 
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cos(a, b) for two rating vectors; in [0, 2], and [0, 1] for
-    nonnegative ratings.  Raises on a zero-norm vector."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = float(np.sqrt(a @ a))
-    nb = float(np.sqrt(b @ b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine distance undefined for a zero-norm rating vector")
-    cos = float(a @ b) / (na * nb)
-    return 1.0 - min(max(cos, -1.0), 1.0)
-
-
 def cosine_distance_matrix(dataset: RatingDataset, users: np.ndarray | None = None) -> np.ndarray:
     """Dense pairwise cosine distances between the given users' rating vectors.
 
@@ -120,31 +107,11 @@ class Dendrogram:
     def n_nodes(self) -> int:
         return 2 * self.n_leaves - 1 if self.n_leaves else 0
 
-    @property
-    def root(self) -> int:
-        return self.n_nodes - 1
-
     def ancestor_chain(self, leaf: int) -> np.ndarray:
         """Node ids from the user's leaf up to the root, inclusive."""
         if not 0 <= leaf < self.n_leaves:
             raise ValueError(f"leaf index {leaf} out of range [0, {self.n_leaves})")
         return np.asarray(self.chains[leaf], dtype=np.int64)
-
-    def leaves_under(self, node: int) -> np.ndarray:
-        """Leaf ids contained in the cluster rooted at `node`."""
-        if not 0 <= node < self.n_nodes:
-            raise ValueError(f"node {node} out of range [0, {self.n_nodes})")
-        out = []
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            if cur < self.n_leaves:
-                out.append(cur)
-            else:
-                left, right = self.merges[cur - self.n_leaves]
-                stack.append(int(right))
-                stack.append(int(left))
-        return np.asarray(out, dtype=np.int64)
 
     def save(self, path: str | Path) -> None:
         """Text export, one merge per line: `left right height new_id`."""

@@ -24,27 +24,12 @@ import numpy as np
 from scipy import stats as _scipy_stats
 
 from .clustering import Dendrogram, agglomerate
-from .data import MeanStats, RatingDataset, _ClampMixin, compute_user_stats
+from .data import MeanStats, RatingDataset, _PredictorMixin, compute_user_stats
 
 
 @lru_cache(maxsize=None)
 def _t_critical(level: float, dof: int) -> float:
     return float(_scipy_stats.t.ppf(0.5 + level / 2.0, dof))
-
-
-def confidence_half_width(n: int, s2: float, level: float = 0.95) -> float:
-    """Half-width of the two-sided Student-t interval on a sample mean.
-
-    `s2` is the (n-1)-denominator sample variance.  Requires n >= 2; a
-    zero-variance sample has width 0.
-    """
-    if n < 2:
-        raise ValueError(f"confidence interval undefined for n={n} (need n >= 2)")
-    if s2 < 0.0:
-        s2 = 0.0
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must be in (0, 1), got {level}")
-    return _t_critical(level, n - 1) * math.sqrt(s2 / n)
 
 
 class Fallback(enum.Enum):
@@ -114,21 +99,6 @@ class ClusterItemStats:
         """(n, sum, sum_sq, min, max) for the item inside the node's cluster, if any."""
         return self._maps[node].get(item)
 
-    def mean(self, node: int, item: int) -> float:
-        n, total, _, _, _ = self._maps[node][item]
-        return total / n
-
-    def variance(self, node: int, item: int) -> float:
-        """(n-1)-denominator sample variance, clipped at zero; see `_variance`."""
-        entry = self._maps[node][item]
-        if entry[0] < 2:
-            raise ValueError(f"variance undefined for n={entry[0]}")
-        return _variance(*entry)
-
-    def half_width(self, node: int, item: int) -> float:
-        n, _, _, _, _ = self._maps[node][item]
-        return confidence_half_width(n, self.variance(node, item), self.level)
-
     def items_at(self, node: int) -> dict[int, tuple[int, float, float, float, float]]:
         return self._maps[node]
 
@@ -187,7 +157,7 @@ def select_optimal_cluster(
         n, total, total_sq, lo, hi = entry
         if n < 2:
             continue
-        # confidence_half_width's expression, without its argument checks
+        # two-sided Student-t half-width on the cluster's item mean
         hw = _t_critical(level, n - 1) * math.sqrt(_variance(n, total, total_sq, lo, hi) / n)
         if best is None or hw < best_hw:
             best, best_hw = node, hw
@@ -197,7 +167,7 @@ def select_optimal_cluster(
     return ClusterChoice(node=int(best), size=int(sizes[best]), mean=total / n, half_width=best_hw)
 
 
-class CobarModel(_ClampMixin):
+class CobarModel(_PredictorMixin):
     """Trains the hierarchy and statistics, then serves predictions,
     clamped to the training scale unless constructed with `clamp=False`.
 
@@ -224,12 +194,7 @@ class CobarModel(_ClampMixin):
         return self
 
     def predict_detailed(self, user: int, item: int) -> Prediction:
-        if self.train is None:
-            raise RuntimeError("model is not fitted")
-        if not 0 <= user < self.train.n_users:
-            raise ValueError(f"user index {user} out of range")
-        if not 0 <= item < self.train.n_items:
-            raise ValueError(f"item index {item} out of range")
+        self._check_query(user, item)
 
         user_mean = self.user_stats.mean(user)
         if user_mean is None:

@@ -1,5 +1,5 @@
-"""Rating data ingestion, per-user/per-item statistics, the clamp to the
-rating scale and k-fold splits.
+"""Rating data ingestion, per-user/per-item statistics, the query check and
+clamp every predictor shares, and k-fold splits.
 
 A :class:`RatingDataset` stores the ratings as three parallel arrays plus
 external-id maps.  Cross-validation works on *triple indices*: a fold's
@@ -120,16 +120,6 @@ class RatingDataset:
             _item_index=self._item_index,
         )
 
-    def write(self, path_or_stream, delimiter: str = "\t") -> None:
-        """Serialize back to one `user<delim>item<delim>rating` line per triple."""
-        if isinstance(path_or_stream, (str, Path)):
-            with open(path_or_stream, "w", encoding="utf-8") as fh:
-                self.write(fh, delimiter)
-            return
-        fh = path_or_stream
-        for u, i, r in zip(self.users, self.items, self.ratings):
-            fh.write(f"{self.user_ids[u]}{delimiter}{self.item_ids[i]}{delimiter}{float(r)!r}\n")
-
 
 def _open_lines(source) -> Iterable[str]:
     if isinstance(source, (str, Path)):
@@ -237,7 +227,6 @@ class MeanStats:
     training ratings."""
 
     means: np.ndarray    # float64 (n_keys,), NaN when undefined
-    counts: np.ndarray   # int64 (n_keys,)
     global_mean: float
 
     def mean(self, key: int) -> float | None:
@@ -253,11 +242,11 @@ def _mean_stats(train: RatingDataset, keys: np.ndarray, n_keys: int) -> MeanStat
     """Arithmetic mean of the training ratings per key plus the global mean."""
     if train.n_ratings == 0:
         raise ValueError("cannot compute statistics of an empty training set")
-    counts = np.bincount(keys, minlength=n_keys).astype(np.int64)
+    counts = np.bincount(keys, minlength=n_keys)
     sums = np.bincount(keys, weights=train.ratings, minlength=n_keys)
     with np.errstate(invalid="ignore"):
         means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return MeanStats(means=means, counts=counts, global_mean=float(train.ratings.mean()))
+    return MeanStats(means=means, global_mean=float(train.ratings.mean()))
 
 
 def compute_user_stats(train: RatingDataset) -> MeanStats:
@@ -270,9 +259,21 @@ def compute_item_stats(train: RatingDataset) -> MeanStats:
     return _mean_stats(train, train.items, train.n_items)
 
 
-class _ClampMixin:
-    """`_clamp` clips a prediction to the training rating scale, unless the
-    predictor was built with `clamp=False`; shared by every predictor."""
+class _PredictorMixin:
+    """Shared by every predictor: `_check_query` rejects a query before the
+    fit or outside the training index space, and `_clamp` clips a
+    prediction to the training rating scale, unless the predictor was built
+    with `clamp=False`."""
+
+    def _check_query(self, user: int, item: int) -> None:
+        train = self.train
+        if train is None:
+            raise RuntimeError("model is not fitted")
+        # len() in place of the n_users/n_items properties: this runs on every query
+        if not 0 <= user < len(train.user_ids):
+            raise ValueError(f"user index {user} out of range")
+        if not 0 <= item < len(train.item_ids):
+            raise ValueError(f"item index {item} out of range")
 
     def _clamp(self, value: float) -> float:
         if not self.clamp:
@@ -287,9 +288,6 @@ class FoldSplit:
     k: int
     seed: int
     assignment: np.ndarray  # int32 (n_ratings,), values in [0, k)
-
-    def fold_sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.k)
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == fold)

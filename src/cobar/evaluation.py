@@ -197,8 +197,11 @@ def run_cross_validation(
     `algorithms` maps a name to a zero-argument factory producing a fresh
     unfitted predictor (`fit(train)` / `predict(user, item)`).  Cold-start
     test pairs are included in the RMSE; every predictor defines a fallback,
-    so coverage is total.
+    so coverage is total.  A `wilcoxon_level` outside (0, 1) is rejected
+    before the first fold.
     """
+    if not 0.0 < wilcoxon_level < 1.0:
+        raise ValueError(f"Wilcoxon level must be in (0, 1), got {wilcoxon_level}")
     split = kfold_split(dataset, folds, seed)
     names = list(algorithms)
     fold_rmse: dict[str, list[float]] = {name: [] for name in names}
@@ -260,7 +263,16 @@ def build_algorithms(
     mf_config: MfConfig | None = None,
     clamp: bool = True,
 ) -> dict[str, Callable[[], object]]:
-    """Factories for the registered predictors, in the requested order."""
+    """Factories for the registered predictors, in the requested order.
+
+    Raises ValueError for an empty name list, a repeated name or an
+    unregistered one.
+    """
+    if not names:
+        raise ValueError("no algorithm selected")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ValueError(f"algorithm(s) {repeated} named more than once")
     cobar_cfg = cobar_config or CobarConfig()
     knn_cfg = knn_config or KnnConfig()
     mf_cfg = mf_config or MfConfig()

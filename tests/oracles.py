@@ -172,6 +172,32 @@ def cosine_distance_reference(dataset, users=None) -> np.ndarray:
     return upper + upper.T
 
 
+def leaves_under(dendrogram, node) -> np.ndarray:
+    """Leaf ids contained in the cluster rooted at `node`, resolved top-down
+    from the merge table."""
+    if not 0 <= node < dendrogram.n_nodes:
+        raise ValueError(f"node {node} out of range [0, {dendrogram.n_nodes})")
+    out = []
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        if cur < dendrogram.n_leaves:
+            out.append(cur)
+        else:
+            left, right = dendrogram.merges[cur - dendrogram.n_leaves]
+            stack.append(int(right))
+            stack.append(int(left))
+    return np.asarray(out, dtype=np.int64)
+
+
+def pairwise_cosine_distance(a, b) -> float:
+    """1 - cos(a, b) of two dense rating vectors, with `math.fsum` sums."""
+    dot = math.fsum(float(x) * float(y) for x, y in zip(a, b))
+    norm_a = math.sqrt(math.fsum(float(x) ** 2 for x in a))
+    norm_b = math.sqrt(math.fsum(float(y) ** 2 for y in b))
+    return 1.0 - min(max(dot / (norm_a * norm_b), -1.0), 1.0)
+
+
 def interval_half_width(ratings, level=0.95) -> float:
     """Student-t half-width recomputed from the raw sample."""
     n = len(ratings)
@@ -185,7 +211,7 @@ def brute_force_prediction(dataset, dendrogram, user, item, gamma=0.5, level=0.9
     """Exhaustive re-derivation of the confidence-based prediction.
 
     Enumerates every dendrogram node, resolves its member users top-down
-    via leaves_under, re-collects the members' raw ratings of the item, and
+    via `leaves_under`, re-collects the members' raw ratings of the item, and
     recomputes each interval from scratch.  The narrowest interval wins;
     ties go to the smaller cluster.  Fallbacks: user mean when no cluster
     has two ratings for the item, global mean for users without ratings.
@@ -200,7 +226,7 @@ def brute_force_prediction(dataset, dendrogram, user, item, gamma=0.5, level=0.9
     user_mean = math.fsum(user_ratings) / len(user_ratings)
     candidates = []
     for node in range(dendrogram.n_nodes):
-        members = {int(dendrogram.leaf_users[leaf]) for leaf in dendrogram.leaves_under(node)}
+        members = {int(dendrogram.leaf_users[leaf]) for leaf in leaves_under(dendrogram, node)}
         if user not in members:
             continue
         ratings = sorted(
@@ -243,16 +269,16 @@ def wilcoxon_enumerated_p(diffs) -> float:
     return min(2.0 * hits / 2**m, 1.0)
 
 
-def knn_prediction(dataset, user, item, k=30, min_overlap=1, user_based=True, clamp=True):
+def knn_prediction(dataset, user, item, k=30, user_based=True, clamp=True):
     """Brute-force mean-centered cosine kNN from dense rating vectors.
 
     The entities are users (``user_based``) or items, each a dense vector
     over the other axis with 0 where nothing was rated.  Every other entity
     rated in the query column is a candidate; its cosine is recomputed with
-    ``math.fsum`` and it counts only with positive similarity and at least
-    ``min_overlap`` co-rated columns.  Candidates are ranked by similarity,
-    ties by index, and the first k aggregate.  Fallbacks: the entity's mean,
-    then the global mean for entities without ratings.
+    ``math.fsum`` and it counts only with positive similarity.  Candidates
+    are ranked by similarity, ties by index, and the first k aggregate.
+    Fallbacks: the entity's mean, then the global mean for entities without
+    ratings.
     """
     rows, cols = (dataset.users, dataset.items) if user_based else (dataset.items, dataset.users)
     n_rows = dataset.n_users if user_based else dataset.n_items
@@ -279,8 +305,7 @@ def knn_prediction(dataset, user, item, k=30, min_overlap=1, user_based=True, cl
         if norm_o == 0.0:
             continue
         sim = math.fsum(dense[entity] * dense[other]) / (norm_e * norm_o)
-        overlap = int((rated[entity] & rated[other]).sum())
-        if sim > 0.0 and overlap >= min_overlap:
+        if sim > 0.0:
             ranked.append((-sim, other))
     ranked.sort()
     chosen = ranked[:k]
@@ -297,7 +322,7 @@ def _t_critical_reference(level: float, dof: int) -> float:
 
 
 def confidence_half_width_reference(n: int, s2: float, level: float = 0.95) -> float:
-    """`confidence_half_width` as it stood beside the method-per-node walk."""
+    """The former `confidence_half_width`, as it stood beside the method-per-node walk."""
     if n < 2:
         raise ValueError(f"confidence interval undefined for n={n} (need n >= 2)")
     if s2 < 0.0:

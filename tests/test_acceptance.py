@@ -18,7 +18,6 @@ import pytest
 from cobar import (
     CobarModel,
     build_algorithms,
-    confidence_half_width,
     parse_ratings,
     rmse,
     run_cross_validation,
@@ -29,8 +28,9 @@ from cobar.baselines import MfConfig
 from cobar.clustering import agglomerate
 from cobar.core import build_item_stats
 from conftest import DATA_DIR, random_grid_dataset
-from oracles import T_TABLE_95, WILCOXON_CRITICAL, brute_force_prediction
+from oracles import T_TABLE_95, WILCOXON_CRITICAL, brute_force_prediction, leaves_under
 from test_clustering import check_dendrogram_invariants
+from test_core import entry_half_width, unit_variance_entry
 
 EXTERNAL_DATA_DIR = Path(os.environ.get("COBAR_DATA_DIR", DATA_DIR))
 
@@ -107,7 +107,7 @@ def test_c4_subsample_ordering(filename):
 def test_c5_statistical_components():
     # t-based interval half-widths against the published 95% table
     for n in range(2, 31):
-        implied_t = confidence_half_width(n, 1.0, 0.95) * math.sqrt(n)
+        implied_t = entry_half_width(unit_variance_entry(n), 0.95) * math.sqrt(n)
         assert abs(implied_t - T_TABLE_95[n - 1]) < 1e-4
 
     # exact signed-rank p-values against published critical regions
@@ -161,7 +161,7 @@ def test_c7_aggregation_exactness():
         dend = agglomerate(ds)
         stats = build_item_stats(dend, ds)
         for node in range(dend.n_nodes):
-            members = set(dend.leaf_users[dend.leaves_under(node)].tolist())
+            members = set(dend.leaf_users[leaves_under(dend, node)].tolist())
             expected: dict[int, tuple[int, float, float, float, float]] = {}
             for u, i, r in zip(ds.users, ds.items, ds.ratings):
                 if int(u) in members:

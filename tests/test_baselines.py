@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cobar import ItemKnn, KnnConfig, MatrixFactorization, MfConfig, MostPopular, UserKnn
+from cobar import CobarModel, ItemKnn, KnnConfig, MatrixFactorization, MfConfig, MostPopular, UserKnn
 from cobar.kernels import _python
 from conftest import make_dataset, random_grid_dataset
 from oracles import knn_prediction
@@ -91,22 +91,6 @@ class TestUserKnn:
         train = ds.subset(np.array([0, 1]))
         model = UserKnn().fit(train)
         assert model.predict(ds.user_index("c"), 0) == 3.0
-
-    def test_min_overlap_filters_thin_neighbors(self):
-        # n2 shares only one item with q; min_overlap=2 silences it
-        rows = [
-            ("q", "a", 4.0), ("q", "b", 4.0),
-            ("n1", "a", 4.0), ("n1", "b", 4.0), ("n1", "t", 2.0),
-            ("n2", "a", 4.0), ("n2", "t", 4.0),
-        ]
-        ds = make_dataset(rows)
-        q, t = ds.user_index("q"), ds.item_index("t")
-        loose = UserKnn(KnnConfig(k=5, min_overlap=1), clamp=False).fit(ds)
-        strict = UserKnn(KnnConfig(k=5, min_overlap=2), clamp=False).fit(ds)
-        assert loose.predict(q, t) != strict.predict(q, t)
-        # with only n1 left, the aggregation is the single-neighbor formula
-        n1_mean = (4.0 + 4.0 + 2.0) / 3
-        assert strict.predict(q, t) == pytest.approx(4.0 + (2.0 - n1_mean), abs=1e-12)
 
     def test_k_limits_neighborhood(self):
         # three raters with distinct similarities; k=1 keeps only the closest
@@ -202,15 +186,15 @@ def _random_real_dataset(seed, n_users=14, n_items=12, density=0.4):
 
 
 class TestKnnAgainstOracle:
-    @pytest.mark.parametrize("k,min_overlap", [(2, 1), (2, 2), (30, 1), (30, 2)])
+    @pytest.mark.parametrize("k", [2, 30])
     @pytest.mark.parametrize("cls,user_based", [(UserKnn, True), (ItemKnn, False)])
-    def test_random_non_grid_data(self, cls, user_based, k, min_overlap):
+    def test_random_non_grid_data(self, cls, user_based, k):
         for seed in range(4):
             ds = _random_real_dataset(seed)
-            model = cls(KnnConfig(k=k, min_overlap=min_overlap), clamp=False).fit(ds)
+            model = cls(KnnConfig(k=k), clamp=False).fit(ds)
             for u in range(ds.n_users):
                 for i in range(ds.n_items):
-                    expected = knn_prediction(ds, u, i, k, min_overlap, user_based, clamp=False)
+                    expected = knn_prediction(ds, u, i, k, user_based, clamp=False)
                     assert model.predict(u, i) == pytest.approx(expected, abs=1e-12)
 
 
@@ -279,12 +263,14 @@ class TestMatrixFactorization:
         for u, i, r in zip(ds.users, ds.items, ds.ratings):
             assert abs(model.predict(int(u), int(i)) - r) < 0.1
 
-    def test_zero_epochs_with_tiny_init_predicts_global_mean(self):
+    def test_zero_epochs_predicts_global_mean_plus_factor_product(self):
+        # untrained, the biases are zero and the factors are their N(0, 0.1^2) draws
         ds = _rank_one_dataset()
-        model = MatrixFactorization(MfConfig(epochs=0, init_scale=1e-9), clamp=False).fit(ds)
+        model = MatrixFactorization(MfConfig(epochs=0), clamp=False).fit(ds)
         mu = float(ds.ratings.mean())
+        assert 0.05 < model.user_factors.std() < 0.2 and 0.05 < model.item_factors.std() < 0.2
         for u, i in [(0, 0), (3, 4), (7, 2)]:
-            assert model.predict(u, i) == pytest.approx(mu, abs=1e-6)
+            assert model.predict(u, i) == mu + float(model.user_factors[u] @ model.item_factors[i])
 
     def test_same_seed_identical_models(self):
         ds = _rank_one_dataset()
@@ -339,3 +325,27 @@ class TestClampBounds:
                 for i in range(ds.n_items):
                     v = model.predict(u, i)
                     assert train.rating_min <= v <= train.rating_max
+
+
+PREDICTORS = {
+    "cobar": CobarModel,
+    "mp": MostPopular,
+    "uknn": UserKnn,
+    "iknn": ItemKnn,
+    "mf": lambda: MatrixFactorization(MfConfig(epochs=2)),
+}
+
+
+@pytest.mark.parametrize("name", list(PREDICTORS))
+class TestQueryRange:
+    def test_out_of_range_query_rejected(self, name, demo_dataset):
+        model = PREDICTORS[name]().fit(demo_dataset)
+        n_users, n_items = demo_dataset.n_users, demo_dataset.n_items
+        for user, item, which in [(-1, 0, "user"), (0, -1, "item"), (n_users, 0, "user"), (0, n_items, "item")]:
+            with pytest.raises(ValueError, match=f"{which} index {user if which == 'user' else item} out of range"):
+                model.predict(user, item)
+        model.predict(n_users - 1, n_items - 1)
+
+    def test_unfitted_predictor_rejected(self, name):
+        with pytest.raises(RuntimeError, match="not fitted"):
+            PREDICTORS[name]().predict(0, 0)

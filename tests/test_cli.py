@@ -1,11 +1,14 @@
 """End-to-end CLI behavior on the shipped fixture files."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from cobar import cli, parse_ratings
+from cobar import cli, evaluation, parse_ratings
 from cobar.clustering import clusterable_users
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +81,24 @@ class TestEvaluate:
             "--max-users", "6",
         )
         assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--wilcoxon-level", "1.5"],
+        ["--wilcoxon-level", "0"],
+        ["--algos", ","],
+        ["--algos", "mp,mp"],
+    ])
+    def test_bad_input_exits_2_before_any_fold(self, data_dir, capsys, monkeypatch, argv):
+        def no_fold(*args):
+            raise AssertionError("a fold was built")
+
+        monkeypatch.setattr(evaluation, "fold_train_test", no_fold)
+        code, stdout, stderr = run_cli(
+            capsys, "evaluate", "--data", str(data_dir / "two_clusters.tsv"), "--algos", "mp", *argv
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: ")
 
     def test_budget_ignored_without_cobar(self, data_dir, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_CLUSTERING_USERS", 3)
@@ -161,6 +182,39 @@ class TestPredict:
             parts = line.split()
             assert len(parts) == 4
             float(parts[2])
+
+    def test_baseline_flags_rejected(self, data_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["predict", "--data", str(data_dir / "demo.tsv"), "--user", "1", "--item", "100",
+                      "--knn-k", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --knn-k 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("clamp_args,golden", [([], "two_clusters_cv"), (["--no-clamp"], "two_clusters_cv_no_clamp")])
+def test_golden_report(data_dir, tmp_path, capsys, clamp_args, golden):
+    """The report and table of a fixed evaluation, against outputs committed
+    when they were first produced.  mf is left out: its bits depend on the
+    kernel backend."""
+    out = tmp_path / "report.json"
+    code, stdout, _ = run_cli(
+        capsys,
+        "evaluate",
+        "--data", str(data_dir / "two_clusters.tsv"),
+        "--algos", "cobar,mp,uknn,iknn",
+        "--folds", "5",
+        "--seed", "42",
+        *clamp_args,
+        "--out", str(out),
+    )
+    assert code == 0
+    got = json.loads(out.read_text())
+    want = json.loads((GOLDEN_DIR / f"{golden}.json").read_text())
+    for report in (got, want):
+        del report["metadata"]["data_path"], report["metadata"]["kernel_backend"]
+    assert got == want
+    table = stdout.split(f"\n\nreport written to {out}")[0]
+    assert table + "\n" == (GOLDEN_DIR / f"{golden}.txt").read_text()
 
 
 class TestParsing:

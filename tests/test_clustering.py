@@ -5,10 +5,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cobar import agglomerate, cosine_distance, cosine_distance_matrix
+from cobar import agglomerate, cosine_distance_matrix
 from cobar.clustering import Dendrogram, clusterable_users
 from conftest import make_dataset, random_grid_dataset
-from oracles import ancestor_chain_reference, cosine_distance_reference, ward_agglomeration, ward_reference
+from oracles import (
+    ancestor_chain_reference,
+    cosine_distance_reference,
+    leaves_under,
+    pairwise_cosine_distance,
+    ward_agglomeration,
+    ward_reference,
+)
 
 
 def signed_dataset(rng, n_users=400, n_items=150):
@@ -29,23 +36,30 @@ def signed_dataset(rng, n_users=400, n_items=150):
     return make_dataset(rows)
 
 
+def pair_distance(rows):
+    """Cosine distance between the two users of a two-user dataset."""
+    dist = cosine_distance_matrix(make_dataset(rows))
+    assert dist.shape == (2, 2)
+    return dist[0, 1]
+
+
 class TestCosineDistance:
     def test_identical_vectors(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert cosine_distance(v, v) == pytest.approx(0.0, abs=1e-12)
+        rows = [(u, i, r) for u in "ab" for i, r in zip("xyz", [1.0, 2.0, 3.0])]
+        assert pair_distance(rows) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_supports(self):
-        assert cosine_distance(np.array([3.0, 0.0]), np.array([0.0, 2.0])) == pytest.approx(1.0)
+        assert pair_distance([("a", "x", 3.0), ("b", "y", 2.0)]) == pytest.approx(1.0)
 
     def test_hand_computed_pair(self):
-        a = np.array([1.0, 2.0, 0.0])
-        b = np.array([2.0, 1.0, 0.0])
+        rows = [("a", "x", 1.0), ("a", "y", 2.0), ("b", "x", 2.0), ("b", "y", 1.0)]
         # dot = 4, norms = sqrt(5) each
-        assert cosine_distance(a, b) == pytest.approx(1.0 - 4.0 / 5.0, abs=1e-12)
+        assert pair_distance(rows) == pytest.approx(1.0 - 4.0 / 5.0, abs=1e-12)
 
     def test_zero_norm_rejected(self):
+        rows = [("a", "x", 0.0), ("a", "y", 0.0), ("a", "z", 0.0), ("b", "x", 1.0)]
         with pytest.raises(ValueError, match="zero-norm"):
-            cosine_distance(np.zeros(3), np.array([1.0, 0.0, 0.0]))
+            pair_distance(rows)
 
     def test_matrix_matches_pairwise_function(self):
         rng = np.random.default_rng(6)
@@ -55,7 +69,7 @@ class TestCosineDistance:
         dense = ds.sparse_by_user().toarray()
         for a in range(len(users)):
             for b in range(a + 1, len(users)):
-                expected = cosine_distance(dense[users[a]], dense[users[b]])
+                expected = pairwise_cosine_distance(dense[users[a]], dense[users[b]])
                 assert dist[a, b] == pytest.approx(expected, abs=1e-10)
         np.testing.assert_array_equal(dist, dist.T)
         assert np.all(np.diag(dist) == 0.0)
@@ -83,7 +97,8 @@ class TestAgglomerate:
         dend = agglomerate(ds)
         assert dend.n_leaves == 1
         assert len(dend.merges) == 0
-        assert dend.root == 0
+        assert dend.n_nodes == 1
+        assert dend.ancestor_chain(0).tolist() == [0]
 
     def test_two_users_height_equals_distance(self):
         ds = make_dataset([("a", "x", 4.0), ("a", "y", 1.0), ("b", "x", 1.0), ("b", "y", 4.0)])
@@ -91,7 +106,7 @@ class TestAgglomerate:
         assert len(dend.merges) == 1
         assert dend.merges[0].tolist() == [0, 1]
         dense = ds.sparse_by_user().toarray()
-        assert dend.heights[0] == pytest.approx(cosine_distance(dense[0], dense[1]), abs=1e-12)
+        assert dend.heights[0] == pytest.approx(pairwise_cosine_distance(dense[0], dense[1]), abs=1e-12)
 
     def test_two_tight_pairs_merge_first(self):
         # users 0,1 share item tastes; users 2,3 share different ones
@@ -159,22 +174,23 @@ class TestAgglomerate:
 
 def check_dendrogram_invariants(dend: Dendrogram):
     n = dend.n_leaves
+    root = dend.n_nodes - 1
     assert dend.merges.shape == (n - 1, 2)
-    assert sorted(dend.leaves_under(dend.root).tolist()) == list(range(n))
+    assert sorted(leaves_under(dend, root).tolist()) == list(range(n))
     # each node is merged away at most once; root has no parent
     children = dend.merges.ravel().tolist()
     assert len(children) == len(set(children))
-    assert dend.parents[dend.root] == -1
+    assert dend.parents[root] == -1
     assert np.all(dend.parents[:-1] >= 0) if n > 1 else True
     # heights never decrease
     assert np.all(np.diff(dend.heights) >= 0.0)
     # sibling memberships are disjoint and union to the parent
     for m, (left, right) in enumerate(dend.merges):
         node = n + m
-        left_set = set(dend.leaves_under(int(left)).tolist())
-        right_set = set(dend.leaves_under(int(right)).tolist())
+        left_set = set(leaves_under(dend, int(left)).tolist())
+        right_set = set(leaves_under(dend, int(right)).tolist())
         assert not left_set & right_set
-        assert left_set | right_set == set(dend.leaves_under(node).tolist())
+        assert left_set | right_set == set(leaves_under(dend, node).tolist())
         assert dend.sizes[node] == len(left_set) + len(right_set)
 
 
@@ -205,7 +221,7 @@ class TestDendrogramStructure:
         for leaf in range(dend.n_leaves):
             chain = dend.ancestor_chain(leaf)
             assert chain[0] == leaf
-            assert chain[-1] == dend.root
+            assert chain[-1] == dend.n_nodes - 1
             # consecutive entries are child -> parent
             for child, parent in zip(chain[:-1], chain[1:]):
                 assert dend.parents[child] == parent

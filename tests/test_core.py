@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from cobar import (
+    ClusterItemStats,
     CobarConfig,
     CobarModel,
     Fallback,
     agglomerate,
     build_item_stats,
-    confidence_half_width,
     select_optimal_cluster,
 )
 from conftest import make_dataset, random_grid_dataset
@@ -24,34 +24,61 @@ from oracles import (
     ancestor_chain_reference,
     brute_force_prediction,
     interval_half_width,
+    leaves_under,
 )
+
+
+def entry_half_width(entry, level=0.95):
+    """The half-width `select_optimal_cluster` gives a one-node chain whose
+    only accumulator is `entry` = (n, sum, sum_sq, min, max); None when the
+    entry does not qualify."""
+    stats = ClusterItemStats([{0: entry}], level)
+    choice = select_optimal_cluster((0,), 0, stats, np.ones(1, dtype=np.int64))
+    return None if choice is None else choice.half_width
+
+
+def unit_variance_entry(n):
+    """An accumulator of n ratings whose sample variance is exactly 1: sum 0,
+    sum of squares n - 1."""
+    return (n, 0.0, float(n - 1), -1.0, 1.0)
+
+
+def node_half_width(model, node, item):
+    """The half-width `select_optimal_cluster` gives the node on its own."""
+    return select_optimal_cluster((node,), item, model.stats, model.dendrogram.sizes).half_width
 
 
 class TestConfidenceHalfWidth:
     def test_zero_variance(self):
-        assert confidence_half_width(3, 0.0, 0.95) == 0.0
+        assert entry_half_width((3, 6.0, 12.0, 2.0, 2.0)) == 0.0
 
     def test_known_sample(self):
         # ratings {1,2,3,4,5}: s^2 = 2.5, published t(4) = 2.7764
-        hw = confidence_half_width(5, 2.5, 0.95)
+        hw = entry_half_width((5, 15.0, 55.0, 1.0, 5.0))
         assert hw == pytest.approx(2.7764 * math.sqrt(0.5), abs=2e-4)
         assert hw == pytest.approx(1.9632, abs=1e-3)
 
     def test_single_rating_rejected(self):
-        with pytest.raises(ValueError, match="n >= 2"):
-            confidence_half_width(1, 0.0, 0.95)
+        assert entry_half_width((1, 4.0, 16.0, 4.0, 4.0)) is None
 
     def test_matches_published_table(self):
         for n in range(2, 31):
-            implied_t = confidence_half_width(n, 1.0, 0.95) * math.sqrt(n)
+            implied_t = entry_half_width(unit_variance_entry(n)) * math.sqrt(n)
             assert implied_t == pytest.approx(T_TABLE_95[n - 1], abs=1e-4)
 
     def test_negative_variance_clipped(self):
-        assert confidence_half_width(4, -1e-18, 0.95) == 0.0
+        # not constant, but the sum-of-squares formula rounds below zero
+        ratings = [0.3, 0.300000000000001, 0.3]
+        total = total_sq = 0.0
+        for r in ratings:
+            total += r
+            total_sq += r * r
+        assert (total_sq - total * total / 3) / 2 < 0.0
+        assert entry_half_width((3, total, total_sq, min(ratings), max(ratings))) == 0.0
 
     def test_bad_level_rejected(self):
-        with pytest.raises(ValueError):
-            confidence_half_width(3, 1.0, 1.5)
+        with pytest.raises(ValueError, match="confidence level"):
+            entry_half_width(unit_variance_entry(3), level=1.5)
 
 
 class TestBuildItemStats:
@@ -60,14 +87,13 @@ class TestBuildItemStats:
         dend = agglomerate(ds)
         stats = build_item_stats(dend, ds)
         assert stats.get(0, 0) == (1, 4.0, 16.0, 4.0, 4.0)
-        assert stats.mean(0, 0) == 4.0
 
     def test_parent_merges_children(self):
         ds = make_dataset([("a", "x", 2.0), ("b", "x", 4.0)])
         dend = agglomerate(ds)
         stats = build_item_stats(dend, ds)
         assert stats.get(2, 0) == (2, 6.0, 20.0, 2.0, 4.0)
-        assert stats.mean(2, 0) == 3.0
+        assert select_optimal_cluster((2,), 0, stats, dend.sizes).mean == 3.0
 
     def test_root_equals_global(self):
         rng = np.random.default_rng(14)
@@ -76,7 +102,7 @@ class TestBuildItemStats:
         stats = build_item_stats(dend, ds)
         for item in range(ds.n_items):
             ratings = ds.ratings[ds.items == item]
-            entry = stats.get(dend.root, item)
+            entry = stats.get(dend.n_nodes - 1, item)
             assert entry[0] == len(ratings)
             assert entry[1] == pytest.approx(ratings.sum(), abs=1e-12)
 
@@ -88,7 +114,7 @@ class TestBuildItemStats:
             dend = agglomerate(ds)
             stats = build_item_stats(dend, ds)
             for node in range(dend.n_nodes):
-                members = set(dend.leaf_users[dend.leaves_under(node)].tolist())
+                members = set(dend.leaf_users[leaves_under(dend, node)].tolist())
                 expected: dict[int, tuple[int, float, float, float, float]] = {}
                 for u, i, r in zip(ds.users, ds.items, ds.ratings):
                     if int(u) in members:
@@ -164,7 +190,7 @@ class TestSelectOptimalCluster:
             first = next(int(node) for node in chain if _count(model.stats, int(node), item) >= 2)
             choice = select_optimal_cluster(chain, item, model.stats, model.dendrogram.sizes)
             assert (choice.node, choice.half_width) == (first, 0.0)
-            assert all(model.stats.variance(int(node), item) == 0.0 for node in chain[chain >= first])
+            assert all(node_half_width(model, int(node), item) == 0.0 for node in chain[chain >= first])
 
     def test_selected_width_is_minimal(self):
         rng = np.random.default_rng(37)
@@ -181,7 +207,7 @@ class TestSelectOptimalCluster:
                     if choice is None:
                         continue
                     widths = [
-                        model.stats.half_width(int(node), item)
+                        node_half_width(model, int(node), item)
                         for node in chain
                         if _count(model.stats, int(node), item) >= 2
                     ]
@@ -293,13 +319,13 @@ class TestPredict:
             entry = model.stats.get(int(node), item)
             if entry is None or entry[0] < 2:
                 continue
-            members = set(model.dendrogram.leaf_users[model.dendrogram.leaves_under(int(node))].tolist())
+            members = set(model.dendrogram.leaf_users[leaves_under(model.dendrogram, int(node))].tolist())
             raw = sorted(
                 float(r)
                 for u, i, r in zip(demo_dataset.users, demo_dataset.items, demo_dataset.ratings)
                 if int(i) == item and int(u) in members
             )
-            assert model.stats.half_width(int(node), item) == pytest.approx(
+            assert node_half_width(model, int(node), item) == pytest.approx(
                 interval_half_width(raw), abs=1e-9
             )
 

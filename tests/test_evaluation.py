@@ -219,6 +219,15 @@ class TestRunCrossValidation:
         with pytest.raises(ValueError, match="unknown algorithm"):
             build_algorithms(["cobar", "svd++"])
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5])
+    def test_wilcoxon_level_outside_unit_interval_rejected_before_any_fit(self, level):
+        ds = random_grid_dataset(np.random.default_rng(46), max_users=10)
+        log = []
+        with pytest.raises(ValueError, match="Wilcoxon level"):
+            run_cross_validation(ds, {"a": lambda: _SpyAlgo(log), "b": lambda: _SpyAlgo(log)},
+                                 folds=3, seed=0, wilcoxon_level=level)
+        assert log == []
+
     def test_planted_groups_favor_cluster_blend(self):
         """On data with clear taste groups (users mostly rate their group's
         items, and agree inside the group), the confidence-based blend beats
@@ -244,6 +253,15 @@ class TestRunCrossValidation:
 
 
 class TestBuildAlgorithms:
+    @pytest.mark.parametrize("names", [[], ()])
+    def test_empty_name_list_rejected(self, names):
+        with pytest.raises(ValueError, match="no algorithm selected"):
+            build_algorithms(names)
+
+    def test_repeated_name_rejected(self):
+        with pytest.raises(ValueError, match=r"\['mp'\] named more than once"):
+            build_algorithms(["mp", "cobar", "mp"])
+
     def test_clamp_false_reaches_all_five_predictors(self):
         rng = np.random.default_rng(31)
         ds = random_grid_dataset(rng, max_users=12)
