@@ -1,7 +1,8 @@
-"""Build script for the optional compiled MF kernel.
+"""Build script for the optional compiled kernels (Ward merge loop and MF
+SGD epoch, one C extension).
 
 The package works without the extension: cobar.kernels falls back to the
-pure numpy implementation when the compiled module is missing.  Set
+pure numpy implementations when the compiled module is missing.  Set
 COBAR_SKIP_EXTENSION=1 to install without attempting to compile.
 """
 
@@ -22,6 +23,10 @@ class OptionalBuildExt(build_ext):
             warnings.warn(f"compiled kernel skipped ({exc}); using pure-Python fallback")
 
     def build_extension(self, ext):
+        # the kernels promise the numpy backend's bits, so a*b + c must not
+        # be fused into one rounding (gcc fuses by default where FMA exists)
+        if self.compiler.compiler_type == "unix":
+            ext.extra_compile_args = [*ext.extra_compile_args, "-ffp-contract=off"]
         try:
             super().build_extension(ext)
         except Exception as exc:
@@ -30,6 +35,6 @@ class OptionalBuildExt(build_ext):
 
 extensions = []
 if not os.environ.get("COBAR_SKIP_EXTENSION"):
-    extensions = [Extension("cobar.kernels._mf", ["src/cobar/kernels/_mf.c"])]
+    extensions = [Extension("cobar.kernels._compiled", ["src/cobar/kernels/_compiled.c"])]
 
 setup(ext_modules=extensions, cmdclass={"build_ext": OptionalBuildExt})

@@ -9,9 +9,11 @@ Two subcommands:
   blended value, user mean, chosen cluster (with member count and interval
   half-width) or the fallback that fired.
 
-Clustering holds two n x n float64 matrices, 2 * 8 * n * n bytes (137 MB
-at 3000 users), so datasets with more than ``MAX_CLUSTERING_USERS`` users
-must be reduced with ``--max-users`` (seeded user subsampling).
+Clustering stores the n(n-1)/2 pairwise distances once, as float64,
+4 * n * (n-1) bytes (34.3 MB at 3000 users); the compiled merge loop works
+inside them, and the numpy fallback adds one n x n work matrix.  Datasets
+with more than ``MAX_CLUSTERING_USERS`` users must be reduced with
+``--max-users`` (seeded user subsampling).
 """
 
 from __future__ import annotations
@@ -105,8 +107,8 @@ def _check_clustering_budget(dataset, needs_clustering: bool) -> None:
     if n > MAX_CLUSTERING_USERS:
         raise SystemExit(
             f"error: {n} users exceed the clustering budget of {MAX_CLUSTERING_USERS} "
-            f"(the hierarchy needs two n x n float64 matrices, "
-            f"{2 * 8 * n * n / 2**20:.3g} MB for {n} users); "
+            f"(the hierarchy needs n(n-1)/2 float64 distances, "
+            f"{4 * n * (n - 1) / 2**20:.3g} MB for {n} users); "
             f"rerun with --max-users {MAX_CLUSTERING_USERS} (seeded via --subsample-seed)"
         )
 

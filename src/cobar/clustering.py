@@ -8,6 +8,9 @@ degenerates to the plain pairwise distance.
 
 Ties in the minimal linkage are broken by the lexicographically smallest
 (node id, node id) pair, making the hierarchy deterministic.
+
+The pairwise distances are stored once, as the condensed upper triangle of
+n(n-1)/2 doubles, and the merge loop works inside that buffer.
 """
 
 from __future__ import annotations
@@ -22,17 +25,18 @@ from .data import RatingDataset
 
 
 def cosine_distance_matrix(dataset: RatingDataset, users: np.ndarray | None = None) -> np.ndarray:
-    """Dense pairwise cosine distances between the given users' rating vectors.
+    """Condensed pairwise cosine distances between the given users' rating vectors.
 
-    Uses a sparse self-product, so the cost is driven by the number of
-    ratings rather than n_users * n_items.  All listed users must have at
-    least one nonzero rating.
+    Returns the n(n-1)/2 distances of the pairs i < j in the order of
+    `scipy.spatial.distance.pdist`: pair (i, j) sits at
+    ``i*n - i*(i+1)//2 + j - i - 1``.  Uses a sparse self-product, so the
+    cost is driven by the number of ratings rather than n_users * n_items.
+    All listed users must have at least one nonzero rating.
 
-    The result is the only n x n array made.  It is filled one block of
-    rows at a time: the block's product with the users from its first row
-    on, its share of the upper triangle, goes through a buffer of at most
-    1/16 of the entries into the block's rows and, transposed, into the
-    columns below them.
+    The result is the only array of size n^2 made.  It is filled one block
+    of rows at a time: the block's product with the users from its first
+    row on goes through a buffer of at most 1/16 of the n x n entries, and
+    each row's share of the upper triangle is copied out of it.
     """
     R = dataset.sparse_by_user()
     if users is not None:
@@ -42,9 +46,10 @@ def cosine_distance_matrix(dataset: RatingDataset, users: np.ndarray | None = No
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise ValueError(f"user at position {bad} has a zero-norm rating vector")
     n = R.shape[0]
-    dist = np.empty((n, n), dtype=np.float64)
+    dist = np.empty(n * (n - 1) // 2, dtype=np.float64)
     RT = R.T.tocsr()
     step = max(1, -(-n // 16))
+    pos = 0
     for start in range(0, n, step):
         stop = min(start + step, n)
         upper = (R[start:stop] @ RT[:, start:]).toarray()
@@ -53,14 +58,11 @@ def cosine_distance_matrix(dataset: RatingDataset, users: np.ndarray | None = No
         # 1 - cos clipped to [0, 2] equals 1 - (cos clipped to [-1, 1])
         np.subtract(1.0, upper, out=upper)
         np.clip(upper, 0.0, 2.0, out=upper)
-        dist[start:stop, start:] = upper
-        dist[stop:, start:stop] = upper[:, stop - start:].T
-        # exact symmetry inside the diagonal block too, so the merge loop's
-        # tie handling sees one value per pair
-        corner = dist[start:stop, start:stop]
-        lower = np.tril_indices(stop - start, -1)
-        corner[lower] = corner.T[lower]
-    np.fill_diagonal(dist, 0.0)
+        for row in range(stop - start):
+            count = n - start - row - 1
+            dist[pos:pos + count] = upper[row, row + 1:]
+            pos += count
+        del upper   # freed before the next block's product is made
     return dist
 
 
@@ -146,6 +148,7 @@ def agglomerate(
 
     dist = cosine_distance_matrix(dataset, users)
     np.square(dist, out=dist)
+    # the merge loop works in this buffer and leaves it undefined
     merges, heights_sq = kernels.ward_linkage(dist)
     heights = np.sqrt(np.maximum(heights_sq, 0.0))
     return Dendrogram(

@@ -10,7 +10,9 @@ with the user's own mean rating:
 
 Items with fewer than two training ratings cannot yield an interval; those
 queries fall back to the user's mean, and users without training ratings
-fall back to the global mean.
+fall back to the global mean.  A user whose training ratings are all 0 has
+a rating vector of norm 0, so no cosine distance and no place in the
+hierarchy; such a user's queries also get the user's mean.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ class Fallback(enum.Enum):
     SINGLE_RATING = "single_rating"
     COLD_ITEM = "cold_item"
     COLD_USER = "cold_user"
+    UNCLUSTERED_USER = "unclustered_user"
 
 
 @dataclass
@@ -210,9 +213,15 @@ class CobarModel(_PredictorMixin):
         if leaf is not None:
             choice = select_optimal_cluster(self.dendrogram.chains[leaf], item, self.stats, self.dendrogram.sizes)
         if choice is None:
-            # item has at most one reachable training rating (or the user's
-            # vector was unclusterable): predict the plain user mean
-            fallback = Fallback.COLD_ITEM if self._item_counts[item] == 0 else Fallback.SINGLE_RATING
+            # the user has no leaf (a rating vector of norm 0) or the item
+            # has at most one training rating in the user's chain: predict
+            # the plain user mean
+            if leaf is None:
+                fallback = Fallback.UNCLUSTERED_USER
+            elif self._item_counts[item] == 0:
+                fallback = Fallback.COLD_ITEM
+            else:
+                fallback = Fallback.SINGLE_RATING
             return Prediction(
                 user=user,
                 item=item,

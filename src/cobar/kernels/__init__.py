@@ -1,10 +1,11 @@
 """Hot-kernel dispatch.
 
-The MF SGD epoch has a compiled version, the C extension `_mf`, built at
-install time when a C compiler is available; without it the numpy version
-in `_python` runs.  ``BACKEND`` names the MF epoch selected at import:
-``"c"`` when `_mf` imports, ``"python"`` otherwise.  The Ward merge loop
-has one implementation, in `_python`.
+Two kernels are compiled: the Ward merge loop and the MF SGD epoch, both
+in the C extension `_compiled`, built at install time when a C compiler is
+available.  Without it the numpy versions in `_python` run.  ``BACKEND``
+names the kernels selected at import: ``"c"`` when `_compiled` imports,
+``"python"`` otherwise.  Both backends give the same merges and heights bit
+for bit.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 from . import _python
 
 try:
-    from . import _mf as _compiled
+    from . import _compiled
 except ImportError:
     _compiled = None
 
 BACKEND: str = "c" if _compiled is not None else "python"
 
-ward_linkage = _python.ward_linkage
+ward_linkage = (_compiled or _python).ward_linkage
 mf_sgd_epoch = (_compiled or _python).mf_sgd_epoch

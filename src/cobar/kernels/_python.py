@@ -1,13 +1,37 @@
 """Pure numpy implementations of the hot kernels.
 
-`ward_linkage` is the only Ward merge loop.  `mf_sgd_epoch` is the fallback
-for environments without the compiled `_mf` extension and the reference
-that extension is tested against.
+They are the fallback for environments without the compiled `_compiled`
+extension and the reference that extension is tested against.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.spatial.distance import squareform
+
+
+def _condensed_size(d2) -> int:
+    """The n of a condensed distance vector, checked as the compiled loop
+    checks it, with the same exceptions and messages."""
+    try:
+        view = memoryview(d2)
+    except TypeError:
+        raise TypeError(f"d2 must be an array, not {type(d2).__name__}") from None
+    if view.ndim != 1:
+        raise ValueError(f"d2 must be 1-dimensional, got {view.ndim} dimensions")
+    if view.itemsize != 8 or view.format not in ("d", "@d", "=d"):
+        raise TypeError(f"d2 must hold float64, got format '{view.format}' of {view.itemsize} bytes")
+    if not view.c_contiguous:
+        raise ValueError("d2 must be C-contiguous")
+    if view.readonly:
+        raise ValueError("d2 must be writable")
+    length = view.shape[0]
+    n = (1 + math.isqrt(1 + 8 * length)) // 2
+    if n * (n - 1) // 2 != length:
+        raise ValueError(f"d2 has {length} entries, which is not n(n-1)/2 for any n")
+    return n
 
 
 def ward_linkage(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -16,9 +40,12 @@ def ward_linkage(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Parameters
     ----------
     d2:
-        Symmetric (n, n) matrix of squared pairwise distances between the
-        n singleton clusters, every entry finite and nonnegative;
-        `ValueError` otherwise.  It is copied once and never written.
+        Condensed squared pairwise distances between the n singleton
+        clusters: a writable, C-contiguous 1-D float64 array of n(n-1)/2
+        entries, pair i < j at ``i*n - i*(i+1)//2 + j - i - 1`` (the order
+        of `scipy.spatial.distance.pdist`), every entry finite and
+        nonnegative; `TypeError` or `ValueError` otherwise.  It is the
+        loop's working memory: its contents are undefined after the call.
 
     Returns
     -------
@@ -32,30 +59,25 @@ def ward_linkage(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Equal minimal linkages are broken by the lexicographically smallest
     (id, id) pair, which makes the result deterministic.
 
-    The working copy keeps the a active clusters in slots 0..a-1, so
+    The work matrix keeps the a active clusters in slots 0..a-1, so
     ``D[:a, :a]`` is always the live block.  Merging the clusters in slots
     i < j writes the Ward update into row and column i and moves the last
     active slot into the freed slot j.  The tie-break compares node ids,
-    not slots, so the moves leave the result unchanged.
+    not slots, so the moves leave the result unchanged.  This numpy loop
+    expands `d2` into one n x n work matrix; the compiled loop runs the
+    same steps inside `d2` itself.
     """
-    D = np.array(d2, dtype=np.float64)
-    n = D.shape[0]
-    if D.shape != (n, n):
-        raise ValueError(f"distance matrix must be square, got {D.shape}")
+    n = _condensed_size(d2)
+    d2 = np.asarray(d2)
     # min() and max() propagate NaN, so one comparison catches it
-    if D.size and not (D.min() >= 0.0 and D.max() < np.inf):
+    if d2.size and not (d2.min() >= 0.0 and d2.max() < np.inf):
         raise ValueError("squared distances must be finite and nonnegative")
-    # the loop reads a column's old values from the matching row; checked
-    # in blocks of rows, so no n x n temporary is made
-    step = max(1, -(-n // 16))
-    for start in range(0, n, step):
-        if not np.array_equal(D[start:start + step, start:], D[start:, start:start + step].T):
-            raise ValueError("distance matrix must be symmetric")
     merges = np.empty((n - 1 if n > 1 else 0, 2), dtype=np.int64)
     heights = np.empty(n - 1 if n > 1 else 0, dtype=np.float64)
     if n < 2:
         return merges, heights
 
+    D = squareform(d2, checks=False)
     np.fill_diagonal(D, np.inf)
     node_id = np.arange(n, dtype=np.int64)
     size = np.ones(n, dtype=np.float64)

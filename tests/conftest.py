@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cobar import kernels, parse_ratings
+from cobar import parse_ratings
 from cobar.kernels import _python
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -67,8 +67,8 @@ def c_compiler_found() -> bool:
 def compiled_build(tmp_path_factory) -> Path:
     """`setup.py build_ext` run into a temporary directory, so nothing under
     `src/` is written; returns the build directory, which holds
-    `cobar/kernels/_mf*`.  Skips only when no C compiler is found: with a
-    compiler, a failed build fails the test."""
+    `cobar/kernels/_compiled*`.  Skips only when no C compiler is found:
+    with a compiler, a failed build fails the test."""
     if not c_compiler_found():
         pytest.skip("no C compiler found")
     build = tmp_path_factory.mktemp("build_ext")
@@ -76,33 +76,37 @@ def compiled_build(tmp_path_factory) -> Path:
         [sys.executable, "setup.py", "build_ext", "--build-lib", str(build), "--build-temp", str(build / "tmp")],
         cwd=REPO_ROOT, capture_output=True, text=True,
     )
-    if out.returncode != 0 or not list((build / "cobar" / "kernels").glob("_mf*")):
-        pytest.fail(f"building the MF extension failed:\n{out.stdout}\n{out.stderr}")
+    if out.returncode != 0 or not list((build / "cobar" / "kernels").glob("_compiled*")):
+        pytest.fail(f"building the compiled extension failed:\n{out.stdout}\n{out.stderr}")
     return build
 
 
 @pytest.fixture(scope="session")
-def compiled_mf(compiled_build):
-    """The `_mf` extension module built from this checkout's source."""
-    path = next((compiled_build / "cobar" / "kernels").glob("_mf*"))
-    spec = importlib.util.spec_from_file_location("cobar.kernels._mf", path)
+def compiled_kernels(compiled_build):
+    """The `_compiled` extension module built from this checkout's source."""
+    path = next((compiled_build / "cobar" / "kernels").glob("_compiled*"))
+    spec = importlib.util.spec_from_file_location("cobar.kernels._compiled", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _backend(request):
+    return _python if request.param == "python" else request.getfixturevalue("compiled_kernels")
 
 
 @pytest.fixture(params=["python", "c"])
 def kernel_backend(request):
     """Runs the test once per MF kernel backend: the numpy module and the
     compiled extension."""
-    return _python if request.param == "python" else request.getfixturevalue("compiled_mf")
+    return _backend(request)
 
 
-@pytest.fixture(params=["python"])
-def ward_linkage():
-    """`cobar.kernels.ward_linkage`, the one Ward merge loop; its tests keep
-    the backend id `python`."""
-    return kernels.ward_linkage
+@pytest.fixture(params=["python", "c"])
+def ward_linkage(request):
+    """Runs the test once per Ward loop: the numpy fallback and the
+    compiled loop."""
+    return _backend(request).ward_linkage
 
 
 # --- acceptance criteria summary -------------------------------------------

@@ -152,6 +152,12 @@ def ward_reference(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return merges, heights
 
 
+def condensed(d2: np.ndarray) -> np.ndarray:
+    """The upper triangle of a square matrix, row by row: the condensed
+    layout `ward_linkage` takes and `cosine_distance_matrix` returns."""
+    return d2[np.triu_indices(len(d2), 1)]
+
+
 def cosine_distance_reference(dataset, users=None) -> np.ndarray:
     """The earlier cosine distance matrix, kept verbatim as a bit-identity
     reference: the whole sparse product made dense, then each step as a
@@ -397,8 +403,9 @@ def select_optimal_cluster_reference(chain, item, stats, sizes):
 
 
 class CobarReference:
-    """The earlier `CobarModel.predict_detailed`, verbatim, over a fitted
-    model's state, through the reference chain walk and accessors above."""
+    """The earlier `CobarModel.predict_detailed` over a fitted model's state,
+    through the reference chain walk and accessors above; verbatim but for
+    the `unclustered_user` label of a user without a leaf."""
 
     def __init__(self, model):
         self.config = model.config
@@ -436,7 +443,10 @@ class CobarReference:
             chain = ancestor_chain_reference(self.dendrogram, leaf)
             choice = select_optimal_cluster_reference(chain, item, self.stats, self.dendrogram.sizes)
         if choice is None:
-            fallback = Fallback.COLD_ITEM if self._item_counts[item] == 0 else Fallback.SINGLE_RATING
+            if leaf is None:
+                fallback = Fallback.UNCLUSTERED_USER
+            else:
+                fallback = Fallback.COLD_ITEM if self._item_counts[item] == 0 else Fallback.SINGLE_RATING
             return Prediction(
                 user=user,
                 item=item,

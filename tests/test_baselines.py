@@ -299,10 +299,10 @@ class TestMatrixFactorization:
         model2 = MatrixFactorization(MfConfig(epochs=5, seed=2), clamp=False).fit(train2)
         assert model2.predict(ds2.user_index("c"), ds2.item_index("z")) == float(train2.ratings.mean())
 
-    def test_backends_agree(self, compiled_mf):
+    def test_backends_agree(self, compiled_kernels):
         ds = _rank_one_dataset(seed=5)
         results = []
-        for kernel in (_python.mf_sgd_epoch, compiled_mf.mf_sgd_epoch):
+        for kernel in (_python.mf_sgd_epoch, compiled_kernels.mf_sgd_epoch):
             model = MatrixFactorization(MfConfig(epochs=10, seed=7), kernel=kernel).fit(ds)
             results.append([model.predict(int(u), int(i)) for u, i in zip(ds.users, ds.items)])
         np.testing.assert_allclose(results[0], results[1], atol=1e-8)

@@ -66,9 +66,9 @@ class TestEvaluate:
         with pytest.raises(SystemExit) as exc:
             cli.main(["evaluate", "--data", str(data_dir / "two_clusters.tsv"), "--algos", "cobar"])
         assert "--max-users" in str(exc.value)
-        # the memory the guard protects: two n x n float64 matrices
+        # the memory the guard protects: the condensed distances
         n = len(clusterable_users(parse_ratings(data_dir / "two_clusters.tsv")))
-        assert f"two n x n float64 matrices, {2 * 8 * n * n / 2**20:.3g} MB for {n} users" in str(exc.value)
+        assert f"n(n-1)/2 float64 distances, {4 * n * (n - 1) / 2**20:.3g} MB for {n} users" in str(exc.value)
 
     def test_max_users_subsampling_unlocks_run(self, data_dir, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_CLUSTERING_USERS", 6)
@@ -153,6 +153,14 @@ class TestPredict:
         assert code == 0
         assert "fallback         : single_rating" in stdout
         assert "predicted rating : 2.0000" in stdout   # b's mean of {1, 3}
+
+    def test_unclustered_user_fallback_reported(self, tmp_path, capsys):
+        path = tmp_path / "zeros.tsv"
+        path.write_text("a\tx\t0\na\ty\t0\nb\tx\t3\nc\tx\t5\n")
+        code, stdout, _ = run_cli(capsys, "predict", "--data", str(path), "--user", "a", "--item", "x")
+        assert code == 0
+        assert "fallback         : unclustered_user" in stdout   # x has three ratings
+        assert "predicted rating : 0.0000" in stdout   # a's mean
 
     def test_unknown_user_errors(self, data_dir, capsys):
         code, _, stderr = run_cli(

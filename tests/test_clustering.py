@@ -4,12 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import squareform
 
-from cobar import agglomerate, cosine_distance_matrix
+from cobar import agglomerate, cosine_distance_matrix, kernels
 from cobar.clustering import Dendrogram, clusterable_users
-from conftest import make_dataset, random_grid_dataset
+from cobar.kernels import _python
+from conftest import c_compiler_found, make_dataset, random_grid_dataset
 from oracles import (
     ancestor_chain_reference,
+    condensed,
     cosine_distance_reference,
     leaves_under,
     pairwise_cosine_distance,
@@ -39,8 +42,8 @@ def signed_dataset(rng, n_users=400, n_items=150):
 def pair_distance(rows):
     """Cosine distance between the two users of a two-user dataset."""
     dist = cosine_distance_matrix(make_dataset(rows))
-    assert dist.shape == (2, 2)
-    return dist[0, 1]
+    assert dist.shape == (1,)
+    return dist[0]
 
 
 class TestCosineDistance:
@@ -66,29 +69,35 @@ class TestCosineDistance:
         ds = random_grid_dataset(rng, max_users=10)
         users = clusterable_users(ds)
         dist = cosine_distance_matrix(ds, users)
+        assert dist.shape == (len(users) * (len(users) - 1) // 2,)
         dense = ds.sparse_by_user().toarray()
+        pos = 0
         for a in range(len(users)):
-            for b in range(a + 1, len(users)):
+            for b in range(a + 1, len(users)):   # pdist order
                 expected = pairwise_cosine_distance(dense[users[a]], dense[users[b]])
-                assert dist[a, b] == pytest.approx(expected, abs=1e-10)
-        np.testing.assert_array_equal(dist, dist.T)
-        assert np.all(np.diag(dist) == 0.0)
+                assert dist[pos] == pytest.approx(expected, abs=1e-10)
+                pos += 1
 
-    def test_matrix_bit_identical_to_reference(self):
+    def test_matrix_bit_identical_to_reference(self, request, monkeypatch):
         ds = signed_dataset(np.random.default_rng(8))
         users = clusterable_users(ds)
         assert len(users) >= 400
-        dist = cosine_distance_matrix(ds, users)
+        dist = squareform(cosine_distance_matrix(ds, users))
         ref = cosine_distance_reference(ds, users)
         assert ref.max() > 1.0   # negative cosines present
         assert np.array_equal(dist, ref)
         shuffled = np.random.default_rng(9).permutation(users)
-        assert np.array_equal(cosine_distance_matrix(ds, shuffled), cosine_distance_reference(ds, shuffled))
-        # and the hierarchy built on it
-        dend = agglomerate(ds)
+        assert np.array_equal(squareform(cosine_distance_matrix(ds, shuffled)), cosine_distance_reference(ds, shuffled))
+        # and the hierarchy built on it, by each Ward loop
         ref_merges, ref_heights = ward_reference(ref**2)
-        assert np.array_equal(dend.merges, ref_merges)
-        assert np.array_equal(dend.heights, np.sqrt(np.maximum(ref_heights, 0.0)))
+        backends = [_python]
+        if c_compiler_found():
+            backends.append(request.getfixturevalue("compiled_kernels"))
+        for backend in backends:
+            monkeypatch.setattr(kernels, "ward_linkage", backend.ward_linkage)
+            dend = agglomerate(ds)
+            assert np.array_equal(dend.merges, ref_merges)
+            assert np.array_equal(dend.heights, np.sqrt(np.maximum(ref_heights, 0.0)))
 
 
 class TestAgglomerate:
@@ -128,21 +137,21 @@ class TestAgglomerate:
             d = rng.uniform(0.05, 1.9, size=(n, n))
             d = np.triu(d, 1)
             d = d + d.T
-            merges, heights_sq = ward_linkage(d**2)
+            merges, heights_sq = ward_linkage(condensed(d**2))
             oracle_merges, oracle_heights = ward_agglomeration(d**2)
             np.testing.assert_array_equal(merges, oracle_merges)
             np.testing.assert_allclose(heights_sq, oracle_heights, rtol=1e-9, atol=1e-12)
 
     def test_exact_tie_break_lexicographic(self, ward_linkage):
         # three identical points: every pairwise distance is 0
-        d2 = np.zeros((3, 3))
-        merges, heights = ward_linkage(d2)
+        merges, heights = ward_linkage(np.zeros(3))
         assert merges.tolist() == [[0, 1], [2, 3]]
         assert heights.tolist() == [0.0, 0.0]
 
-    def test_peak_memory_two_matrices(self):
-        # the distance matrix and the merge loop's working copy, nothing
-        # else of size n x n
+    def test_peak_memory_half_matrix(self, ward_linkage, monkeypatch):
+        # the condensed distances (n(n-1)/2 doubles) and one block buffer;
+        # the numpy loop adds its n x n work matrix
+        monkeypatch.setattr(kernels, "ward_linkage", ward_linkage)
         rng = np.random.default_rng(12)
         rows = [
             (f"u{u}", f"i{i}", int(rng.integers(1, 11)) / 2.0)
@@ -157,7 +166,19 @@ class TestAgglomerate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * 8 * n * n
+        assert peak <= (1.6 if ward_linkage is _python.ward_linkage else 0.8) * 8 * n * n
+
+    def test_inputs_not_written(self, ward_linkage, monkeypatch):
+        # the merge loop overwrites the distances agglomerate made, and
+        # nothing the caller passed in
+        monkeypatch.setattr(kernels, "ward_linkage", ward_linkage)
+        ds = signed_dataset(np.random.default_rng(73), n_users=60, n_items=40)
+        users = np.random.default_rng(74).permutation(clusterable_users(ds))
+        arrays = [ds.users, ds.items, ds.ratings, users]
+        before = [a.copy() for a in arrays]
+        agglomerate(ds, users)
+        for array, copy in zip(arrays, before):
+            np.testing.assert_array_equal(array, copy)
 
     def test_empty_dataset_rejected(self):
         ds = make_dataset([("a", "x", 3.0)]).subset(np.array([], dtype=int))

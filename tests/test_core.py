@@ -259,6 +259,15 @@ class TestPredict:
         assert pred.fallback is Fallback.COLD_ITEM
         assert pred.value == 3.0   # a's training mean
 
+    def test_unclustered_user_labelled(self):
+        # a's ratings are all 0, so a has no leaf; x has three ratings
+        ds = make_dataset([("a", "x", 0.0), ("a", "y", 0.0), ("b", "x", 3.0), ("c", "x", 5.0)])
+        model = CobarModel().fit(ds)
+        for item in ("x", "y"):
+            pred = model.predict_detailed(ds.user_index("a"), ds.item_index(item))
+            assert pred.fallback is Fallback.UNCLUSTERED_USER
+            assert pred.value == 0.0 and pred.user_mean == 0.0
+
     def test_blend_stays_between_means_without_clamp(self):
         rng = np.random.default_rng(47)
         for _ in range(10):
@@ -337,8 +346,9 @@ def _non_grid_split(seed):
     Five items get one constant rating each from a block of twelve users
     and from about a third of the others, so zero widths and exact width
     ties between a node and its ancestors occur.  Two items have a single
-    rating.  Training drops every rating of two users and two items, and
-    every fifth other rating except the single ones.
+    rating.  One user rates only with 0, so it has no leaf.  Training drops
+    every rating of two users and two items, and every fifth other rating
+    except the single ones.
     """
     rng = np.random.default_rng(seed)
     constant = [0.3, 0.7, 1.1, 2.9, 9.9]
@@ -354,6 +364,7 @@ def _non_grid_split(seed):
             rows.append((f"c{u}", f"k{k}", constant[k]))
         rows.append((f"c{u}", f"i{int(rng.integers(0, 30))}", int(rng.integers(1, 100)) / 10))
     rows += [("u2", "s0", 4.4), ("c0", "s1", 0.1)]
+    rows += [("zero", f"i{i}", 0.0) for i in (3, 4, 5)]
     ds = make_dataset(rows)
     cold_users = [ds.user_index("u0"), ds.user_index("u1")]
     cold_items = [ds.item_index("i0"), ds.item_index("i1")]
