@@ -2,11 +2,9 @@
 SGD epoch, one C extension).
 
 The package works without the extension: cobar.kernels falls back to the
-pure numpy implementations when the compiled module is missing.  Set
-COBAR_SKIP_EXTENSION=1 to install without attempting to compile.
+pure numpy implementations when the compiled module is missing.
 """
 
-import os
 import warnings
 
 from setuptools import Extension, setup
@@ -33,8 +31,7 @@ class OptionalBuildExt(build_ext):
             warnings.warn(f"building {ext.name} failed ({exc}); using pure-Python fallback")
 
 
-extensions = []
-if not os.environ.get("COBAR_SKIP_EXTENSION"):
-    extensions = [Extension("cobar.kernels._compiled", ["src/cobar/kernels/_compiled.c"])]
-
-setup(ext_modules=extensions, cmdclass={"build_ext": OptionalBuildExt})
+setup(
+    ext_modules=[Extension("cobar.kernels._compiled", ["src/cobar/kernels/_compiled.c"])],
+    cmdclass={"build_ext": OptionalBuildExt},
+)

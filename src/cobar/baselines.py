@@ -107,9 +107,9 @@ class _CosineKnn(_PredictorMixin):
     def fit(self, train: RatingDataset) -> "_CosineKnn":
         self.train = train
         self.stats = self.compute_stats(train)
-        by_user = train.sparse_by_user()
-        by_item = by_user.T.tocsr()
-        rows, cols = (by_user, by_item) if self.user_major else (by_item, by_user)
+        user_rows = train.sparse_by_user()
+        item_rows = user_rows.T.tocsr()
+        rows, cols = (user_rows, item_rows) if self.user_major else (item_rows, user_rows)
         self._norms = np.sqrt(np.asarray(rows.multiply(rows).sum(axis=1)).ravel())
         # intp indices spare a cast in every per-query gather and bincount
         self._rows = (rows.indptr.astype(np.intp), rows.indices.astype(np.intp), rows.data)
@@ -187,10 +187,9 @@ class MatrixFactorization(_PredictorMixin):
     at prediction time.
     """
 
-    def __init__(self, config: MfConfig | None = None, clamp: bool = True, kernel=None):
+    def __init__(self, config: MfConfig | None = None, clamp: bool = True):
         self.config = config or MfConfig()
         self.clamp = clamp
-        self._kernel = kernel if kernel is not None else kernels.mf_sgd_epoch
         self.train = None
 
     def fit(self, train: RatingDataset) -> "MatrixFactorization":
@@ -209,7 +208,7 @@ class MatrixFactorization(_PredictorMixin):
         self.epoch_mse: list[float] = [self._train_mse()]
         for _ in range(cfg.epochs):
             order = rng.permutation(train.n_ratings)
-            self._kernel(
+            kernels.mf_sgd_epoch(
                 users,
                 items,
                 ratings,

@@ -100,9 +100,7 @@ def _load_dataset(args):
     return dataset
 
 
-def _check_clustering_budget(dataset, needs_clustering: bool) -> None:
-    if not needs_clustering:
-        return
+def _check_clustering_budget(dataset) -> None:
     n = len(clusterable_users(dataset))
     if n > MAX_CLUSTERING_USERS:
         raise SystemExit(
@@ -120,7 +118,8 @@ def _cobar_config(args) -> CobarConfig:
 def cmd_evaluate(args) -> int:
     dataset = _load_dataset(args)
     names = [n.strip() for n in args.algos.split(",") if n.strip()]
-    _check_clustering_budget(dataset, needs_clustering="cobar" in names)
+    if "cobar" in names:
+        _check_clustering_budget(dataset)
     algorithms = build_algorithms(
         names,
         cobar_config=_cobar_config(args),
@@ -163,13 +162,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     dataset = _load_dataset(args)
-    _check_clustering_budget(dataset, needs_clustering=True)
+    user = dataset.user_index(args.user)
+    item = dataset.item_index(args.item)
+    _check_clustering_budget(dataset)
     model = CobarModel(_cobar_config(args), clamp=not args.no_clamp).fit(dataset)
     if args.dendrogram_out:
         model.dendrogram.save(args.dendrogram_out)
         print(f"dendrogram written to {args.dendrogram_out}")
-    user = dataset.user_index(args.user)
-    item = dataset.item_index(args.item)
     pred = model.predict_detailed(user, item)
 
     print(f"user {args.user!r} x item {args.item!r}")
@@ -195,7 +194,8 @@ def main(argv=None) -> int:
             return cmd_evaluate(args)
         return cmd_predict(args)
     except (FileNotFoundError, ParseError, KeyError, ValueError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
+        # str() of a KeyError is the repr of its message, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
 

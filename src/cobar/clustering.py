@@ -24,7 +24,7 @@ from . import kernels
 from .data import RatingDataset
 
 
-def cosine_distance_matrix(dataset: RatingDataset, users: np.ndarray | None = None) -> np.ndarray:
+def cosine_distance_matrix(dataset: RatingDataset, users: np.ndarray) -> np.ndarray:
     """Condensed pairwise cosine distances between the given users' rating vectors.
 
     Returns the n(n-1)/2 distances of the pairs i < j in the order of
@@ -38,9 +38,7 @@ def cosine_distance_matrix(dataset: RatingDataset, users: np.ndarray | None = No
     row on goes through a buffer of at most 1/16 of the n x n entries, and
     each row's share of the upper triangle is copied out of it.
     """
-    R = dataset.sparse_by_user()
-    if users is not None:
-        R = R[np.asarray(users)]
+    R = dataset.sparse_by_user()[np.asarray(users)]
     norms = np.sqrt(np.asarray(R.multiply(R).sum(axis=1)).ravel())
     if np.any(norms == 0.0):
         bad = int(np.flatnonzero(norms == 0.0)[0])
@@ -87,7 +85,6 @@ class Dendrogram:
     merges: np.ndarray      # (n-1, 2) int64 node ids, row-sorted
     heights: np.ndarray     # (n-1,) float64, non-decreasing
     leaf_users: np.ndarray  # (n_leaves,) dataset user index per leaf
-    parents: np.ndarray = field(init=False, repr=False)
     sizes: np.ndarray = field(init=False, repr=False)
     chains: tuple[tuple[int, ...], ...] = field(init=False, repr=False)  # per leaf, up to the root
 
@@ -101,7 +98,6 @@ class Dendrogram:
             parents[left] = new
             parents[right] = new
             sizes[new] = sizes[left] + sizes[right]
-        self.parents = np.array(parents, dtype=np.int64)
         self.sizes = np.array(sizes, dtype=np.int64)
         self.chains = _leaf_chains(parents, n)
 
@@ -130,19 +126,12 @@ def clusterable_users(dataset: RatingDataset) -> np.ndarray:
     return np.flatnonzero((counts > 0) & (norms > 0.0))
 
 
-def agglomerate(
-    dataset: RatingDataset,
-    users: np.ndarray | None = None,
-) -> Dendrogram:
-    """Cluster the dataset's users into a full merge hierarchy.
-
-    `users` defaults to every clusterable user, in ascending index order.
-    """
+def agglomerate(dataset: RatingDataset) -> Dendrogram:
+    """Cluster the dataset's clusterable users, in ascending index order,
+    into a full merge hierarchy."""
     if dataset.n_ratings == 0:
         raise ValueError("cannot cluster an empty dataset")
-    if users is None:
-        users = clusterable_users(dataset)
-    users = np.asarray(users, dtype=np.int64)
+    users = clusterable_users(dataset)
     if len(users) == 0:
         raise ValueError("no users with ratings to cluster")
 

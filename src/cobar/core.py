@@ -56,10 +56,10 @@ class CobarConfig:
 
 @dataclass
 class Prediction:
-    """A predicted rating plus the provenance needed to explain it."""
+    """A predicted rating plus the provenance needed to explain it: the
+    fallback that fired and, for `Fallback.NONE`, the chosen cluster's
+    node, size, item mean and interval half-width."""
 
-    user: int
-    item: int
     value: float
     fallback: Fallback
     chosen_node: int | None = None
@@ -92,27 +92,22 @@ class ClusterItemStats:
     x tree depth) instead of a from-scratch pass per node.
     """
 
-    def __init__(self, node_maps: list[dict[int, tuple[int, float, float, float, float]]], level: float):
-        if not 0.0 < level < 1.0:
-            raise ValueError(f"confidence level must be in (0, 1), got {level}")
+    def __init__(self, node_maps: list[dict[int, tuple[int, float, float, float, float]]]):
         self._maps = node_maps
-        self.level = level
-
-    def get(self, node: int, item: int) -> tuple[int, float, float, float, float] | None:
-        """(n, sum, sum_sq, min, max) for the item inside the node's cluster, if any."""
-        return self._maps[node].get(item)
 
     def items_at(self, node: int) -> dict[int, tuple[int, float, float, float, float]]:
         return self._maps[node]
 
 
-def build_item_stats(dendrogram: Dendrogram, train: RatingDataset, level: float = 0.95) -> ClusterItemStats:
+def build_item_stats(dendrogram: Dendrogram, train: RatingDataset) -> ClusterItemStats:
     """Accumulate (n, sum, sum_sq, min, max) per item for every node of the hierarchy."""
     maps: list[dict[int, tuple[int, float, float, float, float]]] = [dict() for _ in range(dendrogram.n_nodes)]
-    for leaf, user in enumerate(dendrogram.leaf_users):
-        items, ratings = train.by_user[int(user)]
+    rows = train.sparse_by_user()
+    indptr, indices, data = rows.indptr.tolist(), rows.indices.tolist(), rows.data.tolist()
+    for leaf, user in enumerate(dendrogram.leaf_users.tolist()):
+        lo, hi = indptr[user], indptr[user + 1]
         # one float object serves as the sum, the min and the max
-        maps[leaf] = {i: (1, r, r * r, r, r) for i, r in zip(items.tolist(), ratings.tolist())}
+        maps[leaf] = {i: (1, r, r * r, r, r) for i, r in zip(indices[lo:hi], data[lo:hi])}
     for m, (left, right) in enumerate(dendrogram.merges):
         a, b = maps[int(left)], maps[int(right)]
         if len(b) > len(a):
@@ -126,31 +121,24 @@ def build_item_stats(dendrogram: Dendrogram, train: RatingDataset, level: float 
                 n2, s2, q2, lo2, hi2 = entry
                 merged[item] = (cur[0] + n2, cur[1] + s2, cur[2] + q2, min(cur[3], lo2), max(cur[4], hi2))
         maps[dendrogram.n_leaves + m] = merged
-    return ClusterItemStats(maps, level)
-
-
-@dataclass
-class ClusterChoice:
-    node: int
-    size: int
-    mean: float
-    half_width: float
+    return ClusterItemStats(maps)
 
 
 def select_optimal_cluster(
     chain: tuple[int, ...] | np.ndarray,
     item: int,
     stats: ClusterItemStats,
-    sizes: np.ndarray,
-) -> ClusterChoice | None:
-    """Narrowest-interval cluster for the item among the chain's nodes.
+    level: float,
+) -> tuple[int, float] | None:
+    """Narrowest-interval cluster for the item among the chain's nodes, as
+    ``(node, half_width)`` at the given confidence level.
 
     Only nodes with >= 2 ratings for the item qualify.  Walking leaf to
     root, a strict improvement is required, so at equal half-width the
     smaller (earlier) cluster wins.  Returns None when no chain node
     qualifies.
     """
-    maps, level = stats._maps, stats.level
+    maps = stats._maps
     best = None
     best_hw = 0.0
     for node in chain:
@@ -166,8 +154,7 @@ def select_optimal_cluster(
             best, best_hw = node, hw
     if best is None:
         return None
-    n, total, _, _, _ = maps[best][item]
-    return ClusterChoice(node=int(best), size=int(sizes[best]), mean=total / n, half_width=best_hw)
+    return int(best), best_hw
 
 
 class CobarModel(_PredictorMixin):
@@ -191,7 +178,7 @@ class CobarModel(_PredictorMixin):
         self.train = train
         self.user_stats = compute_user_stats(train)
         self.dendrogram = agglomerate(train)
-        self.stats = build_item_stats(self.dendrogram, train, self.config.confidence_level)
+        self.stats = build_item_stats(self.dendrogram, train)
         self._leaf_of = {int(u): leaf for leaf, u in enumerate(self.dendrogram.leaf_users)}
         self._item_counts = np.bincount(train.items, minlength=train.n_items)
         return self
@@ -202,8 +189,6 @@ class CobarModel(_PredictorMixin):
         user_mean = self.user_stats.mean(user)
         if user_mean is None:
             return Prediction(
-                user=user,
-                item=item,
                 value=self._clamp(self.user_stats.global_mean),
                 fallback=Fallback.COLD_USER,
             )
@@ -211,7 +196,8 @@ class CobarModel(_PredictorMixin):
         leaf = self._leaf_of.get(user)
         choice = None
         if leaf is not None:
-            choice = select_optimal_cluster(self.dendrogram.chains[leaf], item, self.stats, self.dendrogram.sizes)
+            choice = select_optimal_cluster(self.dendrogram.chains[leaf], item, self.stats,
+                                            self.config.confidence_level)
         if choice is None:
             # the user has no leaf (a rating vector of norm 0) or the item
             # has at most one training rating in the user's chain: predict
@@ -223,24 +209,23 @@ class CobarModel(_PredictorMixin):
             else:
                 fallback = Fallback.SINGLE_RATING
             return Prediction(
-                user=user,
-                item=item,
                 value=self._clamp(user_mean),
                 fallback=fallback,
                 user_mean=user_mean,
             )
 
+        node, half_width = choice
+        n, total, _, _, _ = self.stats.items_at(node)[item]
+        cluster_mean = total / n
         gamma = self.config.gamma
-        value = gamma * user_mean + (1.0 - gamma) * choice.mean
+        value = gamma * user_mean + (1.0 - gamma) * cluster_mean
         return Prediction(
-            user=user,
-            item=item,
             value=self._clamp(value),
             fallback=Fallback.NONE,
-            chosen_node=choice.node,
-            cluster_size=choice.size,
-            cluster_mean=choice.mean,
-            half_width=choice.half_width,
+            chosen_node=node,
+            cluster_size=int(self.dendrogram.sizes[node]),
+            cluster_mean=cluster_mean,
+            half_width=half_width,
             user_mean=user_mean,
         )
 

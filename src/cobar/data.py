@@ -11,13 +11,11 @@ cold-start paths in the predictors).
 
 from __future__ import annotations
 
-import io
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -82,17 +80,6 @@ class RatingDataset:
         except KeyError:
             raise KeyError(f"unknown item id {external_id!r}") from None
 
-    @cached_property
-    def by_user(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-user adjacency: ``(item indices, ratings)`` for each user."""
-        order = np.argsort(self.users, kind="stable")
-        bounds = np.searchsorted(self.users[order], np.arange(self.n_users + 1))
-        out = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            sel = order[lo:hi]
-            out.append((self.items[sel], self.ratings[sel]))
-        return out
-
     def sparse_by_user(self):
         """CSR matrix (n_users x n_items) of the ratings."""
         from scipy import sparse
@@ -102,7 +89,7 @@ class RatingDataset:
             shape=(self.n_users, self.n_items),
         )
 
-    def subset(self, triple_indices: np.ndarray, name: str | None = None) -> "RatingDataset":
+    def subset(self, triple_indices: np.ndarray) -> "RatingDataset":
         """New dataset over the same user/item index space, keeping only the
         given triples.  Scale bounds are inherited, not recomputed, so clamping
         stays identical across folds."""
@@ -115,37 +102,24 @@ class RatingDataset:
             ratings=self.ratings[idx],
             rating_min=self.rating_min,
             rating_max=self.rating_max,
-            name=name if name is not None else self.name,
+            name=self.name,
             _user_index=self._user_index,
             _item_index=self._item_index,
         )
 
 
-def _open_lines(source) -> Iterable[str]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if hasattr(source, "read"):
-        first = source.read(0)
-        if isinstance(first, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8")
-        return source
-    return iter(source)
-
-
 def parse_ratings(
-    source: str | Path | bytes | IO | Iterable[str],
+    source: str | Path | Iterable[str],
     delimiter: str = "\t",
     skip_header: bool = False,
     name: str = "",
-    rating_bounds: tuple[float, float] | None = None,
 ) -> RatingDataset:
     """Parse `user<delim>item<delim>rating[<delim>ignored...]` lines.
 
+    `source` is a path to a UTF-8 file or an iterable of text lines.
     Duplicate (user, item) pairs keep the last rating seen; the number of
-    replaced pairs is reported on the dataset and logged.  Rating scale
-    bounds default to the observed min/max unless ``rating_bounds`` is given.
+    replaced pairs is reported on the dataset and logged.  The rating
+    scale is the observed min/max.
 
     Raises :class:`ParseError` for empty input, short lines, or non-numeric
     ratings, naming the 1-based line number.
@@ -158,7 +132,8 @@ def parse_ratings(
     cells: dict[tuple[int, int], float] = {}
     n_duplicates = 0
 
-    lines = _open_lines(source)
+    opened = isinstance(source, (str, Path))
+    lines = open(source, "r", encoding="utf-8") if opened else source
     try:
         for line_no, raw in enumerate(lines, start=1):
             if line_no == 1 and skip_header:
@@ -189,7 +164,7 @@ def parse_ratings(
                 n_duplicates += 1
             cells[(u, i)] = rating
     finally:
-        if hasattr(lines, "close"):
+        if opened:
             lines.close()
 
     if not cells:
@@ -200,20 +175,14 @@ def parse_ratings(
     users = np.fromiter((u for u, _ in cells), dtype=np.int32, count=len(cells))
     items = np.fromiter((i for _, i in cells), dtype=np.int32, count=len(cells))
     ratings = np.fromiter(cells.values(), dtype=np.float64, count=len(cells))
-    if rating_bounds is not None:
-        lo, hi = float(rating_bounds[0]), float(rating_bounds[1])
-        if np.any(ratings < lo) or np.any(ratings > hi):
-            raise ParseError(f"ratings outside configured bounds [{lo}, {hi}]")
-    else:
-        lo, hi = float(ratings.min()), float(ratings.max())
     return RatingDataset(
         user_ids=user_ids,
         item_ids=item_ids,
         users=users,
         items=items,
         ratings=ratings,
-        rating_min=lo,
-        rating_max=hi,
+        rating_min=float(ratings.min()),
+        rating_max=float(ratings.max()),
         n_duplicates=n_duplicates,
         name=name,
         _user_index=user_index,
@@ -286,7 +255,6 @@ class FoldSplit:
     """Seeded partition of triple indices into k near-equal folds."""
 
     k: int
-    seed: int
     assignment: np.ndarray  # int32 (n_ratings,), values in [0, k)
 
     def test_indices(self, fold: int) -> np.ndarray:
@@ -307,7 +275,7 @@ def kfold_split(dataset: RatingDataset, k: int, seed: int) -> FoldSplit:
     perm = rng.permutation(n)
     assignment = np.empty(n, dtype=np.int32)
     assignment[perm] = np.arange(n, dtype=np.int32) % k
-    return FoldSplit(k=k, seed=seed, assignment=assignment)
+    return FoldSplit(k=k, assignment=assignment)
 
 
 def fold_train_test(dataset: RatingDataset, split: FoldSplit, fold: int) -> tuple[RatingDataset, np.ndarray]:

@@ -157,14 +157,14 @@ class EvalReport:
             fh.write(self.to_json())
             fh.write("\n")
 
-    def format_table(self, precision: int = 4) -> str:
-        """Fixed-precision comparison table; `*` marks the best mean RMSE."""
+    def format_table(self) -> str:
+        """Comparison table at 4 decimals; `*` marks the best mean RMSE."""
         means = self.mean_rmse
         best = self.best_algorithm()
         width = max(12, len(self.dataset_name) + 2)
         header = f"{'dataset':<{width}}" + "".join(f"{name:>12}" for name in self.algorithms)
         cells = "".join(
-            f"{f'{means[name]:.{precision}f}' + ('*' if name == best else ''):>12}"
+            f"{f'{means[name]:.4f}' + ('*' if name == best else ''):>12}"
             for name in self.algorithms
         )
         lines = [header, f"{self.dataset_name:<{width}}" + cells]
@@ -179,7 +179,7 @@ class EvalReport:
                     verdict = "significant" if rec["significant"] else "not significant"
                     lines.append(
                         f"  {rec['a']} vs {rec['b']}: W={rec['statistic']:g}"
-                        f" p={rec['p_value']:.{precision}f} {verdict}"
+                        f" p={rec['p_value']:.4f} {verdict}"
                     )
         return "\n".join(lines)
 

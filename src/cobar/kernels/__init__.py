@@ -17,6 +17,15 @@ try:
 except ImportError:
     _compiled = None
 
+_missing = [name for name in ("ward_linkage", "mf_sgd_epoch") if _compiled and not hasattr(_compiled, name)]
+if _missing:
+    # an extension built from older source, e.g. one a build reused
+    # because its file times looked up to date
+    raise ImportError(
+        f"stale extension {getattr(_compiled, '__file__', _compiled.__name__)} lacks {', '.join(_missing)}; "
+        "rebuild it with: python setup.py build_ext --inplace --force"
+    )
+
 BACKEND: str = "c" if _compiled is not None else "python"
 
 ward_linkage = (_compiled or _python).ward_linkage

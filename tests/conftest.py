@@ -41,8 +41,9 @@ def make_dataset(rows, **kwargs):
     return parse_ratings(lines, **kwargs)
 
 
-def random_grid_dataset(rng, max_users=20, max_items=15, density=0.45):
-    """Random dataset on a 0.5-step rating grid (sums stay exact in binary).
+def random_grid_dataset(rng, max_users=20, max_items=15, density=0.45, draw=None):
+    """Random dataset on a 0.5-step rating grid from 0.5 to 4 (sums stay
+    exact in binary), or with each rating drawn by `draw(rng)`.
 
     Every user gets at least one rating; items without ratings do not exist
     in the index space, matching what the parser produces.
@@ -53,7 +54,7 @@ def random_grid_dataset(rng, max_users=20, max_items=15, density=0.45):
     for u in range(n_users):
         count = max(1, int(rng.binomial(n_items, density)))
         for i in rng.choice(n_items, size=count, replace=False):
-            rating = int(rng.integers(1, 9)) / 2.0
+            rating = int(rng.integers(1, 9)) / 2.0 if draw is None else float(draw(rng))
             rows.append((f"u{u}", f"i{i}", rating))
     return make_dataset(rows)
 

@@ -219,8 +219,9 @@ def brute_force_prediction(dataset, dendrogram, user, item, gamma=0.5, level=0.9
     Enumerates every dendrogram node, resolves its member users top-down
     via `leaves_under`, re-collects the members' raw ratings of the item, and
     recomputes each interval from scratch.  The narrowest interval wins;
-    ties go to the smaller cluster.  Fallbacks: user mean when no cluster
-    has two ratings for the item, global mean for users without ratings.
+    ties go to the smaller cluster.  Fallbacks: global mean for users
+    without ratings, user mean for users in no cluster (labelled
+    `unclustered_user`) and when no cluster has two ratings for the item.
     """
     user_ratings = sorted(
         float(r) for u, i, r in zip(dataset.users, dataset.items, dataset.ratings) if u == user
@@ -230,6 +231,8 @@ def brute_force_prediction(dataset, dendrogram, user, item, gamma=0.5, level=0.9
         return _clamp(value, dataset, clamp), "cold_user", None
 
     user_mean = math.fsum(user_ratings) / len(user_ratings)
+    if user not in dendrogram.leaf_users.tolist():
+        return _clamp(user_mean, dataset, clamp), "unclustered_user", None
     candidates = []
     for node in range(dendrogram.n_nodes):
         members = {int(dendrogram.leaf_users[leaf]) for leaf in leaves_under(dendrogram, node)}
@@ -367,14 +370,23 @@ class ClusterItemStatsReference:
         return confidence_half_width_reference(n, self.variance(node, item), self.level)
 
 
+def parents_reference(dendrogram) -> np.ndarray:
+    """Each node's parent id, -1 for the root, read from the merge table."""
+    parents = np.full(dendrogram.n_nodes, -1, dtype=np.int64)
+    for m, (left, right) in enumerate(dendrogram.merges.tolist()):
+        parents[left] = parents[right] = dendrogram.n_leaves + m
+    return parents
+
+
 def ancestor_chain_reference(dendrogram, leaf):
-    """The earlier `Dendrogram.ancestor_chain`: walks `parents` per call."""
+    """The earlier `Dendrogram.ancestor_chain`: walks the parent ids per call."""
     if not 0 <= leaf < dendrogram.n_leaves:
         raise ValueError(f"leaf index {leaf} out of range [0, {dendrogram.n_leaves})")
+    parents = parents_reference(dendrogram)
     chain = [leaf]
     node = leaf
-    while dendrogram.parents[node] != -1:
-        node = int(dendrogram.parents[node])
+    while parents[node] != -1:
+        node = int(parents[node])
         chain.append(node)
     return np.asarray(chain, dtype=np.int64)
 
@@ -413,7 +425,7 @@ class CobarReference:
         self.user_stats = model.user_stats
         self.dendrogram = model.dendrogram
         maps = [model.stats.items_at(node) for node in range(model.dendrogram.n_nodes)]
-        self.stats = ClusterItemStatsReference(maps, model.stats.level)
+        self.stats = ClusterItemStatsReference(maps, model.config.confidence_level)
         self._leaf_of = model._leaf_of
         self._item_counts = model._item_counts
         self._clamp = model._clamp
@@ -431,8 +443,6 @@ class CobarReference:
         user_mean = self.user_stats.mean(user)
         if user_mean is None:
             return Prediction(
-                user=user,
-                item=item,
                 value=self._clamp(self.user_stats.global_mean),
                 fallback=Fallback.COLD_USER,
             )
@@ -448,8 +458,6 @@ class CobarReference:
             else:
                 fallback = Fallback.COLD_ITEM if self._item_counts[item] == 0 else Fallback.SINGLE_RATING
             return Prediction(
-                user=user,
-                item=item,
                 value=self._clamp(user_mean),
                 fallback=fallback,
                 user_mean=user_mean,
@@ -458,8 +466,6 @@ class CobarReference:
         gamma = self.config.gamma
         value = gamma * user_mean + (1.0 - gamma) * choice.mean
         return Prediction(
-            user=user,
-            item=item,
             value=self._clamp(value),
             fallback=Fallback.NONE,
             chosen_node=choice.node,

@@ -10,6 +10,7 @@ to fetch and prepare them.
 import math
 import os
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 
 from cobar import (
     CobarModel,
+    Fallback,
     build_algorithms,
     parse_ratings,
     rmse,
@@ -55,18 +57,41 @@ def test_c1_worked_example(demo_dataset):
     assert pred.half_width == pytest.approx(0.5, abs=1e-9)
 
 
-@pytest.mark.acceptance("C2 exhaustive-oracle equivalence on 200 random datasets")
-def test_c2_brute_force_equivalence():
+def _zero_heavy(rng):
+    """0 with probability 0.4, else an integer from 1 to 10."""
+    return 0 if rng.random() < 0.4 else int(rng.integers(1, 11))
+
+
+# the rating scales of the paper's datasets: FilmTrust's 0.5 steps, the
+# 1-5 stars of Amazon, Book-Crossing's 0-10 with its implicit zeros, and
+# a signed scale
+RATING_SCALES = {
+    "half_grid": None,
+    "int_1_5": lambda rng: int(rng.integers(1, 6)),
+    "int_0_10_zeros": _zero_heavy,
+    "signed_10": lambda rng: int(rng.integers(-10, 11)),
+}
+
+
+@pytest.mark.acceptance("C2 exhaustive-oracle equivalence on 200 random datasets per rating scale")
+@pytest.mark.parametrize("scale", list(RATING_SCALES))
+def test_c2_brute_force_equivalence(scale):
     start = time.time()
     rng = np.random.default_rng(90210)
+    labels = Counter()
     for _ in range(200):
-        ds = random_grid_dataset(rng, max_users=20, max_items=15)
+        ds = random_grid_dataset(rng, max_users=20, max_items=15, draw=RATING_SCALES[scale])
         model = CobarModel().fit(ds)
         for user in range(ds.n_users):
             for item in range(ds.n_items):
-                got = model.predict(user, item)
-                expected, _, _ = brute_force_prediction(ds, model.dendrogram, user, item)
-                assert got == expected, (user, item, got, expected)
+                got = model.predict_detailed(user, item)
+                expected, label, _ = brute_force_prediction(ds, model.dendrogram, user, item)
+                assert got.value == expected, (user, item, got.value, expected)
+                assert (got.fallback is Fallback.UNCLUSTERED_USER) == (label == "unclustered_user")
+                labels[label] += 1
+    assert labels["blend"] > 0
+    if scale == "int_0_10_zeros":
+        assert labels["unclustered_user"] > 0
     assert time.time() - start < 60.0
 
 
@@ -173,7 +198,7 @@ def test_c7_aggregation_exactness():
             parent = dend.n_leaves + m
             for child in (int(left), int(right)):
                 for item, (n, *_) in stats.items_at(child).items():
-                    assert stats.get(parent, item)[0] >= n
+                    assert stats.items_at(parent)[item][0] >= n
 
 
 @pytest.mark.acceptance("C8 sparse items fall back to the user mean exactly")

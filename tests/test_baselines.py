@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cobar import CobarModel, ItemKnn, KnnConfig, MatrixFactorization, MfConfig, MostPopular, UserKnn
+from cobar import kernels
 from cobar.kernels import _python
 from conftest import make_dataset, random_grid_dataset
 from oracles import knn_prediction
@@ -299,11 +300,12 @@ class TestMatrixFactorization:
         model2 = MatrixFactorization(MfConfig(epochs=5, seed=2), clamp=False).fit(train2)
         assert model2.predict(ds2.user_index("c"), ds2.item_index("z")) == float(train2.ratings.mean())
 
-    def test_backends_agree(self, compiled_kernels):
+    def test_backends_agree(self, compiled_kernels, monkeypatch):
         ds = _rank_one_dataset(seed=5)
         results = []
         for kernel in (_python.mf_sgd_epoch, compiled_kernels.mf_sgd_epoch):
-            model = MatrixFactorization(MfConfig(epochs=10, seed=7), kernel=kernel).fit(ds)
+            monkeypatch.setattr(kernels, "mf_sgd_epoch", kernel)
+            model = MatrixFactorization(MfConfig(epochs=10, seed=7)).fit(ds)
             results.append([model.predict(int(u), int(i)) for u, i in zip(ds.users, ds.items)])
         np.testing.assert_allclose(results[0], results[1], atol=1e-8)
 

@@ -87,6 +87,7 @@ class TestEvaluate:
         ["--wilcoxon-level", "0"],
         ["--algos", ","],
         ["--algos", "mp,mp"],
+        ["--confidence", "1.5"],
     ])
     def test_bad_input_exits_2_before_any_fold(self, data_dir, capsys, monkeypatch, argv):
         def no_fold(*args):
@@ -173,6 +174,29 @@ class TestPredict:
         assert code != 0
         assert "nobody" in stderr
 
+    @pytest.mark.parametrize("user,item,message", [
+        ("nobody", "100", "unknown user id 'nobody'"),
+        ("1", "nothing", "unknown item id 'nothing'"),
+    ], ids=["user", "item"])
+    def test_unknown_id_rejected_before_fit(self, data_dir, tmp_path, capsys, monkeypatch, user, item, message):
+        def no_fit(*args):
+            raise AssertionError("the model was fitted")
+
+        monkeypatch.setattr(cli.CobarModel, "fit", no_fit)
+        out = tmp_path / "tree.txt"
+        code, stdout, stderr = run_cli(
+            capsys,
+            "predict",
+            "--data", str(data_dir / "demo.tsv"),
+            "--user", user,
+            "--item", item,
+            "--dendrogram-out", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == f"error: {message}\n"
+        assert not out.exists()
+
     def test_dendrogram_export(self, data_dir, tmp_path, capsys):
         out = tmp_path / "tree.txt"
         code, _, _ = run_cli(
@@ -245,3 +269,10 @@ class TestParsing:
         code, _, stderr = run_cli(capsys, "evaluate", "--data", str(path), "--algos", "mp")
         assert code != 0
         assert "line 1" in stderr
+
+    def test_non_utf8_file_reported(self, tmp_path, capsys):
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes("u1\ti1\t3.0\nJos\u00e9\ti2\t4.0\n".encode("latin-1"))
+        code, _, stderr = run_cli(capsys, "evaluate", "--data", str(path), "--algos", "mp")
+        assert code == 2
+        assert stderr.startswith("error: 'utf-8' codec can't decode byte 0xe9")

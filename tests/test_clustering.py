@@ -16,6 +16,7 @@ from oracles import (
     cosine_distance_reference,
     leaves_under,
     pairwise_cosine_distance,
+    parents_reference,
     ward_agglomeration,
     ward_reference,
 )
@@ -41,7 +42,8 @@ def signed_dataset(rng, n_users=400, n_items=150):
 
 def pair_distance(rows):
     """Cosine distance between the two users of a two-user dataset."""
-    dist = cosine_distance_matrix(make_dataset(rows))
+    ds = make_dataset(rows)
+    dist = cosine_distance_matrix(ds, np.arange(ds.n_users))
     assert dist.shape == (1,)
     return dist[0]
 
@@ -173,10 +175,9 @@ class TestAgglomerate:
         # nothing the caller passed in
         monkeypatch.setattr(kernels, "ward_linkage", ward_linkage)
         ds = signed_dataset(np.random.default_rng(73), n_users=60, n_items=40)
-        users = np.random.default_rng(74).permutation(clusterable_users(ds))
-        arrays = [ds.users, ds.items, ds.ratings, users]
+        arrays = [ds.users, ds.items, ds.ratings]
         before = [a.copy() for a in arrays]
-        agglomerate(ds, users)
+        agglomerate(ds)
         for array, copy in zip(arrays, before):
             np.testing.assert_array_equal(array, copy)
 
@@ -201,8 +202,9 @@ def check_dendrogram_invariants(dend: Dendrogram):
     # each node is merged away at most once; root has no parent
     children = dend.merges.ravel().tolist()
     assert len(children) == len(set(children))
-    assert dend.parents[root] == -1
-    assert np.all(dend.parents[:-1] >= 0) if n > 1 else True
+    parents = parents_reference(dend)
+    assert parents[root] == -1
+    assert np.all(parents[:-1] >= 0) if n > 1 else True
     # heights never decrease
     assert np.all(np.diff(dend.heights) >= 0.0)
     # sibling memberships are disjoint and union to the parent
@@ -239,13 +241,14 @@ class TestDendrogramStructure:
         rng = np.random.default_rng(60)
         ds = random_grid_dataset(rng, max_users=12)
         dend = agglomerate(ds)
+        parents = parents_reference(dend)
         for leaf in range(dend.n_leaves):
             chain = dend.ancestor_chain(leaf)
             assert chain[0] == leaf
             assert chain[-1] == dend.n_nodes - 1
             # consecutive entries are child -> parent
             for child, parent in zip(chain[:-1], chain[1:]):
-                assert dend.parents[child] == parent
+                assert parents[child] == parent
 
     def test_chain_table_matches_parent_walk(self):
         rng = np.random.default_rng(62)

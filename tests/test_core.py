@@ -32,9 +32,8 @@ def entry_half_width(entry, level=0.95):
     """The half-width `select_optimal_cluster` gives a one-node chain whose
     only accumulator is `entry` = (n, sum, sum_sq, min, max); None when the
     entry does not qualify."""
-    stats = ClusterItemStats([{0: entry}], level)
-    choice = select_optimal_cluster((0,), 0, stats, np.ones(1, dtype=np.int64))
-    return None if choice is None else choice.half_width
+    choice = select_optimal_cluster((0,), 0, ClusterItemStats([{0: entry}]), level)
+    return None if choice is None else choice[1]
 
 
 def unit_variance_entry(n):
@@ -45,7 +44,7 @@ def unit_variance_entry(n):
 
 def node_half_width(model, node, item):
     """The half-width `select_optimal_cluster` gives the node on its own."""
-    return select_optimal_cluster((node,), item, model.stats, model.dendrogram.sizes).half_width
+    return select_optimal_cluster((node,), item, model.stats, model.config.confidence_level)[1]
 
 
 class TestConfidenceHalfWidth:
@@ -78,7 +77,7 @@ class TestConfidenceHalfWidth:
 
     def test_bad_level_rejected(self):
         with pytest.raises(ValueError, match="confidence level"):
-            entry_half_width(unit_variance_entry(3), level=1.5)
+            CobarConfig(confidence_level=1.5)
 
 
 class TestBuildItemStats:
@@ -86,14 +85,15 @@ class TestBuildItemStats:
         ds = make_dataset([("a", "x", 4.0), ("b", "x", 2.0)])
         dend = agglomerate(ds)
         stats = build_item_stats(dend, ds)
-        assert stats.get(0, 0) == (1, 4.0, 16.0, 4.0, 4.0)
+        assert stats.items_at(0) == {0: (1, 4.0, 16.0, 4.0, 4.0)}
 
     def test_parent_merges_children(self):
         ds = make_dataset([("a", "x", 2.0), ("b", "x", 4.0)])
         dend = agglomerate(ds)
         stats = build_item_stats(dend, ds)
-        assert stats.get(2, 0) == (2, 6.0, 20.0, 2.0, 4.0)
-        assert select_optimal_cluster((2,), 0, stats, dend.sizes).mean == 3.0
+        assert stats.items_at(2) == {0: (2, 6.0, 20.0, 2.0, 4.0)}
+        # the leaf's single rating gives no interval, so the parent is chosen
+        assert select_optimal_cluster((0, 2), 0, stats, 0.95)[0] == 2
 
     def test_root_equals_global(self):
         rng = np.random.default_rng(14)
@@ -102,7 +102,7 @@ class TestBuildItemStats:
         stats = build_item_stats(dend, ds)
         for item in range(ds.n_items):
             ratings = ds.ratings[ds.items == item]
-            entry = stats.get(dend.n_nodes - 1, item)
+            entry = stats.items_at(dend.n_nodes - 1)[item]
             assert entry[0] == len(ratings)
             assert entry[1] == pytest.approx(ratings.sum(), abs=1e-12)
 
@@ -136,12 +136,12 @@ class TestBuildItemStats:
             node = dend.n_leaves + m
             for child in (int(left), int(right)):
                 for item, (n, *_) in stats.items_at(child).items():
-                    assert stats.get(node, item)[0] >= n
+                    assert stats.items_at(node)[item][0] >= n
 
 
 def _count(stats, node, item):
     """Ratings of the item inside the node's cluster, 0 when it has none."""
-    entry = stats.get(node, item)
+    entry = stats.items_at(node).get(item)
     return entry[0] if entry else 0
 
 
@@ -154,7 +154,7 @@ class TestSelectOptimalCluster:
     def test_single_rating_item_yields_none(self):
         ds, model = self._model([("a", "x", 4.0), ("a", "z", 3.0), ("b", "y", 2.0), ("b", "z", 4.0)])
         chain = model.dendrogram.ancestor_chain(0)
-        choice = select_optimal_cluster(chain, ds.item_index("x"), model.stats, model.dendrogram.sizes)
+        choice = select_optimal_cluster(chain, ds.item_index("x"), model.stats, model.config.confidence_level)
         assert choice is None
 
     def test_smaller_cluster_wins_ties(self):
@@ -168,9 +168,10 @@ class TestSelectOptimalCluster:
         ds, model = self._model(rows)
         chain = model.dendrogram.ancestor_chain(0)
         item = ds.item_index("x")
-        choice = select_optimal_cluster(chain, item, model.stats, model.dendrogram.sizes)
-        assert choice.size == 2          # the pair, not the 3-user root
-        assert choice.half_width == 0.0
+        choice = select_optimal_cluster(chain, item, model.stats, model.config.confidence_level)
+        node, half_width = choice
+        assert model.dendrogram.sizes[node] == 2   # the pair, not the 3-user root
+        assert half_width == 0.0
 
     def test_smallest_constant_cluster_wins_off_grid(self):
         # every user rates x exactly 0.7: each qualifying node has width 0,
@@ -188,8 +189,8 @@ class TestSelectOptimalCluster:
         for leaf in range(model.dendrogram.n_leaves):
             chain = model.dendrogram.ancestor_chain(leaf)
             first = next(int(node) for node in chain if _count(model.stats, int(node), item) >= 2)
-            choice = select_optimal_cluster(chain, item, model.stats, model.dendrogram.sizes)
-            assert (choice.node, choice.half_width) == (first, 0.0)
+            choice = select_optimal_cluster(chain, item, model.stats, model.config.confidence_level)
+            assert choice == (first, 0.0)
             assert all(node_half_width(model, int(node), item) == 0.0 for node in chain[chain >= first])
 
     def test_selected_width_is_minimal(self):
@@ -203,7 +204,7 @@ class TestSelectOptimalCluster:
                     continue
                 chain = model.dendrogram.ancestor_chain(leaf)
                 for item in range(ds.n_items):
-                    choice = select_optimal_cluster(chain, item, model.stats, model.dendrogram.sizes)
+                    choice = select_optimal_cluster(chain, item, model.stats, model.config.confidence_level)
                     if choice is None:
                         continue
                     widths = [
@@ -211,7 +212,7 @@ class TestSelectOptimalCluster:
                         for node in chain
                         if _count(model.stats, int(node), item) >= 2
                     ]
-                    assert choice.half_width <= min(widths)
+                    assert choice[1] <= min(widths)
 
 
 class TestPredict:
@@ -325,7 +326,7 @@ class TestPredict:
         item = demo_dataset.item_index("100")
         chain = model.dendrogram.ancestor_chain(0)
         for node in chain:
-            entry = model.stats.get(int(node), item)
+            entry = model.stats.items_at(int(node)).get(item)
             if entry is None or entry[0] < 2:
                 continue
             members = set(model.dendrogram.leaf_users[leaves_under(model.dendrogram, int(node))].tolist())
@@ -401,7 +402,7 @@ class TestPredictionAgainstReference:
                 chain = ancestor_chain_reference(model.dendrogram, model._leaf_of[user]).tolist()
                 later = chain[chain.index(got.chosen_node) + 1:]
                 ties += any(
-                    _count(reference.stats, node, item) >= 2
+                    _count(model.stats, node, item) >= 2
                     and reference.stats.half_width(node, item) == got.half_width
                     for node in later
                 )
@@ -431,8 +432,3 @@ class TestPredictionIsPureRead:
         assert model.dendrogram.chains is chains
         assert [len(chain) for chain in model.dendrogram.chains] == chain_lengths
         assert [len(model.stats.items_at(node)) for node in range(model.dendrogram.n_nodes)] == entries
-
-
-def test_bad_level_rejected_when_stats_are_built(demo_dataset):
-    with pytest.raises(ValueError, match="confidence level"):
-        build_item_stats(agglomerate(demo_dataset), demo_dataset, level=1.5)

@@ -1,7 +1,5 @@
 """Parsing, statistics, fold splits and subsampling."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -51,30 +49,26 @@ class TestParseRatings:
         ds = parse_ratings(["1\t5\t4.0", "", "2\t5\t3.0"])
         assert ds.n_ratings == 2
 
-    def test_byte_stream_input(self):
-        ds = parse_ratings(io.BytesIO(b"1\t5\t4.0\n"))
-        assert ds.n_ratings == 1
-
     def test_observed_scale_bounds(self):
         ds = make_dataset([("a", "x", 1.0), ("b", "x", 4.5)])
         assert ds.rating_min == 1.0 and ds.rating_max == 4.5
-
-    def test_explicit_bounds_checked(self):
-        with pytest.raises(ParseError, match="bounds"):
-            parse_ratings(["1\t5\t9.0"], rating_bounds=(1.0, 5.0))
 
     def test_nonfinite_rating_rejected(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_ratings(["1\t5\tnan"])
 
     def test_adjacency_consistent_with_triples(self):
+        # ratings of 0 included: the CSR rows must keep them as explicit entries
         rng = np.random.default_rng(3)
-        ds = random_grid_dataset(rng)
+        ds = random_grid_dataset(rng, draw=lambda rng: int(rng.integers(0, 9)) / 2.0)
+        assert np.any(ds.ratings == 0.0)
         triples = set(zip(ds.users.tolist(), ds.items.tolist(), ds.ratings.tolist()))
+        rows = ds.sparse_by_user()
+        assert rows.nnz == ds.n_ratings
         from_users = {
             (u, int(i), float(r))
             for u in range(ds.n_users)
-            for i, r in zip(*ds.by_user[u])
+            for i, r in zip(*(a[rows.indptr[u]:rows.indptr[u + 1]] for a in (rows.indices, rows.data)))
         }
         from_items = {
             (int(u), i, float(r))

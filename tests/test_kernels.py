@@ -57,6 +57,26 @@ class TestDispatch:
             shutil.copy(ext, pkg / "kernels")
         assert _kernels_in_fresh_process(tmp_path) == ["c", "cobar.kernels._compiled", "cobar.kernels._compiled"]
 
+    def test_stale_extension_rejected(self):
+        # an extension built from older source: it imports, but holds only
+        # the MF epoch
+        code = (
+            "import sys, types; "
+            "stub = types.ModuleType('cobar.kernels._compiled'); "
+            "stub.__file__ = '/old/build/_compiled.so'; "
+            "stub.mf_sgd_epoch = print; "
+            "sys.modules['cobar.kernels._compiled'] = stub; "
+            "import cobar"
+        )
+        environ = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=environ, capture_output=True, text=True)
+        assert out.returncode != 0
+        last = out.stderr.strip().splitlines()[-1]
+        assert last == (
+            "ImportError: stale extension /old/build/_compiled.so lacks ward_linkage; "
+            "rebuild it with: python setup.py build_ext --inplace --force"
+        )
+
 
 class TestWardKernel:
     def test_n_equals_one(self, ward_linkage):
