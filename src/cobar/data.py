@@ -121,8 +121,9 @@ def parse_ratings(
     replaced pairs is reported on the dataset and logged.  The rating
     scale is the observed min/max.
 
-    Raises :class:`ParseError` for empty input, short lines, or non-numeric
-    ratings, naming the 1-based line number.
+    Raises :class:`ParseError` for empty input, short lines, non-numeric
+    ratings, or a file line that is not UTF-8, naming the 1-based line
+    number.
     """
     delimiter = DELIMITER_ALIASES.get(delimiter, delimiter)
     user_ids: list[str] = []
@@ -163,6 +164,18 @@ def parse_ratings(
             if (u, i) in cells:
                 n_duplicates += 1
             cells[(u, i)] = rating
+    except UnicodeDecodeError:
+        if not opened:
+            raise
+        # the reader decodes in chunks, so the error gives no line; read the
+        # file again, line by line, on this error path only
+        with open(source, "rb") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(str(exc), line_no) from None
+        raise
     finally:
         if opened:
             lines.close()

@@ -1,14 +1,19 @@
-"""Hot-kernel dispatch.
+"""The hot kernels: one checked entry each, over a compiled or a numpy loop.
 
-Two kernels are compiled: the Ward merge loop and the MF SGD epoch, both
-in the C extension `_compiled`, built at install time when a C compiler is
-available.  Without it the numpy versions in `_python` run.  ``BACKEND``
-names the kernels selected at import: ``"c"`` when `_compiled` imports,
-``"python"`` otherwise.  Both backends give the same merges and heights bit
-for bit.
+The Ward merge loop and the MF SGD epoch are compiled in the C extension
+`_compiled` when a C compiler is available at install time; without it the
+numpy loops in `_python` run.  ``BACKEND`` names the loops selected at
+import: ``"c"`` when `_compiled` imports, ``"python"`` otherwise.
+`ward_linkage` and `mf_sgd_epoch` check every argument, once for both
+backends, before they call the selected loop, which trusts its caller.
+Both backends give the same merges and heights bit for bit.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 from . import _python
 
@@ -17,7 +22,7 @@ try:
 except ImportError:
     _compiled = None
 
-_missing = [name for name in ("ward_linkage", "mf_sgd_epoch") if _compiled and not hasattr(_compiled, name)]
+_missing = [name for name in ("ward_loop", "sgd_epoch") if _compiled and not hasattr(_compiled, name)]
 if _missing:
     # an extension built from older source, e.g. one a build reused
     # because its file times looked up to date
@@ -27,6 +32,108 @@ if _missing:
     )
 
 BACKEND: str = "c" if _compiled is not None else "python"
+_loops = _compiled or _python
 
-ward_linkage = (_compiled or _python).ward_linkage
-mf_sgd_epoch = (_compiled or _python).mf_sgd_epoch
+# element formats of the buffer protocol each dtype accepts, and its size
+_FORMATS = {"float64": ("d", 8), "int32": ("ilq", 4), "int64": ("ilq", 8)}
+
+
+def _checked(name: str, obj, ndim: int, dtype: str, writable: bool = False) -> np.ndarray:
+    """`obj` as an array, once it is known to be a C-contiguous `ndim`-dimensional
+    buffer of `dtype` (and writable if asked); `TypeError` or `ValueError`
+    naming `name` otherwise."""
+    try:
+        view = memoryview(obj)
+    except TypeError:
+        raise TypeError(f"{name} must be an array, not {type(obj).__name__}") from None
+    with view:
+        formats, itemsize = _FORMATS[dtype]
+        element = view.format.lstrip("@=")
+        if view.ndim != ndim:
+            raise ValueError(f"{name} must be {ndim}-dimensional, got {view.ndim} dimensions")
+        if view.itemsize != itemsize or len(element) != 1 or element not in formats:
+            raise TypeError(f"{name} must hold {dtype}, got format '{view.format}' of {view.itemsize} bytes")
+        if not view.c_contiguous:
+            raise ValueError(f"{name} must be C-contiguous")
+        if writable and view.readonly:
+            raise ValueError(f"{name} must be writable")
+    return np.asarray(obj)
+
+
+def _check_range(name: str, index: np.ndarray, bound: int) -> None:
+    if len(index) and (index.min() < 0 or index.max() >= bound):
+        raise IndexError(f"{name} holds an index out of range [0, {bound})")
+
+
+def ward_linkage(d2) -> tuple[np.ndarray, np.ndarray]:
+    """Agglomerative merge loop with Ward updates on squared distances.
+
+    Parameters
+    ----------
+    d2:
+        Condensed squared pairwise distances between the n singleton
+        clusters: a writable, C-contiguous 1-D float64 array of n(n-1)/2
+        entries, pair i < j at ``i*n - i*(i+1)//2 + j - i - 1`` (the order
+        of `scipy.spatial.distance.pdist`), every entry finite and
+        nonnegative; `TypeError` or `ValueError` otherwise.  It is the
+        loop's working memory: its contents are undefined after the call.
+
+    Returns
+    -------
+    merges:
+        (n-1, 2) int64 array of merged node ids, each row sorted ascending.
+        Leaves are 0..n-1; merge m creates node n+m.
+    heights:
+        (n-1,) float64 linkage values in the squared-distance domain,
+        non-decreasing.
+
+    Equal minimal linkages are broken by the lexicographically smallest
+    (id, id) pair, which makes the result deterministic.
+    """
+    d2 = _checked("d2", d2, 1, "float64", writable=True)
+    length = len(d2)
+    n = (1 + math.isqrt(1 + 8 * length)) // 2
+    if n * (n - 1) // 2 != length:
+        raise ValueError(f"d2 has {length} entries, which is not n(n-1)/2 for any n")
+    # min() and max() propagate NaN, so one comparison catches it
+    if length and not (d2.min() >= 0.0 and d2.max() < np.inf):
+        raise ValueError("squared distances must be finite and nonnegative")
+    merges = np.empty((n - 1, 2), dtype=np.int64)
+    heights = np.empty(n - 1, dtype=np.float64)
+    if n > 1:
+        _loops.ward_loop(d2, merges, heights)
+    return merges, heights
+
+
+def mf_sgd_epoch(users, items, ratings, order, user_factors, item_factors, user_bias, item_bias,
+                 global_mean: float, learning_rate: float, regularization: float) -> None:
+    """One stochastic gradient pass over the ratings, updating the factors
+    and biases in place.
+
+    Every array is 1-D and C-contiguous: int32 `users` and `items`,
+    float64 `ratings`, int64 `order`, and the written float64 factors (2-D,
+    with equal column counts) and biases (one per factor row); `TypeError`
+    or `ValueError` otherwise.  `order` gives the sample visiting order,
+    drawn outside the kernel so that both backends follow the same
+    trajectory.  An entry of `order`, `users` or `items` outside its array
+    raises `IndexError`.  Everything is checked before anything is written.
+    """
+    users = _checked("users", users, 1, "int32")
+    items = _checked("items", items, 1, "int32")
+    ratings = _checked("ratings", ratings, 1, "float64")
+    order = _checked("order", order, 1, "int64")
+    user_factors = _checked("user_factors", user_factors, 2, "float64", writable=True)
+    item_factors = _checked("item_factors", item_factors, 2, "float64", writable=True)
+    user_bias = _checked("user_bias", user_bias, 1, "float64", writable=True)
+    item_bias = _checked("item_bias", item_bias, 1, "float64", writable=True)
+    if not len(users) == len(items) == len(ratings):
+        raise ValueError("users, items and ratings must have the same length")
+    if user_factors.shape[1] != item_factors.shape[1]:
+        raise ValueError("user_factors and item_factors must have the same number of columns")
+    if len(user_bias) != len(user_factors) or len(item_bias) != len(item_factors):
+        raise ValueError("user_bias and item_bias must have one entry per factor row")
+    _check_range("order", order, len(ratings))
+    _check_range("users", users, len(user_factors))
+    _check_range("items", items, len(item_factors))
+    _loops.sgd_epoch(users, items, ratings, order, user_factors, item_factors, user_bias, item_bias,
+                     global_mean, learning_rate, regularization)

@@ -1,83 +1,38 @@
 """Pure numpy implementations of the hot kernels.
 
 They are the fallback for environments without the compiled `_compiled`
-extension and the reference that extension is tested against.
+extension and the reference that extension is tested against.  Like the
+compiled loops, they trust their caller, `cobar.kernels`, to have checked
+every argument.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from scipy.spatial.distance import squareform
 
 
-def _condensed_size(d2) -> int:
-    """The n of a condensed distance vector, checked as the compiled loop
-    checks it, with the same exceptions and messages."""
-    try:
-        view = memoryview(d2)
-    except TypeError:
-        raise TypeError(f"d2 must be an array, not {type(d2).__name__}") from None
-    if view.ndim != 1:
-        raise ValueError(f"d2 must be 1-dimensional, got {view.ndim} dimensions")
-    if view.itemsize != 8 or view.format not in ("d", "@d", "=d"):
-        raise TypeError(f"d2 must hold float64, got format '{view.format}' of {view.itemsize} bytes")
-    if not view.c_contiguous:
-        raise ValueError("d2 must be C-contiguous")
-    if view.readonly:
-        raise ValueError("d2 must be writable")
-    length = view.shape[0]
-    n = (1 + math.isqrt(1 + 8 * length)) // 2
-    if n * (n - 1) // 2 != length:
-        raise ValueError(f"d2 has {length} entries, which is not n(n-1)/2 for any n")
-    return n
-
-
-def ward_linkage(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Agglomerative merge loop with Ward updates on squared distances.
-
-    Parameters
-    ----------
-    d2:
-        Condensed squared pairwise distances between the n singleton
-        clusters: a writable, C-contiguous 1-D float64 array of n(n-1)/2
-        entries, pair i < j at ``i*n - i*(i+1)//2 + j - i - 1`` (the order
-        of `scipy.spatial.distance.pdist`), every entry finite and
-        nonnegative; `TypeError` or `ValueError` otherwise.  It is the
-        loop's working memory: its contents are undefined after the call.
-
-    Returns
-    -------
-    merges:
-        (n-1, 2) int64 array of merged node ids, each row sorted ascending.
-        Leaves are 0..n-1; merge m creates node n+m.
-    heights:
-        (n-1,) float64 linkage values in the squared-distance domain,
-        non-decreasing.
-
-    Equal minimal linkages are broken by the lexicographically smallest
-    (id, id) pair, which makes the result deterministic.
+def ward_loop(d2: np.ndarray, merges: np.ndarray, heights: np.ndarray) -> None:
+    """The merge loop of `cobar.kernels.ward_linkage`, which checks `d2` and
+    allocates `merges` and `heights`; fills the n-1 rows of both for the
+    condensed squared distances `d2` of n >= 2 clusters.
 
     The work matrix keeps the a active clusters in slots 0..a-1, so
     ``D[:a, :a]`` is always the live block.  Merging the clusters in slots
     i < j writes the Ward update into row and column i and moves the last
     active slot into the freed slot j.  The tie-break compares node ids,
     not slots, so the moves leave the result unchanged.  This numpy loop
-    expands `d2` into one n x n work matrix; the compiled loop runs the
-    same steps inside `d2` itself.
+    copies `d2` into one n x n work matrix, row by row, so a `d2` that is a
+    view costs no second copy; the compiled loop runs the same steps inside
+    `d2` itself.
     """
-    n = _condensed_size(d2)
-    d2 = np.asarray(d2)
-    # min() and max() propagate NaN, so one comparison catches it
-    if d2.size and not (d2.min() >= 0.0 and d2.max() < np.inf):
-        raise ValueError("squared distances must be finite and nonnegative")
-    merges = np.empty((n - 1 if n > 1 else 0, 2), dtype=np.int64)
-    heights = np.empty(n - 1 if n > 1 else 0, dtype=np.float64)
-    if n < 2:
-        return merges, heights
-
-    D = squareform(d2, checks=False)
+    n = len(heights) + 1
+    D = np.empty((n, n))
+    start = 0
+    for r in range(n - 1):
+        row = d2[start:start + n - 1 - r]
+        D[r, r + 1:] = row
+        D[r + 1:, r] = row
+        start += n - 1 - r
     np.fill_diagonal(D, np.inf)
     node_id = np.arange(n, dtype=np.int64)
     size = np.ones(n, dtype=np.float64)
@@ -137,15 +92,8 @@ def ward_linkage(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             row_min[r] = D[r, :last].min()
         row_min[i] = D[i, :last].min() if last > 1 else np.inf
 
-    return merges, heights
 
-
-def _check_range(name: str, index: np.ndarray, bound: int) -> None:
-    if len(index) and (index.min() < 0 or index.max() >= bound):
-        raise IndexError(f"{name} holds an index out of range [0, {bound})")
-
-
-def mf_sgd_epoch(
+def sgd_epoch(
     users: np.ndarray,
     items: np.ndarray,
     ratings: np.ndarray,
@@ -158,16 +106,9 @@ def mf_sgd_epoch(
     learning_rate: float,
     regularization: float,
 ) -> None:
-    """One stochastic gradient pass over the ratings, updating in place.
-
-    `order` gives the sample visiting order; drawing it outside the kernel
-    keeps both backends on the same trajectory.  Every visited index is
-    checked before anything is written: numpy would wrap a negative one
-    around, where the compiled epoch raises `IndexError`.
-    """
-    _check_range("order", order, len(ratings))
-    _check_range("users", users[order], len(user_factors))
-    _check_range("items", items[order], len(item_factors))
+    """The epoch of `cobar.kernels.mf_sgd_epoch`, which checks every array
+    and index: one stochastic gradient pass over the ratings in `order`,
+    updating the factors and biases in place."""
     lr = learning_rate
     reg = regularization
     for t in order:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cobar import parse_ratings
+from cobar import kernels, parse_ratings
 from cobar.kernels import _python
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -92,22 +92,35 @@ def compiled_kernels(compiled_build):
     return module
 
 
-def _backend(request):
-    return _python if request.param == "python" else request.getfixturevalue("compiled_kernels")
+def _loops(request, name):
+    return _python if name == "python" else request.getfixturevalue("compiled_kernels")
 
 
 @pytest.fixture(params=["python", "c"])
-def kernel_backend(request):
-    """Runs the test once per MF kernel backend: the numpy module and the
-    compiled extension."""
-    return _backend(request)
+def kernel_backend(request, monkeypatch):
+    """Runs the test once per kernel backend: puts the numpy loops or the
+    compiled ones behind the checked entries of `cobar.kernels`, and returns
+    that module."""
+    monkeypatch.setattr(kernels, "_loops", _loops(request, request.param))
+    return kernels
 
 
-@pytest.fixture(params=["python", "c"])
-def ward_linkage(request):
-    """Runs the test once per Ward loop: the numpy fallback and the
-    compiled loop."""
-    return _backend(request).ward_linkage
+@pytest.fixture
+def ward_linkage(kernel_backend):
+    """The checked Ward entry, once over each backend's merge loop."""
+    return kernel_backend.ward_linkage
+
+
+@pytest.fixture
+def each_backend(request, monkeypatch):
+    """The backend names, "python" then "c"; iterating puts each one's loops
+    behind the checked entries of `cobar.kernels` in turn, so one test runs
+    every case on both."""
+    def select():
+        for name in ("python", "c"):
+            monkeypatch.setattr(kernels, "_loops", _loops(request, name))
+            yield name
+    return select()
 
 
 # --- acceptance criteria summary -------------------------------------------

@@ -209,50 +209,66 @@ def interval_half_width(ratings, level=0.95) -> float:
     n = len(ratings)
     mean = math.fsum(ratings) / n
     variance = math.fsum((x - mean) ** 2 for x in ratings) / (n - 1)
-    t_crit = scipy_stats.t.ppf(0.5 + level / 2.0, n - 1)
-    return float(t_crit) * math.sqrt(variance / n)
+    return _t_critical_reference(level, n - 1) * math.sqrt(variance / n)
 
 
-def brute_force_prediction(dataset, dendrogram, user, item, gamma=0.5, level=0.95, clamp=True):
+class BruteForceOracle:
     """Exhaustive re-derivation of the confidence-based prediction.
 
-    Enumerates every dendrogram node, resolves its member users top-down
-    via `leaves_under`, re-collects the members' raw ratings of the item, and
-    recomputes each interval from scratch.  The narrowest interval wins;
-    ties go to the smaller cluster.  Fallbacks: global mean for users
-    without ratings, user mean for users in no cluster (labelled
-    `unclustered_user`) and when no cluster has two ratings for the item.
+    Once per dataset, it resolves every dendrogram node's member users
+    top-down via `leaves_under` and groups the raw rating triples by user
+    and by item.  A query then re-collects, for every node that holds the
+    user, the members' raw ratings of the item and recomputes the interval
+    from scratch (each (node, item) once, as the sample does not depend on
+    the user).  The narrowest interval wins; ties go to the smaller
+    cluster.  Fallbacks: global mean for users without ratings, user mean
+    for users in no cluster (labelled `unclustered_user`) and when no
+    cluster has two ratings for the item.  Calling it returns
+    ``(value, label, node)``.
     """
-    user_ratings = sorted(
-        float(r) for u, i, r in zip(dataset.users, dataset.items, dataset.ratings) if u == user
-    )
-    if not user_ratings:
-        value = math.fsum(dataset.ratings) / len(dataset.ratings)
-        return _clamp(value, dataset, clamp), "cold_user", None
 
-    user_mean = math.fsum(user_ratings) / len(user_ratings)
-    if user not in dendrogram.leaf_users.tolist():
-        return _clamp(user_mean, dataset, clamp), "unclustered_user", None
-    candidates = []
-    for node in range(dendrogram.n_nodes):
-        members = {int(dendrogram.leaf_users[leaf]) for leaf in leaves_under(dendrogram, node)}
-        if user not in members:
-            continue
-        ratings = sorted(
-            float(r)
-            for u, i, r in zip(dataset.users, dataset.items, dataset.ratings)
-            if i == item and u in members
-        )
-        if len(ratings) < 2:
-            continue
-        hw = interval_half_width(ratings, level)
-        mean = math.fsum(ratings) / len(ratings)
-        candidates.append((hw, len(members), node, mean))
-    if not candidates:
-        return _clamp(user_mean, dataset, clamp), "no_interval", None
-    hw, _, node, mean = min(candidates)
-    value = gamma * user_mean + (1.0 - gamma) * mean
-    return _clamp(value, dataset, clamp), "blend", node
+    def __init__(self, dataset, dendrogram, gamma=0.5, level=0.95, clamp=True):
+        self.dataset = dataset
+        self.gamma, self.level, self.clamp = gamma, level, clamp
+        self.by_user: dict[int, list[float]] = {}
+        self.by_item: dict[int, list[tuple[int, float]]] = {}
+        for u, i, r in zip(dataset.users.tolist(), dataset.items.tolist(), dataset.ratings.tolist()):
+            self.by_user.setdefault(u, []).append(r)
+            self.by_item.setdefault(i, []).append((u, r))
+        self.members = [
+            {int(dendrogram.leaf_users[leaf]) for leaf in leaves_under(dendrogram, node)}
+            for node in range(dendrogram.n_nodes)
+        ]
+        self._intervals: dict[tuple[int, int], tuple | None] = {}
+
+    def _interval(self, node, item):
+        key = (node, item)
+        if key not in self._intervals:
+            members = self.members[node]
+            ratings = sorted(r for u, r in self.by_item.get(item, ()) if u in members)
+            self._intervals[key] = (
+                (interval_half_width(ratings, self.level), len(members), node, math.fsum(ratings) / len(ratings))
+                if len(ratings) >= 2 else None
+            )
+        return self._intervals[key]
+
+    def __call__(self, user, item):
+        dataset = self.dataset
+        user_ratings = sorted(self.by_user.get(user, ()))
+        if not user_ratings:
+            value = math.fsum(dataset.ratings) / len(dataset.ratings)
+            return _clamp(value, dataset, self.clamp), "cold_user", None
+
+        user_mean = math.fsum(user_ratings) / len(user_ratings)
+        nodes = [node for node, members in enumerate(self.members) if user in members]
+        if not nodes:
+            return _clamp(user_mean, dataset, self.clamp), "unclustered_user", None
+        candidates = [c for c in (self._interval(node, item) for node in nodes) if c is not None]
+        if not candidates:
+            return _clamp(user_mean, dataset, self.clamp), "no_interval", None
+        hw, _, node, mean = min(candidates)
+        value = self.gamma * user_mean + (1.0 - self.gamma) * mean
+        return _clamp(value, dataset, self.clamp), "blend", node
 
 
 def _clamp(value, dataset, clamp):

@@ -30,7 +30,7 @@ from cobar.baselines import MfConfig
 from cobar.clustering import agglomerate
 from cobar.core import build_item_stats
 from conftest import DATA_DIR, random_grid_dataset
-from oracles import T_TABLE_95, WILCOXON_CRITICAL, brute_force_prediction, leaves_under
+from oracles import T_TABLE_95, WILCOXON_CRITICAL, BruteForceOracle, leaves_under
 from test_clustering import check_dendrogram_invariants
 from test_core import entry_half_width, unit_variance_entry
 
@@ -82,10 +82,11 @@ def test_c2_brute_force_equivalence(scale):
     for _ in range(200):
         ds = random_grid_dataset(rng, max_users=20, max_items=15, draw=RATING_SCALES[scale])
         model = CobarModel().fit(ds)
+        oracle = BruteForceOracle(ds, model.dendrogram)
         for user in range(ds.n_users):
             for item in range(ds.n_items):
                 got = model.predict_detailed(user, item)
-                expected, label, _ = brute_force_prediction(ds, model.dendrogram, user, item)
+                expected, label, _ = oracle(user, item)
                 assert got.value == expected, (user, item, got.value, expected)
                 assert (got.fallback is Fallback.UNCLUSTERED_USER) == (label == "unclustered_user")
                 labels[label] += 1

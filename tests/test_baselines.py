@@ -303,8 +303,8 @@ class TestMatrixFactorization:
     def test_backends_agree(self, compiled_kernels, monkeypatch):
         ds = _rank_one_dataset(seed=5)
         results = []
-        for kernel in (_python.mf_sgd_epoch, compiled_kernels.mf_sgd_epoch):
-            monkeypatch.setattr(kernels, "mf_sgd_epoch", kernel)
+        for loops in (_python, compiled_kernels):
+            monkeypatch.setattr(kernels, "_loops", loops)
             model = MatrixFactorization(MfConfig(epochs=10, seed=7)).fit(ds)
             results.append([model.predict(int(u), int(i)) for u, i in zip(ds.users, ds.items)])
         np.testing.assert_allclose(results[0], results[1], atol=1e-8)

@@ -1,11 +1,13 @@
 """End-to-end CLI behavior on the shipped fixture files."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cobar import cli, evaluation, parse_ratings
+from cobar import CobarModel, Fallback, cli, evaluation, parse_ratings
 from cobar.clustering import clusterable_users
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -111,6 +113,46 @@ class TestEvaluate:
             "--folds", "3",
         )
         assert code == 0
+
+    def test_book_crossing_like_scale(self, tmp_path, capsys, monkeypatch, each_backend):
+        # Book-Crossing rates 0-10 with implicit zeros: about 40% of the
+        # ratings are 0, and some users rated nothing but 0, so they stay out
+        # of the hierarchy and take the unclustered_user fallback
+        rng = np.random.default_rng(2018)
+        lines = []
+        for u in range(80):
+            for i in rng.choice(50, size=int(rng.integers(3, 16)), replace=False):
+                zero = u % 10 == 0 or rng.random() < 0.33
+                lines.append(f"u{u}\ti{i}\t{0 if zero else int(rng.integers(1, 11))}\n")
+        path = tmp_path / "bookcrossing_like.tsv"
+        path.write_text("".join(lines))
+        ds = parse_ratings(path)
+        assert abs(np.mean(ds.ratings == 0.0) - 0.4) < 0.05
+        unclustered = set(range(ds.n_users)) - set(clusterable_users(ds).tolist())
+        assert {ds.user_index(f"u{u}") for u in range(0, 80, 10)} <= unclustered
+        fallbacks = Counter()
+        detailed = CobarModel.predict_detailed
+
+        def counted(model, user, item):
+            prediction = detailed(model, user, item)
+            fallbacks[prediction.fallback] += 1
+            return prediction
+
+        monkeypatch.setattr(CobarModel, "predict_detailed", counted)
+        fold_rmse = {}
+        for backend in each_backend:
+            out = tmp_path / f"{backend}.json"
+            code, _, _ = run_cli(
+                capsys, "evaluate", "--data", str(path), "--folds", "3", "--seed", "11",
+                "--mf-epochs", "5", "--out", str(out),
+            )
+            assert code == 0
+            results = json.loads(out.read_text())["results"]
+            assert sorted(results) == ["cobar", "iknn", "mf", "mp", "uknn"]
+            # mf's dot products may sum in another order on each backend
+            fold_rmse[backend] = {algo: results[algo]["fold_rmse"] for algo in ("cobar", "mp", "uknn", "iknn")}
+        assert fold_rmse["python"] == fold_rmse["c"]
+        assert fallbacks[Fallback.UNCLUSTERED_USER] > 0
 
 
 class TestPredict:
@@ -275,4 +317,4 @@ class TestParsing:
         path.write_bytes("u1\ti1\t3.0\nJos\u00e9\ti2\t4.0\n".encode("latin-1"))
         code, _, stderr = run_cli(capsys, "evaluate", "--data", str(path), "--algos", "mp")
         assert code == 2
-        assert stderr.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+        assert stderr.startswith("error: line 2: 'utf-8' codec can't decode byte 0xe9")

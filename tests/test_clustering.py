@@ -96,7 +96,7 @@ class TestCosineDistance:
         if c_compiler_found():
             backends.append(request.getfixturevalue("compiled_kernels"))
         for backend in backends:
-            monkeypatch.setattr(kernels, "ward_linkage", backend.ward_linkage)
+            monkeypatch.setattr(kernels, "_loops", backend)
             dend = agglomerate(ds)
             assert np.array_equal(dend.merges, ref_merges)
             assert np.array_equal(dend.heights, np.sqrt(np.maximum(ref_heights, 0.0)))
@@ -150,10 +150,9 @@ class TestAgglomerate:
         assert merges.tolist() == [[0, 1], [2, 3]]
         assert heights.tolist() == [0.0, 0.0]
 
-    def test_peak_memory_half_matrix(self, ward_linkage, monkeypatch):
+    def test_peak_memory_half_matrix(self, kernel_backend):
         # the condensed distances (n(n-1)/2 doubles) and one block buffer;
         # the numpy loop adds its n x n work matrix
-        monkeypatch.setattr(kernels, "ward_linkage", ward_linkage)
         rng = np.random.default_rng(12)
         rows = [
             (f"u{u}", f"i{i}", int(rng.integers(1, 11)) / 2.0)
@@ -168,12 +167,11 @@ class TestAgglomerate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (1.6 if ward_linkage is _python.ward_linkage else 0.8) * 8 * n * n
+        assert peak <= (1.6 if kernels._loops is _python else 0.8) * 8 * n * n
 
-    def test_inputs_not_written(self, ward_linkage, monkeypatch):
+    def test_inputs_not_written(self, kernel_backend):
         # the merge loop overwrites the distances agglomerate made, and
         # nothing the caller passed in
-        monkeypatch.setattr(kernels, "ward_linkage", ward_linkage)
         ds = signed_dataset(np.random.default_rng(73), n_users=60, n_items=40)
         arrays = [ds.users, ds.items, ds.ratings]
         before = [a.copy() for a in arrays]

@@ -20,9 +20,9 @@ from cobar import (
 from conftest import make_dataset, random_grid_dataset
 from oracles import (
     T_TABLE_95,
+    BruteForceOracle,
     CobarReference,
     ancestor_chain_reference,
-    brute_force_prediction,
     interval_half_width,
     leaves_under,
 )
@@ -289,10 +289,11 @@ class TestPredict:
         for _ in range(40):
             ds = random_grid_dataset(rng, max_users=12, max_items=8)
             model = CobarModel().fit(ds)
+            oracle = BruteForceOracle(ds, model.dendrogram)
             for user in range(ds.n_users):
                 for item in range(ds.n_items):
                     got = model.predict(user, item)
-                    expected, _, _ = brute_force_prediction(ds, model.dendrogram, user, item)
+                    expected, _, _ = oracle(user, item)
                     if got != expected:
                         mismatches += 1
         assert mismatches == 0

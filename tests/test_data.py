@@ -29,6 +29,18 @@ class TestParseRatings:
         with pytest.raises(ParseError, match="line 3"):
             parse_ratings(["1\t5\t4.0", "2\t5\t3.0", "3\t5"])
 
+    def test_non_utf8_line_named(self, tmp_path):
+        # the bad byte lies past the text reader's first chunk, whose decode
+        # error gives only a position in that chunk
+        lines = [f"u{n % 50}\ti{n % 97}\t{n % 9 / 2 + 0.5}\n".encode() for n in range(5000)]
+        lines[3000] = "Jos\u00e9\ti2\t4.0\n".encode("latin-1")
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ParseError) as exc:
+            parse_ratings(path)
+        assert exc.value.line_number == 3001
+        assert str(exc.value) == "line 3001: 'utf-8' codec can't decode byte 0xe9 in position 3: invalid continuation byte"
+
     def test_empty_input_rejected(self):
         with pytest.raises(ParseError, match="no rating records"):
             parse_ratings([])

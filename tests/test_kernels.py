@@ -1,10 +1,13 @@
-"""Backend dispatch of the hot kernels, and agreement and input checking
-of the two backends of the Ward loop and of the MF epoch."""
+"""Backend dispatch of the hot kernels, the input checks of their one
+checked entry over both backends, and agreement of the two backends of the
+Ward loop and of the MF epoch."""
 
+import ast
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,12 +34,12 @@ def _tie_heavy_sq_dist(rng, n):
 
 
 def _kernels_in_fresh_process(pythonpath):
-    """BACKEND and the modules of the two kernels, as a new interpreter that
-    imports cobar from `pythonpath` sees them."""
+    """BACKEND and the module of the loops behind the checked entries, as a
+    new interpreter that imports cobar from `pythonpath` sees them."""
     environ = dict(os.environ, PYTHONPATH=str(pythonpath))
     code = (
         "import cobar.kernels as k; "
-        "print(k.BACKEND, k.mf_sgd_epoch.__module__, k.ward_linkage.__module__)"
+        "print(k.BACKEND, k._loops.__name__)"
     )
     out = subprocess.run([sys.executable, "-c", code], env=environ, capture_output=True, text=True, check=True)
     return out.stdout.split()
@@ -45,9 +48,9 @@ def _kernels_in_fresh_process(pythonpath):
 class TestDispatch:
     def test_backend_reported(self):
         assert kernels.BACKEND in ("python", "c")
-        expected = kernels._compiled if kernels.BACKEND == "c" else _python
-        assert kernels.mf_sgd_epoch is expected.mf_sgd_epoch
-        assert kernels.ward_linkage is expected.ward_linkage
+        assert kernels._loops is (kernels._compiled if kernels.BACKEND == "c" else _python)
+        # one checked entry per kernel, whichever loops run behind it
+        assert kernels.ward_linkage.__module__ == kernels.mf_sgd_epoch.__module__ == "cobar.kernels"
 
     def test_built_extension_selected(self, compiled_build, tmp_path):
         # the package as installed: sources plus the extension beside them
@@ -55,16 +58,16 @@ class TestDispatch:
         shutil.copytree(REPO_ROOT / "src" / "cobar", pkg, ignore=shutil.ignore_patterns("*.so", "*.pyd"))
         for ext in (compiled_build / "cobar" / "kernels").glob("_compiled*"):
             shutil.copy(ext, pkg / "kernels")
-        assert _kernels_in_fresh_process(tmp_path) == ["c", "cobar.kernels._compiled", "cobar.kernels._compiled"]
+        assert _kernels_in_fresh_process(tmp_path) == ["c", "cobar.kernels._compiled"]
 
     def test_stale_extension_rejected(self):
-        # an extension built from older source: it imports, but holds only
-        # the MF epoch
+        # an extension built from older source: it imports, but holds the
+        # checked kernels of before, not the bare loops
         code = (
             "import sys, types; "
             "stub = types.ModuleType('cobar.kernels._compiled'); "
             "stub.__file__ = '/old/build/_compiled.so'; "
-            "stub.mf_sgd_epoch = print; "
+            "stub.ward_linkage = stub.mf_sgd_epoch = print; "
             "sys.modules['cobar.kernels._compiled'] = stub; "
             "import cobar"
         )
@@ -73,9 +76,25 @@ class TestDispatch:
         assert out.returncode != 0
         last = out.stderr.strip().splitlines()[-1]
         assert last == (
-            "ImportError: stale extension /old/build/_compiled.so lacks ward_linkage; "
+            "ImportError: stale extension /old/build/_compiled.so lacks ward_loop, sgd_epoch; "
             "rebuild it with: python setup.py build_ext --inplace --force"
         )
+
+    def test_only_the_entry_imports_the_loops(self):
+        # every caller goes through the checked entries of cobar.kernels
+        package = REPO_ROOT / "src" / "cobar"
+        importers = set()
+        for path in package.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                if any(part in ("_compiled", "_python") for name in names for part in name.split(".")):
+                    importers.add(path.relative_to(package).as_posix())
+        assert importers == {"kernels/__init__.py"}
 
 
 class TestWardKernel:
@@ -134,14 +153,33 @@ class TestWardKernel:
         assert merges.shape == (n - 1, 2)
 
 
+class TestNumpyWardMemory:
+    def test_view_input_costs_one_work_matrix(self, monkeypatch):
+        # the numpy loop fills its n x n work matrix row by row from d2, so a
+        # d2 that is a view into a larger buffer is not copied first
+        monkeypatch.setattr(kernels, "_loops", _python)
+        n = 400
+        buffer = np.empty(n * (n - 1) // 2 + 1)
+        d2 = buffer[1:]
+        d2[:] = condensed(_random_sq_dist(np.random.default_rng(75), n))
+        assert d2.base is buffer
+        tracemalloc.start()
+        try:
+            kernels.ward_linkage(d2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * n * n
+
+
 def _read_only(d2):
     d2.setflags(write=False)
     return d2
 
 
 class TestWardChecksInputs:
-    """Both Ward loops reject bad input before they read or write it, with
-    the same exception type and message."""
+    """The checked Ward entry rejects bad input before either backend's loop
+    reads or writes it, with the same exception type and message."""
 
     @pytest.mark.parametrize("make, error", [
         (lambda: [1.0, 4.0, 2.0], TypeError),
@@ -155,13 +193,13 @@ class TestWardChecksInputs:
         (lambda: np.array([1.0, np.inf, 2.0]), ValueError),
         (lambda: np.array([1.0, -1.0, 2.0]), ValueError),
     ], ids=["list", "float32", "int64", "2-d", "strided", "read-only", "length-4", "nan", "inf", "negative"])
-    def test_bad_input_rejected_alike(self, compiled_kernels, make, error):
+    def test_bad_input_rejected_alike(self, each_backend, make, error):
         messages = []
-        for backend in (_python, compiled_kernels):
+        for _ in each_backend:
             with pytest.raises(error) as exc:
-                backend.ward_linkage(make())
+                kernels.ward_linkage(make())
             messages.append(str(exc.value))
-        assert messages[0] == messages[1]
+        assert len(messages) == 2 and messages[0] == messages[1]
 
 
 def _mf_problem(seed=15, n_u=20, n_i=15, n_r=120, f=6):
@@ -179,6 +217,18 @@ def _mf_problem(seed=15, n_u=20, n_i=15, n_r=120, f=6):
         "learning_rate": 0.01,
         "regularization": 0.015,
     }
+
+
+_OUTPUTS = ("user_factors", "item_factors", "user_bias", "item_bias")
+
+
+def _written(args):
+    return {key: args[key].copy() for key in _OUTPUTS}
+
+
+def _assert_unchanged(args, before):
+    for key, value in before.items():
+        np.testing.assert_array_equal(args[key], value)
 
 
 class TestMfKernel:
@@ -200,13 +250,13 @@ class TestMfKernel:
         assert p[0, 0] == pytest.approx(0.5 + lr * (err * 0.25 - reg * 0.5), abs=1e-15)
         assert q[0, 0] == pytest.approx(0.25 + lr * (err * 0.5 - reg * 0.25), abs=1e-15)
 
-    def test_backends_track_each_other(self, compiled_kernels):
+    def test_backends_track_each_other(self, each_backend):
         states = []
-        for kernel in (_python.mf_sgd_epoch, compiled_kernels.mf_sgd_epoch):
+        for _ in each_backend:
             args = _mf_problem()
             for _ in range(5):
-                kernel(**args)
-            states.append([args[name] for name in ("user_factors", "item_factors", "user_bias", "item_bias")])
+                kernels.mf_sgd_epoch(**args)
+            states.append([args[name] for name in _OUTPUTS])
         for a, b in zip(states[0], states[1]):
             np.testing.assert_allclose(a, b, atol=1e-10)
 
@@ -229,15 +279,15 @@ class TestMfKernel:
                 args["order"][0] = -1
             else:
                 args[name][args["order"][0]] = -1
-            before = {key: args[key].copy() for key in ("user_factors", "item_factors", "user_bias", "item_bias")}
+            before = _written(args)
             with pytest.raises(IndexError):
                 kernel_backend.mf_sgd_epoch(**args)
-            for key, value in before.items():   # failed on the first step
-                np.testing.assert_array_equal(args[key], value)
+            _assert_unchanged(args, before)   # failed before the first step
 
 
 class TestCompiledMfChecksInputs:
-    """The compiled epoch rejects bad arrays before it reads or writes them."""
+    """The checked MF entry rejects bad arrays before either backend's epoch
+    reads or writes them."""
 
     @pytest.mark.parametrize("name, value, error", [
         ("users", lambda a: a.astype(np.int64), TypeError),
@@ -252,15 +302,43 @@ class TestCompiledMfChecksInputs:
         ("items", lambda a: a[:-1], ValueError),
         ("ratings", lambda a: a[:-1], ValueError),
     ])
-    def test_bad_array_rejected(self, compiled_kernels, name, value, error):
-        args = _mf_problem()
-        args[name] = value(args[name])
-        with pytest.raises(error):
-            compiled_kernels.mf_sgd_epoch(**args)
+    def test_bad_array_rejected(self, each_backend, name, value, error):
+        for _ in each_backend:
+            args = _mf_problem()
+            args[name] = value(args[name])
+            before = _written(args)
+            with pytest.raises(error):
+                kernels.mf_sgd_epoch(**args)
+            _assert_unchanged(args, before)
 
     @pytest.mark.parametrize("name", ["user_factors", "item_factors", "user_bias", "item_bias"])
-    def test_read_only_output_rejected(self, compiled_kernels, name):
+    def test_read_only_output_rejected(self, each_backend, name):
+        for _ in each_backend:
+            args = _mf_problem()
+            args[name].setflags(write=False)
+            with pytest.raises(ValueError, match="writable"):
+                kernels.mf_sgd_epoch(**args)
+
+
+class TestCompiledLoopsTakeBuffers:
+    """The compiled loops check no shape, type or index, but their buffer
+    codes still refuse a read-only or non-contiguous array on a direct
+    call."""
+
+    def test_ward_loop_refuses_read_only(self, compiled_kernels):
+        d2 = _read_only(np.array([1.0, 4.0, 2.0]))
+        with pytest.raises(TypeError, match="read-write"):
+            compiled_kernels.ward_loop(d2, np.empty((2, 2), dtype=np.int64), np.empty(2))
+
+    @pytest.mark.parametrize("name, value, error", [
+        ("ratings", lambda a: np.repeat(a, 2)[::2], ValueError),
+        ("user_factors", np.asfortranarray, TypeError),
+        ("item_bias", _read_only, TypeError),
+    ], ids=["strided-input", "fortran-output", "read-only-output"])
+    def test_sgd_epoch_refuses(self, compiled_kernels, name, value, error):
         args = _mf_problem()
-        args[name].setflags(write=False)
-        with pytest.raises(ValueError, match="writable"):
-            compiled_kernels.mf_sgd_epoch(**args)
+        args[name] = value(args[name])
+        before = _written(args)
+        with pytest.raises(error):
+            compiled_kernels.sgd_epoch(*args.values())
+        _assert_unchanged(args, before)
