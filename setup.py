@@ -1,5 +1,5 @@
-"""Build script for the optional compiled kernels (Ward merge loop and MF
-SGD epoch, one C extension).
+"""Build script for the optional compiled kernels (Ward merge loop, MF SGD
+epoch and kNN query, one C extension).
 
 The package works without the extension: cobar.kernels falls back to the
 pure numpy implementations when the compiled module is missing.

@@ -69,22 +69,8 @@ class MostPopular(_PredictorMixin):
         return self._clamp(self.item_stats.mean_or_global(item))
 
 
-def _top_k_aggregate(sims: np.ndarray, deviations: np.ndarray, k: int) -> float | None:
-    """Weighted mean of deviations over the k most similar positive neighbors.
-
-    Neighbor order at equal similarity follows the input order, which the
-    callers keep sorted by index for determinism.  Returns None when no
-    neighbor has positive similarity.
-    """
-    pos = np.flatnonzero(sims > 0.0)
-    if len(pos) == 0:
-        return None
-    if len(pos) > k:
-        # stable sort on -sim keeps index order among equals
-        order = np.argsort(-sims[pos], kind="stable")[:k]
-        pos = pos[order]
-    weights = sims[pos]
-    return float(np.sum(weights * deviations[pos]) / np.sum(np.abs(weights)))
+def _csr_arrays(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return matrix.indptr.astype(np.int64), matrix.indices.astype(np.int64), matrix.data
 
 
 class _CosineKnn(_PredictorMixin):
@@ -93,9 +79,10 @@ class _CosineKnn(_PredictorMixin):
     The *entities* (users or items) are the rows compared with each other.
     A query (entity, column) takes as neighbors the other entities rated in
     that column and aggregates the deviations of the k most similar
-    positive ones.  Similarities are computed per query from the CSR arrays
-    of both axes, so memory stays O(ratings) and nothing is shared or
-    mutated between queries.  Subclasses set `user_major` (entities are
+    positive ones.  `fit` hands the CSR arrays of both axes to a
+    `kernels.KnnIndex`, which checks them once; its query computes the
+    similarities per query, compiled when the extension is built, so
+    memory stays O(ratings).  Subclasses set `user_major` (entities are
     users) and `compute_stats` (the means deviations are centered on).
     """
 
@@ -110,41 +97,17 @@ class _CosineKnn(_PredictorMixin):
         user_rows = train.sparse_by_user()
         item_rows = user_rows.T.tocsr()
         rows, cols = (user_rows, item_rows) if self.user_major else (item_rows, user_rows)
-        self._norms = np.sqrt(np.asarray(rows.multiply(rows).sum(axis=1)).ravel())
-        # intp indices spare a cast in every per-query gather and bincount
-        self._rows = (rows.indptr.astype(np.intp), rows.indices.astype(np.intp), rows.data)
-        self._cols = (cols.indptr.astype(np.intp), cols.indices.astype(np.intp), cols.data)
+        norms = np.sqrt(np.asarray(rows.multiply(rows).sum(axis=1)).ravel())
+        self._index = kernels.KnnIndex(_csr_arrays(rows), _csr_arrays(cols), norms, self.stats.means)
         return self
 
     def _predict(self, entity: int, column: int) -> float:
         mean = self.stats.mean(entity)
         if mean is None:
             return self._clamp(self.stats.global_mean)
-        cp, ci, cd = self._cols
-        neighbors, ratings = ci[cp[column]:cp[column + 1]], cd[cp[column]:cp[column + 1]]
-        keep = neighbors != entity
-        neighbors, ratings = neighbors[keep], ratings[keep]
-        if len(neighbors) == 0 or self._norms[entity] == 0.0:
-            return self._clamp(mean)
-
-        # Every (entity, rating) in each column the query entity rated, in
-        # ascending column order; bincount then sums each dot product in the
-        # same order as a sparse row-times-matrix product would.
-        rp, ri, rd = self._rows
-        lo, hi = rp[entity], rp[entity + 1]
-        starts = cp[ri[lo:hi]]
-        lengths = cp[ri[lo:hi] + 1] - starts
-        ends = np.cumsum(lengths)
-        pos = np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
-        who = ci[pos]
-        n = len(self._norms)
-        dots = np.bincount(who, weights=np.repeat(rd[lo:hi], lengths) * cd[pos], minlength=n)[neighbors]
-        # an all-zero neighbor has no direction: similarity 0, not 0/0
-        denom = self._norms[entity] * self._norms[neighbors]
-        sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
-        deviations = ratings - self.stats.means[neighbors]
-        agg = _top_k_aggregate(sims, deviations, self.config.k)
+        agg = self._index.query(entity, column, self.config.k)
         if agg is None:
+            # no other rater in the column has positive similarity
             return self._clamp(mean)
         return self._clamp(mean + agg)
 

@@ -1,17 +1,19 @@
 """The hot kernels: one checked entry each, over a compiled or a numpy loop.
 
-The Ward merge loop and the MF SGD epoch are compiled in the C extension
-`_compiled` when a C compiler is available at install time; without it the
-numpy loops in `_python` run.  ``BACKEND`` names the loops selected at
-import: ``"c"`` when `_compiled` imports, ``"python"`` otherwise.
-`ward_linkage` and `mf_sgd_epoch` check every argument, once for both
-backends, before they call the selected loop, which trusts its caller.
-Both backends give the same merges and heights bit for bit.
+The Ward merge loop, the MF SGD epoch and the kNN query are compiled in the
+C extension `_compiled` when a C compiler is available at install time;
+without it the numpy loops in `_python` run.  ``BACKEND`` names the loops
+selected at import: ``"c"`` when `_compiled` imports, ``"python"``
+otherwise.  `ward_linkage`, `mf_sgd_epoch` and `KnnIndex` check every
+argument, once for both backends, before they call the selected loop,
+which trusts its caller.  Both backends give the same merges, heights and
+kNN aggregates bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -22,7 +24,7 @@ try:
 except ImportError:
     _compiled = None
 
-_missing = [name for name in ("ward_loop", "sgd_epoch") if _compiled and not hasattr(_compiled, name)]
+_missing = [name for name in ("ward_loop", "sgd_epoch", "knn_query") if _compiled and not hasattr(_compiled, name)]
 if _missing:
     # an extension built from older source, e.g. one a build reused
     # because its file times looked up to date
@@ -88,7 +90,8 @@ def ward_linkage(d2) -> tuple[np.ndarray, np.ndarray]:
         non-decreasing.
 
     Equal minimal linkages are broken by the lexicographically smallest
-    (id, id) pair, which makes the result deterministic.
+    (id, id) pair, which makes the result deterministic.  A linkage that
+    overflows to a height that is not finite raises `OverflowError`.
     """
     d2 = _checked("d2", d2, 1, "float64", writable=True)
     length = len(d2)
@@ -102,6 +105,9 @@ def ward_linkage(d2) -> tuple[np.ndarray, np.ndarray]:
     heights = np.empty(n - 1, dtype=np.float64)
     if n > 1:
         _loops.ward_loop(d2, merges, heights)
+        # a loop stops at the first height that is not finite
+        if not np.isfinite(heights).all():
+            raise OverflowError("Ward linkage overflowed: a merge height is not finite")
     return merges, heights
 
 
@@ -137,3 +143,69 @@ def mf_sgd_epoch(users, items, ratings, order, user_factors, item_factors, user_
     _check_range("items", items, len(item_factors))
     _loops.sgd_epoch(users, items, ratings, order, user_factors, item_factors, user_bias, item_bias,
                      global_mean, learning_rate, regularization)
+
+
+def _check_csr(name: str, indptr, indices, data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (indptr, indices, data) arrays of a CSR matrix, once they are
+    known to be well formed: int64 `indptr` that starts at 0, never
+    decreases and ends at the entry count, and int64 `indices` and float64
+    `data` of that count."""
+    indptr = _checked(f"{name} indptr", indptr, 1, "int64")
+    indices = _checked(f"{name} indices", indices, 1, "int64")
+    data = _checked(f"{name} data", data, 1, "float64")
+    if len(indices) != len(data):
+        raise ValueError(f"{name} indices and data must have the same length")
+    if len(indptr) == 0 or indptr[0] != 0 or indptr[-1] != len(indices) or np.any(np.diff(indptr) < 0):
+        raise ValueError(f"{name} indptr must start at 0, never decrease and end at {len(indices)}")
+    return indptr, indices, data
+
+
+class KnnIndex:
+    """The mean-centred cosine kNN query of `UserKnn` and `ItemKnn`.
+
+    The *entities* are the rows compared with each other (users for user
+    kNN), and the *columns* the other axis.  `rows` and `cols` are the
+    (indptr, indices, data) arrays of the ratings in CSR form with entities
+    and with columns as rows: int64 indptr and indices, float64 data, all
+    1-D and C-contiguous.  `norms` and `means` hold one float64 per entity:
+    its rating vector's Euclidean norm and the mean its deviations are
+    centred on.  Everything is checked here, once: types, lengths, the
+    indptr structure and every index; `TypeError`, `ValueError` or
+    `IndexError` otherwise.  The index keeps read-only copies, so no later
+    write can break what the check found, and each query only checks its
+    own arguments before the loop reads the arrays unchecked.
+    """
+
+    def __init__(self, rows, cols, norms, means):
+        rows = _check_csr("rows", *rows)
+        cols = _check_csr("cols", *cols)
+        self.n_entities, self.n_columns = len(rows[0]) - 1, len(cols[0]) - 1
+        _check_range("rows indices", rows[1], self.n_columns)
+        _check_range("cols indices", cols[1], self.n_entities)
+        norms = _checked("norms", norms, 1, "float64")
+        means = _checked("means", means, 1, "float64")
+        if not len(norms) == len(means) == self.n_entities:
+            raise ValueError("norms and means must have one entry per entity")
+        frozen = []
+        for a in (*rows, *cols, norms, means):
+            a = a.copy()
+            a.flags.writeable = False
+            frozen.append(a)
+        # the compiled loop's dot products, zeroed again after every query
+        self._arrays = (*frozen, np.zeros(self.n_entities))
+
+    def query(self, entity: int, column: int, k: int) -> float | None:
+        """The similarity-weighted mean deviation of the `k` neighbours most
+        similar to `entity` among the other entities rated in `column`,
+        counting only positive similarities; at equal similarity the lower
+        entity index wins.  None when no neighbour has positive similarity.
+        An index out of range raises `IndexError`, a `k` below 1
+        `ValueError`."""
+        entity, column, k = operator.index(entity), operator.index(column), operator.index(k)
+        if not 0 <= entity < self.n_entities:
+            raise IndexError(f"entity {entity} out of range [0, {self.n_entities})")
+        if not 0 <= column < self.n_columns:
+            raise IndexError(f"column {column} out of range [0, {self.n_columns})")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        return _loops.knn_query(*self._arrays, entity, column, k)

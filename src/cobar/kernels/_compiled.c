@@ -1,5 +1,5 @@
-/* Compiled kernels: the Ward merge loop and the SGD epoch of the biased
- * matrix factorization baseline.
+/* Compiled kernels: the Ward merge loop, the SGD epoch of the biased
+ * matrix factorization baseline and the query of the cosine kNN baselines.
  *
  * `ward_loop` runs the steps of `cobar.kernels._python.ward_loop` on the
  * condensed upper triangle of the distance matrix, in place, with the same
@@ -11,9 +11,14 @@
  * the sequential dot product, the biases are updated first, and the item
  * factors are updated with the user factors from before the step.
  *
- * Neither loop checks its arguments: `cobar.kernels` checks every shape,
+ * `knn_query` performs the numpy operations of
+ * `cobar.kernels._python.knn_query` in numpy's order: each dot product is
+ * summed as `np.bincount` sums it, the top k are picked as the stable
+ * argsort picks them, and the two sums are numpy's pairwise sum.
+ *
+ * No loop checks its arguments: `cobar.kernels` checks every shape,
  * element type, length and index before it calls in, and only the buffer
- * codes `y*` (C-contiguous) and `w*` (also writable) remain here.  Both
+ * codes `y*` (C-contiguous) and `w*` (also writable) remain here.  The
  * kernels promise the numpy backend's bits, so the build turns off
  * floating-point contraction (`-ffp-contract=off`).
  */
@@ -41,7 +46,8 @@ row_minimum(const double *D, const Py_ssize_t *off, Py_ssize_t r, Py_ssize_t a)
  * of n >= 2 clusters, where n - 1 is the length of `heights`.  Slots
  * 0..a-1 hold the a active clusters; merging slots i < j writes the Ward
  * update into slot i's pairs and moves the last active slot into j.  Fills
- * the n-1 merges and heights. */
+ * the n-1 merges and heights, or stops at the first height that overflowed
+ * to inf. */
 static PyObject *
 ward_loop(PyObject *self, PyObject *args)
 {
@@ -102,9 +108,10 @@ ward_loop(PyObject *self, PyObject *args)
                 }
             }
         }
-        if (i < 0) {
-            PyErr_SetString(PyExc_OverflowError, "Ward linkage overflowed to inf");
-            goto done;
+        if (i < 0 || g == INFINITY) {
+            /* the Ward updates overflowed: the entry rejects this height */
+            heights[m] = INFINITY;
+            break;
         }
         merges[2 * m] = lo;
         merges[2 * m + 1] = hi;
@@ -206,6 +213,136 @@ sgd_epoch(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
+/* numpy's pairwise summation of a[0..n), as `np.sum` adds a contiguous
+ * float64 array: in order from 0.0 below 8 terms, eight interleaved
+ * accumulators up to 128, and two halves split at a multiple of 8 above. */
+static double
+pairwise_sum(const double *a, Py_ssize_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (Py_ssize_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        Py_ssize_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    Py_ssize_t half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
+/* Similarity of `entity` (of norm `norm_e`) to neighbour `nb`, given their
+ * dot product: 0 where the norms' product is not positive. */
+static inline double
+similarity(double dot, double norm_e, double norm_nb)
+{
+    double denom = norm_e * norm_nb;
+    return denom > 0.0 ? dot / denom : 0.0;
+}
+
+/* The query of `_python.knn_query` on the CSR arrays of both axes.
+ * `dots` is a zeroed scratch of one slot per entity: the dot products of
+ * `entity` with every entity sharing a column with it are accumulated
+ * there, read, and zeroed again before the return.  The GIL is held
+ * throughout, so no other query can see the scratch in between.  Returns
+ * the weighted mean deviation of the top k positive neighbours in
+ * `column`, or None when no neighbour is positive. */
+static PyObject *
+knn_query(PyObject *self, PyObject *args)
+{
+    Py_buffer b[9];
+    Py_ssize_t entity, column, k;
+    if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*y*y*w*nnn:knn_query", &b[0], &b[1], &b[2], &b[3], &b[4],
+                          &b[5], &b[6], &b[7], &b[8], &entity, &column, &k))
+        return NULL;
+    const int64_t *rp = b[0].buf, *ri = b[1].buf, *cp = b[3].buf, *ci = b[4].buf;
+    const double *rd = b[2].buf, *cd = b[5].buf, *norms = b[6].buf, *means = b[7].buf;
+    double *dots = b[8].buf;
+    double norm_e = norms[entity];
+    int64_t first = cp[column], end = cp[column + 1];
+    PyObject *result = NULL;
+    double *sims = NULL, *terms = NULL;
+
+    if (norm_e == 0.0 || first == end) {
+        result = Py_NewRef(Py_None);
+        goto release;
+    }
+    /* each product is formed, then added, as np.bincount adds its weights */
+    for (int64_t p = rp[entity]; p < rp[entity + 1]; p++) {
+        double w = rd[p];
+        for (int64_t q = cp[ri[p]]; q < cp[ri[p] + 1]; q++)
+            dots[ci[q]] += w * cd[q];
+    }
+
+    Py_ssize_t positive = 0;
+    for (int64_t q = first; q < end; q++)
+        if (ci[q] != entity && similarity(dots[ci[q]], norm_e, norms[ci[q]]) > 0.0)
+            positive++;
+    Py_ssize_t m = positive < k ? positive : k;
+    if (m == 0) {
+        result = Py_NewRef(Py_None);
+        goto zero;
+    }
+    sims = PyMem_New(double, m);
+    terms = PyMem_New(double, m);
+    if (!sims || !terms) {
+        PyErr_NoMemory();
+        goto zero;
+    }
+    /* the positive neighbours in column order; with more than k of them,
+     * the top k by (-similarity, position), kept sorted by insertion, which
+     * are the ones the stable argsort on -similarity picks, in its order */
+    Py_ssize_t used = 0;
+    for (int64_t q = first; q < end; q++) {
+        int64_t nb = ci[q];
+        if (nb == entity)
+            continue;
+        double s = similarity(dots[nb], norm_e, norms[nb]);
+        if (!(s > 0.0))
+            continue;
+        double deviation = cd[q] - means[nb];
+        Py_ssize_t j;
+        if (positive <= k)
+            j = used++;
+        else {
+            if (used == k && !(s > sims[k - 1]))
+                continue;
+            for (j = used < k ? used++ : k - 1; j > 0 && sims[j - 1] < s; j--) {
+                sims[j] = sims[j - 1];
+                terms[j] = terms[j - 1];
+            }
+        }
+        sims[j] = s;
+        terms[j] = deviation;
+    }
+    for (Py_ssize_t j = 0; j < m; j++)
+        terms[j] = sims[j] * terms[j];
+    result = PyFloat_FromDouble(pairwise_sum(terms, m) / pairwise_sum(sims, m));
+
+zero:
+    for (int64_t p = rp[entity]; p < rp[entity + 1]; p++)
+        for (int64_t q = cp[ri[p]]; q < cp[ri[p] + 1]; q++)
+            dots[ci[q]] = 0.0;
+release:
+    PyMem_Free(sims);
+    PyMem_Free(terms);
+    for (int a = 0; a < 9; a++)
+        PyBuffer_Release(&b[a]);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"ward_loop", ward_loop, METH_VARARGS,
      "ward_loop(d2, merges, heights)\n--\n\n"
@@ -214,11 +351,15 @@ static PyMethodDef methods[] = {
      "sgd_epoch(users, items, ratings, order, user_factors, item_factors, user_bias, item_bias,"
      " global_mean, learning_rate, regularization)\n--\n\n"
      "The epoch of `cobar.kernels.mf_sgd_epoch`, which checks its arguments."},
+    {"knn_query", knn_query, METH_VARARGS,
+     "knn_query(rows_indptr, rows_indices, rows_data, cols_indptr, cols_indices, cols_data, norms, means,"
+     " scratch, entity, column, k)\n--\n\n"
+     "The query of `cobar.kernels.KnnIndex`, which checks its arguments."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_compiled", "Compiled Ward merge loop and MF SGD epoch.", 0, methods,
+    PyModuleDef_HEAD_INIT, "_compiled", "Compiled Ward merge loop, MF SGD epoch and kNN query.", 0, methods,
 };
 
 PyMODINIT_FUNC

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ward_loop(d2: np.ndarray, merges: np.ndarray, heights: np.ndarray) -> None:
     """The merge loop of `cobar.kernels.ward_linkage`, which checks `d2` and
     allocates `merges` and `heights`; fills the n-1 rows of both for the
@@ -24,6 +25,10 @@ def ward_loop(d2: np.ndarray, merges: np.ndarray, heights: np.ndarray) -> None:
     copies `d2` into one n x n work matrix, row by row, so a `d2` that is a
     view costs no second copy; the compiled loop runs the same steps inside
     `d2` itself.
+
+    A minimum that is not finite (the Ward updates overflowed) is written
+    to `heights` and ends the loop, as in the compiled loop, and the entry
+    rejects it; the overflow itself raises no warning.
     """
     n = len(heights) + 1
     D = np.empty((n, n))
@@ -41,6 +46,9 @@ def ward_loop(d2: np.ndarray, merges: np.ndarray, heights: np.ndarray) -> None:
     for m in range(n - 1):
         a = n - m
         g = row_min[:a].min()
+        if not g < np.inf:
+            heights[m] = g
+            return
 
         # all pairs at the minimum, lexicographic smallest id pair wins
         best_ids = None
@@ -122,3 +130,65 @@ def sgd_epoch(
         p_old = p.copy()
         p += lr * (err * q - reg * p)
         q += lr * (err * p_old - reg * q)
+
+
+def knn_query(
+    rows_indptr: np.ndarray,
+    rows_indices: np.ndarray,
+    rows_data: np.ndarray,
+    cols_indptr: np.ndarray,
+    cols_indices: np.ndarray,
+    cols_data: np.ndarray,
+    norms: np.ndarray,
+    means: np.ndarray,
+    scratch: np.ndarray,
+    entity: int,
+    column: int,
+    k: int,
+) -> float | None:
+    """The query of `cobar.kernels.KnnIndex`, which checks the arrays once and
+    `entity`, `column` and `k` on every call: the similarity-weighted mean
+    deviation of the k most similar positive neighbours of `entity` in
+    `column`, or None when no neighbour has positive similarity.  The
+    compiled loop's `scratch` of dot products is not needed here."""
+    cp, ci, cd = cols_indptr, cols_indices, cols_data
+    neighbors, ratings = ci[cp[column]:cp[column + 1]], cd[cp[column]:cp[column + 1]]
+    keep = neighbors != entity
+    neighbors, ratings = neighbors[keep], ratings[keep]
+    if len(neighbors) == 0 or norms[entity] == 0.0:
+        return None
+
+    # Every (entity, rating) in each column the query entity rated, in
+    # ascending column order; bincount then sums each dot product in the
+    # same order as a sparse row-times-matrix product would.
+    rp, ri, rd = rows_indptr, rows_indices, rows_data
+    lo, hi = rp[entity], rp[entity + 1]
+    starts = cp[ri[lo:hi]]
+    lengths = cp[ri[lo:hi] + 1] - starts
+    ends = np.cumsum(lengths)
+    pos = np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
+    who = ci[pos]
+    dots = np.bincount(who, weights=np.repeat(rd[lo:hi], lengths) * cd[pos], minlength=len(norms))[neighbors]
+    # an all-zero neighbor has no direction: similarity 0, not 0/0
+    denom = norms[entity] * norms[neighbors]
+    sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
+    deviations = ratings - means[neighbors]
+    return _top_k_aggregate(sims, deviations, k)
+
+
+def _top_k_aggregate(sims: np.ndarray, deviations: np.ndarray, k: int) -> float | None:
+    """Weighted mean of deviations over the k most similar positive neighbors.
+
+    Neighbor order at equal similarity follows the input order, which the
+    callers keep sorted by index for determinism.  Returns None when no
+    neighbor has positive similarity.
+    """
+    pos = np.flatnonzero(sims > 0.0)
+    if len(pos) == 0:
+        return None
+    if len(pos) > k:
+        # stable sort on -sim keeps index order among equals
+        order = np.argsort(-sims[pos], kind="stable")[:k]
+        pos = pos[order]
+    weights = sims[pos]
+    return float(np.sum(weights * deviations[pos]) / np.sum(np.abs(weights)))

@@ -59,6 +59,24 @@ def random_grid_dataset(rng, max_users=20, max_items=15, density=0.45, draw=None
     return make_dataset(rows)
 
 
+def _zero_heavy(rng):
+    """0 with probability 0.4, else an integer from 1 to 10."""
+    return 0 if rng.random() < 0.4 else int(rng.integers(1, 11))
+
+
+# rating draws for `random_grid_dataset` on the scales of the paper's
+# datasets: FilmTrust's 0.5 steps, the 1-5 stars of Amazon, Book-Crossing's
+# 0-10 with its implicit zeros, a signed scale, and a 0.01 step on 1-5
+# whose sums are not exact in binary
+RATING_SCALES = {
+    "half_grid": None,
+    "int_1_5": lambda rng: int(rng.integers(1, 6)),
+    "int_0_10_zeros": _zero_heavy,
+    "signed_10": lambda rng: int(rng.integers(-10, 11)),
+    "step_0_01": lambda rng: int(rng.integers(100, 501)) / 100,
+}
+
+
 def c_compiler_found() -> bool:
     compiler = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
     return shutil.which(shlex.split(compiler)[0]) is not None

@@ -1,12 +1,16 @@
 """Popularity, kNN and matrix-factorization predictors."""
 
+import importlib.util
+import sys
+
 import numpy as np
 import pytest
 
 from cobar import CobarModel, ItemKnn, KnnConfig, MatrixFactorization, MfConfig, MostPopular, UserKnn
-from cobar import kernels
+from cobar import kernels, kfold_split, parse_ratings
+from cobar.data import fold_train_test
 from cobar.kernels import _python
-from conftest import make_dataset, random_grid_dataset
+from conftest import RATING_SCALES, REPO_ROOT, make_dataset, random_grid_dataset
 from oracles import knn_prediction
 
 
@@ -236,6 +240,53 @@ class TestKnnEdgeCases:
         assert value == pytest.approx(expected, abs=1e-12)
         oracle = knn_prediction(ds, user, item, k=2, user_based=cls is UserKnn, clamp=False)
         assert value == pytest.approx(oracle, abs=1e-12)
+
+
+def _knn_predictions(dataset, queries):
+    """Every query's prediction by UserKnn and ItemKnn, at k=30 clamped and
+    at k=3 unclamped."""
+    values = []
+    for cls in (UserKnn, ItemKnn):
+        for config, clamp in ((KnnConfig(k=30), True), (KnnConfig(k=3), False)):
+            model = cls(config, clamp=clamp).fit(dataset)
+            values.append([model.predict(int(u), int(i)) for u, i in queries])
+    return values
+
+
+def _benchmark_dataset(shape, seed):
+    """The benchmark's seeded synthetic rating file of `shape`, parsed."""
+    spec = importlib.util.spec_from_file_location("perfbench_datagen", REPO_ROOT / "perfbench" / "datagen.py")
+    datagen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = datagen   # its dataclasses look their module up
+    spec.loader.exec_module(datagen)
+    users, items, ratings = datagen.generate(datagen.SHAPES[shape], seed)
+    return parse_ratings([f"u{u}\ti{i}\t{r:.1f}" for u, i, r in zip(users, items, ratings)])
+
+
+class TestKnnBackendsAgree:
+    """The compiled kNN query gives the numpy query's predictions bit for bit."""
+
+    @pytest.mark.parametrize("scale", list(RATING_SCALES))
+    def test_rating_scales(self, each_backend, scale):
+        rng = np.random.default_rng(52)
+        datasets = [random_grid_dataset(rng, draw=RATING_SCALES[scale]) for _ in range(12)]
+        results = []
+        for _ in each_backend:
+            results.append([
+                _knn_predictions(ds, [(u, i) for u in range(ds.n_users) for i in range(ds.n_items)])
+                for ds in datasets
+            ])
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_benchmark_folds(self, each_backend, seed):
+        # a test fold of the FilmTrust-shaped benchmark data, whose popular
+        # items have hundreds of raters
+        dataset = _benchmark_dataset("ft", seed)
+        train, test = fold_train_test(dataset, kfold_split(dataset, 10, 42), seed)
+        queries = list(zip(dataset.users[test], dataset.items[test]))
+        results = [_knn_predictions(train, queries) for _ in each_backend]
+        assert results[0] == results[1]
 
 
 def _rank_one_dataset(n_users=12, n_items=10, seed=0):

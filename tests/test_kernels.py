@@ -1,6 +1,6 @@
 """Backend dispatch of the hot kernels, the input checks of their one
 checked entry over both backends, and agreement of the two backends of the
-Ward loop and of the MF epoch."""
+Ward loop, the MF epoch and the kNN query."""
 
 import ast
 import os
@@ -8,9 +8,11 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from cobar import kernels
 from cobar.kernels import _python
@@ -33,13 +35,17 @@ def _tie_heavy_sq_dist(rng, n):
     return d + d.T
 
 
+LOOPS = ("ward_loop", "sgd_epoch", "knn_query")
+
+
 def _kernels_in_fresh_process(pythonpath):
-    """BACKEND and the module of the loops behind the checked entries, as a
-    new interpreter that imports cobar from `pythonpath` sees them."""
+    """BACKEND, the module of the loops behind the checked entries and the
+    loops it holds, as a new interpreter that imports cobar from
+    `pythonpath` sees them."""
     environ = dict(os.environ, PYTHONPATH=str(pythonpath))
     code = (
         "import cobar.kernels as k; "
-        "print(k.BACKEND, k._loops.__name__)"
+        f"print(k.BACKEND, k._loops.__name__, *(n for n in {LOOPS!r} if hasattr(k._loops, n)))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=environ, capture_output=True, text=True, check=True)
     return out.stdout.split()
@@ -50,7 +56,8 @@ class TestDispatch:
         assert kernels.BACKEND in ("python", "c")
         assert kernels._loops is (kernels._compiled if kernels.BACKEND == "c" else _python)
         # one checked entry per kernel, whichever loops run behind it
-        assert kernels.ward_linkage.__module__ == kernels.mf_sgd_epoch.__module__ == "cobar.kernels"
+        entries = (kernels.ward_linkage, kernels.mf_sgd_epoch, kernels.KnnIndex)
+        assert {entry.__module__ for entry in entries} == {"cobar.kernels"}
 
     def test_built_extension_selected(self, compiled_build, tmp_path):
         # the package as installed: sources plus the extension beside them
@@ -58,34 +65,41 @@ class TestDispatch:
         shutil.copytree(REPO_ROOT / "src" / "cobar", pkg, ignore=shutil.ignore_patterns("*.so", "*.pyd"))
         for ext in (compiled_build / "cobar" / "kernels").glob("_compiled*"):
             shutil.copy(ext, pkg / "kernels")
-        assert _kernels_in_fresh_process(tmp_path) == ["c", "cobar.kernels._compiled"]
+        assert _kernels_in_fresh_process(tmp_path) == ["c", "cobar.kernels._compiled", *LOOPS]
 
     def test_stale_extension_rejected(self):
-        # an extension built from older source: it imports, but holds the
-        # checked kernels of before, not the bare loops
-        code = (
-            "import sys, types; "
-            "stub = types.ModuleType('cobar.kernels._compiled'); "
-            "stub.__file__ = '/old/build/_compiled.so'; "
-            "stub.ward_linkage = stub.mf_sgd_epoch = print; "
-            "sys.modules['cobar.kernels._compiled'] = stub; "
-            "import cobar"
-        )
-        environ = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-        out = subprocess.run([sys.executable, "-c", code], env=environ, capture_output=True, text=True)
-        assert out.returncode != 0
-        last = out.stderr.strip().splitlines()[-1]
-        assert last == (
-            "ImportError: stale extension /old/build/_compiled.so lacks ward_loop, sgd_epoch; "
-            "rebuild it with: python setup.py build_ext --inplace --force"
-        )
+        # extensions built from older source import, but hold the checked
+        # kernels of before, or not every loop
+        stale = {"ward_linkage, mf_sgd_epoch": "ward_loop, sgd_epoch, knn_query",
+                 "ward_loop, sgd_epoch": "knn_query"}
+        for present, missing in stale.items():
+            code = (
+                "import sys, types; "
+                "stub = types.ModuleType('cobar.kernels._compiled'); "
+                "stub.__file__ = '/old/build/_compiled.so'; "
+                f"stub.{present.replace(', ', ' = stub.')} = print; "
+                "sys.modules['cobar.kernels._compiled'] = stub; "
+                "import cobar"
+            )
+            environ = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+            out = subprocess.run([sys.executable, "-c", code], env=environ, capture_output=True, text=True)
+            assert out.returncode != 0
+            last = out.stderr.strip().splitlines()[-1]
+            assert last == (
+                f"ImportError: stale extension /old/build/_compiled.so lacks {missing}; "
+                "rebuild it with: python setup.py build_ext --inplace --force"
+            )
 
     def test_only_the_entry_imports_the_loops(self):
-        # every caller goes through the checked entries of cobar.kernels
+        # every caller goes through the checked entries of cobar.kernels,
+        # which call each loop of both backends
         package = REPO_ROOT / "src" / "cobar"
         importers = set()
+        called = set()
         for path in package.rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "_loops":
+                    called.add((path.relative_to(package).as_posix(), node.attr))
                 if isinstance(node, ast.Import):
                     names = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom):
@@ -95,6 +109,8 @@ class TestDispatch:
                 if any(part in ("_compiled", "_python") for name in names for part in name.split(".")):
                     importers.add(path.relative_to(package).as_posix())
         assert importers == {"kernels/__init__.py"}
+        assert called == {("kernels/__init__.py", name) for name in LOOPS}
+        assert all(callable(getattr(_python, name)) for name in LOOPS)
 
 
 class TestWardKernel:
@@ -115,6 +131,19 @@ class TestWardKernel:
         d2[1] = bad
         with pytest.raises(ValueError, match="finite and nonnegative"):
             ward_linkage(d2)
+
+    def test_overflow_raises_alike(self, each_backend):
+        # the first Ward update overflows to inf; the numpy loop used to
+        # warn and merge a node with itself, the compiled one returned the
+        # inf height
+        messages = []
+        for _ in each_backend:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(OverflowError) as exc:
+                    kernels.ward_linkage(np.full(3, 1e308))
+            messages.append(str(exc.value))
+        assert messages == ["Ward linkage overflowed: a merge height is not finite"] * 2
 
     def test_rejects_negative_entry(self, ward_linkage):
         # without the check this gives heights [-1.0, 2.33]
@@ -342,3 +371,174 @@ class TestCompiledLoopsTakeBuffers:
         with pytest.raises(error):
             compiled_kernels.sgd_epoch(*args.values())
         _assert_unchanged(args, before)
+
+
+def _csr(matrix):
+    return matrix.indptr.astype(np.int64), matrix.indices.astype(np.int64), matrix.data
+
+
+def _knn_problem(triples, n_entities, n_columns, rng):
+    """`KnnIndex` arguments for (entity, column, rating) triples: norms as
+    the kNN baselines compute them, random means."""
+    entities, columns, ratings = (np.asarray(a) for a in zip(*triples))
+    rows = sparse.csr_matrix((ratings.astype(np.float64), (entities, columns)), shape=(n_entities, n_columns))
+    norms = np.sqrt(np.asarray(rows.multiply(rows).sum(axis=1)).ravel())
+    return _csr(rows), _csr(rows.T.tocsr()), norms, rng.uniform(0.0, 5.0, n_entities)
+
+
+def _hand_problem():
+    """Entity 0 is (1, 0, 0); in column 2 its neighbours 1..5 have
+    similarities 0.6, 0.8, 0, -0.8 and 0.6 and deviations 1, 2, 4, 3 and -1
+    from their means."""
+    triples = [(0, 0, 1.0), (1, 0, 3.0), (1, 2, 4.0), (2, 0, 4.0), (2, 2, 3.0), (3, 1, 3.0), (3, 2, 4.0),
+               (4, 0, -4.0), (4, 2, 3.0), (5, 0, 3.0), (5, 2, 4.0)]
+    rows, cols, norms, _ = _knn_problem(triples, 6, 3, np.random.default_rng(0))
+    return rows, cols, norms, np.array([0.0, 3.0, 1.0, 0.0, 0.0, 5.0])
+
+
+MAX_NEIGHBOURS = 300
+PROFILE = 3   # columns 0..2 give entity 0 its similarities; column 3 + c has c + 1 raters
+
+
+def _counting_problem(variant, seed=33):
+    """Entity 0 rates the profile columns; neighbour j (1..300) rates some of
+    them and every query column 3 + c with c >= j - 1, so query column
+    3 + c has c + 1 neighbours, and entity 0 itself rates every other
+    query column.  "continuous" ratings make every similarity positive and
+    no sum exact; "signed" makes about half of them negative.  In "ties"
+    every neighbour rates every query column 2.5 and draws its profile
+    from three patterns, so each query column has 300 neighbours in three
+    groups of equal similarity, told apart by their random means."""
+    rng = np.random.default_rng(seed)
+    low = -5.0 if variant == "signed" else 0.5
+
+    def draw():
+        return float(rng.uniform(low, 5.0))
+
+    patterns = rng.uniform(0.5, 5.0, (3, PROFILE))
+    triples = [(0, c, float(v)) for c, v in enumerate(rng.uniform(0.5, 5.0, PROFILE))]
+    for j in range(1, MAX_NEIGHBOURS + 1):
+        if variant == "ties":
+            profile = patterns[rng.integers(0, 3)]
+        else:
+            profile = [draw() if rng.random() < 0.7 else 0.0 for _ in range(PROFILE)]
+            profile[rng.integers(0, PROFILE)] = draw()
+        triples += [(j, c, float(v)) for c, v in enumerate(profile) if v != 0.0]
+        if variant == "ties":
+            triples += [(j, PROFILE + c, 2.5) for c in range(MAX_NEIGHBOURS)]
+        else:
+            triples += [(j, PROFILE + c, draw()) for c in range(j - 1, MAX_NEIGHBOURS)]
+    triples += [(0, PROFILE + c, 1.0) for c in range(1, MAX_NEIGHBOURS, 2)]
+    return _knn_problem(triples, MAX_NEIGHBOURS + 1, PROFILE + MAX_NEIGHBOURS, rng)
+
+
+class TestKnnQuery:
+    @pytest.mark.parametrize("variant", ["continuous", "ties", "signed"])
+    def test_backends_agree_for_every_neighbour_count(self, each_backend, variant):
+        # the compiled loop re-implements np.sum's pairwise order; a numpy
+        # release that changes it fails here
+        problem = _counting_problem(variant)
+        results = []
+        for _ in each_backend:
+            index = kernels.KnnIndex(*problem)
+            values = []
+            for count in range(1, MAX_NEIGHBOURS + 1):
+                for k in sorted({count + 3, count, max(1, count - 1), max(1, count // 3), 1}):
+                    values.append(index.query(0, PROFILE + count - 1, k))
+            results.append(values)
+        if variant != "signed":
+            assert None not in results[0]
+        assert results[0] == results[1]
+
+    def test_equal_to_weighted_mean_of_top_k(self, kernel_backend):
+        index = kernel_backend.KnnIndex(*_hand_problem())
+        assert index.query(0, 2, 1) == 2.0
+        # neighbour 1 beats 5 at the equal similarity 0.6
+        assert index.query(0, 2, 2) == pytest.approx((0.8 * 2.0 + 0.6 * 1.0) / 1.4, abs=1e-15)
+        assert index.query(0, 2, 3) == pytest.approx((0.8 * 2.0 + 0.6 * 1.0 - 0.6) / 2.0, abs=1e-15)
+        # the zero and the negative similarity never count
+        assert index.query(0, 2, 30) == index.query(0, 2, 3)
+        assert index.query(0, 1, 30) is None
+
+    def test_queries_leave_no_trace(self, kernel_backend):
+        # the compiled loop's scratch of dot products is zeroed after every
+        # query, so the order of queries does not matter
+        problem = _counting_problem("signed")
+        index = kernel_backend.KnnIndex(*problem)
+        queries = [(e, c) for e in range(0, 301, 15) for c in range(0, PROFILE + MAX_NEIGHBOURS, 17)]
+        first = [index.query(e, c, 5) for e, c in queries]
+        order = np.random.default_rng(1).permutation(len(queries))
+        again = [index.query(*queries[q], 5) for q in order]
+        assert again == [first[q] for q in order]
+        assert not index._arrays[-1].any()
+
+    def test_keeps_frozen_copies(self):
+        rows, cols, norms, means = _counting_problem("continuous")
+        index = kernels.KnnIndex(rows, cols, norms, means)
+        before = index.query(0, PROFILE + 40, 7)
+        for array in (*rows, *cols, norms, means):
+            array[:] = 0
+        assert index.query(0, PROFILE + 40, 7) == before
+        assert not any(array.flags.writeable for array in index._arrays[:-1])
+
+
+def _replace(problem, where, value):
+    """`problem` with one array replaced: `where` is (argument, position)
+    for the CSR triples, or the argument alone for norms and means."""
+    rows, cols, norms, means = (list(p) if isinstance(p, tuple) else p for p in problem)
+    args = {"rows": rows, "cols": cols, "norms": norms, "means": means}
+    if isinstance(where, tuple):
+        name, position = where
+        args[name][position] = value(args[name][position])
+    else:
+        args[where] = value(args[where])
+    return [tuple(a) if isinstance(a, list) else a for a in args.values()]
+
+
+def _set(position, value):
+    def change(a):
+        a = a.copy()
+        a[position] = value
+        return a
+    return change
+
+
+class TestKnnIndexChecksInputs:
+    """The checked kNN entry rejects malformed arrays once, at construction,
+    and bad query arguments on every query, for either backend."""
+
+    @pytest.mark.parametrize("where, value, error, match", [
+        (("rows", 0), lambda a: a.tolist(), TypeError, "must be an array"),
+        (("rows", 1), lambda a: a.astype(np.int32), TypeError, "must hold int64"),
+        (("cols", 2), lambda a: a.astype(np.float32), TypeError, "must hold float64"),
+        ("norms", lambda a: a.astype(np.float32), TypeError, "must hold float64"),
+        (("cols", 1), lambda a: np.repeat(a, 2)[::2], ValueError, "C-contiguous"),
+        ("means", lambda a: np.stack([a, a]), ValueError, "1-dimensional"),
+        (("rows", 2), lambda a: a[:-1], ValueError, "same length"),
+        (("rows", 0), lambda a: a + 1, ValueError, "start at 0"),
+        (("cols", 0), _set(-1, 0), ValueError, "start at 0"),
+        (("cols", 0), _set(2, 10**6), ValueError, "start at 0"),
+        (("rows", 0), lambda a: a[:0], ValueError, "start at 0"),
+        ("norms", lambda a: a[:-1], ValueError, "one entry per entity"),
+        ("means", lambda a: np.append(a, 1.0), ValueError, "one entry per entity"),
+        (("rows", 1), _set(3, 3), IndexError, "out of range"),
+        (("rows", 1), _set(3, -1), IndexError, "out of range"),
+        (("cols", 1), _set(9, 6), IndexError, "out of range"),
+    ], ids=["list", "int32-indices", "float32-data", "float32-norms", "strided", "2-d", "data-length",
+            "indptr-start", "indptr-end", "indptr-decreasing", "indptr-empty", "norms-length", "means-length",
+            "row-index-high", "row-index-negative", "col-index-high"])
+    def test_bad_array_rejected(self, each_backend, where, value, error, match):
+        problem = _replace(_hand_problem(), where, value)
+        for _ in each_backend:
+            with pytest.raises(error, match=match):
+                kernels.KnnIndex(*problem)
+
+    @pytest.mark.parametrize("args, error", [
+        ((-1, 2, 30), IndexError), ((6, 2, 30), IndexError), ((0, -1, 30), IndexError), ((0, 3, 30), IndexError),
+        ((0, 2, 0), ValueError), ((0, 2, -2), ValueError), ((0.0, 2, 30), TypeError), ((0, 2, 2.5), TypeError),
+    ])
+    def test_bad_query_rejected(self, each_backend, args, error):
+        index = kernels.KnnIndex(*_hand_problem())
+        for _ in each_backend:
+            with pytest.raises(error):
+                index.query(*args)
