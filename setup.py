@@ -14,6 +14,13 @@ from setuptools.command.build_ext import build_ext
 class OptionalBuildExt(build_ext):
     """Build the extension if possible, fall back to pure Python otherwise."""
 
+    def finalize_options(self):
+        super().finalize_options()
+        # compile the checkout's source every time: a build that trusts file
+        # times can reuse an extension built from other source, and copy it
+        # into src/ on an in-place build
+        self.force = True
+
     def run(self):
         try:
             super().run()

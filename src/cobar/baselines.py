@@ -145,9 +145,8 @@ class MatrixFactorization(_PredictorMixin):
 
     Model: global_mean + user_bias + item_bias + user_factors . item_factors,
     trained on squared error with L2 regularization.  Fully deterministic
-    under a fixed seed; `epoch_mse` records the training error after each
-    epoch.  Terms belonging to users or items unseen in training are dropped
-    at prediction time.
+    under a fixed seed.  Terms belonging to users or items unseen in
+    training are dropped at prediction time.
     """
 
     def __init__(self, config: MfConfig | None = None, clamp: bool = True):
@@ -168,7 +167,6 @@ class MatrixFactorization(_PredictorMixin):
         self.item_seen = np.bincount(train.items, minlength=train.n_items) > 0
 
         users, items, ratings = train.users, train.items, train.ratings
-        self.epoch_mse: list[float] = [self._train_mse()]
         for _ in range(cfg.epochs):
             order = rng.permutation(train.n_ratings)
             kernels.mf_sgd_epoch(
@@ -184,18 +182,7 @@ class MatrixFactorization(_PredictorMixin):
                 cfg.learning_rate,
                 cfg.regularization,
             )
-            self.epoch_mse.append(self._train_mse())
         return self
-
-    def _train_mse(self) -> float:
-        t = self.train
-        pred = (
-            self.global_mean
-            + self.user_bias[t.users]
-            + self.item_bias[t.items]
-            + np.einsum("ij,ij->i", self.user_factors[t.users], self.item_factors[t.items])
-        )
-        return float(np.mean((t.ratings - pred) ** 2))
 
     def predict(self, user: int, item: int) -> float:
         self._check_query(user, item)

@@ -119,11 +119,9 @@ class Dendrogram:
 
 
 def clusterable_users(dataset: RatingDataset) -> np.ndarray:
-    """Users with at least one rating and a nonzero rating vector."""
-    counts = np.bincount(dataset.users, minlength=dataset.n_users)
-    norms = np.zeros(dataset.n_users)
-    np.add.at(norms, dataset.users, dataset.ratings**2)
-    return np.flatnonzero((counts > 0) & (norms > 0.0))
+    """Users with a nonzero rating vector, which implies at least one rating."""
+    sum_sq = np.bincount(dataset.users, weights=dataset.ratings**2, minlength=dataset.n_users)
+    return np.flatnonzero(sum_sq > 0.0)
 
 
 def agglomerate(dataset: RatingDataset) -> Dendrogram:

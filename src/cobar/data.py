@@ -25,12 +25,12 @@ DELIMITER_ALIASES = {"tab": "\t", "comma": ",", "semicolon": ";", "space": " "}
 
 
 class ParseError(ValueError):
-    """Malformed rating file; carries the offending 1-based line number."""
+    """Malformed rating file; the message starts with the offending 1-based
+    line number when there is one."""
 
-    def __init__(self, message: str, line_number: int | None = None):
-        self.line_number = line_number
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
+    def __init__(self, message: str, line: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
         super().__init__(message)
 
 
@@ -45,7 +45,6 @@ class RatingDataset:
     ratings: np.ndarray           # float64
     rating_min: float
     rating_max: float
-    n_duplicates: int = 0
     name: str = ""
     _user_index: dict[str, int] = field(default_factory=dict, repr=False)
     _item_index: dict[str, int] = field(default_factory=dict, repr=False)
@@ -118,7 +117,7 @@ def parse_ratings(
 
     `source` is a path to a UTF-8 file or an iterable of text lines.
     Duplicate (user, item) pairs keep the last rating seen; the number of
-    replaced pairs is reported on the dataset and logged.  The rating
+    replaced pairs is logged as a warning, not kept.  The rating
     scale is the observed min/max.
 
     Raises :class:`ParseError` for empty input, short lines, non-numeric
@@ -131,7 +130,7 @@ def parse_ratings(
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
     cells: dict[tuple[int, int], float] = {}
-    n_duplicates = 0
+    replaced = 0
 
     opened = isinstance(source, (str, Path))
     lines = open(source, "r", encoding="utf-8") if opened else source
@@ -162,7 +161,7 @@ def parse_ratings(
             if i == len(item_ids):
                 item_ids.append(item_key)
             if (u, i) in cells:
-                n_duplicates += 1
+                replaced += 1
             cells[(u, i)] = rating
     except UnicodeDecodeError:
         if not opened:
@@ -182,8 +181,8 @@ def parse_ratings(
 
     if not cells:
         raise ParseError("no rating records found in input")
-    if n_duplicates:
-        logger.warning("%s: %d duplicate (user, item) pairs, kept last rating", name or "ratings", n_duplicates)
+    if replaced:
+        logger.warning("%s: %d duplicate (user, item) pairs, kept last rating", name or "ratings", replaced)
 
     users = np.fromiter((u for u, _ in cells), dtype=np.int32, count=len(cells))
     items = np.fromiter((i for _, i in cells), dtype=np.int32, count=len(cells))
@@ -196,7 +195,6 @@ def parse_ratings(
         ratings=ratings,
         rating_min=float(ratings.min()),
         rating_max=float(ratings.max()),
-        n_duplicates=n_duplicates,
         name=name,
         _user_index=user_index,
         _item_index=item_index,

@@ -3,15 +3,17 @@
 The Ward merge loop, the MF SGD epoch and the kNN query are compiled in the
 C extension `_compiled` when a C compiler is available at install time;
 without it the numpy loops in `_python` run.  ``BACKEND`` names the loops
-selected at import: ``"c"`` when `_compiled` imports, ``"python"``
-otherwise.  `ward_linkage`, `mf_sgd_epoch` and `KnnIndex` check every
-argument, once for both backends, before they call the selected loop,
-which trusts its caller.  Both backends give the same merges, heights and
-kNN aggregates bit for bit.
+selected at import: ``"c"`` when `_compiled` imports, ``"python"`` when
+there is no `_compiled`; one that exists but cannot load, or lacks a loop,
+stops the import with the rebuild command.  `ward_linkage`, `mf_sgd_epoch`
+and `KnnIndex` check every argument, once for both backends, before they
+call the selected loop, which trusts its caller.  Both backends give the
+same merges, heights and kNN aggregates bit for bit.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import operator
 
@@ -19,9 +21,16 @@ import numpy as np
 
 from . import _python
 
+_REBUILD = "rebuild it with: python setup.py build_ext --inplace --force"
+
 try:
     from . import _compiled
-except ImportError:
+except ImportError as exc:
+    # only a missing extension selects the numpy loops: one that exists but
+    # cannot load, e.g. a truncated file, stops the import
+    _spec = importlib.util.find_spec(f"{__name__}._compiled")
+    if _spec is not None:
+        raise ImportError(f"extension {_spec.origin} cannot be loaded; {_REBUILD}") from exc
     _compiled = None
 
 _missing = [name for name in ("ward_loop", "sgd_epoch", "knn_query") if _compiled and not hasattr(_compiled, name)]
@@ -29,37 +38,28 @@ if _missing:
     # an extension built from older source, e.g. one a build reused
     # because its file times looked up to date
     raise ImportError(
-        f"stale extension {getattr(_compiled, '__file__', _compiled.__name__)} lacks {', '.join(_missing)}; "
-        "rebuild it with: python setup.py build_ext --inplace --force"
+        f"stale extension {getattr(_compiled, '__file__', _compiled.__name__)} lacks {', '.join(_missing)}; {_REBUILD}"
     )
 
 BACKEND: str = "c" if _compiled is not None else "python"
 _loops = _compiled or _python
 
-# element formats of the buffer protocol each dtype accepts, and its size
-_FORMATS = {"float64": ("d", 8), "int32": ("ilq", 4), "int64": ("ilq", 8)}
-
 
 def _checked(name: str, obj, ndim: int, dtype: str, writable: bool = False) -> np.ndarray:
-    """`obj` as an array, once it is known to be a C-contiguous `ndim`-dimensional
-    buffer of `dtype` (and writable if asked); `TypeError` or `ValueError`
+    """`obj`, once it is known to be a C-contiguous `ndim`-dimensional numpy
+    array of `dtype` (and writable if asked); `TypeError` or `ValueError`
     naming `name` otherwise."""
-    try:
-        view = memoryview(obj)
-    except TypeError:
-        raise TypeError(f"{name} must be an array, not {type(obj).__name__}") from None
-    with view:
-        formats, itemsize = _FORMATS[dtype]
-        element = view.format.lstrip("@=")
-        if view.ndim != ndim:
-            raise ValueError(f"{name} must be {ndim}-dimensional, got {view.ndim} dimensions")
-        if view.itemsize != itemsize or len(element) != 1 or element not in formats:
-            raise TypeError(f"{name} must hold {dtype}, got format '{view.format}' of {view.itemsize} bytes")
-        if not view.c_contiguous:
-            raise ValueError(f"{name} must be C-contiguous")
-        if writable and view.readonly:
-            raise ValueError(f"{name} must be writable")
-    return np.asarray(obj)
+    if not isinstance(obj, np.ndarray):
+        raise TypeError(f"{name} must be an array, not {type(obj).__name__}")
+    if obj.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-dimensional, got {obj.ndim} dimensions")
+    if obj.dtype != dtype:
+        raise TypeError(f"{name} must hold {dtype}, got {obj.dtype}")
+    if not obj.flags.c_contiguous:
+        raise ValueError(f"{name} must be C-contiguous")
+    if writable and not obj.flags.writeable:
+        raise ValueError(f"{name} must be writable")
+    return obj
 
 
 def _check_range(name: str, index: np.ndarray, bound: int) -> None:

@@ -4,7 +4,8 @@ Everything here recomputes from raw inputs along a different code path than
 the library: the clustering oracle uses the closed-form merge cost over the
 original distance matrix, the prediction oracle enumerates cluster members
 top-down and re-derives intervals from the raw ratings, the kNN oracle
-ranks neighbors from dense rating vectors, and the statistical constants
+ranks neighbors from dense rating vectors, the MF training error is summed
+rating by rating from the fitted terms, and the statistical constants
 are frozen from published tables.  The Ward and cosine references are the
 earlier, allocation-heavy implementations, which the in-place ones must
 match bit for bit, and the per-query prediction reference is the earlier
@@ -339,6 +340,17 @@ def knn_prediction(dataset, user, item, k=30, user_based=True, clamp=True):
     num = math.fsum(-s * (dense[o, column] - mean_of(o)) for s, o in chosen)
     den = math.fsum(-s for s, _ in chosen)
     return _clamp(base + num / den, dataset, clamp)
+
+
+def mf_training_mse(model, dataset) -> float:
+    """Mean squared error of a fitted `MatrixFactorization` over `dataset`'s
+    ratings, from its global mean, biases and factors, one rating at a time."""
+    errors = [
+        r - (model.global_mean + model.user_bias[u] + model.item_bias[i]
+             + math.fsum(model.user_factors[u] * model.item_factors[i]))
+        for u, i, r in zip(dataset.users, dataset.items, dataset.ratings)
+    ]
+    return math.fsum(e * e for e in errors) / len(errors)
 
 
 @lru_cache(maxsize=None)

@@ -18,8 +18,8 @@ class TestParseRatings:
             ds = parse_ratings(["1\t5\t4.0", "1\t5\t2.0"])
         assert ds.n_ratings == 1
         assert ds.ratings[0] == 2.0
-        assert ds.n_duplicates == 1
-        assert any("duplicate" in rec.message for rec in caplog.records)
+        # the count lives only in the warning
+        assert any(rec.message == "ratings: 1 duplicate (user, item) pairs, kept last rating" for rec in caplog.records)
 
     def test_malformed_rating_names_line(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -38,7 +38,6 @@ class TestParseRatings:
         path.write_bytes(b"".join(lines))
         with pytest.raises(ParseError) as exc:
             parse_ratings(path)
-        assert exc.value.line_number == 3001
         assert str(exc.value) == "line 3001: 'utf-8' codec can't decode byte 0xe9 in position 3: invalid continuation byte"
 
     def test_empty_input_rejected(self):

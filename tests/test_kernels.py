@@ -2,11 +2,14 @@
 checked entry over both backends, and agreement of the two backends of the
 Ward loop, the MF epoch and the kNN query."""
 
+import array
 import ast
 import os
 import shutil
 import subprocess
 import sys
+import sysconfig
+import time
 import tracemalloc
 import warnings
 
@@ -16,7 +19,7 @@ from scipy import sparse
 
 from cobar import kernels
 from cobar.kernels import _python
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, c_compiler_found
 from oracles import condensed, ward_reference
 
 
@@ -36,6 +39,16 @@ def _tie_heavy_sq_dist(rng, n):
 
 
 LOOPS = ("ward_loop", "sgd_epoch", "knn_query")
+EXTENSION = f"_compiled{sysconfig.get_config_var('EXT_SUFFIX')}"
+REBUILD = "rebuild it with: python setup.py build_ext --inplace --force"
+
+
+def _package_copy(parent):
+    """The package's sources copied to `parent/cobar`, without any built
+    extension; returns the copy."""
+    pkg = parent / "cobar"
+    shutil.copytree(REPO_ROOT / "src" / "cobar", pkg, ignore=shutil.ignore_patterns("*.so", "*.pyd"))
+    return pkg
 
 
 def _kernels_in_fresh_process(pythonpath):
@@ -61,8 +74,7 @@ class TestDispatch:
 
     def test_built_extension_selected(self, compiled_build, tmp_path):
         # the package as installed: sources plus the extension beside them
-        pkg = tmp_path / "cobar"
-        shutil.copytree(REPO_ROOT / "src" / "cobar", pkg, ignore=shutil.ignore_patterns("*.so", "*.pyd"))
+        pkg = _package_copy(tmp_path)
         for ext in (compiled_build / "cobar" / "kernels").glob("_compiled*"):
             shutil.copy(ext, pkg / "kernels")
         assert _kernels_in_fresh_process(tmp_path) == ["c", "cobar.kernels._compiled", *LOOPS]
@@ -85,10 +97,20 @@ class TestDispatch:
             out = subprocess.run([sys.executable, "-c", code], env=environ, capture_output=True, text=True)
             assert out.returncode != 0
             last = out.stderr.strip().splitlines()[-1]
-            assert last == (
-                f"ImportError: stale extension /old/build/_compiled.so lacks {missing}; "
-                "rebuild it with: python setup.py build_ext --inplace --force"
-            )
+            assert last == f"ImportError: stale extension /old/build/_compiled.so lacks {missing}; {REBUILD}"
+
+    def test_broken_extension_stops_the_import(self, tmp_path):
+        # only a missing extension selects the numpy loops; one that exists
+        # but cannot load, here a truncated file, names itself
+        pkg = _package_copy(tmp_path)
+        assert _kernels_in_fresh_process(tmp_path) == ["python", "cobar.kernels._python", *LOOPS]
+        broken = pkg / "kernels" / EXTENSION
+        broken.write_bytes(b"\x7fELF")
+        environ = dict(os.environ, PYTHONPATH=str(tmp_path))
+        out = subprocess.run([sys.executable, "-c", "import cobar"], env=environ, capture_output=True, text=True)
+        assert out.returncode != 0
+        last = out.stderr.strip().splitlines()[-1]
+        assert last == f"ImportError: extension {broken} cannot be loaded; {REBUILD}"
 
     def test_only_the_entry_imports_the_loops(self):
         # every caller goes through the checked entries of cobar.kernels,
@@ -111,6 +133,44 @@ class TestDispatch:
         assert importers == {"kernels/__init__.py"}
         assert called == {("kernels/__init__.py", name) for name in LOOPS}
         assert all(callable(getattr(_python, name)) for name in LOOPS)
+
+
+class TestBuild:
+    """`setup.py build_ext`: every build compiles the checkout's source, and
+    a build without a C compiler still succeeds, on the numpy loops."""
+
+    def test_stale_build_is_recompiled(self, tmp_path):
+        if not c_compiler_found():
+            pytest.skip("no C compiler found")
+        for name in ("setup.py", "pyproject.toml"):
+            shutil.copy(REPO_ROOT / name, tmp_path)
+        _package_copy(tmp_path / "src")
+        # a build directory whose extension is newer than every source, but
+        # was built from other source (here, 8 bytes that cannot load)
+        build = tmp_path / "build"
+        stale = build / "cobar" / "kernels" / EXTENSION
+        stale.parent.mkdir(parents=True)
+        stale.write_bytes(b"12345678")
+        later = time.time() + 3600
+        os.utime(stale, (later, later))
+        out = subprocess.run(
+            [sys.executable, "setup.py", "build_ext", "--inplace", "--build-lib", str(build),
+             "--build-temp", str(tmp_path / "tmp")],
+            cwd=tmp_path, capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert _kernels_in_fresh_process(tmp_path / "src") == ["c", "cobar.kernels._compiled", *LOOPS]
+
+    @pytest.mark.skipif(os.name != "posix", reason="CC names the compiler of the unix compiler type only")
+    def test_build_without_compiler_falls_back(self, tmp_path):
+        out = subprocess.run(
+            [sys.executable, "setup.py", "build_ext", "--build-lib", str(tmp_path / "lib"),
+             "--build-temp", str(tmp_path / "tmp")],
+            cwd=REPO_ROOT, env=dict(os.environ, CC="false"), capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "using pure-Python fallback" in out.stderr
+        assert not list((tmp_path / "lib").rglob("_compiled*"))
 
 
 class TestWardKernel:
@@ -212,6 +272,7 @@ class TestWardChecksInputs:
 
     @pytest.mark.parametrize("make, error", [
         (lambda: [1.0, 4.0, 2.0], TypeError),
+        (lambda: array.array("d", [1.0, 4.0, 2.0]), TypeError),
         (lambda: np.array([1.0, 4.0, 2.0], dtype=np.float32), TypeError),
         (lambda: np.array([1, 4, 2]), TypeError),
         (lambda: np.zeros((3, 3)), ValueError),
@@ -221,7 +282,7 @@ class TestWardChecksInputs:
         (lambda: np.array([1.0, np.nan, 2.0]), ValueError),
         (lambda: np.array([1.0, np.inf, 2.0]), ValueError),
         (lambda: np.array([1.0, -1.0, 2.0]), ValueError),
-    ], ids=["list", "float32", "int64", "2-d", "strided", "read-only", "length-4", "nan", "inf", "negative"])
+    ], ids=["list", "buffer", "float32", "int64", "2-d", "strided", "read-only", "length-4", "nan", "inf", "negative"])
     def test_bad_input_rejected_alike(self, each_backend, make, error):
         messages = []
         for _ in each_backend:
