@@ -69,21 +69,18 @@ class MostPopular(_PredictorMixin):
         return self._clamp(self.item_stats.mean_or_global(item))
 
 
-def _csr_arrays(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return matrix.indptr.astype(np.int64), matrix.indices.astype(np.int64), matrix.data
-
-
 class _CosineKnn(_PredictorMixin):
     """Mean-centered cosine kNN shared by :class:`UserKnn` and :class:`ItemKnn`.
 
     The *entities* (users or items) are the rows compared with each other.
     A query (entity, column) takes as neighbors the other entities rated in
     that column and aggregates the deviations of the k most similar
-    positive ones.  `fit` hands the CSR arrays of both axes to a
-    `kernels.KnnIndex`, which checks them once; its query computes the
-    similarities per query, compiled when the extension is built, so
-    memory stays O(ratings).  Subclasses set `user_major` (entities are
-    users) and `compute_stats` (the means deviations are centered on).
+    positive ones.  `fit` hands the training triples, the means and k to a
+    `kernels.KnnIndex`, which checks them once and lays them out itself;
+    its query computes the similarities per query, compiled when the
+    extension is built, so memory stays O(ratings).  Subclasses set
+    `user_major` (entities are users) and `compute_stats` (the means
+    deviations are centered on).
     """
 
     def __init__(self, config: KnnConfig | None = None, clamp: bool = True):
@@ -94,18 +91,18 @@ class _CosineKnn(_PredictorMixin):
     def fit(self, train: RatingDataset) -> "_CosineKnn":
         self.train = train
         self.stats = self.compute_stats(train)
-        user_rows = train.sparse_by_user()
-        item_rows = user_rows.T.tocsr()
-        rows, cols = (user_rows, item_rows) if self.user_major else (item_rows, user_rows)
-        norms = np.sqrt(np.asarray(rows.multiply(rows).sum(axis=1)).ravel())
-        self._index = kernels.KnnIndex(_csr_arrays(rows), _csr_arrays(cols), norms, self.stats.means)
+        if self.user_major:
+            entities, columns, n_columns = train.users, train.items, train.n_items
+        else:
+            entities, columns, n_columns = train.items, train.users, train.n_users
+        self._index = kernels.KnnIndex(entities, columns, train.ratings, self.stats.means, n_columns, self.config.k)
         return self
 
     def _predict(self, entity: int, column: int) -> float:
         mean = self.stats.mean(entity)
         if mean is None:
             return self._clamp(self.stats.global_mean)
-        agg = self._index.query(entity, column, self.config.k)
+        agg = self._index.query(entity, column)
         if agg is None:
             # no other rater in the column has positive similarity
             return self._clamp(mean)

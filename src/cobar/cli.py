@@ -100,6 +100,12 @@ def _load_dataset(args):
     return dataset
 
 
+def _check_output_dir(path) -> None:
+    """Fail before any work when the directory an output goes to is missing."""
+    if path and not Path(path).parent.is_dir():
+        raise FileNotFoundError(f"output directory not found: {Path(path).parent} (for {path})")
+
+
 def _check_clustering_budget(dataset) -> None:
     n = len(clusterable_users(dataset))
     if n > MAX_CLUSTERING_USERS:
@@ -116,6 +122,7 @@ def _cobar_config(args) -> CobarConfig:
 
 
 def cmd_evaluate(args) -> int:
+    _check_output_dir(args.out)
     dataset = _load_dataset(args)
     names = [n.strip() for n in args.algos.split(",") if n.strip()]
     if "cobar" in names:
@@ -161,6 +168,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_output_dir(args.dendrogram_out)
     dataset = _load_dataset(args)
     user = dataset.user_index(args.user)
     item = dataset.item_index(args.item)

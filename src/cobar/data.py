@@ -120,9 +120,10 @@ def parse_ratings(
     replaced pairs is logged as a warning, not kept.  The rating
     scale is the observed min/max.
 
-    Raises :class:`ParseError` for empty input, short lines, non-numeric
-    ratings, or a file line that is not UTF-8, naming the 1-based line
-    number.
+    Raises :class:`ParseError` for empty input, short lines, an empty user
+    or item id, non-numeric ratings, or a file line that is not UTF-8,
+    naming the 1-based line number.  A byte-order mark at the start of a
+    file is dropped.
     """
     delimiter = DELIMITER_ALIASES.get(delimiter, delimiter)
     user_ids: list[str] = []
@@ -133,7 +134,8 @@ def parse_ratings(
     replaced = 0
 
     opened = isinstance(source, (str, Path))
-    lines = open(source, "r", encoding="utf-8") if opened else source
+    # utf-8-sig strips a byte-order mark, which would join the first id
+    lines = open(source, "r", encoding="utf-8-sig") if opened else source
     try:
         for line_no, raw in enumerate(lines, start=1):
             if line_no == 1 and skip_header:
@@ -148,6 +150,8 @@ def parse_ratings(
                     line_no,
                 )
             user_key, item_key = parts[0].strip(), parts[1].strip()
+            if not user_key or not item_key:
+                raise ParseError("empty user or item id", line_no)
             try:
                 rating = float(parts[2])
             except ValueError:

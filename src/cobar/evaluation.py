@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
@@ -225,14 +225,7 @@ def run_cross_validation(
     for a, b in combinations(names, 2):
         record = {"a": a, "b": b, "alpha": 1.0 - wilcoxon_level}
         try:
-            res = wilcoxon_signed_rank(fold_rmse[a], fold_rmse[b], wilcoxon_level)
-            record.update(
-                statistic=res.statistic,
-                p_value=res.p_value,
-                significant=res.significant,
-                method=res.method,
-                n_nonzero=res.n_nonzero,
-            )
+            record.update(asdict(wilcoxon_signed_rank(fold_rmse[a], fold_rmse[b], wilcoxon_level)))
         except ValueError as exc:
             record.update(statistic=None, p_value=None, significant=False, note=str(exc))
         pairwise.append(record)

@@ -7,8 +7,10 @@ selected at import: ``"c"`` when `_compiled` imports, ``"python"`` when
 there is no `_compiled`; one that exists but cannot load, or lacks a loop,
 stops the import with the rebuild command.  `ward_linkage`, `mf_sgd_epoch`
 and `KnnIndex` check every argument, once for both backends, before they
-call the selected loop, which trusts its caller.  Both backends give the
-same merges, heights and kNN aggregates bit for bit.
+call the selected loop, which trusts its caller.  `KnnIndex` takes the
+training triples and builds the sorted CSR layout the kNN loops read, so
+no other module knows it.  Both backends give the same merges, heights
+and kNN aggregates bit for bit.
 """
 
 from __future__ import annotations
@@ -145,67 +147,62 @@ def mf_sgd_epoch(users, items, ratings, order, user_factors, item_factors, user_
                      global_mean, learning_rate, regularization)
 
 
-def _check_csr(name: str, indptr, indices, data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (indptr, indices, data) arrays of a CSR matrix, once they are
-    known to be well formed: int64 `indptr` that starts at 0, never
-    decreases and ends at the entry count, and int64 `indices` and float64
-    `data` of that count."""
-    indptr = _checked(f"{name} indptr", indptr, 1, "int64")
-    indices = _checked(f"{name} indices", indices, 1, "int64")
-    data = _checked(f"{name} data", data, 1, "float64")
-    if len(indices) != len(data):
-        raise ValueError(f"{name} indices and data must have the same length")
-    if len(indptr) == 0 or indptr[0] != 0 or indptr[-1] != len(indices) or np.any(np.diff(indptr) < 0):
-        raise ValueError(f"{name} indptr must start at 0, never decrease and end at {len(indices)}")
-    return indptr, indices, data
+def _csr(keys, others, ratings, n_keys: int, n_others: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ratings in CSR form with `keys` as rows, each row sorted by
+    `others`: int64 indptr and indices and float64 data.  A repeated
+    (key, other) pair raises `ValueError`."""
+    flat = keys.astype(np.int64) * n_others + others
+    order = np.argsort(flat)
+    if np.any(np.diff(flat[order]) == 0):
+        raise ValueError("an (entity, column) pair is repeated")
+    indptr = np.zeros(n_keys + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n_keys), out=indptr[1:])
+    return indptr, others[order].astype(np.int64), ratings[order]
 
 
 class KnnIndex:
     """The mean-centred cosine kNN query of `UserKnn` and `ItemKnn`.
 
     The *entities* are the rows compared with each other (users for user
-    kNN), and the *columns* the other axis.  `rows` and `cols` are the
-    (indptr, indices, data) arrays of the ratings in CSR form with entities
-    and with columns as rows: int64 indptr and indices, float64 data, all
-    1-D and C-contiguous.  `norms` and `means` hold one float64 per entity:
-    its rating vector's Euclidean norm and the mean its deviations are
-    centred on.  Everything is checked here, once: types, lengths, the
-    indptr structure and every index; `TypeError`, `ValueError` or
-    `IndexError` otherwise.  The index keeps read-only copies, so no later
-    write can break what the check found, and each query only checks its
-    own arguments before the loop reads the arrays unchecked.
+    kNN), and the *columns* the other axis.  The index is built from the
+    training triples, int32 `entities` and `columns` and float64 `ratings`
+    (1-D, C-contiguous, of equal length, no pair repeated), one float64
+    mean per entity, the column count and `k` >= 1, all checked here;
+    `TypeError`, `ValueError` or `IndexError` otherwise.  It lays the
+    ratings out itself, in CSR form along both axes with every row sorted,
+    plus the norms, so each query checks only its own arguments before the
+    loop reads the arrays unchecked.
     """
 
-    def __init__(self, rows, cols, norms, means):
-        rows = _check_csr("rows", *rows)
-        cols = _check_csr("cols", *cols)
-        self.n_entities, self.n_columns = len(rows[0]) - 1, len(cols[0]) - 1
-        _check_range("rows indices", rows[1], self.n_columns)
-        _check_range("cols indices", cols[1], self.n_entities)
-        norms = _checked("norms", norms, 1, "float64")
+    def __init__(self, entities, columns, ratings, means, n_columns: int, k: int):
+        entities = _checked("entities", entities, 1, "int32")
+        columns = _checked("columns", columns, 1, "int32")
+        ratings = _checked("ratings", ratings, 1, "float64")
         means = _checked("means", means, 1, "float64")
-        if not len(norms) == len(means) == self.n_entities:
-            raise ValueError("norms and means must have one entry per entity")
-        frozen = []
-        for a in (*rows, *cols, norms, means):
-            a = a.copy()
-            a.flags.writeable = False
-            frozen.append(a)
+        self.n_entities, self.n_columns, self.k = len(means), operator.index(n_columns), operator.index(k)
+        if not len(entities) == len(columns) == len(ratings):
+            raise ValueError("entities, columns and ratings must have the same length")
+        _check_range("entities", entities, self.n_entities)
+        _check_range("columns", columns, self.n_columns)
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        rows = _csr(entities, columns, ratings, self.n_entities, self.n_columns)
+        cols = _csr(columns, entities, ratings, self.n_columns, self.n_entities)
+        # each row's squares summed in ascending column order
+        entity_of = np.repeat(np.arange(self.n_entities), np.diff(rows[0]))
+        norms = np.sqrt(np.bincount(entity_of, weights=rows[2] * rows[2], minlength=self.n_entities))
         # the compiled loop's dot products, zeroed again after every query
-        self._arrays = (*frozen, np.zeros(self.n_entities))
+        self._arrays = (*rows, *cols, norms, means.copy(), np.zeros(self.n_entities))
 
-    def query(self, entity: int, column: int, k: int) -> float | None:
+    def query(self, entity: int, column: int) -> float | None:
         """The similarity-weighted mean deviation of the `k` neighbours most
         similar to `entity` among the other entities rated in `column`,
         counting only positive similarities; at equal similarity the lower
         entity index wins.  None when no neighbour has positive similarity.
-        An index out of range raises `IndexError`, a `k` below 1
-        `ValueError`."""
-        entity, column, k = operator.index(entity), operator.index(column), operator.index(k)
+        An index out of range raises `IndexError`."""
+        entity, column = operator.index(entity), operator.index(column)
         if not 0 <= entity < self.n_entities:
             raise IndexError(f"entity {entity} out of range [0, {self.n_entities})")
         if not 0 <= column < self.n_columns:
             raise IndexError(f"column {column} out of range [0, {self.n_columns})")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        return _loops.knn_query(*self._arrays, entity, column, k)
+        return _loops.knn_query(*self._arrays, entity, column, self.k)

@@ -146,11 +146,12 @@ def knn_query(
     column: int,
     k: int,
 ) -> float | None:
-    """The query of `cobar.kernels.KnnIndex`, which checks the arrays once and
-    `entity`, `column` and `k` on every call: the similarity-weighted mean
-    deviation of the k most similar positive neighbours of `entity` in
-    `column`, or None when no neighbour has positive similarity.  The
-    compiled loop's `scratch` of dot products is not needed here."""
+    """The query of `cobar.kernels.KnnIndex`, which builds the arrays and
+    checks k once, and `entity` and `column` on every call: the
+    similarity-weighted mean deviation of the k most similar positive
+    neighbours of `entity` in `column`, or None when no neighbour has
+    positive similarity.  The compiled loop's `scratch` of dot products is
+    not needed here."""
     cp, ci, cd = cols_indptr, cols_indices, cols_data
     neighbors, ratings = ci[cp[column]:cp[column + 1]], cd[cp[column]:cp[column + 1]]
     keep = neighbors != entity

@@ -90,12 +90,14 @@ class TestEvaluate:
         ["--algos", ","],
         ["--algos", "mp,mp"],
         ["--confidence", "1.5"],
+        ["--out", "{missing}/r.json"],
     ])
-    def test_bad_input_exits_2_before_any_fold(self, data_dir, capsys, monkeypatch, argv):
+    def test_bad_input_exits_2_before_any_fold(self, data_dir, tmp_path, capsys, monkeypatch, argv):
         def no_fold(*args):
             raise AssertionError("a fold was built")
 
         monkeypatch.setattr(evaluation, "fold_train_test", no_fold)
+        argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
         code, stdout, stderr = run_cli(
             capsys, "evaluate", "--data", str(data_dir / "two_clusters.tsv"), "--algos", "mp", *argv
         )
@@ -238,6 +240,24 @@ class TestPredict:
         assert stdout == ""
         assert stderr == f"error: {message}\n"
         assert not out.exists()
+
+    def test_missing_dendrogram_dir_exits_2_before_loading(self, data_dir, tmp_path, capsys, monkeypatch):
+        def no_parse(*args, **kwargs):
+            raise AssertionError("the data was loaded")
+
+        monkeypatch.setattr(cli, "parse_ratings", no_parse)
+        out = tmp_path / "missing" / "tree.txt"
+        code, stdout, stderr = run_cli(
+            capsys,
+            "predict",
+            "--data", str(data_dir / "demo.tsv"),
+            "--user", "1",
+            "--item", "100",
+            "--dendrogram-out", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == f"error: output directory not found: {out.parent} (for {out})\n"
 
     def test_dendrogram_export(self, data_dir, tmp_path, capsys):
         out = tmp_path / "tree.txt"

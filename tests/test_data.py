@@ -68,6 +68,22 @@ class TestParseRatings:
         with pytest.raises(ParseError, match="line 1"):
             parse_ratings(["1\t5\tnan"])
 
+    @pytest.mark.parametrize("lines, delimiter", [
+        (["1 6 3.0", "1  5 4.0"], "space"),
+        (["1\t6\t3.0", "1\t\t4.0"], "tab"),
+        (["1\t6\t3.0", " \t5\t4.0"], "tab"),
+    ], ids=["doubled-space", "doubled-tab", "blank-user"])
+    def test_empty_id_rejected(self, lines, delimiter):
+        # a doubled delimiter would otherwise shift the rating into the item column
+        with pytest.raises(ParseError, match="line 2: empty user or item id"):
+            parse_ratings(lines, delimiter=delimiter)
+
+    def test_byte_order_mark_stripped(self, tmp_path):
+        path = tmp_path / "bom.tsv"
+        path.write_text("\ufeff1\t5\t4.0\n1\t6\t3.0\n", encoding="utf-8")
+        ds = parse_ratings(path)
+        assert ds.user_ids == ["1"] and ds.n_ratings == 2
+
     def test_adjacency_consistent_with_triples(self):
         # ratings of 0 included: the CSR rows must keep them as explicit entries
         rng = np.random.default_rng(3)

@@ -15,7 +15,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from cobar import kernels
 from cobar.kernels import _python
@@ -434,17 +433,17 @@ class TestCompiledLoopsTakeBuffers:
         _assert_unchanged(args, before)
 
 
-def _csr(matrix):
-    return matrix.indptr.astype(np.int64), matrix.indices.astype(np.int64), matrix.data
-
-
 def _knn_problem(triples, n_entities, n_columns, rng):
-    """`KnnIndex` arguments for (entity, column, rating) triples: norms as
-    the kNN baselines compute them, random means."""
-    entities, columns, ratings = (np.asarray(a) for a in zip(*triples))
-    rows = sparse.csr_matrix((ratings.astype(np.float64), (entities, columns)), shape=(n_entities, n_columns))
-    norms = np.sqrt(np.asarray(rows.multiply(rows).sum(axis=1)).ravel())
-    return _csr(rows), _csr(rows.T.tocsr()), norms, rng.uniform(0.0, 5.0, n_entities)
+    """`KnnIndex` arguments but k for (entity, column, rating) triples, in
+    the order given, with random means."""
+    entities, columns, ratings = zip(*triples)
+    return {
+        "entities": np.array(entities, dtype=np.int32),
+        "columns": np.array(columns, dtype=np.int32),
+        "ratings": np.array(ratings, dtype=np.float64),
+        "means": rng.uniform(0.0, 5.0, n_entities),
+        "n_columns": n_columns,
+    }
 
 
 def _hand_problem():
@@ -453,8 +452,9 @@ def _hand_problem():
     from their means."""
     triples = [(0, 0, 1.0), (1, 0, 3.0), (1, 2, 4.0), (2, 0, 4.0), (2, 2, 3.0), (3, 1, 3.0), (3, 2, 4.0),
                (4, 0, -4.0), (4, 2, 3.0), (5, 0, 3.0), (5, 2, 4.0)]
-    rows, cols, norms, _ = _knn_problem(triples, 6, 3, np.random.default_rng(0))
-    return rows, cols, norms, np.array([0.0, 3.0, 1.0, 0.0, 0.0, 5.0])
+    problem = _knn_problem(triples, 6, 3, np.random.default_rng(0))
+    problem["means"] = np.array([0.0, 3.0, 1.0, 0.0, 0.0, 5.0])
+    return problem
 
 
 MAX_NEIGHBOURS = 300
@@ -493,67 +493,70 @@ def _counting_problem(variant, seed=33):
     return _knn_problem(triples, MAX_NEIGHBOURS + 1, PROFILE + MAX_NEIGHBOURS, rng)
 
 
+# a spread of (entity, column) queries over the counting problems
+SPREAD = [(e, c) for e in range(0, MAX_NEIGHBOURS + 1, 15) for c in range(0, PROFILE + MAX_NEIGHBOURS, 17)]
+
+
 class TestKnnQuery:
     @pytest.mark.parametrize("variant", ["continuous", "ties", "signed"])
-    def test_backends_agree_for_every_neighbour_count(self, each_backend, variant):
+    def test_backends_agree_for_every_neighbour_count(self, compiled_kernels, variant):
         # the compiled loop re-implements np.sum's pairwise order; a numpy
-        # release that changes it fails here
-        problem = _counting_problem(variant)
+        # release that changes it fails here.  The loops take k per call,
+        # so one index's layout serves every k.
+        arrays = kernels.KnnIndex(**_counting_problem(variant), k=1)._arrays
         results = []
-        for _ in each_backend:
-            index = kernels.KnnIndex(*problem)
+        for loops in (_python, compiled_kernels):
             values = []
             for count in range(1, MAX_NEIGHBOURS + 1):
                 for k in sorted({count + 3, count, max(1, count - 1), max(1, count // 3), 1}):
-                    values.append(index.query(0, PROFILE + count - 1, k))
+                    values.append(loops.knn_query(*arrays, 0, PROFILE + count - 1, k))
             results.append(values)
         if variant != "signed":
             assert None not in results[0]
         assert results[0] == results[1]
 
     def test_equal_to_weighted_mean_of_top_k(self, kernel_backend):
-        index = kernel_backend.KnnIndex(*_hand_problem())
-        assert index.query(0, 2, 1) == 2.0
+        problem = _hand_problem()
+
+        def query(column, k):
+            return kernel_backend.KnnIndex(**problem, k=k).query(0, column)
+
+        assert query(2, 1) == 2.0
         # neighbour 1 beats 5 at the equal similarity 0.6
-        assert index.query(0, 2, 2) == pytest.approx((0.8 * 2.0 + 0.6 * 1.0) / 1.4, abs=1e-15)
-        assert index.query(0, 2, 3) == pytest.approx((0.8 * 2.0 + 0.6 * 1.0 - 0.6) / 2.0, abs=1e-15)
+        assert query(2, 2) == pytest.approx((0.8 * 2.0 + 0.6 * 1.0) / 1.4, abs=1e-15)
+        assert query(2, 3) == pytest.approx((0.8 * 2.0 + 0.6 * 1.0 - 0.6) / 2.0, abs=1e-15)
         # the zero and the negative similarity never count
-        assert index.query(0, 2, 30) == index.query(0, 2, 3)
-        assert index.query(0, 1, 30) is None
+        assert query(2, 30) == query(2, 3)
+        assert query(1, 30) is None
 
     def test_queries_leave_no_trace(self, kernel_backend):
         # the compiled loop's scratch of dot products is zeroed after every
         # query, so the order of queries does not matter
-        problem = _counting_problem("signed")
-        index = kernel_backend.KnnIndex(*problem)
-        queries = [(e, c) for e in range(0, 301, 15) for c in range(0, PROFILE + MAX_NEIGHBOURS, 17)]
-        first = [index.query(e, c, 5) for e, c in queries]
-        order = np.random.default_rng(1).permutation(len(queries))
-        again = [index.query(*queries[q], 5) for q in order]
+        index = kernel_backend.KnnIndex(**_counting_problem("signed"), k=5)
+        first = [index.query(e, c) for e, c in SPREAD]
+        order = np.random.default_rng(1).permutation(len(SPREAD))
+        again = [index.query(*SPREAD[q]) for q in order]
         assert again == [first[q] for q in order]
         assert not index._arrays[-1].any()
 
     def test_keeps_frozen_copies(self):
-        rows, cols, norms, means = _counting_problem("continuous")
-        index = kernels.KnnIndex(rows, cols, norms, means)
-        before = index.query(0, PROFILE + 40, 7)
-        for array in (*rows, *cols, norms, means):
-            array[:] = 0
-        assert index.query(0, PROFILE + 40, 7) == before
-        assert not any(array.flags.writeable for array in index._arrays[:-1])
+        # the index lays the triples out in arrays of its own and copies the
+        # means, so overwriting the caller's arrays changes no query
+        problem = _counting_problem("continuous")
+        index = kernels.KnnIndex(**problem, k=7)
+        before = [index.query(e, c) for e, c in SPREAD]
+        for name in ("entities", "columns", "ratings", "means"):
+            problem[name][:] = 0
+        assert [index.query(e, c) for e, c in SPREAD] == before
 
-
-def _replace(problem, where, value):
-    """`problem` with one array replaced: `where` is (argument, position)
-    for the CSR triples, or the argument alone for norms and means."""
-    rows, cols, norms, means = (list(p) if isinstance(p, tuple) else p for p in problem)
-    args = {"rows": rows, "cols": cols, "norms": norms, "means": means}
-    if isinstance(where, tuple):
-        name, position = where
-        args[name][position] = value(args[name][position])
-    else:
-        args[where] = value(args[where])
-    return [tuple(a) if isinstance(a, list) else a for a in args.values()]
+    def test_shuffled_triples_give_the_same_predictions(self, kernel_backend):
+        # both axes are sorted at construction, so each dot product and norm
+        # sums in ascending index order whatever order the triples come in
+        problem = _counting_problem("signed")
+        order = np.random.default_rng(2).permutation(len(problem["ratings"]))
+        shuffled = {**problem, **{name: problem[name][order] for name in ("entities", "columns", "ratings")}}
+        index, again = (kernel_backend.KnnIndex(**p, k=5) for p in (problem, shuffled))
+        assert [again.query(e, c) for e, c in SPREAD] == [index.query(e, c) for e, c in SPREAD]
 
 
 def _set(position, value):
@@ -565,41 +568,43 @@ def _set(position, value):
 
 
 class TestKnnIndexChecksInputs:
-    """The checked kNN entry rejects malformed arrays once, at construction,
-    and bad query arguments on every query, for either backend."""
+    """The checked kNN entry rejects malformed triples, means and k once, at
+    construction, and bad query arguments on every query, for either
+    backend."""
 
-    @pytest.mark.parametrize("where, value, error, match", [
-        (("rows", 0), lambda a: a.tolist(), TypeError, "must be an array"),
-        (("rows", 1), lambda a: a.astype(np.int32), TypeError, "must hold int64"),
-        (("cols", 2), lambda a: a.astype(np.float32), TypeError, "must hold float64"),
-        ("norms", lambda a: a.astype(np.float32), TypeError, "must hold float64"),
-        (("cols", 1), lambda a: np.repeat(a, 2)[::2], ValueError, "C-contiguous"),
+    @pytest.mark.parametrize("name, value, error, match", [
+        ("entities", lambda a: a.tolist(), TypeError, "must be an array"),
+        ("entities", lambda a: a.astype(np.int64), TypeError, "must hold int32"),
+        ("ratings", lambda a: a.astype(np.float32), TypeError, "must hold float64"),
+        ("means", lambda a: a.astype(np.float32), TypeError, "must hold float64"),
+        ("columns", lambda a: np.repeat(a, 2)[::2], ValueError, "C-contiguous"),
         ("means", lambda a: np.stack([a, a]), ValueError, "1-dimensional"),
-        (("rows", 2), lambda a: a[:-1], ValueError, "same length"),
-        (("rows", 0), lambda a: a + 1, ValueError, "start at 0"),
-        (("cols", 0), _set(-1, 0), ValueError, "start at 0"),
-        (("cols", 0), _set(2, 10**6), ValueError, "start at 0"),
-        (("rows", 0), lambda a: a[:0], ValueError, "start at 0"),
-        ("norms", lambda a: a[:-1], ValueError, "one entry per entity"),
-        ("means", lambda a: np.append(a, 1.0), ValueError, "one entry per entity"),
-        (("rows", 1), _set(3, 3), IndexError, "out of range"),
-        (("rows", 1), _set(3, -1), IndexError, "out of range"),
-        (("cols", 1), _set(9, 6), IndexError, "out of range"),
-    ], ids=["list", "int32-indices", "float32-data", "float32-norms", "strided", "2-d", "data-length",
-            "indptr-start", "indptr-end", "indptr-decreasing", "indptr-empty", "norms-length", "means-length",
-            "row-index-high", "row-index-negative", "col-index-high"])
-    def test_bad_array_rejected(self, each_backend, where, value, error, match):
-        problem = _replace(_hand_problem(), where, value)
+        ("ratings", lambda a: a[:-1], ValueError, "same length"),
+        ("means", lambda a: a[:-1], IndexError, "out of range"),
+        ("columns", _set(3, 3), IndexError, "out of range"),
+        ("columns", _set(3, -1), IndexError, "out of range"),
+        ("entities", _set(9, 6), IndexError, "out of range"),
+        ("entities", _set(9, -1), IndexError, "out of range"),
+        ("columns", _set(2, 0), ValueError, "repeated"),
+        ("k", lambda k: 0, ValueError, "k must be >= 1"),
+        ("k", lambda k: -2, ValueError, "k must be >= 1"),
+        ("k", lambda k: 2.5, TypeError, "integer"),
+    ], ids=["list", "int64-entities", "float32-data", "float32-means", "strided", "2-d", "data-length",
+            "means-length", "row-index-high", "row-index-negative", "col-index-high", "entity-negative",
+            "repeated-pair", "k-zero", "k-negative", "k-float"])
+    def test_bad_array_rejected(self, each_backend, name, value, error, match):
+        problem = {**_hand_problem(), "k": 30}
+        problem[name] = value(problem[name])
         for _ in each_backend:
             with pytest.raises(error, match=match):
-                kernels.KnnIndex(*problem)
+                kernels.KnnIndex(**problem)
 
     @pytest.mark.parametrize("args, error", [
-        ((-1, 2, 30), IndexError), ((6, 2, 30), IndexError), ((0, -1, 30), IndexError), ((0, 3, 30), IndexError),
-        ((0, 2, 0), ValueError), ((0, 2, -2), ValueError), ((0.0, 2, 30), TypeError), ((0, 2, 2.5), TypeError),
+        ((-1, 2), IndexError), ((6, 2), IndexError), ((0, -1), IndexError), ((0, 3), IndexError),
+        ((np.int64(6), 2), IndexError), ((0, np.int32(-4)), IndexError), ((0.0, 2), TypeError), ((0, 2.5), TypeError),
     ])
     def test_bad_query_rejected(self, each_backend, args, error):
-        index = kernels.KnnIndex(*_hand_problem())
+        index = kernels.KnnIndex(**_hand_problem(), k=30)
         for _ in each_backend:
             with pytest.raises(error):
                 index.query(*args)
