@@ -32,10 +32,7 @@ class OptionalBuildExt(build_ext):
         # be fused into one rounding (gcc fuses by default where FMA exists)
         if self.compiler.compiler_type == "unix":
             ext.extra_compile_args = [*ext.extra_compile_args, "-ffp-contract=off"]
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            warnings.warn(f"building {ext.name} failed ({exc}); using pure-Python fallback")
+        super().build_extension(ext)
 
 
 setup(

@@ -7,6 +7,7 @@ scale unless constructed with `clamp=False`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ class KnnConfig:
     k: int = 30
 
     def __post_init__(self):
-        if self.k < 1:
+        if operator.index(self.k) < 1:
             raise ValueError(f"neighbor count must be >= 1, got {self.k}")
 
 
@@ -43,11 +44,11 @@ class MfConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.factors < 1:
+        if operator.index(self.factors) < 1:
             raise ValueError("factors must be >= 1")
-        if self.learning_rate <= 0 or self.regularization < 0:
-            raise ValueError("learning_rate must be > 0, regularization >= 0")
-        if self.epochs < 0:
+        if not (0 < self.learning_rate < np.inf and 0 <= self.regularization < np.inf):
+            raise ValueError("learning_rate must be finite and > 0, regularization finite and >= 0")
+        if operator.index(self.epochs) < 0:
             raise ValueError("epochs must be >= 0")
 
 

@@ -10,10 +10,9 @@ Two subcommands:
   half-width) or the fallback that fired.
 
 Clustering stores the n(n-1)/2 pairwise distances once, as float64,
-4 * n * (n-1) bytes (34.3 MB at 3000 users); the compiled merge loop works
-inside them, and the numpy fallback adds one n x n work matrix.  Datasets
-with more than ``MAX_CLUSTERING_USERS`` users must be reduced with
-``--max-users`` (seeded user subsampling).
+4 * n * (n-1) bytes (34.3 MB at 3000 users), and both merge loops work
+inside them.  Datasets with more than ``MAX_CLUSTERING_USERS`` users must
+be reduced with ``--max-users`` (seeded user subsampling).
 """
 
 from __future__ import annotations

@@ -72,13 +72,15 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float], level: float = 
     a normal approximation with tie correction and continuity correction is
     used.  `significant` is `p < 1 - level`.
 
-    Raises ValueError when the samples are identical (no nonzero
-    differences), where the test is undefined.
+    Raises ValueError when a sample is NaN or infinite, or when the samples
+    are identical (no nonzero differences), where the test is undefined.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"paired samples must have equal length, got {a.shape} vs {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("paired samples must be finite")
     diffs = a - b
     diffs = diffs[diffs != 0.0]
     m = len(diffs)

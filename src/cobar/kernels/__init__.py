@@ -9,8 +9,8 @@ stops the import with the rebuild command.  `ward_linkage`, `mf_sgd_epoch`
 and `KnnIndex` check every argument, once for both backends, before they
 call the selected loop, which trusts its caller.  `KnnIndex` takes the
 training triples and builds the sorted CSR layout the kNN loops read, so
-no other module knows it.  Both backends give the same merges, heights
-and kNN aggregates bit for bit.
+no other module knows it.  Both backends give the same merges, heights,
+MF updates and kNN aggregates bit for bit: only speed depends on BACKEND.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Pure numpy implementations of the hot kernels.
 
 They are the fallback for environments without the compiled `_compiled`
-extension and the reference that extension is tested against.  Like the
-compiled loops, they trust their caller, `cobar.kernels`, to have checked
-every argument.
+extension and the reference it is tested against: each runs the compiled
+loop's steps on the same memory in the same order, for the same bits, and
+trusts its caller, `cobar.kernels`, to have checked every argument.
 """
 
 from __future__ import annotations
@@ -17,31 +17,31 @@ def ward_loop(d2: np.ndarray, merges: np.ndarray, heights: np.ndarray) -> None:
     allocates `merges` and `heights`; fills the n-1 rows of both for the
     condensed squared distances `d2` of n >= 2 clusters.
 
-    The work matrix keeps the a active clusters in slots 0..a-1, so
-    ``D[:a, :a]`` is always the live block.  Merging the clusters in slots
-    i < j writes the Ward update into row and column i and moves the last
-    active slot into the freed slot j.  The tie-break compares node ids,
-    not slots, so the moves leave the result unchanged.  This numpy loop
-    copies `d2` into one n x n work matrix, row by row, so a `d2` that is a
-    view costs no second copy; the compiled loop runs the same steps inside
-    `d2` itself.
+    The loop keeps the a active clusters in slots 0..a-1 and works inside
+    `d2`, as the compiled loop does: pair r < c sits at ``d2[off[r] + c]``.
+    Merging slots i < j writes the Ward update into slot i's pairs and moves
+    the last active slot into the freed slot j; the tie-break compares node
+    ids, not slots, so the moves leave the result unchanged.
 
     A minimum that is not finite (the Ward updates overflowed) is written
     to `heights` and ends the loop, as in the compiled loop, and the entry
     rejects it; the overflow itself raises no warning.
     """
     n = len(heights) + 1
-    D = np.empty((n, n))
-    start = 0
+    slot = np.arange(n)
+    off = slot * (2 * n - slot - 3) // 2 - 1
+    node_id = slot.copy()
+    size = np.ones(n)
+    # row minima in one pass over the runs, keeping running column minima
+    row_min = np.full(n, np.inf)
     for r in range(n - 1):
-        row = d2[start:start + n - 1 - r]
-        D[r, r + 1:] = row
-        D[r + 1:, r] = row
-        start += n - 1 - r
-    np.fill_diagonal(D, np.inf)
-    node_id = np.arange(n, dtype=np.int64)
-    size = np.ones(n, dtype=np.float64)
-    row_min = D.min(axis=1)
+        run = d2[off[r] + r + 1:off[r] + n]
+        row_min[r] = min(row_min[r], run.min())
+        np.minimum(row_min[r + 1:], run, out=row_min[r + 1:])
+
+    def row(x: int, a: int) -> np.ndarray:
+        """Slot x's distances to the active slots 0..a-1, inf at x itself."""
+        return np.concatenate((d2[off[:x] + x], [np.inf], d2[off[x] + x + 1:off[x] + a]))
 
     for m in range(n - 1):
         a = n - m
@@ -50,25 +50,22 @@ def ward_loop(d2: np.ndarray, merges: np.ndarray, heights: np.ndarray) -> None:
             heights[m] = g
             return
 
-        # all pairs at the minimum, lexicographic smallest id pair wins
+        # all pairs (r, c > r) at the minimum, lexicographic smallest id pair wins
         best_ids = None
-        best_slots = None
         for r in np.flatnonzero(row_min[:a] == g):
-            for c in np.flatnonzero(D[r, :a] == g):
+            for c in np.flatnonzero(d2[off[r] + r + 1:off[r] + a] == g) + r + 1:
                 x, y = node_id[r], node_id[c]
                 ids = (x, y) if x < y else (y, x)
                 if best_ids is None or ids < best_ids:
-                    best_ids = ids
-                    best_slots = (r, c) if r < c else (c, r)
-        i, j = best_slots
+                    best_ids, i, j = ids, r, c
         merges[m, 0], merges[m, 1] = best_ids
         heights[m] = g
 
-        # Ward update of slot i against every active slot.  D is symmetric,
-        # so rows i and j are also the old columns; their diagonal inf
-        # makes new_d inf at i and j.
-        old_i = D[i, :a]
-        old_j = D[j, :a]
+        # Ward update of slot i against every active slot; the inf of rows
+        # i and j at their own slots makes new_d inf there, and the one at
+        # j is written to the dead pair (i, j)
+        old_i = row(i, a)
+        old_j = row(j, a)
         s = size[:a]
         new_d = ((size[i] + s) * old_i + (size[j] + s) * old_j - s * g) / (size[i] + size[j] + s)
         np.maximum(new_d, 0.0, out=new_d)
@@ -81,24 +78,24 @@ def ward_loop(d2: np.ndarray, merges: np.ndarray, heights: np.ndarray) -> None:
         stale = ~improved & ((rm == old_i) | (rm == old_j))
         stale[i] = stale[j] = False
         rm[improved] = new_d[improved]
-        D[i, :a] = new_d
-        D[:a, i] = new_d
+        d2[off[:i] + i] = new_d[:i]
+        d2[off[i] + i + 1:off[i] + a] = new_d[i + 1:]
         size[i] += size[j]
         node_id[i] = n + m
 
         # the last active slot moves into the freed slot j
         last = a - 1
         if j != last:
-            D[j, :last] = D[last, :last]
-            D[:last, j] = D[:last, last]
-            D[j, j] = np.inf
+            moved = d2[off[:last] + last]
+            d2[off[:j] + j] = moved[:j]
+            d2[off[j] + j + 1:off[j] + last] = moved[j + 1:]
             size[j] = size[last]
             node_id[j] = node_id[last]
             row_min[j] = row_min[last]
             stale[j] = stale[last]
         for r in np.flatnonzero(stale[:last]):
-            row_min[r] = D[r, :last].min()
-        row_min[i] = D[i, :last].min() if last > 1 else np.inf
+            row_min[r] = row(r, last).min()
+        row_min[i] = row(i, last).min()
 
 
 def sgd_epoch(
@@ -116,7 +113,8 @@ def sgd_epoch(
 ) -> None:
     """The epoch of `cobar.kernels.mf_sgd_epoch`, which checks every array
     and index: one stochastic gradient pass over the ratings in `order`,
-    updating the factors and biases in place."""
+    updating the factors and biases in place.  Dot products are summed in
+    factor order from 0.0, as compiled (`sum` compensates on Python 3.12+)."""
     lr = learning_rate
     reg = regularization
     for t in order:
@@ -124,7 +122,10 @@ def sgd_epoch(
         i = items[t]
         p = user_factors[u]
         q = item_factors[i]
-        err = ratings[t] - (global_mean + user_bias[u] + item_bias[i] + float(p @ q))
+        dot = 0.0
+        for term in (p * q).tolist():
+            dot += term
+        err = ratings[t] - (global_mean + user_bias[u] + item_bias[i] + dot)
         user_bias[u] += lr * (err - reg * user_bias[u])
         item_bias[i] += lr * (err - reg * item_bias[i])
         p_old = p.copy()

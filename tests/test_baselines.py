@@ -14,6 +14,32 @@ from conftest import RATING_SCALES, REPO_ROOT, make_dataset, random_grid_dataset
 from oracles import knn_prediction, mf_training_mse
 
 
+class TestConfigChecks:
+    """Counts must be integers and the MF rates finite, checked when the
+    config is made rather than at the first fit."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: KnnConfig(k=2.5),
+        lambda: KnnConfig(k=np.float64(3.0)),
+        lambda: MfConfig(factors=2.5),
+        lambda: MfConfig(epochs=2.5),
+    ], ids=["k", "k-float64", "factors", "epochs"])
+    def test_non_integer_count_rejected(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_numpy_integer_counts_accepted(self):
+        assert KnnConfig(k=np.int64(3)).k == 3
+        config = MfConfig(factors=np.int32(4), epochs=np.int64(0))
+        assert (config.factors, config.epochs) == (4, 0)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "regularization"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rate_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            MfConfig(**{field: value})
+
+
 class TestMostPopular:
     def test_item_mean(self):
         ds = make_dataset([("a", "x", 4.0), ("b", "x", 5.0), ("a", "y", 1.0)])
@@ -354,13 +380,16 @@ class TestMatrixFactorization:
         assert model2.predict(ds2.user_index("c"), ds2.item_index("z")) == float(train2.ratings.mean())
 
     def test_backends_agree(self, compiled_kernels, monkeypatch):
+        # both epochs sum each dot product in factor order: bit for bit
         ds = _rank_one_dataset(seed=5)
         results = []
         for loops in (_python, compiled_kernels):
             monkeypatch.setattr(kernels, "_loops", loops)
             model = MatrixFactorization(MfConfig(epochs=10, seed=7)).fit(ds)
-            results.append([model.predict(int(u), int(i)) for u, i in zip(ds.users, ds.items)])
-        np.testing.assert_allclose(results[0], results[1], atol=1e-8)
+            predictions = [model.predict(int(u), int(i)) for u, i in zip(ds.users, ds.items)]
+            results.append([predictions, model.user_factors, model.item_factors, model.user_bias, model.item_bias])
+        for a, b in zip(*results):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestClampBounds:

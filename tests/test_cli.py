@@ -91,6 +91,7 @@ class TestEvaluate:
         ["--algos", "mp,mp"],
         ["--confidence", "1.5"],
         ["--out", "{missing}/r.json"],
+        ["--mf-lr", "nan"],
     ])
     def test_bad_input_exits_2_before_any_fold(self, data_dir, tmp_path, capsys, monkeypatch, argv):
         def no_fold(*args):

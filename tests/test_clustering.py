@@ -152,7 +152,7 @@ class TestAgglomerate:
 
     def test_peak_memory_half_matrix(self, kernel_backend):
         # the condensed distances (n(n-1)/2 doubles) and one block buffer;
-        # the numpy loop adds its n x n work matrix
+        # both merge loops work inside the distances
         rng = np.random.default_rng(12)
         rows = [
             (f"u{u}", f"i{i}", int(rng.integers(1, 11)) / 2.0)
@@ -167,7 +167,7 @@ class TestAgglomerate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (1.6 if kernels._loops is _python else 0.8) * 8 * n * n
+        assert peak <= 0.8 * 8 * n * n
 
     def test_inputs_not_written(self, kernel_backend):
         # the merge loop overwrites the distances agglomerate made, and

@@ -9,7 +9,7 @@ from scipy import stats as scipy_stats
 
 from cobar import MfConfig, build_algorithms, rmse, run_cross_validation, wilcoxon_signed_rank
 from cobar.evaluation import ALGORITHM_NAMES, EXACT_WILCOXON_LIMIT
-from conftest import make_dataset, random_grid_dataset
+from conftest import RATING_SCALES, make_dataset, random_grid_dataset
 from oracles import WILCOXON_CRITICAL, wilcoxon_enumerated_p
 
 
@@ -52,6 +52,13 @@ class TestWilcoxon:
     def test_identical_samples_rejected(self):
         with pytest.raises(ValueError, match="identical"):
             wilcoxon_signed_rank([1.0, 2.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        # a NaN difference is nonzero, so it would be ranked like a number
+        for a, b in (([1.0, bad, 3.0], [0.5, 1.0, 2.0]), ([1.0, 2.0, 3.0], [bad, 1.0, 2.0])):
+            with pytest.raises(ValueError, match="finite"):
+                wilcoxon_signed_rank(a, b)
 
     def test_two_sided_symmetry(self):
         rng = np.random.default_rng(4)
@@ -192,6 +199,23 @@ class TestRunCrossValidation:
         r1 = run_cross_validation(two_clusters_dataset, algos(), folds=4, seed=11)
         r2 = run_cross_validation(two_clusters_dataset, algos(), folds=4, seed=11)
         assert r1.to_json() == r2.to_json()
+
+    @pytest.mark.parametrize("data", ["two_clusters", "step_0_01"])
+    def test_report_byte_identical_across_backends(self, two_clusters_dataset, each_backend, data):
+        # every kernel gives the same bits on both backends, so the report
+        # of all five algorithms does not depend on the backend; on both
+        # datasets, 30 MF epochs that sum a dot product in another order
+        # change the report's last digits
+        if data == "two_clusters":
+            ds = two_clusters_dataset
+        else:
+            ds = random_grid_dataset(np.random.default_rng(41), max_users=40, max_items=30, draw=RATING_SCALES[data])
+        reports = []
+        for _ in each_backend:
+            algos = build_algorithms(ALGORITHM_NAMES, mf_config=MfConfig(epochs=30, seed=3))
+            reports.append(run_cross_validation(ds, algos, folds=3, seed=8).to_json())
+        assert len(reports) == 2 and reports[0] == reports[1]
+        assert set(json.loads(reports[0])["results"]) == set(ALGORITHM_NAMES)
 
     def test_report_schema(self, two_clusters_dataset):
         report = run_cross_validation(
