@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import stdtrit
 
 from .clustering import Dendrogram, agglomerate
 from .data import MeanStats, RatingDataset, _PredictorMixin, compute_user_stats
@@ -31,7 +31,8 @@ from .data import MeanStats, RatingDataset, _PredictorMixin, compute_user_stats
 
 @lru_cache(maxsize=None)
 def _t_critical(level: float, dof: int) -> float:
-    return float(_scipy_stats.t.ppf(0.5 + level / 2.0, dof))
+    # the kernel behind scipy's `t.ppf(p, dof)`, with the same bits
+    return float(stdtrit(dof, 0.5 + level / 2.0))
 
 
 class Fallback(enum.Enum):

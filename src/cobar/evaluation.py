@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import ndtr
 
 from .baselines import ItemKnn, KnnConfig, MatrixFactorization, MfConfig, MostPopular, UserKnn
 from .core import CobarConfig, CobarModel
@@ -46,6 +46,26 @@ class WilcoxonResult:
     method: str               # "exact" or "normal"
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of `values`, tied values sharing the mean of their
+    ranks: scipy's `rankdata(values, method="average")`, bit for bit."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    # a run of equal values in sorted slots [start, end) holds ranks
+    # start+1 .. end, whose mean (start + 1 + end) / 2 is exact
+    ranks = np.empty(len(values), dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
+def _check_level(level: float) -> None:
+    # the negated test also rejects NaN
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"Wilcoxon level must be in (0, 1), got {level}")
+
+
 def _exact_two_sided_p(doubled_ranks: np.ndarray, doubled_stat: int) -> float:
     """P-value from the full sign-assignment distribution of the statistic.
 
@@ -72,9 +92,11 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float], level: float = 
     a normal approximation with tie correction and continuity correction is
     used.  `significant` is `p < 1 - level`.
 
-    Raises ValueError when a sample is NaN or infinite, or when the samples
-    are identical (no nonzero differences), where the test is undefined.
+    Raises ValueError for a level outside (0, 1) or NaN, when a sample is
+    NaN or infinite, or when the samples are identical (no nonzero
+    differences), where the test is undefined.
     """
+    _check_level(level)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -87,7 +109,7 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float], level: float = 
     if m == 0:
         raise ValueError("signed-rank test undefined on identical samples")
 
-    ranks = _scipy_stats.rankdata(np.abs(diffs), method="average")
+    ranks = _average_ranks(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
     w_minus = float(ranks[diffs < 0].sum())
     statistic = min(w_plus, w_minus)
@@ -102,7 +124,7 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float], level: float = 
         tie_term = float(np.sum(tie_counts**3 - tie_counts)) / 48.0
         var = m * (m + 1) * (2 * m + 1) / 24.0 - tie_term
         z = (statistic - mean + 0.5) / math.sqrt(var)
-        p = min(2.0 * float(_scipy_stats.norm.cdf(z)), 1.0)
+        p = min(2.0 * float(ndtr(z)), 1.0)
         method = "normal"
 
     return WilcoxonResult(
@@ -202,8 +224,7 @@ def run_cross_validation(
     so coverage is total.  A `wilcoxon_level` outside (0, 1) is rejected
     before the first fold.
     """
-    if not 0.0 < wilcoxon_level < 1.0:
-        raise ValueError(f"Wilcoxon level must be in (0, 1), got {wilcoxon_level}")
+    _check_level(wilcoxon_level)
     split = kfold_split(dataset, folds, seed)
     names = list(algorithms)
     fold_rmse: dict[str, list[float]] = {name: [] for name in names}

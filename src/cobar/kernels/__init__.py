@@ -89,7 +89,7 @@ def ward_linkage(d2) -> tuple[np.ndarray, np.ndarray]:
         Leaves are 0..n-1; merge m creates node n+m.
     heights:
         (n-1,) float64 linkage values in the squared-distance domain,
-        non-decreasing.
+        non-decreasing; a zero height is always +0.0.
 
     Equal minimal linkages are broken by the lexicographically smallest
     (id, id) pair, which makes the result deterministic.  A linkage that
@@ -110,6 +110,9 @@ def ward_linkage(d2) -> tuple[np.ndarray, np.ndarray]:
         # a loop stops at the first height that is not finite
         if not np.isfinite(heights).all():
             raise OverflowError("Ward linkage overflowed: a merge height is not finite")
+        # the loops may keep different zeros of a d2 holding -0.0; adding
+        # +0.0 turns -0.0 into +0.0 and leaves every other height as it is
+        heights += 0.0
     return merges, heights
 
 

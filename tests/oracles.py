@@ -295,6 +295,22 @@ def wilcoxon_enumerated_p(diffs) -> float:
     return min(2.0 * hits / 2**m, 1.0)
 
 
+def wilcoxon_normal_p(diffs) -> float:
+    """The two-sided p-value of the normal approximation with tie and
+    continuity correction, in the arithmetic `wilcoxon_signed_rank` used
+    when its ranks came from `rankdata` and its tail from `norm.cdf`."""
+    diffs = np.asarray(diffs, dtype=np.float64)
+    diffs = diffs[diffs != 0.0]
+    m = len(diffs)
+    ranks = scipy_stats.rankdata(np.abs(diffs), method="average")
+    statistic = min(float(ranks[diffs > 0].sum()), float(ranks[diffs < 0].sum()))
+    _, tie_counts = np.unique(np.abs(diffs), return_counts=True)
+    tie_term = float(np.sum(tie_counts**3 - tie_counts)) / 48.0
+    var = m * (m + 1) * (2 * m + 1) / 24.0 - tie_term
+    z = (statistic - m * (m + 1) / 4.0 + 0.5) / math.sqrt(var)
+    return min(2.0 * float(scipy_stats.norm.cdf(z)), 1.0)
+
+
 def knn_prediction(dataset, user, item, k=30, user_based=True, clamp=True):
     """Brute-force mean-centered cosine kNN from dense rating vectors.
 

@@ -7,6 +7,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from cobar import (
     ClusterItemStats,
@@ -17,6 +18,7 @@ from cobar import (
     build_item_stats,
     select_optimal_cluster,
 )
+from cobar.core import _t_critical
 from conftest import make_dataset, random_grid_dataset
 from oracles import (
     T_TABLE_95,
@@ -78,6 +80,13 @@ class TestConfidenceHalfWidth:
     def test_bad_level_rejected(self):
         with pytest.raises(ValueError, match="confidence level"):
             CobarConfig(confidence_level=1.5)
+
+    @pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
+    def test_t_critical_bit_identical_to_t_ppf(self, level):
+        dofs = np.array([*range(1, 3001), 10**4, 10**5, 10**6, 10**7, 10**8])
+        want = scipy_stats.t.ppf(0.5 + level / 2.0, dofs)
+        got = np.array([_t_critical.__wrapped__(level, int(dof)) for dof in dofs])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestBuildItemStats:

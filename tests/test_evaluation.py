@@ -8,9 +8,9 @@ import pytest
 from scipy import stats as scipy_stats
 
 from cobar import MfConfig, build_algorithms, rmse, run_cross_validation, wilcoxon_signed_rank
-from cobar.evaluation import ALGORITHM_NAMES, EXACT_WILCOXON_LIMIT
+from cobar.evaluation import ALGORITHM_NAMES, EXACT_WILCOXON_LIMIT, _average_ranks
 from conftest import RATING_SCALES, make_dataset, random_grid_dataset
-from oracles import WILCOXON_CRITICAL, wilcoxon_enumerated_p
+from oracles import WILCOXON_CRITICAL, wilcoxon_enumerated_p, wilcoxon_normal_p
 
 
 class TestRmse:
@@ -120,12 +120,41 @@ class TestWilcoxon:
         ref = scipy_stats.wilcoxon(a, b, alternative="two-sided", mode="approx", correction=True)
         assert res.p_value == pytest.approx(float(ref.pvalue), rel=1e-6)
 
+    def test_normal_p_value_bit_identical_to_norm_cdf(self):
+        rng = np.random.default_rng(34)
+        for _ in range(300):
+            n = int(rng.integers(EXACT_WILCOXON_LIMIT + 1, 200))
+            # continuous differences, or a coarse grid with many ties and some zeros
+            diffs = rng.normal(loc=0.2, size=n) if rng.random() < 0.5 else rng.integers(-4, 5, n) / 2.0
+            if np.count_nonzero(diffs) <= EXACT_WILCOXON_LIMIT:
+                continue
+            res = wilcoxon_signed_rank(diffs, np.zeros(n))
+            assert res.method == "normal"
+            assert res.p_value == wilcoxon_normal_p(diffs)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_level_outside_unit_interval_rejected(self, level):
+        with pytest.raises(ValueError, match=r"Wilcoxon level must be in \(0, 1\)"):
+            wilcoxon_signed_rank([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], level=level)
+
     def test_significance_threshold(self):
         # 8 folds, all positive: exact p = 2/256 = 0.0078 < 0.01
         a = np.arange(1.0, 9.0)
         res = wilcoxon_signed_rank(a, np.zeros(8), level=0.99)
         assert res.p_value == pytest.approx(2.0 / 256.0)
         assert res.significant
+
+
+class TestAverageRanks:
+    def test_bit_identical_to_rankdata(self):
+        rng = np.random.default_rng(35)
+        for _ in range(2000):
+            n = int(rng.integers(1, 60))
+            tie_heavy = rng.integers(0, int(rng.integers(1, 8)), n) / 2.0
+            tie_free = np.abs(rng.normal(size=n))
+            for values in (tie_heavy, tie_free):
+                want = scipy_stats.rankdata(values, method="average")
+                assert _average_ranks(values).tobytes() == want.tobytes()
 
 
 class _PerfectOracle:
@@ -243,7 +272,7 @@ class TestRunCrossValidation:
         with pytest.raises(ValueError, match="unknown algorithm"):
             build_algorithms(["cobar", "svd++"])
 
-    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5])
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, math.nan])
     def test_wilcoxon_level_outside_unit_interval_rejected_before_any_fit(self, level):
         ds = random_grid_dataset(np.random.default_rng(46), max_users=10)
         log = []

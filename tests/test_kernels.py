@@ -221,6 +221,23 @@ class TestWardKernel:
             messages.append(str(exc.value))
         assert messages == ["Ward linkage overflowed: a merge height is not finite"] * 2
 
+    def test_zero_heights_are_positive_alike(self, each_backend):
+        # -0.0 passes the entry's nonnegativity check; the compiled loop
+        # keeps the first zero its scans meet, the numpy minima may keep the
+        # other, so without the entry's normalisation the bits differ
+        rng = np.random.default_rng(76)
+        cases = []
+        for _ in range(300):
+            n = int(rng.integers(2, 12))
+            d2 = rng.integers(0, 5, size=n * (n - 1) // 2) / 2.0
+            d2[rng.random(len(d2)) < 0.4] = -0.0
+            cases.append(d2)
+        results = {name: [kernels.ward_linkage(d2.copy()) for d2 in cases] for name in each_backend}
+        for (merges, heights), (c_merges, c_heights) in zip(results["python"], results["c"]):
+            assert np.array_equal(merges, c_merges)
+            assert heights.tobytes() == c_heights.tobytes()
+            assert not np.signbit(heights).any()
+
     def test_rejects_negative_entry(self, ward_linkage):
         # without the check this gives heights [-1.0, 2.33]
         d2 = np.array([1.0, -1.0, 2.0])
