@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .data import RatingDataset
+from .data import RatingDataset, csr_rows
 
 
 def cosine_distance_matrix(dataset: RatingDataset, users: np.ndarray) -> np.ndarray:
@@ -38,7 +38,12 @@ def cosine_distance_matrix(dataset: RatingDataset, users: np.ndarray) -> np.ndar
     row on goes through a buffer of at most 1/16 of the n x n entries, and
     each row's share of the upper triangle is copied out of it.
     """
-    R = dataset.sparse_by_user()[np.asarray(users)]
+    from scipy import sparse
+    indptr, indices, data = csr_rows(dataset.users, dataset.items, dataset.ratings, dataset.n_users, dataset.n_items)
+    R = sparse.csr_matrix((data, indices, indptr), shape=(dataset.n_users, dataset.n_items))[np.asarray(users)]
+    del indptr, indices, data   # only the listed users' rows live through the blocks
+    # scipy's row sum, not the bincount of `KnnIndex`: off a binary-exact
+    # scale the two round differently, and every distance keeps these bits
     norms = np.sqrt(np.asarray(R.multiply(R).sum(axis=1)).ravel())
     if np.any(norms == 0.0):
         bad = int(np.flatnonzero(norms == 0.0)[0])

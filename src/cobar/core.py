@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .clustering import Dendrogram, agglomerate
-from .data import MeanStats, RatingDataset, _PredictorMixin, compute_user_stats
+from .data import MeanStats, RatingDataset, _PredictorMixin, compute_user_stats, csr_rows
 
 
 @lru_cache(maxsize=None)
@@ -103,8 +103,8 @@ class ClusterItemStats:
 def build_item_stats(dendrogram: Dendrogram, train: RatingDataset) -> ClusterItemStats:
     """Accumulate (n, sum, sum_sq, min, max) per item for every node of the hierarchy."""
     maps: list[dict[int, tuple[int, float, float, float, float]]] = [dict() for _ in range(dendrogram.n_nodes)]
-    rows = train.sparse_by_user()
-    indptr, indices, data = rows.indptr.tolist(), rows.indices.tolist(), rows.data.tolist()
+    rows = csr_rows(train.users, train.items, train.ratings, train.n_users, train.n_items)
+    indptr, indices, data = (a.tolist() for a in rows)
     for leaf, user in enumerate(dendrogram.leaf_users.tolist()):
         lo, hi = indptr[user], indptr[user + 1]
         # one float object serves as the sum, the min and the max

@@ -79,15 +79,6 @@ class RatingDataset:
         except KeyError:
             raise KeyError(f"unknown item id {external_id!r}") from None
 
-    def sparse_by_user(self):
-        """CSR matrix (n_users x n_items) of the ratings."""
-        from scipy import sparse
-
-        return sparse.csr_matrix(
-            (self.ratings, (self.users, self.items)),
-            shape=(self.n_users, self.n_items),
-        )
-
     def subset(self, triple_indices: np.ndarray) -> "RatingDataset":
         """New dataset over the same user/item index space, keeping only the
         given triples.  Scale bounds are inherited, not recomputed, so clamping
@@ -105,6 +96,21 @@ class RatingDataset:
             _user_index=self._user_index,
             _item_index=self._item_index,
         )
+
+
+def csr_rows(keys, others, ratings, n_keys: int, n_others: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rating triples in CSR form with `keys` as rows, each row sorted
+    by `others`: int64 indptr and indices and float64 data, explicit zeros
+    kept.  A repeated (key, other) pair raises `ValueError`.  The package's
+    one CSR builder: the cosine pass, the cluster statistics and
+    `kernels.KnnIndex` all read the ratings through it."""
+    flat = keys.astype(np.int64) * n_others + others
+    order = np.argsort(flat)
+    if np.any(np.diff(flat[order]) == 0):
+        raise ValueError("an (entity, column) pair is repeated")
+    indptr = np.zeros(n_keys + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n_keys), out=indptr[1:])
+    return indptr, others[order].astype(np.int64), ratings[order]
 
 
 def parse_ratings(

@@ -7,10 +7,10 @@ selected at import: ``"c"`` when `_compiled` imports, ``"python"`` when
 there is no `_compiled`; one that exists but cannot load, or lacks a loop,
 stops the import with the rebuild command.  `ward_linkage`, `mf_sgd_epoch`
 and `KnnIndex` check every argument, once for both backends, before they
-call the selected loop, which trusts its caller.  `KnnIndex` takes the
-training triples and builds the sorted CSR layout the kNN loops read, so
-no other module knows it.  Both backends give the same merges, heights,
-MF updates and kNN aggregates bit for bit: only speed depends on BACKEND.
+call the selected loop, which trusts its caller.  `KnnIndex` lays the
+training triples out along both axes with `cobar.data.csr_rows`.  Both
+backends give the same merges, heights, MF updates and kNN aggregates bit
+for bit: only speed depends on BACKEND.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import operator
 
 import numpy as np
 
+from ..data import csr_rows
 from . import _python
 
 _REBUILD = "rebuild it with: python setup.py build_ext --inplace --force"
@@ -150,19 +151,6 @@ def mf_sgd_epoch(users, items, ratings, order, user_factors, item_factors, user_
                      global_mean, learning_rate, regularization)
 
 
-def _csr(keys, others, ratings, n_keys: int, n_others: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ratings in CSR form with `keys` as rows, each row sorted by
-    `others`: int64 indptr and indices and float64 data.  A repeated
-    (key, other) pair raises `ValueError`."""
-    flat = keys.astype(np.int64) * n_others + others
-    order = np.argsort(flat)
-    if np.any(np.diff(flat[order]) == 0):
-        raise ValueError("an (entity, column) pair is repeated")
-    indptr = np.zeros(n_keys + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=n_keys), out=indptr[1:])
-    return indptr, others[order].astype(np.int64), ratings[order]
-
-
 class KnnIndex:
     """The mean-centred cosine kNN query of `UserKnn` and `ItemKnn`.
 
@@ -172,9 +160,9 @@ class KnnIndex:
     (1-D, C-contiguous, of equal length, no pair repeated), one float64
     mean per entity, the column count and `k` >= 1, all checked here;
     `TypeError`, `ValueError` or `IndexError` otherwise.  It lays the
-    ratings out itself, in CSR form along both axes with every row sorted,
-    plus the norms, so each query checks only its own arguments before the
-    loop reads the arrays unchecked.
+    ratings out with `cobar.data.csr_rows`, in CSR form along both axes
+    with every row sorted, plus the norms, so each query checks only its
+    own arguments before the loop reads the arrays unchecked.
     """
 
     def __init__(self, entities, columns, ratings, means, n_columns: int, k: int):
@@ -189,8 +177,8 @@ class KnnIndex:
         _check_range("columns", columns, self.n_columns)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        rows = _csr(entities, columns, ratings, self.n_entities, self.n_columns)
-        cols = _csr(columns, entities, ratings, self.n_columns, self.n_entities)
+        rows = csr_rows(entities, columns, ratings, self.n_entities, self.n_columns)
+        cols = csr_rows(columns, entities, ratings, self.n_columns, self.n_entities)
         # each row's squares summed in ascending column order
         entity_of = np.repeat(np.arange(self.n_entities), np.diff(rows[0]))
         norms = np.sqrt(np.bincount(entity_of, weights=rows[2] * rows[2], minlength=self.n_entities))

@@ -19,6 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
+from scipy import sparse
 from scipy import stats as scipy_stats
 
 # Two-sided 95% Student-t critical values, published table, df = 1..29.
@@ -162,8 +163,11 @@ def condensed(d2: np.ndarray) -> np.ndarray:
 def cosine_distance_reference(dataset, users=None) -> np.ndarray:
     """The earlier cosine distance matrix, kept verbatim as a bit-identity
     reference: the whole sparse product made dense, then each step as a
-    new array and `upper + upper.T` for exact symmetry."""
-    R = dataset.sparse_by_user()
+    new array and `upper + upper.T` for exact symmetry.  The matrix comes
+    from scipy's own COO to CSR conversion of the triples, not from the
+    library's CSR builder."""
+    R = sparse.csr_matrix((dataset.ratings, (dataset.users, dataset.items)),
+                          shape=(dataset.n_users, dataset.n_items))
     if users is not None:
         R = R[np.asarray(users)]
     norms = np.sqrt(np.asarray(R.multiply(R).sum(axis=1)).ravel())
@@ -177,6 +181,13 @@ def cosine_distance_reference(dataset, users=None) -> np.ndarray:
     # exact symmetry so the merge loop's tie handling sees one value per pair
     upper = np.triu(dist, 1)
     return upper + upper.T
+
+
+def dense_ratings(dataset) -> np.ndarray:
+    """The n_users x n_items rating matrix, zero where unrated."""
+    dense = np.zeros((dataset.n_users, dataset.n_items))
+    dense[dataset.users, dataset.items] = dataset.ratings
+    return dense
 
 
 def leaves_under(dendrogram, node) -> np.ndarray:

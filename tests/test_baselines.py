@@ -11,7 +11,7 @@ from cobar import kernels, kfold_split, parse_ratings
 from cobar.data import fold_train_test
 from cobar.kernels import _python
 from conftest import RATING_SCALES, REPO_ROOT, make_dataset, random_grid_dataset
-from oracles import knn_prediction, mf_training_mse
+from oracles import dense_ratings, knn_prediction, mf_training_mse
 
 
 class TestConfigChecks:
@@ -98,7 +98,7 @@ class TestUserKnn:
         ds = make_dataset(_uknn_rows())
         model = UserKnn(clamp=False).fit(ds)
         u0, t = ds.user_index("u0"), ds.item_index("t")
-        dense = ds.sparse_by_user().toarray()
+        dense = dense_ratings(ds)
         means = dense.sum(axis=1) / (dense > 0).sum(axis=1)
 
         def sim(a, b):
@@ -175,7 +175,7 @@ class TestItemKnn:
         ds = make_dataset(rows)
         model = ItemKnn(clamp=False).fit(ds)
         c, x = ds.user_index("c"), ds.item_index("x")
-        R = ds.sparse_by_user().toarray().T   # item-major
+        R = dense_ratings(ds).T   # item-major
         means = R.sum(axis=1) / (R > 0).sum(axis=1)
 
         def sim(i, j):

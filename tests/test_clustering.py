@@ -9,11 +9,12 @@ from scipy.spatial.distance import squareform
 from cobar import agglomerate, cosine_distance_matrix, kernels
 from cobar.clustering import Dendrogram, clusterable_users
 from cobar.kernels import _python
-from conftest import c_compiler_found, make_dataset, random_grid_dataset
+from conftest import RATING_SCALES, c_compiler_found, make_dataset, random_grid_dataset
 from oracles import (
     ancestor_chain_reference,
     condensed,
     cosine_distance_reference,
+    dense_ratings,
     leaves_under,
     pairwise_cosine_distance,
     parents_reference,
@@ -72,7 +73,7 @@ class TestCosineDistance:
         users = clusterable_users(ds)
         dist = cosine_distance_matrix(ds, users)
         assert dist.shape == (len(users) * (len(users) - 1) // 2,)
-        dense = ds.sparse_by_user().toarray()
+        dense = dense_ratings(ds)
         pos = 0
         for a in range(len(users)):
             for b in range(a + 1, len(users)):   # pdist order
@@ -80,26 +81,37 @@ class TestCosineDistance:
                 assert dist[pos] == pytest.approx(expected, abs=1e-10)
                 pos += 1
 
-    def test_matrix_bit_identical_to_reference(self, request, monkeypatch):
-        ds = signed_dataset(np.random.default_rng(8))
-        users = clusterable_users(ds)
-        assert len(users) >= 400
-        dist = squareform(cosine_distance_matrix(ds, users))
-        ref = cosine_distance_reference(ds, users)
-        assert ref.max() > 1.0   # negative cosines present
-        assert np.array_equal(dist, ref)
-        shuffled = np.random.default_rng(9).permutation(users)
-        assert np.array_equal(squareform(cosine_distance_matrix(ds, shuffled)), cosine_distance_reference(ds, shuffled))
-        # and the hierarchy built on it, by each Ward loop
-        ref_merges, ref_heights = ward_reference(ref**2)
+    @pytest.mark.parametrize("scale", [*RATING_SCALES, "signed_copies"])
+    def test_matrix_bit_identical_to_reference(self, scale, request, monkeypatch):
+        # only step_0_01 and signed_copies have sums that round, so only
+        # they tell apart two ways of summing the squares into the norms
+        rng = np.random.default_rng(8)
+        if scale == "signed_copies":
+            datasets = [signed_dataset(rng)]
+        else:
+            datasets = [random_grid_dataset(rng, max_users=40, max_items=25, draw=RATING_SCALES[scale])
+                        for _ in range(40)]
         backends = [_python]
         if c_compiler_found():
             backends.append(request.getfixturevalue("compiled_kernels"))
-        for backend in backends:
-            monkeypatch.setattr(kernels, "_loops", backend)
-            dend = agglomerate(ds)
-            assert np.array_equal(dend.merges, ref_merges)
-            assert np.array_equal(dend.heights, np.sqrt(np.maximum(ref_heights, 0.0)))
+        for ds in datasets:
+            users = clusterable_users(ds)
+            dist = squareform(cosine_distance_matrix(ds, users))
+            ref = cosine_distance_reference(ds, users)
+            if scale == "signed_copies":
+                assert len(users) >= 400
+                assert ref.max() > 1.0   # negative cosines present
+            assert np.array_equal(dist, ref)
+            shuffled = rng.permutation(users)
+            assert np.array_equal(squareform(cosine_distance_matrix(ds, shuffled)),
+                                  cosine_distance_reference(ds, shuffled))
+            # and the hierarchy built on it, by each Ward loop
+            ref_merges, ref_heights = ward_reference(ref**2)
+            for backend in backends:
+                monkeypatch.setattr(kernels, "_loops", backend)
+                dend = agglomerate(ds)
+                assert np.array_equal(dend.merges, ref_merges)
+                assert np.array_equal(dend.heights, np.sqrt(np.maximum(ref_heights, 0.0)))
 
 
 class TestAgglomerate:
@@ -116,7 +128,7 @@ class TestAgglomerate:
         dend = agglomerate(ds)
         assert len(dend.merges) == 1
         assert dend.merges[0].tolist() == [0, 1]
-        dense = ds.sparse_by_user().toarray()
+        dense = dense_ratings(ds)
         assert dend.heights[0] == pytest.approx(pairwise_cosine_distance(dense[0], dense[1]), abs=1e-12)
 
     def test_two_tight_pairs_merge_first(self):

@@ -14,6 +14,9 @@ from cobar import (
     CobarConfig,
     CobarModel,
     Fallback,
+    ItemKnn,
+    RatingDataset,
+    UserKnn,
     agglomerate,
     build_item_stats,
     select_optimal_cluster,
@@ -225,6 +228,21 @@ class TestSelectOptimalCluster:
 
 
 class TestPredict:
+    @pytest.mark.parametrize("model", [CobarModel, UserKnn, ItemKnn], ids=["cobar", "uknn", "iknn"])
+    def test_repeated_pair_rejected(self, model):
+        # the parser keeps one rating per pair, but a dataset built by hand
+        # can repeat one; summed, user a's 4.0 on x would enter a's leaf as
+        # an off-scale 8.0 while a's mean counted both ratings
+        ds = RatingDataset(
+            user_ids=["a", "b"], item_ids=["x", "y"],
+            users=np.array([0, 0, 0, 1, 1], dtype=np.int32),
+            items=np.array([0, 0, 1, 0, 1], dtype=np.int32),
+            ratings=np.array([4.0, 4.0, 2.0, 5.0, 3.0]),
+            rating_min=2.0, rating_max=5.0,
+        )
+        with pytest.raises(ValueError, match=r"an \(entity, column\) pair is repeated"):
+            model().fit(ds)
+
     def test_worked_example(self, demo_dataset):
         model = CobarModel().fit(demo_dataset)
         pred = model.predict_detailed(demo_dataset.user_index("1"), demo_dataset.item_index("100"))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cobar import ParseError, compute_user_stats, fold_train_test, kfold_split, parse_ratings, subsample_users
+from cobar.data import csr_rows
 from conftest import make_dataset, random_grid_dataset
 
 
@@ -90,19 +91,19 @@ class TestParseRatings:
         ds = random_grid_dataset(rng, draw=lambda rng: int(rng.integers(0, 9)) / 2.0)
         assert np.any(ds.ratings == 0.0)
         triples = set(zip(ds.users.tolist(), ds.items.tolist(), ds.ratings.tolist()))
-        rows = ds.sparse_by_user()
-        assert rows.nnz == ds.n_ratings
-        from_users = {
-            (u, int(i), float(r))
-            for u in range(ds.n_users)
-            for i, r in zip(*(a[rows.indptr[u]:rows.indptr[u + 1]] for a in (rows.indices, rows.data)))
-        }
-        from_items = {
-            (int(u), i, float(r))
-            for i in range(ds.n_items)
-            for u, r in zip(ds.users[ds.items == i], ds.ratings[ds.items == i])
-        }
-        assert triples == from_users == from_items
+        for keys, others, n_keys, n_others, swap in (
+            (ds.users, ds.items, ds.n_users, ds.n_items, False),
+            (ds.items, ds.users, ds.n_items, ds.n_users, True),
+        ):
+            indptr, indices, data = csr_rows(keys, others, ds.ratings, n_keys, n_others)
+            assert indptr[-1] == len(indices) == len(data) == ds.n_ratings
+            laid_out = set()
+            for key in range(n_keys):
+                row = indices[indptr[key]:indptr[key + 1]]
+                assert np.all(np.diff(row) > 0)   # sorted by construction
+                for other, r in zip(row.tolist(), data[indptr[key]:indptr[key + 1]].tolist()):
+                    laid_out.add((other, key, r) if swap else (key, other, r))
+            assert laid_out == triples
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
