@@ -76,8 +76,8 @@ class _CosineKnn(_PredictorMixin):
     The *entities* (users or items) are the rows compared with each other.
     A query (entity, column) takes as neighbors the other entities rated in
     that column and aggregates the deviations of the k most similar
-    positive ones.  `fit` hands the training triples, the means and k to a
-    `kernels.KnnIndex`, which checks them once and lays them out itself;
+    positive ones.  `fit` hands the training dataset, the means and k to a
+    `kernels.KnnIndex`, which lays the ratings out itself;
     its query computes the similarities per query, compiled when the
     extension is built, so memory stays O(ratings).  Subclasses set
     `user_major` (entities are users) and `compute_stats` (the means
@@ -92,11 +92,7 @@ class _CosineKnn(_PredictorMixin):
     def fit(self, train: RatingDataset) -> "_CosineKnn":
         self.train = train
         self.stats = self.compute_stats(train)
-        if self.user_major:
-            entities, columns, n_columns = train.users, train.items, train.n_items
-        else:
-            entities, columns, n_columns = train.items, train.users, train.n_users
-        self._index = kernels.KnnIndex(entities, columns, train.ratings, self.stats.means, n_columns, self.config.k)
+        self._index = kernels.KnnIndex(train, self.user_major, self.stats.means, self.config.k)
         return self
 
     def _predict(self, entity: int, column: int) -> float:

@@ -46,20 +46,23 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_cobar_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--gamma", type=float, default=0.5,
-                        help="weight of the user mean in the blend (default: 0.5)")
-    parser.add_argument("--confidence", type=float, default=0.95,
-                        help="confidence level for the cluster intervals (default: 0.95)")
+    parser.add_argument("--gamma", type=float, default=CobarConfig.gamma,
+                        help="weight of the user mean in the blend (default: %(default)s)")
+    parser.add_argument("--confidence", type=float, default=CobarConfig.confidence_level,
+                        help="confidence level for the cluster intervals (default: %(default)s)")
     parser.add_argument("--no-clamp", action="store_true",
                         help="do not clip predictions to the training rating scale")
 
 
 def _add_baseline_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--knn-k", type=int, default=30, help="kNN neighborhood size (default: 30)")
-    parser.add_argument("--mf-factors", type=int, default=10, help="MF latent factors (default: 10)")
-    parser.add_argument("--mf-lr", type=float, default=0.01, help="MF learning rate (default: 0.01)")
-    parser.add_argument("--mf-reg", type=float, default=0.015, help="MF L2 regularization (default: 0.015)")
-    parser.add_argument("--mf-epochs", type=int, default=30, help="MF SGD epochs (default: 30)")
+    parser.add_argument("--knn-k", type=int, default=KnnConfig.k, help="kNN neighborhood size (default: %(default)s)")
+    parser.add_argument("--mf-factors", type=int, default=MfConfig.factors,
+                        help="MF latent factors (default: %(default)s)")
+    parser.add_argument("--mf-lr", type=float, default=MfConfig.learning_rate,
+                        help="MF learning rate (default: %(default)s)")
+    parser.add_argument("--mf-reg", type=float, default=MfConfig.regularization,
+                        help="MF L2 regularization (default: %(default)s)")
+    parser.add_argument("--mf-epochs", type=int, default=MfConfig.epochs, help="MF SGD epochs (default: %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -86,7 +86,6 @@ def _leaf_chains(parents: list[int], n_leaves: int) -> tuple[tuple[int, ...], ..
 class Dendrogram:
     """Binary merge tree; leaves 0..n-1 are users, node n+m is merge m."""
 
-    n_leaves: int
     merges: np.ndarray      # (n-1, 2) int64 node ids, row-sorted
     heights: np.ndarray     # (n-1,) float64, non-decreasing
     leaf_users: np.ndarray  # (n_leaves,) dataset user index per leaf
@@ -105,6 +104,10 @@ class Dendrogram:
             sizes[new] = sizes[left] + sizes[right]
         self.sizes = np.array(sizes, dtype=np.int64)
         self.chains = _leaf_chains(parents, n)
+
+    @property
+    def n_leaves(self) -> int:
+        return len(self.leaf_users)
 
     @property
     def n_nodes(self) -> int:
@@ -142,10 +145,4 @@ def agglomerate(dataset: RatingDataset) -> Dendrogram:
     np.square(dist, out=dist)
     # the merge loop works in this buffer and leaves it undefined
     merges, heights_sq = kernels.ward_linkage(dist)
-    heights = np.sqrt(np.maximum(heights_sq, 0.0))
-    return Dendrogram(
-        n_leaves=len(users),
-        merges=merges,
-        heights=heights,
-        leaf_users=users,
-    )
+    return Dendrogram(merges=merges, heights=np.sqrt(heights_sq), leaf_users=users)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -34,9 +35,38 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+def _checked(name: str, obj, ndim: int, dtype: str, writable: bool = False) -> np.ndarray:
+    """`obj`, once it is known to be a C-contiguous `ndim`-dimensional numpy
+    array of `dtype` (and writable if asked); `TypeError` or `ValueError`
+    naming `name` otherwise."""
+    if not isinstance(obj, np.ndarray):
+        raise TypeError(f"{name} must be an array, not {type(obj).__name__}")
+    if obj.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-dimensional, got {obj.ndim} dimensions")
+    if obj.dtype != dtype:
+        raise TypeError(f"{name} must hold {dtype}, got {obj.dtype}")
+    if not obj.flags.c_contiguous:
+        raise ValueError(f"{name} must be C-contiguous")
+    if writable and not obj.flags.writeable:
+        raise ValueError(f"{name} must be writable")
+    return obj
+
+
+def _check_range(name: str, index: np.ndarray, bound: int) -> None:
+    if len(index) and (index.min() < 0 or index.max() >= bound):
+        raise IndexError(f"{name} holds an index out of range [0, {bound})")
+
+
 @dataclass
 class RatingDataset:
-    """Sparse user x item rating store with contiguous internal indices."""
+    """Sparse user x item rating store with contiguous internal indices.
+
+    Construction checks the triples once, for every model that reads them:
+    C-contiguous 1-D int32 `users` and `items` and float64 `ratings` of one
+    length, every index in range, every rating finite, no (user, item)
+    pair repeated.  `rating_min` and `rating_max` are clamp bounds, not
+    checked against the ratings.
+    """
 
     user_ids: list[str]
     item_ids: list[str]
@@ -46,14 +76,20 @@ class RatingDataset:
     rating_min: float
     rating_max: float
     name: str = ""
-    _user_index: dict[str, int] = field(default_factory=dict, repr=False)
-    _item_index: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if not self._user_index:
-            self._user_index = {u: i for i, u in enumerate(self.user_ids)}
-        if not self._item_index:
-            self._item_index = {u: i for i, u in enumerate(self.item_ids)}
+        users = _checked("users", self.users, 1, "int32")
+        items = _checked("items", self.items, 1, "int32")
+        ratings = _checked("ratings", self.ratings, 1, "float64")
+        if not len(users) == len(items) == len(ratings):
+            raise ValueError("users, items and ratings must have the same length")
+        _check_range("users", users, self.n_users)
+        _check_range("items", items, self.n_items)
+        if not np.isfinite(ratings).all():
+            raise ValueError("ratings must be finite")
+        pairs = np.sort(users.astype(np.int64) * self.n_items + items)
+        if np.any(pairs[1:] == pairs[:-1]):
+            raise ValueError("users and items hold a repeated (user, item) pair")
 
     @property
     def n_users(self) -> int:
@@ -67,15 +103,23 @@ class RatingDataset:
     def n_ratings(self) -> int:
         return len(self.ratings)
 
+    @cached_property
+    def _user_map(self) -> dict[str, int]:
+        return {u: i for i, u in enumerate(self.user_ids)}
+
+    @cached_property
+    def _item_map(self) -> dict[str, int]:
+        return {u: i for i, u in enumerate(self.item_ids)}
+
     def user_index(self, external_id: str) -> int:
         try:
-            return self._user_index[external_id]
+            return self._user_map[external_id]
         except KeyError:
             raise KeyError(f"unknown user id {external_id!r}") from None
 
     def item_index(self, external_id: str) -> int:
         try:
-            return self._item_index[external_id]
+            return self._item_map[external_id]
         except KeyError:
             raise KeyError(f"unknown item id {external_id!r}") from None
 
@@ -84,30 +128,16 @@ class RatingDataset:
         given triples.  Scale bounds are inherited, not recomputed, so clamping
         stays identical across folds."""
         idx = np.asarray(triple_indices)
-        return RatingDataset(
-            user_ids=self.user_ids,
-            item_ids=self.item_ids,
-            users=self.users[idx],
-            items=self.items[idx],
-            ratings=self.ratings[idx],
-            rating_min=self.rating_min,
-            rating_max=self.rating_max,
-            name=self.name,
-            _user_index=self._user_index,
-            _item_index=self._item_index,
-        )
+        return replace(self, users=self.users[idx], items=self.items[idx], ratings=self.ratings[idx])
 
 
 def csr_rows(keys, others, ratings, n_keys: int, n_others: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rating triples in CSR form with `keys` as rows, each row sorted
     by `others`: int64 indptr and indices and float64 data, explicit zeros
-    kept.  A repeated (key, other) pair raises `ValueError`.  The package's
-    one CSR builder: the cosine pass, the cluster statistics and
-    `kernels.KnnIndex` all read the ratings through it."""
-    flat = keys.astype(np.int64) * n_others + others
-    order = np.argsort(flat)
-    if np.any(np.diff(flat[order]) == 0):
-        raise ValueError("an (entity, column) pair is repeated")
+    kept.  The triples are a `RatingDataset`'s, checked there, so no pair
+    repeats.  The package's one CSR builder: the cosine pass, the cluster
+    statistics and `kernels.KnnIndex` all read the ratings through it."""
+    order = np.argsort(keys.astype(np.int64) * n_others + others)
     indptr = np.zeros(n_keys + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=n_keys), out=indptr[1:])
     return indptr, others[order].astype(np.int64), ratings[order]
@@ -132,8 +162,8 @@ def parse_ratings(
     file is dropped.
     """
     delimiter = DELIMITER_ALIASES.get(delimiter, delimiter)
-    user_ids: list[str] = []
-    item_ids: list[str] = []
+    # each id's index is its position in insertion order, so the keys are
+    # the id lists
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
     cells: dict[tuple[int, int], float] = {}
@@ -164,12 +194,8 @@ def parse_ratings(
                 raise ParseError(f"non-numeric rating {parts[2]!r}", line_no) from None
             if not math.isfinite(rating):
                 raise ParseError(f"non-finite rating {parts[2]!r}", line_no)
-            u = user_index.setdefault(user_key, len(user_ids))
-            if u == len(user_ids):
-                user_ids.append(user_key)
-            i = item_index.setdefault(item_key, len(item_ids))
-            if i == len(item_ids):
-                item_ids.append(item_key)
+            u = user_index.setdefault(user_key, len(user_index))
+            i = item_index.setdefault(item_key, len(item_index))
             if (u, i) in cells:
                 replaced += 1
             cells[(u, i)] = rating
@@ -198,16 +224,14 @@ def parse_ratings(
     items = np.fromiter((i for _, i in cells), dtype=np.int32, count=len(cells))
     ratings = np.fromiter(cells.values(), dtype=np.float64, count=len(cells))
     return RatingDataset(
-        user_ids=user_ids,
-        item_ids=item_ids,
+        user_ids=list(user_index),
+        item_ids=list(item_index),
         users=users,
         items=items,
         ratings=ratings,
         rating_min=float(ratings.min()),
         rating_max=float(ratings.max()),
         name=name,
-        _user_index=user_index,
-        _item_index=item_index,
     )
 
 

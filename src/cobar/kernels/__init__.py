@@ -6,11 +6,11 @@ without it the numpy loops in `_python` run.  ``BACKEND`` names the loops
 selected at import: ``"c"`` when `_compiled` imports, ``"python"`` when
 there is no `_compiled`; one that exists but cannot load, or lacks a loop,
 stops the import with the rebuild command.  `ward_linkage`, `mf_sgd_epoch`
-and `KnnIndex` check every argument, once for both backends, before they
-call the selected loop, which trusts its caller.  `KnnIndex` lays the
-training triples out along both axes with `cobar.data.csr_rows`.  Both
-backends give the same merges, heights, MF updates and kNN aggregates bit
-for bit: only speed depends on BACKEND.
+and `KnnIndex` check their arguments, once for both backends, before they
+call the selected loop, which trusts its caller.  `KnnIndex` lays out the
+triples of a `RatingDataset`, checked when it was built, along both axes
+with `cobar.data.csr_rows`.  Both backends give the same merges, heights,
+MF updates and kNN aggregates bit for bit: only speed depends on BACKEND.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import operator
 
 import numpy as np
 
-from ..data import csr_rows
+from ..data import RatingDataset, _check_range, _checked, csr_rows
 from . import _python
 
 _REBUILD = "rebuild it with: python setup.py build_ext --inplace --force"
@@ -46,28 +46,6 @@ if _missing:
 
 BACKEND: str = "c" if _compiled is not None else "python"
 _loops = _compiled or _python
-
-
-def _checked(name: str, obj, ndim: int, dtype: str, writable: bool = False) -> np.ndarray:
-    """`obj`, once it is known to be a C-contiguous `ndim`-dimensional numpy
-    array of `dtype` (and writable if asked); `TypeError` or `ValueError`
-    naming `name` otherwise."""
-    if not isinstance(obj, np.ndarray):
-        raise TypeError(f"{name} must be an array, not {type(obj).__name__}")
-    if obj.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-dimensional, got {obj.ndim} dimensions")
-    if obj.dtype != dtype:
-        raise TypeError(f"{name} must hold {dtype}, got {obj.dtype}")
-    if not obj.flags.c_contiguous:
-        raise ValueError(f"{name} must be C-contiguous")
-    if writable and not obj.flags.writeable:
-        raise ValueError(f"{name} must be writable")
-    return obj
-
-
-def _check_range(name: str, index: np.ndarray, bound: int) -> None:
-    if len(index) and (index.min() < 0 or index.max() >= bound):
-        raise IndexError(f"{name} holds an index out of range [0, {bound})")
 
 
 def ward_linkage(d2) -> tuple[np.ndarray, np.ndarray]:
@@ -129,6 +107,7 @@ def mf_sgd_epoch(users, items, ratings, order, user_factors, item_factors, user_
     drawn outside the kernel so that both backends follow the same
     trajectory.  An entry of `order`, `users` or `items` outside its array
     raises `IndexError`.  Everything is checked before anything is written.
+    The triples come bare, not as a `RatingDataset`, so they are checked here.
     """
     users = _checked("users", users, 1, "int32")
     items = _checked("items", items, 1, "int32")
@@ -154,31 +133,31 @@ def mf_sgd_epoch(users, items, ratings, order, user_factors, item_factors, user_
 class KnnIndex:
     """The mean-centred cosine kNN query of `UserKnn` and `ItemKnn`.
 
-    The *entities* are the rows compared with each other (users for user
-    kNN), and the *columns* the other axis.  The index is built from the
-    training triples, int32 `entities` and `columns` and float64 `ratings`
-    (1-D, C-contiguous, of equal length, no pair repeated), one float64
-    mean per entity, the column count and `k` >= 1, all checked here;
-    `TypeError`, `ValueError` or `IndexError` otherwise.  It lays the
+    The *entities* are the rows compared with each other, and the
+    *columns* the other axis: the users and items of the training
+    `RatingDataset`, which checked its triples, when `user_major` is true,
+    its items and users otherwise.  `means` holds one float64 per entity
+    and `k` >= 1; `TypeError` or `ValueError` otherwise.  It lays the
     ratings out with `cobar.data.csr_rows`, in CSR form along both axes
     with every row sorted, plus the norms, so each query checks only its
     own arguments before the loop reads the arrays unchecked.
     """
 
-    def __init__(self, entities, columns, ratings, means, n_columns: int, k: int):
-        entities = _checked("entities", entities, 1, "int32")
-        columns = _checked("columns", columns, 1, "int32")
-        ratings = _checked("ratings", ratings, 1, "float64")
+    def __init__(self, train: RatingDataset, user_major: bool, means, k: int):
+        if not isinstance(train, RatingDataset):
+            raise TypeError(f"train must be a RatingDataset, not {type(train).__name__}")
+        if user_major:
+            entities, columns, self.n_entities, self.n_columns = train.users, train.items, train.n_users, train.n_items
+        else:
+            entities, columns, self.n_entities, self.n_columns = train.items, train.users, train.n_items, train.n_users
         means = _checked("means", means, 1, "float64")
-        self.n_entities, self.n_columns, self.k = len(means), operator.index(n_columns), operator.index(k)
-        if not len(entities) == len(columns) == len(ratings):
-            raise ValueError("entities, columns and ratings must have the same length")
-        _check_range("entities", entities, self.n_entities)
-        _check_range("columns", columns, self.n_columns)
+        if len(means) != self.n_entities:
+            raise ValueError(f"means has {len(means)} entries, not one per entity ({self.n_entities})")
+        self.k = operator.index(k)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        rows = csr_rows(entities, columns, ratings, self.n_entities, self.n_columns)
-        cols = csr_rows(columns, entities, ratings, self.n_columns, self.n_entities)
+        rows = csr_rows(entities, columns, train.ratings, self.n_entities, self.n_columns)
+        cols = csr_rows(columns, entities, train.ratings, self.n_columns, self.n_entities)
         # each row's squares summed in ascending column order
         entity_of = np.repeat(np.arange(self.n_entities), np.diff(rows[0]))
         norms = np.sqrt(np.bincount(entity_of, weights=rows[2] * rows[2], minlength=self.n_entities))

@@ -193,4 +193,4 @@ def _top_k_aggregate(sims: np.ndarray, deviations: np.ndarray, k: int) -> float 
         order = np.argsort(-sims[pos], kind="stable")[:k]
         pos = pos[order]
     weights = sims[pos]
-    return float(np.sum(weights * deviations[pos]) / np.sum(np.abs(weights)))
+    return float(np.sum(weights * deviations[pos]) / np.sum(weights))

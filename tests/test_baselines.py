@@ -421,6 +421,20 @@ PREDICTORS = {
 
 
 @pytest.mark.parametrize("name", list(PREDICTORS))
+def test_fit_never_writes_training_arrays(name, each_backend):
+    # the dataset checks its triples once, when it is built, which holds
+    # only while no fit or query writes them
+    ds = random_grid_dataset(np.random.default_rng(4))
+    for array in (ds.users, ds.items, ds.ratings):
+        array.flags.writeable = False
+    for _ in each_backend:
+        model = PREDICTORS[name]().fit(ds)
+        for u in range(ds.n_users):
+            for i in range(ds.n_items):
+                model.predict(u, i)
+
+
+@pytest.mark.parametrize("name", list(PREDICTORS))
 class TestQueryRange:
     def test_out_of_range_query_rejected(self, name, demo_dataset):
         model = PREDICTORS[name]().fit(demo_dataset)

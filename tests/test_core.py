@@ -15,6 +15,8 @@ from cobar import (
     CobarModel,
     Fallback,
     ItemKnn,
+    MatrixFactorization,
+    MostPopular,
     RatingDataset,
     UserKnn,
     agglomerate,
@@ -228,20 +230,21 @@ class TestSelectOptimalCluster:
 
 
 class TestPredict:
-    @pytest.mark.parametrize("model", [CobarModel, UserKnn, ItemKnn], ids=["cobar", "uknn", "iknn"])
+    @pytest.mark.parametrize("model", [CobarModel, MostPopular, UserKnn, ItemKnn, MatrixFactorization],
+                             ids=["cobar", "mp", "uknn", "iknn", "mf"])
     def test_repeated_pair_rejected(self, model):
-        # the parser keeps one rating per pair, but a dataset built by hand
-        # can repeat one; summed, user a's 4.0 on x would enter a's leaf as
-        # an off-scale 8.0 while a's mean counted both ratings
-        ds = RatingDataset(
-            user_ids=["a", "b"], item_ids=["x", "y"],
-            users=np.array([0, 0, 0, 1, 1], dtype=np.int32),
-            items=np.array([0, 0, 1, 0, 1], dtype=np.int32),
-            ratings=np.array([4.0, 4.0, 2.0, 5.0, 3.0]),
-            rating_min=2.0, rating_max=5.0,
-        )
-        with pytest.raises(ValueError, match=r"an \(entity, column\) pair is repeated"):
-            model().fit(ds)
+        # the parser keeps one rating per pair, and a dataset built by hand
+        # that repeats one is refused before any model can fit it: summed,
+        # user a's 4.0 on x would enter a's leaf as an off-scale 8.0 while
+        # a's mean counted both ratings, and mp would weight it twice
+        with pytest.raises(ValueError, match=r"users and items hold a repeated \(user, item\) pair"):
+            model().fit(RatingDataset(
+                user_ids=["a", "b"], item_ids=["x", "y"],
+                users=np.array([0, 0, 0, 1, 1], dtype=np.int32),
+                items=np.array([0, 0, 1, 0, 1], dtype=np.int32),
+                ratings=np.array([4.0, 4.0, 2.0, 5.0, 3.0]),
+                rating_min=2.0, rating_max=5.0,
+            ))
 
     def test_worked_example(self, demo_dataset):
         model = CobarModel().fit(demo_dataset)

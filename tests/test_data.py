@@ -1,11 +1,88 @@
-"""Parsing, statistics, fold splits and subsampling."""
+"""The dataset's checks, parsing, statistics, fold splits and subsampling."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from cobar import ParseError, compute_user_stats, fold_train_test, kfold_split, parse_ratings, subsample_users
+from cobar import (
+    ParseError,
+    RatingDataset,
+    compute_user_stats,
+    fold_train_test,
+    kfold_split,
+    parse_ratings,
+    subsample_users,
+)
 from cobar.data import csr_rows
-from conftest import make_dataset, random_grid_dataset
+from conftest import REPO_ROOT, make_dataset, random_grid_dataset
+
+
+def _hand_fields():
+    """Users a, b, c and items x, y, z with five ratings, no pair repeated."""
+    return {
+        "user_ids": ["a", "b", "c"], "item_ids": ["x", "y", "z"],
+        "users": np.array([0, 0, 1, 1, 2], dtype=np.int32),
+        "items": np.array([0, 1, 0, 2, 1], dtype=np.int32),
+        "ratings": np.array([4.0, 2.0, 5.0, 3.0, 1.0]),
+        "rating_min": 1.0, "rating_max": 5.0,
+    }
+
+
+def _set(position, value):
+    def change(a):
+        a = a.copy()
+        a[position] = value
+        return a
+    return change
+
+
+class TestRatingDatasetChecks:
+    """A dataset checks its triples when it is built, so every model that
+    reads them sees the same valid input."""
+
+    @pytest.mark.parametrize("name, value, error, match", [
+        ("users", lambda a: a.tolist(), TypeError, "users must be an array"),
+        ("users", lambda a: a.astype(np.int64), TypeError, "users must hold int32, got int64"),
+        ("items", lambda a: a.astype(np.int64), TypeError, "items must hold int32, got int64"),
+        ("ratings", lambda a: a.astype(np.float32), TypeError, "ratings must hold float64, got float32"),
+        ("items", lambda a: np.repeat(a, 2)[::2], ValueError, "items must be C-contiguous"),
+        ("ratings", lambda a: np.stack([a, a]), ValueError, "ratings must be 1-dimensional"),
+        ("ratings", lambda a: a[:-1], ValueError, "users, items and ratings must have the same length"),
+        ("items", _set(3, 3), IndexError, r"items holds an index out of range \[0, 3\)"),
+        ("items", _set(3, -1), IndexError, r"items holds an index out of range \[0, 3\)"),
+        ("users", _set(4, 3), IndexError, r"users holds an index out of range \[0, 3\)"),
+        ("users", _set(0, -1), IndexError, r"users holds an index out of range \[0, 3\)"),
+        ("ratings", _set(2, np.nan), ValueError, "ratings must be finite"),
+        ("ratings", _set(2, np.inf), ValueError, "ratings must be finite"),
+        ("ratings", _set(2, -np.inf), ValueError, "ratings must be finite"),
+        ("items", _set(1, 0), ValueError, r"users and items hold a repeated \(user, item\) pair"),
+    ], ids=["list-users", "int64-users", "int64-items", "float32-ratings", "strided-items", "2-d-ratings",
+            "unequal-lengths", "item-high", "item-negative", "user-high", "user-negative", "nan-rating",
+            "inf-rating", "minus-inf-rating", "repeated-pair"])
+    def test_bad_triples_rejected(self, name, value, error, match):
+        fields = _hand_fields()
+        fields[name] = value(fields[name])
+        with pytest.raises(error, match=match):
+            RatingDataset(**fields)
+
+    def test_out_of_range_item_stops_before_the_fit(self):
+        # an item index equal to n_items once reached the cosine pass, whose
+        # sparse transpose wrote past its buffers: on this dataset glibc
+        # aborted the interpreter, so the fit runs in a process of its own
+        code = (
+            "import numpy as np; from cobar import CobarModel, RatingDataset; "
+            "CobarModel().fit(RatingDataset(user_ids=['a', 'b', 'c'], item_ids=['x', 'y', 'z'], "
+            "users=np.repeat(np.arange(3, dtype=np.int32), 3), "
+            "items=np.array([0, 1, 2, 0, 1, 2, 0, 1, 3], dtype=np.int32), "
+            "ratings=np.arange(1.0, 10.0) / 2, rating_min=0.5, rating_max=4.5))"
+        )
+        environ = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=environ, capture_output=True, text=True)
+        assert out.returncode == 1
+        assert out.stderr.rstrip().endswith("IndexError: items holds an index out of range [0, 3)")
 
 
 class TestParseRatings:

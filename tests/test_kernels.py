@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cobar import kernels
+from cobar import RatingDataset, kernels
 from cobar.kernels import _python
 from conftest import REPO_ROOT, c_compiler_found
 from oracles import condensed, ward_reference
@@ -483,26 +483,28 @@ class TestCompiledLoopsTakeBuffers:
         _assert_unchanged(args, before)
 
 
-def _knn_problem(triples, n_entities, n_columns, rng):
+def _knn_problem(triples, n_entities, n_columns, rng, user_major=True):
     """`KnnIndex` arguments but k for (entity, column, rating) triples, in
-    the order given, with random means."""
-    entities, columns, ratings = zip(*triples)
-    return {
-        "entities": np.array(entities, dtype=np.int32),
-        "columns": np.array(columns, dtype=np.int32),
-        "ratings": np.array(ratings, dtype=np.float64),
-        "means": rng.uniform(0.0, 5.0, n_entities),
-        "n_columns": n_columns,
-    }
+    the order given: the training dataset, with the entities as its users
+    when `user_major` is true and as its items otherwise, and random means."""
+    entities, columns, ratings = (np.array(a) for a in zip(*triples))
+    users, items, n_users, n_items = ((entities, columns, n_entities, n_columns) if user_major
+                                      else (columns, entities, n_columns, n_entities))
+    train = RatingDataset(
+        user_ids=[f"u{u}" for u in range(n_users)], item_ids=[f"i{i}" for i in range(n_items)],
+        users=users.astype(np.int32), items=items.astype(np.int32), ratings=ratings.astype(np.float64),
+        rating_min=float(ratings.min()), rating_max=float(ratings.max()),
+    )
+    return {"train": train, "user_major": user_major, "means": rng.uniform(0.0, 5.0, n_entities)}
 
 
-def _hand_problem():
+def _hand_problem(user_major=True):
     """Entity 0 is (1, 0, 0); in column 2 its neighbours 1..5 have
     similarities 0.6, 0.8, 0, -0.8 and 0.6 and deviations 1, 2, 4, 3 and -1
     from their means."""
     triples = [(0, 0, 1.0), (1, 0, 3.0), (1, 2, 4.0), (2, 0, 4.0), (2, 2, 3.0), (3, 1, 3.0), (3, 2, 4.0),
                (4, 0, -4.0), (4, 2, 3.0), (5, 0, 3.0), (5, 2, 4.0)]
-    problem = _knn_problem(triples, 6, 3, np.random.default_rng(0))
+    problem = _knn_problem(triples, 6, 3, np.random.default_rng(0), user_major)
     problem["means"] = np.array([0.0, 3.0, 1.0, 0.0, 0.0, 5.0])
     return problem
 
@@ -566,10 +568,13 @@ class TestKnnQuery:
         assert results[0] == results[1]
 
     def test_equal_to_weighted_mean_of_top_k(self, kernel_backend):
-        problem = _hand_problem()
+        problem, transposed = _hand_problem(), _hand_problem(user_major=False)
 
         def query(column, k):
-            return kernel_backend.KnnIndex(**problem, k=k).query(0, column)
+            value = kernel_backend.KnnIndex(**problem, k=k).query(0, column)
+            # the entities as the items of the transposed dataset
+            assert kernel_backend.KnnIndex(**transposed, k=k).query(0, column) == value
+            return value
 
         assert query(2, 1) == 2.0
         # neighbour 1 beats 5 at the equal similarity 0.6
@@ -595,53 +600,36 @@ class TestKnnQuery:
         problem = _counting_problem("continuous")
         index = kernels.KnnIndex(**problem, k=7)
         before = [index.query(e, c) for e, c in SPREAD]
-        for name in ("entities", "columns", "ratings", "means"):
-            problem[name][:] = 0
+        train = problem["train"]
+        for array in (train.users, train.items, train.ratings, problem["means"]):
+            array[:] = 0
         assert [index.query(e, c) for e, c in SPREAD] == before
 
     def test_shuffled_triples_give_the_same_predictions(self, kernel_backend):
         # both axes are sorted at construction, so each dot product and norm
         # sums in ascending index order whatever order the triples come in
         problem = _counting_problem("signed")
-        order = np.random.default_rng(2).permutation(len(problem["ratings"]))
-        shuffled = {**problem, **{name: problem[name][order] for name in ("entities", "columns", "ratings")}}
+        order = np.random.default_rng(2).permutation(problem["train"].n_ratings)
+        shuffled = {**problem, "train": problem["train"].subset(order)}
         index, again = (kernel_backend.KnnIndex(**p, k=5) for p in (problem, shuffled))
         assert [again.query(e, c) for e, c in SPREAD] == [index.query(e, c) for e, c in SPREAD]
 
 
-def _set(position, value):
-    def change(a):
-        a = a.copy()
-        a[position] = value
-        return a
-    return change
-
-
 class TestKnnIndexChecksInputs:
-    """The checked kNN entry rejects malformed triples, means and k once, at
-    construction, and bad query arguments on every query, for either
-    backend."""
+    """The checked kNN entry rejects a training set that is not a
+    `RatingDataset`, whose construction checked the triples, and malformed
+    means and k once, at construction, and bad query arguments on every
+    query, for either backend."""
 
     @pytest.mark.parametrize("name, value, error, match", [
-        ("entities", lambda a: a.tolist(), TypeError, "must be an array"),
-        ("entities", lambda a: a.astype(np.int64), TypeError, "must hold int32"),
-        ("ratings", lambda a: a.astype(np.float32), TypeError, "must hold float64"),
+        ("train", lambda t: [t.users, t.items, t.ratings], TypeError, "must be a RatingDataset"),
         ("means", lambda a: a.astype(np.float32), TypeError, "must hold float64"),
-        ("columns", lambda a: np.repeat(a, 2)[::2], ValueError, "C-contiguous"),
         ("means", lambda a: np.stack([a, a]), ValueError, "1-dimensional"),
-        ("ratings", lambda a: a[:-1], ValueError, "same length"),
-        ("means", lambda a: a[:-1], IndexError, "out of range"),
-        ("columns", _set(3, 3), IndexError, "out of range"),
-        ("columns", _set(3, -1), IndexError, "out of range"),
-        ("entities", _set(9, 6), IndexError, "out of range"),
-        ("entities", _set(9, -1), IndexError, "out of range"),
-        ("columns", _set(2, 0), ValueError, "repeated"),
+        ("means", lambda a: a[:-1], ValueError, "not one per entity"),
         ("k", lambda k: 0, ValueError, "k must be >= 1"),
         ("k", lambda k: -2, ValueError, "k must be >= 1"),
         ("k", lambda k: 2.5, TypeError, "integer"),
-    ], ids=["list", "int64-entities", "float32-data", "float32-means", "strided", "2-d", "data-length",
-            "means-length", "row-index-high", "row-index-negative", "col-index-high", "entity-negative",
-            "repeated-pair", "k-zero", "k-negative", "k-float"])
+    ], ids=["list", "float32-means", "2-d", "means-length", "k-zero", "k-negative", "k-float"])
     def test_bad_array_rejected(self, each_backend, name, value, error, match):
         problem = {**_hand_problem(), "k": 30}
         problem[name] = value(problem[name])
