@@ -8,15 +8,7 @@ baselines plus a cross-validation evaluation harness and CLI.
 
 from .baselines import ItemKnn, KnnConfig, MatrixFactorization, MfConfig, MostPopular, UserKnn
 from .clustering import Dendrogram, agglomerate, cosine_distance_matrix
-from .core import (
-    ClusterItemStats,
-    CobarConfig,
-    CobarModel,
-    Fallback,
-    Prediction,
-    build_item_stats,
-    select_optimal_cluster,
-)
+from .core import CobarConfig, CobarModel, Fallback, Prediction
 from .data import (
     FoldSplit,
     MeanStats,
@@ -41,7 +33,6 @@ from .evaluation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClusterItemStats",
     "CobarConfig",
     "CobarModel",
     "Dendrogram",
@@ -61,7 +52,6 @@ __all__ = [
     "WilcoxonResult",
     "agglomerate",
     "build_algorithms",
-    "build_item_stats",
     "compute_item_stats",
     "compute_user_stats",
     "cosine_distance_matrix",
@@ -70,7 +60,6 @@ __all__ = [
     "parse_ratings",
     "rmse",
     "run_cross_validation",
-    "select_optimal_cluster",
     "subsample_users",
     "wilcoxon_signed_rank",
     "__version__",

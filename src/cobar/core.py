@@ -18,21 +18,13 @@ hierarchy; such a user's queries also get the user's mean.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .clustering import Dendrogram, agglomerate
-from .data import MeanStats, RatingDataset, _PredictorMixin, compute_user_stats, csr_rows
-
-
-@lru_cache(maxsize=None)
-def _t_critical(level: float, dof: int) -> float:
-    # the kernel behind scipy's `t.ppf(p, dof)`, with the same bits
-    return float(stdtrit(dof, 0.5 + level / 2.0))
+from .data import MeanStats, RatingDataset, _PredictorMixin, compute_user_stats
+from .kernels import ClusterStatsIndex
 
 
 class Fallback(enum.Enum):
@@ -70,92 +62,29 @@ class Prediction:
     user_mean: float | None = None
 
 
-def _variance(n: int, total: float, total_sq: float, lo: float, hi: float) -> float:
-    """(n-1)-denominator sample variance of an accumulator, clipped at zero.
-
-    Exactly zero when all ratings are equal (min == max).  Off a
-    binary-exact grid such as 0.5 steps the sums round, and the
-    sum-of-squares formula alone gives small positive values that break
-    "smaller cluster wins at equal width".
-    """
-    if lo == hi:
-        return 0.0
-    s2 = (total_sq - total * total / n) / (n - 1)
-    return max(s2, 0.0)
-
-
-class ClusterItemStats:
-    """Per (dendrogram node, item) rating accumulators.
-
-    Built bottom-up: each internal node's map combines its children's
-    (count, sum, sum of squares, min, max) entries, the first three by sum
-    and the last two by min and max, so construction costs O(total ratings
-    x tree depth) instead of a from-scratch pass per node.
-    """
-
-    def __init__(self, node_maps: list[dict[int, tuple[int, float, float, float, float]]]):
-        self._maps = node_maps
-
-    def items_at(self, node: int) -> dict[int, tuple[int, float, float, float, float]]:
-        return self._maps[node]
-
-
-def build_item_stats(dendrogram: Dendrogram, train: RatingDataset) -> ClusterItemStats:
-    """Accumulate (n, sum, sum_sq, min, max) per item for every node of the hierarchy."""
-    maps: list[dict[int, tuple[int, float, float, float, float]]] = [dict() for _ in range(dendrogram.n_nodes)]
-    rows = csr_rows(train.users, train.items, train.ratings, train.n_users, train.n_items)
-    indptr, indices, data = (a.tolist() for a in rows)
-    for leaf, user in enumerate(dendrogram.leaf_users.tolist()):
-        lo, hi = indptr[user], indptr[user + 1]
-        # one float object serves as the sum, the min and the max
-        maps[leaf] = {i: (1, r, r * r, r, r) for i, r in zip(indices[lo:hi], data[lo:hi])}
-    for m, (left, right) in enumerate(dendrogram.merges):
-        a, b = maps[int(left)], maps[int(right)]
-        if len(b) > len(a):
-            a, b = b, a
-        merged = dict(a)
-        for item, entry in b.items():
-            cur = merged.get(item)
-            if cur is None:
-                merged[item] = entry
-            else:
-                n2, s2, q2, lo2, hi2 = entry
-                merged[item] = (cur[0] + n2, cur[1] + s2, cur[2] + q2, min(cur[3], lo2), max(cur[4], hi2))
-        maps[dendrogram.n_leaves + m] = merged
-    return ClusterItemStats(maps)
+def build_item_stats(dendrogram: Dendrogram, train: RatingDataset) -> ClusterStatsIndex:
+    """Every node's (n, sum, sum_sq, min, max) per item, as 2r - 1 entries
+    for an item with r raters in the hierarchy."""
+    return ClusterStatsIndex(dendrogram.merges, dendrogram.leaf_users, train)
 
 
 def select_optimal_cluster(
     chain: tuple[int, ...] | np.ndarray,
     item: int,
-    stats: ClusterItemStats,
+    stats: ClusterStatsIndex,
     level: float,
-) -> tuple[int, float] | None:
-    """Narrowest-interval cluster for the item among the chain's nodes, as
-    ``(node, half_width)`` at the given confidence level.
+) -> tuple[int, float, int, float] | None:
+    """Narrowest-interval cluster for the item on a user's leaf-to-root
+    `chain`, as ``(node, half_width, n, total)`` at the given confidence
+    level, with the item's rating count and sum in that node.
 
-    Only nodes with >= 2 ratings for the item qualify.  Walking leaf to
-    root, a strict improvement is required, so at equal half-width the
-    smaller (earlier) cluster wins.  Returns None when no chain node
-    qualifies.
+    The chain is the one `Dendrogram.chains` holds for the user's leaf; the
+    index walks it up from the leaf, ``chain[0]``.  Only nodes with >= 2
+    ratings for the item qualify.  Walking leaf to root, a strict
+    improvement is required, so at equal half-width the smaller (earlier)
+    cluster wins.  Returns None when no chain node qualifies.
     """
-    maps = stats._maps
-    best = None
-    best_hw = 0.0
-    for node in chain:
-        entry = maps[node].get(item)
-        if entry is None:
-            continue
-        n, total, total_sq, lo, hi = entry
-        if n < 2:
-            continue
-        # two-sided Student-t half-width on the cluster's item mean
-        hw = _t_critical(level, n - 1) * math.sqrt(_variance(n, total, total_sq, lo, hi) / n)
-        if best is None or hw < best_hw:
-            best, best_hw = node, hw
-    if best is None:
-        return None
-    return int(best), best_hw
+    return stats.query(chain[0], item, level)
 
 
 class CobarModel(_PredictorMixin):
@@ -171,7 +100,7 @@ class CobarModel(_PredictorMixin):
         self.train: RatingDataset | None = None
         self.user_stats: MeanStats | None = None
         self.dendrogram: Dendrogram | None = None
-        self.stats: ClusterItemStats | None = None
+        self.stats: ClusterStatsIndex | None = None
         self._leaf_of: dict[int, int] = {}
         self._item_counts: np.ndarray | None = None
 
@@ -215,8 +144,7 @@ class CobarModel(_PredictorMixin):
                 user_mean=user_mean,
             )
 
-        node, half_width = choice
-        n, total, _, _, _ = self.stats.items_at(node)[item]
+        node, half_width, n, total = choice
         cluster_mean = total / n
         gamma = self.config.gamma
         value = gamma * user_mean + (1.0 - gamma) * cluster_mean

@@ -64,8 +64,10 @@ class RatingDataset:
     Construction checks the triples once, for every model that reads them:
     C-contiguous 1-D int32 `users` and `items` and float64 `ratings` of one
     length, every index in range, every rating finite, no (user, item)
-    pair repeated.  `rating_min` and `rating_max` are clamp bounds, not
-    checked against the ratings.
+    pair repeated.  It then keeps read-only views of the three arrays, so
+    nothing writes through the dataset past the check; the arrays it was
+    built from stay the caller's.  `rating_min` and `rating_max` are clamp
+    bounds, not checked against the ratings.
     """
 
     user_ids: list[str]
@@ -90,6 +92,10 @@ class RatingDataset:
         pairs = np.sort(users.astype(np.int64) * self.n_items + items)
         if np.any(pairs[1:] == pairs[:-1]):
             raise ValueError("users and items hold a repeated (user, item) pair")
+        for name, array in (("users", users), ("items", items), ("ratings", ratings)):
+            view = array.view()
+            view.flags.writeable = False
+            setattr(self, name, view)
 
     @property
     def n_users(self) -> int:
@@ -126,8 +132,12 @@ class RatingDataset:
     def subset(self, triple_indices: np.ndarray) -> "RatingDataset":
         """New dataset over the same user/item index space, keeping only the
         given triples.  Scale bounds are inherited, not recomputed, so clamping
-        stays identical across folds."""
+        stays identical across folds.  `triple_indices` are positions or a
+        boolean mask; an empty list selects nothing."""
         idx = np.asarray(triple_indices)
+        if idx.size == 0:
+            # np.asarray([]) is float64, which numpy refuses as an index
+            idx = idx.astype(np.intp)
         return replace(self, users=self.users[idx], items=self.items[idx], ratings=self.ratings[idx])
 
 

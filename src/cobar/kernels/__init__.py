@@ -1,25 +1,31 @@
 """The hot kernels: one checked entry each, over a compiled or a numpy loop.
 
-The Ward merge loop, the MF SGD epoch and the kNN query are compiled in the
-C extension `_compiled` when a C compiler is available at install time;
-without it the numpy loops in `_python` run.  ``BACKEND`` names the loops
-selected at import: ``"c"`` when `_compiled` imports, ``"python"`` when
-there is no `_compiled`; one that exists but cannot load, or lacks a loop,
-stops the import with the rebuild command.  `ward_linkage`, `mf_sgd_epoch`
-and `KnnIndex` check their arguments, once for both backends, before they
-call the selected loop, which trusts its caller.  `KnnIndex` lays out the
-triples of a `RatingDataset`, checked when it was built, along both axes
-with `cobar.data.csr_rows`.  Both backends give the same merges, heights,
-MF updates and kNN aggregates bit for bit: only speed depends on BACKEND.
+The Ward merge loop, the MF SGD epoch, the kNN query and the build and
+query of cobar's cluster statistics are compiled in the C extension
+`_compiled` when a C compiler is available at install time; without it the
+numpy loops in `_python` run.  ``BACKEND`` names the loops selected at
+import: ``"c"`` when `_compiled` imports, ``"python"`` when there is no
+`_compiled`; one that exists but cannot load, or lacks a loop, stops the
+import with the rebuild command.  `ward_linkage`, `mf_sgd_epoch`,
+`KnnIndex` and `ClusterStatsIndex` check their arguments, once for both
+backends, before they call the selected loop, which trusts its caller.
+`KnnIndex` lays out the triples of a `RatingDataset`, checked when it was
+built, along both axes with `cobar.data.csr_rows`; `ClusterStatsIndex`
+lays them out per item over the leaves of a user hierarchy.  Both backends
+give the same merges, heights, MF updates, kNN aggregates and cluster
+statistics bit for bit: only speed depends on BACKEND.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import math
 import operator
+from collections.abc import Mapping
 
 import numpy as np
+from scipy.special import stdtrit
 
 from ..data import RatingDataset, _check_range, _checked, csr_rows
 from . import _python
@@ -36,7 +42,8 @@ except ImportError as exc:
         raise ImportError(f"extension {_spec.origin} cannot be loaded; {_REBUILD}") from exc
     _compiled = None
 
-_missing = [name for name in ("ward_loop", "sgd_epoch", "knn_query") if _compiled and not hasattr(_compiled, name)]
+_missing = [name for name in ("ward_loop", "sgd_epoch", "knn_query", "stats_build", "stats_query")
+            if _compiled and not hasattr(_compiled, name)]
 if _missing:
     # an extension built from older source, e.g. one a build reused
     # because its file times looked up to date
@@ -176,3 +183,208 @@ class KnnIndex:
         if not 0 <= column < self.n_columns:
             raise IndexError(f"column {column} out of range [0, {self.n_columns})")
         return _loops.knn_query(*self._arrays, entity, column, self.k)
+
+
+def _t_critical_table(level: float, size: int) -> np.ndarray:
+    """Entry d is the two-sided Student-t critical value at `level` with d
+    degrees of freedom (NaN at d = 0): the kernel behind scipy's
+    ``t.ppf(0.5 + level / 2, d)``, with the same bits."""
+    return stdtrit(np.arange(size), 0.5 + level / 2.0)
+
+
+def _range_max(values: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """``values[s:t].max()`` for every pair s < t of `starts` and `stops`,
+    read from a table of the maxima over every power-of-two span."""
+    spans = [values]
+    while 2 ** len(spans) <= len(values):
+        half = 2 ** (len(spans) - 1)
+        spans.append(np.maximum(spans[-1][:-half], spans[-1][half:]))
+    level = np.searchsorted(2 ** np.arange(len(spans)), stops - starts, side="right") - 1
+    out = np.empty(len(starts), dtype=values.dtype)
+    for k, row in enumerate(spans):
+        pick = level == k
+        out[pick] = np.maximum(row[starts[pick]], row[stops[pick] - 2**k])
+    return out
+
+
+class ClusterStatsIndex:
+    """The rating statistics of every cluster of a user hierarchy, per item,
+    for cobar's narrowest-interval query, in O(ratings) arrays.
+
+    The hierarchy is a `Dendrogram`'s `merges`, the (n-1, 2) int64 node ids
+    merged by each step (merge m creates node n + m), over its n
+    `leaf_users`, distinct users of `train`, a `RatingDataset`, which
+    checked its triples; `TypeError`, `ValueError` or `IndexError`
+    otherwise.  The leaves are numbered depth-first, so every node covers a
+    contiguous range of leaf positions.  For each item the index keeps its
+    r raters' sorted positions and ratings and, for each of the r - 1 gaps
+    between adjacent raters, one entry (sum, sum of squares, min, max): the
+    statistics of the lowest node that holds both raters, the sum of the two
+    ranges that node joins.  That is the addition a bottom-up merge of
+    per-node maps makes, so every (node, item) statistic is, bit for bit, one
+    of these 2r - 1 entries.  Ratings of users outside the hierarchy are
+    left out.
+    """
+
+    def __init__(self, merges, leaf_users, train: RatingDataset):
+        if not isinstance(train, RatingDataset):
+            raise TypeError(f"train must be a RatingDataset, not {type(train).__name__}")
+        merges = _checked("merges", merges, 2, "int64")
+        leaf_users = _checked("leaf_users", leaf_users, 1, "int64")
+        n = len(leaf_users)
+        if n == 0 or merges.shape != (n - 1, 2):
+            raise ValueError(f"merges must have shape (n-1, 2) for n >= 1 leaves, got {merges.shape} for {n}")
+        _check_range("leaf_users", leaf_users, train.n_users)
+        if len(np.unique(leaf_users)) != n:
+            raise ValueError("leaf_users holds a repeated user")
+        # a tree: merge m joins two distinct nodes made before it, and no node twice
+        if n > 1 and (merges.min() < 0 or np.any(merges.max(axis=1) >= n + np.arange(n - 1))
+                      or np.any(np.bincount(merges.ravel(), minlength=2 * n - 2) != 1)):
+            raise ValueError("merges do not form a binary tree over the leaves")
+        self.n_leaves, self.n_nodes, self.n_items = n, 2 * n - 1, train.n_items
+
+        # node v covers the leaf positions lows[v] <= p < lows[v] + sizes[v]
+        pairs = merges.tolist()
+        sizes, parents, lows = [1] * self.n_nodes, [-1] * self.n_nodes, [0] * self.n_nodes
+        for m, (left, right) in enumerate(pairs):
+            sizes[n + m] = sizes[left] + sizes[right]
+            parents[left] = parents[right] = n + m
+        for m in range(n - 2, -1, -1):
+            left, right = pairs[m]
+            lows[left] = lows[n + m]
+            lows[right] = lows[n + m] + sizes[left]
+        nodes = np.array([lows, np.add(lows, sizes).tolist(), parents], dtype=np.int64)
+
+        # the leaf users' ratings in (item, position) order
+        position = np.full(train.n_users, -1, dtype=np.int64)
+        position[leaf_users] = nodes[0, :n]
+        rated = position[train.users]
+        kept = rated >= 0
+        items = train.items[kept]
+        order = np.argsort(items.astype(np.int64) * n + rated[kept])
+        items, positions, ratings = items[order], rated[kept][order], train.ratings[kept][order]
+        counts = np.bincount(items, minlength=self.n_items)
+        index = np.zeros((2, self.n_items + 1), dtype=np.int64)
+        np.cumsum(counts, out=index[0, 1:])
+        np.cumsum(np.maximum(counts - 1, 0), out=index[1, 1:])
+
+        # the lowest common node of two leaf positions a < b is the highest id
+        # among the nodes that join positions t and t + 1 for a <= t < b
+        joins = np.empty(n - 1, dtype=np.int64)
+        joins[nodes[1, merges[:, 0]] - 1] = n + np.arange(n - 1)
+        same = items[1:] == items[:-1]
+        gap_nodes = _range_max(joins, positions[:-1][same], positions[1:][same])
+        gaps = np.empty((4, len(gap_nodes)))
+        _loops.stats_build(index, ratings, gap_nodes, gaps)
+        self._arrays = (index, positions, gap_nodes, gaps, nodes)
+        self._ratings = ratings
+        self._most_raters = max(2, int(counts.max(initial=0)))
+        self._tables: dict[float, np.ndarray] = {}
+
+    @property
+    def n_entries(self) -> int:
+        """Stored (n, sum, sum of squares, min, max) entries: one per rating
+        and one per gap, 2r - 1 for an item with r >= 1 raters."""
+        return len(self._ratings) + len(self._arrays[2])
+
+    def query(self, leaf: int, item: int, level: float) -> tuple[int, float, int, float] | None:
+        """The narrowest two-sided Student-t interval at `level` for the
+        item's mean rating among the clusters on `leaf`'s chain to the root
+        that hold at least two of its ratings, as ``(node, half_width, n,
+        total)`` with the node's count and sum of the item's ratings; None
+        when no cluster on the chain holds two.  Walking from the leaf up, a
+        wider cluster must be strictly narrower, so at equal width the
+        smaller one wins.  An index out of range raises `IndexError`.  The
+        first query at a level builds its table of t quantiles."""
+        leaf, item = operator.index(leaf), operator.index(item)
+        if not 0 <= leaf < self.n_leaves:
+            raise IndexError(f"leaf {leaf} out of range [0, {self.n_leaves})")
+        if not 0 <= item < self.n_items:
+            raise IndexError(f"item {item} out of range [0, {self.n_items})")
+        table = self._tables.get(level)
+        if table is None:
+            # n ratings read the entry at n - 1 degrees of freedom
+            table = self._tables[level] = _t_critical_table(level, self._most_raters)
+        return _loops.stats_query(*self._arrays, table, leaf, item)
+
+    def items_at(self, node: int) -> Mapping[int, tuple[int, float, float, float, float]]:
+        """A read-only mapping ``{item: (n, sum, sum of squares, min, max)}``
+        of every item rated inside cluster `node`: what a bottom-up merge of
+        per-node maps would hold there.  Its length comes from a count per
+        node; its entries are built from the arrays when first read."""
+        node = operator.index(node)
+        if not 0 <= node < self.n_nodes:
+            raise IndexError(f"node {node} out of range [0, {self.n_nodes})")
+        return _NodeItems(self, node)
+
+    def _entries_at(self, node: int) -> dict[int, tuple[int, float, float, float, float]]:
+        (ptr, gptr), _, _, gaps, nodes = self._arrays
+        keys, by_position, starts, ranked = self._view
+        lo, hi = nodes[0, node], nodes[1, node]
+        items = np.unique(by_position[starts[lo]:starts[hi]])
+        first = np.searchsorted(keys, items * self.n_leaves + lo)
+        count = np.searchsorted(keys, items * self.n_leaves + hi) - first
+        entries = np.empty((4, len(items)))
+        one = count == 1
+        lone = self._ratings[first[one]]
+        entries[:, one] = lone, lone * lone, lone, lone
+        many = ~one
+        if many.any():
+            # the entry of the largest gap between the ratings, whose
+            # (gap node, gap index) pair ranks highest
+            gap_first = gptr[items[many]] + first[many] - ptr[items[many]]
+            bounds = np.column_stack([gap_first, gap_first + count[many] - 1]).ravel()
+            entries[:, many] = gaps[:, np.maximum.reduceat(ranked, bounds)[::2] % len(gaps[0])]
+        return dict(zip(items.tolist(), zip(count.tolist(), *entries.tolist())))
+
+    @functools.cached_property
+    def _items_per_node(self) -> list[int]:
+        """How many items have a rating inside each node: its children's
+        items, less those rated under both, whose gaps are the node's."""
+        _, positions, gap_nodes, _, nodes = self._arrays
+        counts = np.bincount(positions, minlength=self.n_leaves)[nodes[0, :self.n_leaves]].tolist()
+        counts += [0] * (self.n_nodes - self.n_leaves)
+        shared = np.bincount(gap_nodes, minlength=self.n_nodes).tolist()
+        # a child's id is below its parent's, so each count is final when read
+        for node, parent in enumerate(nodes[2].tolist()):
+            counts[node] -= shared[node]
+            if parent >= 0:
+                counts[parent] += counts[node]
+        return counts
+
+    @functools.cached_property
+    def _view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """What `items_at` searches: the sorted (item, position) keys of the
+        ratings, their items in (position, item) order, where each leaf
+        position starts in that order, and each gap's (node, index) rank."""
+        (ptr, _), positions, gap_nodes, _, _ = self._arrays
+        items = np.repeat(np.arange(self.n_items), np.diff(ptr))
+        starts = np.zeros(self.n_leaves + 1, dtype=np.int64)
+        np.cumsum(np.bincount(positions, minlength=self.n_leaves), out=starts[1:])
+        # one more entry, so that a last reduceat bound may equal the gap count
+        ranked = np.append(gap_nodes * len(gap_nodes) + np.arange(len(gap_nodes)), 0)
+        return items * self.n_leaves + positions, items[np.lexsort((items, positions))], starts, ranked
+
+
+class _NodeItems(Mapping):
+    """The statistics of one node of a `ClusterStatsIndex` per item, as its
+    `items_at` returns them."""
+
+    def __init__(self, stats: ClusterStatsIndex, node: int):
+        self._stats, self._node = stats, node
+
+    @functools.cached_property
+    def _entries(self) -> dict[int, tuple[int, float, float, float, float]]:
+        return self._stats._entries_at(self._node)
+
+    def __len__(self) -> int:
+        return self._stats._items_per_node[self._node]
+
+    def __getitem__(self, item: int) -> tuple[int, float, float, float, float]:
+        return self._entries[item]
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __repr__(self) -> str:
+        return repr(self._entries)

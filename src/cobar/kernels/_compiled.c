@@ -1,5 +1,6 @@
 /* Compiled kernels: the Ward merge loop, the SGD epoch of the biased
- * matrix factorization baseline and the query of the cosine kNN baselines.
+ * matrix factorization baseline, the query of the cosine kNN baselines and
+ * the build and query of cobar's per-item cluster statistics.
  *
  * `ward_loop` runs the steps of `cobar.kernels._python.ward_loop` on the
  * condensed upper triangle of the distance matrix, in place, with the same
@@ -15,6 +16,11 @@
  * `cobar.kernels._python.knn_query` in numpy's order: each dot product is
  * summed as `np.bincount` sums it, the top k are picked as the stable
  * argsort picks them, and the two sums are numpy's pairwise sum.
+ *
+ * `stats_build` fills the gap entries `cobar.kernels._python.stats_build`
+ * fills, each the sum of the two ranges it joins with the left one first,
+ * but pops the gaps off a stack instead of joining them in rounds.
+ * `stats_query` runs the steps of `cobar.kernels._python.stats_query`.
  *
  * No loop checks its arguments: `cobar.kernels` checks every shape,
  * element type, length and index before it calls in, and only the buffer
@@ -343,6 +349,157 @@ release:
     return result;
 }
 
+/* Item i's ratings are index[i] <= k < index[i + 1], in leaf position
+ * order, and its gaps start at index[n_items + 1 + i]: gap g of the item
+ * joins its ratings g and g + 1.  Fills the gap entries (sum, sum of
+ * squares, min, max): walking each item's ratings left to right, every gap
+ * waits on a stack, holding its left range's entry, until a gap of a
+ * higher node or the item's end closes its right range. */
+static PyObject *
+stats_build(PyObject *self, PyObject *args)
+{
+    Py_buffer b[4];
+    if (!PyArg_ParseTuple(args, "y*y*y*w*:stats_build", &b[0], &b[1], &b[2], &b[3]))
+        return NULL;
+    const int64_t *ptr = b[0].buf, *gap_nodes = b[2].buf;
+    Py_ssize_t n_items = b[0].len / (Py_ssize_t)(2 * sizeof(int64_t)) - 1;
+    const int64_t *gptr = ptr + n_items + 1;
+    const double *ratings = b[1].buf;
+    Py_ssize_t n_gaps = b[2].len / (Py_ssize_t)sizeof(int64_t);
+    double *total = b[3].buf, *squares = total + n_gaps, *low = squares + n_gaps, *high = low + n_gaps;
+    PyObject *result = NULL;
+    Py_ssize_t most = 0;
+    for (Py_ssize_t i = 0; i < n_items; i++)
+        if (gptr[i + 1] - gptr[i] > most)
+            most = gptr[i + 1] - gptr[i];
+    Py_ssize_t *stack = PyMem_New(Py_ssize_t, most + 1);
+    if (!stack) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < n_items; i++) {
+        const double *r = ratings + ptr[i];
+        Py_ssize_t gaps = gptr[i + 1] - gptr[i], depth = 0;
+        if (gaps == 0)
+            continue;
+        const int64_t *node = gap_nodes + gptr[i];
+        double *t = total + gptr[i], *q = squares + gptr[i], *lo = low + gptr[i], *hi = high + gptr[i];
+        /* the entry of the range ending at the current rating */
+        double cur_t = r[0], cur_q = r[0] * r[0], cur_lo = r[0], cur_hi = r[0];
+        for (Py_ssize_t g = 0; g <= gaps; g++) {
+            while (depth > 0 && (g == gaps || node[stack[depth - 1]] < node[g])) {
+                Py_ssize_t s = stack[--depth];
+                t[s] = t[s] + cur_t;
+                q[s] = q[s] + cur_q;
+                lo[s] = lo[s] < cur_lo ? lo[s] : cur_lo;   /* np.minimum */
+                hi[s] = hi[s] > cur_hi ? hi[s] : cur_hi;   /* np.maximum */
+                cur_t = t[s];
+                cur_q = q[s];
+                cur_lo = lo[s];
+                cur_hi = hi[s];
+            }
+            if (g == gaps)
+                break;
+            t[g] = cur_t;
+            q[g] = cur_q;
+            lo[g] = cur_lo;
+            hi[g] = cur_hi;
+            stack[depth++] = g;
+            cur_t = cur_lo = cur_hi = r[g + 1];
+            cur_q = r[g + 1] * r[g + 1];
+        }
+    }
+    result = Py_NewRef(Py_None);
+done:
+    PyMem_Free(stack);
+    for (int a = 0; a < 4; a++)
+        PyBuffer_Release(&b[a]);
+    return result;
+}
+
+/* First k in [lo, hi) with positions[k] >= x, or hi. */
+static inline Py_ssize_t
+lower_bound(const int64_t *positions, Py_ssize_t lo, Py_ssize_t hi, int64_t x)
+{
+    while (lo < hi) {
+        Py_ssize_t mid = lo + (hi - lo) / 2;
+        if (positions[mid] < x)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* The query of `_python.stats_query` on the arrays of `stats_build`, the
+ * leaf positions and the node ranges and parents `nodes` (3 rows) and the
+ * t quantiles by degrees of freedom.  Returns (node, half_width, n, total)
+ * or None. */
+static PyObject *
+stats_query(PyObject *self, PyObject *args)
+{
+    Py_buffer buf[6];
+    Py_ssize_t leaf, item;
+    if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*nn:stats_query", &buf[0], &buf[1], &buf[2], &buf[3], &buf[4], &buf[5],
+                          &leaf, &item))
+        return NULL;
+    const int64_t *ptr = buf[0].buf, *positions = buf[1].buf, *gap_nodes = buf[2].buf, *lows = buf[4].buf;
+    const int64_t *gptr = ptr + buf[0].len / (Py_ssize_t)(2 * sizeof(int64_t));
+    Py_ssize_t n_gaps = buf[2].len / (Py_ssize_t)sizeof(int64_t);
+    Py_ssize_t n_nodes = buf[4].len / (Py_ssize_t)(3 * sizeof(int64_t));
+    const int64_t *highs = lows + n_nodes, *parents = highs + n_nodes;
+    const double *total = buf[3].buf, *squares = total + n_gaps, *low = squares + n_gaps, *high = low + n_gaps;
+    const double *t_critical = buf[5].buf;
+    Py_ssize_t start = ptr[item], end = ptr[item + 1];
+    Py_ssize_t best = -1, best_n = 0;
+    double best_hw = 0.0, best_total = 0.0;
+
+    if (end - start >= 2) {
+        Py_ssize_t to_gap = gptr[item] - start, top = -1;
+        int64_t at = lows[leaf];
+        Py_ssize_t a = lower_bound(positions, start, end, at);
+        Py_ssize_t b = a < end && positions[a] == at ? a + 1 : a;
+        for (int64_t node = parents[leaf]; node >= 0; node = parents[node]) {
+            int64_t lo = lows[node], hi = highs[node];
+            Py_ssize_t new_a = a > start && positions[a - 1] >= lo ? lower_bound(positions, start, a, lo) : a;
+            Py_ssize_t new_b = b < end && positions[b] < hi ? lower_bound(positions, b, end, hi) : b;
+            if (new_a == a && new_b == b)
+                continue;
+            if (a == b) {
+                top = -1;
+                for (Py_ssize_t k = to_gap + new_a; k < to_gap + new_b - 1; k++)
+                    if (top < 0 || gap_nodes[k] > gap_nodes[top])
+                        top = k;
+            }
+            else
+                top = to_gap + (new_a < a ? a - 1 : b - 1);
+            a = new_a;
+            b = new_b;
+            Py_ssize_t n = b - a;
+            if (n < 2)
+                continue;
+            double variance = 0.0;
+            if (low[top] != high[top]) {
+                variance = (squares[top] - total[top] * total[top] / (double)n) / (double)(n - 1);
+                if (variance < 0.0)   /* max(variance, 0.0): NaN passes */
+                    variance = 0.0;
+            }
+            double hw = t_critical[n - 1] * sqrt(variance / (double)n);
+            if (best < 0 || hw < best_hw) {
+                best = node;
+                best_hw = hw;
+                best_n = n;
+                best_total = total[top];
+            }
+        }
+    }
+    for (int k = 0; k < 6; k++)
+        PyBuffer_Release(&buf[k]);
+    if (best < 0)
+        Py_RETURN_NONE;
+    return Py_BuildValue("(ndnd)", best, best_hw, best_n, best_total);
+}
+
 static PyMethodDef methods[] = {
     {"ward_loop", ward_loop, METH_VARARGS,
      "ward_loop(d2, merges, heights)\n--\n\n"
@@ -355,11 +512,18 @@ static PyMethodDef methods[] = {
      "knn_query(rows_indptr, rows_indices, rows_data, cols_indptr, cols_indices, cols_data, norms, means,"
      " scratch, entity, column, k)\n--\n\n"
      "The query of `cobar.kernels.KnnIndex`, which checks its arguments."},
+    {"stats_build", stats_build, METH_VARARGS,
+     "stats_build(index, ratings, gap_nodes, gaps)\n--\n\n"
+     "The build of `cobar.kernels.ClusterStatsIndex`, which lays out its arguments."},
+    {"stats_query", stats_query, METH_VARARGS,
+     "stats_query(index, positions, gap_nodes, gaps, nodes, t_critical, leaf, item)\n--\n\n"
+     "The query of `cobar.kernels.ClusterStatsIndex`, which checks its arguments."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_compiled", "Compiled Ward merge loop, MF SGD epoch and kNN query.", 0, methods,
+    PyModuleDef_HEAD_INIT, "_compiled", "Compiled Ward merge loop, MF SGD epoch, kNN query and cluster statistics.",
+    0, methods,
 };
 
 PyMODINIT_FUNC

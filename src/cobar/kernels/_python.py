@@ -8,6 +8,9 @@ trusts its caller, `cobar.kernels`, to have checked every argument.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
+
 import numpy as np
 
 
@@ -194,3 +197,96 @@ def _top_k_aggregate(sims: np.ndarray, deviations: np.ndarray, k: int) -> float 
         pos = pos[order]
     weights = sims[pos]
     return float(np.sum(weights * deviations[pos]) / np.sum(weights))
+
+
+def stats_build(index: np.ndarray, ratings: np.ndarray, gap_nodes: np.ndarray, gaps: np.ndarray) -> None:
+    """The build of `cobar.kernels.ClusterStatsIndex`, which lays out the
+    arguments: fills the (sum, sum of squares, min, max) rows of `gaps`.
+
+    Item i's ratings are ``ratings[index[0, i]:index[0, i + 1]]``, in leaf
+    position order, and the gaps between them ``index[1, i]`` on, each
+    labelled with the lowest node holding its two raters.  A gap's entry is
+    its left range's entry plus its right range's, left operand first, the
+    min and max as ``np.minimum`` and ``np.maximum`` take them.  A gap is
+    filled once no remaining gap of its item next to it is lower: those are
+    the gaps the compiled loop pops from its stack.  Each run of adjacent
+    ratings joined so far keeps its entry at its first rating.
+    """
+    ptr, gptr = index
+    total, squares, low, high = gaps
+    n_gaps = len(gap_nodes)
+    per_item = np.diff(gptr)
+    item = np.repeat(np.arange(len(per_item)), per_item)
+    left = np.arange(n_gaps) - gptr[item] + ptr[item]   # each gap's left rating
+    run_total, run_squares, run_low, run_high = ratings.copy(), ratings * ratings, ratings.copy(), ratings.copy()
+    run_start = np.arange(len(ratings))   # of the run ending at a rating
+    run_end = np.arange(len(ratings))     # of the run starting at a rating
+    # the gaps still open next to each gap, -1 at the ends of an item
+    before, after = np.arange(n_gaps) - 1, np.arange(n_gaps) + 1
+    before[gptr[:-1][per_item > 0]] = -1
+    after[gptr[1:][per_item > 0] - 1] = -1
+    open_gaps = np.arange(n_gaps)
+    while len(open_gaps):
+        g, b, a = gap_nodes[open_gaps], before[open_gaps], after[open_gaps]
+        ready = ((b < 0) | (g < gap_nodes[b])) & ((a < 0) | (g < gap_nodes[a]))
+        j = open_gaps[ready]
+        start, nxt = run_start[left[j]], left[j] + 1
+        end = run_end[nxt]
+        run_total[start] = total[j] = run_total[start] + run_total[nxt]
+        run_squares[start] = squares[j] = run_squares[start] + run_squares[nxt]
+        run_low[start] = low[j] = np.minimum(run_low[start], run_low[nxt])
+        run_high[start] = high[j] = np.maximum(run_high[start], run_high[nxt])
+        run_end[start], run_start[end] = end, start
+        b, a = before[j], after[j]
+        after[b[b >= 0]] = a[b >= 0]
+        before[a[a >= 0]] = b[a >= 0]
+        open_gaps = open_gaps[~ready]
+
+
+def stats_query(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray, gaps: np.ndarray,
+                nodes: np.ndarray, t_critical: np.ndarray, leaf: int, item: int) -> tuple | None:
+    """The query of `cobar.kernels.ClusterStatsIndex`, which checks `leaf`
+    and `item`: ``(node, half_width, n, total)`` of the narrowest interval on
+    the leaf's chain, or None.
+
+    The window ``[a, b)`` of the item's raters inside the current node
+    widens by bisection as the walk climbs.  When it first holds ratings,
+    its entry is its largest gap's; after that it grows on one side only,
+    and the gap joining the old window to the new raters is the new node's
+    own.  Only nodes where the window grew can be narrower than the node
+    below, so only they are scored.
+    """
+    ptr, gptr = index
+    lows, highs, parents = nodes
+    start, end = int(ptr[item]), int(ptr[item + 1])
+    if end - start < 2:
+        return None
+    to_gap = int(gptr[item]) - start   # gap k joins ratings k and k + 1
+    at = lows[leaf]
+    a = bisect_left(positions, at, start, end)
+    b = a + 1 if a < end and positions[a] == at else a
+    best = None
+    node = parents[leaf]
+    while node >= 0:
+        lo, hi = lows[node], highs[node]
+        new_a = bisect_left(positions, lo, start, a) if a > start and positions[a - 1] >= lo else a
+        new_b = bisect_left(positions, hi, b, end) if b < end and positions[b] < hi else b
+        if new_a != a or new_b != b:
+            if a == b:
+                gap_run = gap_nodes[to_gap + new_a:to_gap + new_b - 1]
+                top = to_gap + new_a + int(np.argmax(gap_run)) if len(gap_run) else -1
+            else:
+                top = to_gap + (a - 1 if new_a < a else b - 1)
+            a, b = new_a, new_b
+            n = b - a
+            if n > 1:
+                total, total_sq, low, high = gaps[:, top]
+                # equal ratings have variance 0 exactly: off a binary-exact
+                # grid their sums round, and the formula alone would give
+                # small widths that break "smaller cluster wins at equal width"
+                variance = 0.0 if low == high else max((total_sq - total * total / n) / (n - 1), 0.0)
+                half_width = float(t_critical[n - 1] * math.sqrt(variance / n))
+                if best is None or half_width < best[1]:
+                    best = (int(node), half_width, n, float(total))
+        node = parents[node]
+    return best

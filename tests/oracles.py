@@ -10,7 +10,9 @@ are frozen from published tables.  The Ward and cosine references are the
 earlier, allocation-heavy implementations, which the in-place ones must
 match bit for bit, and the per-query prediction reference is the earlier
 method-per-node chain walk, which the flat interval loop must match bit for
-bit.
+bit.  The per-(node, item) dict maps of cluster statistics and the chain
+walk over them are the earlier implementation of `cobar.core`, which the
+O(ratings) index must match bit for bit.
 """
 
 import math
@@ -21,6 +23,9 @@ from itertools import combinations
 import numpy as np
 from scipy import sparse
 from scipy import stats as scipy_stats
+from scipy.special import stdtrit
+
+from cobar.data import csr_rows
 
 # Two-sided 95% Student-t critical values, published table, df = 1..29.
 T_TABLE_95 = {
@@ -469,6 +474,97 @@ def select_optimal_cluster_reference(chain, item, stats, sizes):
     return best
 
 
+@lru_cache(maxsize=None)
+def _t_critical(level: float, dof: int) -> float:
+    # the kernel behind scipy's `t.ppf(p, dof)`, with the same bits
+    return float(stdtrit(dof, 0.5 + level / 2.0))
+
+
+def _variance(n: int, total: float, total_sq: float, lo: float, hi: float) -> float:
+    """(n-1)-denominator sample variance of an accumulator, clipped at zero.
+
+    Exactly zero when all ratings are equal (min == max).  Off a
+    binary-exact grid such as 0.5 steps the sums round, and the
+    sum-of-squares formula alone gives small positive values that break
+    "smaller cluster wins at equal width".
+    """
+    if lo == hi:
+        return 0.0
+    s2 = (total_sq - total * total / n) / (n - 1)
+    return max(s2, 0.0)
+
+
+class ClusterItemStats:
+    """Per (dendrogram node, item) rating accumulators.
+
+    Built bottom-up: each internal node's map combines its children's
+    (count, sum, sum of squares, min, max) entries, the first three by sum
+    and the last two by min and max, so construction costs O(total ratings
+    x tree depth) instead of a from-scratch pass per node.
+    """
+
+    def __init__(self, node_maps: list[dict[int, tuple[int, float, float, float, float]]]):
+        self._maps = node_maps
+
+    def items_at(self, node: int) -> dict[int, tuple[int, float, float, float, float]]:
+        return self._maps[node]
+
+
+def build_item_stats_dict(dendrogram, train) -> ClusterItemStats:
+    """The earlier `cobar.core.build_item_stats`, verbatim: accumulate (n,
+    sum, sum_sq, min, max) per item for every node of the hierarchy."""
+    maps: list[dict[int, tuple[int, float, float, float, float]]] = [dict() for _ in range(dendrogram.n_nodes)]
+    rows = csr_rows(train.users, train.items, train.ratings, train.n_users, train.n_items)
+    indptr, indices, data = (a.tolist() for a in rows)
+    for leaf, user in enumerate(dendrogram.leaf_users.tolist()):
+        lo, hi = indptr[user], indptr[user + 1]
+        # one float object serves as the sum, the min and the max
+        maps[leaf] = {i: (1, r, r * r, r, r) for i, r in zip(indices[lo:hi], data[lo:hi])}
+    for m, (left, right) in enumerate(dendrogram.merges):
+        a, b = maps[int(left)], maps[int(right)]
+        if len(b) > len(a):
+            a, b = b, a
+        merged = dict(a)
+        for item, entry in b.items():
+            cur = merged.get(item)
+            if cur is None:
+                merged[item] = entry
+            else:
+                n2, s2, q2, lo2, hi2 = entry
+                merged[item] = (cur[0] + n2, cur[1] + s2, cur[2] + q2, min(cur[3], lo2), max(cur[4], hi2))
+        maps[dendrogram.n_leaves + m] = merged
+    return ClusterItemStats(maps)
+
+
+def select_optimal_cluster_dict(chain, item, stats, level):
+    """The earlier `cobar.core.select_optimal_cluster`, verbatim: the
+    narrowest-interval cluster for the item among the chain's nodes, as
+    ``(node, half_width)``, walking every node's map.
+
+    Only nodes with >= 2 ratings for the item qualify.  Walking leaf to
+    root, a strict improvement is required, so at equal half-width the
+    smaller (earlier) cluster wins.  Returns None when no chain node
+    qualifies.
+    """
+    maps = stats._maps
+    best = None
+    best_hw = 0.0
+    for node in chain:
+        entry = maps[node].get(item)
+        if entry is None:
+            continue
+        n, total, total_sq, lo, hi = entry
+        if n < 2:
+            continue
+        # two-sided Student-t half-width on the cluster's item mean
+        hw = _t_critical(level, n - 1) * math.sqrt(_variance(n, total, total_sq, lo, hi) / n)
+        if best is None or hw < best_hw:
+            best, best_hw = node, hw
+    if best is None:
+        return None
+    return int(best), best_hw
+
+
 class CobarReference:
     """The earlier `CobarModel.predict_detailed` over a fitted model's state,
     through the reference chain walk and accessors above; verbatim but for
@@ -479,7 +575,7 @@ class CobarReference:
         self.train = model.train
         self.user_stats = model.user_stats
         self.dendrogram = model.dendrogram
-        maps = [model.stats.items_at(node) for node in range(model.dendrogram.n_nodes)]
+        maps = build_item_stats_dict(model.dendrogram, model.train)._maps
         self.stats = ClusterItemStatsReference(maps, model.config.confidence_level)
         self._leaf_of = model._leaf_of
         self._item_counts = model._item_counts

@@ -29,6 +29,7 @@ from cobar import (
 from cobar.baselines import MfConfig
 from cobar.clustering import agglomerate
 from cobar.core import build_item_stats
+from cobar.kernels import _t_critical_table
 from conftest import DATA_DIR, RATING_SCALES, random_grid_dataset
 from oracles import T_TABLE_95, WILCOXON_CRITICAL, BruteForceOracle, leaves_under
 from test_clustering import check_dendrogram_invariants
@@ -120,10 +121,13 @@ def test_c4_subsample_ordering(filename):
 
 @pytest.mark.acceptance("C5 statistics match published tables and direct arithmetic")
 def test_c5_statistical_components():
-    # t-based interval half-widths against the published 95% table
+    # t-based interval half-widths against the published 95% table, and the
+    # t table the cluster statistics index scores its intervals with
+    table = _t_critical_table(0.95, 31)
     for n in range(2, 31):
         implied_t = entry_half_width(unit_variance_entry(n), 0.95) * math.sqrt(n)
         assert abs(implied_t - T_TABLE_95[n - 1]) < 1e-4
+        assert abs(table[n - 1] - T_TABLE_95[n - 1]) < 1e-4
 
     # exact signed-rank p-values against published critical regions
     sets_for = {0: set(), 1: {1}, 2: {2}, 3: {3}, 4: {4}, 5: {2, 3}, 6: {2, 4}, 8: {3, 5}, 9: {4, 5}}

@@ -1,16 +1,17 @@
 """Confidence intervals, per-cluster stats aggregation, cluster selection,
 and the blended prediction, checked against from-scratch recomputation."""
 
+import gc
 import math
 from collections import Counter
 from dataclasses import astuple, replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
 from cobar import (
-    ClusterItemStats,
     CobarConfig,
     CobarModel,
     Fallback,
@@ -20,26 +21,28 @@ from cobar import (
     RatingDataset,
     UserKnn,
     agglomerate,
-    build_item_stats,
-    select_optimal_cluster,
 )
-from cobar.core import _t_critical
-from conftest import make_dataset, random_grid_dataset
+from cobar.core import build_item_stats, select_optimal_cluster
+from cobar.kernels import _t_critical_table
+from conftest import RATING_SCALES, make_dataset, random_grid_dataset
 from oracles import (
     T_TABLE_95,
     BruteForceOracle,
+    ClusterItemStats,
     CobarReference,
     ancestor_chain_reference,
+    build_item_stats_dict,
     interval_half_width,
     leaves_under,
+    select_optimal_cluster_dict,
 )
 
 
 def entry_half_width(entry, level=0.95):
-    """The half-width `select_optimal_cluster` gives a one-node chain whose
+    """The half-width the reference chain walk gives a one-node chain whose
     only accumulator is `entry` = (n, sum, sum_sq, min, max); None when the
     entry does not qualify."""
-    choice = select_optimal_cluster((0,), 0, ClusterItemStats([{0: entry}]), level)
+    choice = select_optimal_cluster_dict((0,), 0, ClusterItemStats([{0: entry}]), level)
     return None if choice is None else choice[1]
 
 
@@ -49,9 +52,15 @@ def unit_variance_entry(n):
     return (n, 0.0, float(n - 1), -1.0, 1.0)
 
 
+@lru_cache(maxsize=4)
+def dict_stats(model):
+    """The reference per-node dict maps of a fitted model's hierarchy."""
+    return build_item_stats_dict(model.dendrogram, model.train)
+
+
 def node_half_width(model, node, item):
-    """The half-width `select_optimal_cluster` gives the node on its own."""
-    return select_optimal_cluster((node,), item, model.stats, model.config.confidence_level)[1]
+    """The half-width the reference chain walk gives the node on its own."""
+    return select_optimal_cluster_dict((node,), item, dict_stats(model), model.config.confidence_level)[1]
 
 
 class TestConfidenceHalfWidth:
@@ -68,9 +77,11 @@ class TestConfidenceHalfWidth:
         assert entry_half_width((1, 4.0, 16.0, 4.0, 4.0)) is None
 
     def test_matches_published_table(self):
+        table = _t_critical_table(0.95, 31)
         for n in range(2, 31):
             implied_t = entry_half_width(unit_variance_entry(n)) * math.sqrt(n)
             assert implied_t == pytest.approx(T_TABLE_95[n - 1], abs=1e-4)
+            assert table[n - 1] == pytest.approx(T_TABLE_95[n - 1], abs=1e-4)
 
     def test_negative_variance_clipped(self):
         # not constant, but the sum-of-squares formula rounds below zero
@@ -88,9 +99,10 @@ class TestConfidenceHalfWidth:
 
     @pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
     def test_t_critical_bit_identical_to_t_ppf(self, level):
-        dofs = np.array([*range(1, 3001), 10**4, 10**5, 10**6, 10**7, 10**8])
+        # the table an index builds for its items' rating counts
+        dofs = np.arange(1, 20001)
         want = scipy_stats.t.ppf(0.5 + level / 2.0, dofs)
-        got = np.array([_t_critical.__wrapped__(level, int(dof)) for dof in dofs])
+        got = _t_critical_table(level, 20001)[1:]
         assert got.tobytes() == want.tobytes()
 
 
@@ -153,6 +165,67 @@ class TestBuildItemStats:
                     assert stats.items_at(node)[item][0] >= n
 
 
+class TestClusterStatsIndex:
+    """The index of `build_item_stats` against the per-(node, item) dict maps
+    and the chain walk it replaced (`oracles.build_item_stats_dict` and
+    `oracles.select_optimal_cluster_dict`)."""
+
+    @pytest.mark.parametrize("scale", RATING_SCALES)
+    def test_every_query_equals_the_dict_walk(self, scale, each_backend):
+        rng = np.random.default_rng(2024)
+        datasets = [random_grid_dataset(rng, draw=RATING_SCALES[scale]) for _ in range(25)]
+        models = [CobarModel().fit(ds) for ds in datasets]
+        # users whose ratings are all 0 have no leaf, and their ratings no entry
+        unclustered = sum(ds.n_users - m.dendrogram.n_leaves for ds, m in zip(datasets, models))
+        assert unclustered > 0 or scale != "int_0_10_zeros"
+        for _ in each_backend:
+            queries = chosen = 0
+            for ds, model in zip(datasets, models):
+                dend = model.dendrogram
+                stats, reference = build_item_stats(dend, ds), dict_stats(model)
+                assert [stats.items_at(node) for node in range(dend.n_nodes)] == reference._maps
+                assert [len(stats.items_at(node)) for node in range(dend.n_nodes)] == list(map(len, reference._maps))
+                for level in (0.9, 0.95, 0.99):
+                    for leaf, chain in enumerate(dend.chains):
+                        for item in range(ds.n_items):
+                            want = select_optimal_cluster_dict(chain, item, reference, level)
+                            if want is not None:
+                                want = (*want, *reference.items_at(want[0])[item][:2])
+                                chosen += 1
+                            # repr tells -0.0 from 0.0 and numpy scalars from Python ones
+                            assert repr(select_optimal_cluster(chain, item, stats, level)) == repr(want)
+                            queries += 1
+            assert chosen > queries // 4
+
+    def test_stores_at_most_two_entries_per_rating(self, demo_dataset):
+        # 2r - 1 entries for an item with r raters in the hierarchy, and no
+        # Python object per (node, item): only arrays and a few containers
+        rng = np.random.default_rng(5)
+        datasets = [demo_dataset, random_grid_dataset(rng, max_users=60, max_items=40),
+                    random_grid_dataset(rng, max_users=60, max_items=40, draw=RATING_SCALES["int_0_10_zeros"])]
+        for ds in datasets:
+            dend = agglomerate(ds)
+            stats = build_item_stats(dend, ds)
+            clustered = np.isin(ds.users, dend.leaf_users)
+            raters = np.bincount(ds.items[clustered], minlength=ds.n_items)
+            assert stats.n_entries == int(np.sum(2 * raters[raters > 0] - 1)) <= 2 * ds.n_ratings
+            stats.query(0, 0, 0.95)
+            objects, arrays, stack = 0, 0, [vars(stats)]
+            while stack:
+                obj = stack.pop()
+                if isinstance(obj, np.ndarray):
+                    arrays += obj.size
+                    continue
+                objects += 1
+                stack.extend(ref for ref in gc.get_referents(obj) if isinstance(ref, (np.ndarray, tuple, dict)))
+            assert objects < 10
+            # the arrays: positions, ratings and gap entries, plus the node
+            # ranges, the item offsets and the t table
+            assert arrays <= 6 * stats.n_entries + 3 * dend.n_nodes + 2 * (ds.n_items + 1) + ds.n_users
+        # 12 ratings of 4 items
+        assert build_item_stats(agglomerate(demo_dataset), demo_dataset).n_entries == 20
+
+
 def _count(stats, node, item):
     """Ratings of the item inside the node's cluster, 0 when it has none."""
     entry = stats.items_at(node).get(item)
@@ -183,9 +256,9 @@ class TestSelectOptimalCluster:
         chain = model.dendrogram.ancestor_chain(0)
         item = ds.item_index("x")
         choice = select_optimal_cluster(chain, item, model.stats, model.config.confidence_level)
-        node, half_width = choice
+        node, half_width, n, total = choice
         assert model.dendrogram.sizes[node] == 2   # the pair, not the 3-user root
-        assert half_width == 0.0
+        assert (half_width, n, total) == (0.0, 2, 6.0)
 
     def test_smallest_constant_cluster_wins_off_grid(self):
         # every user rates x exactly 0.7: each qualifying node has width 0,
@@ -204,7 +277,7 @@ class TestSelectOptimalCluster:
             chain = model.dendrogram.ancestor_chain(leaf)
             first = next(int(node) for node in chain if _count(model.stats, int(node), item) >= 2)
             choice = select_optimal_cluster(chain, item, model.stats, model.config.confidence_level)
-            assert choice == (first, 0.0)
+            assert choice[:2] == (first, 0.0)
             assert all(node_half_width(model, int(node), item) == 0.0 for node in chain[chain >= first])
 
     def test_selected_width_is_minimal(self):

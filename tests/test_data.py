@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cobar import (
+    CobarModel,
     ParseError,
     RatingDataset,
     compute_user_stats,
@@ -84,6 +85,47 @@ class TestRatingDatasetChecks:
         assert out.returncode == 1
         assert out.stderr.rstrip().endswith("IndexError: items holds an index out of range [0, 3)")
 
+
+    def test_arrays_read_only_after_the_check(self):
+        # writing an index out of range into a checked dataset once made the
+        # next cobar fit abort (exit 134) in scipy's sparse transpose
+        fields = {
+            "user_ids": ["a", "b", "c"], "item_ids": ["x", "y", "z"],
+            "users": np.repeat(np.arange(3, dtype=np.int32), 3),
+            "items": np.tile(np.arange(3, dtype=np.int32), 3),
+            "ratings": np.arange(1.0, 10.0) / 2, "rating_min": 0.5, "rating_max": 4.5,
+        }
+        ds = RatingDataset(**fields)
+        for name in ("users", "items", "ratings"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(ds, name)[8] = 3
+            assert fields[name].flags.writeable
+        assert ds.items[8] == 2
+        CobarModel().fit(ds)
+        # the dataset views the caller's arrays, and so does a subset's copy
+        fields["ratings"][0] = 0.25
+        assert ds.ratings[0] == 0.25
+        assert not ds.subset(np.arange(3)).ratings.flags.writeable
+
+
+class TestSubset:
+    def test_empty_list_selects_nothing(self):
+        ds = RatingDataset(**_hand_fields())
+        for empty in ([], (), np.array([], dtype=int), np.zeros(5, dtype=bool)):
+            sub = ds.subset(empty)
+            assert (sub.n_ratings, sub.users.dtype, sub.items.dtype, sub.ratings.dtype) == (
+                0, np.int32, np.int32, np.float64)
+            assert (sub.user_ids, sub.item_ids) == (ds.user_ids, ds.item_ids)
+
+    def test_masks_and_lists_select_as_before(self):
+        ds = RatingDataset(**_hand_fields())
+        mask = np.array([True, False, True, False, True])
+        for picked in (ds.subset(mask), ds.subset([0, 2, 4]), ds.subset(np.array([0, 2, 4]))):
+            assert picked.users.tolist() == [0, 1, 2]
+            assert picked.items.tolist() == [0, 0, 1]
+            assert picked.ratings.tolist() == [4.0, 5.0, 1.0]
+        with pytest.raises(IndexError):
+            ds.subset([5])
 
 class TestParseRatings:
     def test_single_record(self):

@@ -12,13 +12,14 @@ import sysconfig
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cobar import RatingDataset, kernels
+from cobar import RatingDataset, agglomerate, kernels
 from cobar.kernels import _python
-from conftest import REPO_ROOT, c_compiler_found
+from conftest import RATING_SCALES, REPO_ROOT, c_compiler_found, random_grid_dataset
 from oracles import condensed, ward_reference
 
 
@@ -37,7 +38,7 @@ def _tie_heavy_sq_dist(rng, n):
     return d + d.T
 
 
-LOOPS = ("ward_loop", "sgd_epoch", "knn_query")
+LOOPS = ("ward_loop", "sgd_epoch", "knn_query", "stats_build", "stats_query")
 EXTENSION = f"_compiled{sysconfig.get_config_var('EXT_SUFFIX')}"
 REBUILD = "rebuild it with: python setup.py build_ext --inplace --force"
 
@@ -68,7 +69,7 @@ class TestDispatch:
         assert kernels.BACKEND in ("python", "c")
         assert kernels._loops is (kernels._compiled if kernels.BACKEND == "c" else _python)
         # one checked entry per kernel, whichever loops run behind it
-        entries = (kernels.ward_linkage, kernels.mf_sgd_epoch, kernels.KnnIndex)
+        entries = (kernels.ward_linkage, kernels.mf_sgd_epoch, kernels.KnnIndex, kernels.ClusterStatsIndex)
         assert {entry.__module__ for entry in entries} == {"cobar.kernels"}
 
     def test_built_extension_selected(self, compiled_build, tmp_path):
@@ -81,8 +82,9 @@ class TestDispatch:
     def test_stale_extension_rejected(self):
         # extensions built from older source import, but hold the checked
         # kernels of before, or not every loop
-        stale = {"ward_linkage, mf_sgd_epoch": "ward_loop, sgd_epoch, knn_query",
-                 "ward_loop, sgd_epoch": "knn_query"}
+        stale = {"ward_linkage, mf_sgd_epoch": "ward_loop, sgd_epoch, knn_query, stats_build, stats_query",
+                 "ward_loop, sgd_epoch": "knn_query, stats_build, stats_query",
+                 "ward_loop, sgd_epoch, knn_query": "stats_build, stats_query"}
         for present, missing in stale.items():
             code = (
                 "import sys, types; "
@@ -596,13 +598,16 @@ class TestKnnQuery:
 
     def test_keeps_frozen_copies(self):
         # the index lays the triples out in arrays of its own and copies the
-        # means, so overwriting the caller's arrays changes no query
+        # means, so overwriting the arrays the dataset was built from, which
+        # it views read-only, changes no query
         problem = _counting_problem("continuous")
+        triples = [a.copy() for a in (problem["train"].users, problem["train"].items, problem["train"].ratings)]
+        train = problem["train"] = replace(problem["train"], users=triples[0], items=triples[1], ratings=triples[2])
         index = kernels.KnnIndex(**problem, k=7)
         before = [index.query(e, c) for e, c in SPREAD]
-        train = problem["train"]
-        for array in (train.users, train.items, train.ratings, problem["means"]):
+        for array in (*triples, problem["means"]):
             array[:] = 0
+        assert not train.ratings.any()
         assert [index.query(e, c) for e, c in SPREAD] == before
 
     def test_shuffled_triples_give_the_same_predictions(self, kernel_backend):
@@ -646,3 +651,51 @@ class TestKnnIndexChecksInputs:
         for _ in each_backend:
             with pytest.raises(error):
                 index.query(*args)
+
+
+def _stats_problem(ds):
+    """`ClusterStatsIndex` arguments for the hierarchy of `ds`."""
+    dend = agglomerate(ds)
+    return {"merges": dend.merges, "leaf_users": dend.leaf_users, "train": ds}
+
+
+class TestClusterStatsIndex:
+    def test_backends_build_the_same_arrays(self, compiled_kernels, monkeypatch):
+        rng = np.random.default_rng(404)
+        problems = [_stats_problem(random_grid_dataset(rng, max_users=80, max_items=30, draw=draw))
+                    for draw in RATING_SCALES.values() for _ in range(4)]
+        for problem in problems:
+            built = []
+            for loops in (_python, compiled_kernels):
+                monkeypatch.setattr(kernels, "_loops", loops)
+                index = kernels.ClusterStatsIndex(**problem)
+                built.append(b"".join(a.tobytes() for a in (*index._arrays, index._ratings)))
+            assert built[0] == built[1]
+
+    @pytest.mark.parametrize("name, value, error, match", [
+        ("train", lambda t: [t.users, t.items, t.ratings], TypeError, "must be a RatingDataset"),
+        ("merges", lambda m: m.astype(np.int32), TypeError, "must hold int64"),
+        ("merges", lambda m: m[:-1], ValueError, "shape"),
+        ("merges", lambda m: np.where(m == m.max(), 0, m), ValueError, "binary tree"),
+        ("merges", lambda m: m[::-1].copy(), ValueError, "binary tree"),
+        ("leaf_users", lambda u: u.astype(np.int32), TypeError, "must hold int64"),
+        ("leaf_users", lambda u: np.r_[u[:-1], u[0]], ValueError, "repeated user"),
+        ("leaf_users", lambda u: u + 1, IndexError, "out of range"),
+    ], ids=["list", "int32-merges", "merges-length", "node-twice", "child-after-parent", "int32-leaves",
+            "repeated-leaf", "leaf-out-of-range"])
+    def test_bad_argument_rejected(self, each_backend, demo_dataset, name, value, error, match):
+        problem = _stats_problem(demo_dataset)
+        problem[name] = value(problem[name])
+        for _ in each_backend:
+            with pytest.raises(error, match=match):
+                kernels.ClusterStatsIndex(**problem)
+
+    @pytest.mark.parametrize("args, error", [
+        ((-1, 0), IndexError), ((5, 0), IndexError), ((0, -1), IndexError), ((0, 4), IndexError),
+        ((np.int64(5), 0), IndexError), ((0.0, 0), TypeError), ((0, 2.5), TypeError),
+    ])
+    def test_bad_query_rejected(self, each_backend, demo_dataset, args, error):
+        index = kernels.ClusterStatsIndex(**_stats_problem(demo_dataset))
+        for _ in each_backend:
+            with pytest.raises(error):
+                index.query(*args, 0.95)
