@@ -10,7 +10,10 @@ Ties in the minimal linkage are broken by the lexicographically smallest
 (node id, node id) pair, making the hierarchy deterministic.
 
 The pairwise distances are stored once, as the condensed upper triangle of
-n(n-1)/2 doubles, and the merge loop works inside that buffer.
+n(n-1)/2 doubles: `cosine_distance_matrix`, the checked entry of the
+distance pass in `cobar.kernels`, fills it, and the merge loop works inside
+it.  `agglomerate` looks the pass up in this module, where perfbench's
+tracer wraps it.
 """
 
 from __future__ import annotations
@@ -21,52 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .data import RatingDataset, csr_rows
-
-
-def cosine_distance_matrix(dataset: RatingDataset, users: np.ndarray) -> np.ndarray:
-    """Condensed pairwise cosine distances between the given users' rating vectors.
-
-    Returns the n(n-1)/2 distances of the pairs i < j in the order of
-    `scipy.spatial.distance.pdist`: pair (i, j) sits at
-    ``i*n - i*(i+1)//2 + j - i - 1``.  Uses a sparse self-product, so the
-    cost is driven by the number of ratings rather than n_users * n_items.
-    All listed users must have at least one nonzero rating.
-
-    The result is the only array of size n^2 made.  It is filled one block
-    of rows at a time: the block's product with the users from its first
-    row on goes through a buffer of at most 1/16 of the n x n entries, and
-    each row's share of the upper triangle is copied out of it.
-    """
-    from scipy import sparse
-    indptr, indices, data = csr_rows(dataset.users, dataset.items, dataset.ratings, dataset.n_users, dataset.n_items)
-    R = sparse.csr_matrix((data, indices, indptr), shape=(dataset.n_users, dataset.n_items))[np.asarray(users)]
-    del indptr, indices, data   # only the listed users' rows live through the blocks
-    # scipy's row sum, not the bincount of `KnnIndex`: off a binary-exact
-    # scale the two round differently, and every distance keeps these bits
-    norms = np.sqrt(np.asarray(R.multiply(R).sum(axis=1)).ravel())
-    if np.any(norms == 0.0):
-        bad = int(np.flatnonzero(norms == 0.0)[0])
-        raise ValueError(f"user at position {bad} has a zero-norm rating vector")
-    n = R.shape[0]
-    dist = np.empty(n * (n - 1) // 2, dtype=np.float64)
-    RT = R.T.tocsr()
-    step = max(1, -(-n // 16))
-    pos = 0
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        upper = (R[start:stop] @ RT[:, start:]).toarray()
-        np.divide(upper, norms[start:stop, None], out=upper)
-        np.divide(upper, norms[None, start:], out=upper)
-        # 1 - cos clipped to [0, 2] equals 1 - (cos clipped to [-1, 1])
-        np.subtract(1.0, upper, out=upper)
-        np.clip(upper, 0.0, 2.0, out=upper)
-        for row in range(stop - start):
-            count = n - start - row - 1
-            dist[pos:pos + count] = upper[row, row + 1:]
-            pos += count
-        del upper   # freed before the next block's product is made
-    return dist
+from .data import RatingDataset
+from .kernels import cosine_distance_matrix
 
 
 def _leaf_chains(parents: list[int], n_leaves: int) -> tuple[tuple[int, ...], ...]:

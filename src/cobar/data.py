@@ -64,10 +64,11 @@ class RatingDataset:
     Construction checks the triples once, for every model that reads them:
     C-contiguous 1-D int32 `users` and `items` and float64 `ratings` of one
     length, every index in range, every rating finite, no (user, item)
-    pair repeated.  It then keeps read-only views of the three arrays, so
-    nothing writes through the dataset past the check; the arrays it was
-    built from stay the caller's.  `rating_min` and `rating_max` are clamp
-    bounds, not checked against the ratings.
+    pair repeated.  It checks and keeps read-only copies of the three
+    arrays, so no write reaches the checked triples: not through the
+    dataset, and not through the arrays it was built from, which stay the
+    caller's.  `rating_min` and `rating_max` are clamp bounds, not checked
+    against the ratings.
     """
 
     user_ids: list[str]
@@ -80,9 +81,9 @@ class RatingDataset:
     name: str = ""
 
     def __post_init__(self):
-        users = _checked("users", self.users, 1, "int32")
-        items = _checked("items", self.items, 1, "int32")
-        ratings = _checked("ratings", self.ratings, 1, "float64")
+        users = _checked("users", self.users, 1, "int32").copy()
+        items = _checked("items", self.items, 1, "int32").copy()
+        ratings = _checked("ratings", self.ratings, 1, "float64").copy()
         if not len(users) == len(items) == len(ratings):
             raise ValueError("users, items and ratings must have the same length")
         _check_range("users", users, self.n_users)
@@ -93,9 +94,8 @@ class RatingDataset:
         if np.any(pairs[1:] == pairs[:-1]):
             raise ValueError("users and items hold a repeated (user, item) pair")
         for name, array in (("users", users), ("items", items), ("ratings", ratings)):
-            view = array.view()
-            view.flags.writeable = False
-            setattr(self, name, view)
+            array.flags.writeable = False
+            setattr(self, name, array)
 
     @property
     def n_users(self) -> int:
@@ -371,7 +371,7 @@ def subsample_users(dataset: RatingDataset, max_users: int, seed: int) -> Rating
         item_ids=[dataset.item_ids[i] for i in kept_items],
         users=user_map[old_users].astype(np.int32),
         items=item_map[old_items].astype(np.int32),
-        ratings=ratings.copy(),
+        ratings=ratings,
         rating_min=dataset.rating_min,
         rating_max=dataset.rating_max,
         name=dataset.name,

@@ -1,19 +1,23 @@
 """The hot kernels: one checked entry each, over a compiled or a numpy loop.
 
-The Ward merge loop, the MF SGD epoch, the kNN query and the build and
-query of cobar's cluster statistics are compiled in the C extension
-`_compiled` when a C compiler is available at install time; without it the
-numpy loops in `_python` run.  ``BACKEND`` names the loops selected at
-import: ``"c"`` when `_compiled` imports, ``"python"`` when there is no
-`_compiled`; one that exists but cannot load, or lacks a loop, stops the
-import with the rebuild command.  `ward_linkage`, `mf_sgd_epoch`,
-`KnnIndex` and `ClusterStatsIndex` check their arguments, once for both
-backends, before they call the selected loop, which trusts its caller.
-`KnnIndex` lays out the triples of a `RatingDataset`, checked when it was
-built, along both axes with `cobar.data.csr_rows`; `ClusterStatsIndex`
-lays them out per item over the leaves of a user hierarchy.  Both backends
-give the same merges, heights, MF updates, kNN aggregates and cluster
-statistics bit for bit: only speed depends on BACKEND.
+Five compiled loops, in the C extension `_compiled` when a C compiler is
+available at install time: the cosine distance pass and the Ward merge
+loop of cobar's user hierarchy, the MF SGD epoch, the kNN query, and the
+build and query of cobar's cluster statistics.  Without it the numpy loops
+in `_python` run.  ``BACKEND`` names the loops selected at import: ``"c"``
+when `_compiled` imports, ``"python"`` when there is no `_compiled`; one
+that exists but cannot load, or lacks a loop, stops the import with the
+rebuild command.  `cosine_distance_matrix`, `ward_linkage`,
+`mf_sgd_epoch`, `KnnIndex` and `ClusterStatsIndex` check their arguments,
+once for both backends, before they call the selected loop, which trusts
+its caller.  `cosine_distance_matrix` and `KnnIndex` lay out the triples of
+a `RatingDataset`, checked when it was built, along both axes with
+`cobar.data.csr_rows`; `ClusterStatsIndex` lays them out per item over the
+leaves of a user hierarchy.  The cosine loops sum each dot product item by
+item in ascending order, as scipy's sparse product does, and clip
+``1 - (dot / norm_i) / norm_j`` to [0, 2] with NaN passing.  Both backends
+give the same distances, merges, heights, MF updates, kNN aggregates and
+cluster statistics bit for bit: only speed depends on BACKEND.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ except ImportError as exc:
         raise ImportError(f"extension {_spec.origin} cannot be loaded; {_REBUILD}") from exc
     _compiled = None
 
-_missing = [name for name in ("ward_loop", "sgd_epoch", "knn_query", "stats_build", "stats_query")
+_missing = [name for name in ("ward_loop", "sgd_epoch", "knn_query", "stats_build", "stats_query", "cosine_rows")
             if _compiled and not hasattr(_compiled, name)]
 if _missing:
     # an extension built from older source, e.g. one a build reused
@@ -53,6 +57,73 @@ if _missing:
 
 BACKEND: str = "c" if _compiled is not None else "python"
 _loops = _compiled or _python
+
+
+def cosine_distance_matrix(dataset: RatingDataset, users) -> np.ndarray:
+    """Condensed pairwise cosine distances between the given users' rating vectors.
+
+    `dataset` is a `RatingDataset`, which checked its triples, and `users`
+    a 1-D array of distinct user indices of it; `TypeError`, `ValueError`
+    or `IndexError` otherwise.  Every listed user must have a nonzero
+    rating vector, or `ValueError` names its position.  Returns the
+    n(n-1)/2 distances ``1 - cos``, clipped to [0, 2], of the pairs i < j of
+    positions in `users`, in the order of `scipy.spatial.distance.pdist`:
+    pair (i, j) sits at ``i*n - i*(i+1)//2 + j - i - 1``.
+
+    The listed users' ratings are laid out with `cobar.data.csr_rows`, by
+    position and by item, and each norm is the square root of the row's
+    nonzero squares summed as scipy's ``R.multiply(R).sum(axis=1)`` sums
+    them.  Every other temporary is freed before the result, the only array
+    of size n^2, is allocated.  The cost is driven by the number of ratings
+    and n^2, not by n * n_items.
+    """
+    if not isinstance(dataset, RatingDataset):
+        raise TypeError(f"dataset must be a RatingDataset, not {type(dataset).__name__}")
+    users = np.asarray(users)
+    if users.ndim != 1:
+        raise ValueError(f"users must be 1-dimensional, got {users.ndim} dimensions")
+    if len(users) and users.dtype.kind not in "iu":
+        raise TypeError(f"users must hold integers, got {users.dtype}")
+    users = users.astype(np.int64, copy=False)
+    _check_range("users", users, dataset.n_users)
+    n = len(users)
+    position = np.full(dataset.n_users, -1, dtype=np.int64)
+    position[users] = np.arange(n)
+    if np.count_nonzero(position >= 0) != n:
+        raise ValueError("users holds a repeated user")
+    rated = position[dataset.users]
+    kept = rated >= 0
+    positions, items, ratings = rated[kept], dataset.items[kept], dataset.ratings[kept]
+    del position, rated, kept
+    rows = csr_rows(positions, items, ratings, n, dataset.n_items)
+    cols = csr_rows(items, positions, ratings, dataset.n_items, n)
+    del positions, items, ratings
+    norms = np.sqrt(_nonzero_square_sums(rows[0], rows[2]))
+    if np.any(norms == 0.0):
+        bad = int(np.flatnonzero(norms == 0.0)[0])
+        raise ValueError(f"user at position {bad} has a zero-norm rating vector")
+    dist = np.empty(n * (n - 1) // 2, dtype=np.float64)
+    _loops.cosine_rows(*rows, *cols, norms, dist)
+    return dist
+
+
+def _nonzero_square_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Each CSR row's sum of squares, with the bits of scipy's
+    ``R.multiply(R).sum(axis=1)``: `multiply` drops the squares that are
+    zero, and the sum is `np.add.reduceat` over each non-empty row of the
+    rest.  Keeping the zeros would change the pairwise summation tree, and
+    the `bincount` norms of `KnnIndex` round differently off a binary-exact
+    scale."""
+    squares = data * data
+    nonzero = squares != 0.0
+    before = np.zeros(len(data) + 1, dtype=np.int64)
+    np.cumsum(nonzero, out=before[1:])
+    bounds = before[indptr]   # the nonzero squares of the rows before each row
+    sums = np.zeros(len(indptr) - 1)
+    filled = bounds[1:] > bounds[:-1]
+    if filled.any():
+        sums[filled] = np.add.reduceat(squares[nonzero], bounds[:-1][filled])
+    return sums
 
 
 def ward_linkage(d2) -> tuple[np.ndarray, np.ndarray]:

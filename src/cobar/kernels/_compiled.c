@@ -1,6 +1,15 @@
-/* Compiled kernels: the Ward merge loop, the SGD epoch of the biased
- * matrix factorization baseline, the query of the cosine kNN baselines and
- * the build and query of cobar's per-item cluster statistics.
+/* Compiled kernels, five loops: the cosine distance pass and the Ward
+ * merge loop of cobar's user hierarchy, the SGD epoch of the biased matrix
+ * factorization baseline, the query of the cosine kNN baselines, and
+ * cobar's per-item cluster statistics, whose build and query are one
+ * function each.
+ *
+ * `cosine_rows` fills the condensed distances the scipy block product of
+ * `cobar.kernels._python.cosine_rows` fills, summing each dot product in
+ * the order of scipy's `csr_matmat`: for row i, item by item in ascending
+ * order, the product r_ik * r_jk is added to the sum of every row j > i.
+ * Each distance is 1 - (dot / norm_i) / norm_j clipped to [0, 2] as
+ * `np.clip` clips, NaN passing, so the distances agree bit for bit.
  *
  * `ward_loop` runs the steps of `cobar.kernels._python.ward_loop` on the
  * condensed upper triangle of the distance matrix, in place, with the same
@@ -32,6 +41,64 @@
 #include <Python.h>
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
+
+/* The distance pass of `_python.cosine_rows` for n rows, n the length of
+ * `norms`: the CSR arrays of the rows (rp, ri, rd) and of the columns
+ * (cp, ci, cd), each sorted, hold the same ratings.  Row i's dot products
+ * with the rows j > i are summed in `acc`, item by item in row i's order;
+ * a cursor per column skips the rows j <= i, which every earlier row that
+ * rated the item has passed.  Row i's distances are then written to
+ * `dist`, in pdist order, and its sums zeroed for the next row. */
+static PyObject *
+cosine_rows(PyObject *self, PyObject *args)
+{
+    Py_buffer b[8];
+    if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*y*w*:cosine_rows", &b[0], &b[1], &b[2], &b[3], &b[4], &b[5],
+                          &b[6], &b[7]))
+        return NULL;
+    const int64_t *rp = b[0].buf, *ri = b[1].buf, *cp = b[3].buf, *ci = b[4].buf;
+    const double *rd = b[2].buf, *cd = b[5].buf, *norms = b[6].buf;
+    double *dist = b[7].buf;
+    Py_ssize_t n = b[6].len / (Py_ssize_t)sizeof(double);
+    Py_ssize_t n_columns = b[3].len / (Py_ssize_t)sizeof(int64_t) - 1;
+    double *acc = PyMem_Calloc(n, sizeof(double));
+    int64_t *cursor = PyMem_New(int64_t, n_columns);
+    PyObject *result = NULL;
+    if (!acc || !cursor) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    memcpy(cursor, cp, n_columns * sizeof(int64_t));
+    for (Py_ssize_t i = 0; i < n; i++) {
+        for (int64_t p = rp[i]; p < rp[i + 1]; p++) {
+            int64_t k = ri[p], q = cursor[k], end = cp[k + 1];
+            double w = rd[p];
+            while (q < end && ci[q] <= i)
+                q++;
+            cursor[k] = q;
+            for (; q < end; q++)
+                acc[ci[q]] += w * cd[q];
+        }
+        double norm_i = norms[i];
+        for (Py_ssize_t j = i + 1; j < n; j++) {
+            double v = 1.0 - acc[j] / norm_i / norms[j];
+            acc[j] = 0.0;
+            if (v < 0.0)    /* np.clip(v, 0.0, 2.0): NaN passes */
+                v = 0.0;
+            else if (v > 2.0)
+                v = 2.0;
+            *dist++ = v;
+        }
+    }
+    result = Py_NewRef(Py_None);
+done:
+    PyMem_Free(acc);
+    PyMem_Free(cursor);
+    for (int a = 0; a < 8; a++)
+        PyBuffer_Release(&b[a]);
+    return result;
+}
 
 /* Smallest entry of active slot r's row among slots 0..a-1; the entry of
  * pair r < c is D[off[r] + c]. */
@@ -501,6 +568,9 @@ stats_query(PyObject *self, PyObject *args)
 }
 
 static PyMethodDef methods[] = {
+    {"cosine_rows", cosine_rows, METH_VARARGS,
+     "cosine_rows(rows_indptr, rows_indices, rows_data, cols_indptr, cols_indices, cols_data, norms, dist)\n--\n\n"
+     "The distance pass of `cobar.kernels.cosine_distance_matrix`, which lays out its arguments."},
     {"ward_loop", ward_loop, METH_VARARGS,
      "ward_loop(d2, merges, heights)\n--\n\n"
      "The merge loop of `cobar.kernels.ward_linkage`, which checks its arguments."},
@@ -522,8 +592,8 @@ static PyMethodDef methods[] = {
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_compiled", "Compiled Ward merge loop, MF SGD epoch, kNN query and cluster statistics.",
-    0, methods,
+    PyModuleDef_HEAD_INIT, "_compiled",
+    "Compiled cosine distances, Ward merge loop, MF SGD epoch, kNN query and cluster statistics.", 0, methods,
 };
 
 PyMODINIT_FUNC

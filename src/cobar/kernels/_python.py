@@ -14,6 +14,42 @@ from bisect import bisect_left
 import numpy as np
 
 
+def cosine_rows(rows_indptr: np.ndarray, rows_indices: np.ndarray, rows_data: np.ndarray, cols_indptr: np.ndarray,
+                cols_indices: np.ndarray, cols_data: np.ndarray, norms: np.ndarray, dist: np.ndarray) -> None:
+    """The distance pass of `cobar.kernels.cosine_distance_matrix`, which
+    lays out the ratings of its n users in CSR form by row and by column,
+    computes their norms and allocates `dist`: fills the condensed distances
+    ``1 - (dot / norm_i) / norm_j``, clipped to [0, 2], in pdist order.
+
+    The dot products are scipy's sparse product, which sums each one item by
+    item in row i's order, as the compiled loop does.  It is formed for a
+    block of at most n/32 rows at a time against every row, as slicing off
+    the rows before the block would copy the column arrays, through a dense
+    buffer of at most 1/32 of the n x n entries; each row's share of the
+    upper triangle is copied out of it.  Only this loop imports
+    `scipy.sparse`.
+    """
+    from scipy import sparse
+    n, n_columns = len(norms), len(cols_indptr) - 1
+    R = sparse.csr_matrix((rows_data, rows_indices, rows_indptr), shape=(n, n_columns))
+    RT = sparse.csr_matrix((cols_data, cols_indices, cols_indptr), shape=(n_columns, n))
+    step = max(1, -(-n // 32))
+    pos = 0
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        block = (R[start:stop] @ RT).toarray()
+        np.divide(block, norms[start:stop, None], out=block)
+        np.divide(block, norms[None, :], out=block)
+        # 1 - cos clipped to [0, 2] equals 1 - (cos clipped to [-1, 1])
+        np.subtract(1.0, block, out=block)
+        np.clip(block, 0.0, 2.0, out=block)
+        for row in range(start, stop):
+            count = n - row - 1
+            dist[pos:pos + count] = block[row - start, row + 1:]
+            pos += count
+        del block   # freed before the next block's product is made
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def ward_loop(d2: np.ndarray, merges: np.ndarray, heights: np.ndarray) -> None:
     """The merge loop of `cobar.kernels.ward_linkage`, which checks `d2` and

@@ -102,10 +102,34 @@ class TestRatingDatasetChecks:
             assert fields[name].flags.writeable
         assert ds.items[8] == 2
         CobarModel().fit(ds)
-        # the dataset views the caller's arrays, and so does a subset's copy
+        # the dataset keeps copies, and so does a subset
         fields["ratings"][0] = 0.25
-        assert ds.ratings[0] == 0.25
+        assert ds.ratings[0] == 0.5
         assert not ds.subset(np.arange(3)).ratings.flags.writeable
+
+    def test_write_after_the_check_never_reaches_the_fit(self):
+        # an index out of range written into the caller's array after the
+        # check once ended the fit in glibc's "double free or corruption"
+        # (signal 6) inside the cosine pass; the fit runs in a process of
+        # its own, and may end cleanly or in a Python exception, never in a
+        # signal
+        code = (
+            "import numpy as np; from cobar import CobarModel, RatingDataset; "
+            "items = np.tile(np.arange(3, dtype=np.int32), 3); "
+            "ds = RatingDataset(user_ids=['a', 'b', 'c'], item_ids=['x', 'y', 'z'], "
+            "users=np.repeat(np.arange(3, dtype=np.int32), 3), items=items, "
+            "ratings=np.arange(1.0, 10.0) / 2, rating_min=0.5, rating_max=4.5); "
+            "items[8] = 3; "
+            "model = CobarModel().fit(ds); "
+            "print(ds.items[8], model.dendrogram.n_leaves)"
+        )
+        environ = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=environ, capture_output=True, text=True)
+        assert out.returncode in (0, 1), out.stderr
+        if out.returncode == 1:
+            assert "Traceback" in out.stderr
+        else:
+            assert out.stdout.split() == ["2", "3"]
 
 
 class TestSubset:

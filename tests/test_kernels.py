@@ -38,7 +38,7 @@ def _tie_heavy_sq_dist(rng, n):
     return d + d.T
 
 
-LOOPS = ("ward_loop", "sgd_epoch", "knn_query", "stats_build", "stats_query")
+LOOPS = ("ward_loop", "sgd_epoch", "knn_query", "stats_build", "stats_query", "cosine_rows")
 EXTENSION = f"_compiled{sysconfig.get_config_var('EXT_SUFFIX')}"
 REBUILD = "rebuild it with: python setup.py build_ext --inplace --force"
 
@@ -69,7 +69,8 @@ class TestDispatch:
         assert kernels.BACKEND in ("python", "c")
         assert kernels._loops is (kernels._compiled if kernels.BACKEND == "c" else _python)
         # one checked entry per kernel, whichever loops run behind it
-        entries = (kernels.ward_linkage, kernels.mf_sgd_epoch, kernels.KnnIndex, kernels.ClusterStatsIndex)
+        entries = (kernels.cosine_distance_matrix, kernels.ward_linkage, kernels.mf_sgd_epoch, kernels.KnnIndex,
+                   kernels.ClusterStatsIndex)
         assert {entry.__module__ for entry in entries} == {"cobar.kernels"}
 
     def test_built_extension_selected(self, compiled_build, tmp_path):
@@ -82,9 +83,10 @@ class TestDispatch:
     def test_stale_extension_rejected(self):
         # extensions built from older source import, but hold the checked
         # kernels of before, or not every loop
-        stale = {"ward_linkage, mf_sgd_epoch": "ward_loop, sgd_epoch, knn_query, stats_build, stats_query",
-                 "ward_loop, sgd_epoch": "knn_query, stats_build, stats_query",
-                 "ward_loop, sgd_epoch, knn_query": "stats_build, stats_query"}
+        stale = {"ward_linkage, mf_sgd_epoch": ", ".join(LOOPS),
+                 "ward_loop, sgd_epoch": "knn_query, stats_build, stats_query, cosine_rows",
+                 "ward_loop, sgd_epoch, knn_query": "stats_build, stats_query, cosine_rows",
+                 "ward_loop, sgd_epoch, knn_query, stats_build, stats_query": "cosine_rows"}
         for present, missing in stale.items():
             code = (
                 "import sys, types; "
@@ -598,16 +600,20 @@ class TestKnnQuery:
 
     def test_keeps_frozen_copies(self):
         # the index lays the triples out in arrays of its own and copies the
-        # means, so overwriting the arrays the dataset was built from, which
-        # it views read-only, changes no query
+        # means, so overwriting the means changes no query; the dataset keeps
+        # copies of the arrays it was built from, so overwriting those
+        # reaches neither the dataset nor the index
         problem = _counting_problem("continuous")
         triples = [a.copy() for a in (problem["train"].users, problem["train"].items, problem["train"].ratings)]
         train = problem["train"] = replace(problem["train"], users=triples[0], items=triples[1], ratings=triples[2])
         index = kernels.KnnIndex(**problem, k=7)
+        assert not any(np.shares_memory(kept, given) for kept in index._arrays
+                       for given in (train.users, train.items, train.ratings, problem["means"]))
         before = [index.query(e, c) for e, c in SPREAD]
+        checked = train.ratings.copy()
         for array in (*triples, problem["means"]):
             array[:] = 0
-        assert not train.ratings.any()
+        assert np.array_equal(train.ratings, checked)
         assert [index.query(e, c) for e, c in SPREAD] == before
 
     def test_shuffled_triples_give_the_same_predictions(self, kernel_backend):
