@@ -12,10 +12,12 @@ rebuild command.  `cosine_distance_matrix`, `ward_linkage`,
 once for both backends, before they call the selected loop, which trusts
 its caller.  `cosine_distance_matrix` and `KnnIndex` lay out the triples of
 a `RatingDataset`, checked when it was built, along both axes with
-`cobar.data.csr_rows`; `ClusterStatsIndex` lays them out per item over the
-leaves of a user hierarchy.  The cosine loops sum each dot product item by
-item in ascending order, as scipy's sparse product does, and clip
-``1 - (dot / norm_i) / norm_j`` to [0, 2] with NaN passing.  Both backends
+`cobar.data.csr_rows`; `ClusterStatsIndex` lays them out with it per item
+over the leaves of a user hierarchy.  The cosine loops sum each dot
+product item by item in ascending order, as scipy's sparse product does,
+and clip ``1 - (dot / norm_i) / norm_j`` to [0, 2] with NaN passing.  The
+two Ward loops merge the same pair with the same Lance-Williams operands
+at every step, each with its own bookkeeping of row minima.  Both backends
 give the same distances, merges, heights, MF updates, kNN aggregates and
 cluster statistics bit for bit: only speed depends on BACKEND.
 """
@@ -331,12 +333,10 @@ class ClusterStatsIndex:
         position[leaf_users] = nodes[0, :n]
         rated = position[train.users]
         kept = rated >= 0
-        items = train.items[kept]
-        order = np.argsort(items.astype(np.int64) * n + rated[kept])
-        items, positions, ratings = items[order], rated[kept][order], train.ratings[kept][order]
-        counts = np.bincount(items, minlength=self.n_items)
         index = np.zeros((2, self.n_items + 1), dtype=np.int64)
-        np.cumsum(counts, out=index[0, 1:])
+        index[0], positions, ratings = csr_rows(train.items[kept], rated[kept], train.ratings[kept], self.n_items, n)
+        counts = np.diff(index[0])
+        items = np.repeat(np.arange(self.n_items), counts)
         np.cumsum(np.maximum(counts - 1, 0), out=index[1, 1:])
 
         # the lowest common node of two leaf positions a < b is the highest id

@@ -11,10 +11,14 @@
  * Each distance is 1 - (dot / norm_i) / norm_j clipped to [0, 2] as
  * `np.clip` clips, NaN passing, so the distances agree bit for bit.
  *
- * `ward_loop` runs the steps of `cobar.kernels._python.ward_loop` on the
- * condensed upper triangle of the distance matrix, in place, with the same
- * Lance-Williams expression and operand order, so merges and heights agree
- * bit for bit.
+ * `ward_loop` merges, in place on the condensed upper triangle of the
+ * distance matrix, the same pair as `cobar.kernels._python.ward_loop` at
+ * every step, with the same Lance-Williams expression and operand order,
+ * so merges and heights agree bit for bit.  The two loops share that
+ * invariant, not their bookkeeping: the numpy loop keeps exact row minima
+ * and rescans eagerly, the compiled one keeps lazy lower bounds on each
+ * row's contiguous upper run, one minimum per block of 32 rows, and
+ * prefetches the strided column entries it updates and moves.
  *
  * `sgd_epoch` performs the steps of `cobar.kernels._python.sgd_epoch` in
  * the same order: the prediction is global mean + user bias + item bias +
@@ -100,27 +104,52 @@ done:
     return result;
 }
 
-/* Smallest entry of active slot r's row among slots 0..a-1; the entry of
- * pair r < c is D[off[r] + c]. */
+/* The Ward loop keeps one bound per block of WARD_BLOCK slots and fetches
+ * the strided column entries it walks WARD_AHEAD slots ahead. */
+#define WARD_BLOCK 32
+#define WARD_AHEAD 16
+#if defined(__GNUC__) || defined(__clang__)
+#define PREFETCH(p) __builtin_prefetch(p)
+#else
+#define PREFETCH(p) ((void)0)
+#endif
+
+/* Smallest of the len entries at `run`, or inf. */
 static double
-row_minimum(const double *D, const Py_ssize_t *off, Py_ssize_t r, Py_ssize_t a)
+run_minimum(const double *run, Py_ssize_t len)
 {
     double best = INFINITY;
-    for (Py_ssize_t c = 0; c < r; c++)
-        if (D[off[c] + r] < best)
-            best = D[off[c] + r];
-    for (Py_ssize_t c = r + 1; c < a; c++)
-        if (D[off[r] + c] < best)
-            best = D[off[r] + c];
+    for (Py_ssize_t c = 0; c < len; c++)
+        if (run[c] < best)
+            best = run[c];
     return best;
 }
 
-/* The active-slot loop of `_python.ward_loop` on the condensed buffer D
- * of n >= 2 clusters, where n - 1 is the length of `heights`.  Slots
- * 0..a-1 hold the a active clusters; merging slots i < j writes the Ward
- * update into slot i's pairs and moves the last active slot into j.  Fills
- * the n-1 merges and heights, or stops at the first height that overflowed
- * to inf. */
+/* Smallest bound of the block that holds slot r. */
+static double
+block_minimum(const double *umin, Py_ssize_t r)
+{
+    return run_minimum(umin + r / WARD_BLOCK * WARD_BLOCK, WARD_BLOCK);
+}
+
+/* The Ward merge loop of `cobar.kernels.ward_linkage` on the condensed
+ * buffer D of n >= 2 clusters, where n - 1 is the length of `heights`.
+ * Slots 0..a-1 hold the a active clusters, pair r < c at D[off[r] + c];
+ * merging slots i < j writes the Ward update into slot i's pairs and moves
+ * the last active slot into j.  Fills the n-1 merges and heights, or stops
+ * at the first height that overflowed to inf.
+ *
+ * Each step merges the pair `_python.ward_loop` merges, with the same
+ * Lance-Williams operands, but finds it lazily.  umin[r] is a lower bound
+ * on the minimum of slot r's upper run D[off[r] + r+1 .. off[r] + a-1],
+ * exact unless stale[r]; bmin holds the smallest bound of each block of
+ * slots, inf past the active ones.  A merge keeps every bound valid: a
+ * removed entry cannot lower a minimum, and a rewritten one either becomes
+ * the row's exact minimum or is at least its bound.  A row whose exact
+ * minimum left is marked stale.  Once every stale row at the smallest
+ * bound g has been rescanned, g is the smallest distance and every row
+ * holding a pair at g has the exact bound g, so the tie scan reads only
+ * those rows.  A rescan reads one contiguous run. */
 static PyObject *
 ward_loop(PyObject *self, PyObject *args)
 {
@@ -130,58 +159,81 @@ ward_loop(PyObject *self, PyObject *args)
     double *D = d2.buf, *heights = heights_view.buf;
     int64_t *merges = merges_view.buf;
     Py_ssize_t n = heights_view.len / (Py_ssize_t)sizeof(double) + 1;
+    Py_ssize_t n_blocks = (n + WARD_BLOCK - 1) / WARD_BLOCK;
     Py_ssize_t *off = PyMem_New(Py_ssize_t, n);
     int64_t *node_id = PyMem_New(int64_t, n);
-    double *size = PyMem_New(double, n), *row_min = PyMem_New(double, n);
-    char *stale = PyMem_Calloc(n, 1);
+    double *size = PyMem_New(double, n), *umin = PyMem_New(double, n_blocks * WARD_BLOCK);
+    double *bmin = PyMem_New(double, n_blocks);
+    char *stale = PyMem_Calloc(n_blocks * WARD_BLOCK, 1);
     PyObject *result = NULL;
-    if (!off || !node_id || !size || !row_min || !stale) {
+    if (!off || !node_id || !size || !umin || !bmin || !stale) {
         PyErr_NoMemory();
         goto done;
     }
+    for (Py_ssize_t r = 0; r < n_blocks * WARD_BLOCK; r++)
+        umin[r] = INFINITY;
     for (Py_ssize_t r = 0; r < n; r++) {
         off[r] = r * n - r * (r + 1) / 2 - r - 1;
         node_id[r] = r;
         size[r] = 1.0;
-        row_min[r] = INFINITY;
+        umin[r] = run_minimum(D + off[r] + r + 1, n - r - 1);
     }
-    for (Py_ssize_t r = 0; r < n; r++)
-        for (Py_ssize_t c = r + 1; c < n; c++) {
-            double v = D[off[r] + c];
-            if (v < row_min[r])
-                row_min[r] = v;
-            if (v < row_min[c])
-                row_min[c] = v;
-        }
+    for (Py_ssize_t b = 0; b < n_blocks; b++)
+        bmin[b] = block_minimum(umin, b * WARD_BLOCK);
 
     for (Py_ssize_t m = 0; m < n - 1; m++) {
-        Py_ssize_t a = n - m, last = a - 1;
-        double g = INFINITY;
-        for (Py_ssize_t r = 0; r < a; r++)
-            if (row_min[r] < g)
-                g = row_min[r];
+        Py_ssize_t a = n - m, last = a - 1, blocks = (a + WARD_BLOCK - 1) / WARD_BLOCK;
+        double g;
+        int rescanned;
+        do {
+            g = INFINITY;
+            for (Py_ssize_t b = 0; b < blocks; b++)
+                if (bmin[b] < g)
+                    g = bmin[b];
+            /* the stale rows at g: their bounds may be below their minima */
+            rescanned = 0;
+            for (Py_ssize_t b = 0; b < blocks; b++) {
+                if (bmin[b] != g)
+                    continue;
+                int here = 0;
+                for (Py_ssize_t r = b * WARD_BLOCK; r < (b + 1) * WARD_BLOCK; r++)
+                    if (umin[r] == g && stale[r]) {
+                        umin[r] = run_minimum(D + off[r] + r + 1, a - r - 1);
+                        stale[r] = 0;
+                        here = 1;
+                    }
+                if (here) {
+                    bmin[b] = block_minimum(umin, b * WARD_BLOCK);
+                    rescanned = 1;
+                }
+            }
+        } while (rescanned);
 
         /* all pairs at the minimum, lexicographic smallest id pair wins;
-         * both rows of such a pair have their minimum at g */
+         * the first slot of each such pair has its upper run's minimum at g */
         Py_ssize_t i = -1, j = -1;
         int64_t lo = 0, hi = 0;
-        for (Py_ssize_t r = 0; r < a; r++) {
-            if (row_min[r] != g)
+        for (Py_ssize_t b = 0; b < blocks && g < INFINITY; b++) {
+            if (bmin[b] != g)
                 continue;
-            for (Py_ssize_t c = r + 1; c < a; c++) {
-                if (D[off[r] + c] != g)
+            for (Py_ssize_t r = b * WARD_BLOCK; r < (b + 1) * WARD_BLOCK; r++) {
+                if (umin[r] != g)
                     continue;
-                int64_t x = node_id[r], y = node_id[c];
-                int64_t p = x < y ? x : y, q = x < y ? y : x;
-                if (i < 0 || p < lo || (p == lo && q < hi)) {
-                    lo = p;
-                    hi = q;
-                    i = r;
-                    j = c;
+                for (Py_ssize_t c = r + 1; c < a; c++) {
+                    if (D[off[r] + c] != g)
+                        continue;
+                    int64_t x = node_id[r], y = node_id[c];
+                    int64_t p = x < y ? x : y, q = x < y ? y : x;
+                    if (i < 0 || p < lo || (p == lo && q < hi)) {
+                        lo = p;
+                        hi = q;
+                        i = r;
+                        j = c;
+                    }
                 }
             }
         }
-        if (i < 0 || g == INFINITY) {
+        if (i < 0) {
             /* the Ward updates overflowed: the entry rejects this height */
             heights[m] = INFINITY;
             break;
@@ -190,57 +242,94 @@ ward_loop(PyObject *self, PyObject *args)
         merges[2 * m + 1] = hi;
         heights[m] = g;
 
-        /* Ward update of slot i against every other active slot; a row whose
-         * old minimum was its distance to i or j is stale unless improved */
-        double si = size[i], sj = size[j];
-        for (Py_ssize_t k = 0; k < a; k++) {
-            if (k == i || k == j)
-                continue;
-            double *to_i = k < i ? &D[off[k] + i] : &D[off[i] + k];
-            double old_i = *to_i;
-            double old_j = k < j ? D[off[k] + j] : D[off[j] + k];
-            double s = size[k];
+        /* Ward update of slot i against every other active slot k: a row
+         * k < i takes v in place of its pair with i, a row k < j loses its
+         * pair with j, and the v of the slots k > i make up row i */
+        double si = size[i], sj = size[j], row_i = INFINITY;
+        for (Py_ssize_t k = 0; k < i; k++) {
+            if (k + WARD_AHEAD < i) {
+                PREFETCH(&D[off[k + WARD_AHEAD] + i]);
+                PREFETCH(&D[off[k + WARD_AHEAD] + j]);
+            }
+            double old_i = D[off[k] + i], old_j = D[off[k] + j], s = size[k];
             double v = ((si + s) * old_i + (sj + s) * old_j - s * g) / ((si + sj) + s);
             if (v < 0.0)    /* np.maximum(v, 0.0): NaN passes */
                 v = 0.0;
-            if (v < row_min[k])
-                row_min[k] = v;
-            else if (row_min[k] == old_i || row_min[k] == old_j)
+            if (v < umin[k]) {
+                umin[k] = v;
+                stale[k] = 0;
+                if (v < bmin[k / WARD_BLOCK])
+                    bmin[k / WARD_BLOCK] = v;
+            }
+            else if (umin[k] == old_i || umin[k] == old_j)
                 stale[k] = 1;
-            *to_i = v;
+            D[off[k] + i] = v;
+        }
+        for (Py_ssize_t k = i + 1; k < a; k++) {
+            if (k == j)
+                continue;
+            double old_j;
+            if (k < j) {
+                if (k + WARD_AHEAD < j)
+                    PREFETCH(&D[off[k + WARD_AHEAD] + j]);
+                old_j = D[off[k] + j];
+                if (umin[k] == old_j)
+                    stale[k] = 1;
+            }
+            else
+                old_j = D[off[j] + k];
+            double old_i = D[off[i] + k], s = size[k];
+            double v = ((si + s) * old_i + (sj + s) * old_j - s * g) / ((si + sj) + s);
+            if (v < 0.0)
+                v = 0.0;
+            if (v < row_i)
+                row_i = v;
+            D[off[i] + k] = v;
         }
         size[i] = si + sj;
         node_id[i] = n + m;
+        umin[i] = row_i;
+        stale[i] = 0;
 
-        /* the last active slot moves into the freed slot j */
+        /* the last active slot moves into the freed slot j, whose row then
+         * holds the pairs a row j < k < last loses */
+        double row_j = INFINITY;
         if (j != last) {
             for (Py_ssize_t k = 0; k < last; k++) {
+                if (k + WARD_AHEAD < last)
+                    PREFETCH(&D[off[k + WARD_AHEAD] + last]);
                 if (k == j)
                     continue;
+                double moved = D[off[k] + last];
                 if (k < j)
-                    D[off[k] + j] = D[off[k] + last];
-                else
-                    D[off[j] + k] = D[off[k] + last];
+                    D[off[k] + j] = moved;
+                else {
+                    D[off[j] + k] = moved;
+                    if (moved < row_j)
+                        row_j = moved;
+                    if (umin[k] == moved)
+                        stale[k] = 1;
+                }
             }
             size[j] = size[last];
             node_id[j] = node_id[last];
-            row_min[j] = row_min[last];
-            stale[j] = stale[last];
         }
+        umin[j] = row_j;
+        stale[j] = 0;
+        umin[last] = INFINITY;
         stale[last] = 0;
-        for (Py_ssize_t r = 0; r < last; r++)
-            if (stale[r]) {
-                stale[r] = 0;
-                row_min[r] = row_minimum(D, off, r, last);
-            }
-        row_min[i] = row_minimum(D, off, i, last);
+        /* bounds i, j and last may have risen */
+        bmin[i / WARD_BLOCK] = block_minimum(umin, i);
+        bmin[j / WARD_BLOCK] = block_minimum(umin, j);
+        bmin[last / WARD_BLOCK] = block_minimum(umin, last);
     }
     result = Py_NewRef(Py_None);
 done:
     PyMem_Free(off);
     PyMem_Free(node_id);
     PyMem_Free(size);
-    PyMem_Free(row_min);
+    PyMem_Free(umin);
+    PyMem_Free(bmin);
     PyMem_Free(stale);
     PyBuffer_Release(&d2);
     PyBuffer_Release(&merges_view);

@@ -1,9 +1,11 @@
 """Pure numpy implementations of the hot kernels.
 
 They are the fallback for environments without the compiled `_compiled`
-extension and the reference it is tested against: each runs the compiled
-loop's steps on the same memory in the same order, for the same bits, and
-trusts its caller, `cobar.kernels`, to have checked every argument.
+extension and the reference it is tested against: each gives the compiled
+loop's bits on the same memory, and trusts its caller, `cobar.kernels`, to
+have checked every argument.  All but the Ward loop run the compiled
+loop's steps in the same order; the two Ward loops merge the same pair
+with the same operands at every step, each with its own bookkeeping.
 """
 
 from __future__ import annotations
@@ -61,6 +63,15 @@ def ward_loop(d2: np.ndarray, merges: np.ndarray, heights: np.ndarray) -> None:
     Merging slots i < j writes the Ward update into slot i's pairs and moves
     the last active slot into the freed slot j; the tie-break compares node
     ids, not slots, so the moves leave the result unchanged.
+
+    What the two loops share is the pair merged at each step, the
+    lexicographically smallest id pair at the smallest distance, and the
+    operands and order of its Lance-Williams updates.  How they find the
+    pair differs: this loop keeps each row's exact minimum over its whole
+    row and, vectorised, recomputes every row whose minimum was its
+    distance to i or j; the compiled loop keeps lazy lower bounds on the
+    minima of the rows' contiguous upper runs and rescans a row only when
+    its bound is the smallest.
 
     A minimum that is not finite (the Ward updates overflowed) is written
     to `heights` and ends the loop, as in the compiled loop, and the entry

@@ -1,16 +1,13 @@
 """Popularity, kNN and matrix-factorization predictors."""
 
-import importlib.util
-import sys
-
 import numpy as np
 import pytest
 
 from cobar import CobarModel, ItemKnn, KnnConfig, MatrixFactorization, MfConfig, MostPopular, UserKnn
-from cobar import kernels, kfold_split, parse_ratings
+from cobar import kernels, kfold_split
 from cobar.data import fold_train_test
 from cobar.kernels import _python
-from conftest import RATING_SCALES, REPO_ROOT, make_dataset, random_grid_dataset
+from conftest import RATING_SCALES, benchmark_dataset, make_dataset, random_grid_dataset
 from oracles import dense_ratings, knn_prediction, mf_training_mse
 
 
@@ -279,16 +276,6 @@ def _knn_predictions(dataset, queries):
     return values
 
 
-def _benchmark_dataset(shape, seed):
-    """The benchmark's seeded synthetic rating file of `shape`, parsed."""
-    spec = importlib.util.spec_from_file_location("perfbench_datagen", REPO_ROOT / "perfbench" / "datagen.py")
-    datagen = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = datagen   # its dataclasses look their module up
-    spec.loader.exec_module(datagen)
-    users, items, ratings = datagen.generate(datagen.SHAPES[shape], seed)
-    return parse_ratings([f"u{u}\ti{i}\t{r:.1f}" for u, i, r in zip(users, items, ratings)])
-
-
 class TestKnnBackendsAgree:
     """The compiled kNN query gives the numpy query's predictions bit for bit."""
 
@@ -308,7 +295,7 @@ class TestKnnBackendsAgree:
     def test_benchmark_folds(self, each_backend, seed):
         # a test fold of the FilmTrust-shaped benchmark data, whose popular
         # items have hundreds of raters
-        dataset = _benchmark_dataset("ft", seed)
+        dataset = benchmark_dataset("ft", seed)
         train, test = fold_train_test(dataset, kfold_split(dataset, 10, 42), seed)
         queries = list(zip(dataset.users[test], dataset.items[test]))
         results = [_knn_predictions(train, queries) for _ in each_backend]

@@ -17,9 +17,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cobar import RatingDataset, agglomerate, kernels
+from cobar import RatingDataset, agglomerate, kernels, kfold_split
+from cobar.clustering import clusterable_users
+from cobar.data import fold_train_test
 from cobar.kernels import _python
-from conftest import RATING_SCALES, REPO_ROOT, c_compiler_found, random_grid_dataset
+from conftest import RATING_SCALES, REPO_ROOT, benchmark_dataset, c_compiler_found, random_grid_dataset
 from oracles import condensed, ward_reference
 
 
@@ -263,11 +265,35 @@ class TestWardKernel:
             d2 = base[np.ix_(pick, pick)]
             np.fill_diagonal(d2, 0.0)
             cases.append(d2)
+        # the compiled loop keeps one minimum per block of 32 rows: n just
+        # past one block, at two, just past two, and at several
+        for n in (33, 64, 65, 130, 300):
+            base = _tie_heavy_sq_dist(rng, n // 2)
+            pick = rng.integers(0, len(base), size=n)
+            repeated = base[np.ix_(pick, pick)]   # each point about twice
+            np.fill_diagonal(repeated, 0.0)
+            cases += [_tie_heavy_sq_dist(rng, n), repeated, _random_sq_dist(rng, n)]
+            if n < 300:
+                # every pair tied; at n=300 the numpy loops' tie scans
+                # would take about 12 s
+                cases += [np.ones((n, n)) - np.eye(n), np.zeros((n, n))]
         for d2 in cases:
             merges, heights = ward_linkage(condensed(d2))
             ref_merges, ref_heights = ward_reference(d2)
             assert np.array_equal(merges, ref_merges)
-            assert np.array_equal(heights, ref_heights)
+            assert heights.tobytes() == ref_heights.tobytes()
+
+    def test_backends_agree_on_a_benchmark_fold(self, each_backend):
+        # the training set of one fold of the FilmTrust-shaped benchmark
+        # data: 1,500 users, whose hierarchy the compiled loop builds with
+        # about 3,000 lazy rescans
+        dataset = benchmark_dataset("ft", 1)
+        train, _ = fold_train_test(dataset, kfold_split(dataset, 10, 42), 0)
+        d2 = kernels.cosine_distance_matrix(train, clusterable_users(train))
+        np.square(d2, out=d2)
+        (merges, heights), (c_merges, c_heights) = [kernels.ward_linkage(d2.copy()) for _ in each_backend]
+        assert merges.tobytes() == c_merges.tobytes()
+        assert heights.tobytes() == c_heights.tobytes()
 
     def test_merge_ids_form_a_tree(self, ward_linkage):
         rng = np.random.default_rng(72)
