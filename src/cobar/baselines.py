@@ -79,9 +79,11 @@ class _CosineKnn(_PredictorMixin):
     positive ones.  `fit` hands the training dataset, the means and k to a
     `kernels.KnnIndex`, which lays the ratings out itself;
     its query computes the similarities per query, compiled when the
-    extension is built, so memory stays O(ratings).  Subclasses set
-    `user_major` (entities are users) and `compute_stats` (the means
-    deviations are centered on).
+    extension is built, so memory stays O(ratings).  The compiled query
+    computes only the neighbours' dot products, from the cheaper of the
+    entity's columns and the neighbours' rows, with the numpy query's bits.
+    Subclasses set `user_major` (entities are users) and `compute_stats`
+    (the means deviations are centered on).
     """
 
     def __init__(self, config: KnnConfig | None = None, clamp: bool = True):

@@ -6,8 +6,8 @@ loop of cobar's user hierarchy, the MF SGD epoch, the kNN query, and the
 build and query of cobar's cluster statistics.  Without it the numpy loops
 in `_python` run.  ``BACKEND`` names the loops selected at import: ``"c"``
 when `_compiled` imports, ``"python"`` when there is no `_compiled`; one
-that exists but cannot load, or lacks a loop, stops the import with the
-rebuild command.  `cosine_distance_matrix`, `ward_linkage`,
+that exists but cannot load, lacks a loop, or reads the loops' arguments
+in another layout, stops the import with the rebuild command.  `cosine_distance_matrix`, `ward_linkage`,
 `mf_sgd_epoch`, `KnnIndex` and `ClusterStatsIndex` check their arguments,
 once for both backends, before they call the selected loop, which trusts
 its caller.  `cosine_distance_matrix` and `KnnIndex` lay out the triples of
@@ -56,6 +56,15 @@ if _missing:
     raise ImportError(
         f"stale extension {getattr(_compiled, '__file__', _compiled.__name__)} lacks {', '.join(_missing)}; {_REBUILD}"
     )
+# the layout of the arguments the entries below hand the compiled loops,
+# `LAYOUT` in `_compiled.c`; an extension from before it has layout 1
+_LAYOUT = 2
+if _compiled and getattr(_compiled, "LAYOUT", 1) != _LAYOUT:
+    # e.g. an extension whose cosine pass reads int32 indices as int64
+    raise ImportError(
+        f"stale extension {getattr(_compiled, '__file__', _compiled.__name__)} has argument layout "
+        f"{getattr(_compiled, 'LAYOUT', 1)}, not {_LAYOUT}; {_REBUILD}"
+    )
 
 BACKEND: str = "c" if _compiled is not None else "python"
 _loops = _compiled or _python
@@ -73,9 +82,9 @@ def cosine_distance_matrix(dataset: RatingDataset, users) -> np.ndarray:
     pair (i, j) sits at ``i*n - i*(i+1)//2 + j - i - 1``.
 
     The listed users' ratings are laid out with `cobar.data.csr_rows`, by
-    position and by item, and each norm is the square root of the row's
-    nonzero squares summed as scipy's ``R.multiply(R).sum(axis=1)`` sums
-    them.  Every other temporary is freed before the result, the only array
+    position and by item, with int32 indices, and each norm is the square
+    root of the row's nonzero squares summed as scipy's
+    ``R.multiply(R).sum(axis=1)`` sums them.  Every other temporary is freed before the result, the only array
     of size n^2, is allocated.  The cost is driven by the number of ratings
     and n^2, not by n * n_items.
     """
@@ -100,6 +109,9 @@ def cosine_distance_matrix(dataset: RatingDataset, users) -> np.ndarray:
     rows = csr_rows(positions, items, ratings, n, dataset.n_items)
     cols = csr_rows(items, positions, ratings, dataset.n_items, n)
     del positions, items, ratings
+    # the loops read int32 indices, which scipy's product keeps without a
+    # copy; a position or an item index fits, as the dataset's int32 do
+    rows, cols = [(indptr, indices.astype(np.int32), data) for indptr, indices, data in (rows, cols)]
     norms = np.sqrt(_nonzero_square_sums(rows[0], rows[2]))
     if np.any(norms == 0.0):
         bad = int(np.flatnonzero(norms == 0.0)[0])
@@ -221,6 +233,18 @@ class KnnIndex:
     ratings out with `cobar.data.csr_rows`, in CSR form along both axes
     with every row sorted, plus the norms, so each query checks only its
     own arguments before the loop reads the arrays unchecked.
+
+    The compiled loop computes only the dot products a query reads, those
+    of the entity with the neighbours in the column, from the side that
+    visits fewer elements: it scatters the entity's columns into a scratch
+    indexed by entity, or walks each neighbour's row against the entity's
+    ratings staged in a scratch indexed by column.  Both add the products
+    in ascending column order from +0.0, as the numpy loop's `bincount`
+    does; the walk also adds a zero product for each column the entity did
+    not rate, which changes no bit, as a sum of finite terms begun at +0.0
+    is never -0.0.  Its two buffers are allocated here: one slot per entity
+    of the longest column, and the scratch of max(entities, columns) zeros,
+    which each query zeroes again.
     """
 
     def __init__(self, train: RatingDataset, user_major: bool, means, k: int):
@@ -241,8 +265,12 @@ class KnnIndex:
         # each row's squares summed in ascending column order
         entity_of = np.repeat(np.arange(self.n_entities), np.diff(rows[0]))
         norms = np.sqrt(np.bincount(entity_of, weights=rows[2] * rows[2], minlength=self.n_entities))
-        # the compiled loop's dot products, zeroed again after every query
-        self._arrays = (*rows, *cols, norms, means.copy(), np.zeros(self.n_entities))
+        # the compiled loop's buffers: one slot per position in the longest
+        # column, and a scratch indexed by entity or by column that each
+        # query leaves zeroed
+        neighbours = np.empty(int(np.diff(cols[0]).max(initial=0)))
+        scratch = np.zeros(max(self.n_entities, self.n_columns))
+        self._arrays = (*rows, *cols, norms, means.copy(), neighbours, scratch)
 
     def query(self, entity: int, column: int) -> float | None:
         """The similarity-weighted mean deviation of the `k` neighbours most

@@ -20,7 +20,8 @@ def cosine_rows(rows_indptr: np.ndarray, rows_indices: np.ndarray, rows_data: np
                 cols_indices: np.ndarray, cols_data: np.ndarray, norms: np.ndarray, dist: np.ndarray) -> None:
     """The distance pass of `cobar.kernels.cosine_distance_matrix`, which
     lays out the ratings of its n users in CSR form by row and by column,
-    computes their norms and allocates `dist`: fills the condensed distances
+    with the int32 indices scipy keeps without a copy, computes their norms
+    and allocates `dist`: fills the condensed distances
     ``1 - (dot / norm_i) / norm_j``, clipped to [0, 2], in pdist order.
 
     The dot products are scipy's sparse product, which sums each one item by
@@ -100,15 +101,20 @@ def ward_loop(d2: np.ndarray, merges: np.ndarray, heights: np.ndarray) -> None:
             heights[m] = g
             return
 
-        # all pairs (r, c > r) at the minimum, lexicographic smallest id pair wins
-        best_ids = None
-        for r in np.flatnonzero(row_min[:a] == g):
-            for c in np.flatnonzero(d2[off[r] + r + 1:off[r] + a] == g) + r + 1:
-                x, y = node_id[r], node_id[c]
-                ids = (x, y) if x < y else (y, x)
-                if best_ids is None or ids < best_ids:
-                    best_ids, i, j = ids, r, c
-        merges[m, 0], merges[m, 1] = best_ids
+        # all pairs (r, c > r) at the minimum, lexicographic smallest id pair
+        # wins; each such pair sits in the upper run of a row whose minimum is g
+        rows = np.flatnonzero(row_min[:a] == g)
+        lengths = a - 1 - rows
+        ends = np.cumsum(lengths)
+        at = np.repeat(off[rows] + rows + 1 - ends + lengths, lengths) + np.arange(ends[-1])
+        hit = d2[at] == g
+        r = np.repeat(rows, lengths)[hit]
+        c = at[hit] - off[r]
+        x, y = node_id[r], node_id[c]
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        best = np.lexsort((hi, lo))[0]
+        i, j = int(r[best]), int(c[best])
+        merges[m, 0], merges[m, 1] = lo[best], hi[best]
         heights[m] = g
 
         # Ward update of slot i against every active slot; the inf of rows
@@ -192,6 +198,7 @@ def knn_query(
     cols_data: np.ndarray,
     norms: np.ndarray,
     means: np.ndarray,
+    neighbours: np.ndarray,
     scratch: np.ndarray,
     entity: int,
     column: int,
@@ -201,8 +208,8 @@ def knn_query(
     checks k once, and `entity` and `column` on every call: the
     similarity-weighted mean deviation of the k most similar positive
     neighbours of `entity` in `column`, or None when no neighbour has
-    positive similarity.  The compiled loop's `scratch` of dot products is
-    not needed here."""
+    positive similarity.  The compiled loop's buffers `neighbours` and
+    `scratch` are not needed here."""
     cp, ci, cd = cols_indptr, cols_indices, cols_data
     neighbors, ratings = ci[cp[column]:cp[column + 1]], cd[cp[column]:cp[column + 1]]
     keep = neighbors != entity

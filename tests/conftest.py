@@ -139,16 +139,25 @@ def ward_linkage(kernel_backend):
     return kernel_backend.ward_linkage
 
 
+class _EachBackend:
+    """The backend names, "python" then "c", on every iteration: each step
+    puts that backend's loops behind the checked entries of `cobar.kernels`,
+    so a test may iterate once per case and run every case on both."""
+
+    def __init__(self, request, monkeypatch):
+        self._request, self._monkeypatch = request, monkeypatch
+
+    def __iter__(self):
+        for name in ("python", "c"):
+            self._monkeypatch.setattr(kernels, "_loops", _loops(self._request, name))
+            yield name
+
+
 @pytest.fixture
 def each_backend(request, monkeypatch):
-    """The backend names, "python" then "c"; iterating puts each one's loops
-    behind the checked entries of `cobar.kernels` in turn, so one test runs
-    every case on both."""
-    def select():
-        for name in ("python", "c"):
-            monkeypatch.setattr(kernels, "_loops", _loops(request, name))
-            yield name
-    return select()
+    """An iterable of the backend names, "python" then "c", that selects
+    each one's loops in turn; see `_EachBackend`."""
+    return _EachBackend(request, monkeypatch)
 
 
 # --- acceptance criteria summary -------------------------------------------

@@ -180,8 +180,8 @@ class TestAgglomerate:
     def test_peak_memory_half_matrix(self, kernel_backend):
         # the condensed distances (n(n-1)/2 doubles), the ratings laid out
         # along both axes, and with the numpy loops one block of the sparse
-        # product; both merge loops work inside the distances.  Here 0.66
-        # (compiled) and 0.79 (numpy): 40 ratings per user make the layout
+        # product; both merge loops work inside the distances.  Here 0.62
+        # (compiled) and 0.71 (numpy): 40 ratings per user make the layout
         # large next to the distances
         rng = np.random.default_rng(12)
         rows = [

@@ -5,6 +5,7 @@ Ward loop, the MF epoch and the kNN query."""
 import array
 import ast
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -104,6 +105,28 @@ class TestDispatch:
             last = out.stderr.strip().splitlines()[-1]
             assert last == f"ImportError: stale extension /old/build/_compiled.so lacks {missing}; {REBUILD}"
 
+    @pytest.mark.parametrize("layout", [None, 1, 3])
+    def test_extension_of_another_layout_rejected(self, layout):
+        # an extension that has every loop but reads their arguments in
+        # another layout, e.g. one built before the cosine pass took int32
+        # indices, which it would read as int64 past the arrays' ends
+        code = (
+            "import sys, types; "
+            "stub = types.ModuleType('cobar.kernels._compiled'); "
+            "stub.__file__ = '/old/build/_compiled.so'; "
+            + "".join(f"stub.{name} = print; " for name in LOOPS)
+            + ("" if layout is None else f"stub.LAYOUT = {layout}; ")
+            + "sys.modules['cobar.kernels._compiled'] = stub; "
+            "import cobar"
+        )
+        environ = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=environ, capture_output=True, text=True)
+        assert out.returncode != 0
+        last = out.stderr.strip().splitlines()[-1]
+        found = 1 if layout is None else layout
+        assert last == (f"ImportError: stale extension /old/build/_compiled.so has argument layout {found}, "
+                        f"not {kernels._LAYOUT}; {REBUILD}")
+
     def test_broken_extension_stops_the_import(self, tmp_path):
         # only a missing extension selects the numpy loops; one that exists
         # but cannot load, here a truncated file, names itself
@@ -116,6 +139,11 @@ class TestDispatch:
         assert out.returncode != 0
         last = out.stderr.strip().splitlines()[-1]
         assert last == f"ImportError: extension {broken} cannot be loaded; {REBUILD}"
+
+    def test_each_backend_selects_both_on_every_iteration(self, each_backend, compiled_kernels):
+        # a test may iterate the fixture once per case
+        seen = [(name, kernels._loops) for _ in range(2) for name in each_backend]
+        assert seen == [("python", _python), ("c", compiled_kernels)] * 2
 
     def test_only_the_entry_imports_the_loops(self):
         # every caller goes through the checked entries of cobar.kernels,
@@ -578,6 +606,62 @@ def _counting_problem(variant, seed=33):
 # a spread of (entity, column) queries over the counting problems
 SPREAD = [(e, c) for e in range(0, MAX_NEIGHBOURS + 1, 15) for c in range(0, PROFILE + MAX_NEIGHBOURS, 17)]
 
+# how many gathered elements a scattered one costs in the compiled query
+SCATTER_COST = int(re.search(r"#define SCATTER_COST (\d+)",
+                             (REPO_ROOT / "src" / "cobar" / "kernels" / "_compiled.c").read_text()).group(1))
+
+
+def _side(index, entity, column):
+    """The side the compiled query sums the dot products of (entity,
+    column) from: "scatter" when SCATTER_COST times the elements the
+    scatter visits, every rating of every column the entity rated, is at
+    most the gather's, the entity's ratings and every neighbour's."""
+    rp, ri, _, cp, ci, _ = index._arrays[:6]
+    row, col = ri[rp[entity]:rp[entity + 1]], ci[cp[column]:cp[column + 1]]
+    scatter = int(np.sum(cp[row + 1] - cp[row]))
+    gather = len(row) + int(np.sum(rp[col + 1] - rp[col]))
+    return "scatter" if SCATTER_COST * scatter <= gather else "gather"
+
+
+def _sides_problem(side, user_major=True, seed=61):
+    """A problem whose query (entity 0, SIDES_QUERY[side][1]) the compiled
+    loop answers from `side`, by a wide margin.  "gather": entity 0 rates
+    the 40 columns 0..39, as do the heavy raters 1..30, while the query
+    column 40 holds the light raters 31..36, each rating three of those
+    columns and one of the columns 41..45 that entity 0 did not rate.
+    "scatter": entity 0 rates columns 0, 1, 43 and 44, which the light
+    raters 31..36 rate too, while the query column 2 holds the heavy raters
+    1..30, each rating columns 3..42 and one of columns 0 and 1.  Ratings
+    are signed and continuous, with explicit 0.0 and -0.0 among them, and
+    entity 0 rates both zeros."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        u = rng.random()
+        return 0.0 if u < 0.15 else -0.0 if u < 0.3 else float(rng.uniform(-5.0, 5.0))
+
+    if side == "gather":
+        own = list(range(40))
+        heavy = [list(range(40))] * 30
+        light = [[*rng.choice(40, 3, replace=False).tolist(), 40, 41 + j % 5] for j in range(6)]
+    else:
+        own = [0, 1, 43, 44]
+        heavy = [[*range(2, 43), int(rng.integers(0, 2))] for _ in range(30)]
+        light = [[0, 1, 43, 44, int(rng.integers(3, 43))] for _ in range(6)]
+    triples = [(0, c, v) for c, v in zip(own, [2.5, -0.0, 0.0, *(draw() for _ in own[3:])])]
+    for e, columns in enumerate(heavy + light, start=1):
+        triples += [(e, c, draw()) for c in sorted(set(columns))]
+    return _knn_problem(triples, 37, 46, rng, user_major)
+
+
+SIDES_QUERY = {"gather": (0, 40), "scatter": (0, 2)}
+# every query of a sides problem
+SIDES_QUERIES = [(e, c) for e in range(37) for c in range(46)]
+
+
+def _bits(value):
+    return None if value is None else np.float64(value).tobytes()
+
 
 class TestKnnQuery:
     @pytest.mark.parametrize("variant", ["continuous", "ties", "signed"])
@@ -615,13 +699,33 @@ class TestKnnQuery:
         assert query(1, 30) is None
 
     def test_queries_leave_no_trace(self, kernel_backend):
-        # the compiled loop's scratch of dot products is zeroed after every
-        # query, so the order of queries does not matter
-        index = kernel_backend.KnnIndex(**_counting_problem("signed"), k=5)
-        first = [index.query(e, c) for e, c in SPREAD]
-        order = np.random.default_rng(1).permutation(len(SPREAD))
-        again = [index.query(*SPREAD[q]) for q in order]
-        assert again == [first[q] for q in order]
+        # the compiled loop's scratch is zeroed after every query, from
+        # either side, so the order of queries does not matter
+        cases = [(_counting_problem("signed"), SPREAD)]
+        cases += [(_sides_problem(side), SIDES_QUERIES) for side in SIDES_QUERY]
+        sides = set()
+        for problem, queries in cases:
+            index = kernel_backend.KnnIndex(**problem, k=5)
+            sides |= {_side(index, e, c) for e, c in queries}
+            first = [index.query(e, c) for e, c in queries]
+            order = np.random.default_rng(1).permutation(len(queries))
+            again = [index.query(*queries[q]) for q in order]
+            assert again == [first[q] for q in order]
+            assert not index._arrays[-1].any()
+        assert sides == {"scatter", "gather"}
+
+    @pytest.mark.parametrize("user_major", [True, False])
+    @pytest.mark.parametrize("side", list(SIDES_QUERY))
+    def test_both_sides_match_the_numpy_query(self, compiled_kernels, side, user_major):
+        # each side adds the products in ascending column order from +0.0;
+        # the gather's extra +-0.0 products change no bit
+        index = kernels.KnnIndex(**_sides_problem(side, user_major), k=1)
+        assert _side(index, *SIDES_QUERY[side]) == side
+        assert {_side(index, e, c) for e, c in SIDES_QUERIES} == {"scatter", "gather"}
+        results = [[_bits(loops.knn_query(*index._arrays, e, c, k)) for e, c in SIDES_QUERIES for k in (1, 3, 30)]
+                   for loops in (_python, compiled_kernels)]
+        assert results[0] == results[1]
+        assert sum(v is not None for v in results[0]) > len(SIDES_QUERIES)
         assert not index._arrays[-1].any()
 
     def test_keeps_frozen_copies(self):
