@@ -66,7 +66,7 @@ class MostPopular(_PredictorMixin):
         return self
 
     def predict(self, user: int, item: int) -> float:
-        self._check_query(user, item)
+        _, item = self._check_query(user, item)
         return self._clamp(self.item_stats.mean_or_global(item))
 
 
@@ -108,7 +108,7 @@ class _CosineKnn(_PredictorMixin):
         return self._clamp(mean + agg)
 
     def predict(self, user: int, item: int) -> float:
-        self._check_query(user, item)
+        user, item = self._check_query(user, item)
         return self._predict(user, item) if self.user_major else self._predict(item, user)
 
 
@@ -181,7 +181,7 @@ class MatrixFactorization(_PredictorMixin):
         return self
 
     def predict(self, user: int, item: int) -> float:
-        self._check_query(user, item)
+        user, item = self._check_query(user, item)
         value = self.global_mean
         if self.user_seen[user]:
             value += self.user_bias[user]

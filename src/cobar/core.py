@@ -103,6 +103,8 @@ class CobarModel(_PredictorMixin):
         self.stats: ClusterStatsIndex | None = None
         self._leaf_of: dict[int, int] = {}
         self._item_counts: np.ndarray | None = None
+        self._user_means: memoryview | None = None
+        self._sizes: memoryview | None = None
 
     def fit(self, train: RatingDataset) -> "CobarModel":
         self.train = train
@@ -111,17 +113,18 @@ class CobarModel(_PredictorMixin):
         self.stats = build_item_stats(self.dendrogram, train)
         self._leaf_of = {int(u): leaf for leaf, u in enumerate(self.dendrogram.leaf_users)}
         self._item_counts = np.bincount(train.items, minlength=train.n_items)
+        # views that every query indexes to Python floats and ints, with no
+        # copy: numpy's scalar indexing and int()/float() cost 3-4x more
+        self._user_means = memoryview(self.user_stats.means)
+        self._sizes = memoryview(self.dendrogram.sizes)
         return self
 
     def predict_detailed(self, user: int, item: int) -> Prediction:
-        self._check_query(user, item)
+        user, item = self._check_query(user, item)
 
-        user_mean = self.user_stats.mean(user)
-        if user_mean is None:
-            return Prediction(
-                value=self._clamp(self.user_stats.global_mean),
-                fallback=Fallback.COLD_USER,
-            )
+        user_mean = self._user_means[user]
+        if user_mean != user_mean:   # NaN: the user has no training rating
+            return Prediction(self._clamp(self.user_stats.global_mean), Fallback.COLD_USER)
 
         leaf = self._leaf_of.get(user)
         choice = None
@@ -138,25 +141,15 @@ class CobarModel(_PredictorMixin):
                 fallback = Fallback.COLD_ITEM
             else:
                 fallback = Fallback.SINGLE_RATING
-            return Prediction(
-                value=self._clamp(user_mean),
-                fallback=fallback,
-                user_mean=user_mean,
-            )
+            return Prediction(self._clamp(user_mean), fallback, None, None, None, None, user_mean)
 
         node, half_width, n, total = choice
         cluster_mean = total / n
         gamma = self.config.gamma
         value = gamma * user_mean + (1.0 - gamma) * cluster_mean
-        return Prediction(
-            value=self._clamp(value),
-            fallback=Fallback.NONE,
-            chosen_node=node,
-            cluster_size=int(self.dendrogram.sizes[node]),
-            cluster_mean=cluster_mean,
-            half_width=half_width,
-            user_mean=user_mean,
-        )
+        # positional: the fields in declaration order
+        return Prediction(self._clamp(value), Fallback.NONE, node, self._sizes[node], cluster_mean, half_width,
+                          user_mean)
 
     def predict(self, user: int, item: int) -> float:
         return self.predict_detailed(user, item).value

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -289,15 +290,19 @@ class _PredictorMixin:
     prediction to the training rating scale, unless the predictor was built
     with `clamp=False`."""
 
-    def _check_query(self, user: int, item: int) -> None:
+    def _check_query(self, user: int, item: int) -> tuple[int, int]:
+        """The query's indices as Python ints; `TypeError` for a
+        non-integer, `ValueError` out of range."""
         train = self.train
         if train is None:
             raise RuntimeError("model is not fitted")
+        user, item = operator.index(user), operator.index(item)
         # len() in place of the n_users/n_items properties: this runs on every query
         if not 0 <= user < len(train.user_ids):
             raise ValueError(f"user index {user} out of range")
         if not 0 <= item < len(train.item_ids):
             raise ValueError(f"item index {item} out of range")
+        return user, item
 
     def _clamp(self, value: float) -> float:
         if not self.clamp:

@@ -13,11 +13,14 @@ once for both backends, before they call the selected loop, which trusts
 its caller.  `cosine_distance_matrix` and `KnnIndex` lay out the triples of
 a `RatingDataset`, checked when it was built, along both axes with
 `cobar.data.csr_rows`; `ClusterStatsIndex` lays them out with it per item
-over the leaves of a user hierarchy.  The cosine loops sum each dot
-product item by item in ascending order, as scipy's sparse product does,
-and clip ``1 - (dot / norm_i) / norm_j`` to [0, 2] with NaN passing.  The
-two Ward loops merge the same pair with the same Lance-Williams operands
-at every step, each with its own bookkeeping of row minima.  Both backends
+over the leaves of a user hierarchy.  The two query loops, which run once
+per prediction, are bound to their arrays once: `KnnIndex` at
+construction, `ClusterStatsIndex` per confidence level on its first
+query.  The cosine loops sum each dot product item by item in ascending
+order, as scipy's sparse product does, and clip ``1 - (dot / norm_i) /
+norm_j`` to [0, 2] with NaN passing.  The two Ward loops merge the same
+pair with the same Lance-Williams operands at every step, each with its
+own bookkeeping of row minima.  Both backends
 give the same distances, merges, heights, MF updates, kNN aggregates and
 cluster statistics bit for bit: only speed depends on BACKEND.
 """
@@ -28,7 +31,7 @@ import functools
 import importlib.util
 import math
 import operator
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 
 import numpy as np
 from scipy.special import stdtrit
@@ -48,7 +51,8 @@ except ImportError as exc:
         raise ImportError(f"extension {_spec.origin} cannot be loaded; {_REBUILD}") from exc
     _compiled = None
 
-_missing = [name for name in ("ward_loop", "sgd_epoch", "knn_query", "stats_build", "stats_query", "cosine_rows")
+_missing = [name for name in ("ward_loop", "sgd_epoch", "bind_knn_query", "stats_build", "bind_stats_query",
+                              "cosine_rows")
             if _compiled and not hasattr(_compiled, name)]
 if _missing:
     # an extension built from older source, e.g. one a build reused
@@ -58,7 +62,7 @@ if _missing:
     )
 # the layout of the arguments the entries below hand the compiled loops,
 # `LAYOUT` in `_compiled.c`; an extension from before it has layout 1
-_LAYOUT = 2
+_LAYOUT = 3
 if _compiled and getattr(_compiled, "LAYOUT", 1) != _LAYOUT:
     # e.g. an extension whose cosine pass reads int32 indices as int64
     raise ImportError(
@@ -244,7 +248,9 @@ class KnnIndex:
     not rate, which changes no bit, as a sum of finite terms begun at +0.0
     is never -0.0.  Its two buffers are allocated here: one slot per entity
     of the longest column, and the scratch of max(entities, columns) zeros,
-    which each query zeroes again.
+    which each query zeroes again.  The loop is bound to its arrays and k
+    here, once; the bound query holds them, the scratch too, so two threads
+    must not query one index at once, and the compiled query keeps the GIL.
     """
 
     def __init__(self, train: RatingDataset, user_major: bool, means, k: int):
@@ -271,6 +277,7 @@ class KnnIndex:
         neighbours = np.empty(int(np.diff(cols[0]).max(initial=0)))
         scratch = np.zeros(max(self.n_entities, self.n_columns))
         self._arrays = (*rows, *cols, norms, means.copy(), neighbours, scratch)
+        self._query = _loops.bind_knn_query(*self._arrays, self.k)
 
     def query(self, entity: int, column: int) -> float | None:
         """The similarity-weighted mean deviation of the `k` neighbours most
@@ -283,7 +290,7 @@ class KnnIndex:
             raise IndexError(f"entity {entity} out of range [0, {self.n_entities})")
         if not 0 <= column < self.n_columns:
             raise IndexError(f"column {column} out of range [0, {self.n_columns})")
-        return _loops.knn_query(*self._arrays, entity, column, self.k)
+        return self._query(entity, column)
 
 
 def _t_critical_table(level: float, size: int) -> np.ndarray:
@@ -378,7 +385,8 @@ class ClusterStatsIndex:
         self._arrays = (index, positions, gap_nodes, gaps, nodes)
         self._ratings = ratings
         self._most_raters = max(2, int(counts.max(initial=0)))
-        self._tables: dict[float, np.ndarray] = {}
+        # per level, the query bound to the arrays and the level's t quantiles
+        self._queries: dict[float, Callable[[int, int], tuple[int, float, int, float] | None]] = {}
 
     @property
     def n_entries(self) -> int:
@@ -394,17 +402,22 @@ class ClusterStatsIndex:
         when no cluster on the chain holds two.  Walking from the leaf up, a
         wider cluster must be strictly narrower, so at equal width the
         smaller one wins.  An index out of range raises `IndexError`.  The
-        first query at a level builds its table of t quantiles."""
+        first query at a level checks it, `ValueError` outside (0, 1) or
+        NaN, and binds the loop to the arrays and that level's table of t
+        quantiles."""
         leaf, item = operator.index(leaf), operator.index(item)
         if not 0 <= leaf < self.n_leaves:
             raise IndexError(f"leaf {leaf} out of range [0, {self.n_leaves})")
         if not 0 <= item < self.n_items:
             raise IndexError(f"item {item} out of range [0, {self.n_items})")
-        table = self._tables.get(level)
-        if table is None:
+        query = self._queries.get(level)
+        if query is None:
+            if not 0.0 < level < 1.0:
+                raise ValueError(f"confidence level must be in (0, 1), got {level}")
             # n ratings read the entry at n - 1 degrees of freedom
-            table = self._tables[level] = _t_critical_table(level, self._most_raters)
-        return _loops.stats_query(*self._arrays, table, leaf, item)
+            table = _t_critical_table(level, self._most_raters)
+            query = self._queries[level] = _loops.bind_stats_query(*self._arrays, table)
+        return query(leaf, item)
 
     def items_at(self, node: int) -> Mapping[int, tuple[int, float, float, float, float]]:
         """A read-only mapping ``{item: (n, sum, sum of squares, min, max)}``

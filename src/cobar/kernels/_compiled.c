@@ -40,6 +40,11 @@
  * but pops the gaps off a stack instead of joining them in rounds.
  * `stats_query` runs the steps of `cobar.kernels._python.stats_query`.
  *
+ * The two queries run once per prediction, so they are bound: a
+ * `bind_knn_query` or `bind_stats_query` call takes the arrays once and
+ * returns a `BoundQuery`, which holds their buffers until it is freed and
+ * whose call parses only the two indices of a query.
+ *
  * No loop checks its arguments: `cobar.kernels` checks every shape,
  * element type, length and index before it calls in, and only the buffer
  * codes `y*` (C-contiguous) and `w*` (also writable) remain here.  The
@@ -49,6 +54,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -421,6 +427,72 @@ similarity(double dot, double norm_e, double norm_nb)
     return denom > 0.0 ? dot / denom : 0.0;
 }
 
+/* A query loop bound to its arrays: `views` holds the buffers of a
+ * `bind_*` call's arrays, released when the object is freed, and `k` the
+ * kNN query's neighbour count.  A call parses the query's two indices and
+ * runs `run` on them. */
+typedef struct BoundQuery BoundQuery;
+
+struct BoundQuery {
+    PyObject_HEAD
+    vectorcallfunc vectorcall;
+    PyObject *(*run)(BoundQuery *, Py_ssize_t, Py_ssize_t);
+    Py_ssize_t k;
+    int n_views;
+    Py_buffer views[10];
+};
+
+static PyObject *
+bound_call(PyObject *op, PyObject *const *args, size_t nargsf, PyObject *kwnames)
+{
+    BoundQuery *self = (BoundQuery *)op;
+    if (PyVectorcall_NARGS(nargsf) != 2 || (kwnames != NULL && PyTuple_GET_SIZE(kwnames) != 0)) {
+        PyErr_SetString(PyExc_TypeError, "a bound query takes exactly 2 positional arguments");
+        return NULL;
+    }
+    Py_ssize_t a = PyNumber_AsSsize_t(args[0], PyExc_OverflowError);
+    if (a == -1 && PyErr_Occurred())
+        return NULL;
+    Py_ssize_t b = PyNumber_AsSsize_t(args[1], PyExc_OverflowError);
+    if (b == -1 && PyErr_Occurred())
+        return NULL;
+    return self->run(self, a, b);
+}
+
+static void
+bound_dealloc(PyObject *op)
+{
+    BoundQuery *self = (BoundQuery *)op;
+    for (int a = 0; a < self->n_views; a++)
+        PyBuffer_Release(&self->views[a]);
+    Py_TYPE(op)->tp_free(op);
+}
+
+static PyTypeObject BoundQueryType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "cobar.kernels._compiled.BoundQuery",
+    .tp_basicsize = sizeof(BoundQuery),
+    .tp_dealloc = bound_dealloc,
+    .tp_vectorcall_offset = offsetof(BoundQuery, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_doc = "A query loop bound to its arrays, called with the query's two indices.",
+};
+
+/* A new BoundQuery of `run`, holding no buffer yet. */
+static BoundQuery *
+bound_new(PyObject *(*run)(BoundQuery *, Py_ssize_t, Py_ssize_t))
+{
+    BoundQuery *self = PyObject_New(BoundQuery, &BoundQueryType);
+    if (self == NULL)
+        return NULL;
+    self->vectorcall = bound_call;
+    self->run = run;
+    self->k = 0;
+    self->n_views = 0;
+    return self;
+}
+
 /* A scattered element costs about SCATTER_COST gathered ones: it is read,
  * added to and written back, then zeroed again (measured at 1.8-2.1 ns
  * against 1.0-1.1 ns per element on FilmTrust-shaped folds, x86-64, gcc). */
@@ -446,13 +518,10 @@ similarity(double dot, double norm_e, double norm_nb)
  * deviation of the top k positive neighbours in `column`, or None when no
  * neighbour is positive. */
 static PyObject *
-knn_query(PyObject *self, PyObject *args)
+knn_query(BoundQuery *bound, Py_ssize_t entity, Py_ssize_t column)
 {
-    Py_buffer b[10];
-    Py_ssize_t entity, column, k;
-    if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*y*y*w*w*nnn:knn_query", &b[0], &b[1], &b[2], &b[3], &b[4],
-                          &b[5], &b[6], &b[7], &b[8], &b[9], &entity, &column, &k))
-        return NULL;
+    const Py_buffer *b = bound->views;
+    Py_ssize_t k = bound->k;
     const int64_t *rp = b[0].buf, *ri = b[1].buf, *cp = b[3].buf, *ci = b[4].buf;
     const double *rd = b[2].buf, *cd = b[5].buf, *norms = b[6].buf, *means = b[7].buf;
     double *neighbours = b[8].buf, *scratch = b[9].buf;
@@ -463,7 +532,7 @@ knn_query(PyObject *self, PyObject *args)
 
     if (norm_e == 0.0 || first == end) {
         result = Py_NewRef(Py_None);
-        goto release;
+        goto done;
     }
     int64_t scatter = 0, gather = hi - lo;
     for (int64_t p = lo; p < hi; p++)
@@ -508,13 +577,13 @@ knn_query(PyObject *self, PyObject *args)
     Py_ssize_t m = positive < k ? positive : k;
     if (m == 0) {
         result = Py_NewRef(Py_None);
-        goto release;
+        goto done;
     }
     sims = PyMem_New(double, m);
     terms = PyMem_New(double, m);
     if (!sims || !terms) {
         PyErr_NoMemory();
-        goto release;
+        goto done;
     }
     /* the positive neighbours in column order; with more than k of them,
      * the top k by (-similarity, position), kept sorted by insertion, which
@@ -543,12 +612,29 @@ knn_query(PyObject *self, PyObject *args)
         terms[j] = sims[j] * terms[j];
     result = PyFloat_FromDouble(pairwise_sum(terms, m) / pairwise_sum(sims, m));
 
-release:
+done:
     PyMem_Free(sims);
     PyMem_Free(terms);
-    for (int a = 0; a < 10; a++)
-        PyBuffer_Release(&b[a]);
     return result;
+}
+
+/* The kNN query bound to the ten arrays of `cobar.kernels.KnnIndex`, in
+ * the order `_python.knn_query` takes them, and k. */
+static PyObject *
+bind_knn_query(PyObject *module, PyObject *args)
+{
+    BoundQuery *bound = bound_new(knn_query);
+    if (bound == NULL)
+        return NULL;
+    Py_buffer *b = bound->views;
+    /* on failure the parser releases the buffers it took */
+    if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*y*y*w*w*n:bind_knn_query", &b[0], &b[1], &b[2], &b[3], &b[4],
+                          &b[5], &b[6], &b[7], &b[8], &b[9], &bound->k)) {
+        Py_DECREF(bound);
+        return NULL;
+    }
+    bound->n_views = 10;
+    return (PyObject *)bound;
 }
 
 /* Item i's ratings are index[i] <= k < index[i + 1], in leaf position
@@ -638,13 +724,9 @@ lower_bound(const int64_t *positions, Py_ssize_t lo, Py_ssize_t hi, int64_t x)
  * t quantiles by degrees of freedom.  Returns (node, half_width, n, total)
  * or None. */
 static PyObject *
-stats_query(PyObject *self, PyObject *args)
+stats_query(BoundQuery *bound, Py_ssize_t leaf, Py_ssize_t item)
 {
-    Py_buffer buf[6];
-    Py_ssize_t leaf, item;
-    if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*nn:stats_query", &buf[0], &buf[1], &buf[2], &buf[3], &buf[4], &buf[5],
-                          &leaf, &item))
-        return NULL;
+    const Py_buffer *buf = bound->views;
     const int64_t *ptr = buf[0].buf, *positions = buf[1].buf, *gap_nodes = buf[2].buf, *lows = buf[4].buf;
     const int64_t *gptr = ptr + buf[0].len / (Py_ssize_t)(2 * sizeof(int64_t));
     Py_ssize_t n_gaps = buf[2].len / (Py_ssize_t)sizeof(int64_t);
@@ -695,11 +777,26 @@ stats_query(PyObject *self, PyObject *args)
             }
         }
     }
-    for (int k = 0; k < 6; k++)
-        PyBuffer_Release(&buf[k]);
     if (best < 0)
         Py_RETURN_NONE;
     return Py_BuildValue("(ndnd)", best, best_hw, best_n, best_total);
+}
+
+/* The cluster statistics query bound to the five arrays of
+ * `cobar.kernels.ClusterStatsIndex` and one level's t quantiles. */
+static PyObject *
+bind_stats_query(PyObject *module, PyObject *args)
+{
+    BoundQuery *bound = bound_new(stats_query);
+    if (bound == NULL)
+        return NULL;
+    Py_buffer *b = bound->views;
+    if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*:bind_stats_query", &b[0], &b[1], &b[2], &b[3], &b[4], &b[5])) {
+        Py_DECREF(bound);
+        return NULL;
+    }
+    bound->n_views = 6;
+    return (PyObject *)bound;
 }
 
 static PyMethodDef methods[] = {
@@ -713,16 +810,18 @@ static PyMethodDef methods[] = {
      "sgd_epoch(users, items, ratings, order, user_factors, item_factors, user_bias, item_bias,"
      " global_mean, learning_rate, regularization)\n--\n\n"
      "The epoch of `cobar.kernels.mf_sgd_epoch`, which checks its arguments."},
-    {"knn_query", knn_query, METH_VARARGS,
-     "knn_query(rows_indptr, rows_indices, rows_data, cols_indptr, cols_indices, cols_data, norms, means,"
-     " neighbours, scratch, entity, column, k)\n--\n\n"
-     "The query of `cobar.kernels.KnnIndex`, which checks its arguments."},
+    {"bind_knn_query", bind_knn_query, METH_VARARGS,
+     "bind_knn_query(rows_indptr, rows_indices, rows_data, cols_indptr, cols_indices, cols_data, norms, means,"
+     " neighbours, scratch, k)\n--\n\n"
+     "The query of `cobar.kernels.KnnIndex`, which checks its arguments, bound to its arrays and k:"
+     " a `query(entity, column)`."},
     {"stats_build", stats_build, METH_VARARGS,
      "stats_build(index, ratings, gap_nodes, gaps)\n--\n\n"
      "The build of `cobar.kernels.ClusterStatsIndex`, which lays out its arguments."},
-    {"stats_query", stats_query, METH_VARARGS,
-     "stats_query(index, positions, gap_nodes, gaps, nodes, t_critical, leaf, item)\n--\n\n"
-     "The query of `cobar.kernels.ClusterStatsIndex`, which checks its arguments."},
+    {"bind_stats_query", bind_stats_query, METH_VARARGS,
+     "bind_stats_query(index, positions, gap_nodes, gaps, nodes, t_critical)\n--\n\n"
+     "The query of `cobar.kernels.ClusterStatsIndex`, which checks its arguments, bound to its arrays and"
+     " one level's t quantiles: a `query(leaf, item)`."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -730,16 +829,18 @@ static PyMethodDef methods[] = {
  * import.  Raise it with every change to an argument's type or order, so
  * that an extension built from older source is rejected instead of reading
  * arguments laid out for another. */
-#define LAYOUT 2
+#define LAYOUT 3
 
 static int
-add_layout(PyObject *module)
+exec_module(PyObject *module)
 {
+    if (PyType_Ready(&BoundQueryType) < 0)
+        return -1;
     return PyModule_AddIntConstant(module, "LAYOUT", LAYOUT);
 }
 
 static PyModuleDef_Slot slots[] = {
-    {Py_mod_exec, add_layout},
+    {Py_mod_exec, exec_module},
     {0, NULL},
 };
 

@@ -5,11 +5,14 @@ extension and the reference it is tested against: each gives the compiled
 loop's bits on the same memory, and trusts its caller, `cobar.kernels`, to
 have checked every argument.  All but the Ward loop run the compiled
 loop's steps in the same order; the two Ward loops merge the same pair
-with the same operands at every step, each with its own bookkeeping.
+with the same operands at every step, each with its own bookkeeping.  The
+two queries are bound to their arrays once, as compiled, here with
+`functools.partial`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 
@@ -235,6 +238,15 @@ def knn_query(
     return _top_k_aggregate(sims, deviations, k)
 
 
+def bind_knn_query(rows_indptr: np.ndarray, rows_indices: np.ndarray, rows_data: np.ndarray, cols_indptr: np.ndarray,
+                   cols_indices: np.ndarray, cols_data: np.ndarray, norms: np.ndarray, means: np.ndarray,
+                   neighbours: np.ndarray, scratch: np.ndarray, k: int) -> functools.partial:
+    """`knn_query` bound to the arrays of `cobar.kernels.KnnIndex` and k:
+    a `query(entity, column)`, as the compiled bind returns one."""
+    return functools.partial(knn_query, rows_indptr, rows_indices, rows_data, cols_indptr, cols_indices, cols_data,
+                             norms, means, neighbours, scratch, k=k)
+
+
 def _top_k_aggregate(sims: np.ndarray, deviations: np.ndarray, k: int) -> float | None:
     """Weighted mean of deviations over the k most similar positive neighbors.
 
@@ -344,3 +356,11 @@ def stats_query(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray,
                     best = (int(node), half_width, n, float(total))
         node = parents[node]
     return best
+
+
+def bind_stats_query(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray, gaps: np.ndarray,
+                     nodes: np.ndarray, t_critical: np.ndarray) -> functools.partial:
+    """`stats_query` bound to the arrays of `cobar.kernels.ClusterStatsIndex`
+    and one level's t quantiles: a `query(leaf, item)`, as the compiled bind
+    returns one."""
+    return functools.partial(stats_query, index, positions, gap_nodes, gaps, nodes, t_critical)

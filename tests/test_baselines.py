@@ -434,3 +434,21 @@ class TestQueryRange:
     def test_unfitted_predictor_rejected(self, name):
         with pytest.raises(RuntimeError, match="not fitted"):
             PREDICTORS[name]().predict(0, 0)
+
+    @pytest.mark.parametrize("position", ["user", "item"])
+    def test_index_read_as_an_integer(self, name, position, demo_dataset):
+        # every predictor reads both indices with operator.index: a float is
+        # no index, and a numpy integer or a bool queries the int it equals
+        model = PREDICTORS[name]().fit(demo_dataset)
+        n = demo_dataset.n_users if position == "user" else demo_dataset.n_items
+
+        def predict(index):
+            return model.predict(index, 0) if position == "user" else model.predict(0, index)
+
+        for bad in (1.0, np.float64(1.0), 0.5, "1", None):
+            with pytest.raises(TypeError):
+                predict(bad)
+        for index in range(n):
+            want = repr(predict(index))
+            assert [repr(predict(same)) for same in (np.int64(index), np.int32(index), np.uint16(index))] == [want] * 3
+        assert (repr(predict(True)), repr(predict(False))) == (repr(predict(1)), repr(predict(0)))

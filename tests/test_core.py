@@ -515,6 +515,31 @@ class TestPredictionAgainstReference:
         assert (off_scale == 0) if clamp else (off_scale > 0)
 
 
+class TestPredictIsTheDetailedValue:
+    @pytest.mark.parametrize("scale", RATING_SCALES)
+    def test_every_pair(self, scale):
+        # `predict` returns `predict_detailed(...).value`, and a chosen
+        # cluster's size is the dendrogram's, as a Python int
+        rng = np.random.default_rng(95)
+        fallbacks = Counter()
+        for _ in range(8):
+            ds = random_grid_dataset(rng, draw=RATING_SCALES[scale])
+            # training drops about a quarter of the ratings: cold users and items
+            train = ds.subset(np.flatnonzero(rng.random(ds.n_ratings) < 0.75))
+            if train.n_ratings == 0 or not np.any(np.bincount(train.users, weights=train.ratings**2) > 0):
+                continue
+            model = CobarModel().fit(train)
+            for user in range(ds.n_users):
+                for item in range(ds.n_items):
+                    detailed = model.predict_detailed(user, item)
+                    assert repr(model.predict(user, item)) == repr(detailed.value)
+                    fallbacks[detailed.fallback] += 1
+                    if detailed.fallback is Fallback.NONE:
+                        size = detailed.cluster_size
+                        assert type(size) is int and size == model.dendrogram.sizes[detailed.chosen_node]
+        assert fallbacks[Fallback.NONE] > 0 and fallbacks[Fallback.COLD_USER] + fallbacks[Fallback.COLD_ITEM] > 0
+
+
 class TestPredictionIsPureRead:
     def test_catalogue_order_and_model_state(self):
         ds, train = _non_grid_split(83)

@@ -4,6 +4,7 @@ Ward loop, the MF epoch and the kNN query."""
 
 import array
 import ast
+import gc
 import os
 import re
 import shutil
@@ -13,12 +14,13 @@ import sysconfig
 import time
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cobar import RatingDataset, agglomerate, kernels, kfold_split
+from cobar import ItemKnn, KnnConfig, RatingDataset, UserKnn, agglomerate, kernels, kfold_split
 from cobar.clustering import clusterable_users
 from cobar.data import fold_train_test
 from cobar.kernels import _python
@@ -41,7 +43,7 @@ def _tie_heavy_sq_dist(rng, n):
     return d + d.T
 
 
-LOOPS = ("ward_loop", "sgd_epoch", "knn_query", "stats_build", "stats_query", "cosine_rows")
+LOOPS = ("ward_loop", "sgd_epoch", "bind_knn_query", "stats_build", "bind_stats_query", "cosine_rows")
 EXTENSION = f"_compiled{sysconfig.get_config_var('EXT_SUFFIX')}"
 REBUILD = "rebuild it with: python setup.py build_ext --inplace --force"
 
@@ -87,9 +89,12 @@ class TestDispatch:
         # extensions built from older source import, but hold the checked
         # kernels of before, or not every loop
         stale = {"ward_linkage, mf_sgd_epoch": ", ".join(LOOPS),
-                 "ward_loop, sgd_epoch": "knn_query, stats_build, stats_query, cosine_rows",
-                 "ward_loop, sgd_epoch, knn_query": "stats_build, stats_query, cosine_rows",
-                 "ward_loop, sgd_epoch, knn_query, stats_build, stats_query": "cosine_rows"}
+                 "ward_loop, sgd_epoch": "bind_knn_query, stats_build, bind_stats_query, cosine_rows",
+                 "ward_loop, sgd_epoch, bind_knn_query": "stats_build, bind_stats_query, cosine_rows",
+                 "ward_loop, sgd_epoch, bind_knn_query, stats_build, bind_stats_query": "cosine_rows",
+                 # an extension from before the queries were bound
+                 "ward_loop, sgd_epoch, knn_query, stats_build, stats_query, cosine_rows":
+                     "bind_knn_query, bind_stats_query"}
         for present, missing in stale.items():
             code = (
                 "import sys, types; "
@@ -105,11 +110,12 @@ class TestDispatch:
             last = out.stderr.strip().splitlines()[-1]
             assert last == f"ImportError: stale extension /old/build/_compiled.so lacks {missing}; {REBUILD}"
 
-    @pytest.mark.parametrize("layout", [None, 1, 3])
+    @pytest.mark.parametrize("layout", [None, 1, 2, 4])
     def test_extension_of_another_layout_rejected(self, layout):
         # an extension that has every loop but reads their arguments in
         # another layout, e.g. one built before the cosine pass took int32
-        # indices, which it would read as int64 past the arrays' ends
+        # indices, which it would read as int64 past the arrays' ends, or
+        # one of layout 2, whose queries took their arrays on every call
         code = (
             "import sys, types; "
             "stub = types.ModuleType('cobar.kernels._compiled'); "
@@ -667,15 +673,15 @@ class TestKnnQuery:
     @pytest.mark.parametrize("variant", ["continuous", "ties", "signed"])
     def test_backends_agree_for_every_neighbour_count(self, compiled_kernels, variant):
         # the compiled loop re-implements np.sum's pairwise order; a numpy
-        # release that changes it fails here.  The loops take k per call,
-        # so one index's layout serves every k.
+        # release that changes it fails here.  The loops are bound per k
+        # over one index's layout, which serves every k.
         arrays = kernels.KnnIndex(**_counting_problem(variant), k=1)._arrays
         results = []
         for loops in (_python, compiled_kernels):
             values = []
             for count in range(1, MAX_NEIGHBOURS + 1):
                 for k in sorted({count + 3, count, max(1, count - 1), max(1, count // 3), 1}):
-                    values.append(loops.knn_query(*arrays, 0, PROFILE + count - 1, k))
+                    values.append(loops.bind_knn_query(*arrays, k)(0, PROFILE + count - 1))
             results.append(values)
         if variant != "signed":
             assert None not in results[0]
@@ -722,8 +728,10 @@ class TestKnnQuery:
         index = kernels.KnnIndex(**_sides_problem(side, user_major), k=1)
         assert _side(index, *SIDES_QUERY[side]) == side
         assert {_side(index, e, c) for e, c in SIDES_QUERIES} == {"scatter", "gather"}
-        results = [[_bits(loops.knn_query(*index._arrays, e, c, k)) for e, c in SIDES_QUERIES for k in (1, 3, 30)]
-                   for loops in (_python, compiled_kernels)]
+        results = []
+        for loops in (_python, compiled_kernels):
+            queries = [loops.bind_knn_query(*index._arrays, k) for k in (1, 3, 30)]
+            results.append([_bits(query(e, c)) for e, c in SIDES_QUERIES for query in queries])
         assert results[0] == results[1]
         assert sum(v is not None for v in results[0]) > len(SIDES_QUERIES)
         assert not index._arrays[-1].any()
@@ -835,3 +843,97 @@ class TestClusterStatsIndex:
         for _ in each_backend:
             with pytest.raises(error):
                 index.query(*args, 0.95)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, float("nan"), float("inf")])
+    def test_level_outside_the_unit_interval_rejected(self, each_backend, demo_dataset, level):
+        # checked once, when the level's query is first bound, so that a
+        # query costs no more; unchecked, a level above 1 or NaN gives NaN
+        # half-widths and 0.0 gives zero widths
+        for _ in each_backend:
+            index = kernels.ClusterStatsIndex(**_stats_problem(demo_dataset))
+            with pytest.raises(ValueError, match=r"confidence level must be in \(0, 1\)"):
+                index.query(0, 0, level)
+            assert not index._queries
+            assert index.query(0, 0, 0.95) is not None
+            bound = index._queries[0.95]
+            index.query(1, 0, np.float64(0.95))
+            assert index._queries == {0.95: bound}
+
+
+def _knn_indexes(ds):
+    """The kNN indexes of the uknn and iknn fits of `ds`, with k 1, 3 and 30."""
+    return [cls(KnnConfig(k=k)).fit(ds)._index for cls in (UserKnn, ItemKnn) for k in (1, 3, 30)]
+
+
+class TestBoundQueries:
+    """Each backend binds its query loops to an index's arrays once; the
+    bound queries give the bits of the numpy loops called with every
+    argument, and hold the arrays they read."""
+
+    @pytest.mark.parametrize("scale", list(RATING_SCALES))
+    def test_bound_queries_give_the_loops_bits(self, compiled_kernels, scale):
+        rng = np.random.default_rng(72)
+        datasets = [random_grid_dataset(rng, draw=RATING_SCALES[scale]) for _ in range(6)]
+        answered = 0
+        for ds in datasets:
+            for index in _knn_indexes(ds):
+                arrays, k = index._arrays, index.k
+                bound = [loops.bind_knn_query(*arrays, k) for loops in (_python, compiled_kernels)]
+                for entity in range(index.n_entities):
+                    for column in range(index.n_columns):
+                        want = _bits(_python.knn_query(*arrays, entity, column, k))
+                        assert [_bits(query(entity, column)) for query in bound] == [want, want]
+                        # the compiled query leaves its scratch zeroed
+                        assert not arrays[-1].any()
+                        answered += want is not None
+            stats = kernels.ClusterStatsIndex(**_stats_problem(ds))
+            for level in (0.9, 0.95, 0.99):
+                table = kernels._t_critical_table(level, stats._most_raters)
+                bound = [loops.bind_stats_query(*stats._arrays, table) for loops in (_python, compiled_kernels)]
+                for leaf in range(stats.n_leaves):
+                    for item in range(stats.n_items):
+                        # repr tells -0.0 from 0.0 and numpy scalars from Python ones
+                        want = repr(_python.stats_query(*stats._arrays, table, leaf, item))
+                        assert [repr(query(leaf, item)) for query in bound] == [want, want]
+                        answered += want != "None"
+        assert answered > 0
+
+    def test_bound_query_keeps_its_arrays_alive(self, kernel_backend, demo_dataset):
+        # the index's arrays are referenced by nothing else once it is gone;
+        # the bound query holds them until it is freed itself
+        problem = _counting_problem("signed")
+        index = kernel_backend.KnnIndex(**problem, k=5)
+        want = [_bits(index.query(e, c)) for e, c in SPREAD]
+        query, kept = index._query, weakref.ref(index._arrays[4])
+        del index, problem
+        gc.collect()
+        junk = [np.full(n, 7.0) for n in range(1, 2000, 7)]   # reuse freed memory
+        assert kept() is not None
+        assert [_bits(query(e, c)) for e, c in SPREAD] == want
+        del query
+        gc.collect()
+        assert kept() is None
+
+        stats = kernel_backend.ClusterStatsIndex(**_stats_problem(demo_dataset))
+        pairs = [(leaf, item) for leaf in range(stats.n_leaves) for item in range(stats.n_items)]
+        want = [repr(stats.query(leaf, item, 0.95)) for leaf, item in pairs]
+        query, kept = stats._queries[0.95], weakref.ref(stats._arrays[3])
+        del stats
+        gc.collect()
+        junk += [np.full(n, 7.0) for n in range(1, 2000, 7)]
+        assert kept() is not None
+        assert [repr(query(leaf, item)) for leaf, item in pairs] == want
+        del query
+        gc.collect()
+        assert kept() is None
+
+    @pytest.mark.parametrize("args, kwargs", [((), {}), ((0,), {}), ((0, 0, 0), {}), ((0.0, 0), {}), ((0, "0"), {}),
+                                              ((0,), {"column": 0})])
+    def test_compiled_call_takes_two_indices(self, compiled_kernels, args, kwargs):
+        # the compiled call parses two integers and nothing else; the
+        # checked `query` methods reject bad indices before it
+        arrays = kernels.KnnIndex(**_hand_problem(), k=30)._arrays
+        query = compiled_kernels.bind_knn_query(*arrays, 30)
+        with pytest.raises(TypeError, match="positional|integer"):
+            query(*args, **kwargs)
+        assert query(np.int64(0), True) == _python.knn_query(*arrays, 0, 1, 30)
