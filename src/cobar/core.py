@@ -113,11 +113,23 @@ class CobarModel(_PredictorMixin):
         self.stats = build_item_stats(self.dendrogram, train)
         self._leaf_of = {int(u): leaf for leaf, u in enumerate(self.dendrogram.leaf_users)}
         self._item_counts = np.bincount(train.items, minlength=train.n_items)
+        self._bind_views()
+        return self
+
+    def _bind_views(self) -> None:
         # views that every query indexes to Python floats and ints, with no
         # copy: numpy's scalar indexing and int()/float() cost 3-4x more
         self._user_means = memoryview(self.user_stats.means)
         self._sizes = memoryview(self.dendrogram.sizes)
-        return self
+
+    def __getstate__(self):
+        # a memoryview cannot be pickled; the arrays it views can
+        return {**self.__dict__, "_user_means": None, "_sizes": None}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        if self.train is not None:
+            self._bind_views()
 
     def predict_detailed(self, user: int, item: int) -> Prediction:
         user, item = self._check_query(user, item)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import operator
+from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -162,23 +163,49 @@ def parse_ratings(
 ) -> RatingDataset:
     """Parse `user<delim>item<delim>rating[<delim>ignored...]` lines.
 
-    `source` is a path to a UTF-8 file or an iterable of text lines.
-    Duplicate (user, item) pairs keep the last rating seen; the number of
-    replaced pairs is logged as a warning, not kept.  The rating
-    scale is the observed min/max.
+    `source` is a path to a UTF-8 file or an iterable of text lines, and
+    `delimiter` one of the `DELIMITER_ALIASES` or a non-empty string;
+    `ValueError` for an empty one, before the source is opened.  Ids and
+    the rating are stripped of whitespace, and blank lines are skipped, as
+    is the first line when `skip_header` is true.  Duplicate (user, item)
+    pairs keep the last rating seen; the number of replaced pairs is logged
+    as a warning, not kept.  Users and items are indexed in order of first
+    appearance, and the records keep the order of each pair's first line.
+    The rating scale is the observed min/max of the kept ratings.
+
+    A file's bytes are read once and split by the compiled tokenizer,
+    `cobar.kernels.tokenize`, when they fit its strict ASCII subset.  Every
+    other input, every iterable and every input on the numpy backend goes
+    through the line loop, which reads the file again as text: both give
+    the same dataset, bit for bit.
 
     Raises :class:`ParseError` for empty input, short lines, an empty user
-    or item id, non-numeric ratings, or a file line that is not UTF-8,
-    naming the 1-based line number.  A byte-order mark at the start of a
-    file is dropped.
+    or item id, non-numeric or non-finite ratings, or a file line that is
+    not UTF-8, naming the 1-based line number.  A byte-order mark at the
+    start of a file is dropped.
     """
     delimiter = DELIMITER_ALIASES.get(delimiter, delimiter)
+    if not delimiter:
+        raise ValueError("empty delimiter '': fields need a separator of at least one character")
+    columns = None
+    if isinstance(source, (str, Path)):
+        from . import kernels   # which imports this module
+        with open(source, "rb") as fh:
+            columns = kernels.tokenize(fh.read(), delimiter, skip_header)
+    if columns is None:
+        columns = _read_lines(source, delimiter, skip_header)
+    return _keep_last(*columns, name)
+
+
+def _read_lines(source: str | Path | Iterable[str], delimiter: str, skip_header: bool):
+    """The line loop of `parse_ratings`: ``(user_ids, item_ids, users,
+    items, ratings)``, the ids in first-seen order and one entry per record
+    in line order, repeated pairs included."""
     # each id's index is its position in insertion order, so the keys are
     # the id lists
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
-    cells: dict[tuple[int, int], float] = {}
-    replaced = 0
+    users, items, ratings = array("i"), array("i"), array("d")
 
     opened = isinstance(source, (str, Path))
     # utf-8-sig strips a byte-order mark, which would join the first id
@@ -205,11 +232,9 @@ def parse_ratings(
                 raise ParseError(f"non-numeric rating {parts[2]!r}", line_no) from None
             if not math.isfinite(rating):
                 raise ParseError(f"non-finite rating {parts[2]!r}", line_no)
-            u = user_index.setdefault(user_key, len(user_index))
-            i = item_index.setdefault(item_key, len(item_index))
-            if (u, i) in cells:
-                replaced += 1
-            cells[(u, i)] = rating
+            users.append(user_index.setdefault(user_key, len(user_index)))
+            items.append(item_index.setdefault(item_key, len(item_index)))
+            ratings.append(rating)
     except UnicodeDecodeError:
         if not opened:
             raise
@@ -225,18 +250,34 @@ def parse_ratings(
     finally:
         if opened:
             lines.close()
+    return (list(user_index), list(item_index), np.asarray(users, dtype=np.int32),
+            np.asarray(items, dtype=np.int32), np.asarray(ratings))
 
-    if not cells:
+
+def _keep_last(user_ids: list[str], item_ids: list[str], users: np.ndarray, items: np.ndarray, ratings: np.ndarray,
+               name: str) -> RatingDataset:
+    """The dataset of the records: each (user, item) pair once, with its
+    last rating, at the position of its first record, as a dict keyed by
+    the pair would keep them."""
+    if not len(ratings):
         raise ParseError("no rating records found in input")
+    keys = users.astype(np.int64) * len(item_ids) + items
+    # stable: each pair's records stay in line order
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    replaced = len(ratings) - len(starts)
     if replaced:
         logger.warning("%s: %d duplicate (user, item) pairs, kept last rating", name or "ratings", replaced)
-
-    users = np.fromiter((u for u, _ in cells), dtype=np.int32, count=len(cells))
-    items = np.fromiter((i for _, i in cells), dtype=np.int32, count=len(cells))
-    ratings = np.fromiter(cells.values(), dtype=np.float64, count=len(cells))
+        first = order[starts]
+        kept = np.zeros(len(ratings), dtype=bool)
+        kept[first] = True
+        last_ratings = ratings.copy()
+        last_ratings[first] = ratings[order[np.append(starts[1:], len(order)) - 1]]
+        users, items, ratings = users[kept], items[kept], last_ratings[kept]
     return RatingDataset(
-        user_ids=list(user_index),
-        item_ids=list(item_index),
+        user_ids=user_ids,
+        item_ids=item_ids,
         users=users,
         items=items,
         ratings=ratings,

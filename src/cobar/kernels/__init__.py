@@ -1,28 +1,31 @@
 """The hot kernels: one checked entry each, over a compiled or a numpy loop.
 
-Five compiled loops, in the C extension `_compiled` when a C compiler is
+Six compiled loops, in the C extension `_compiled` when a C compiler is
 available at install time: the cosine distance pass and the Ward merge
-loop of cobar's user hierarchy, the MF SGD epoch, the kNN query, and the
-build and query of cobar's cluster statistics.  Without it the numpy loops
-in `_python` run.  ``BACKEND`` names the loops selected at import: ``"c"``
-when `_compiled` imports, ``"python"`` when there is no `_compiled`; one
-that exists but cannot load, lacks a loop, or reads the loops' arguments
-in another layout, stops the import with the rebuild command.  `cosine_distance_matrix`, `ward_linkage`,
-`mf_sgd_epoch`, `KnnIndex` and `ClusterStatsIndex` check their arguments,
-once for both backends, before they call the selected loop, which trusts
-its caller.  `cosine_distance_matrix` and `KnnIndex` lay out the triples of
-a `RatingDataset`, checked when it was built, along both axes with
-`cobar.data.csr_rows`; `ClusterStatsIndex` lays them out with it per item
-over the leaves of a user hierarchy.  The two query loops, which run once
-per prediction, are bound to their arrays once: `KnnIndex` at
-construction, `ClusterStatsIndex` per confidence level on its first
-query.  The cosine loops sum each dot product item by item in ascending
-order, as scipy's sparse product does, and clip ``1 - (dot / norm_i) /
-norm_j`` to [0, 2] with NaN passing.  The two Ward loops merge the same
-pair with the same Lance-Williams operands at every step, each with its
-own bookkeeping of row minima.  Both backends
-give the same distances, merges, heights, MF updates, kNN aggregates and
-cluster statistics bit for bit: only speed depends on BACKEND.
+loop of cobar's user hierarchy, the MF SGD epoch, the kNN query, the build
+and query of cobar's cluster statistics, and the tokenizer of a rating
+file.  Without it the numpy loops in `_python` run, and every rating file
+takes the line loop of `cobar.data.parse_ratings`.  ``BACKEND`` names the
+loops selected at import: ``"c"`` when `_compiled` imports, ``"python"``
+when there is no `_compiled`; one that exists but cannot load, lacks a
+loop, or reads the loops' arguments in another layout, stops the import
+with the rebuild command.  `cosine_distance_matrix`, `ward_linkage`,
+`mf_sgd_epoch`, `KnnIndex`, `ClusterStatsIndex` and `tokenize` check their
+arguments, once for both backends, before they call the selected loop,
+which trusts its caller.  `cosine_distance_matrix` and `KnnIndex` lay out
+the triples of a `RatingDataset`, checked when it was built, along both
+axes with `cobar.data.csr_rows`; `ClusterStatsIndex` lays them out with it
+per item over the leaves of a user hierarchy.  The two query loops, which
+run once per prediction, are bound to their arrays once: `KnnIndex` at
+construction, `ClusterStatsIndex` per confidence level on its first query;
+a pickle holds the arrays, and both bind again when it is loaded.  The
+cosine loops sum each dot product item by item in ascending order, as
+scipy's sparse product does, and clip ``1 - (dot / norm_i) / norm_j`` to
+[0, 2] with NaN passing.  The two Ward loops merge the same pair with the
+same Lance-Williams operands at every step, each with its own bookkeeping
+of row minima.  Both backends give the same distances, merges, heights, MF
+updates, kNN aggregates, cluster statistics and parsed datasets bit for
+bit: only speed depends on BACKEND.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ except ImportError as exc:
     _compiled = None
 
 _missing = [name for name in ("ward_loop", "sgd_epoch", "bind_knn_query", "stats_build", "bind_stats_query",
-                              "cosine_rows")
+                              "cosine_rows", "tokenize")
             if _compiled and not hasattr(_compiled, name)]
 if _missing:
     # an extension built from older source, e.g. one a build reused
@@ -226,6 +229,41 @@ def mf_sgd_epoch(users, items, ratings, order, user_factors, item_factors, user_
                      global_mean, learning_rate, regularization)
 
 
+def tokenize(data, delimiter: str, skip_header: bool) -> tuple | None:
+    r"""The records of a rating file's bytes, as the line loop of
+    `cobar.data.parse_ratings` reads them, or None for an input that loop
+    must read itself.
+
+    `data` is the file's `bytes` and `delimiter` a non-empty str;
+    `TypeError` or `ValueError` otherwise.  Returns ``(user_ids, item_ids,
+    users, items, ratings)``: the ids in first-seen order and int32, int32
+    and float64 columns with one entry per record in line order, repeated
+    pairs included.  The compiled loop reads a strict ASCII subset: an
+    ASCII delimiter, every byte ASCII after an optional UTF-8 byte-order
+    mark, lines ending in ``\n`` or ``\r\n``, and on every line that is
+    neither blank nor the skipped header, at least three fields, non-empty
+    ids and a finite decimal rating of at most 63 characters,
+    ``[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?``.  It returns None for
+    any other input, as the numpy backend does for every input.
+    """
+    if not isinstance(data, bytes):
+        raise TypeError(f"data must be bytes, not {type(data).__name__}")
+    if not isinstance(delimiter, str):
+        raise TypeError(f"delimiter must be a str, not {type(delimiter).__name__}")
+    if not delimiter:
+        raise ValueError("delimiter must not be empty")
+    if not delimiter.isascii():
+        return None
+    # one entry per line at most
+    size = data.count(b"\n") + 1
+    users, items, ratings = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32), np.empty(size)
+    found = _loops.tokenize(data, delimiter.encode("ascii"), bool(skip_header), users, items, ratings)
+    if found is None:
+        return None
+    user_ids, item_ids, n = found
+    return user_ids, item_ids, users[:n], items[:n], ratings[:n]
+
+
 class KnnIndex:
     """The mean-centred cosine kNN query of `UserKnn` and `ItemKnn`.
 
@@ -277,6 +315,14 @@ class KnnIndex:
         neighbours = np.empty(int(np.diff(cols[0]).max(initial=0)))
         scratch = np.zeros(max(self.n_entities, self.n_columns))
         self._arrays = (*rows, *cols, norms, means.copy(), neighbours, scratch)
+        self._query = _loops.bind_knn_query(*self._arrays, self.k)
+
+    def __getstate__(self):
+        # a compiled bound query cannot be pickled; the arrays it reads can
+        return {**self.__dict__, "_query": None}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
         self._query = _loops.bind_knn_query(*self._arrays, self.k)
 
     def query(self, entity: int, column: int) -> float | None:
@@ -388,6 +434,21 @@ class ClusterStatsIndex:
         # per level, the query bound to the arrays and the level's t quantiles
         self._queries: dict[float, Callable[[int, int], tuple[int, float, int, float] | None]] = {}
 
+    def __getstate__(self):
+        # a compiled bound query cannot be pickled: keep only its level
+        return {**self.__dict__, "_queries": list(self._queries)}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _queries={})
+        for level in state["_queries"]:
+            self._bind(level)
+
+    def _bind(self, level: float) -> Callable[[int, int], tuple[int, float, int, float] | None]:
+        # n ratings read the entry at n - 1 degrees of freedom
+        table = _t_critical_table(level, self._most_raters)
+        query = self._queries[level] = _loops.bind_stats_query(*self._arrays, table)
+        return query
+
     @property
     def n_entries(self) -> int:
         """Stored (n, sum, sum of squares, min, max) entries: one per rating
@@ -414,9 +475,7 @@ class ClusterStatsIndex:
         if query is None:
             if not 0.0 < level < 1.0:
                 raise ValueError(f"confidence level must be in (0, 1), got {level}")
-            # n ratings read the entry at n - 1 degrees of freedom
-            table = _t_critical_table(level, self._most_raters)
-            query = self._queries[level] = _loops.bind_stats_query(*self._arrays, table)
+            query = self._bind(level)
         return query(leaf, item)
 
     def items_at(self, node: int) -> Mapping[int, tuple[int, float, float, float, float]]:

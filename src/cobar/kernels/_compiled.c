@@ -1,8 +1,8 @@
-/* Compiled kernels, five loops: the cosine distance pass and the Ward
+/* Compiled kernels, six loops: the cosine distance pass and the Ward
  * merge loop of cobar's user hierarchy, the SGD epoch of the biased matrix
- * factorization baseline, the query of the cosine kNN baselines, and
- * cobar's per-item cluster statistics, whose build and query are one
- * function each.
+ * factorization baseline, the query of the cosine kNN baselines, cobar's
+ * per-item cluster statistics, whose build and query are one function
+ * each, and the tokenizer of a rating file.
  *
  * `cosine_rows` fills the condensed distances the scipy block product of
  * `cobar.kernels._python.cosine_rows` fills, summing each dot product in
@@ -39,6 +39,11 @@
  * fills, each the sum of the two ranges it joins with the left one first,
  * but pops the gaps off a stack instead of joining them in rounds.
  * `stats_query` runs the steps of `cobar.kernels._python.stats_query`.
+ *
+ * `tokenize` splits a rating file's bytes as the line loop of
+ * `cobar.data.parse_ratings` splits its text, for the inputs of a strict
+ * ASCII subset on which the two read alike, and returns None for every
+ * other; the numpy backend has no tokenizer, as the line loop is its parse.
  *
  * The two queries run once per prediction, so they are bound: a
  * `bind_knn_query` or `bind_stats_query` call takes the arrays once and
@@ -799,6 +804,210 @@ bind_stats_query(PyObject *module, PyObject *args)
     return (PyObject *)bound;
 }
 
+/* The whitespace `str.strip` drops from an id and `str.isspace` finds in a
+ * blank line, within ASCII: \t \n \v \f \r, space and \x1c-\x1f. */
+static inline int
+is_str_space(unsigned char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r') || (c >= 0x1c && c <= 0x1f);
+}
+
+/* The narrower whitespace `float()` drops around a number: \t \n \v \f \r
+ * and space.  It takes \x1c-\x1f for part of the token and rejects it. */
+static inline int
+is_float_space(unsigned char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+static inline int
+is_digit(unsigned char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/* First of the m-byte `delim` in [p, end) or NULL: `str.split` cuts its
+ * fields at these, left to right, without overlap. */
+static const unsigned char *
+find_delimiter(const unsigned char *p, const unsigned char *end, const unsigned char *delim, Py_ssize_t m)
+{
+    while (end - p >= m) {
+        const unsigned char *hit = memchr(p, delim[0], end - p - m + 1);
+        if (hit == NULL || memcmp(hit + 1, delim + 1, m - 1) == 0)
+            return hit;
+        p = hit + 1;
+    }
+    return NULL;
+}
+
+/* Whether [p, end) reads [+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)? */
+static int
+is_decimal(const unsigned char *p, const unsigned char *end)
+{
+    if (p < end && (*p == '+' || *p == '-'))
+        p++;
+    const unsigned char *digits = p;
+    while (p < end && is_digit(*p))
+        p++;
+    int whole = p > digits;
+    if (p < end && *p == '.') {
+        digits = ++p;
+        while (p < end && is_digit(*p))
+            p++;
+        if (!whole && p == digits)
+            return 0;
+    }
+    else if (!whole)
+        return 0;
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        if (++p < end && (*p == '+' || *p == '-'))
+            p++;
+        digits = p;
+        while (p < end && is_digit(*p))
+            p++;
+        if (p == digits)
+            return 0;
+    }
+    return p == end;
+}
+
+/* The index of the ASCII id [p, end) in `index`, a dict from id to index
+ * whose keys `ids` lists in first-seen order, adding the id if it is new;
+ * -1 with an exception set on failure. */
+static Py_ssize_t
+id_index(PyObject *index, PyObject *ids, const unsigned char *p, const unsigned char *end)
+{
+    PyObject *key = PyUnicode_DecodeASCII((const char *)p, end - p, NULL);
+    if (key == NULL)
+        return -1;
+    Py_ssize_t i = -1;
+    PyObject *found = PyDict_GetItemWithError(index, key);
+    if (found != NULL)
+        i = PyLong_AsSsize_t(found);
+    else if (!PyErr_Occurred()) {
+        PyObject *value = PyLong_FromSsize_t(PyList_GET_SIZE(ids));
+        if (value != NULL && PyDict_SetItem(index, key, value) == 0 && PyList_Append(ids, key) == 0)
+            i = PyList_GET_SIZE(ids) - 1;
+        Py_XDECREF(value);
+    }
+    Py_DECREF(key);
+    return i;
+}
+
+/* The longest rating token read here; a longer one takes the line loop. */
+#define RATING_CHARS 63
+
+/* Splits the bytes of a rating file into `users`, `items` and `ratings`,
+ * one entry per record in line order, repeats kept, with room for one
+ * entry per line.  Returns (user_ids, item_ids, records), the ids in
+ * first-seen order, or None for an input outside the subset that reads as
+ * `cobar.data.parse_ratings`'s line loop reads it: every byte ASCII after
+ * an optional UTF-8 byte-order mark, every \r followed by \n, and every
+ * line that is neither blank nor the skipped header holding non-empty ids
+ * and a short, finite decimal rating in its first three fields.  The
+ * rating goes through `PyOS_string_to_double`, as `float()` does. */
+static PyObject *
+tokenize(PyObject *self, PyObject *args)
+{
+    Py_buffer text, delim, b[3];
+    int skip_header;
+    if (!PyArg_ParseTuple(args, "y*y*pw*w*w*:tokenize", &text, &delim, &skip_header, &b[0], &b[1], &b[2]))
+        return NULL;
+    const unsigned char *p = text.buf, *end = p + text.len, *sep = delim.buf;
+    Py_ssize_t m = delim.len;
+    int32_t *users = b[0].buf, *items = b[1].buf;
+    double *ratings = b[2].buf;
+    PyObject *user_index = PyDict_New(), *item_index = PyDict_New();
+    PyObject *user_ids = PyList_New(0), *item_ids = PyList_New(0);
+    PyObject *result = NULL;
+    if (!user_index || !item_index || !user_ids || !item_ids)
+        goto done;
+
+    if (end - p >= 3 && memcmp(p, "\xef\xbb\xbf", 3) == 0)
+        p += 3;
+    for (const unsigned char *q = p; q < end; q++)
+        if (*q >= 0x80 || (*q == '\r' && (q + 1 == end || q[1] != '\n')))
+            goto outside;
+
+    /* the previous record's user id and index */
+    const unsigned char *last_user = NULL;
+    Py_ssize_t last_len = 0, user = 0, n = 0;
+    char token[RATING_CHARS + 1];
+    for (Py_ssize_t line_no = 1; p < end; line_no++) {
+        const unsigned char *line = p, *stop = memchr(p, '\n', end - p);
+        p = stop ? stop + 1 : end;
+        if (!stop)
+            stop = end;
+        if (stop > line && stop[-1] == '\r')
+            stop--;
+        if (line_no == 1 && skip_header)
+            continue;
+        const unsigned char *s = line;
+        while (s < stop && is_str_space(*s))
+            s++;
+        if (s == stop)
+            continue;
+
+        const unsigned char *cut1 = find_delimiter(line, stop, sep, m);
+        const unsigned char *cut2 = cut1 ? find_delimiter(cut1 + m, stop, sep, m) : NULL;
+        if (!cut2)
+            goto outside;
+        const unsigned char *cut3 = find_delimiter(cut2 + m, stop, sep, m);
+        const unsigned char *us = line, *ue = cut1, *is = cut1 + m, *ie = cut2;
+        const unsigned char *rs = cut2 + m, *re = cut3 ? cut3 : stop;
+        while (us < ue && is_str_space(*us))
+            us++;
+        while (ue > us && is_str_space(ue[-1]))
+            ue--;
+        while (is < ie && is_str_space(*is))
+            is++;
+        while (ie > is && is_str_space(ie[-1]))
+            ie--;
+        while (rs < re && is_float_space(*rs))
+            rs++;
+        while (re > rs && is_float_space(re[-1]))
+            re--;
+        if (us == ue || is == ie || re - rs > RATING_CHARS || !is_decimal(rs, re))
+            goto outside;
+
+        memcpy(token, rs, re - rs);
+        token[re - rs] = '\0';
+        double rating = PyOS_string_to_double(token, NULL, NULL);
+        if (rating == -1.0 && PyErr_Occurred())
+            goto done;
+        if (!isfinite(rating))
+            goto outside;
+
+        if (last_user == NULL || ue - us != last_len || memcmp(us, last_user, last_len) != 0) {
+            user = id_index(user_index, user_ids, us, ue);
+            if (user < 0)
+                goto done;
+            last_user = us;
+            last_len = ue - us;
+        }
+        Py_ssize_t item = id_index(item_index, item_ids, is, ie);
+        if (item < 0)
+            goto done;
+        users[n] = (int32_t)user;
+        items[n] = (int32_t)item;
+        ratings[n++] = rating;
+    }
+    result = Py_BuildValue("(OOn)", user_ids, item_ids, n);
+    goto done;
+outside:
+    result = Py_NewRef(Py_None);
+done:
+    Py_XDECREF(user_index);
+    Py_XDECREF(item_index);
+    Py_XDECREF(user_ids);
+    Py_XDECREF(item_ids);
+    PyBuffer_Release(&text);
+    PyBuffer_Release(&delim);
+    for (int a = 0; a < 3; a++)
+        PyBuffer_Release(&b[a]);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"cosine_rows", cosine_rows, METH_VARARGS,
      "cosine_rows(rows_indptr, rows_indices, rows_data, cols_indptr, cols_indices, cols_data, norms, dist)\n--\n\n"
@@ -822,6 +1031,10 @@ static PyMethodDef methods[] = {
      "bind_stats_query(index, positions, gap_nodes, gaps, nodes, t_critical)\n--\n\n"
      "The query of `cobar.kernels.ClusterStatsIndex`, which checks its arguments, bound to its arrays and"
      " one level's t quantiles: a `query(leaf, item)`."},
+    {"tokenize", tokenize, METH_VARARGS,
+     "tokenize(data, delimiter, skip_header, users, items, ratings)\n--\n\n"
+     "The compiled tokenizer of `cobar.kernels.tokenize`, which sizes the three columns:"
+     " (user_ids, item_ids, records), or None for an input the line loop must read."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -846,7 +1059,8 @@ static PyModuleDef_Slot slots[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_compiled",
-    "Compiled cosine distances, Ward merge loop, MF SGD epoch, kNN query and cluster statistics.", 0, methods,
+    "Compiled cosine distances, Ward merge loop, MF SGD epoch, kNN query, cluster statistics and rating-file"
+    " tokenizer.", 0, methods,
     slots,
 };
 

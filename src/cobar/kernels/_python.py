@@ -7,7 +7,8 @@ have checked every argument.  All but the Ward loop run the compiled
 loop's steps in the same order; the two Ward loops merge the same pair
 with the same operands at every step, each with its own bookkeeping.  The
 two queries are bound to their arrays once, as compiled, here with
-`functools.partial`.
+`functools.partial`.  The compiled tokenizer has no numpy twin: its
+`tokenize` here declines every input.
 """
 
 from __future__ import annotations
@@ -364,3 +365,11 @@ def bind_stats_query(index: np.ndarray, positions: np.ndarray, gap_nodes: np.nda
     and one level's t quantiles: a `query(leaf, item)`, as the compiled bind
     returns one."""
     return functools.partial(stats_query, index, positions, gap_nodes, gaps, nodes, t_critical)
+
+
+def tokenize(data: bytes, delimiter: bytes, skip_header: bool, users: np.ndarray, items: np.ndarray,
+             ratings: np.ndarray) -> None:
+    """The numpy backend has no tokenizer: None sends every input to the
+    line loop of `cobar.data.parse_ratings`, which reads it to the same
+    dataset as the compiled tokenizer."""
+    return None

@@ -59,12 +59,18 @@ def random_grid_dataset(rng, max_users=20, max_items=15, density=0.45, draw=None
     return make_dataset(rows)
 
 
-def benchmark_dataset(shape, seed):
-    """The benchmark's seeded synthetic rating file of `shape`, parsed."""
+def load_datagen():
+    """The benchmark's data generator, `perfbench/datagen.py`."""
     spec = importlib.util.spec_from_file_location("perfbench_datagen", REPO_ROOT / "perfbench" / "datagen.py")
     datagen = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = datagen   # its dataclasses look their module up
     spec.loader.exec_module(datagen)
+    return datagen
+
+
+def benchmark_dataset(shape, seed):
+    """The benchmark's seeded synthetic rating file of `shape`, parsed."""
+    datagen = load_datagen()
     users, items, ratings = datagen.generate(datagen.SHAPES[shape], seed)
     return parse_ratings([f"u{u}\ti{i}\t{r:.1f}" for u, i, r in zip(users, items, ratings)])
 

@@ -1,5 +1,7 @@
 """Popularity, kNN and matrix-factorization predictors."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -452,3 +454,19 @@ class TestQueryRange:
             want = repr(predict(index))
             assert [repr(predict(same)) for same in (np.int64(index), np.int32(index), np.uint16(index))] == [want] * 3
         assert (repr(predict(True)), repr(predict(False))) == (repr(predict(1)), repr(predict(0)))
+
+
+@pytest.mark.parametrize("name", list(PREDICTORS))
+def test_fitted_predictor_pickles(name, kernel_backend, two_clusters_dataset):
+    # a compiled bound query and a memoryview cannot be pickled: the models
+    # drop them and bind again on load, before and after the first query
+    ds = two_clusters_dataset
+    model = PREDICTORS[name]().fit(ds)
+    fresh = pickle.dumps(model)
+
+    def every_prediction(m):
+        return np.array([m.predict(u, i) for u in range(ds.n_users) for i in range(ds.n_items)])
+
+    want = every_prediction(model).tobytes()
+    for dumped in (fresh, pickle.dumps(model)):
+        assert every_prediction(pickle.loads(dumped)).tobytes() == want

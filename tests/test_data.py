@@ -1,11 +1,15 @@
 """The dataset's checks, parsing, statistics, fold splits and subsampling."""
 
+import logging
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cobar import (
     CobarModel,
@@ -13,12 +17,14 @@ from cobar import (
     RatingDataset,
     compute_user_stats,
     fold_train_test,
+    kernels,
     kfold_split,
     parse_ratings,
     subsample_users,
 )
-from cobar.data import csr_rows
-from conftest import REPO_ROOT, make_dataset, random_grid_dataset
+from cobar.data import DELIMITER_ALIASES, csr_rows
+from cobar.kernels import _python
+from conftest import REPO_ROOT, load_datagen, make_dataset, random_grid_dataset
 
 
 def _hand_fields():
@@ -357,3 +363,172 @@ class TestSubsampleUsers:
         assert set(a.user_ids) <= set(ds.user_ids)
         # every kept item still has at least one rating
         assert np.bincount(a.items, minlength=a.n_items).min() >= 1
+
+
+def test_repeated_pairs_keep_first_position_and_last_rating():
+    # what a dict keyed by the pair keeps: its first position, its last value
+    rng = np.random.default_rng(7)
+    rows = [(f"u{u}", f"i{i}", float(r)) for u, i, r in zip(rng.integers(0, 6, 300), rng.integers(0, 8, 300),
+                                                            rng.integers(0, 11, 300))]
+    cells = {}
+    for u, i, r in rows:
+        cells[(u, i)] = r
+    ds = make_dataset(rows)
+    got = [(ds.user_ids[u], ds.item_ids[i], r) for u, i, r in zip(ds.users, ds.items, ds.ratings.tolist())]
+    assert got == [(u, i, r) for (u, i), r in cells.items()]
+    assert ds.user_ids == list(dict.fromkeys(u for u, _, _ in rows))
+    assert ds.item_ids == list(dict.fromkeys(i for _, i, _ in rows))
+
+
+class TestDelimiter:
+    def test_empty_delimiter_rejected_before_the_source_opens(self, tmp_path):
+        for source in ([], ["1\t5\t4.0"], tmp_path / "missing.tsv"):
+            with pytest.raises(ValueError, match="empty delimiter ''"):
+                parse_ratings(source, delimiter="")
+
+    def test_tokenizer_entry_checks_its_arguments(self, kernel_backend):
+        # the compiled loop reads the delimiter's first byte unchecked
+        for data, delimiter, error in ((b"u\ti\t4\n", "", ValueError), ("u\ti\t4\n", "\t", TypeError),
+                                       (bytearray(b"u\ti\t4\n"), "\t", TypeError), (b"u\ti\t4\n", b"\t", TypeError)):
+            with pytest.raises(error):
+                kernel_backend.tokenize(data, delimiter, False)
+
+    def test_non_ascii_delimiter_takes_the_line_loop(self, tmp_path):
+        path = tmp_path / "box.txt"
+        path.write_text("u1│i1│4.0\nu2│i1│3.5│x\n", encoding="utf-8")
+        assert kernels.tokenize(path.read_bytes(), "│", False) is None
+        ds = parse_ratings(path, delimiter="│")
+        assert (ds.user_ids, ds.item_ids, ds.ratings.tolist()) == (["u1", "u2"], ["i1"], [4.0, 3.5])
+
+
+def _parse_outcome(path: Path, **kwargs):
+    """What `parse_ratings` makes of the file: the ids, the arrays' bytes,
+    the scale and the warnings logged, or the error's type and text."""
+    messages = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("cobar.data")
+    logger.addHandler(handler)
+    try:
+        ds = parse_ratings(path, **kwargs)
+    except (ParseError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    finally:
+        logger.removeHandler(handler)
+    return (ds.user_ids, ds.item_ids, ds.users.tobytes(), ds.items.tobytes(), ds.ratings.tobytes(),
+            ds.rating_min, ds.rating_max, messages)
+
+
+def _both_paths(path: Path, compiled, **kwargs):
+    """The outcome of the line loop and of the compiled tokenizer on the
+    file, and whether the tokenizer read the file itself."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_loops", _python)
+        loop = _parse_outcome(path, **kwargs)
+        patch.setattr(kernels, "_loops", compiled)
+        tokenized = _parse_outcome(path, **kwargs)
+        delimiter = kwargs.get("delimiter", "\t")
+        taken = kernels.tokenize(path.read_bytes(), DELIMITER_ALIASES.get(delimiter, delimiter),
+                                 kwargs.get("skip_header", False)) is not None
+    return loop, tokenized, taken
+
+
+# (file bytes, parse_ratings keywords, whether the tokenizer reads the file)
+PATH_CASES = {
+    "bom": (b"\xef\xbb\xbfu1\ti1\t4.0\nu1\ti2\t3\n", {}, True),
+    "bom-only-line": (b"\xef\xbb\xbf\nu1\ti1\t4.0\n", {}, True),
+    "crlf": (b"u1\ti1\t4.0\r\nu2\ti1\t3\r\n\r\n", {}, True),
+    "lone-cr": (b"u1\ti1\t4.0\ru2\ti1\t3\n", {}, False),
+    "cr-at-end": (b"u1\ti1\t4.0\nu2\ti1\t3\r", {}, False),
+    "cr-cr-lf": (b"u1\ti1\t4.0\r\r\nu2\ti1\t3\n", {}, False),
+    "blank-lines": (b"\nu1\ti1\t4\n \t\x0b\x0c\x1c\x1d\x1e\x1f\n\n   \nu2\ti1\t3", {}, True),
+    "header": (b"user\titem\trating\nu1\ti1\t4\n", {"skip_header": True}, True),
+    "short-header": (b"header\nu1\ti1\t4\n", {"skip_header": True}, True),
+    "blank-header": (b"\nu1\ti1\t4\n", {"skip_header": True}, True),
+    "header-is-a-record": (b"u1\ti1\t4\nu2\ti1\t3\n", {"skip_header": True}, True),
+    "non-ascii-header": ("usér\titem\trating\nu1\ti1\t4\n".encode(), {"skip_header": True}, False),
+    "double-colon": (b"u1::i1::4.0::99\nu1:::i2::3\nu2::::i1::2\n", {"delimiter": "::"}, False),
+    "double-colon-ok": (b"u1::i1::4.0::99\nu1:::i2::3\nu2:: :i1::2\n", {"delimiter": "::"}, True),
+    "space": (b"u1 i1 4.0\nu2 i1 3.5 extra\n", {"delimiter": "space"}, True),
+    "doubled-space": (b"u1 i1 4.0\nu1  i2 3.5\n", {"delimiter": "space"}, False),
+    "comma": (b"u1,i1,4.0\nu2,i1,\t3.5 ,x\n", {"delimiter": "comma"}, True),
+    "extra-fields": (b"u1\ti1\t4.0\t881250949\tmore\nu1\ti2\t3\t\t\n", {}, True),
+    "repeated-pairs": (b"u1\ti1\t4\nu2\ti1\t3\nu1\ti1\t2\nu1\ti2\t5\nu1\ti1\t1\nu2\ti1\t0.5\n", {}, True),
+    "signs-and-points": (b"u1\ti1\t+4\nu1\ti2\t.5\nu1\ti3\t5.\nu1\ti4\t1e0\nu1\ti5\t-2.5E+1\nu1\ti6\t-0\n", {}, True),
+    "spaced-rating": (b"u1\ti1\t 4.5 \nu1\ti2\t\x0b3\x0c\n", {}, True),
+    "underscore": (b"u1\ti1\t4\nu1\ti2\t1_0\n", {}, False),
+    "nan": (b"u1\ti1\t4\nu1\ti2\tnan\n", {}, False),
+    "inf": (b"u1\ti1\t4\nu1\ti2\t-inf\n", {}, False),
+    "overflow": (b"u1\ti1\t4\nu1\ti2\t1e999\n", {}, False),
+    "underflow": (b"u1\ti1\t4\nu1\ti2\t1e-999\n", {}, True),
+    "long-rating": (b"u1\ti1\t4.0" + b"0" * 80 + b"1\nu1\ti2\t3\n", {}, False),
+    "longest-short-rating": (b"u1\ti1\t4." + b"0" * 60 + b"1\n", {}, True),
+    "many-digits": (b"u1\ti1\t0.1000000000000000055511151231257827\n", {}, True),
+    "lone-point": (b"u1\ti1\t.\n", {}, False),
+    "bare-exponent": (b"u1\ti1\t5e\n", {}, False),
+    "hex": (b"u1\ti1\t0x10\n", {}, False),
+    "empty-rating": (b"u1\ti1\t\n", {}, False),
+    "fs-padded-rating": (b"u1\ti1\t\x1c4\n", {}, False),
+    "fs-padded-ids": (b"\x1cu1\x1f\t\x1d i1\x1e\t4\nu1\ti1\t2\n", {}, True),
+    "tab-padded-ids": (b"\tu1\t::\t i1\t::4\n", {"delimiter": "::"}, True),
+    "empty-user": (b"u1\ti1\t4\n\ti1\t4\n", {}, False),
+    "blank-item": (b"u1\ti1\t4\nu1\t\x1c \t4\n", {}, False),
+    "short-line": (b"u1\ti1\t4\nu1\ti1\n", {}, False),
+    "one-field": (b"u1\ti1\t4\nu1\n", {}, False),
+    "non-ascii-id": ("u1\ti1\t4\nJosé\ti1\t3\n".encode(), {}, False),
+    "non-utf8": (b"u1\ti1\t4\nJos\xe9\ti1\t3\n", {}, False),
+    "bad-last-line": (b"u1\ti1\t4\nu2\ti1\tx", {}, False),
+    "nul-in-id": (b"u\x001\ti1\t4\n", {}, True),
+    "control-in-id": (b"u\x0b1\ti\x071\t4\n", {}, True),
+    "empty": (b"", {}, True),
+    "blank-only": (b"\n \n\t\r\n", {}, True),
+    "header-only": (b"user\titem\trating\n", {"skip_header": True}, True),
+}
+
+
+class TestParsePathsAgree:
+    """The compiled tokenizer and the line loop read every file to the same
+    dataset, warnings included, or fail with the same error."""
+
+    @pytest.mark.parametrize("case", list(PATH_CASES))
+    def test_case(self, case, tmp_path, compiled_kernels):
+        data, kwargs, taken = PATH_CASES[case]
+        path = tmp_path / "ratings.txt"
+        path.write_bytes(data)
+        loop, tokenized, tokenizer_read = _both_paths(path, compiled_kernels, **kwargs)
+        assert tokenized == loop
+        assert tokenizer_read == taken
+
+    @pytest.mark.parametrize("name", ["demo.tsv", "two_clusters.tsv"])
+    def test_fixture_files(self, name, data_dir, compiled_kernels):
+        loop, tokenized, tokenizer_read = _both_paths(data_dir / name, compiled_kernels)
+        assert tokenized == loop and tokenizer_read
+
+    @pytest.mark.parametrize("shape", ["ft", "cap"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_files(self, shape, seed, tmp_path, compiled_kernels):
+        datagen = load_datagen()
+        path = tmp_path / f"{shape}-{seed}.tsv"
+        datagen.write_rating_file(path, datagen.SHAPES[shape], seed)
+        loop, tokenized, tokenizer_read = _both_paths(path, compiled_kernels)
+        assert tokenized == loop and tokenizer_read
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        lines=st.lists(st.tuples(
+            st.lists(st.sampled_from(["u1", "u2", " i1", "i2\t", "\x1cu1", "", " ", "José", "x::y"]),
+                     min_size=1, max_size=5),
+            st.sampled_from(["4", "+4", ".5", "5.", "1e0", "-2.5E+1", " 3 ", "1_0", "nan", "1e999", "x", "",
+                             "\x1c4", "4." + "0" * 70]),
+            st.sampled_from(["\n", "\r\n", "\r", ""]),
+        ), max_size=8),
+        delimiter=st.sampled_from(["\t", "::", " ", ","]),
+        skip_header=st.booleans(),
+        bom=st.booleans(),
+    )
+    def test_fuzz(self, lines, delimiter, skip_header, bom, tmp_path, compiled_kernels):
+        text = "".join(delimiter.join(ids[:2] + [rating] + ids[2:]) + end for ids, rating, end in lines)
+        path = tmp_path / "fuzz.txt"
+        path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + text.encode())
+        loop, tokenized, _ = _both_paths(path, compiled_kernels, delimiter=delimiter, skip_header=skip_header)
+        assert tokenized == loop

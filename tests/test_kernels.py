@@ -43,7 +43,7 @@ def _tie_heavy_sq_dist(rng, n):
     return d + d.T
 
 
-LOOPS = ("ward_loop", "sgd_epoch", "bind_knn_query", "stats_build", "bind_stats_query", "cosine_rows")
+LOOPS = ("ward_loop", "sgd_epoch", "bind_knn_query", "stats_build", "bind_stats_query", "cosine_rows", "tokenize")
 EXTENSION = f"_compiled{sysconfig.get_config_var('EXT_SUFFIX')}"
 REBUILD = "rebuild it with: python setup.py build_ext --inplace --force"
 
@@ -75,7 +75,7 @@ class TestDispatch:
         assert kernels._loops is (kernels._compiled if kernels.BACKEND == "c" else _python)
         # one checked entry per kernel, whichever loops run behind it
         entries = (kernels.cosine_distance_matrix, kernels.ward_linkage, kernels.mf_sgd_epoch, kernels.KnnIndex,
-                   kernels.ClusterStatsIndex)
+                   kernels.ClusterStatsIndex, kernels.tokenize)
         assert {entry.__module__ for entry in entries} == {"cobar.kernels"}
 
     def test_built_extension_selected(self, compiled_build, tmp_path):
@@ -89,12 +89,14 @@ class TestDispatch:
         # extensions built from older source import, but hold the checked
         # kernels of before, or not every loop
         stale = {"ward_linkage, mf_sgd_epoch": ", ".join(LOOPS),
-                 "ward_loop, sgd_epoch": "bind_knn_query, stats_build, bind_stats_query, cosine_rows",
-                 "ward_loop, sgd_epoch, bind_knn_query": "stats_build, bind_stats_query, cosine_rows",
-                 "ward_loop, sgd_epoch, bind_knn_query, stats_build, bind_stats_query": "cosine_rows",
+                 "ward_loop, sgd_epoch": "bind_knn_query, stats_build, bind_stats_query, cosine_rows, tokenize",
+                 "ward_loop, sgd_epoch, bind_knn_query": "stats_build, bind_stats_query, cosine_rows, tokenize",
+                 "ward_loop, sgd_epoch, bind_knn_query, stats_build, bind_stats_query": "cosine_rows, tokenize",
                  # an extension from before the queries were bound
                  "ward_loop, sgd_epoch, knn_query, stats_build, stats_query, cosine_rows":
-                     "bind_knn_query, bind_stats_query"}
+                     "bind_knn_query, bind_stats_query, tokenize",
+                 # an extension from before the tokenizer
+                 "ward_loop, sgd_epoch, bind_knn_query, stats_build, bind_stats_query, cosine_rows": "tokenize"}
         for present, missing in stale.items():
             code = (
                 "import sys, types; "
