@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .data import RatingDataset
+from .data import RatingDataset, _checked
 from .kernels import cosine_distance_matrix
 
 
@@ -43,25 +43,52 @@ def _leaf_chains(parents: list[int], n_leaves: int) -> tuple[tuple[int, ...], ..
 
 @dataclass
 class Dendrogram:
-    """Binary merge tree; leaves 0..n-1 are users, node n+m is merge m."""
+    """Binary merge tree; leaves 0..n-1 are users, node n+m is merge m.
+
+    Construction checks the tree once, for every reader: n >= 1 distinct
+    leaf users, C-contiguous arrays, and each merge joining two distinct
+    nodes made before it, no node twice; `TypeError` or `ValueError`
+    otherwise.  Like `RatingDataset`, it keeps read-only copies of the
+    arrays, and it derives the layout once: the leaves are numbered
+    depth-first, so node v covers the leaf positions lows[v] <= p < highs[v].
+    """
 
     merges: np.ndarray      # (n-1, 2) int64 node ids, row-sorted
     heights: np.ndarray     # (n-1,) float64, non-decreasing
-    leaf_users: np.ndarray  # (n_leaves,) dataset user index per leaf
-    sizes: np.ndarray = field(init=False, repr=False)
+    leaf_users: np.ndarray  # (n_leaves,) int64 dataset user index per leaf
+    sizes: np.ndarray = field(init=False, repr=False)   # (2n-1,) int64 leaves per node
+    nodes: np.ndarray = field(init=False, repr=False)   # (3, 2n-1) int64 lows, highs, parents (root: -1)
     chains: tuple[tuple[int, ...], ...] = field(init=False, repr=False)  # per leaf, up to the root
 
     def __post_init__(self):
-        n = self.n_leaves
-        total = 2 * n - 1 if n else 0
-        parents = [-1] * total
-        sizes = [1] * total
-        for m, (left, right) in enumerate(self.merges.tolist()):
-            new = n + m
-            parents[left] = new
-            parents[right] = new
-            sizes[new] = sizes[left] + sizes[right]
-        self.sizes = np.array(sizes, dtype=np.int64)
+        merges = _checked("merges", self.merges, 2, "int64").copy()
+        heights = _checked("heights", self.heights, 1, "float64").copy()
+        leaf_users = _checked("leaf_users", self.leaf_users, 1, "int64").copy()
+        n = len(leaf_users)
+        if n == 0 or merges.shape != (n - 1, 2) or heights.shape != (n - 1,):
+            raise ValueError(f"merges and heights must have shapes (n-1, 2) and (n-1,) for n >= 1 leaves, "
+                             f"got {merges.shape} and {heights.shape} for {n}")
+        if len(np.unique(leaf_users)) != n:
+            raise ValueError("leaf_users holds a repeated user")
+        # a tree: merge m joins two distinct nodes made before it, and no node twice
+        if n > 1 and (merges.min() < 0 or np.any(merges.max(axis=1) >= n + np.arange(n - 1))
+                      or np.any(np.bincount(merges.ravel(), minlength=2 * n - 2) != 1)):
+            raise ValueError("merges do not form a binary tree over the leaves")
+
+        pairs = merges.tolist()
+        sizes, parents, lows = [1] * (2 * n - 1), [-1] * (2 * n - 1), [0] * (2 * n - 1)
+        for m, (left, right) in enumerate(pairs):
+            sizes[n + m] = sizes[left] + sizes[right]
+            parents[left] = parents[right] = n + m
+        for m in range(n - 2, -1, -1):
+            left, right = pairs[m]
+            lows[left] = lows[n + m]
+            lows[right] = lows[n + m] + sizes[left]
+        nodes = np.array([lows, np.add(lows, sizes).tolist(), parents], dtype=np.int64)
+        for name, array in (("merges", merges), ("heights", heights), ("leaf_users", leaf_users),
+                            ("sizes", np.array(sizes, dtype=np.int64)), ("nodes", nodes)):
+            array.flags.writeable = False
+            setattr(self, name, array)
         self.chains = _leaf_chains(parents, n)
 
     @property
@@ -70,7 +97,7 @@ class Dendrogram:
 
     @property
     def n_nodes(self) -> int:
-        return 2 * self.n_leaves - 1 if self.n_leaves else 0
+        return 2 * self.n_leaves - 1
 
     def ancestor_chain(self, leaf: int) -> np.ndarray:
         """Node ids from the user's leaf up to the root, inclusive."""

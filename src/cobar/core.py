@@ -64,8 +64,8 @@ class Prediction:
 
 def build_item_stats(dendrogram: Dendrogram, train: RatingDataset) -> ClusterStatsIndex:
     """Every node's (n, sum, sum_sq, min, max) per item, as 2r - 1 entries
-    for an item with r raters in the hierarchy."""
-    return ClusterStatsIndex(dendrogram.merges, dendrogram.leaf_users, train)
+    for an item with r raters, over the layout the dendrogram checked."""
+    return ClusterStatsIndex(dendrogram, train)
 
 
 def select_optimal_cluster(
@@ -101,9 +101,10 @@ class CobarModel(_PredictorMixin):
         self.user_stats: MeanStats | None = None
         self.dendrogram: Dendrogram | None = None
         self.stats: ClusterStatsIndex | None = None
-        self._leaf_of: dict[int, int] = {}
+        self._leaf_of: np.ndarray | None = None   # per user, its leaf or -1
         self._item_counts: np.ndarray | None = None
         self._user_means: memoryview | None = None
+        self._leaves: memoryview | None = None
         self._sizes: memoryview | None = None
 
     def fit(self, train: RatingDataset) -> "CobarModel":
@@ -111,7 +112,8 @@ class CobarModel(_PredictorMixin):
         self.user_stats = compute_user_stats(train)
         self.dendrogram = agglomerate(train)
         self.stats = build_item_stats(self.dendrogram, train)
-        self._leaf_of = {int(u): leaf for leaf, u in enumerate(self.dendrogram.leaf_users)}
+        self._leaf_of = np.full(train.n_users, -1, dtype=np.int64)
+        self._leaf_of[self.dendrogram.leaf_users] = np.arange(self.dendrogram.n_leaves)
         self._item_counts = np.bincount(train.items, minlength=train.n_items)
         self._bind_views()
         return self
@@ -120,11 +122,12 @@ class CobarModel(_PredictorMixin):
         # views that every query indexes to Python floats and ints, with no
         # copy: numpy's scalar indexing and int()/float() cost 3-4x more
         self._user_means = memoryview(self.user_stats.means)
+        self._leaves = memoryview(self._leaf_of)
         self._sizes = memoryview(self.dendrogram.sizes)
 
     def __getstate__(self):
         # a memoryview cannot be pickled; the arrays it views can
-        return {**self.__dict__, "_user_means": None, "_sizes": None}
+        return {**self.__dict__, "_user_means": None, "_leaves": None, "_sizes": None}
 
     def __setstate__(self, state):
         self.__dict__.update(state)
@@ -138,16 +141,16 @@ class CobarModel(_PredictorMixin):
         if user_mean != user_mean:   # NaN: the user has no training rating
             return Prediction(self._clamp(self.user_stats.global_mean), Fallback.COLD_USER)
 
-        leaf = self._leaf_of.get(user)
+        leaf = self._leaves[user]
         choice = None
-        if leaf is not None:
+        if leaf >= 0:
             choice = select_optimal_cluster(self.dendrogram.chains[leaf], item, self.stats,
                                             self.config.confidence_level)
         if choice is None:
             # the user has no leaf (a rating vector of norm 0) or the item
             # has at most one training rating in the user's chain: predict
             # the plain user mean
-            if leaf is None:
+            if leaf < 0:
                 fallback = Fallback.UNCLUSTERED_USER
             elif self._item_counts[item] == 0:
                 fallback = Fallback.COLD_ITEM

@@ -15,17 +15,17 @@ arguments, once for both backends, before they call the selected loop,
 which trusts its caller.  `cosine_distance_matrix` and `KnnIndex` lay out
 the triples of a `RatingDataset`, checked when it was built, along both
 axes with `cobar.data.csr_rows`; `ClusterStatsIndex` lays them out with it
-per item over the leaves of a user hierarchy.  The two query loops, which
-run once per prediction, are bound to their arrays once: `KnnIndex` at
-construction, `ClusterStatsIndex` per confidence level on its first query;
-a pickle holds the arrays, and both bind again when it is loaded.  The
-cosine loops sum each dot product item by item in ascending order, as
-scipy's sparse product does, and clip ``1 - (dot / norm_i) / norm_j`` to
-[0, 2] with NaN passing.  The two Ward loops merge the same pair with the
-same Lance-Williams operands at every step, each with its own bookkeeping
-of row minima.  Both backends give the same distances, merges, heights, MF
-updates, kNN aggregates, cluster statistics and parsed datasets bit for
-bit: only speed depends on BACKEND.
+per item over the leaf ranges of a `Dendrogram`, which checked its tree when
+built.  The two query loops, which run once per prediction, are bound to
+their arrays once: `KnnIndex` at construction, `ClusterStatsIndex` per
+confidence level on its first query; a pickle holds the arrays, and both
+bind again when it is loaded.  The cosine loops sum each dot product item by
+item in ascending order, as scipy's sparse product does, and clip
+``1 - (dot / norm_i) / norm_j`` to [0, 2] with NaN passing.  The two Ward
+loops merge the same pair with the same Lance-Williams operands at every
+step, each with its own bookkeeping of row minima.  Both backends give the
+same distances, merges, heights, MF updates, kNN aggregates, cluster
+statistics and parsed datasets bit for bit: only speed depends on BACKEND.
 """
 
 from __future__ import annotations
@@ -346,72 +346,38 @@ def _t_critical_table(level: float, size: int) -> np.ndarray:
     return stdtrit(np.arange(size), 0.5 + level / 2.0)
 
 
-def _range_max(values: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """``values[s:t].max()`` for every pair s < t of `starts` and `stops`,
-    read from a table of the maxima over every power-of-two span."""
-    spans = [values]
-    while 2 ** len(spans) <= len(values):
-        half = 2 ** (len(spans) - 1)
-        spans.append(np.maximum(spans[-1][:-half], spans[-1][half:]))
-    level = np.searchsorted(2 ** np.arange(len(spans)), stops - starts, side="right") - 1
-    out = np.empty(len(starts), dtype=values.dtype)
-    for k, row in enumerate(spans):
-        pick = level == k
-        out[pick] = np.maximum(row[starts[pick]], row[stops[pick] - 2**k])
-    return out
-
-
 class ClusterStatsIndex:
     """The rating statistics of every cluster of a user hierarchy, per item,
     for cobar's narrowest-interval query, in O(ratings) arrays.
 
-    The hierarchy is a `Dendrogram`'s `merges`, the (n-1, 2) int64 node ids
-    merged by each step (merge m creates node n + m), over its n
-    `leaf_users`, distinct users of `train`, a `RatingDataset`, which
-    checked its triples; `TypeError`, `ValueError` or `IndexError`
-    otherwise.  The leaves are numbered depth-first, so every node covers a
-    contiguous range of leaf positions.  For each item the index keeps its
-    r raters' sorted positions and ratings and, for each of the r - 1 gaps
-    between adjacent raters, one entry (sum, sum of squares, min, max): the
-    statistics of the lowest node that holds both raters, the sum of the two
-    ranges that node joins.  That is the addition a bottom-up merge of
-    per-node maps makes, so every (node, item) statistic is, bit for bit, one
-    of these 2r - 1 entries.  Ratings of users outside the hierarchy are
-    left out.
+    The hierarchy is a `Dendrogram` over users of `train`, a
+    `RatingDataset`; both checked their arrays when built, so this checks
+    only their types and that the leaf users are in range: `TypeError` or
+    `IndexError` otherwise.  It reads the dendrogram's `nodes`, not a copy,
+    where every node covers a contiguous range of leaf positions.  For each
+    item the index keeps its r raters' sorted positions and ratings and, for
+    each of the r - 1 gaps between adjacent raters, one entry (sum, sum of
+    squares, min, max): the statistics of the lowest node that holds both
+    raters, the sum of the two ranges that node joins.  That is the addition
+    a bottom-up merge of per-node maps makes, so every (node, item) statistic
+    is, bit for bit, one of these 2r - 1 entries.  Ratings of users outside
+    the hierarchy are left out.
     """
 
-    def __init__(self, merges, leaf_users, train: RatingDataset):
+    def __init__(self, dendrogram, train: RatingDataset):
+        from ..clustering import Dendrogram   # which imports this module
+        if not isinstance(dendrogram, Dendrogram):
+            raise TypeError(f"dendrogram must be a Dendrogram, not {type(dendrogram).__name__}")
         if not isinstance(train, RatingDataset):
             raise TypeError(f"train must be a RatingDataset, not {type(train).__name__}")
-        merges = _checked("merges", merges, 2, "int64")
-        leaf_users = _checked("leaf_users", leaf_users, 1, "int64")
-        n = len(leaf_users)
-        if n == 0 or merges.shape != (n - 1, 2):
-            raise ValueError(f"merges must have shape (n-1, 2) for n >= 1 leaves, got {merges.shape} for {n}")
-        _check_range("leaf_users", leaf_users, train.n_users)
-        if len(np.unique(leaf_users)) != n:
-            raise ValueError("leaf_users holds a repeated user")
-        # a tree: merge m joins two distinct nodes made before it, and no node twice
-        if n > 1 and (merges.min() < 0 or np.any(merges.max(axis=1) >= n + np.arange(n - 1))
-                      or np.any(np.bincount(merges.ravel(), minlength=2 * n - 2) != 1)):
-            raise ValueError("merges do not form a binary tree over the leaves")
-        self.n_leaves, self.n_nodes, self.n_items = n, 2 * n - 1, train.n_items
-
-        # node v covers the leaf positions lows[v] <= p < lows[v] + sizes[v]
-        pairs = merges.tolist()
-        sizes, parents, lows = [1] * self.n_nodes, [-1] * self.n_nodes, [0] * self.n_nodes
-        for m, (left, right) in enumerate(pairs):
-            sizes[n + m] = sizes[left] + sizes[right]
-            parents[left] = parents[right] = n + m
-        for m in range(n - 2, -1, -1):
-            left, right = pairs[m]
-            lows[left] = lows[n + m]
-            lows[right] = lows[n + m] + sizes[left]
-        nodes = np.array([lows, np.add(lows, sizes).tolist(), parents], dtype=np.int64)
+        _check_range("leaf_users", dendrogram.leaf_users, train.n_users)
+        n = self.n_leaves = dendrogram.n_leaves
+        self.n_nodes, self.n_items = dendrogram.n_nodes, train.n_items
+        lows, highs, parents = nodes = dendrogram.nodes
 
         # the leaf users' ratings in (item, position) order
         position = np.full(train.n_users, -1, dtype=np.int64)
-        position[leaf_users] = nodes[0, :n]
+        position[dendrogram.leaf_users] = lows[:n]
         rated = position[train.users]
         kept = rated >= 0
         index = np.zeros((2, self.n_items + 1), dtype=np.int64)
@@ -420,12 +386,14 @@ class ClusterStatsIndex:
         items = np.repeat(np.arange(self.n_items), counts)
         np.cumsum(np.maximum(counts - 1, 0), out=index[1, 1:])
 
-        # the lowest common node of two leaf positions a < b is the highest id
-        # among the nodes that join positions t and t + 1 for a <= t < b
-        joins = np.empty(n - 1, dtype=np.int64)
-        joins[nodes[1, merges[:, 0]] - 1] = n + np.arange(n - 1)
+        # a gap's node is the lowest common node of its raters: walk up from
+        # the left rater's leaf until the node's range holds the right rater
         same = items[1:] == items[:-1]
-        gap_nodes = _range_max(joins, positions[:-1][same], positions[1:][same])
+        gap_nodes, right = np.argsort(lows[:n])[positions[:-1][same]], positions[1:][same]
+        walking = np.flatnonzero(highs[gap_nodes] <= right)
+        while len(walking):
+            gap_nodes[walking] = parents[gap_nodes[walking]]
+            walking = walking[highs[gap_nodes[walking]] <= right[walking]]
         gaps = np.empty((4, len(gap_nodes)))
         _loops.stats_build(index, ratings, gap_nodes, gaps)
         self._arrays = (index, positions, gap_nodes, gaps, nodes)

@@ -598,13 +598,13 @@ class CobarReference:
                 fallback=Fallback.COLD_USER,
             )
 
-        leaf = self._leaf_of.get(user)
+        leaf = int(self._leaf_of[user])
         choice = None
-        if leaf is not None:
+        if leaf >= 0:
             chain = ancestor_chain_reference(self.dendrogram, leaf)
             choice = select_optimal_cluster_reference(chain, item, self.stats, self.dendrogram.sizes)
         if choice is None:
-            if leaf is None:
+            if leaf < 0:
                 fallback = Fallback.UNCLUSTERED_USER
             else:
                 fallback = Fallback.COLD_ITEM if self._item_counts[item] == 0 else Fallback.SINGLE_RATING

@@ -235,6 +235,14 @@ def check_dendrogram_invariants(dend: Dendrogram):
     assert np.all(parents[:-1] >= 0) if n > 1 else True
     # heights never decrease
     assert np.all(np.diff(dend.heights) >= 0.0)
+    # the layout: parents, and each node's range of depth-first leaf positions
+    lows, highs, layout_parents = dend.nodes
+    assert layout_parents.tolist() == parents.tolist()
+    assert lows[leaves_under(dend, root)].tolist() == list(range(n))
+    for node in range(dend.n_nodes):
+        assert sorted(np.flatnonzero((lows[:n] >= lows[node]) & (lows[:n] < highs[node]))) == \
+            sorted(leaves_under(dend, node).tolist())
+        assert highs[node] - lows[node] == dend.sizes[node]
     # sibling memberships are disjoint and union to the parent
     for m, (left, right) in enumerate(dend.merges):
         node = n + m
@@ -243,6 +251,44 @@ def check_dendrogram_invariants(dend: Dendrogram):
         assert not left_set & right_set
         assert left_set | right_set == set(leaves_under(dend, node).tolist())
         assert dend.sizes[node] == len(left_set) + len(right_set)
+
+
+class TestDendrogramChecksInputs:
+    """A `Dendrogram` checks its tree once, when it is built, for every
+    reader of it, and keeps read-only copies of its arrays."""
+
+    @pytest.mark.parametrize("name, value, error, match", [
+        ("merges", lambda m: m.astype(np.int32), TypeError, "must hold int64"),
+        ("merges", lambda m: m[:-1], ValueError, "shape"),
+        ("merges", lambda m: np.where(m == m.max(), 0, m), ValueError, "binary tree"),
+        ("merges", lambda m: m[::-1].copy(), ValueError, "binary tree"),
+        ("heights", lambda h: h[:-1], ValueError, "shape"),
+        ("leaf_users", lambda u: u.astype(np.int32), TypeError, "must hold int64"),
+        ("leaf_users", lambda u: np.r_[u[:-1], u[0]], ValueError, "repeated user"),
+        ("leaf_users", lambda u: u[:0], ValueError, "shape"),
+    ], ids=["int32-merges", "merges-length", "node-twice", "child-after-parent", "heights-length", "int32-leaves",
+            "repeated-leaf", "no-leaves"])
+    def test_bad_argument_rejected(self, demo_dataset, name, value, error, match):
+        dend = agglomerate(demo_dataset)
+        fields = {"merges": dend.merges, "heights": dend.heights, "leaf_users": dend.leaf_users}
+        fields[name] = value(fields[name])
+        with pytest.raises(error, match=match):
+            Dendrogram(**fields)
+
+    def test_keeps_read_only_copies(self, demo_dataset):
+        dend = agglomerate(demo_dataset)
+        given = {name: getattr(dend, name).copy() for name in ("merges", "heights", "leaf_users")}
+        kept = {name: array.copy() for name, array in given.items()}
+        built = Dendrogram(**given)
+        for name in ("merges", "heights", "leaf_users", "sizes", "nodes"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(built, name)[0] = 0
+        for name, array in given.items():
+            assert array.flags.writeable and array.tobytes() == kept[name].tobytes()
+            array[...] = 0   # the caller's arrays stay the caller's
+            assert getattr(built, name).tobytes() == kept[name].tobytes()
+        # the stats index reads the dendrogram's layout, not a copy of it
+        assert kernels.ClusterStatsIndex(built, demo_dataset)._arrays[4] is built.nodes
 
 
 class TestDendrogramStructure:

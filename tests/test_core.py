@@ -286,8 +286,8 @@ class TestSelectOptimalCluster:
             ds = random_grid_dataset(rng, max_users=12, max_items=6)
             model = CobarModel().fit(ds)
             for user in range(ds.n_users):
-                leaf = model._leaf_of.get(user)
-                if leaf is None:
+                leaf = int(model._leaf_of[user])
+                if leaf < 0:
                     continue
                 chain = model.dendrogram.ancestor_chain(leaf)
                 for item in range(ds.n_items):

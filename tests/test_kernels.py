@@ -21,11 +21,11 @@ import numpy as np
 import pytest
 
 from cobar import ItemKnn, KnnConfig, RatingDataset, UserKnn, agglomerate, kernels, kfold_split
-from cobar.clustering import clusterable_users
+from cobar.clustering import Dendrogram, clusterable_users
 from cobar.data import fold_train_test
 from cobar.kernels import _python
-from conftest import RATING_SCALES, REPO_ROOT, benchmark_dataset, c_compiler_found, random_grid_dataset
-from oracles import condensed, ward_reference
+from conftest import RATING_SCALES, REPO_ROOT, benchmark_dataset, c_compiler_found, make_dataset, random_grid_dataset
+from oracles import ancestor_chain_reference, condensed, ward_reference
 
 
 def _random_sq_dist(rng, n):
@@ -801,8 +801,19 @@ class TestKnnIndexChecksInputs:
 
 def _stats_problem(ds):
     """`ClusterStatsIndex` arguments for the hierarchy of `ds`."""
-    dend = agglomerate(ds)
-    return {"merges": dend.merges, "leaf_users": dend.leaf_users, "train": ds}
+    return {"dendrogram": agglomerate(ds), "train": ds}
+
+
+def _plateau_dataset(rng, n_users=120, n_items=300):
+    """A sparse, Book-Crossing-like dataset: one to three ratings per user
+    from 0 to 10, most of them on items no other user rated.  Most cosine
+    distances are exactly 1, so Ward merges on tie plateaus and the tree
+    is deep."""
+    rows = []
+    for u in range(n_users):
+        for i in rng.choice(n_items, size=int(rng.integers(1, 4)), replace=False):
+            rows.append((f"u{u}", f"i{i}", int(rng.integers(0, 11))))
+    return make_dataset(rows)
 
 
 class TestClusterStatsIndex:
@@ -818,17 +829,13 @@ class TestClusterStatsIndex:
                 built.append(b"".join(a.tobytes() for a in (*index._arrays, index._ratings)))
             assert built[0] == built[1]
 
+    # the tree itself is checked once, when the `Dendrogram` is built: see
+    # test_clustering.py's TestDendrogramChecksInputs
     @pytest.mark.parametrize("name, value, error, match", [
         ("train", lambda t: [t.users, t.items, t.ratings], TypeError, "must be a RatingDataset"),
-        ("merges", lambda m: m.astype(np.int32), TypeError, "must hold int64"),
-        ("merges", lambda m: m[:-1], ValueError, "shape"),
-        ("merges", lambda m: np.where(m == m.max(), 0, m), ValueError, "binary tree"),
-        ("merges", lambda m: m[::-1].copy(), ValueError, "binary tree"),
-        ("leaf_users", lambda u: u.astype(np.int32), TypeError, "must hold int64"),
-        ("leaf_users", lambda u: np.r_[u[:-1], u[0]], ValueError, "repeated user"),
-        ("leaf_users", lambda u: u + 1, IndexError, "out of range"),
-    ], ids=["list", "int32-merges", "merges-length", "node-twice", "child-after-parent", "int32-leaves",
-            "repeated-leaf", "leaf-out-of-range"])
+        ("dendrogram", lambda d: (d.merges, d.leaf_users), TypeError, "must be a Dendrogram"),
+        ("dendrogram", lambda d: Dendrogram(d.merges, d.heights, d.leaf_users + 1), IndexError, "out of range"),
+    ], ids=["list", "not-a-dendrogram", "leaf-out-of-range"])
     def test_bad_argument_rejected(self, each_backend, demo_dataset, name, value, error, match):
         problem = _stats_problem(demo_dataset)
         problem[name] = value(problem[name])
@@ -845,6 +852,28 @@ class TestClusterStatsIndex:
         for _ in each_backend:
             with pytest.raises(error):
                 index.query(*args, 0.95)
+
+    @pytest.mark.parametrize("scale", [*RATING_SCALES, "plateau"])
+    def test_each_gap_node_is_the_lowest_common_ancestor(self, scale):
+        rng = np.random.default_rng(406)
+        if scale == "plateau":
+            datasets = [_plateau_dataset(rng)]
+        else:
+            datasets = [random_grid_dataset(rng, max_users=40, max_items=20, draw=RATING_SCALES[scale])
+                        for _ in range(3)]
+        checked = 0
+        for ds in datasets:
+            dend = agglomerate(ds)
+            (ptr, gptr), positions, gap_nodes, _, nodes = kernels.ClusterStatsIndex(dend, ds)._arrays
+            leaf_at = np.argsort(nodes[0, :dend.n_leaves])
+            for item in range(ds.n_items):
+                raters = leaf_at[positions[ptr[item]:ptr[item + 1]]].tolist()
+                for gap, (left, right) in enumerate(zip(raters[:-1], raters[1:]), start=int(gptr[item])):
+                    shared = set(ancestor_chain_reference(dend, right).tolist())
+                    lowest = next(node for node in ancestor_chain_reference(dend, left).tolist() if node in shared)
+                    assert gap_nodes[gap] == lowest, (item, left, right)
+                    checked += 1
+        assert checked > 0
 
     @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, float("nan"), float("inf")])
     def test_level_outside_the_unit_interval_rejected(self, each_backend, demo_dataset, level):
