@@ -30,9 +30,11 @@ class OptionalBuildExt(build_ext):
 
     def build_extension(self, ext):
         # the kernels promise the numpy backend's bits, so a*b + c must not
-        # be fused into one rounding (gcc fuses by default where FMA exists)
+        # be fused into one rounding (gcc fuses by default where FMA exists);
+        # the cosine pass and the Ward loop run a second POSIX thread
         if self.compiler.compiler_type == "unix":
-            ext.extra_compile_args = [*ext.extra_compile_args, "-ffp-contract=off"]
+            ext.extra_compile_args = [*ext.extra_compile_args, "-ffp-contract=off", "-pthread"]
+            ext.extra_link_args = [*ext.extra_link_args, "-pthread"]
         super().build_extension(ext)
 
 

@@ -91,6 +91,12 @@ class Dendrogram:
             setattr(self, name, array)
         self.chains = _leaf_chains(parents, n)
 
+    def __setstate__(self, state):
+        # numpy loads a pickled array writable: keep the checked ones read-only
+        self.__dict__.update(state)
+        for name in ("merges", "heights", "leaf_users", "sizes", "nodes"):
+            getattr(self, name).flags.writeable = False
+
     @property
     def n_leaves(self) -> int:
         return len(self.leaf_users)

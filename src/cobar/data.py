@@ -99,6 +99,12 @@ class RatingDataset:
             array.flags.writeable = False
             setattr(self, name, array)
 
+    def __setstate__(self, state):
+        # numpy loads a pickled array writable: keep the checked ones read-only
+        self.__dict__.update(state)
+        for name in ("users", "items", "ratings"):
+            getattr(self, name).flags.writeable = False
+
     @property
     def n_users(self) -> int:
         return len(self.user_ids)

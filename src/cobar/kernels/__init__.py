@@ -26,6 +26,15 @@ loops merge the same pair with the same Lance-Williams operands at every
 step, each with its own bookkeeping of row minima.  Both backends give the
 same distances, merges, heights, MF updates, kNN aggregates, cluster
 statistics and parsed datasets bit for bit: only speed depends on BACKEND.
+
+The two n^2 loops of a fit take a thread count, which `_threads` picks: 2
+when the input is above the compiled loop's floor (`COSINE_FLOOR` users,
+`WARD_FLOOR` clusters, 2,000 each) and the process may run on two CPUs
+(`os.sched_getaffinity`), 1 otherwise; there is no option for it.  The
+compiled cosine pass and Ward loop release the GIL, and with 2 threads
+split their rows, or each merge's update, with one worker thread; the
+compiled queries keep the GIL.  The numpy loops run on one thread for
+either count.  Results never depend on the thread count.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ import functools
 import importlib.util
 import math
 import operator
+import os
 from collections.abc import Callable, Mapping
 
 import numpy as np
@@ -65,7 +75,7 @@ if _missing:
     )
 # the layout of the arguments the entries below hand the compiled loops,
 # `LAYOUT` in `_compiled.c`; an extension from before it has layout 1
-_LAYOUT = 3
+_LAYOUT = 4
 if _compiled and getattr(_compiled, "LAYOUT", 1) != _LAYOUT:
     # e.g. an extension whose cosine pass reads int32 indices as int64
     raise ImportError(
@@ -124,8 +134,19 @@ def cosine_distance_matrix(dataset: RatingDataset, users) -> np.ndarray:
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise ValueError(f"user at position {bad} has a zero-norm rating vector")
     dist = np.empty(n * (n - 1) // 2, dtype=np.float64)
-    _loops.cosine_rows(*rows, *cols, norms, dist)
+    _loops.cosine_rows(*rows, *cols, norms, dist, _threads(n, "COSINE_FLOOR"))
     return dist
+
+
+def _threads(n: int, floor: str) -> int:
+    """The threads an n^2 loop of `_loops` over n rows gets: 2 when n is
+    above the loop's `floor`, a constant only the compiled loops have, and
+    this process may run on two CPUs or more; 1 otherwise."""
+    limit = getattr(_loops, floor, None)
+    if limit is None or n <= limit:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return 2 if cpus > 1 else 1
 
 
 def _nonzero_square_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -184,7 +205,7 @@ def ward_linkage(d2) -> tuple[np.ndarray, np.ndarray]:
     merges = np.empty((n - 1, 2), dtype=np.int64)
     heights = np.empty(n - 1, dtype=np.float64)
     if n > 1:
-        _loops.ward_loop(d2, merges, heights)
+        _loops.ward_loop(d2, merges, heights, _threads(n, "WARD_FLOOR"))
         # a loop stops at the first height that is not finite
         if not np.isfinite(heights).all():
             raise OverflowError("Ward linkage overflowed: a merge height is not finite")

@@ -20,6 +20,19 @@
  * row's contiguous upper run, one minimum per block of 32 rows, and
  * prefetches the strided column entries it updates and moves.
  *
+ * These two n^2 loops release the GIL, and each takes a thread count, 1 or
+ * 2 (`ValueError` otherwise, before any thread starts).  With 2, above its
+ * floor (COSINE_FLOOR rows, WARD_FLOOR clusters), a loop splits its work
+ * with one POSIX worker thread: the cosine pass its rows, in two ranges of
+ * about half the pairs each; the Ward loop its first bounds and, at each
+ * merge, the update and the move over the active slots, while the pair
+ * search, the rescans and the tie scan stay on the calling thread.  Every
+ * entry is computed as on one thread and row minima are combined in slot
+ * order, so the results never depend on the thread count.  The calling
+ * thread allocates every buffer and joins the worker before it returns,
+ * also when the Ward loop stops at an overflow.  Without POSIX threads, or
+ * when the worker cannot start, the loops run on the calling thread.
+ *
  * `sgd_epoch` performs the steps of `cobar.kernels._python.sgd_epoch` in
  * the same order: the prediction is global mean + user bias + item bias +
  * the sequential dot product, the biases are updated first, and the item
@@ -50,9 +63,9 @@
  * returns a `BoundQuery`, which holds their buffers until it is freed and
  * whose call parses only the two indices of a query.
  *
- * No loop checks its arguments: `cobar.kernels` checks every shape,
- * element type, length and index before it calls in, and only the buffer
- * codes `y*` (C-contiguous) and `w*` (also writable) remain here.  The
+ * No loop checks its arrays: `cobar.kernels` checks every shape, element
+ * type, length and index before it calls in, and only the buffer codes
+ * `y*` (C-contiguous) and `w*` (also writable) remain here.  The
  * kernels promise the numpy backend's bits, so the build turns off
  * floating-point contraction (`-ffp-contract=off`).
  */
@@ -63,36 +76,220 @@
 #include <stdint.h>
 #include <string.h>
 
-/* The distance pass of `_python.cosine_rows` for n rows, n the length of
- * `norms`: the CSR arrays of the rows (rp, ri, rd) and of the columns
- * (cp, ci, cd), each sorted, with int32 indices, hold the same ratings.
- * Row i's dot products with the rows j > i are summed in `acc`, item by
- * item in row i's order; a cursor per column skips the rows j <= i, which
- * every earlier row that rated the item has passed.  Row i's distances are
- * then written to `dist`, in pdist order, and its sums zeroed for the next
- * row. */
-static PyObject *
-cosine_rows(PyObject *self, PyObject *args)
+/* The cosine pass and the Ward loop split their rows over two threads where
+ * POSIX threads and C11 atomics exist; elsewhere they run serially. */
+#if defined(HAVE_PTHREAD_H) && defined(HAVE_SCHED_H) && !defined(__STDC_NO_ATOMICS__)
+#define HAVE_SPLIT 1
+#include <pthread.h>
+#include <sched.h>
+#include <stdatomic.h>
+#include <time.h>
+#endif
+
+/* Each n^2 loop splits only above its floor: the cosine pass over more than
+ * COSINE_FLOOR rows, and the Ward loop over more than WARD_FLOOR clusters,
+ * for the merges while more than WARD_FLOOR are active.  On 2 vCPUs
+ * (x86-64, gcc), two threads cut the cosine pass of 3,000 cap-shaped users
+ * by 40-50% and its Ward loop by 20-30%; on 1,500 users the pass saved 1-3
+ * ms of a 40 ms fit and Ward about nothing.  Below the floors, the second
+ * CPU is left to other work, such as the other folds of an evaluation.  A
+ * build may lower both with -D, as the tests do to split small inputs. */
+#ifndef COSINE_FLOOR
+#define COSINE_FLOOR 2000
+#endif
+#ifndef WARD_FLOOR
+#define WARD_FLOOR 2000
+#endif
+
+/* A waiting thread spins this many times, then yields its CPU between
+ * polls.  A caller that yields for more than STALL_NS nanoseconds on the
+ * worker's part waited for a worker without a CPU: a merge's part takes
+ * microseconds, a time slice of another process milliseconds.  One such
+ * stall in a call may be the host's; at MAX_STALLS, the CPUs are taken and
+ * the Ward loop stops splitting. */
+#define SPIN_LIMIT 4096
+#define STALL_NS 500000
+#define MAX_STALLS 2
+
+#ifdef HAVE_SPLIT
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#define CPU_PAUSE() __builtin_ia32_pause()
+#elif defined(__GNUC__) && defined(__aarch64__)
+#define CPU_PAUSE() __asm__ __volatile__("yield")
+#else
+#define CPU_PAUSE() ((void)0)
+#endif
+
+/* A calling thread and one worker running the two parts of a job.  The
+ * caller runs part 0, and part 1 goes to whichever thread claims it first,
+ * so a worker that is not running delays nothing: `posted` counts the jobs
+ * posted, `taken` the jobs whose part 1 was claimed, and `finished` those
+ * the worker finished.  A job's data is written before its post and read
+ * after its claim (release, acquire), and what the worker writes is read
+ * after its finish.  `stalls` counts the caller's waits of more than
+ * STALL_NS on a claimed part.  The worker allocates nothing. */
+typedef struct {
+    pthread_t thread;
+    void (*run)(void *ctx, int part);
+    void *ctx;
+    atomic_uint posted, taken, finished;
+    atomic_int quit;
+    int stalls;
+} Pair;
+
+/* One poll of a wait: a pause for the first SPIN_LIMIT polls, then a
+ * yield of the CPU. */
+static void
+backoff(int *spins)
 {
-    Py_buffer b[8];
-    if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*y*w*:cosine_rows", &b[0], &b[1], &b[2], &b[3], &b[4], &b[5],
-                          &b[6], &b[7]))
-        return NULL;
-    const int64_t *rp = b[0].buf, *cp = b[3].buf;
-    const int32_t *ri = b[1].buf, *ci = b[4].buf;
-    const double *rd = b[2].buf, *cd = b[5].buf, *norms = b[6].buf;
-    double *dist = b[7].buf;
-    Py_ssize_t n = b[6].len / (Py_ssize_t)sizeof(double);
-    Py_ssize_t n_columns = b[3].len / (Py_ssize_t)sizeof(int64_t) - 1;
-    double *acc = PyMem_Calloc(n, sizeof(double));
-    int64_t *cursor = PyMem_New(int64_t, n_columns);
-    PyObject *result = NULL;
-    if (!acc || !cursor) {
-        PyErr_NoMemory();
-        goto done;
+    if (*spins < SPIN_LIMIT) {
+        ++*spins;
+        CPU_PAUSE();
     }
-    memcpy(cursor, cp, n_columns * sizeof(int64_t));
-    for (Py_ssize_t i = 0; i < n; i++) {
+    else
+        sched_yield();
+}
+
+static int64_t
+now_ns(void)
+{
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (int64_t)t.tv_sec * 1000000000 + t.tv_nsec;
+}
+
+/* Claims part 1 of job `job`; 0 when the other thread claimed it first. */
+static int
+pair_claim(Pair *pair, unsigned job)
+{
+    unsigned open = job - 1;
+    return atomic_compare_exchange_strong_explicit(&pair->taken, &open, job, memory_order_acq_rel,
+                                                   memory_order_acquire);
+}
+
+static void *
+pair_worker(void *arg)
+{
+    Pair *pair = arg;
+    unsigned job = 0, now;
+    for (;;) {
+        int spins = 0;
+        while ((now = atomic_load_explicit(&pair->posted, memory_order_acquire)) == job)
+            backoff(&spins);
+        job = now;
+        if (atomic_load_explicit(&pair->quit, memory_order_relaxed))
+            return NULL;
+        if (pair_claim(pair, job)) {
+            pair->run(pair->ctx, 1);
+            atomic_store_explicit(&pair->finished, job, memory_order_release);
+        }
+    }
+}
+
+/* Starts the worker of `run`; 0 when it cannot start, and the parts must
+ * then run on the caller. */
+static int
+pair_start(Pair *pair, void (*run)(void *, int), void *ctx)
+{
+    pair->run = run;
+    pair->ctx = ctx;
+    pair->stalls = 0;
+    atomic_init(&pair->posted, 0);
+    atomic_init(&pair->taken, 0);
+    atomic_init(&pair->finished, 0);
+    atomic_init(&pair->quit, 0);
+    return pthread_create(&pair->thread, NULL, pair_worker, pair) == 0;
+}
+
+/* Runs both parts of one job and returns when both are done. */
+static void
+pair_run(Pair *pair)
+{
+    unsigned job = atomic_load_explicit(&pair->posted, memory_order_relaxed) + 1;
+    atomic_store_explicit(&pair->posted, job, memory_order_release);
+    pair->run(pair->ctx, 0);
+    if (pair_claim(pair, job))
+        pair->run(pair->ctx, 1);
+    else {
+        /* the worker claimed it: wait for this job, not an earlier one */
+        int spins = 0;
+        int64_t yielding = 0;
+        while (atomic_load_explicit(&pair->finished, memory_order_acquire) != job) {
+            if (spins == SPIN_LIMIT && yielding == 0)
+                yielding = now_ns();
+            backoff(&spins);
+        }
+        pair->stalls += yielding != 0 && now_ns() - yielding > STALL_NS;
+    }
+}
+
+/* Ends the worker and joins it. */
+static void
+pair_stop(Pair *pair)
+{
+    atomic_store_explicit(&pair->quit, 1, memory_order_relaxed);
+    atomic_store_explicit(&pair->posted, atomic_load_explicit(&pair->posted, memory_order_relaxed) + 1,
+                          memory_order_release);
+    pthread_join(pair->thread, NULL);
+}
+#else
+/* No worker ever starts, and every part runs on the calling thread. */
+typedef struct {
+    int stalls;
+} Pair;
+
+static int
+pair_start(Pair *pair, void (*run)(void *, int), void *ctx)
+{
+    return 0;
+}
+
+static void
+pair_run(Pair *pair)
+{
+}
+
+static void
+pair_stop(Pair *pair)
+{
+}
+#endif
+
+/* The thread count a loop was handed, 1 or 2; ValueError otherwise. */
+static int
+check_threads(int threads)
+{
+    if (threads == 1 || threads == 2)
+        return 0;
+    PyErr_Format(PyExc_ValueError, "threads must be 1 or 2, got %d", threads);
+    return -1;
+}
+
+/* The arrays of `cosine_rows`, and the sums and column cursors of its two
+ * parts: part 0 takes the rows before `split`, part 1 the rest. */
+typedef struct {
+    const int64_t *rp, *cp;
+    const int32_t *ri, *ci;
+    const double *rd, *cd, *norms;
+    double *dist;
+    Py_ssize_t n, n_columns, split;
+    double *acc[2];
+    int64_t *cursor[2];
+} Cosine;
+
+/* The distance pass over rows first..stop-1, with the sums `acc`, n zeros,
+ * and the column cursors `cursor`. */
+static void
+cosine_range(const Cosine *c, Py_ssize_t first, Py_ssize_t stop, double *acc, int64_t *cursor)
+{
+    const int64_t *rp = c->rp, *cp = c->cp;
+    const int32_t *ri = c->ri, *ci = c->ci;
+    const double *rd = c->rd, *cd = c->cd, *norms = c->norms;
+    Py_ssize_t n = c->n;
+    /* row first's pairs start after those of the rows before it */
+    double *dist = c->dist + (first * n - first * (first + 1) / 2);
+    memcpy(cursor, cp, c->n_columns * sizeof(int64_t));
+    for (Py_ssize_t i = first; i < stop; i++) {
         for (int64_t p = rp[i]; p < rp[i + 1]; p++) {
             int64_t k = ri[p], q = cursor[k], end = cp[k + 1];
             double w = rd[p];
@@ -113,10 +310,68 @@ cosine_rows(PyObject *self, PyObject *args)
             *dist++ = v;
         }
     }
+}
+
+static void
+cosine_part(void *ctx, int part)
+{
+    Cosine *c = ctx;
+    cosine_range(c, part ? c->split : 0, part ? c->n : c->split, c->acc[part], c->cursor[part]);
+}
+
+/* The distance pass of `_python.cosine_rows` for n rows, n the length of
+ * `norms`: the CSR arrays of the rows (rp, ri, rd) and of the columns
+ * (cp, ci, cd), each sorted, with int32 indices, hold the same ratings.
+ * Row i's dot products with the rows j > i are summed in `acc`, item by
+ * item in row i's order; a cursor per column skips the rows j <= i, which
+ * every earlier row that rated the item has passed.  Row i's distances are
+ * then written to `dist`, in pdist order, and its sums zeroed for the next
+ * row.  With two threads and more than COSINE_FLOOR rows, the rows split in
+ * two ranges of about half the pairs each, the first n(1 - 1/sqrt 2) rows
+ * and the rest; each range has its own sums and cursors, which skip the
+ * rows before the range as they skip row i's, and writes its own pairs. */
+static PyObject *
+cosine_rows(PyObject *self, PyObject *args)
+{
+    Py_buffer b[8];
+    int threads;
+    if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*y*w*i:cosine_rows", &b[0], &b[1], &b[2], &b[3], &b[4], &b[5],
+                          &b[6], &b[7], &threads))
+        return NULL;
+    Cosine c = {
+        .rp = b[0].buf, .ri = b[1].buf, .rd = b[2].buf, .cp = b[3].buf, .ci = b[4].buf, .cd = b[5].buf,
+        .norms = b[6].buf, .dist = b[7].buf,
+        .n = b[6].len / (Py_ssize_t)sizeof(double), .n_columns = b[3].len / (Py_ssize_t)sizeof(int64_t) - 1,
+    };
+    PyObject *result = NULL;
+    if (check_threads(threads) < 0)
+        goto done;
+    int parts = threads == 2 && c.n > COSINE_FLOOR ? 2 : 1;
+    c.split = parts == 2 ? c.n - (Py_ssize_t)(c.n / sqrt(2.0)) : c.n;
+    /* the worker's buffers too are allocated here, by the calling thread */
+    for (int part = 0; part < parts; part++) {
+        c.acc[part] = PyMem_Calloc(c.n, sizeof(double));
+        c.cursor[part] = PyMem_New(int64_t, c.n_columns);
+        if (!c.acc[part] || !c.cursor[part]) {
+            PyErr_NoMemory();
+            goto done;
+        }
+    }
+    Py_BEGIN_ALLOW_THREADS
+    Pair pair;
+    if (parts == 2 && pair_start(&pair, cosine_part, &c)) {
+        pair_run(&pair);
+        pair_stop(&pair);
+    }
+    else
+        cosine_range(&c, 0, c.n, c.acc[0], c.cursor[0]);
+    Py_END_ALLOW_THREADS
     result = Py_NewRef(Py_None);
 done:
-    PyMem_Free(acc);
-    PyMem_Free(cursor);
+    for (int part = 0; part < 2; part++) {
+        PyMem_Free(c.acc[part]);
+        PyMem_Free(c.cursor[part]);
+    }
     for (int a = 0; a < 8; a++)
         PyBuffer_Release(&b[a]);
     return result;
@@ -126,20 +381,28 @@ done:
  * the strided column entries it walks WARD_AHEAD slots ahead. */
 #define WARD_BLOCK 32
 #define WARD_AHEAD 16
+/* With two threads, a merge's update and move split at WARD_SHARE percent
+ * of the active slots, rounded down to a block: a slot k < i or k < j
+ * walks strided column entries, so the first slots cost more. */
+#define WARD_SHARE 45
 #if defined(__GNUC__) || defined(__clang__)
 #define PREFETCH(p) __builtin_prefetch(p)
 #else
 #define PREFETCH(p) ((void)0)
 #endif
 
-/* Smallest of the len entries at `run`, or inf. */
+/* Smallest of the len entries at `run`, or inf; the scan stops at the first
+ * entry equal to `floor`, a lower bound on them, which is their minimum. */
 static double
-run_minimum(const double *run, Py_ssize_t len)
+run_minimum(const double *run, Py_ssize_t len, double floor)
 {
     double best = INFINITY;
     for (Py_ssize_t c = 0; c < len; c++)
-        if (run[c] < best)
+        if (run[c] < best) {
             best = run[c];
+            if (best == floor)
+                break;
+        }
     return best;
 }
 
@@ -147,7 +410,123 @@ run_minimum(const double *run, Py_ssize_t len)
 static double
 block_minimum(const double *umin, Py_ssize_t r)
 {
-    return run_minimum(umin + r / WARD_BLOCK * WARD_BLOCK, WARD_BLOCK);
+    return run_minimum(umin + r / WARD_BLOCK * WARD_BLOCK, WARD_BLOCK, -INFINITY);
+}
+
+/* The state of `ward_loop`, and the job its parts share: the first bounds
+ * while `first` is set, then the merge of slots i < j at height g with a
+ * active slots.  Part 0 takes the slots before `split`, part 1 the rest,
+ * and each finds its own minima of rows i and j, row_i[part] and
+ * row_j[part]. */
+typedef struct {
+    double *D, *size, *umin, *bmin;
+    const Py_ssize_t *off;
+    char *stale;
+    Py_ssize_t i, j, a, split;
+    double g, row_i[2], row_j[2];
+    int first;
+} Ward;
+
+/* The Ward update of slot i against the slots k in [lo, hi), then the move
+ * of the last active slot into slot j for those k but i.  A row k < i takes
+ * v in place of its pair with i, a row k < j loses its pair with j, and the
+ * v of the slots k > i make up row i; then row k takes the pair with the
+ * last slot in place of the pair with j, and a row j < k < last gives row j
+ * its pair.  The update and the move of a slot k read and write only
+ * entries of row k and of rows i and j at column k, and bounds of slot k,
+ * so parts over slot ranges split at a multiple of WARD_BLOCK write
+ * disjoint entries and block bounds.  The move of k = i reads the entry
+ * the update of k = last writes, and is left to the calling thread, after
+ * both parts. */
+static void
+ward_range(Ward *w, Py_ssize_t lo, Py_ssize_t hi, int part)
+{
+    double *D = w->D, *size = w->size, *umin = w->umin, *bmin = w->bmin;
+    const Py_ssize_t *off = w->off;
+    char *stale = w->stale;
+    Py_ssize_t i = w->i, j = w->j, a = w->a, last = a - 1;
+    double si = size[i], sj = size[j], g = w->g, row_i = INFINITY, row_j = INFINITY;
+    for (Py_ssize_t k = lo; k < hi && k < i; k++) {
+        if (k + WARD_AHEAD < i) {
+            PREFETCH(&D[off[k + WARD_AHEAD] + i]);
+            PREFETCH(&D[off[k + WARD_AHEAD] + j]);
+        }
+        double old_i = D[off[k] + i], old_j = D[off[k] + j], s = size[k];
+        double v = ((si + s) * old_i + (sj + s) * old_j - s * g) / ((si + sj) + s);
+        if (v < 0.0)    /* np.maximum(v, 0.0): NaN passes */
+            v = 0.0;
+        if (v < umin[k]) {
+            umin[k] = v;
+            stale[k] = 0;
+            if (v < bmin[k / WARD_BLOCK])
+                bmin[k / WARD_BLOCK] = v;
+        }
+        else if (umin[k] == old_i || umin[k] == old_j)
+            stale[k] = 1;
+        D[off[k] + i] = v;
+    }
+    for (Py_ssize_t k = lo > i ? lo : i + 1; k < hi; k++) {
+        if (k == j)
+            continue;
+        double old_j;
+        if (k < j) {
+            if (k + WARD_AHEAD < j)
+                PREFETCH(&D[off[k + WARD_AHEAD] + j]);
+            old_j = D[off[k] + j];
+            if (umin[k] == old_j)
+                stale[k] = 1;
+        }
+        else
+            old_j = D[off[j] + k];
+        double old_i = D[off[i] + k], s = size[k];
+        double v = ((si + s) * old_i + (sj + s) * old_j - s * g) / ((si + sj) + s);
+        if (v < 0.0)
+            v = 0.0;
+        if (v < row_i)
+            row_i = v;
+        D[off[i] + k] = v;
+    }
+    if (j != last)
+        for (Py_ssize_t k = lo; k < hi && k < last; k++) {
+            if (k + WARD_AHEAD < last)
+                PREFETCH(&D[off[k + WARD_AHEAD] + last]);
+            if (k == i || k == j)
+                continue;
+            double moved = D[off[k] + last];
+            if (k < j)
+                D[off[k] + j] = moved;
+            else {
+                D[off[j] + k] = moved;
+                if (moved < row_j)
+                    row_j = moved;
+                if (umin[k] == moved)
+                    stale[k] = 1;
+            }
+        }
+    w->row_i[part] = row_i;
+    w->row_j[part] = row_j;
+}
+
+/* The first bounds: umin[r] is the minimum of row r's upper run, for the
+ * rows r in [lo, hi). */
+static void
+ward_bounds(Ward *w, Py_ssize_t lo, Py_ssize_t hi)
+{
+    for (Py_ssize_t r = lo; r < hi; r++)
+        w->umin[r] = run_minimum(w->D + w->off[r] + r + 1, w->a - r - 1, -INFINITY);
+}
+
+/* One part of the job: the first bounds of its rows, or the update and
+ * the move of its slots. */
+static void
+ward_part(void *ctx, int part)
+{
+    Ward *w = ctx;
+    Py_ssize_t lo = part ? w->split : 0, hi = part ? w->a : w->split;
+    if (w->first)
+        ward_bounds(w, lo, hi);
+    else
+        ward_range(w, lo, hi, part);
 }
 
 /* The Ward merge loop of `cobar.kernels.ward_linkage` on the condensed
@@ -167,35 +546,67 @@ block_minimum(const double *umin, Py_ssize_t r)
  * minimum left is marked stale.  Once every stale row at the smallest
  * bound g has been rescanned, g is the smallest distance and every row
  * holding a pair at g has the exact bound g, so the tie scan reads only
- * those rows.  A rescan reads one contiguous run. */
+ * those rows.  A rescan reads one contiguous run, up to its first entry
+ * equal to g.
+ *
+ * The search, the rescans and the tie scan run on the calling thread.  With
+ * two threads and more than WARD_FLOOR clusters, the first bounds split at
+ * half the entries, as the cosine pass splits, and while more than
+ * WARD_FLOOR slots are active, a merge's update and move run in two parts,
+ * over the slots before and after WARD_SHARE percent of them.  Row i's and
+ * row j's minima are the parts' taken in slot order, the first smallest as
+ * a serial scan finds it, so the bits do not depend on the split.  After
+ * MAX_STALLS stalls the loop runs on the calling thread alone. */
 static PyObject *
 ward_loop(PyObject *self, PyObject *args)
 {
     Py_buffer d2, merges_view, heights_view;
-    if (!PyArg_ParseTuple(args, "w*w*w*:ward_loop", &d2, &merges_view, &heights_view))
+    int threads;
+    if (!PyArg_ParseTuple(args, "w*w*w*i:ward_loop", &d2, &merges_view, &heights_view, &threads))
         return NULL;
     double *D = d2.buf, *heights = heights_view.buf;
     int64_t *merges = merges_view.buf;
     Py_ssize_t n = heights_view.len / (Py_ssize_t)sizeof(double) + 1;
     Py_ssize_t n_blocks = (n + WARD_BLOCK - 1) / WARD_BLOCK;
-    Py_ssize_t *off = PyMem_New(Py_ssize_t, n);
-    int64_t *node_id = PyMem_New(int64_t, n);
-    double *size = PyMem_New(double, n), *umin = PyMem_New(double, n_blocks * WARD_BLOCK);
-    double *bmin = PyMem_New(double, n_blocks);
-    char *stale = PyMem_Calloc(n_blocks * WARD_BLOCK, 1);
+    Py_ssize_t *off = NULL;
+    int64_t *node_id = NULL;
+    double *size = NULL, *umin = NULL, *bmin = NULL;
+    char *stale = NULL;
     PyObject *result = NULL;
+    if (check_threads(threads) < 0)
+        goto done;
+    off = PyMem_New(Py_ssize_t, n);
+    node_id = PyMem_New(int64_t, n);
+    size = PyMem_New(double, n);
+    umin = PyMem_New(double, n_blocks * WARD_BLOCK);
+    bmin = PyMem_New(double, n_blocks);
+    stale = PyMem_Calloc(n_blocks * WARD_BLOCK, 1);
     if (!off || !node_id || !size || !umin || !bmin || !stale) {
         PyErr_NoMemory();
         goto done;
     }
+    Ward w = {.D = D, .size = size, .umin = umin, .bmin = bmin, .off = off, .stale = stale, .a = n, .first = 1};
+    Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t r = 0; r < n_blocks * WARD_BLOCK; r++)
         umin[r] = INFINITY;
     for (Py_ssize_t r = 0; r < n; r++) {
         off[r] = r * n - r * (r + 1) / 2 - r - 1;
         node_id[r] = r;
         size[r] = 1.0;
-        umin[r] = run_minimum(D + off[r] + r + 1, n - r - 1);
     }
+    /* the worker runs while more than WARD_FLOOR slots are active; the
+     * first bounds split as the cosine pass does, at half the pairs */
+    Pair pair;
+    int split = threads == 2 && n > WARD_FLOOR && pair_start(&pair, ward_part, &w);
+    if (split) {
+        w.split = n - (Py_ssize_t)(n / sqrt(2.0));
+        pair_run(&pair);
+        /* a part of it takes milliseconds, and the worker has just started */
+        pair.stalls = 0;
+    }
+    else
+        ward_bounds(&w, 0, n);
+    w.first = 0;
     for (Py_ssize_t b = 0; b < n_blocks; b++)
         bmin[b] = block_minimum(umin, b * WARD_BLOCK);
 
@@ -216,7 +627,7 @@ ward_loop(PyObject *self, PyObject *args)
                 int here = 0;
                 for (Py_ssize_t r = b * WARD_BLOCK; r < (b + 1) * WARD_BLOCK; r++)
                     if (umin[r] == g && stale[r]) {
-                        umin[r] = run_minimum(D + off[r] + r + 1, a - r - 1);
+                        umin[r] = run_minimum(D + off[r] + r + 1, a - r - 1, g);
                         stale[r] = 0;
                         here = 1;
                     }
@@ -260,75 +671,33 @@ ward_loop(PyObject *self, PyObject *args)
         merges[2 * m + 1] = hi;
         heights[m] = g;
 
-        /* Ward update of slot i against every other active slot k: a row
-         * k < i takes v in place of its pair with i, a row k < j loses its
-         * pair with j, and the v of the slots k > i make up row i */
-        double si = size[i], sj = size[j], row_i = INFINITY;
-        for (Py_ssize_t k = 0; k < i; k++) {
-            if (k + WARD_AHEAD < i) {
-                PREFETCH(&D[off[k + WARD_AHEAD] + i]);
-                PREFETCH(&D[off[k + WARD_AHEAD] + j]);
-            }
-            double old_i = D[off[k] + i], old_j = D[off[k] + j], s = size[k];
-            double v = ((si + s) * old_i + (sj + s) * old_j - s * g) / ((si + sj) + s);
-            if (v < 0.0)    /* np.maximum(v, 0.0): NaN passes */
-                v = 0.0;
-            if (v < umin[k]) {
-                umin[k] = v;
-                stale[k] = 0;
-                if (v < bmin[k / WARD_BLOCK])
-                    bmin[k / WARD_BLOCK] = v;
-            }
-            else if (umin[k] == old_i || umin[k] == old_j)
-                stale[k] = 1;
-            D[off[k] + i] = v;
+        w.i = i;
+        w.j = j;
+        w.a = a;
+        w.g = g;
+        double row_i, row_j;
+        if (split && (a <= WARD_FLOOR || pair.stalls == MAX_STALLS)) {
+            pair_stop(&pair);
+            split = 0;
         }
-        for (Py_ssize_t k = i + 1; k < a; k++) {
-            if (k == j)
-                continue;
-            double old_j;
-            if (k < j) {
-                if (k + WARD_AHEAD < j)
-                    PREFETCH(&D[off[k + WARD_AHEAD] + j]);
-                old_j = D[off[k] + j];
-                if (umin[k] == old_j)
-                    stale[k] = 1;
-            }
-            else
-                old_j = D[off[j] + k];
-            double old_i = D[off[i] + k], s = size[k];
-            double v = ((si + s) * old_i + (sj + s) * old_j - s * g) / ((si + sj) + s);
-            if (v < 0.0)
-                v = 0.0;
-            if (v < row_i)
-                row_i = v;
-            D[off[i] + k] = v;
+        if (split) {
+            w.split = a * WARD_SHARE / 100 / WARD_BLOCK * WARD_BLOCK;
+            pair_run(&pair);
+            row_i = w.row_i[1] < w.row_i[0] ? w.row_i[1] : w.row_i[0];
+            row_j = w.row_j[1] < w.row_j[0] ? w.row_j[1] : w.row_j[0];
         }
-        size[i] = si + sj;
+        else {
+            ward_range(&w, 0, a, 0);
+            row_i = w.row_i[0];
+            row_j = w.row_j[0];
+        }
+        size[i] += size[j];
         node_id[i] = n + m;
         umin[i] = row_i;
         stale[i] = 0;
-
-        /* the last active slot moves into the freed slot j, whose row then
-         * holds the pairs a row j < k < last loses */
-        double row_j = INFINITY;
         if (j != last) {
-            for (Py_ssize_t k = 0; k < last; k++) {
-                if (k + WARD_AHEAD < last)
-                    PREFETCH(&D[off[k + WARD_AHEAD] + last]);
-                if (k == j)
-                    continue;
-                double moved = D[off[k] + last];
-                if (k < j)
-                    D[off[k] + j] = moved;
-                else {
-                    D[off[j] + k] = moved;
-                    if (moved < row_j)
-                        row_j = moved;
-                    if (umin[k] == moved)
-                        stale[k] = 1;
-                }
-            }
+            /* the move of k = i, after the update of k = last */
+            D[off[i] + j] = D[off[i] + last];
             size[j] = size[last];
             node_id[j] = node_id[last];
         }
@@ -341,6 +710,9 @@ ward_loop(PyObject *self, PyObject *args)
         bmin[j / WARD_BLOCK] = block_minimum(umin, j);
         bmin[last / WARD_BLOCK] = block_minimum(umin, last);
     }
+    if (split)
+        pair_stop(&pair);
+    Py_END_ALLOW_THREADS
     result = Py_NewRef(Py_None);
 done:
     PyMem_Free(off);
@@ -1010,11 +1382,13 @@ done:
 
 static PyMethodDef methods[] = {
     {"cosine_rows", cosine_rows, METH_VARARGS,
-     "cosine_rows(rows_indptr, rows_indices, rows_data, cols_indptr, cols_indices, cols_data, norms, dist)\n--\n\n"
-     "The distance pass of `cobar.kernels.cosine_distance_matrix`, which lays out its arguments."},
+     "cosine_rows(rows_indptr, rows_indices, rows_data, cols_indptr, cols_indices, cols_data, norms, dist,"
+     " threads)\n--\n\n"
+     "The distance pass of `cobar.kernels.cosine_distance_matrix`, which lays out its arguments, on 1 or 2"
+     " threads."},
     {"ward_loop", ward_loop, METH_VARARGS,
-     "ward_loop(d2, merges, heights)\n--\n\n"
-     "The merge loop of `cobar.kernels.ward_linkage`, which checks its arguments."},
+     "ward_loop(d2, merges, heights, threads)\n--\n\n"
+     "The merge loop of `cobar.kernels.ward_linkage`, which checks its arguments, on 1 or 2 threads."},
     {"sgd_epoch", sgd_epoch, METH_VARARGS,
      "sgd_epoch(users, items, ratings, order, user_factors, item_factors, user_bias, item_bias,"
      " global_mean, learning_rate, regularization)\n--\n\n"
@@ -1042,12 +1416,15 @@ static PyMethodDef methods[] = {
  * import.  Raise it with every change to an argument's type or order, so
  * that an extension built from older source is rejected instead of reading
  * arguments laid out for another. */
-#define LAYOUT 3
+#define LAYOUT 4
 
 static int
 exec_module(PyObject *module)
 {
     if (PyType_Ready(&BoundQueryType) < 0)
+        return -1;
+    if (PyModule_AddIntConstant(module, "COSINE_FLOOR", COSINE_FLOOR) < 0
+        || PyModule_AddIntConstant(module, "WARD_FLOOR", WARD_FLOOR) < 0)
         return -1;
     return PyModule_AddIntConstant(module, "LAYOUT", LAYOUT);
 }

@@ -20,8 +20,16 @@ from bisect import bisect_left
 import numpy as np
 
 
+def _check_threads(threads: int) -> None:
+    """The thread count a loop was handed, 1 or 2, as the compiled loops
+    check it; these loops run on the calling thread either way."""
+    if threads not in (1, 2):
+        raise ValueError(f"threads must be 1 or 2, got {threads}")
+
+
 def cosine_rows(rows_indptr: np.ndarray, rows_indices: np.ndarray, rows_data: np.ndarray, cols_indptr: np.ndarray,
-                cols_indices: np.ndarray, cols_data: np.ndarray, norms: np.ndarray, dist: np.ndarray) -> None:
+                cols_indices: np.ndarray, cols_data: np.ndarray, norms: np.ndarray, dist: np.ndarray,
+                threads: int) -> None:
     """The distance pass of `cobar.kernels.cosine_distance_matrix`, which
     lays out the ratings of its n users in CSR form by row and by column,
     with the int32 indices scipy keeps without a copy, computes their norms
@@ -34,8 +42,9 @@ def cosine_rows(rows_indptr: np.ndarray, rows_indices: np.ndarray, rows_data: np
     the rows before the block would copy the column arrays, through a dense
     buffer of at most 1/32 of the n x n entries; each row's share of the
     upper triangle is copied out of it.  Only this loop imports
-    `scipy.sparse`.
+    `scipy.sparse`.  It runs on one thread for any `threads`.
     """
+    _check_threads(threads)
     from scipy import sparse
     n, n_columns = len(norms), len(cols_indptr) - 1
     R = sparse.csr_matrix((rows_data, rows_indices, rows_indptr), shape=(n, n_columns))
@@ -58,7 +67,7 @@ def cosine_rows(rows_indptr: np.ndarray, rows_indices: np.ndarray, rows_data: np
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def ward_loop(d2: np.ndarray, merges: np.ndarray, heights: np.ndarray) -> None:
+def ward_loop(d2: np.ndarray, merges: np.ndarray, heights: np.ndarray, threads: int) -> None:
     """The merge loop of `cobar.kernels.ward_linkage`, which checks `d2` and
     allocates `merges` and `heights`; fills the n-1 rows of both for the
     condensed squared distances `d2` of n >= 2 clusters.
@@ -80,8 +89,10 @@ def ward_loop(d2: np.ndarray, merges: np.ndarray, heights: np.ndarray) -> None:
 
     A minimum that is not finite (the Ward updates overflowed) is written
     to `heights` and ends the loop, as in the compiled loop, and the entry
-    rejects it; the overflow itself raises no warning.
+    rejects it; the overflow itself raises no warning.  It runs on one
+    thread for any `threads`.
     """
+    _check_threads(threads)
     n = len(heights) + 1
     slot = np.arange(n)
     off = slot * (2 * n - slot - 3) // 2 - 1

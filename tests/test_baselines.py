@@ -470,3 +470,16 @@ def test_fitted_predictor_pickles(name, kernel_backend, two_clusters_dataset):
     want = every_prediction(model).tobytes()
     for dumped in (fresh, pickle.dumps(model)):
         assert every_prediction(pickle.loads(dumped)).tobytes() == want
+
+
+def test_pickled_model_keeps_its_arrays_read_only(kernel_backend, two_clusters_dataset):
+    # numpy loads a pickled array writable; a write to a loaded model's
+    # layout would reach the stats index and the bound query reading it
+    loaded = pickle.loads(pickle.dumps(CobarModel().fit(two_clusters_dataset)))
+    arrays = {**{name: getattr(loaded.train, name) for name in ("users", "items", "ratings")},
+              **{name: getattr(loaded.dendrogram, name)
+                 for name in ("merges", "heights", "leaf_users", "sizes", "nodes")}}
+    for name, array in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0
+    assert loaded.stats._arrays[4] is loaded.dendrogram.nodes

@@ -24,7 +24,8 @@ from cobar import ItemKnn, KnnConfig, RatingDataset, UserKnn, agglomerate, kerne
 from cobar.clustering import Dendrogram, clusterable_users
 from cobar.data import fold_train_test
 from cobar.kernels import _python
-from conftest import RATING_SCALES, REPO_ROOT, benchmark_dataset, c_compiler_found, make_dataset, random_grid_dataset
+from conftest import (RATING_SCALES, REPO_ROOT, SPLIT_FLOOR, benchmark_dataset, c_compiler_found, make_dataset,
+                      random_grid_dataset)
 from oracles import ancestor_chain_reference, condensed, ward_reference
 
 
@@ -112,12 +113,13 @@ class TestDispatch:
             last = out.stderr.strip().splitlines()[-1]
             assert last == f"ImportError: stale extension /old/build/_compiled.so lacks {missing}; {REBUILD}"
 
-    @pytest.mark.parametrize("layout", [None, 1, 2, 4])
+    @pytest.mark.parametrize("layout", [None, 1, 2, 3, 5])
     def test_extension_of_another_layout_rejected(self, layout):
         # an extension that has every loop but reads their arguments in
         # another layout, e.g. one built before the cosine pass took int32
-        # indices, which it would read as int64 past the arrays' ends, or
-        # one of layout 2, whose queries took their arrays on every call
+        # indices, which it would read as int64 past the arrays' ends, one
+        # of layout 2, whose queries took their arrays on every call, or
+        # one of layout 3, whose n^2 loops took no thread count
         code = (
             "import sys, types; "
             "stub = types.ModuleType('cobar.kernels._compiled'); "
@@ -361,6 +363,262 @@ class TestNumpyWardMemory:
         assert peak <= 0.1 * 8 * n * n
 
 
+@pytest.fixture(scope="module")
+def cap_fold():
+    """The training set of fold 0 of the cap-shaped benchmark data, seed 1,
+    and its about 3,000 clusterable users, above both loops' floors."""
+    dataset = benchmark_dataset("cap", 1)
+    train, _ = fold_train_test(dataset, kfold_split(dataset, 10, 42), 0)
+    return train, clusterable_users(train)
+
+
+class _Recorder:
+    """The loops of `module`, recording the arguments each n^2 loop is handed."""
+
+    def __init__(self, module):
+        self.module, self.args = module, {}
+
+    def __getattr__(self, name):
+        return getattr(self.module, name)
+
+    def cosine_rows(self, *args):
+        self.args["cosine_rows"] = args
+        return self.module.cosine_rows(*args)
+
+    def ward_loop(self, *args):
+        self.args["ward_loop"] = args
+        return self.module.ward_loop(*args)
+
+    def threads(self):
+        return {name: args[-1] for name, args in self.args.items()}
+
+
+def _cosine_arguments(module, train, users):
+    """The six CSR arrays and the norms `cosine_distance_matrix` hands
+    `module.cosine_rows` for `users` of `train`."""
+    recorder = _Recorder(module)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_loops", recorder)
+        kernels.cosine_distance_matrix(train, users)
+    return recorder.args["cosine_rows"][:-2]
+
+
+def _raw_ward(loops, d2, threads):
+    """The bytes of the merges and heights `loops.ward_loop` writes for a
+    copy of the condensed `d2` with `threads`, before the entry's checks
+    and its normalising of -0.0."""
+    n = (1 + int(np.sqrt(1 + 8 * len(d2)))) // 2
+    merges, heights = np.empty((n - 1, 2), dtype=np.int64), np.empty(n - 1)
+    loops.ward_loop(d2.copy(), merges, heights, threads)
+    return merges.tobytes(), heights.tobytes()
+
+
+def _os_threads() -> int:
+    """The threads of this process, as the kernel lists them."""
+    return len(os.listdir("/proc/self/task"))
+
+
+def _threads_after(before: int) -> int:
+    """The process's threads once any thread beyond `before` has gone, or
+    after 5 s: a joined thread may be listed for a moment after its join."""
+    deadline = time.monotonic() + 5.0
+    while _os_threads() > before and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return _os_threads()
+
+
+needs_task_list = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                     reason="counts threads in /proc/self/task")
+
+
+class TestTwoThreads:
+    """Above their floors, the compiled cosine pass and Ward loop split over
+    two threads; the bits never depend on the thread count.  `split_kernels`
+    lowers both floors to SPLIT_FLOOR, so small inputs on both sides of it
+    take both paths."""
+
+    @pytest.mark.parametrize("scale", RATING_SCALES)
+    def test_cosine_bits_do_not_depend_on_threads(self, split_kernels, monkeypatch, scale):
+        rng = np.random.default_rng(131)
+        datasets = [random_grid_dataset(rng, max_users=100, max_items=30, draw=RATING_SCALES[scale])
+                    for _ in range(20)]
+        n = SPLIT_FLOOR + 5
+        # every user alike (all distances 0) and no two users sharing an item (all 1)
+        datasets.append(make_dataset([(f"u{u}", f"i{i}", 2.5) for u in range(n) for i in range(4)]))
+        datasets.append(make_dataset([(f"u{u}", f"i{u}", 1.5) for u in range(n)]))
+        sizes = set()
+        for ds in datasets:
+            users = clusterable_users(ds)
+            sizes.add(len(users) > SPLIT_FLOOR)
+            monkeypatch.setattr(kernels, "_loops", _python)
+            want = kernels.cosine_distance_matrix(ds, users).tobytes()
+            monkeypatch.setattr(kernels, "_loops", split_kernels)
+            for threads in (1, 2):
+                monkeypatch.setattr(kernels, "_threads", lambda n, floor, threads=threads: threads)
+                assert kernels.cosine_distance_matrix(ds, users).tobytes() == want
+        assert sizes == {False, True}
+
+    def test_ward_bits_do_not_depend_on_threads(self, split_kernels):
+        rng = np.random.default_rng(132)
+        cases = [_tie_heavy_sq_dist(rng, int(rng.integers(2, 130))) for _ in range(120)]
+        cases += [_random_sq_dist(rng, int(rng.integers(2, 130))) for _ in range(20)]
+        for n in (2, SPLIT_FLOOR - 1, SPLIT_FLOOR, SPLIT_FLOOR + 1, SPLIT_FLOOR + 2, 64, 65, 100):
+            cases += [np.ones((n, n)) - np.eye(n), np.zeros((n, n))]   # every pair tied
+        for _ in range(20):
+            # points repeated: zero distances and identical Ward updates
+            n = int(rng.integers(SPLIT_FLOOR, 130))
+            base = _tie_heavy_sq_dist(rng, int(rng.integers(1, n // 2)))
+            pick = rng.integers(0, len(base), size=n)
+            repeated = base[np.ix_(pick, pick)]
+            np.fill_diagonal(repeated, 0.0)
+            cases.append(repeated)
+        for d2 in cases:
+            d2 = condensed(d2)
+            assert _raw_ward(split_kernels, d2, 1) == _raw_ward(split_kernels, d2, 2) == _raw_ward(_python, d2, 1)
+        for _ in range(40):
+            # -0.0 among the zeros: a row's minimum is the first zero a slot
+            # order scan meets, whichever thread scanned it
+            n = int(rng.integers(SPLIT_FLOOR, 130))
+            d2 = rng.integers(0, 3, size=n * (n - 1) // 2) / 2.0
+            d2[rng.random(len(d2)) < 0.5] = -0.0
+            assert _raw_ward(split_kernels, d2, 1) == _raw_ward(split_kernels, d2, 2)
+
+    def test_overflow_stop_does_not_depend_on_threads(self, split_kernels, monkeypatch):
+        # the first merge's updates overflow to inf, and the loop stops once
+        # only infinite pairs are left, with the worker still running
+        rng = np.random.default_rng(133)
+        n = 3 * SPLIT_FLOOR
+        cases = [np.full(n * (n - 1) // 2, 1e308), (1.0 + condensed(_random_sq_dist(rng, n)) / 4.0) * 0.5e308]
+        monkeypatch.setattr(kernels, "_loops", split_kernels)
+        for d2 in cases:
+            raw = [_raw_ward(split_kernels, d2, threads) for threads in (1, 2)]
+            assert raw[0] == raw[1]
+            assert not np.isfinite(np.frombuffer(raw[0][1])).all()
+            for threads in (1, 2):
+                monkeypatch.setattr(kernels, "_threads", lambda n, floor, threads=threads: threads)
+                with pytest.raises(OverflowError, match="not finite"):
+                    kernels.ward_linkage(d2.copy())
+
+    def test_cap_fold_bits_do_not_depend_on_threads(self, compiled_kernels, cap_fold):
+        # the real floors, on a fit above both; repeated to catch races
+        train, users = cap_fold
+        assert len(users) > max(compiled_kernels.COSINE_FLOOR, compiled_kernels.WARD_FLOOR)
+        args = _cosine_arguments(compiled_kernels, train, users)
+        results = set()
+        for threads in (1, 2, 2, 2, 2):
+            dist = np.empty(len(users) * (len(users) - 1) // 2)
+            compiled_kernels.cosine_rows(*args, dist, threads)
+            results.add((dist.tobytes(), _raw_ward(compiled_kernels, np.square(dist), threads)))
+        assert len(results) == 1
+
+    def test_threads_follow_affinity_and_size(self, compiled_kernels, cap_fold, monkeypatch):
+        train, users = cap_fold
+        above = users[:max(compiled_kernels.COSINE_FLOOR, compiled_kernels.WARD_FLOOR) + 1]
+        recorder = _Recorder(compiled_kernels)
+        monkeypatch.setattr(kernels, "_loops", recorder)
+        for cpus, subset, want in [({0}, above, 1), ({0, 1}, above, 2), ({0, 1, 2, 3}, above, 2),
+                                   ({0, 1}, users[:SPLIT_FLOOR], 1)]:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+            dist = kernels.cosine_distance_matrix(train, subset)
+            kernels.ward_linkage(np.square(dist, out=dist))
+            assert recorder.threads() == {"cosine_rows": want, "ward_loop": want}
+        # the numpy loops have no floor and run on one thread
+        monkeypatch.setattr(kernels, "_loops", _python)
+        assert kernels._threads(10**6, "WARD_FLOOR") == kernels._threads(10**6, "COSINE_FLOOR") == 1
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="pins threads to two CPUs")
+    def test_bits_hold_with_the_cpus_taken(self, compiled_kernels, cap_fold):
+        # two busy processes on the two CPUs this process runs on: the
+        # worker loses its CPU in the middle of parts, and the loop waits
+        # for it or stops splitting
+        train, users = cap_fold
+        args = _cosine_arguments(compiled_kernels, train, users[:compiled_kernels.WARD_FLOOR + 100])
+        n = len(args[-1])
+        runs = {}
+        saved = os.sched_getaffinity(0)
+        cpus = set(sorted(saved)[:2])
+        busy = f"import os\nos.sched_setaffinity(0, {cpus!r})\nwhile True: pass"
+        hogs = []
+        try:
+            os.sched_setaffinity(0, cpus)
+            for threads in (1, 2, 1, 2):
+                if threads == 2 and not hogs:
+                    hogs = [subprocess.Popen([sys.executable, "-c", busy]) for _ in cpus]
+                dist = np.empty(n * (n - 1) // 2)
+                compiled_kernels.cosine_rows(*args, dist, threads)
+                runs.setdefault(threads, set()).add((dist.tobytes(), _raw_ward(compiled_kernels, np.square(dist),
+                                                                               threads)))
+        finally:
+            for hog in hogs:
+                hog.kill()
+                hog.wait(timeout=10)
+            os.sched_setaffinity(0, saved)
+        assert len(runs[1]) == 1 and runs[1] == runs[2]
+
+    @pytest.mark.parametrize("threads", [0, 3])
+    @pytest.mark.parametrize("backend", ["python", "c"])
+    def test_thread_count_outside_one_or_two_rejected(self, compiled_kernels, cap_fold, backend, threads):
+        loops = _python if backend == "python" else compiled_kernels
+        train, users = cap_fold
+        args = _cosine_arguments(compiled_kernels, train, users[:compiled_kernels.COSINE_FLOOR + 1])
+        n = compiled_kernels.WARD_FLOOR + 1
+        dist, heights = np.full(len(args[-1]) * (len(args[-1]) - 1) // 2, -1.0), np.full(n - 1, -1.0)
+        before = _os_threads() if os.path.isdir("/proc/self/task") else None
+        message = f"threads must be 1 or 2, got {threads}"
+        with pytest.raises(ValueError, match=message):
+            loops.cosine_rows(*args, dist, threads)
+        with pytest.raises(ValueError, match=message):
+            loops.ward_loop(np.ones(n * (n - 1) // 2), np.empty((n - 1, 2), dtype=np.int64), heights, threads)
+        assert (dist == -1.0).all() and (heights == -1.0).all()
+        if before is not None:
+            assert _os_threads() == before
+
+    @needs_task_list
+    def test_no_worker_outlives_a_call(self, compiled_kernels, split_kernels, cap_fold, monkeypatch):
+        train, users = cap_fold
+        monkeypatch.setattr(kernels, "_loops", compiled_kernels)
+        monkeypatch.setattr(kernels, "_threads", lambda n, floor: 2)
+        before = _os_threads()
+        dist = kernels.cosine_distance_matrix(train, users[:compiled_kernels.WARD_FLOOR + 1])
+        kernels.ward_linkage(np.square(dist, out=dist))
+        assert _threads_after(before) == before
+        # the overflow stop leaves the merge loop with the worker running
+        n = 3 * SPLIT_FLOOR
+        raw = _raw_ward(split_kernels, np.full(n * (n - 1) // 2, 1e308), 2)
+        assert not np.isfinite(np.frombuffer(raw[1])).all()
+        assert _threads_after(before) == before
+
+    @needs_task_list
+    @pytest.mark.parametrize("loop", ["cosine_rows", "ward_loop"])
+    def test_no_worker_outlives_a_failed_allocation(self, compiled_kernels, cap_fold, loop):
+        # each allocation of the call fails in turn, up to the first call
+        # that allocates all it needs
+        testcapi = pytest.importorskip("_testcapi")
+        train, users = cap_fold
+        args = _cosine_arguments(compiled_kernels, train, users[:compiled_kernels.WARD_FLOOR + 1])
+        n = len(args[-1])
+        dist = np.empty(n * (n - 1) // 2)
+        compiled_kernels.cosine_rows(*args, dist, 1)
+        d2, merges, heights = np.square(dist), np.empty((n - 1, 2), dtype=np.int64), np.empty(n - 1)
+        call = {"cosine_rows": lambda: compiled_kernels.cosine_rows(*args, dist, 2),
+                "ward_loop": lambda: compiled_kernels.ward_loop(d2.copy(), merges, heights, 2)}[loop]
+        before = _os_threads()
+        failures = 0
+        for start in range(200):
+            testcapi.set_nomemory(start, 0)
+            try:
+                call()
+            except MemoryError:
+                failures += 1
+            else:
+                break
+            finally:
+                testcapi.remove_mem_hooks()
+            assert _threads_after(before) == before
+        assert 0 < failures == start
+        assert _threads_after(before) == before
+
 def _read_only(d2):
     d2.setflags(write=False)
     return d2
@@ -533,7 +791,7 @@ class TestCompiledLoopsTakeBuffers:
     def test_ward_loop_refuses_read_only(self, compiled_kernels):
         d2 = _read_only(np.array([1.0, 4.0, 2.0]))
         with pytest.raises(TypeError, match="read-write"):
-            compiled_kernels.ward_loop(d2, np.empty((2, 2), dtype=np.int64), np.empty(2))
+            compiled_kernels.ward_loop(d2, np.empty((2, 2), dtype=np.int64), np.empty(2), 1)
 
     @pytest.mark.parametrize("name, value, error", [
         ("ratings", lambda a: np.repeat(a, 2)[::2], ValueError),
