@@ -11,9 +11,9 @@ Ties in the minimal linkage are broken by the lexicographically smallest
 
 The pairwise distances are stored once, as the condensed upper triangle of
 n(n-1)/2 doubles: `cosine_distance_matrix`, the checked entry of the
-distance pass in `cobar.kernels`, fills it, and the merge loop works inside
-it.  `agglomerate` looks the pass up in this module, where perfbench's
-tracer wraps it.
+distance pass in `cobar.kernels`, fills it, and the merge loop squares it
+in place and works inside it.  `agglomerate` looks the pass up in this
+module, where perfbench's tracer wraps it.
 """
 
 from __future__ import annotations
@@ -126,15 +126,15 @@ def clusterable_users(dataset: RatingDataset) -> np.ndarray:
 
 def agglomerate(dataset: RatingDataset) -> Dendrogram:
     """Cluster the dataset's clusterable users, in ascending index order,
-    into a full merge hierarchy."""
+    into a full merge hierarchy: `kernels.ward_linkage` over their
+    `cosine_distance_matrix`, whose buffer, the fit's only n^2 array, the
+    merge loop squares and works in, then the `Dendrogram` of its merges
+    and heights."""
     if dataset.n_ratings == 0:
         raise ValueError("cannot cluster an empty dataset")
     users = clusterable_users(dataset)
     if len(users) == 0:
         raise ValueError("no users with ratings to cluster")
 
-    dist = cosine_distance_matrix(dataset, users)
-    np.square(dist, out=dist)
-    # the merge loop works in this buffer and leaves it undefined
-    merges, heights_sq = kernels.ward_linkage(dist)
-    return Dendrogram(merges=merges, heights=np.sqrt(heights_sq), leaf_users=users)
+    merges, heights = kernels.ward_linkage(cosine_distance_matrix(dataset, users))
+    return Dendrogram(merges=merges, heights=heights, leaf_users=users)

@@ -1,11 +1,12 @@
 """The hot kernels: one checked entry each, over a compiled or a numpy loop.
 
-Six compiled loops, in the C extension `_compiled` when a C compiler is
+Seven compiled loops, in the C extension `_compiled` when a C compiler is
 available at install time: the cosine distance pass and the Ward merge
 loop of cobar's user hierarchy, the MF SGD epoch, the kNN query, the build
-and query of cobar's cluster statistics, and the tokenizer of a rating
-file.  Without it the numpy loops in `_python` run, and every rating file
-takes the line loop of `cobar.data.parse_ratings`.  ``BACKEND`` names the
+and query of cobar's cluster statistics, the tokenizer of a rating file,
+and the counting sort behind `cobar.data.csr_rows`.  Without it the numpy
+loops in `_python` run, and every rating file takes the line loop of
+`cobar.data.parse_ratings`.  ``BACKEND`` names the
 loops selected at import: ``"c"`` when `_compiled` imports, ``"python"``
 when there is no `_compiled`; one that exists but cannot load, lacks a
 loop, or reads the loops' arguments in another layout, stops the import
@@ -16,16 +17,18 @@ which trusts its caller.  `cosine_distance_matrix` and `KnnIndex` lay out
 the triples of a `RatingDataset`, checked when it was built, along both
 axes with `cobar.data.csr_rows`; `ClusterStatsIndex` lays them out with it
 per item over the leaf ranges of a `Dendrogram`, which checked its tree when
-built.  The two query loops, which run once per prediction, are bound to
+built, and its loop finds each gap's node as it fills the gap's entry.  The two query loops, which run once per prediction, are bound to
 their arrays once: `KnnIndex` at construction, `ClusterStatsIndex` per
 confidence level on its first query; a pickle holds the arrays, and both
 bind again when it is loaded.  The cosine loops sum each dot product item by
 item in ascending order, as scipy's sparse product does, and clip
 ``1 - (dot / norm_i) / norm_j`` to [0, 2] with NaN passing.  The two Ward
-loops merge the same pair with the same Lance-Williams operands at every
-step, each with its own bookkeeping of row minima.  Both backends give the
-same distances, merges, heights, MF updates, kNN aggregates, cluster
-statistics and parsed datasets bit for bit: only speed depends on BACKEND.
+loops square the distances in place, checking each as they square it, and
+merge the same pair with the same Lance-Williams operands at every step,
+each with its own bookkeeping of row minima.  Both backends give the same
+distances, merges, heights, CSR layouts, MF updates, kNN aggregates,
+cluster statistics and parsed datasets bit for bit: only speed depends on
+BACKEND.
 
 The two n^2 loops of a fit take a thread count, which `_threads` picks: 2
 when the input is above the compiled loop's floor (`COSINE_FLOOR` users,
@@ -65,7 +68,7 @@ except ImportError as exc:
     _compiled = None
 
 _missing = [name for name in ("ward_loop", "sgd_epoch", "bind_knn_query", "stats_build", "bind_stats_query",
-                              "cosine_rows", "tokenize")
+                              "cosine_rows", "tokenize", "csr_fill")
             if _compiled and not hasattr(_compiled, name)]
 if _missing:
     # an extension built from older source, e.g. one a build reused
@@ -75,7 +78,7 @@ if _missing:
     )
 # the layout of the arguments the entries below hand the compiled loops,
 # `LAYOUT` in `_compiled.c`; an extension from before it has layout 1
-_LAYOUT = 4
+_LAYOUT = 5
 if _compiled and getattr(_compiled, "LAYOUT", 1) != _LAYOUT:
     # e.g. an extension whose cosine pass reads int32 indices as int64
     raise ImportError(
@@ -168,18 +171,30 @@ def _nonzero_square_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
     return sums
 
 
-def ward_linkage(d2) -> tuple[np.ndarray, np.ndarray]:
-    """Agglomerative merge loop with Ward updates on squared distances.
+def _csr_rows(keys, others, ratings, n_keys: int, n_others: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays of `cobar.data.csr_rows`, which documents them, laid out
+    by the selected backend's loop."""
+    indptr, indices = np.empty(n_keys + 1, dtype=np.int64), np.empty(len(keys), dtype=np.int64)
+    data = np.empty(len(keys))
+    _loops.csr_fill(keys, others, ratings, n_others, indptr, indices, data)
+    return indptr, indices, data
+
+
+def ward_linkage(d) -> tuple[np.ndarray, np.ndarray]:
+    """Agglomerative merge loop with Ward updates, on pairwise distances,
+    as ``scipy.cluster.hierarchy.linkage(d, "ward")`` takes them.
 
     Parameters
     ----------
-    d2:
-        Condensed squared pairwise distances between the n singleton
-        clusters: a writable, C-contiguous 1-D float64 array of n(n-1)/2
-        entries, pair i < j at ``i*n - i*(i+1)//2 + j - i - 1`` (the order
-        of `scipy.spatial.distance.pdist`), every entry finite and
-        nonnegative; `TypeError` or `ValueError` otherwise.  It is the
-        loop's working memory: its contents are undefined after the call.
+    d:
+        Condensed pairwise distances between the n singleton clusters: a
+        writable, C-contiguous 1-D float64 array of n(n-1)/2 entries, pair
+        i < j at ``i*n - i*(i+1)//2 + j - i - 1`` (the order of
+        `scipy.spatial.distance.pdist`); `TypeError` or `ValueError`
+        otherwise.  Every entry must be finite and nonnegative with a
+        finite square; the loop squares the entries in place and raises
+        `ValueError` before any merge is made otherwise.  It is the loop's
+        working memory: its contents are undefined after the call.
 
     Returns
     -------
@@ -187,31 +202,26 @@ def ward_linkage(d2) -> tuple[np.ndarray, np.ndarray]:
         (n-1, 2) int64 array of merged node ids, each row sorted ascending.
         Leaves are 0..n-1; merge m creates node n+m.
     heights:
-        (n-1,) float64 linkage values in the squared-distance domain,
-        non-decreasing; a zero height is always +0.0.
+        (n-1,) float64 merge heights, the square roots of the linkage
+        values of the squared distances, non-decreasing; a zero height is
+        always +0.0, as squaring turns a -0.0 entry into +0.0.
 
     Equal minimal linkages are broken by the lexicographically smallest
     (id, id) pair, which makes the result deterministic.  A linkage that
     overflows to a height that is not finite raises `OverflowError`.
     """
-    d2 = _checked("d2", d2, 1, "float64", writable=True)
-    length = len(d2)
+    d = _checked("d", d, 1, "float64", writable=True)
+    length = len(d)
     n = (1 + math.isqrt(1 + 8 * length)) // 2
     if n * (n - 1) // 2 != length:
-        raise ValueError(f"d2 has {length} entries, which is not n(n-1)/2 for any n")
-    # min() and max() propagate NaN, so one comparison catches it
-    if length and not (d2.min() >= 0.0 and d2.max() < np.inf):
-        raise ValueError("squared distances must be finite and nonnegative")
+        raise ValueError(f"d has {length} entries, which is not n(n-1)/2 for any n")
     merges = np.empty((n - 1, 2), dtype=np.int64)
     heights = np.empty(n - 1, dtype=np.float64)
     if n > 1:
-        _loops.ward_loop(d2, merges, heights, _threads(n, "WARD_FLOOR"))
+        _loops.ward_loop(d, merges, heights, _threads(n, "WARD_FLOOR"))
         # a loop stops at the first height that is not finite
         if not np.isfinite(heights).all():
             raise OverflowError("Ward linkage overflowed: a merge height is not finite")
-        # the loops may keep different zeros of a d2 holding -0.0; adding
-        # +0.0 turns -0.0 into +0.0 and leaves every other height as it is
-        heights += 0.0
     return merges, heights
 
 
@@ -382,7 +392,10 @@ class ClusterStatsIndex:
     raters, the sum of the two ranges that node joins.  That is the addition
     a bottom-up merge of per-node maps makes, so every (node, item) statistic
     is, bit for bit, one of these 2r - 1 entries.  Ratings of users outside
-    the hierarchy are left out.
+    the hierarchy are left out.  The ratings are laid out by item with
+    `cobar.data.csr_rows`; the selected loop then finds each gap's node,
+    walking up from the left rater's leaf until the node's range holds the
+    right rater, and fills the gap's entry in the same pass.
     """
 
     def __init__(self, dendrogram, train: RatingDataset):
@@ -394,29 +407,21 @@ class ClusterStatsIndex:
         _check_range("leaf_users", dendrogram.leaf_users, train.n_users)
         n = self.n_leaves = dendrogram.n_leaves
         self.n_nodes, self.n_items = dendrogram.n_nodes, train.n_items
-        lows, highs, parents = nodes = dendrogram.nodes
+        nodes = dendrogram.nodes
 
         # the leaf users' ratings in (item, position) order
         position = np.full(train.n_users, -1, dtype=np.int64)
-        position[dendrogram.leaf_users] = lows[:n]
+        position[dendrogram.leaf_users] = nodes[0, :n]
         rated = position[train.users]
         kept = rated >= 0
         index = np.zeros((2, self.n_items + 1), dtype=np.int64)
         index[0], positions, ratings = csr_rows(train.items[kept], rated[kept], train.ratings[kept], self.n_items, n)
         counts = np.diff(index[0])
-        items = np.repeat(np.arange(self.n_items), counts)
         np.cumsum(np.maximum(counts - 1, 0), out=index[1, 1:])
-
-        # a gap's node is the lowest common node of its raters: walk up from
-        # the left rater's leaf until the node's range holds the right rater
-        same = items[1:] == items[:-1]
-        gap_nodes, right = np.argsort(lows[:n])[positions[:-1][same]], positions[1:][same]
-        walking = np.flatnonzero(highs[gap_nodes] <= right)
-        while len(walking):
-            gap_nodes[walking] = parents[gap_nodes[walking]]
-            walking = walking[highs[gap_nodes[walking]] <= right[walking]]
+        # the loop finds each gap's node and fills its entry
+        gap_nodes = np.empty(index[1, -1], dtype=np.int64)
         gaps = np.empty((4, len(gap_nodes)))
-        _loops.stats_build(index, ratings, gap_nodes, gaps)
+        _loops.stats_build(index, positions, ratings, nodes, gap_nodes, gaps)
         self._arrays = (index, positions, gap_nodes, gaps, nodes)
         self._ratings = ratings
         self._most_raters = max(2, int(counts.max(initial=0)))

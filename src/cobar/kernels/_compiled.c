@@ -1,8 +1,9 @@
-/* Compiled kernels, six loops: the cosine distance pass and the Ward
+/* Compiled kernels, seven loops: the cosine distance pass and the Ward
  * merge loop of cobar's user hierarchy, the SGD epoch of the biased matrix
  * factorization baseline, the query of the cosine kNN baselines, cobar's
  * per-item cluster statistics, whose build and query are one function
- * each, and the tokenizer of a rating file.
+ * each, the tokenizer of a rating file, and the counting sort that lays
+ * the ratings out in CSR form.
  *
  * `cosine_rows` fills the condensed distances the scipy block product of
  * `cobar.kernels._python.cosine_rows` fills, summing each dot product in
@@ -11,13 +12,15 @@
  * Each distance is 1 - (dot / norm_i) / norm_j clipped to [0, 2] as
  * `np.clip` clips, NaN passing, so the distances agree bit for bit.
  *
- * `ward_loop` merges, in place on the condensed upper triangle of the
- * distance matrix, the same pair as `cobar.kernels._python.ward_loop` at
- * every step, with the same Lance-Williams expression and operand order,
- * so merges and heights agree bit for bit.  The two loops share that
- * invariant, not their bookkeeping: the numpy loop keeps exact row minima
- * and rescans eagerly, the compiled one keeps lazy lower bounds on each
- * row's contiguous upper run, one minimum per block of 32 rows, and
+ * `ward_loop` squares the condensed upper triangle of the distance
+ * matrix in place, rejecting a distance that is NaN, negative or infinite
+ * or whose square overflows as it squares it, and merges there the same
+ * pair as `cobar.kernels._python.ward_loop` at every step, with the same
+ * Lance-Williams expression and operand order, so merges and heights, the
+ * square roots of the linkages, agree bit for bit.  The two loops share
+ * that invariant, not their bookkeeping: the numpy loop keeps exact row
+ * minima and rescans eagerly, the compiled one keeps lazy lower bounds on
+ * each row's contiguous upper run, one minimum per block of 32 rows, and
  * prefetches the strided column entries it updates and moves.
  *
  * These two n^2 loops release the GIL, and each takes a thread count, 1 or
@@ -48,10 +51,16 @@
  * change no bit.  The top k are picked as the stable argsort picks them,
  * and the two sums are numpy's pairwise sum.
  *
- * `stats_build` fills the gap entries `cobar.kernels._python.stats_build`
- * fills, each the sum of the two ranges it joins with the left one first,
- * but pops the gaps off a stack instead of joining them in rounds.
- * `stats_query` runs the steps of `cobar.kernels._python.stats_query`.
+ * `stats_build` finds the gap nodes and fills the gap entries
+ * `cobar.kernels._python.stats_build` finds and fills, each entry the sum
+ * of the two ranges its gap joins with the left one first, but walks each
+ * gap up the tree as it reaches it and pops the gaps off a stack, where
+ * the numpy loop walks and joins all gaps in rounds.  `stats_query` runs
+ * the steps of `cobar.kernels._python.stats_query`.
+ *
+ * `csr_fill` lays the rating triples out in CSR form, each row sorted, by
+ * a two-pass counting sort; `cobar.kernels._python.csr_fill` argsorts, and
+ * the pairs are unique, so the two give the same arrays.
  *
  * `tokenize` splits a rating file's bytes as the line loop of
  * `cobar.data.parse_ratings` splits its text, for the inputs of a strict
@@ -265,6 +274,87 @@ check_threads(int threads)
     return -1;
 }
 
+/* Entry t of an index array of 4-byte (`wide` 0) or 8-byte integers. */
+static inline int64_t
+index_at(const void *a, int wide, Py_ssize_t t)
+{
+    return wide ? ((const int64_t *)a)[t] : ((const int32_t *)a)[t];
+}
+
+/* The layout of `cobar.data.csr_rows`: the n rating triples (keys,
+ * others, ratings) in CSR form with the keys as rows, each row sorted by
+ * others, into indptr (n_keys + 1 entries), indices and data.  keys and
+ * others each hold int32 or int64, their width being their length over n;
+ * ValueError for any other.  Every key is below 2^31, as a dataset's users
+ * and items are, so the scratch keeps keys as int32.  A two-pass counting sort: the triples are
+ * first bucketed by other, then placed, bucket by bucket in ascending
+ * other, at their key's next slot, so every row comes out sorted.  The
+ * pairs are unique, so this is the order of the numpy loop's argsort.  The
+ * scratch, each triple's key and rating in bucket order and a cursor per
+ * key and per other, is freed before the call returns. */
+static PyObject *
+csr_fill(PyObject *self, PyObject *args)
+{
+    Py_buffer b[6];
+    Py_ssize_t n_others;
+    if (!PyArg_ParseTuple(args, "y*y*y*nw*w*w*:csr_fill", &b[0], &b[1], &b[2], &n_others, &b[3], &b[4], &b[5]))
+        return NULL;
+    const double *ratings = b[2].buf;
+    int64_t *indptr = b[3].buf, *indices = b[4].buf;
+    double *data = b[5].buf;
+    Py_ssize_t n = b[2].len / (Py_ssize_t)sizeof(double), n_keys = b[3].len / (Py_ssize_t)sizeof(int64_t) - 1;
+    int key_wide = b[0].len == 8 * n, other_wide = b[1].len == 8 * n;
+    int32_t *bucket_keys = NULL;
+    double *bucket_ratings = NULL;
+    int64_t *key_next = NULL, *other_next = NULL;
+    PyObject *result = NULL;
+    if ((!key_wide && b[0].len != 4 * n) || (!other_wide && b[1].len != 4 * n)) {
+        PyErr_SetString(PyExc_ValueError, "keys and others must hold one int32 or int64 per rating");
+        goto done;
+    }
+    bucket_keys = PyMem_New(int32_t, n);
+    bucket_ratings = PyMem_New(double, n);
+    key_next = PyMem_New(int64_t, n_keys);
+    other_next = PyMem_Calloc(n_others + 1, sizeof(int64_t));
+    if (!bucket_keys || !bucket_ratings || !key_next || !other_next) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* counts, then the start of each key's row and each other's bucket */
+    memset(indptr, 0, (n_keys + 1) * sizeof(int64_t));
+    for (Py_ssize_t t = 0; t < n; t++) {
+        indptr[index_at(b[0].buf, key_wide, t) + 1]++;
+        other_next[index_at(b[1].buf, other_wide, t) + 1]++;
+    }
+    for (Py_ssize_t k = 0; k < n_keys; k++) {
+        indptr[k + 1] += indptr[k];
+        key_next[k] = indptr[k];
+    }
+    for (Py_ssize_t o = 0; o < n_others; o++)
+        other_next[o + 1] += other_next[o];
+    for (Py_ssize_t t = 0; t < n; t++) {
+        int64_t s = other_next[index_at(b[1].buf, other_wide, t)]++;
+        bucket_keys[s] = (int32_t)index_at(b[0].buf, key_wide, t);
+        bucket_ratings[s] = ratings[t];
+    }
+    /* other_next[o] is now the end of bucket o */
+    for (Py_ssize_t o = 0, s = 0; o < n_others; o++)
+        for (; s < other_next[o]; s++) {
+            int64_t slot = key_next[bucket_keys[s]]++;
+            indices[slot] = o;
+            data[slot] = bucket_ratings[s];
+        }
+    result = Py_NewRef(Py_None);
+done:
+    PyMem_Free(bucket_keys);
+    PyMem_Free(bucket_ratings);
+    PyMem_Free(key_next);
+    PyMem_Free(other_next);
+    for (int a = 0; a < 6; a++)
+        PyBuffer_Release(&b[a]);
+    return result;
+}
+
 /* The arrays of `cosine_rows`, and the sums and column cursors of its two
  * parts: part 0 takes the rows before `split`, part 1 the rest. */
 typedef struct {
@@ -277,9 +367,18 @@ typedef struct {
     int64_t *cursor[2];
 } Cosine;
 
+/* Forces a function into each of its callers. */
+#if defined(__GNUC__) || defined(__clang__)
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define ALWAYS_INLINE inline
+#endif
+
 /* The distance pass over rows first..stop-1, with the sums `acc`, n zeros,
- * and the column cursors `cursor`. */
-static void
+ * and the column cursors `cursor`.  Inlined into both callers: as a call
+ * of its own, with the same instructions, the serial pass over 1,500 and
+ * 3,000 cap-shaped users ran 7-10% slower (interleaved runs, x86-64, gcc). */
+static ALWAYS_INLINE void
 cosine_range(const Cosine *c, Py_ssize_t first, Py_ssize_t stop, double *acc, int64_t *cursor)
 {
     const int64_t *rp = c->rp, *cp = c->cp;
@@ -385,6 +484,9 @@ done:
  * of the active slots, rounded down to a block: a slot k < i or k < j
  * walks strided column entries, so the first slots cost more. */
 #define WARD_SHARE 45
+/* The message of the input the first bounds reject, as the numpy loop
+ * words it. */
+#define WARD_BAD_INPUT "distances must be finite and nonnegative, with finite squares"
 #if defined(__GNUC__) || defined(__clang__)
 #define PREFETCH(p) __builtin_prefetch(p)
 #else
@@ -415,16 +517,16 @@ block_minimum(const double *umin, Py_ssize_t r)
 
 /* The state of `ward_loop`, and the job its parts share: the first bounds
  * while `first` is set, then the merge of slots i < j at height g with a
- * active slots.  Part 0 takes the slots before `split`, part 1 the rest,
- * and each finds its own minima of rows i and j, row_i[part] and
- * row_j[part]. */
+ * active slots.  Part 0 takes the slots before `split`, part 1 the rest;
+ * each flags its own bad input in the first bounds, bad[part], and finds
+ * its own minima of rows i and j, row_i[part] and row_j[part]. */
 typedef struct {
     double *D, *size, *umin, *bmin;
     const Py_ssize_t *off;
     char *stale;
     Py_ssize_t i, j, a, split;
     double g, row_i[2], row_j[2];
-    int first;
+    int first, bad[2];
 } Ward;
 
 /* The Ward update of slot i against the slots k in [lo, hi), then the move
@@ -507,13 +609,44 @@ ward_range(Ward *w, Py_ssize_t lo, Py_ssize_t hi, int part)
     w->row_j[part] = row_j;
 }
 
-/* The first bounds: umin[r] is the minimum of row r's upper run, for the
- * rows r in [lo, hi). */
-static void
-ward_bounds(Ward *w, Py_ssize_t lo, Py_ssize_t hi)
+/* Squares the len distances at `run` in place and returns the smallest
+ * square; sets *bad when a distance is negative or NaN or its square is
+ * not finite, which also catches inf.  Four running minima keep the
+ * compares off one dependency chain; the squares of accepted distances
+ * hold no NaN and no -0.0, so their minimum is the same in any order. */
+static double
+square_run(double *run, Py_ssize_t len, int *bad)
 {
+    double best[4] = {INFINITY, INFINITY, INFINITY, INFINITY};
+    int flag = 0;
+    Py_ssize_t c = 0;
+    for (; c + 4 <= len; c += 4)
+        for (int k = 0; k < 4; k++) {
+            double v = run[c + k], square = v * v;
+            flag |= (v < 0.0) | !(square < INFINITY);
+            run[c + k] = square;
+            best[k] = square < best[k] ? square : best[k];
+        }
+    for (; c < len; c++) {
+        double v = run[c], square = v * v;
+        flag |= (v < 0.0) | !(square < INFINITY);
+        run[c] = square;
+        best[0] = square < best[0] ? square : best[0];
+    }
+    *bad |= flag;
+    return run_minimum(best, 4, -INFINITY);
+}
+
+/* The first bounds, for the rows r in [lo, hi): squares the distances of
+ * row r's upper run and sets umin[r] to the smallest square.  Flags the
+ * part's input bad when a distance is not accepted. */
+static void
+ward_bounds(Ward *w, Py_ssize_t lo, Py_ssize_t hi, int part)
+{
+    int bad = 0;
     for (Py_ssize_t r = lo; r < hi; r++)
-        w->umin[r] = run_minimum(w->D + w->off[r] + r + 1, w->a - r - 1, -INFINITY);
+        w->umin[r] = square_run(w->D + w->off[r] + r + 1, w->a - r - 1, &bad);
+    w->bad[part] = bad;
 }
 
 /* One part of the job: the first bounds of its rows, or the update and
@@ -524,17 +657,21 @@ ward_part(void *ctx, int part)
     Ward *w = ctx;
     Py_ssize_t lo = part ? w->split : 0, hi = part ? w->a : w->split;
     if (w->first)
-        ward_bounds(w, lo, hi);
+        ward_bounds(w, lo, hi, part);
     else
         ward_range(w, lo, hi, part);
 }
 
 /* The Ward merge loop of `cobar.kernels.ward_linkage` on the condensed
- * buffer D of n >= 2 clusters, where n - 1 is the length of `heights`.
+ * distances D of n >= 2 clusters, where n - 1 is the length of `heights`.
+ * The first bounds square every distance in place, and reject the input,
+ * before any merge is written, when a distance is NaN, negative or
+ * infinite or its square overflows; the loop then works on the squares.
  * Slots 0..a-1 hold the a active clusters, pair r < c at D[off[r] + c];
  * merging slots i < j writes the Ward update into slot i's pairs and moves
- * the last active slot into j.  Fills the n-1 merges and heights, or stops
- * at the first height that overflowed to inf.
+ * the last active slot into j.  Fills the n-1 merges and heights, each
+ * height the square root of a merge's linkage, or stops at the first
+ * linkage that overflowed to inf.
  *
  * Each step merges the pair `_python.ward_loop` merges, with the same
  * Lance-Williams operands, but finds it lazily.  umin[r] is a lower bound
@@ -560,11 +697,11 @@ ward_part(void *ctx, int part)
 static PyObject *
 ward_loop(PyObject *self, PyObject *args)
 {
-    Py_buffer d2, merges_view, heights_view;
+    Py_buffer d, merges_view, heights_view;
     int threads;
-    if (!PyArg_ParseTuple(args, "w*w*w*i:ward_loop", &d2, &merges_view, &heights_view, &threads))
+    if (!PyArg_ParseTuple(args, "w*w*w*i:ward_loop", &d, &merges_view, &heights_view, &threads))
         return NULL;
-    double *D = d2.buf, *heights = heights_view.buf;
+    double *D = d.buf, *heights = heights_view.buf;
     int64_t *merges = merges_view.buf;
     Py_ssize_t n = heights_view.len / (Py_ssize_t)sizeof(double) + 1;
     Py_ssize_t n_blocks = (n + WARD_BLOCK - 1) / WARD_BLOCK;
@@ -586,6 +723,7 @@ ward_loop(PyObject *self, PyObject *args)
         goto done;
     }
     Ward w = {.D = D, .size = size, .umin = umin, .bmin = bmin, .off = off, .stale = stale, .a = n, .first = 1};
+    int bad;
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t r = 0; r < n_blocks * WARD_BLOCK; r++)
         umin[r] = INFINITY;
@@ -605,12 +743,13 @@ ward_loop(PyObject *self, PyObject *args)
         pair.stalls = 0;
     }
     else
-        ward_bounds(&w, 0, n);
+        ward_bounds(&w, 0, n, 0);
     w.first = 0;
+    bad = w.bad[0] | w.bad[1];
     for (Py_ssize_t b = 0; b < n_blocks; b++)
         bmin[b] = block_minimum(umin, b * WARD_BLOCK);
 
-    for (Py_ssize_t m = 0; m < n - 1; m++) {
+    for (Py_ssize_t m = 0; m < n - 1 && !bad; m++) {
         Py_ssize_t a = n - m, last = a - 1, blocks = (a + WARD_BLOCK - 1) / WARD_BLOCK;
         double g;
         int rescanned;
@@ -669,7 +808,7 @@ ward_loop(PyObject *self, PyObject *args)
         }
         merges[2 * m] = lo;
         merges[2 * m + 1] = hi;
-        heights[m] = g;
+        heights[m] = sqrt(g);
 
         w.i = i;
         w.j = j;
@@ -713,7 +852,10 @@ ward_loop(PyObject *self, PyObject *args)
     if (split)
         pair_stop(&pair);
     Py_END_ALLOW_THREADS
-    result = Py_NewRef(Py_None);
+    if (bad)
+        PyErr_SetString(PyExc_ValueError, WARD_BAD_INPUT);
+    else
+        result = Py_NewRef(Py_None);
 done:
     PyMem_Free(off);
     PyMem_Free(node_id);
@@ -721,7 +863,7 @@ done:
     PyMem_Free(umin);
     PyMem_Free(bmin);
     PyMem_Free(stale);
-    PyBuffer_Release(&d2);
+    PyBuffer_Release(&d);
     PyBuffer_Release(&merges_view);
     PyBuffer_Release(&heights_view);
     return result;
@@ -1014,44 +1156,61 @@ bind_knn_query(PyObject *module, PyObject *args)
     return (PyObject *)bound;
 }
 
-/* Item i's ratings are index[i] <= k < index[i + 1], in leaf position
- * order, and its gaps start at index[n_items + 1 + i]: gap g of the item
- * joins its ratings g and g + 1.  Fills the gap entries (sum, sum of
- * squares, min, max): walking each item's ratings left to right, every gap
- * waits on a stack, holding its left range's entry, until a gap of a
- * higher node or the item's end closes its right range. */
+/* Item i's ratings are index[i] <= k < index[i + 1], their leaf positions
+ * `positions` ascending, and its gaps start at index[n_items + 1 + i]: gap
+ * g of the item joins its ratings g and g + 1.  `nodes` holds the ranges
+ * of leaf positions lows[v] <= p < highs[v] and the parents of the tree's
+ * nodes, the leaves first.  Fills each gap's node, the lowest node holding
+ * its two raters, and its entry (sum, sum of squares, min, max).  Walking
+ * each item's ratings left to right, a gap's node is found by walking up
+ * from the left rater's leaf until the node's range holds the right
+ * rater; the gap then waits on a stack, holding its left range's entry,
+ * until a gap of a higher node or the item's end closes its right range. */
 static PyObject *
 stats_build(PyObject *self, PyObject *args)
 {
-    Py_buffer b[4];
-    if (!PyArg_ParseTuple(args, "y*y*y*w*:stats_build", &b[0], &b[1], &b[2], &b[3]))
+    Py_buffer b[6];
+    if (!PyArg_ParseTuple(args, "y*y*y*y*w*w*:stats_build", &b[0], &b[1], &b[2], &b[3], &b[4], &b[5]))
         return NULL;
-    const int64_t *ptr = b[0].buf, *gap_nodes = b[2].buf;
+    const int64_t *ptr = b[0].buf, *positions = b[1].buf, *lows = b[3].buf;
     Py_ssize_t n_items = b[0].len / (Py_ssize_t)(2 * sizeof(int64_t)) - 1;
     const int64_t *gptr = ptr + n_items + 1;
-    const double *ratings = b[1].buf;
-    Py_ssize_t n_gaps = b[2].len / (Py_ssize_t)sizeof(int64_t);
-    double *total = b[3].buf, *squares = total + n_gaps, *low = squares + n_gaps, *high = low + n_gaps;
+    const double *ratings = b[2].buf;
+    Py_ssize_t n_nodes = b[3].len / (Py_ssize_t)(3 * sizeof(int64_t)), n_leaves = (n_nodes + 1) / 2;
+    const int64_t *highs = lows + n_nodes, *parents = highs + n_nodes;
+    int64_t *gap_nodes = b[4].buf;
+    Py_ssize_t n_gaps = b[4].len / (Py_ssize_t)sizeof(int64_t);
+    double *total = b[5].buf, *squares = total + n_gaps, *low = squares + n_gaps, *high = low + n_gaps;
     PyObject *result = NULL;
     Py_ssize_t most = 0;
     for (Py_ssize_t i = 0; i < n_items; i++)
         if (gptr[i + 1] - gptr[i] > most)
             most = gptr[i + 1] - gptr[i];
     Py_ssize_t *stack = PyMem_New(Py_ssize_t, most + 1);
-    if (!stack) {
+    int64_t *leaf_at = PyMem_New(int64_t, n_leaves);
+    if (!stack || !leaf_at) {
         PyErr_NoMemory();
         goto done;
     }
+    for (Py_ssize_t v = 0; v < n_leaves; v++)
+        leaf_at[lows[v]] = v;
     for (Py_ssize_t i = 0; i < n_items; i++) {
         const double *r = ratings + ptr[i];
+        const int64_t *p = positions + ptr[i];
         Py_ssize_t gaps = gptr[i + 1] - gptr[i], depth = 0;
         if (gaps == 0)
             continue;
-        const int64_t *node = gap_nodes + gptr[i];
+        int64_t *node = gap_nodes + gptr[i];
         double *t = total + gptr[i], *q = squares + gptr[i], *lo = low + gptr[i], *hi = high + gptr[i];
         /* the entry of the range ending at the current rating */
         double cur_t = r[0], cur_q = r[0] * r[0], cur_lo = r[0], cur_hi = r[0];
         for (Py_ssize_t g = 0; g <= gaps; g++) {
+            if (g < gaps) {
+                int64_t v = leaf_at[p[g]];
+                while (highs[v] <= p[g + 1])
+                    v = parents[v];
+                node[g] = v;
+            }
             while (depth > 0 && (g == gaps || node[stack[depth - 1]] < node[g])) {
                 Py_ssize_t s = stack[--depth];
                 t[s] = t[s] + cur_t;
@@ -1077,7 +1236,8 @@ stats_build(PyObject *self, PyObject *args)
     result = Py_NewRef(Py_None);
 done:
     PyMem_Free(stack);
-    for (int a = 0; a < 4; a++)
+    PyMem_Free(leaf_at);
+    for (int a = 0; a < 6; a++)
         PyBuffer_Release(&b[a]);
     return result;
 }
@@ -1381,13 +1541,16 @@ done:
 }
 
 static PyMethodDef methods[] = {
+    {"csr_fill", csr_fill, METH_VARARGS,
+     "csr_fill(keys, others, ratings, n_others, indptr, indices, data)\n--\n\n"
+     "The layout of `cobar.data.csr_rows`, which allocates its arrays, by a counting sort."},
     {"cosine_rows", cosine_rows, METH_VARARGS,
      "cosine_rows(rows_indptr, rows_indices, rows_data, cols_indptr, cols_indices, cols_data, norms, dist,"
      " threads)\n--\n\n"
      "The distance pass of `cobar.kernels.cosine_distance_matrix`, which lays out its arguments, on 1 or 2"
      " threads."},
     {"ward_loop", ward_loop, METH_VARARGS,
-     "ward_loop(d2, merges, heights, threads)\n--\n\n"
+     "ward_loop(d, merges, heights, threads)\n--\n\n"
      "The merge loop of `cobar.kernels.ward_linkage`, which checks its arguments, on 1 or 2 threads."},
     {"sgd_epoch", sgd_epoch, METH_VARARGS,
      "sgd_epoch(users, items, ratings, order, user_factors, item_factors, user_bias, item_bias,"
@@ -1399,7 +1562,7 @@ static PyMethodDef methods[] = {
      "The query of `cobar.kernels.KnnIndex`, which checks its arguments, bound to its arrays and k:"
      " a `query(entity, column)`."},
     {"stats_build", stats_build, METH_VARARGS,
-     "stats_build(index, ratings, gap_nodes, gaps)\n--\n\n"
+     "stats_build(index, positions, ratings, nodes, gap_nodes, gaps)\n--\n\n"
      "The build of `cobar.kernels.ClusterStatsIndex`, which lays out its arguments."},
     {"bind_stats_query", bind_stats_query, METH_VARARGS,
      "bind_stats_query(index, positions, gap_nodes, gaps, nodes, t_critical)\n--\n\n"
@@ -1416,7 +1579,7 @@ static PyMethodDef methods[] = {
  * import.  Raise it with every change to an argument's type or order, so
  * that an extension built from older source is rejected instead of reading
  * arguments laid out for another. */
-#define LAYOUT 4
+#define LAYOUT 5
 
 static int
 exec_module(PyObject *module)
@@ -1436,8 +1599,8 @@ static PyModuleDef_Slot slots[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_compiled",
-    "Compiled cosine distances, Ward merge loop, MF SGD epoch, kNN query, cluster statistics and rating-file"
-    " tokenizer.", 0, methods,
+    "Compiled cosine distances, Ward merge loop, MF SGD epoch, kNN query, cluster statistics, rating-file"
+    " tokenizer and CSR layout.", 0, methods,
     slots,
 };
 

@@ -3,12 +3,13 @@
 They are the fallback for environments without the compiled `_compiled`
 extension and the reference it is tested against: each gives the compiled
 loop's bits on the same memory, and trusts its caller, `cobar.kernels`, to
-have checked every argument.  All but the Ward loop run the compiled
-loop's steps in the same order; the two Ward loops merge the same pair
-with the same operands at every step, each with its own bookkeeping.  The
-two queries are bound to their arrays once, as compiled, here with
-`functools.partial`.  The compiled tokenizer has no numpy twin: its
-`tokenize` here declines every input.
+have checked every argument.  All but the Ward loop and the CSR layout run
+the compiled loop's steps in the same order; the two Ward loops merge the
+same pair with the same operands at every step, each with its own
+bookkeeping, and the CSR layout sorts where the compiled one counts, which
+the unique pairs make the same order.  The two queries are bound to their
+arrays once, as compiled, here with `functools.partial`.  The compiled
+tokenizer has no numpy twin: its `tokenize` here declines every input.
 """
 
 from __future__ import annotations
@@ -25,6 +26,20 @@ def _check_threads(threads: int) -> None:
     check it; these loops run on the calling thread either way."""
     if threads not in (1, 2):
         raise ValueError(f"threads must be 1 or 2, got {threads}")
+
+
+def csr_fill(keys: np.ndarray, others: np.ndarray, ratings: np.ndarray, n_others: int, indptr: np.ndarray,
+             indices: np.ndarray, data: np.ndarray) -> None:
+    """The layout of `cobar.data.csr_rows`, which allocates `indptr`,
+    `indices` and `data`: the triples in CSR form with the keys as rows,
+    each row sorted by others.  The order is the argsort of ``key *
+    n_others + other``; the pairs are unique, so it is the compiled
+    counting sort's."""
+    order = np.argsort(keys.astype(np.int64) * n_others + others)
+    indptr[0] = 0
+    np.cumsum(np.bincount(keys, minlength=len(indptr) - 1), out=indptr[1:])
+    indices[:] = others[order]
+    data[:] = ratings[order]
 
 
 def cosine_rows(rows_indptr: np.ndarray, rows_indices: np.ndarray, rows_data: np.ndarray, cols_indptr: np.ndarray,
@@ -66,23 +81,34 @@ def cosine_rows(rows_indptr: np.ndarray, rows_indices: np.ndarray, rows_data: np
         del block   # freed before the next block's product is made
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def ward_loop(d2: np.ndarray, merges: np.ndarray, heights: np.ndarray, threads: int) -> None:
-    """The merge loop of `cobar.kernels.ward_linkage`, which checks `d2` and
-    allocates `merges` and `heights`; fills the n-1 rows of both for the
-    condensed squared distances `d2` of n >= 2 clusters.
+# the entries a rescan gathers at once, at most: its scratch stays small
+# next to the n^2 distances the loop works in
+_RESCAN_ENTRIES = 1 << 10
+# the input the Ward loops reject, worded as the compiled loop words it
+_WARD_BAD_INPUT = "distances must be finite and nonnegative, with finite squares"
 
-    The loop keeps the a active clusters in slots 0..a-1 and works inside
-    `d2`, as the compiled loop does: pair r < c sits at ``d2[off[r] + c]``.
-    Merging slots i < j writes the Ward update into slot i's pairs and moves
-    the last active slot into the freed slot j; the tie-break compares node
-    ids, not slots, so the moves leave the result unchanged.
+
+@np.errstate(over="ignore", invalid="ignore")
+def ward_loop(d: np.ndarray, merges: np.ndarray, heights: np.ndarray, threads: int) -> None:
+    """The merge loop of `cobar.kernels.ward_linkage`, which checks the
+    layout of `d` and allocates `merges` and `heights`; fills the n-1 rows
+    of both for the condensed distances `d` of n >= 2 clusters.
+
+    It squares `d` in place first, and raises `ValueError` before any merge
+    is written when a distance is NaN, negative or infinite or its square
+    overflows, as the compiled loop's first bounds do.  The loop keeps the
+    a active clusters in slots 0..a-1 and works inside the squares, as the
+    compiled loop does: pair r < c sits at ``d[off[r] + c]``.  Merging slots
+    i < j writes the Ward update into slot i's pairs and moves the last
+    active slot into the freed slot j; the tie-break compares node ids, not
+    slots, so the moves leave the result unchanged.  Each height is the
+    square root of the merge's linkage.
 
     What the two loops share is the pair merged at each step, the
     lexicographically smallest id pair at the smallest distance, and the
     operands and order of its Lance-Williams updates.  How they find the
     pair differs: this loop keeps each row's exact minimum over its whole
-    row and, vectorised, recomputes every row whose minimum was its
+    row and, vectorised, recomputes at once every row whose minimum was its
     distance to i or j; the compiled loop keeps lazy lower bounds on the
     minima of the rows' contiguous upper runs and rescans a row only when
     its bound is the smallest.
@@ -93,6 +119,13 @@ def ward_loop(d2: np.ndarray, merges: np.ndarray, heights: np.ndarray, threads: 
     thread for any `threads`.
     """
     _check_threads(threads)
+    # min() propagates NaN, so one comparison catches it; inf, and a
+    # square that overflows, leave an infinite square
+    if not d.min() >= 0.0:
+        raise ValueError(_WARD_BAD_INPUT)
+    np.square(d, out=d)
+    if not d.max() < np.inf:
+        raise ValueError(_WARD_BAD_INPUT)
     n = len(heights) + 1
     slot = np.arange(n)
     off = slot * (2 * n - slot - 3) // 2 - 1
@@ -101,13 +134,13 @@ def ward_loop(d2: np.ndarray, merges: np.ndarray, heights: np.ndarray, threads: 
     # row minima in one pass over the runs, keeping running column minima
     row_min = np.full(n, np.inf)
     for r in range(n - 1):
-        run = d2[off[r] + r + 1:off[r] + n]
+        run = d[off[r] + r + 1:off[r] + n]
         row_min[r] = min(row_min[r], run.min())
         np.minimum(row_min[r + 1:], run, out=row_min[r + 1:])
 
     def row(x: int, a: int) -> np.ndarray:
         """Slot x's distances to the active slots 0..a-1, inf at x itself."""
-        return np.concatenate((d2[off[:x] + x], [np.inf], d2[off[x] + x + 1:off[x] + a]))
+        return np.concatenate((d[off[:x] + x], [np.inf], d[off[x] + x + 1:off[x] + a]))
 
     for m in range(n - 1):
         a = n - m
@@ -122,7 +155,7 @@ def ward_loop(d2: np.ndarray, merges: np.ndarray, heights: np.ndarray, threads: 
         lengths = a - 1 - rows
         ends = np.cumsum(lengths)
         at = np.repeat(off[rows] + rows + 1 - ends + lengths, lengths) + np.arange(ends[-1])
-        hit = d2[at] == g
+        hit = d[at] == g
         r = np.repeat(rows, lengths)[hit]
         c = at[hit] - off[r]
         x, y = node_id[r], node_id[c]
@@ -130,7 +163,7 @@ def ward_loop(d2: np.ndarray, merges: np.ndarray, heights: np.ndarray, threads: 
         best = np.lexsort((hi, lo))[0]
         i, j = int(r[best]), int(c[best])
         merges[m, 0], merges[m, 1] = lo[best], hi[best]
-        heights[m] = g
+        heights[m] = np.sqrt(g)
 
         # Ward update of slot i against every active slot; the inf of rows
         # i and j at their own slots makes new_d inf there, and the one at
@@ -147,26 +180,45 @@ def ward_loop(d2: np.ndarray, merges: np.ndarray, heights: np.ndarray, threads: 
         rm = row_min[:a]
         improved = new_d < rm
         stale = ~improved & ((rm == old_i) | (rm == old_j))
-        stale[i] = stale[j] = False
+        stale[j] = False
         rm[improved] = new_d[improved]
-        d2[off[:i] + i] = new_d[:i]
-        d2[off[i] + i + 1:off[i] + a] = new_d[i + 1:]
+        d[off[:i] + i] = new_d[:i]
+        d[off[i] + i + 1:off[i] + a] = new_d[i + 1:]
         size[i] += size[j]
         node_id[i] = n + m
 
         # the last active slot moves into the freed slot j
         last = a - 1
         if j != last:
-            moved = d2[off[:last] + last]
-            d2[off[:j] + j] = moved[:j]
-            d2[off[j] + j + 1:off[j] + last] = moved[j + 1:]
+            moved = d[off[:last] + last]
+            d[off[:j] + j] = moved[:j]
+            d[off[j] + j + 1:off[j] + last] = moved[j + 1:]
             size[j] = size[last]
             node_id[j] = node_id[last]
             row_min[j] = row_min[last]
             stale[j] = stale[last]
-        for r in np.flatnonzero(stale[:last]):
-            row_min[r] = row(r, last).min()
-        row_min[i] = row(i, last).min()
+        stale[i] = True
+        _rescan(d, off, row_min, np.flatnonzero(stale[:last]), last)
+
+
+def _rescan(d: np.ndarray, off: np.ndarray, row_min: np.ndarray, rows: np.ndarray, a: int) -> None:
+    """Sets the minimum of each of the slots `rows` over its distances to
+    the active slots 0..a-1, itself left out, gathering the rows' entries
+    in blocks of at most `_RESCAN_ENTRIES`.  A minimum is the same in any
+    order: after squaring, no distance is NaN or -0.0."""
+    slots = np.arange(a)
+    step = max(1, _RESCAN_ENTRIES // a)
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step, None]
+        # pair (lo, hi) sits at d[off[lo] + hi]; at a row's own slot this
+        # reads some other entry, which inf replaces
+        at = np.minimum(block, slots)
+        np.take(off, at, out=at)
+        at += np.maximum(block, slots)
+        entries = d[at]
+        del at
+        entries[np.arange(len(block)), block[:, 0]] = np.inf
+        row_min[block[:, 0]] = entries.min(axis=1)
 
 
 def sgd_epoch(
@@ -277,25 +329,39 @@ def _top_k_aggregate(sims: np.ndarray, deviations: np.ndarray, k: int) -> float 
     return float(np.sum(weights * deviations[pos]) / np.sum(weights))
 
 
-def stats_build(index: np.ndarray, ratings: np.ndarray, gap_nodes: np.ndarray, gaps: np.ndarray) -> None:
+def stats_build(index: np.ndarray, positions: np.ndarray, ratings: np.ndarray, nodes: np.ndarray,
+                gap_nodes: np.ndarray, gaps: np.ndarray) -> None:
     """The build of `cobar.kernels.ClusterStatsIndex`, which lays out the
-    arguments: fills the (sum, sum of squares, min, max) rows of `gaps`.
+    arguments: fills `gap_nodes` and the (sum, sum of squares, min, max)
+    rows of `gaps`.
 
-    Item i's ratings are ``ratings[index[0, i]:index[0, i + 1]]``, in leaf
-    position order, and the gaps between them ``index[1, i]`` on, each
-    labelled with the lowest node holding its two raters.  A gap's entry is
-    its left range's entry plus its right range's, left operand first, the
-    min and max as ``np.minimum`` and ``np.maximum`` take them.  A gap is
-    filled once no remaining gap of its item next to it is lower: those are
-    the gaps the compiled loop pops from its stack.  Each run of adjacent
-    ratings joined so far keeps its entry at its first rating.
+    Item i's ratings are ``ratings[index[0, i]:index[0, i + 1]]``, at the
+    ascending leaf `positions` of their raters, and the gaps between them
+    ``index[1, i]`` on.  A gap's node is the lowest node holding its two
+    raters, found by walking up from the left rater's leaf, in rounds over
+    every gap at once, until the node's range of leaf positions holds the
+    right rater.  A gap's entry is its left range's entry plus its right
+    range's, left operand first, the min and max as ``np.minimum`` and
+    ``np.maximum`` take them.  A gap is filled once no remaining gap of its
+    item next to it is lower: those are the gaps the compiled loop pops
+    from its stack.  Each run of adjacent ratings joined so far keeps its
+    entry at its first rating.
     """
     ptr, gptr = index
+    lows, highs, parents = nodes
     total, squares, low, high = gaps
     n_gaps = len(gap_nodes)
     per_item = np.diff(gptr)
     item = np.repeat(np.arange(len(per_item)), per_item)
     left = np.arange(n_gaps) - gptr[item] + ptr[item]   # each gap's left rating
+
+    right = positions[left + 1]
+    gap_nodes[:] = np.argsort(lows[:(len(lows) + 1) // 2])[positions[left]]
+    walking = np.flatnonzero(highs[gap_nodes] <= right)
+    while len(walking):
+        gap_nodes[walking] = parents[gap_nodes[walking]]
+        walking = walking[highs[gap_nodes[walking]] <= right[walking]]
+
     run_total, run_squares, run_low, run_high = ratings.copy(), ratings * ratings, ratings.copy(), ratings.copy()
     run_start = np.arange(len(ratings))   # of the run ending at a rating
     run_end = np.arange(len(ratings))     # of the run starting at a rating

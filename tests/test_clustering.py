@@ -166,10 +166,10 @@ class TestAgglomerate:
             d = rng.uniform(0.05, 1.9, size=(n, n))
             d = np.triu(d, 1)
             d = d + d.T
-            merges, heights_sq = ward_linkage(condensed(d**2))
+            merges, heights = ward_linkage(condensed(d))
             oracle_merges, oracle_heights = ward_agglomeration(d**2)
             np.testing.assert_array_equal(merges, oracle_merges)
-            np.testing.assert_allclose(heights_sq, oracle_heights, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(heights, np.sqrt(oracle_heights), rtol=1e-9, atol=1e-12)
 
     def test_exact_tie_break_lexicographic(self, ward_linkage):
         # three identical points: every pairwise distance is 0

@@ -29,22 +29,29 @@ from conftest import (RATING_SCALES, REPO_ROOT, SPLIT_FLOOR, benchmark_dataset, 
 from oracles import ancestor_chain_reference, condensed, ward_reference
 
 
-def _random_sq_dist(rng, n):
+def _random_dist(rng, n):
     d = rng.uniform(0.0, 2.0, size=(n, n))
     d = np.triu(d, 1)
-    d = d + d.T
-    return d**2
+    return d + d.T
 
 
-def _tie_heavy_sq_dist(rng, n):
-    """Symmetric squared distances on a quarter grid with few levels, so
-    many pairs, and many Ward updates, tie exactly."""
+def _tie_heavy_dist(rng, n):
+    """Symmetric distances on a quarter grid with few levels, whose squares
+    are exact, so many pairs, and many Ward updates, tie exactly."""
     levels = int(rng.integers(1, 9))
     d = np.triu(rng.integers(0, levels, size=(n, n)) / 4.0, 1)
     return d + d.T
 
 
-LOOPS = ("ward_loop", "sgd_epoch", "bind_knn_query", "stats_build", "bind_stats_query", "cosine_rows", "tokenize")
+def _reference(d):
+    """The merges and heights of `ward_reference` on the squares of the
+    square distance matrix `d`, the heights as distances."""
+    merges, heights = ward_reference(d * d)
+    return merges, np.sqrt(heights)
+
+
+LOOPS = ("ward_loop", "sgd_epoch", "bind_knn_query", "stats_build", "bind_stats_query", "cosine_rows", "tokenize",
+         "csr_fill")
 EXTENSION = f"_compiled{sysconfig.get_config_var('EXT_SUFFIX')}"
 REBUILD = "rebuild it with: python setup.py build_ext --inplace --force"
 
@@ -90,14 +97,21 @@ class TestDispatch:
         # extensions built from older source import, but hold the checked
         # kernels of before, or not every loop
         stale = {"ward_linkage, mf_sgd_epoch": ", ".join(LOOPS),
-                 "ward_loop, sgd_epoch": "bind_knn_query, stats_build, bind_stats_query, cosine_rows, tokenize",
-                 "ward_loop, sgd_epoch, bind_knn_query": "stats_build, bind_stats_query, cosine_rows, tokenize",
-                 "ward_loop, sgd_epoch, bind_knn_query, stats_build, bind_stats_query": "cosine_rows, tokenize",
+                 "ward_loop, sgd_epoch":
+                     "bind_knn_query, stats_build, bind_stats_query, cosine_rows, tokenize, csr_fill",
+                 "ward_loop, sgd_epoch, bind_knn_query":
+                     "stats_build, bind_stats_query, cosine_rows, tokenize, csr_fill",
+                 "ward_loop, sgd_epoch, bind_knn_query, stats_build, bind_stats_query":
+                     "cosine_rows, tokenize, csr_fill",
                  # an extension from before the queries were bound
                  "ward_loop, sgd_epoch, knn_query, stats_build, stats_query, cosine_rows":
-                     "bind_knn_query, bind_stats_query, tokenize",
+                     "bind_knn_query, bind_stats_query, tokenize, csr_fill",
                  # an extension from before the tokenizer
-                 "ward_loop, sgd_epoch, bind_knn_query, stats_build, bind_stats_query, cosine_rows": "tokenize"}
+                 "ward_loop, sgd_epoch, bind_knn_query, stats_build, bind_stats_query, cosine_rows":
+                     "tokenize, csr_fill",
+                 # an extension from before the counting sort
+                 "ward_loop, sgd_epoch, bind_knn_query, stats_build, bind_stats_query, cosine_rows, tokenize":
+                     "csr_fill"}
         for present, missing in stale.items():
             code = (
                 "import sys, types; "
@@ -113,13 +127,15 @@ class TestDispatch:
             last = out.stderr.strip().splitlines()[-1]
             assert last == f"ImportError: stale extension /old/build/_compiled.so lacks {missing}; {REBUILD}"
 
-    @pytest.mark.parametrize("layout", [None, 1, 2, 3, 5])
+    @pytest.mark.parametrize("layout", [None, 1, 2, 3, 4, 6])
     def test_extension_of_another_layout_rejected(self, layout):
         # an extension that has every loop but reads their arguments in
         # another layout, e.g. one built before the cosine pass took int32
         # indices, which it would read as int64 past the arrays' ends, one
-        # of layout 2, whose queries took their arrays on every call, or
-        # one of layout 3, whose n^2 loops took no thread count
+        # of layout 2, whose queries took their arrays on every call, one
+        # of layout 3, whose n^2 loops took no thread count, or one of
+        # layout 4, whose Ward loop took squared distances and whose stats
+        # build took the gap nodes
         code = (
             "import sys, types; "
             "stub = types.ModuleType('cobar.kernels._compiled'); "
@@ -242,55 +258,87 @@ class TestWardKernel:
         rng = np.random.default_rng(71)
         for _ in range(20):
             n = int(rng.integers(2, 30))
-            _, heights = ward_linkage(condensed(_random_sq_dist(rng, n)))
+            _, heights = ward_linkage(condensed(_random_dist(rng, n)))
             assert np.all(np.diff(heights) >= 0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entry(self, ward_linkage, bad):
-        d2 = np.array([1.0, 4.0, 2.0])   # pairs (0, 1), (0, 2), (1, 2)
-        d2[1] = bad
+        d = np.array([1.0, 4.0, 2.0])   # pairs (0, 1), (0, 2), (1, 2)
+        d[1] = bad
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            ward_linkage(d2)
+            ward_linkage(d)
+
+    @pytest.mark.parametrize("bad", [1e155, 1.7e308])
+    def test_rejects_a_square_that_overflows(self, ward_linkage, bad):
+        # its square is inf, which would merge at an infinite height
+        d = np.array([1.0, 4.0, 2.0])
+        d[1] = bad
+        with pytest.raises(ValueError, match="with finite squares"):
+            ward_linkage(d)
+
+    def test_rejects_negative_entry(self, ward_linkage):
+        # squaring alone would hide the sign: -1.0 would merge as 1.0
+        for bad in (-1.0, -1e-300):
+            d = np.array([1.0, 4.0, 2.0])
+            d[1] = bad
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                ward_linkage(d)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 1e155])
+    def test_bad_distance_rejected_before_any_merge(self, kernel_backend, bad):
+        # the loop itself checks as it squares: a bad entry in the last
+        # pair, which the first bounds read last, leaves merges and heights
+        # as they were
+        loops = kernels._loops
+        n = 40
+        d = condensed(_random_dist(np.random.default_rng(77), n))
+        d[-1] = bad
+        merges, heights = np.full((n - 1, 2), -7, dtype=np.int64), np.full(n - 1, -7.0)
+        with pytest.raises(ValueError, match="finite and nonnegative, with finite squares"):
+            loops.ward_loop(d, merges, heights, 1)
+        assert (merges == -7).all() and (heights == -7.0).all()
 
     def test_overflow_raises_alike(self, each_backend):
-        # the first Ward update overflows to inf; the numpy loop used to
-        # warn and merge a node with itself, the compiled one returned the
-        # inf height
+        # the squares are finite, and the first Ward update overflows to
+        # inf; the numpy loop used to warn and merge a node with itself,
+        # the compiled one returned the inf height
         messages = []
         for _ in each_backend:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(OverflowError) as exc:
-                    kernels.ward_linkage(np.full(3, 1e308))
+                    kernels.ward_linkage(np.full(3, 1e154))
             messages.append(str(exc.value))
         assert messages == ["Ward linkage overflowed: a merge height is not finite"] * 2
 
     def test_zero_heights_are_positive_alike(self, each_backend):
-        # -0.0 passes the entry's nonnegativity check; the compiled loop
-        # keeps the first zero its scans meet, the numpy minima may keep the
-        # other, so without the entry's normalisation the bits differ
+        # -0.0 passes the nonnegativity check, and both loops square it to
+        # +0.0 before their scans meet it
         rng = np.random.default_rng(76)
         cases = []
         for _ in range(300):
             n = int(rng.integers(2, 12))
-            d2 = rng.integers(0, 5, size=n * (n - 1) // 2) / 2.0
-            d2[rng.random(len(d2)) < 0.4] = -0.0
-            cases.append(d2)
-        results = {name: [kernels.ward_linkage(d2.copy()) for d2 in cases] for name in each_backend}
+            d = rng.integers(0, 5, size=n * (n - 1) // 2) / 2.0
+            d[rng.random(len(d)) < 0.4] = -0.0
+            cases.append(d)
+        cases += [np.full(n * (n - 1) // 2, -0.0) for n in (2, 3, 40)]
+        results = {name: [kernels.ward_linkage(d.copy()) for d in cases] for name in each_backend}
         for (merges, heights), (c_merges, c_heights) in zip(results["python"], results["c"]):
             assert np.array_equal(merges, c_merges)
             assert heights.tobytes() == c_heights.tobytes()
             assert not np.signbit(heights).any()
+        assert all(not heights.any() for _, heights in results["c"][-3:])
 
-    def test_rejects_negative_entry(self, ward_linkage):
-        # without the check this gives heights [-1.0, 2.33]
-        d2 = np.array([1.0, -1.0, 2.0])
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            ward_linkage(d2)
+    def test_heights_are_the_roots_of_the_squared_linkage(self, ward_linkage):
+        # two points: the height is the distance itself, bit for bit
+        rng = np.random.default_rng(78)
+        for d in rng.uniform(0.0, 2.0, 50):
+            merges, heights = ward_linkage(np.array([d]))
+            assert merges.tolist() == [[0, 1]] and heights[0] == np.sqrt(d * d)
 
     def test_bit_identical_to_reference_on_ties(self, ward_linkage):
         rng = np.random.default_rng(74)
-        cases = [_tie_heavy_sq_dist(rng, int(rng.integers(2, 41))) for _ in range(200)]
+        cases = [_tie_heavy_dist(rng, int(rng.integers(2, 41))) for _ in range(200)]
         for n in (2, 3, 7, 40):
             cases.append(np.ones((n, n)) - np.eye(n))   # every pair equal
             cases.append(np.zeros((n, n)))
@@ -298,26 +346,26 @@ class TestWardKernel:
             # duplicate rows: points repeated, so zero distances and
             # identical Ward updates
             n = int(rng.integers(2, 41))
-            base = _tie_heavy_sq_dist(rng, int(rng.integers(1, n + 1)))
+            base = _tie_heavy_dist(rng, int(rng.integers(1, n + 1)))
             pick = rng.integers(0, len(base), size=n)
-            d2 = base[np.ix_(pick, pick)]
-            np.fill_diagonal(d2, 0.0)
-            cases.append(d2)
+            d = base[np.ix_(pick, pick)]
+            np.fill_diagonal(d, 0.0)
+            cases.append(d)
         # the compiled loop keeps one minimum per block of 32 rows: n just
         # past one block, at two, just past two, and at several
         for n in (33, 64, 65, 130, 300):
-            base = _tie_heavy_sq_dist(rng, n // 2)
+            base = _tie_heavy_dist(rng, n // 2)
             pick = rng.integers(0, len(base), size=n)
             repeated = base[np.ix_(pick, pick)]   # each point about twice
             np.fill_diagonal(repeated, 0.0)
-            cases += [_tie_heavy_sq_dist(rng, n), repeated, _random_sq_dist(rng, n)]
+            cases += [_tie_heavy_dist(rng, n), repeated, _random_dist(rng, n)]
             if n < 300:
                 # every pair tied; at n=300 the numpy loops' tie scans
                 # would take about 12 s
                 cases += [np.ones((n, n)) - np.eye(n), np.zeros((n, n))]
-        for d2 in cases:
-            merges, heights = ward_linkage(condensed(d2))
-            ref_merges, ref_heights = ward_reference(d2)
+        for d in cases:
+            merges, heights = ward_linkage(condensed(d))
+            ref_merges, ref_heights = _reference(d)
             assert np.array_equal(merges, ref_merges)
             assert heights.tobytes() == ref_heights.tobytes()
 
@@ -327,16 +375,15 @@ class TestWardKernel:
         # about 3,000 lazy rescans
         dataset = benchmark_dataset("ft", 1)
         train, _ = fold_train_test(dataset, kfold_split(dataset, 10, 42), 0)
-        d2 = kernels.cosine_distance_matrix(train, clusterable_users(train))
-        np.square(d2, out=d2)
-        (merges, heights), (c_merges, c_heights) = [kernels.ward_linkage(d2.copy()) for _ in each_backend]
+        d = kernels.cosine_distance_matrix(train, clusterable_users(train))
+        (merges, heights), (c_merges, c_heights) = [kernels.ward_linkage(d.copy()) for _ in each_backend]
         assert merges.tobytes() == c_merges.tobytes()
         assert heights.tobytes() == c_heights.tobytes()
 
     def test_merge_ids_form_a_tree(self, ward_linkage):
         rng = np.random.default_rng(72)
         n = 15
-        merges, _ = ward_linkage(condensed(_random_sq_dist(rng, n)))
+        merges, _ = ward_linkage(condensed(_random_dist(rng, n)))
         children = merges.ravel().tolist()
         assert len(children) == len(set(children))        # merged away once
         assert set(children) <= set(range(2 * n - 2))     # root never merged
@@ -345,18 +392,18 @@ class TestWardKernel:
 
 class TestNumpyWardMemory:
     def test_loop_works_inside_the_view(self, monkeypatch):
-        # the numpy loop merges inside d2, as the compiled one does, so a d2
-        # that is a view into a larger buffer costs no copy and no n x n
-        # work matrix
+        # the numpy loop squares d and merges inside it, as the compiled one
+        # does, so a d that is a view into a larger buffer costs no copy and
+        # no n x n work matrix
         monkeypatch.setattr(kernels, "_loops", _python)
         n = 400
         buffer = np.empty(n * (n - 1) // 2 + 1)
-        d2 = buffer[1:]
-        d2[:] = condensed(_random_sq_dist(np.random.default_rng(75), n))
-        assert d2.base is buffer
+        d = buffer[1:]
+        d[:] = condensed(_random_dist(np.random.default_rng(75), n))
+        assert d.base is buffer
         tracemalloc.start()
         try:
-            kernels.ward_linkage(d2)
+            kernels.ward_linkage(d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -403,13 +450,13 @@ def _cosine_arguments(module, train, users):
     return recorder.args["cosine_rows"][:-2]
 
 
-def _raw_ward(loops, d2, threads):
+def _raw_ward(loops, d, threads):
     """The bytes of the merges and heights `loops.ward_loop` writes for a
-    copy of the condensed `d2` with `threads`, before the entry's checks
-    and its normalising of -0.0."""
-    n = (1 + int(np.sqrt(1 + 8 * len(d2)))) // 2
+    copy of the condensed distances `d` with `threads`, before the entry's
+    overflow check."""
+    n = (1 + int(np.sqrt(1 + 8 * len(d)))) // 2
     merges, heights = np.empty((n - 1, 2), dtype=np.int64), np.empty(n - 1)
-    loops.ward_loop(d2.copy(), merges, heights, threads)
+    loops.ward_loop(d.copy(), merges, heights, threads)
     return merges.tobytes(), heights.tobytes()
 
 
@@ -460,44 +507,65 @@ class TestTwoThreads:
 
     def test_ward_bits_do_not_depend_on_threads(self, split_kernels):
         rng = np.random.default_rng(132)
-        cases = [_tie_heavy_sq_dist(rng, int(rng.integers(2, 130))) for _ in range(120)]
-        cases += [_random_sq_dist(rng, int(rng.integers(2, 130))) for _ in range(20)]
+        cases = [_tie_heavy_dist(rng, int(rng.integers(2, 130))) for _ in range(120)]
+        cases += [_random_dist(rng, int(rng.integers(2, 130))) for _ in range(20)]
         for n in (2, SPLIT_FLOOR - 1, SPLIT_FLOOR, SPLIT_FLOOR + 1, SPLIT_FLOOR + 2, 64, 65, 100):
             cases += [np.ones((n, n)) - np.eye(n), np.zeros((n, n))]   # every pair tied
         for _ in range(20):
             # points repeated: zero distances and identical Ward updates
             n = int(rng.integers(SPLIT_FLOOR, 130))
-            base = _tie_heavy_sq_dist(rng, int(rng.integers(1, n // 2)))
+            base = _tie_heavy_dist(rng, int(rng.integers(1, n // 2)))
             pick = rng.integers(0, len(base), size=n)
             repeated = base[np.ix_(pick, pick)]
             np.fill_diagonal(repeated, 0.0)
             cases.append(repeated)
-        for d2 in cases:
-            d2 = condensed(d2)
-            assert _raw_ward(split_kernels, d2, 1) == _raw_ward(split_kernels, d2, 2) == _raw_ward(_python, d2, 1)
+        for d in cases:
+            d = condensed(d)
+            assert _raw_ward(split_kernels, d, 1) == _raw_ward(split_kernels, d, 2) == _raw_ward(_python, d, 1)
         for _ in range(40):
-            # -0.0 among the zeros: a row's minimum is the first zero a slot
-            # order scan meets, whichever thread scanned it
+            # -0.0 among the zeros, which either thread's part of the first
+            # bounds squares to +0.0
             n = int(rng.integers(SPLIT_FLOOR, 130))
-            d2 = rng.integers(0, 3, size=n * (n - 1) // 2) / 2.0
-            d2[rng.random(len(d2)) < 0.5] = -0.0
-            assert _raw_ward(split_kernels, d2, 1) == _raw_ward(split_kernels, d2, 2)
+            d = rng.integers(0, 3, size=n * (n - 1) // 2) / 2.0
+            d[rng.random(len(d)) < 0.5] = -0.0
+            assert _raw_ward(split_kernels, d, 1) == _raw_ward(split_kernels, d, 2) == _raw_ward(_python, d, 1)
+
+    @needs_task_list
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 1e155])
+    def test_bad_distance_rejected_in_either_part(self, split_kernels, bad):
+        # the first bounds split at row n - n/sqrt(2); a bad entry in a row
+        # of either part, or of both, is rejected before any merge, and the
+        # worker is joined
+        n = 2 * SPLIT_FLOOR
+        first_of_part_1 = n - int(n / np.sqrt(2.0))
+        off = lambda r: r * n - r * (r + 1) // 2   # the first pair of row r
+        before = _os_threads()
+        for rows in ([0], [first_of_part_1 - 1], [first_of_part_1], [n - 2], [1, n - 3]):
+            for threads in (1, 2):
+                d = condensed(_random_dist(np.random.default_rng(79), n))
+                for r in rows:
+                    d[off(r)] = bad
+                merges, heights = np.full((n - 1, 2), -7, dtype=np.int64), np.full(n - 1, -7.0)
+                with pytest.raises(ValueError, match="finite and nonnegative, with finite squares"):
+                    split_kernels.ward_loop(d, merges, heights, threads)
+                assert (merges == -7).all() and (heights == -7.0).all()
+        assert _threads_after(before) == before
 
     def test_overflow_stop_does_not_depend_on_threads(self, split_kernels, monkeypatch):
         # the first merge's updates overflow to inf, and the loop stops once
         # only infinite pairs are left, with the worker still running
         rng = np.random.default_rng(133)
         n = 3 * SPLIT_FLOOR
-        cases = [np.full(n * (n - 1) // 2, 1e308), (1.0 + condensed(_random_sq_dist(rng, n)) / 4.0) * 0.5e308]
+        cases = [np.full(n * (n - 1) // 2, 1e154), np.sqrt((1.0 + condensed(_random_dist(rng, n)) / 4.0) * 0.5e308)]
         monkeypatch.setattr(kernels, "_loops", split_kernels)
-        for d2 in cases:
-            raw = [_raw_ward(split_kernels, d2, threads) for threads in (1, 2)]
+        for d in cases:
+            raw = [_raw_ward(split_kernels, d, threads) for threads in (1, 2)]
             assert raw[0] == raw[1]
             assert not np.isfinite(np.frombuffer(raw[0][1])).all()
             for threads in (1, 2):
                 monkeypatch.setattr(kernels, "_threads", lambda n, floor, threads=threads: threads)
                 with pytest.raises(OverflowError, match="not finite"):
-                    kernels.ward_linkage(d2.copy())
+                    kernels.ward_linkage(d.copy())
 
     def test_cap_fold_bits_do_not_depend_on_threads(self, compiled_kernels, cap_fold):
         # the real floors, on a fit above both; repeated to catch races
@@ -508,7 +576,7 @@ class TestTwoThreads:
         for threads in (1, 2, 2, 2, 2):
             dist = np.empty(len(users) * (len(users) - 1) // 2)
             compiled_kernels.cosine_rows(*args, dist, threads)
-            results.add((dist.tobytes(), _raw_ward(compiled_kernels, np.square(dist), threads)))
+            results.add((dist.tobytes(), _raw_ward(compiled_kernels, dist, threads)))
         assert len(results) == 1
 
     def test_threads_follow_affinity_and_size(self, compiled_kernels, cap_fold, monkeypatch):
@@ -519,8 +587,7 @@ class TestTwoThreads:
         for cpus, subset, want in [({0}, above, 1), ({0, 1}, above, 2), ({0, 1, 2, 3}, above, 2),
                                    ({0, 1}, users[:SPLIT_FLOOR], 1)]:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
-            dist = kernels.cosine_distance_matrix(train, subset)
-            kernels.ward_linkage(np.square(dist, out=dist))
+            kernels.ward_linkage(kernels.cosine_distance_matrix(train, subset))
             assert recorder.threads() == {"cosine_rows": want, "ward_loop": want}
         # the numpy loops have no floor and run on one thread
         monkeypatch.setattr(kernels, "_loops", _python)
@@ -547,8 +614,7 @@ class TestTwoThreads:
                     hogs = [subprocess.Popen([sys.executable, "-c", busy]) for _ in cpus]
                 dist = np.empty(n * (n - 1) // 2)
                 compiled_kernels.cosine_rows(*args, dist, threads)
-                runs.setdefault(threads, set()).add((dist.tobytes(), _raw_ward(compiled_kernels, np.square(dist),
-                                                                               threads)))
+                runs.setdefault(threads, set()).add((dist.tobytes(), _raw_ward(compiled_kernels, dist, threads)))
         finally:
             for hog in hogs:
                 hog.kill()
@@ -580,12 +646,11 @@ class TestTwoThreads:
         monkeypatch.setattr(kernels, "_loops", compiled_kernels)
         monkeypatch.setattr(kernels, "_threads", lambda n, floor: 2)
         before = _os_threads()
-        dist = kernels.cosine_distance_matrix(train, users[:compiled_kernels.WARD_FLOOR + 1])
-        kernels.ward_linkage(np.square(dist, out=dist))
+        kernels.ward_linkage(kernels.cosine_distance_matrix(train, users[:compiled_kernels.WARD_FLOOR + 1]))
         assert _threads_after(before) == before
         # the overflow stop leaves the merge loop with the worker running
         n = 3 * SPLIT_FLOOR
-        raw = _raw_ward(split_kernels, np.full(n * (n - 1) // 2, 1e308), 2)
+        raw = _raw_ward(split_kernels, np.full(n * (n - 1) // 2, 1e154), 2)
         assert not np.isfinite(np.frombuffer(raw[1])).all()
         assert _threads_after(before) == before
 
@@ -600,9 +665,9 @@ class TestTwoThreads:
         n = len(args[-1])
         dist = np.empty(n * (n - 1) // 2)
         compiled_kernels.cosine_rows(*args, dist, 1)
-        d2, merges, heights = np.square(dist), np.empty((n - 1, 2), dtype=np.int64), np.empty(n - 1)
+        d, merges, heights = dist.copy(), np.empty((n - 1, 2), dtype=np.int64), np.empty(n - 1)
         call = {"cosine_rows": lambda: compiled_kernels.cosine_rows(*args, dist, 2),
-                "ward_loop": lambda: compiled_kernels.ward_loop(d2.copy(), merges, heights, 2)}[loop]
+                "ward_loop": lambda: compiled_kernels.ward_loop(d.copy(), merges, heights, 2)}[loop]
         before = _os_threads()
         failures = 0
         for start in range(200):
@@ -619,9 +684,9 @@ class TestTwoThreads:
         assert 0 < failures == start
         assert _threads_after(before) == before
 
-def _read_only(d2):
-    d2.setflags(write=False)
-    return d2
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 class TestWardChecksInputs:
@@ -640,7 +705,9 @@ class TestWardChecksInputs:
         (lambda: np.array([1.0, np.nan, 2.0]), ValueError),
         (lambda: np.array([1.0, np.inf, 2.0]), ValueError),
         (lambda: np.array([1.0, -1.0, 2.0]), ValueError),
-    ], ids=["list", "buffer", "float32", "int64", "2-d", "strided", "read-only", "length-4", "nan", "inf", "negative"])
+        (lambda: np.array([1.0, 1e200, 2.0]), ValueError),
+    ], ids=["list", "buffer", "float32", "int64", "2-d", "strided", "read-only", "length-4", "nan", "inf", "negative",
+            "square-overflows"])
     def test_bad_input_rejected_alike(self, each_backend, make, error):
         messages = []
         for _ in each_backend:
@@ -789,9 +856,9 @@ class TestCompiledLoopsTakeBuffers:
     call."""
 
     def test_ward_loop_refuses_read_only(self, compiled_kernels):
-        d2 = _read_only(np.array([1.0, 4.0, 2.0]))
+        d = _read_only(np.array([1.0, 4.0, 2.0]))
         with pytest.raises(TypeError, match="read-write"):
-            compiled_kernels.ward_loop(d2, np.empty((2, 2), dtype=np.int64), np.empty(2), 1)
+            compiled_kernels.ward_loop(d, np.empty((2, 2), dtype=np.int64), np.empty(2), 1)
 
     @pytest.mark.parametrize("name, value, error", [
         ("ratings", lambda a: np.repeat(a, 2)[::2], ValueError),
@@ -1112,26 +1179,30 @@ class TestClusterStatsIndex:
                 index.query(*args, 0.95)
 
     @pytest.mark.parametrize("scale", [*RATING_SCALES, "plateau"])
-    def test_each_gap_node_is_the_lowest_common_ancestor(self, scale):
+    def test_each_gap_node_is_the_lowest_common_ancestor(self, each_backend, scale):
+        # each backend's build finds the gap nodes itself
         rng = np.random.default_rng(406)
         if scale == "plateau":
             datasets = [_plateau_dataset(rng)]
         else:
             datasets = [random_grid_dataset(rng, max_users=40, max_items=20, draw=RATING_SCALES[scale])
                         for _ in range(3)]
-        checked = 0
-        for ds in datasets:
-            dend = agglomerate(ds)
-            (ptr, gptr), positions, gap_nodes, _, nodes = kernels.ClusterStatsIndex(dend, ds)._arrays
-            leaf_at = np.argsort(nodes[0, :dend.n_leaves])
-            for item in range(ds.n_items):
-                raters = leaf_at[positions[ptr[item]:ptr[item + 1]]].tolist()
-                for gap, (left, right) in enumerate(zip(raters[:-1], raters[1:]), start=int(gptr[item])):
-                    shared = set(ancestor_chain_reference(dend, right).tolist())
-                    lowest = next(node for node in ancestor_chain_reference(dend, left).tolist() if node in shared)
-                    assert gap_nodes[gap] == lowest, (item, left, right)
-                    checked += 1
-        assert checked > 0
+        checked = {}
+        for name in each_backend:
+            checked[name] = 0
+            for ds in datasets:
+                dend = agglomerate(ds)
+                (ptr, gptr), positions, gap_nodes, _, nodes = kernels.ClusterStatsIndex(dend, ds)._arrays
+                leaf_at = np.argsort(nodes[0, :dend.n_leaves])
+                for item in range(ds.n_items):
+                    raters = leaf_at[positions[ptr[item]:ptr[item + 1]]].tolist()
+                    for gap, (left, right) in enumerate(zip(raters[:-1], raters[1:]), start=int(gptr[item])):
+                        shared = set(ancestor_chain_reference(dend, right).tolist())
+                        lowest = next(node for node in ancestor_chain_reference(dend, left).tolist()
+                                      if node in shared)
+                        assert gap_nodes[gap] == lowest, (name, item, left, right)
+                        checked[name] += 1
+        assert checked["python"] == checked["c"] > 0
 
     @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, float("nan"), float("inf")])
     def test_level_outside_the_unit_interval_rejected(self, each_backend, demo_dataset, level):
