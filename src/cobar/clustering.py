@@ -28,19 +28,6 @@ from .data import RatingDataset, _checked
 from .kernels import cosine_distance_matrix
 
 
-def _leaf_chains(parents: list[int], n_leaves: int) -> tuple[tuple[int, ...], ...]:
-    """Each leaf's node ids from the leaf up to its root, as Python ints.
-
-    A parent's id is always above its children's, so one pass from the
-    highest id down finds every parent's chain before its children's.
-    """
-    chains: list[tuple[int, ...]] = [()] * len(parents)
-    for node in range(len(parents) - 1, -1, -1):
-        parent = parents[node]
-        chains[node] = (node,) if parent == -1 else (node,) + chains[parent]
-    return tuple(chains[:n_leaves])
-
-
 @dataclass
 class Dendrogram:
     """Binary merge tree; leaves 0..n-1 are users, node n+m is merge m.
@@ -80,16 +67,21 @@ class Dendrogram:
         for m, (left, right) in enumerate(pairs):
             sizes[n + m] = sizes[left] + sizes[right]
             parents[left] = parents[right] = n + m
+        # top down: a parent's id is above its children's, so its low and its
+        # chain up to the root, (root,) for the root, are set before theirs
+        chains = [(2 * n - 2,)] * (2 * n - 1)
         for m in range(n - 2, -1, -1):
             left, right = pairs[m]
             lows[left] = lows[n + m]
             lows[right] = lows[n + m] + sizes[left]
+            up = chains[n + m]
+            chains[left], chains[right] = (left,) + up, (right,) + up
         nodes = np.array([lows, np.add(lows, sizes).tolist(), parents], dtype=np.int64)
         for name, array in (("merges", merges), ("heights", heights), ("leaf_users", leaf_users),
                             ("sizes", np.array(sizes, dtype=np.int64)), ("nodes", nodes)):
             array.flags.writeable = False
             setattr(self, name, array)
-        self.chains = _leaf_chains(parents, n)
+        self.chains = tuple(chains[:n])
 
     def __setstate__(self, state):
         # numpy loads a pickled array writable: keep the checked ones read-only

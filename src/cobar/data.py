@@ -149,20 +149,6 @@ class RatingDataset:
         return replace(self, users=self.users[idx], items=self.items[idx], ratings=self.ratings[idx])
 
 
-def csr_rows(keys, others, ratings, n_keys: int, n_others: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rating triples in CSR form with `keys` as rows, each row sorted
-    by `others`: int64 indptr and indices and float64 data, explicit zeros
-    kept.  `keys` and `others` are C-contiguous int32 or int64 arrays.  The
-    triples are a `RatingDataset`'s, checked there, so no pair repeats.
-    The package's one CSR builder: the cosine pass, the cluster statistics
-    and `kernels.KnnIndex` all read the ratings through it.  The compiled
-    backend orders the triples by a two-pass counting sort, O(ratings +
-    n_keys + n_others), the numpy one by an argsort of ``key * n_others +
-    other``; the pairs are unique, so both give the same arrays."""
-    from .kernels import _csr_rows   # which imports this module
-    return _csr_rows(keys, others, ratings, n_keys, n_others)
-
-
 def parse_ratings(
     source: str | Path | Iterable[str],
     delimiter: str = "\t",

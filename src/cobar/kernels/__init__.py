@@ -4,31 +4,33 @@ Seven compiled loops, in the C extension `_compiled` when a C compiler is
 available at install time: the cosine distance pass and the Ward merge
 loop of cobar's user hierarchy, the MF SGD epoch, the kNN query, the build
 and query of cobar's cluster statistics, the tokenizer of a rating file,
-and the counting sort behind `cobar.data.csr_rows`.  Without it the numpy
-loops in `_python` run, and every rating file takes the line loop of
-`cobar.data.parse_ratings`.  ``BACKEND`` names the
-loops selected at import: ``"c"`` when `_compiled` imports, ``"python"``
-when there is no `_compiled`; one that exists but cannot load, lacks a
-loop, or reads the loops' arguments in another layout, stops the import
-with the rebuild command.  `cosine_distance_matrix`, `ward_linkage`,
+and the counting sort behind `csr_rows`.  Without it the numpy loops in
+`_python` run, and every rating file takes the line loop of
+`cobar.data.parse_ratings`.  ``BACKEND`` names the loops selected at
+import: ``"c"`` when `_compiled` imports, ``"python"`` when there is no
+`_compiled`; one that exists but cannot load, lacks a loop, or reads the
+loops' arguments in another layout, stops the import with the rebuild
+command.  `csr_rows`, `cosine_distance_matrix`, `ward_linkage`,
 `mf_sgd_epoch`, `KnnIndex`, `ClusterStatsIndex` and `tokenize` check their
 arguments, once for both backends, before they call the selected loop,
-which trusts its caller.  `cosine_distance_matrix` and `KnnIndex` lay out
-the triples of a `RatingDataset`, checked when it was built, along both
-axes with `cobar.data.csr_rows`; `ClusterStatsIndex` lays them out with it
-per item over the leaf ranges of a `Dendrogram`, which checked its tree when
-built, and its loop finds each gap's node as it fills the gap's entry.  The two query loops, which run once per prediction, are bound to
-their arrays once: `KnnIndex` at construction, `ClusterStatsIndex` per
-confidence level on its first query; a pickle holds the arrays, and both
-bind again when it is loaded.  The cosine loops sum each dot product item by
-item in ascending order, as scipy's sparse product does, and clip
-``1 - (dot / norm_i) / norm_j`` to [0, 2] with NaN passing.  The two Ward
-loops square the distances in place, checking each as they square it, and
-merge the same pair with the same Lance-Williams operands at every step,
-each with its own bookkeeping of row minima.  Both backends give the same
-distances, merges, heights, CSR layouts, MF updates, kNN aggregates,
-cluster statistics and parsed datasets bit for bit: only speed depends on
-BACKEND.
+which trusts its caller.  `cosine_distance_matrix` and `KnnIndex` lay
+out the triples of a `RatingDataset`, checked when it was built, along
+both axes with `csr_rows`, the package's one CSR builder, whose int32
+indices, beside int64 indptrs, every loop reads; `ClusterStatsIndex` lays
+them out with it per item over the leaf ranges of a `Dendrogram`, which
+checked its tree when built, and its loop finds each gap's int64 node as
+it fills the gap's entry.  The two query loops, which run once per
+prediction, are bound to their arrays once: `KnnIndex` at construction,
+`ClusterStatsIndex` per confidence level on its first query; a pickle holds
+the arrays, and both bind again when it is loaded.  The cosine loops sum
+each dot product item by item in ascending order, as scipy's sparse product
+does, and clip ``1 - (dot / norm_i) / norm_j`` to [0, 2] with NaN passing.
+The two Ward loops square the distances in place, checking each as they
+square it, and merge the same pair with the same Lance-Williams operands at
+every step, each with its own bookkeeping of row minima.  Both backends
+give the same distances, merges, heights, CSR layouts, MF updates, kNN
+aggregates, cluster statistics and parsed datasets bit for bit: only speed
+depends on BACKEND.
 
 The two n^2 loops of a fit take a thread count, which `_threads` picks: 2
 when the input is above the compiled loop's floor (`COSINE_FLOOR` users,
@@ -52,7 +54,7 @@ from collections.abc import Callable, Mapping
 import numpy as np
 from scipy.special import stdtrit
 
-from ..data import RatingDataset, _check_range, _checked, csr_rows
+from ..data import RatingDataset, _check_range, _checked
 from . import _python
 
 _REBUILD = "rebuild it with: python setup.py build_ext --inplace --force"
@@ -78,9 +80,9 @@ if _missing:
     )
 # the layout of the arguments the entries below hand the compiled loops,
 # `LAYOUT` in `_compiled.c`; an extension from before it has layout 1
-_LAYOUT = 5
+_LAYOUT = 6
 if _compiled and getattr(_compiled, "LAYOUT", 1) != _LAYOUT:
-    # e.g. an extension whose cosine pass reads int32 indices as int64
+    # e.g. an extension whose queries read int32 indices as int64
     raise ImportError(
         f"stale extension {getattr(_compiled, '__file__', _compiled.__name__)} has argument layout "
         f"{getattr(_compiled, 'LAYOUT', 1)}, not {_LAYOUT}; {_REBUILD}"
@@ -101,10 +103,10 @@ def cosine_distance_matrix(dataset: RatingDataset, users) -> np.ndarray:
     positions in `users`, in the order of `scipy.spatial.distance.pdist`:
     pair (i, j) sits at ``i*n - i*(i+1)//2 + j - i - 1``.
 
-    The listed users' ratings are laid out with `cobar.data.csr_rows`, by
-    position and by item, with int32 indices, and each norm is the square
-    root of the row's nonzero squares summed as scipy's
-    ``R.multiply(R).sum(axis=1)`` sums them.  Every other temporary is freed before the result, the only array
+    The listed users' ratings are laid out with `csr_rows`, by int32
+    position and by item, and each norm is the square root of the row's
+    nonzero squares summed as scipy's ``R.multiply(R).sum(axis=1)`` sums
+    them.  Every other temporary is freed before the result, the only array
     of size n^2, is allocated.  The cost is driven by the number of ratings
     and n^2, not by n * n_items.
     """
@@ -118,7 +120,7 @@ def cosine_distance_matrix(dataset: RatingDataset, users) -> np.ndarray:
     users = users.astype(np.int64, copy=False)
     _check_range("users", users, dataset.n_users)
     n = len(users)
-    position = np.full(dataset.n_users, -1, dtype=np.int64)
+    position = np.full(dataset.n_users, -1, dtype=np.int32)
     position[users] = np.arange(n)
     if np.count_nonzero(position >= 0) != n:
         raise ValueError("users holds a repeated user")
@@ -129,9 +131,6 @@ def cosine_distance_matrix(dataset: RatingDataset, users) -> np.ndarray:
     rows = csr_rows(positions, items, ratings, n, dataset.n_items)
     cols = csr_rows(items, positions, ratings, dataset.n_items, n)
     del positions, items, ratings
-    # the loops read int32 indices, which scipy's product keeps without a
-    # copy; a position or an item index fits, as the dataset's int32 do
-    rows, cols = [(indptr, indices.astype(np.int32), data) for indptr, indices, data in (rows, cols)]
     norms = np.sqrt(_nonzero_square_sums(rows[0], rows[2]))
     if np.any(norms == 0.0):
         bad = int(np.flatnonzero(norms == 0.0)[0])
@@ -171,10 +170,21 @@ def _nonzero_square_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _csr_rows(keys, others, ratings, n_keys: int, n_others: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arrays of `cobar.data.csr_rows`, which documents them, laid out
-    by the selected backend's loop."""
-    indptr, indices = np.empty(n_keys + 1, dtype=np.int64), np.empty(len(keys), dtype=np.int64)
+def csr_rows(keys, others, ratings, n_keys: int, n_others: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rating triples in CSR form with `keys` as rows, each row sorted
+    by `others`: int64 indptr, int32 indices and float64 data, explicit
+    zeros kept.  `keys` and `others` are C-contiguous 1-D int32 arrays, as a
+    `RatingDataset` stores its users and items; `TypeError` for any other
+    width, before the loop runs.  The triples are a `RatingDataset`'s,
+    checked there, so every index is in range and no pair repeats.  The
+    package's one CSR builder: the cosine pass, the cluster statistics and
+    `KnnIndex` all read the ratings through it.  The compiled backend
+    orders the triples by a two-pass counting sort, O(ratings + n_keys +
+    n_others), the numpy one by an argsort of ``key * n_others + other``;
+    the pairs are unique, so both give the same arrays."""
+    keys = _checked("keys", keys, 1, "int32")
+    others = _checked("others", others, 1, "int32")
+    indptr, indices = np.empty(n_keys + 1, dtype=np.int64), np.empty(len(keys), dtype=np.int32)
     data = np.empty(len(keys))
     _loops.csr_fill(keys, others, ratings, n_others, indptr, indices, data)
     return indptr, indices, data
@@ -303,8 +313,8 @@ class KnnIndex:
     `RatingDataset`, which checked its triples, when `user_major` is true,
     its items and users otherwise.  `means` holds one float64 per entity
     and `k` >= 1; `TypeError` or `ValueError` otherwise.  It lays the
-    ratings out with `cobar.data.csr_rows`, in CSR form along both axes
-    with every row sorted, plus the norms, so each query checks only its
+    ratings out with `csr_rows`, in CSR form along both axes with every row
+    sorted and int32 indices, plus the norms, so each query checks only its
     own arguments before the loop reads the arrays unchecked.
 
     The compiled loop computes only the dot products a query reads, those
@@ -393,9 +403,10 @@ class ClusterStatsIndex:
     a bottom-up merge of per-node maps makes, so every (node, item) statistic
     is, bit for bit, one of these 2r - 1 entries.  Ratings of users outside
     the hierarchy are left out.  The ratings are laid out by item with
-    `cobar.data.csr_rows`; the selected loop then finds each gap's node,
-    walking up from the left rater's leaf until the node's range holds the
-    right rater, and fills the gap's entry in the same pass.
+    `csr_rows`, their raters' leaf positions int32; the selected loop then
+    finds each gap's node, an int64 node id, walking up from the left
+    rater's leaf until the node's range holds the right rater, and fills the
+    gap's entry in the same pass.
     """
 
     def __init__(self, dendrogram, train: RatingDataset):
@@ -410,7 +421,7 @@ class ClusterStatsIndex:
         nodes = dendrogram.nodes
 
         # the leaf users' ratings in (item, position) order
-        position = np.full(train.n_users, -1, dtype=np.int64)
+        position = np.full(train.n_users, -1, dtype=np.int32)
         position[dendrogram.leaf_users] = nodes[0, :n]
         rated = position[train.users]
         kept = rated >= 0

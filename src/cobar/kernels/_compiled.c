@@ -60,7 +60,8 @@
  *
  * `csr_fill` lays the rating triples out in CSR form, each row sorted, by
  * a two-pass counting sort; `cobar.kernels._python.csr_fill` argsorts, and
- * the pairs are unique, so the two give the same arrays.
+ * the pairs are unique, so the two give the same arrays.  Every loop reads
+ * the int32 indices it writes, beside int64 indptrs and node ids.
  *
  * `tokenize` splits a rating file's bytes as the line loop of
  * `cobar.data.parse_ratings` splits its text, for the inputs of a strict
@@ -274,24 +275,15 @@ check_threads(int threads)
     return -1;
 }
 
-/* Entry t of an index array of 4-byte (`wide` 0) or 8-byte integers. */
-static inline int64_t
-index_at(const void *a, int wide, Py_ssize_t t)
-{
-    return wide ? ((const int64_t *)a)[t] : ((const int32_t *)a)[t];
-}
-
-/* The layout of `cobar.data.csr_rows`: the n rating triples (keys,
- * others, ratings) in CSR form with the keys as rows, each row sorted by
- * others, into indptr (n_keys + 1 entries), indices and data.  keys and
- * others each hold int32 or int64, their width being their length over n;
- * ValueError for any other.  Every key is below 2^31, as a dataset's users
- * and items are, so the scratch keeps keys as int32.  A two-pass counting sort: the triples are
- * first bucketed by other, then placed, bucket by bucket in ascending
- * other, at their key's next slot, so every row comes out sorted.  The
- * pairs are unique, so this is the order of the numpy loop's argsort.  The
- * scratch, each triple's key and rating in bucket order and a cursor per
- * key and per other, is freed before the call returns. */
+/* The layout of `cobar.kernels.csr_rows`: the n rating triples (int32
+ * keys and others, ratings) in CSR form with the keys as rows, each row
+ * sorted by others, into the int64 indptr (n_keys + 1 entries), int32
+ * indices and data.  A two-pass counting sort: the triples are first
+ * bucketed by other, then placed, bucket by bucket in ascending other, at
+ * their key's next slot, so every row comes out sorted.  The pairs are
+ * unique, so this is the order of the numpy loop's argsort.  The scratch,
+ * each triple's key and rating in bucket order and a cursor per key and
+ * per other, is freed before the call returns. */
 static PyObject *
 csr_fill(PyObject *self, PyObject *args)
 {
@@ -299,23 +291,17 @@ csr_fill(PyObject *self, PyObject *args)
     Py_ssize_t n_others;
     if (!PyArg_ParseTuple(args, "y*y*y*nw*w*w*:csr_fill", &b[0], &b[1], &b[2], &n_others, &b[3], &b[4], &b[5]))
         return NULL;
+    const int32_t *keys = b[0].buf, *others = b[1].buf;
     const double *ratings = b[2].buf;
-    int64_t *indptr = b[3].buf, *indices = b[4].buf;
+    int64_t *indptr = b[3].buf;
+    int32_t *indices = b[4].buf;
     double *data = b[5].buf;
     Py_ssize_t n = b[2].len / (Py_ssize_t)sizeof(double), n_keys = b[3].len / (Py_ssize_t)sizeof(int64_t) - 1;
-    int key_wide = b[0].len == 8 * n, other_wide = b[1].len == 8 * n;
-    int32_t *bucket_keys = NULL;
-    double *bucket_ratings = NULL;
-    int64_t *key_next = NULL, *other_next = NULL;
     PyObject *result = NULL;
-    if ((!key_wide && b[0].len != 4 * n) || (!other_wide && b[1].len != 4 * n)) {
-        PyErr_SetString(PyExc_ValueError, "keys and others must hold one int32 or int64 per rating");
-        goto done;
-    }
-    bucket_keys = PyMem_New(int32_t, n);
-    bucket_ratings = PyMem_New(double, n);
-    key_next = PyMem_New(int64_t, n_keys);
-    other_next = PyMem_Calloc(n_others + 1, sizeof(int64_t));
+    int32_t *bucket_keys = PyMem_New(int32_t, n);
+    double *bucket_ratings = PyMem_New(double, n);
+    int64_t *key_next = PyMem_New(int64_t, n_keys);
+    int64_t *other_next = PyMem_Calloc(n_others + 1, sizeof(int64_t));
     if (!bucket_keys || !bucket_ratings || !key_next || !other_next) {
         PyErr_NoMemory();
         goto done;
@@ -323,8 +309,8 @@ csr_fill(PyObject *self, PyObject *args)
     /* counts, then the start of each key's row and each other's bucket */
     memset(indptr, 0, (n_keys + 1) * sizeof(int64_t));
     for (Py_ssize_t t = 0; t < n; t++) {
-        indptr[index_at(b[0].buf, key_wide, t) + 1]++;
-        other_next[index_at(b[1].buf, other_wide, t) + 1]++;
+        indptr[keys[t] + 1]++;
+        other_next[others[t] + 1]++;
     }
     for (Py_ssize_t k = 0; k < n_keys; k++) {
         indptr[k + 1] += indptr[k];
@@ -333,15 +319,15 @@ csr_fill(PyObject *self, PyObject *args)
     for (Py_ssize_t o = 0; o < n_others; o++)
         other_next[o + 1] += other_next[o];
     for (Py_ssize_t t = 0; t < n; t++) {
-        int64_t s = other_next[index_at(b[1].buf, other_wide, t)]++;
-        bucket_keys[s] = (int32_t)index_at(b[0].buf, key_wide, t);
+        int64_t s = other_next[others[t]]++;
+        bucket_keys[s] = keys[t];
         bucket_ratings[s] = ratings[t];
     }
     /* other_next[o] is now the end of bucket o */
     for (Py_ssize_t o = 0, s = 0; o < n_others; o++)
         for (; s < other_next[o]; s++) {
             int64_t slot = key_next[bucket_keys[s]]++;
-            indices[slot] = o;
+            indices[slot] = (int32_t)o;
             data[slot] = bucket_ratings[s];
         }
     result = Py_NewRef(Py_None);
@@ -1041,7 +1027,8 @@ knn_query(BoundQuery *bound, Py_ssize_t entity, Py_ssize_t column)
 {
     const Py_buffer *b = bound->views;
     Py_ssize_t k = bound->k;
-    const int64_t *rp = b[0].buf, *ri = b[1].buf, *cp = b[3].buf, *ci = b[4].buf;
+    const int64_t *rp = b[0].buf, *cp = b[3].buf;
+    const int32_t *ri = b[1].buf, *ci = b[4].buf;
     const double *rd = b[2].buf, *cd = b[5].buf, *norms = b[6].buf, *means = b[7].buf;
     double *neighbours = b[8].buf, *scratch = b[9].buf;
     double norm_e = norms[entity];
@@ -1053,22 +1040,32 @@ knn_query(BoundQuery *bound, Py_ssize_t entity, Py_ssize_t column)
         result = Py_NewRef(Py_None);
         goto done;
     }
+    /* each int32 index is widened as it is read: under Python's -fwrapv,
+     * cp[ri[p] + 1] adds in 32 bits and extends the sum again, which made
+     * the query 5-6% slower than on int64 indices (ft, gcc 12, x86-64) */
     int64_t scatter = 0, gather = hi - lo;
-    for (int64_t p = lo; p < hi; p++)
-        scatter += cp[ri[p] + 1] - cp[ri[p]];
-    for (int64_t q = first; q < end; q++)
-        gather += rp[ci[q] + 1] - rp[ci[q]];
+    for (int64_t p = lo; p < hi; p++) {
+        int64_t c = ri[p];
+        scatter += cp[c + 1] - cp[c];
+    }
+    for (int64_t q = first; q < end; q++) {
+        int64_t nb = ci[q];
+        gather += rp[nb + 1] - rp[nb];
+    }
     if (SCATTER_COST * scatter <= gather) {
         for (int64_t p = lo; p < hi; p++) {
+            int64_t c = ri[p];
             double w = rd[p];
-            for (int64_t q = cp[ri[p]]; q < cp[ri[p] + 1]; q++)
+            for (int64_t q = cp[c]; q < cp[c + 1]; q++)
                 scratch[ci[q]] += w * cd[q];
         }
         for (int64_t q = first; q < end; q++)
             neighbours[q - first] = scratch[ci[q]];
-        for (int64_t p = lo; p < hi; p++)
-            for (int64_t q = cp[ri[p]]; q < cp[ri[p] + 1]; q++)
+        for (int64_t p = lo; p < hi; p++) {
+            int64_t c = ri[p];
+            for (int64_t q = cp[c]; q < cp[c + 1]; q++)
                 scratch[ci[q]] = 0.0;
+        }
     }
     else {
         for (int64_t p = lo; p < hi; p++)
@@ -1172,7 +1169,8 @@ stats_build(PyObject *self, PyObject *args)
     Py_buffer b[6];
     if (!PyArg_ParseTuple(args, "y*y*y*y*w*w*:stats_build", &b[0], &b[1], &b[2], &b[3], &b[4], &b[5]))
         return NULL;
-    const int64_t *ptr = b[0].buf, *positions = b[1].buf, *lows = b[3].buf;
+    const int64_t *ptr = b[0].buf, *lows = b[3].buf;
+    const int32_t *positions = b[1].buf;
     Py_ssize_t n_items = b[0].len / (Py_ssize_t)(2 * sizeof(int64_t)) - 1;
     const int64_t *gptr = ptr + n_items + 1;
     const double *ratings = b[2].buf;
@@ -1196,7 +1194,7 @@ stats_build(PyObject *self, PyObject *args)
         leaf_at[lows[v]] = v;
     for (Py_ssize_t i = 0; i < n_items; i++) {
         const double *r = ratings + ptr[i];
-        const int64_t *p = positions + ptr[i];
+        const int32_t *p = positions + ptr[i];
         Py_ssize_t gaps = gptr[i + 1] - gptr[i], depth = 0;
         if (gaps == 0)
             continue;
@@ -1244,7 +1242,7 @@ done:
 
 /* First k in [lo, hi) with positions[k] >= x, or hi. */
 static inline Py_ssize_t
-lower_bound(const int64_t *positions, Py_ssize_t lo, Py_ssize_t hi, int64_t x)
+lower_bound(const int32_t *positions, Py_ssize_t lo, Py_ssize_t hi, int64_t x)
 {
     while (lo < hi) {
         Py_ssize_t mid = lo + (hi - lo) / 2;
@@ -1264,7 +1262,8 @@ static PyObject *
 stats_query(BoundQuery *bound, Py_ssize_t leaf, Py_ssize_t item)
 {
     const Py_buffer *buf = bound->views;
-    const int64_t *ptr = buf[0].buf, *positions = buf[1].buf, *gap_nodes = buf[2].buf, *lows = buf[4].buf;
+    const int64_t *ptr = buf[0].buf, *gap_nodes = buf[2].buf, *lows = buf[4].buf;
+    const int32_t *positions = buf[1].buf;
     const int64_t *gptr = ptr + buf[0].len / (Py_ssize_t)(2 * sizeof(int64_t));
     Py_ssize_t n_gaps = buf[2].len / (Py_ssize_t)sizeof(int64_t);
     Py_ssize_t n_nodes = buf[4].len / (Py_ssize_t)(3 * sizeof(int64_t));
@@ -1543,7 +1542,7 @@ done:
 static PyMethodDef methods[] = {
     {"csr_fill", csr_fill, METH_VARARGS,
      "csr_fill(keys, others, ratings, n_others, indptr, indices, data)\n--\n\n"
-     "The layout of `cobar.data.csr_rows`, which allocates its arrays, by a counting sort."},
+     "The layout of `cobar.kernels.csr_rows`, which allocates its arrays, by a counting sort."},
     {"cosine_rows", cosine_rows, METH_VARARGS,
      "cosine_rows(rows_indptr, rows_indices, rows_data, cols_indptr, cols_indices, cols_data, norms, dist,"
      " threads)\n--\n\n"
@@ -1579,7 +1578,7 @@ static PyMethodDef methods[] = {
  * import.  Raise it with every change to an argument's type or order, so
  * that an extension built from older source is rejected instead of reading
  * arguments laid out for another. */
-#define LAYOUT 5
+#define LAYOUT 6
 
 static int
 exec_module(PyObject *module)

@@ -30,11 +30,11 @@ def _check_threads(threads: int) -> None:
 
 def csr_fill(keys: np.ndarray, others: np.ndarray, ratings: np.ndarray, n_others: int, indptr: np.ndarray,
              indices: np.ndarray, data: np.ndarray) -> None:
-    """The layout of `cobar.data.csr_rows`, which allocates `indptr`,
-    `indices` and `data`: the triples in CSR form with the keys as rows,
-    each row sorted by others.  The order is the argsort of ``key *
-    n_others + other``; the pairs are unique, so it is the compiled
-    counting sort's."""
+    """The layout of `cobar.kernels.csr_rows`, which checks the int32 keys
+    and others and allocates `indptr`, `indices` and `data`: the triples in
+    CSR form with the keys as rows, each row sorted by others.  The order
+    is the argsort of ``key * n_others + other``; the pairs are unique, so
+    it is the compiled counting sort's."""
     order = np.argsort(keys.astype(np.int64) * n_others + others)
     indptr[0] = 0
     np.cumsum(np.bincount(keys, minlength=len(indptr) - 1), out=indptr[1:])

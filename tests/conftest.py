@@ -1,5 +1,6 @@
 """Shared fixtures: fixture-file paths, dataset builders, kernel backends,
-and the acceptance-suite summary printed at the end of the run."""
+the report line naming the in-place backend, and the acceptance-suite
+summary printed at the end of the run."""
 
 import importlib.util
 import os
@@ -219,7 +220,16 @@ def pytest_runtest_makereport(item, call):
         ACCEPTANCE_RESULTS[marker.args[0]] = "SKIP"
 
 
+def pytest_report_header(config):
+    """The backend the in-place suite runs, and the extension behind it."""
+    extension = kernels._compiled.__file__ if kernels._compiled else "none"
+    return f"cobar.kernels: BACKEND {kernels.BACKEND}, _compiled {extension}"
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    if not terminalreporter.showheader:
+        # -q hides the header: the log still names the backend
+        terminalreporter.write_line(pytest_report_header(config))
     if not ACCEPTANCE_RESULTS:
         return
     terminalreporter.section("acceptance criteria")

@@ -25,7 +25,7 @@ from scipy import sparse
 from scipy import stats as scipy_stats
 from scipy.special import stdtrit
 
-from cobar.data import csr_rows
+from cobar.kernels import csr_rows
 
 # Two-sided 95% Student-t critical values, published table, df = 1..29.
 T_TABLE_95 = {

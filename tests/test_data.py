@@ -22,8 +22,8 @@ from cobar import (
     parse_ratings,
     subsample_users,
 )
-from cobar.data import DELIMITER_ALIASES, csr_rows
-from cobar.kernels import _python
+from cobar.data import DELIMITER_ALIASES
+from cobar.kernels import _python, csr_rows
 from conftest import REPO_ROOT, benchmark_dataset, load_datagen, make_dataset, random_grid_dataset
 
 
@@ -269,7 +269,7 @@ class TestParseRatings:
         np.testing.assert_array_equal(again.ratings, ds.ratings)
 
 
-def _csr_case(rng, n_keys, n_others, n, key_type=np.int32, other_type=np.int32):
+def _csr_case(rng, n_keys, n_others, n):
     """n distinct (key, other) pairs in random order, the largest key and
     other among them, with ratings holding 0.0 and -0.0."""
     pairs = rng.choice(n_keys * n_others, size=n, replace=False)
@@ -278,7 +278,7 @@ def _csr_case(rng, n_keys, n_others, n, key_type=np.int32, other_type=np.int32):
     pairs = rng.permutation(pairs)
     ratings = rng.integers(-4, 5, size=n) / 2.0
     ratings[rng.random(n) < 0.2] = -0.0
-    return (pairs // n_others).astype(key_type), (pairs % n_others).astype(other_type), ratings, n_keys, n_others
+    return (pairs // n_others).astype(np.int32), (pairs % n_others).astype(np.int32), ratings, n_keys, n_others
 
 
 def _csr_reference(keys, others, ratings, n_keys, n_others):
@@ -286,7 +286,7 @@ def _csr_reference(keys, others, ratings, n_keys, n_others):
     triples = sorted(zip(keys.tolist(), others.tolist(), ratings.tolist()))
     indptr = np.zeros(n_keys + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=n_keys), out=indptr[1:])
-    return (indptr, np.array([o for _, o, _ in triples], dtype=np.int64),
+    return (indptr, np.array([o for _, o, _ in triples], dtype=np.int32),
             np.array([r for _, _, r in triples], dtype=np.float64))
 
 
@@ -304,19 +304,15 @@ class TestCsrRows:
             _csr_case(rng, 1, 1, 1),
             # every pair rated
             _csr_case(rng, 7, 9, 63),
-            # int64 positions, as the cosine pass and the statistics pass them
-            _csr_case(rng, 50, 60, 400, np.int64, np.int32),
-            _csr_case(rng, 50, 60, 400, np.int32, np.int64),
-            _csr_case(rng, 50, 60, 400, np.int64, np.int64),
+            _csr_case(rng, 50, 60, 400),
             # an empty selection
             _csr_case(rng, 5, 4, 0),
-            _csr_case(rng, 5, 4, 0, np.int64, np.int64),
         ]
         for case in cases:
             want = [a.tobytes() for a in _csr_reference(*case)]
             for _ in each_backend:
                 got = csr_rows(*case)
-                assert [a.dtype for a in got] == [np.int64, np.int64, np.float64]
+                assert [a.dtype for a in got] == [np.int64, np.int32, np.float64]
                 assert [a.tobytes() for a in got] == want
 
     def test_backends_agree_on_a_benchmark_dataset(self, each_backend):
@@ -328,11 +324,19 @@ class TestCsrRows:
                 laid_out.append(b"".join(a.tobytes() for a in csr_rows(*args)))
             assert laid_out[0] == laid_out[1] == b"".join(a.tobytes() for a in _csr_reference(*args))
 
-    def test_compiled_loop_refuses_other_index_widths(self, compiled_kernels):
-        keys, others, ratings = np.zeros(3, dtype=np.int16), np.arange(3, dtype=np.int32), np.ones(3)
-        indptr, indices, data = np.empty(2, dtype=np.int64), np.empty(3, dtype=np.int64), np.empty(3)
-        with pytest.raises(ValueError, match="one int32 or int64 per rating"):
-            compiled_kernels.csr_fill(keys, others, ratings, 3, indptr, indices, data)
+    def test_entry_refuses_other_index_widths(self, each_backend, monkeypatch):
+        # the loops read int32 keys and others unchecked: the entry refuses
+        # any other width before a loop runs
+        index = np.arange(3, dtype=np.int32)
+        for _ in each_backend:
+            calls = []
+            monkeypatch.setattr(kernels._loops, "csr_fill", lambda *args: calls.append(args))
+            for dtype in (np.int64, np.int16):
+                for name, keys, others in (("keys", index.astype(dtype), index),
+                                           ("others", index, index.astype(dtype))):
+                    with pytest.raises(TypeError, match=f"{name} must hold int32, got {np.dtype(dtype)}"):
+                        csr_rows(keys, others, np.ones(3), 3, 3)
+            assert calls == []
 
 
 class TestUserStats:

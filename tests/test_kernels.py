@@ -83,7 +83,7 @@ class TestDispatch:
         assert kernels._loops is (kernels._compiled if kernels.BACKEND == "c" else _python)
         # one checked entry per kernel, whichever loops run behind it
         entries = (kernels.cosine_distance_matrix, kernels.ward_linkage, kernels.mf_sgd_epoch, kernels.KnnIndex,
-                   kernels.ClusterStatsIndex, kernels.tokenize)
+                   kernels.ClusterStatsIndex, kernels.tokenize, kernels.csr_rows)
         assert {entry.__module__ for entry in entries} == {"cobar.kernels"}
 
     def test_built_extension_selected(self, compiled_build, tmp_path):
@@ -127,15 +127,16 @@ class TestDispatch:
             last = out.stderr.strip().splitlines()[-1]
             assert last == f"ImportError: stale extension /old/build/_compiled.so lacks {missing}; {REBUILD}"
 
-    @pytest.mark.parametrize("layout", [None, 1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("layout", [None, 1, 2, 3, 4, 5, 7])
     def test_extension_of_another_layout_rejected(self, layout):
         # an extension that has every loop but reads their arguments in
         # another layout, e.g. one built before the cosine pass took int32
         # indices, which it would read as int64 past the arrays' ends, one
         # of layout 2, whose queries took their arrays on every call, one
-        # of layout 3, whose n^2 loops took no thread count, or one of
-        # layout 4, whose Ward loop took squared distances and whose stats
-        # build took the gap nodes
+        # of layout 3, whose n^2 loops took no thread count, one of layout
+        # 4, whose Ward loop took squared distances and whose stats build
+        # took the gap nodes, or one of layout 5, whose queries and stats
+        # build read int64 indices and positions
         code = (
             "import sys, types; "
             "stub = types.ModuleType('cobar.kernels._compiled'); "
@@ -1081,6 +1082,15 @@ class TestKnnQuery:
         assert np.array_equal(train.ratings, checked)
         assert [index.query(e, c) for e, c in SPREAD] == before
 
+    @pytest.mark.parametrize("user_major", [True, False])
+    def test_index_holds_int32_indices(self, each_backend, user_major):
+        # both axes' indptrs stay int64 and their indices are int32, as the
+        # loops read them
+        problem = _hand_problem(user_major=user_major)
+        for _ in each_backend:
+            arrays = kernels.KnnIndex(**problem, k=3)._arrays
+            assert [a.dtype for a in arrays[:6]] == [np.int64, np.int32, np.float64] * 2
+
     def test_shuffled_triples_give_the_same_predictions(self, kernel_backend):
         # both axes are sorted at construction, so each dot product and norm
         # sums in ascending index order whatever order the triples come in
@@ -1151,6 +1161,8 @@ class TestClusterStatsIndex:
             for loops in (_python, compiled_kernels):
                 monkeypatch.setattr(kernels, "_loops", loops)
                 index = kernels.ClusterStatsIndex(**problem)
+                # int32 leaf positions beside int64 indptrs and gap nodes
+                assert [a.dtype for a in index._arrays[:3]] == [np.int64, np.int32, np.int64]
                 built.append(b"".join(a.tobytes() for a in (*index._arrays, index._ratings)))
             assert built[0] == built[1]
 
