@@ -27,7 +27,7 @@ each dot product item by item in ascending order, as scipy's sparse product
 does, and clip ``1 - (dot / norm_i) / norm_j`` to [0, 2] with NaN passing.
 The two Ward loops square the distances in place, checking each as they
 square it, and merge the same pair with the same Lance-Williams operands at
-every step, each with its own bookkeeping of row minima.  Both backends
+every step, each with its own bookkeeping of slots and row minima.  Both backends
 give the same distances, merges, heights, CSR layouts, MF updates, kNN
 aggregates, cluster statistics and parsed datasets bit for bit: only speed
 depends on BACKEND.
@@ -37,9 +37,9 @@ when the input is above the compiled loop's floor (`COSINE_FLOOR` users,
 `WARD_FLOOR` clusters, 2,000 each) and the process may run on two CPUs
 (`os.sched_getaffinity`), 1 otherwise; there is no option for it.  The
 compiled cosine pass and Ward loop release the GIL, and with 2 threads
-split their rows, or each merge's update, with one worker thread; the
-compiled queries keep the GIL.  The numpy loops run on one thread for
-either count.  Results never depend on the thread count.
+split their rows, or each merge's update and move, with one worker
+thread; the compiled queries keep the GIL.  The numpy loops run on one
+thread for either count.  Results never depend on the thread count.
 """
 
 from __future__ import annotations

@@ -20,8 +20,9 @@
  * square roots of the linkages, agree bit for bit.  The two loops share
  * that invariant, not their bookkeeping: the numpy loop keeps exact row
  * minima and rescans eagerly, the compiled one keeps lazy lower bounds on
- * each row's contiguous upper run, one minimum per block of 32 rows, and
- * prefetches the strided column entries it updates and moves.
+ * each row's contiguous upper run, one minimum per block of 32 rows,
+ * retires its first active slot at each merge and prefetches the strided
+ * column entries it updates and moves.
  *
  * These two n^2 loops release the GIL, and each takes a thread count, 1 or
  * 2 (`ValueError` otherwise, before any thread starts).  With 2, above its
@@ -466,10 +467,12 @@ done:
  * the strided column entries it walks WARD_AHEAD slots ahead. */
 #define WARD_BLOCK 32
 #define WARD_AHEAD 16
-/* With two threads, a merge's update and move split at WARD_SHARE percent
- * of the active slots, rounded down to a block: a slot k < i or k < j
- * walks strided column entries, so the first slots cost more. */
-#define WARD_SHARE 45
+/* With two threads, a merge's pass splits WARD_SHARE percent of the way up
+ * the active slots, rounded down to a block: a slot k < i walks two strided
+ * column entries, a slot i < k < j one and a slot k > j none, so the first
+ * slots cost more.  On 3,000 to 6,000 cap-shaped users (2 vCPUs, gcc) 40
+ * was the fastest of 25 to 55 percent, by 1-3%. */
+#define WARD_SHARE 40
 /* The message of the input the first bounds reject, as the numpy loop
  * words it. */
 #define WARD_BAD_INPUT "distances must be finite and nonnegative, with finite squares"
@@ -502,95 +505,116 @@ block_minimum(const double *umin, Py_ssize_t r)
 }
 
 /* The state of `ward_loop`, and the job its parts share: the first bounds
- * while `first` is set, then the merge of slots i < j at height g with a
- * active slots.  Part 0 takes the slots before `split`, part 1 the rest;
- * each flags its own bad input in the first bounds, bad[part], and finds
- * its own minima of rows i and j, row_i[part] and row_j[part]. */
+ * while `first` is set, then the merge of slots i < j at height g with the
+ * active slots lo..n-1.  Part 0 takes the slots lo..split-1, part 1 the
+ * rest; each flags its own bad input in the first bounds, bad[part], and
+ * finds its own minima of rows i and j, row_i[part] and row_j[part]. */
 typedef struct {
     double *D, *size, *umin, *bmin;
     const Py_ssize_t *off;
     char *stale;
-    Py_ssize_t i, j, a, split;
+    Py_ssize_t n, lo, i, j, split;
     double g, row_i[2], row_j[2];
     int first, bad[2];
 } Ward;
 
-/* The Ward update of slot i against the slots k in [lo, hi), then the move
- * of the last active slot into slot j for those k but i.  A row k < i takes
- * v in place of its pair with i, a row k < j loses its pair with j, and the
- * v of the slots k > i make up row i; then row k takes the pair with the
- * last slot in place of the pair with j, and a row j < k < last gives row j
- * its pair.  The update and the move of a slot k read and write only
- * entries of row k and of rows i and j at column k, and bounds of slot k,
- * so parts over slot ranges split at a multiple of WARD_BLOCK write
- * disjoint entries and block bounds.  The move of k = i reads the entry
- * the update of k = last writes, and is left to the calling thread, after
- * both parts. */
-static void
-ward_range(Ward *w, Py_ssize_t lo, Py_ssize_t hi, int part)
+/* The Lance-Williams update of the merge of clusters x and y at squared
+ * linkage g, of sizes sx and sy, against a cluster of size s at squared
+ * distances dx and dy from them; np.maximum(v, 0.0): NaN passes. */
+static ALWAYS_INLINE double
+ward_update(double sx, double sy, double s, double dx, double dy, double g)
 {
-    double *D = w->D, *size = w->size, *umin = w->umin, *bmin = w->bmin;
+    double v = ((sx + s) * dx + (sy + s) * dy - s * g) / ((sx + sy) + s);
+    return v < 0.0 ? 0.0 : v;
+}
+
+/* One pass over the slots k in [first, stop) of the merge of slots i < j:
+ * the merged cluster takes slot j, and the cluster of slot lo, whose row
+ * lies wholly in its upper run, moves into slot i, unless i is lo.  Slot k
+ * writes v, the update against the merged cluster, at its pair with j and
+ * lo's pair with k at its pair with i, or, for k = lo, v at the pair (i, j).
+ * So a row k < j gains v in its upper run for the pair with j it loses, a
+ * row k < i also lo's pair for the one with i, and rows k > j keep theirs;
+ * rows i and j get whole new upper runs.  When i is lo the move writes each
+ * entry of row i onto itself, and row i is retired.  Slot k reads and
+ * writes only entries of row k and of rows lo, i and j at column k, and
+ * bounds of slot k, and the step of lo writes only D(i, j), which no slot
+ * reads, so parts over slot ranges split at a multiple of WARD_BLOCK write
+ * disjoint entries and block bounds. */
+static void
+ward_range(Ward *w, Py_ssize_t first, Py_ssize_t stop, int part)
+{
+    double *D = w->D, *umin = w->umin, *bmin = w->bmin;
+    const double *size = w->size;
     const Py_ssize_t *off = w->off;
     char *stale = w->stale;
-    Py_ssize_t i = w->i, j = w->j, a = w->a, last = a - 1;
+    Py_ssize_t lo = w->lo, i = w->i, j = w->j, k = first;
+    const double *moved = D + off[lo];
     double si = size[i], sj = size[j], g = w->g, row_i = INFINITY, row_j = INFINITY;
-    for (Py_ssize_t k = lo; k < hi && k < i; k++) {
+    if (k == lo && k < stop) {
+        if (i != lo) {
+            row_i = ward_update(si, sj, size[lo], D[off[lo] + i], D[off[lo] + j], g);
+            D[off[i] + j] = row_i;
+        }
+        k++;
+    }
+    /* rows k < i: their pairs with i and j, two strided entries */
+    for (; k < stop && k < i; k++) {
         if (k + WARD_AHEAD < i) {
             PREFETCH(&D[off[k + WARD_AHEAD] + i]);
             PREFETCH(&D[off[k + WARD_AHEAD] + j]);
         }
-        double old_i = D[off[k] + i], old_j = D[off[k] + j], s = size[k];
-        double v = ((si + s) * old_i + (sj + s) * old_j - s * g) / ((si + sj) + s);
-        if (v < 0.0)    /* np.maximum(v, 0.0): NaN passes */
-            v = 0.0;
+        double old_i = D[off[k] + i], old_j = D[off[k] + j], in = moved[k];
+        double v = ward_update(si, sj, size[k], old_i, old_j, g), low = umin[k];
+        D[off[k] + i] = in;
+        D[off[k] + j] = v;
+        if (v < low)
+            low = v;
+        if (in < low)
+            low = in;
+        if (low < umin[k]) {
+            umin[k] = low;
+            stale[k] = 0;
+            if (low < bmin[k / WARD_BLOCK])
+                bmin[k / WARD_BLOCK] = low;
+        }
+        else if (umin[k] == old_i || umin[k] == old_j)
+            stale[k] = 1;
+    }
+    if (k == i)
+        k++;
+    /* rows i < k < j: their pair with j, one strided entry */
+    for (; k < stop && k < j; k++) {
+        if (k + WARD_AHEAD < j)
+            PREFETCH(&D[off[k + WARD_AHEAD] + j]);
+        double old_j = D[off[k] + j], in = moved[k];
+        double v = ward_update(si, sj, size[k], D[off[i] + k], old_j, g);
+        D[off[i] + k] = in;
+        D[off[k] + j] = v;
+        if (in < row_i)
+            row_i = in;
         if (v < umin[k]) {
             umin[k] = v;
             stale[k] = 0;
             if (v < bmin[k / WARD_BLOCK])
                 bmin[k / WARD_BLOCK] = v;
         }
-        else if (umin[k] == old_i || umin[k] == old_j)
+        else if (umin[k] == old_j)
             stale[k] = 1;
-        D[off[k] + i] = v;
     }
-    for (Py_ssize_t k = lo > i ? lo : i + 1; k < hi; k++) {
-        if (k == j)
-            continue;
-        double old_j;
-        if (k < j) {
-            if (k + WARD_AHEAD < j)
-                PREFETCH(&D[off[k + WARD_AHEAD] + j]);
-            old_j = D[off[k] + j];
-            if (umin[k] == old_j)
-                stale[k] = 1;
-        }
-        else
-            old_j = D[off[j] + k];
-        double old_i = D[off[i] + k], s = size[k];
-        double v = ((si + s) * old_i + (sj + s) * old_j - s * g) / ((si + sj) + s);
-        if (v < 0.0)
-            v = 0.0;
-        if (v < row_i)
-            row_i = v;
-        D[off[i] + k] = v;
+    if (k == j)
+        k++;
+    /* rows k > j: rows i and j only, contiguous */
+    for (; k < stop; k++) {
+        double in = moved[k];
+        double v = ward_update(si, sj, size[k], D[off[i] + k], D[off[j] + k], g);
+        D[off[i] + k] = in;
+        D[off[j] + k] = v;
+        if (in < row_i)
+            row_i = in;
+        if (v < row_j)
+            row_j = v;
     }
-    if (j != last)
-        for (Py_ssize_t k = lo; k < hi && k < last; k++) {
-            if (k + WARD_AHEAD < last)
-                PREFETCH(&D[off[k + WARD_AHEAD] + last]);
-            if (k == i || k == j)
-                continue;
-            double moved = D[off[k] + last];
-            if (k < j)
-                D[off[k] + j] = moved;
-            else {
-                D[off[j] + k] = moved;
-                if (moved < row_j)
-                    row_j = moved;
-                if (umin[k] == moved)
-                    stale[k] = 1;
-            }
-        }
     w->row_i[part] = row_i;
     w->row_j[part] = row_j;
 }
@@ -623,29 +647,29 @@ square_run(double *run, Py_ssize_t len, int *bad)
     return run_minimum(best, 4, -INFINITY);
 }
 
-/* The first bounds, for the rows r in [lo, hi): squares the distances of
- * row r's upper run and sets umin[r] to the smallest square.  Flags the
- * part's input bad when a distance is not accepted. */
+/* The first bounds, for the rows r in [first, stop): squares the
+ * distances of row r's upper run and sets umin[r] to the smallest square.
+ * Flags the part's input bad when a distance is not accepted. */
 static void
-ward_bounds(Ward *w, Py_ssize_t lo, Py_ssize_t hi, int part)
+ward_bounds(Ward *w, Py_ssize_t first, Py_ssize_t stop, int part)
 {
     int bad = 0;
-    for (Py_ssize_t r = lo; r < hi; r++)
-        w->umin[r] = square_run(w->D + w->off[r] + r + 1, w->a - r - 1, &bad);
+    for (Py_ssize_t r = first; r < stop; r++)
+        w->umin[r] = square_run(w->D + w->off[r] + r + 1, w->n - r - 1, &bad);
     w->bad[part] = bad;
 }
 
-/* One part of the job: the first bounds of its rows, or the update and
- * the move of its slots. */
+/* One part of the job: the first bounds of its rows, or the merge's pass
+ * over its slots. */
 static void
 ward_part(void *ctx, int part)
 {
     Ward *w = ctx;
-    Py_ssize_t lo = part ? w->split : 0, hi = part ? w->a : w->split;
+    Py_ssize_t first = part ? w->split : w->lo, stop = part ? w->n : w->split;
     if (w->first)
-        ward_bounds(w, lo, hi, part);
+        ward_bounds(w, first, stop, part);
     else
-        ward_range(w, lo, hi, part);
+        ward_range(w, first, stop, part);
 }
 
 /* The Ward merge loop of `cobar.kernels.ward_linkage` on the condensed
@@ -653,33 +677,38 @@ ward_part(void *ctx, int part)
  * The first bounds square every distance in place, and reject the input,
  * before any merge is written, when a distance is NaN, negative or
  * infinite or its square overflows; the loop then works on the squares.
- * Slots 0..a-1 hold the a active clusters, pair r < c at D[off[r] + c];
- * merging slots i < j writes the Ward update into slot i's pairs and moves
- * the last active slot into j.  Fills the n-1 merges and heights, each
- * height the square root of a merge's linkage, or stops at the first
- * linkage that overflowed to inf.
+ * Slots lo..n-1 hold the n - lo active clusters, pair r < c at
+ * D[off[r] + c], and merge m retires slot lo = m: merging slots i < j
+ * writes the Ward update into slot j's pairs and moves slot lo into slot i,
+ * unless i is lo, in one pass (`ward_range`).  Row lo is contiguous, as
+ * every active slot lies above it, and a row's upper run never shrinks.
+ * Fills the n-1 merges and heights, each height the square root of a
+ * merge's linkage, or stops at the first linkage that overflowed to inf.
  *
  * Each step merges the pair `_python.ward_loop` merges, with the same
- * Lance-Williams operands, but finds it lazily.  umin[r] is a lower bound
- * on the minimum of slot r's upper run D[off[r] + r+1 .. off[r] + a-1],
- * exact unless stale[r]; bmin holds the smallest bound of each block of
- * slots, inf past the active ones.  A merge keeps every bound valid: a
- * removed entry cannot lower a minimum, and a rewritten one either becomes
- * the row's exact minimum or is at least its bound.  A row whose exact
- * minimum left is marked stale.  Once every stale row at the smallest
- * bound g has been rescanned, g is the smallest distance and every row
- * holding a pair at g has the exact bound g, so the tie scan reads only
- * those rows.  A rescan reads one contiguous run, up to its first entry
- * equal to g.
+ * Lance-Williams operands, but finds it lazily; the operands of slots i and
+ * j are symmetric, as IEEE + and * commute, and the tie-break compares node
+ * ids, so the slots a cluster takes change no bit.  umin[r] is a lower
+ * bound on the minimum of slot r's upper run D[off[r] + r+1 .. off[r] +
+ * n-1], exact unless stale[r], and inf for a retired slot; bmin holds the
+ * smallest bound of each block of slots.  A merge keeps every bound valid:
+ * a removed entry cannot lower a minimum, and a rewritten one either
+ * becomes the row's exact minimum or is at least its bound.  A row whose
+ * exact minimum left is marked stale.  Once every stale row at the
+ * smallest bound g has been rescanned, g is the smallest distance and
+ * every row holding a pair at g has the exact bound g, so the tie scan
+ * reads only those rows.  A rescan reads one contiguous run, up to its
+ * first entry equal to g.
  *
  * The search, the rescans and the tie scan run on the calling thread.  With
  * two threads and more than WARD_FLOOR clusters, the first bounds split at
  * half the entries, as the cosine pass splits, and while more than
- * WARD_FLOOR slots are active, a merge's update and move run in two parts,
- * over the slots before and after WARD_SHARE percent of them.  Row i's and
- * row j's minima are the parts' taken in slot order, the first smallest as
- * a serial scan finds it, so the bits do not depend on the split.  After
- * MAX_STALLS stalls the loop runs on the calling thread alone. */
+ * WARD_FLOOR slots are active, a merge's pass runs in two parts, over the
+ * active slots below and above WARD_SHARE percent of the way up.  Row i's
+ * and row j's minima are the parts' taken in slot order, the first
+ * smallest as a serial scan finds it, so the bits do not depend on the
+ * split.  After MAX_STALLS stalls the loop runs on the calling thread
+ * alone. */
 static PyObject *
 ward_loop(PyObject *self, PyObject *args)
 {
@@ -708,7 +737,7 @@ ward_loop(PyObject *self, PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
-    Ward w = {.D = D, .size = size, .umin = umin, .bmin = bmin, .off = off, .stale = stale, .a = n, .first = 1};
+    Ward w = {.D = D, .size = size, .umin = umin, .bmin = bmin, .off = off, .stale = stale, .n = n, .first = 1};
     int bad;
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t r = 0; r < n_blocks * WARD_BLOCK; r++)
@@ -735,24 +764,24 @@ ward_loop(PyObject *self, PyObject *args)
     for (Py_ssize_t b = 0; b < n_blocks; b++)
         bmin[b] = block_minimum(umin, b * WARD_BLOCK);
 
-    for (Py_ssize_t m = 0; m < n - 1 && !bad; m++) {
-        Py_ssize_t a = n - m, last = a - 1, blocks = (a + WARD_BLOCK - 1) / WARD_BLOCK;
+    for (Py_ssize_t lo = 0; lo < n - 1 && !bad; lo++) {
+        Py_ssize_t a = n - lo, low_block = lo / WARD_BLOCK;
         double g;
         int rescanned;
         do {
             g = INFINITY;
-            for (Py_ssize_t b = 0; b < blocks; b++)
+            for (Py_ssize_t b = low_block; b < n_blocks; b++)
                 if (bmin[b] < g)
                     g = bmin[b];
             /* the stale rows at g: their bounds may be below their minima */
             rescanned = 0;
-            for (Py_ssize_t b = 0; b < blocks; b++) {
+            for (Py_ssize_t b = low_block; b < n_blocks; b++) {
                 if (bmin[b] != g)
                     continue;
                 int here = 0;
                 for (Py_ssize_t r = b * WARD_BLOCK; r < (b + 1) * WARD_BLOCK; r++)
                     if (umin[r] == g && stale[r]) {
-                        umin[r] = run_minimum(D + off[r] + r + 1, a - r - 1, g);
+                        umin[r] = run_minimum(D + off[r] + r + 1, n - r - 1, g);
                         stale[r] = 0;
                         here = 1;
                     }
@@ -766,21 +795,21 @@ ward_loop(PyObject *self, PyObject *args)
         /* all pairs at the minimum, lexicographic smallest id pair wins;
          * the first slot of each such pair has its upper run's minimum at g */
         Py_ssize_t i = -1, j = -1;
-        int64_t lo = 0, hi = 0;
-        for (Py_ssize_t b = 0; b < blocks && g < INFINITY; b++) {
+        int64_t low_id = 0, high_id = 0;
+        for (Py_ssize_t b = low_block; b < n_blocks && g < INFINITY; b++) {
             if (bmin[b] != g)
                 continue;
             for (Py_ssize_t r = b * WARD_BLOCK; r < (b + 1) * WARD_BLOCK; r++) {
                 if (umin[r] != g)
                     continue;
-                for (Py_ssize_t c = r + 1; c < a; c++) {
+                for (Py_ssize_t c = r + 1; c < n; c++) {
                     if (D[off[r] + c] != g)
                         continue;
                     int64_t x = node_id[r], y = node_id[c];
                     int64_t p = x < y ? x : y, q = x < y ? y : x;
-                    if (i < 0 || p < lo || (p == lo && q < hi)) {
-                        lo = p;
-                        hi = q;
+                    if (i < 0 || p < low_id || (p == low_id && q < high_id)) {
+                        low_id = p;
+                        high_id = q;
                         i = r;
                         j = c;
                     }
@@ -789,16 +818,16 @@ ward_loop(PyObject *self, PyObject *args)
         }
         if (i < 0) {
             /* the Ward updates overflowed: the entry rejects this height */
-            heights[m] = INFINITY;
+            heights[lo] = INFINITY;
             break;
         }
-        merges[2 * m] = lo;
-        merges[2 * m + 1] = hi;
-        heights[m] = sqrt(g);
+        merges[2 * lo] = low_id;
+        merges[2 * lo + 1] = high_id;
+        heights[lo] = sqrt(g);
 
+        w.lo = lo;
         w.i = i;
         w.j = j;
-        w.a = a;
         w.g = g;
         double row_i, row_j;
         if (split && (a <= WARD_FLOOR || pair.stalls == MAX_STALLS)) {
@@ -806,34 +835,34 @@ ward_loop(PyObject *self, PyObject *args)
             split = 0;
         }
         if (split) {
-            w.split = a * WARD_SHARE / 100 / WARD_BLOCK * WARD_BLOCK;
+            w.split = (lo + a * WARD_SHARE / 100) / WARD_BLOCK * WARD_BLOCK;
+            if (w.split < lo)
+                w.split = lo;
             pair_run(&pair);
             row_i = w.row_i[1] < w.row_i[0] ? w.row_i[1] : w.row_i[0];
             row_j = w.row_j[1] < w.row_j[0] ? w.row_j[1] : w.row_j[0];
         }
         else {
-            ward_range(&w, 0, a, 0);
+            ward_range(&w, lo, n, 0);
             row_i = w.row_i[0];
             row_j = w.row_j[0];
         }
-        size[i] += size[j];
-        node_id[i] = n + m;
-        umin[i] = row_i;
-        stale[i] = 0;
-        if (j != last) {
-            /* the move of k = i, after the update of k = last */
-            D[off[i] + j] = D[off[i] + last];
-            size[j] = size[last];
-            node_id[j] = node_id[last];
-        }
+        size[j] += size[i];
+        node_id[j] = n + lo;
         umin[j] = row_j;
         stale[j] = 0;
-        umin[last] = INFINITY;
-        stale[last] = 0;
-        /* bounds i, j and last may have risen */
+        if (i != lo) {
+            size[i] = size[lo];
+            node_id[i] = node_id[lo];
+            umin[i] = row_i;
+            stale[i] = 0;
+        }
+        umin[lo] = INFINITY;
+        stale[lo] = 0;
+        /* bounds i, j and lo may have risen */
         bmin[i / WARD_BLOCK] = block_minimum(umin, i);
         bmin[j / WARD_BLOCK] = block_minimum(umin, j);
-        bmin[last / WARD_BLOCK] = block_minimum(umin, last);
+        bmin[low_block] = block_minimum(umin, lo);
     }
     if (split)
         pair_stop(&pair);

@@ -96,13 +96,15 @@ def ward_loop(d: np.ndarray, merges: np.ndarray, heights: np.ndarray, threads: i
 
     It squares `d` in place first, and raises `ValueError` before any merge
     is written when a distance is NaN, negative or infinite or its square
-    overflows, as the compiled loop's first bounds do.  The loop keeps the
-    a active clusters in slots 0..a-1 and works inside the squares, as the
-    compiled loop does: pair r < c sits at ``d[off[r] + c]``.  Merging slots
-    i < j writes the Ward update into slot i's pairs and moves the last
-    active slot into the freed slot j; the tie-break compares node ids, not
-    slots, so the moves leave the result unchanged.  Each height is the
-    square root of the merge's linkage.
+    overflows, as the compiled loop's first bounds do.  It works inside the
+    squares, pair r < c at ``d[off[r] + c]`` as in the compiled loop, but
+    keeps its own slots: the a active clusters sit in slots 0..a-1, and
+    merging slots i < j writes the Ward update into slot i's pairs and moves
+    the last active slot into the freed slot j, where the compiled loop
+    keeps its clusters in the top slots and retires the first.  The
+    tie-break compares node ids, not slots, and the update's operands of i
+    and j are symmetric, so where a cluster sits leaves the result
+    unchanged.  Each height is the square root of the merge's linkage.
 
     What the two loops share is the pair merged at each step, the
     lexicographically smallest id pair at the smallest distance, and the

@@ -50,6 +50,50 @@ def _reference(d):
     return merges, np.sqrt(heights)
 
 
+def _compiled_slots(merges):
+    """The slots (lo, i, j) of each merge as the compiled Ward loop takes
+    them: its active clusters sit in slots lo..n-1, and merge lo joins the
+    clusters of slots i < j into slot j and moves slot lo into slot i,
+    unless i is lo."""
+    n = len(merges) + 1
+    slot, at = {r: r for r in range(n)}, list(range(n))
+    for lo, (x, y) in enumerate(merges.tolist()):
+        i, j = sorted((slot[x], slot[y]))
+        yield lo, i, j
+        slot[n + lo], at[j] = j, n + lo
+        if i != lo:
+            slot[at[lo]], at[i] = i, at[lo]
+
+
+def _compaction_cases(rng):
+    """Distance matrices, with their expected first slots (lo, i, j), whose
+    first merge takes each path of the compiled loop's compaction: i is lo,
+    so nothing moves (0, 1 and 0, n-1), or slot lo moves into i (2, 5),
+    also with j the last slot (2, n-1 and n-2, n-1).  n = 33, 65 and 130
+    put lo across block boundaries, and n = 200 starts its two-thread
+    merges with the split a block or more above lo's block."""
+    cases = []
+    for n in (33, 65, 130, 200):
+        for p, q in ((0, 1), (0, n - 1), (2, 5), (2, n - 1), (n - 2, n - 1)):
+            # the pair (p, q) strictly nearest; the tie-heavy quarter grid
+            # is lifted by 0.25 so that its zeros do not tie with it
+            for d in (_random_dist(rng, n) + 0.25, _tie_heavy_dist(rng, n) + 0.25):
+                np.fill_diagonal(d, 0.0)
+                d[p, q] = d[q, p] = 0.0
+                cases.append((d, (0, p, q)))
+    return cases
+
+
+def _assert_compaction_covered(slots):
+    """Across the merges of `_compaction_cases`, the compiled loop both
+    keeps and moves slot lo, with and without j the last slot, and moves
+    slot lo at the first slot of every block of 32 past the first."""
+    kinds = {(i == lo, j == n - 1) for n, merges in slots for lo, i, j in merges}
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    moved_at = {lo for _, merges in slots for lo, i, _ in merges if i != lo}
+    assert {32, 64, 96, 128, 160} <= moved_at
+
+
 LOOPS = ("ward_loop", "sgd_epoch", "bind_knn_query", "stats_build", "bind_stats_query", "cosine_rows", "tokenize",
          "csr_fill")
 EXTENSION = f"_compiled{sysconfig.get_config_var('EXT_SUFFIX')}"
@@ -370,6 +414,18 @@ class TestWardKernel:
             assert np.array_equal(merges, ref_merges)
             assert heights.tobytes() == ref_heights.tobytes()
 
+    def test_compaction_paths_bit_identical_to_reference(self, ward_linkage):
+        slots = []
+        for d, first in _compaction_cases(np.random.default_rng(79)):
+            merges, heights = ward_linkage(condensed(d))
+            ref_merges, ref_heights = _reference(d)
+            assert np.array_equal(merges, ref_merges)
+            assert heights.tobytes() == ref_heights.tobytes()
+            merge_slots = list(_compiled_slots(merges))
+            assert merge_slots[0] == first
+            slots.append((len(d), merge_slots))
+        _assert_compaction_covered(slots)
+
     def test_backends_agree_on_a_benchmark_fold(self, each_backend):
         # the training set of one fold of the FilmTrust-shaped benchmark
         # data: 1,500 users, whose hierarchy the compiled loop builds with
@@ -530,6 +586,25 @@ class TestTwoThreads:
             d = rng.integers(0, 3, size=n * (n - 1) // 2) / 2.0
             d[rng.random(len(d)) < 0.5] = -0.0
             assert _raw_ward(split_kernels, d, 1) == _raw_ward(split_kernels, d, 2) == _raw_ward(_python, d, 1)
+
+    def test_compaction_paths_do_not_depend_on_threads(self, split_kernels):
+        # above SPLIT_FLOOR active slots each merge's pass splits WARD_SHARE
+        # (40) percent of the way up the active slots, rounded down to a
+        # block, and at lo when that falls below it: at n = 65 the first
+        # merges run all of the pass in part 1, at n = 130 and 200 part 1
+        # starts in a block above lo's, and at n = 200 and lo = 129 (71
+        # active) it starts at lo again
+        slots = []
+        for d, first in _compaction_cases(np.random.default_rng(134)):
+            ref_merges, ref_heights = _reference(d)
+            d = condensed(d)
+            raw = _raw_ward(split_kernels, d, 2)
+            assert raw == _raw_ward(split_kernels, d, 1) == _raw_ward(_python, d, 1)
+            assert raw == (ref_merges.tobytes(), ref_heights.tobytes())
+            merge_slots = list(_compiled_slots(ref_merges))
+            assert merge_slots[0] == first
+            slots.append((len(ref_merges) + 1, merge_slots))
+        _assert_compaction_covered(slots)
 
     @needs_task_list
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 1e155])
