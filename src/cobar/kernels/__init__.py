@@ -25,10 +25,10 @@ prediction, are bound to their arrays once: `KnnIndex` at construction,
 the arrays, and both bind again when it is loaded.  The cosine loops sum
 each dot product item by item in ascending order, as scipy's sparse product
 does, and clip ``1 - (dot / norm_i) / norm_j`` to [0, 2] with NaN passing.
-The two Ward loops square the distances in place, checking each as they
-square it, and merge the same pair with the same Lance-Williams operands at
-every step, each with its own bookkeeping of slots and row minima.  Both backends
-give the same distances, merges, heights, CSR layouts, MF updates, kNN
+The two Ward loops are one algorithm: they square the distances in place,
+checking each as they square it, and merge the same pair with the same
+Lance-Williams operands at every step, found through the same slots and
+lazy bounds on the rows' minima.  Both backends give the same distances, merges, heights, CSR layouts, MF updates, kNN
 aggregates, cluster statistics and parsed datasets bit for bit: only speed
 depends on BACKEND.
 

@@ -5,10 +5,10 @@
  * each, the tokenizer of a rating file, and the counting sort that lays
  * the ratings out in CSR form.
  *
- * `cosine_rows` fills the condensed distances the scipy block product of
- * `cobar.kernels._python.cosine_rows` fills, summing each dot product in
- * the order of scipy's `csr_matmat`: for row i, item by item in ascending
- * order, the product r_ik * r_jk is added to the sum of every row j > i.
+ * `cosine_rows` fills the condensed distances that
+ * `cobar.kernels._python.cosine_rows` fills with `np.bincount`, summing
+ * each dot product in the order of scipy's `csr_matmat`: for row i, item by
+ * item in ascending order, r_ik * r_jk is added to the sum of each j > i.
  * Each distance is 1 - (dot / norm_i) / norm_j clipped to [0, 2] as
  * `np.clip` clips, NaN passing, so the distances agree bit for bit.
  *
@@ -17,12 +17,12 @@
  * or whose square overflows as it squares it, and merges there the same
  * pair as `cobar.kernels._python.ward_loop` at every step, with the same
  * Lance-Williams expression and operand order, so merges and heights, the
- * square roots of the linkages, agree bit for bit.  The two loops share
- * that invariant, not their bookkeeping: the numpy loop keeps exact row
- * minima and rescans eagerly, the compiled one keeps lazy lower bounds on
- * each row's contiguous upper run, one minimum per block of 32 rows,
- * retires its first active slot at each merge and prefetches the strided
- * column entries it updates and moves.
+ * square roots of the linkages, agree bit for bit.  The two loops are one
+ * algorithm: both retire the first active slot at each merge and keep lazy
+ * lower bounds on each row's contiguous upper run.  The numpy loop runs
+ * each merge vectorised over the slots; this one keeps one minimum per
+ * block of 32 rows and prefetches the strided column entries it updates
+ * and moves.
  *
  * These two n^2 loops release the GIL, and each takes a thread count, 1 or
  * 2 (`ValueError` otherwise, before any thread starts).  With 2, above its
@@ -405,17 +405,18 @@ cosine_part(void *ctx, int part)
     cosine_range(c, part ? c->split : 0, part ? c->n : c->split, c->acc[part], c->cursor[part]);
 }
 
-/* The distance pass of `_python.cosine_rows` for n rows, n the length of
- * `norms`: the CSR arrays of the rows (rp, ri, rd) and of the columns
- * (cp, ci, cd), each sorted, with int32 indices, hold the same ratings.
- * Row i's dot products with the rows j > i are summed in `acc`, item by
- * item in row i's order; a cursor per column skips the rows j <= i, which
- * every earlier row that rated the item has passed.  Row i's distances are
- * then written to `dist`, in pdist order, and its sums zeroed for the next
- * row.  With two threads and more than COSINE_FLOOR rows, the rows split in
- * two ranges of about half the pairs each, the first n(1 - 1/sqrt 2) rows
- * and the rest; each range has its own sums and cursors, which skip the
- * rows before the range as they skip row i's, and writes its own pairs. */
+/* The distance pass of `_python.cosine_rows`, whose steps it takes one
+ * product at a time, for n rows, n the length of `norms`: the CSR arrays of
+ * the rows (rp, ri, rd) and of the columns (cp, ci, cd), each sorted, with
+ * int32 indices, hold the same ratings.  Row i's dot products with the rows
+ * j > i are summed in `acc`, item by item in row i's order; a cursor per
+ * column skips the rows j <= i, which every earlier row that rated the item
+ * has passed.  Row i's distances are then written to `dist`, in pdist
+ * order, and its sums zeroed for the next row.  With two threads and more
+ * than COSINE_FLOOR rows, the rows split in two ranges of about half the
+ * pairs each, the first n(1 - 1/sqrt 2) rows and the rest; each range has
+ * its own sums and cursors, which skip the rows before it as they skip row
+ * i's, and writes its own pairs. */
 static PyObject *
 cosine_rows(PyObject *self, PyObject *args)
 {
@@ -685,10 +686,9 @@ ward_part(void *ctx, int part)
  * Fills the n-1 merges and heights, each height the square root of a
  * merge's linkage, or stops at the first linkage that overflowed to inf.
  *
- * Each step merges the pair `_python.ward_loop` merges, with the same
- * Lance-Williams operands, but finds it lazily; the operands of slots i and
- * j are symmetric, as IEEE + and * commute, and the tie-break compares node
- * ids, so the slots a cluster takes change no bit.  umin[r] is a lower
+ * `_python.ward_loop` runs this loop vectorised over the slots, so each
+ * step merges the same pair in the same slots with the same Lance-Williams
+ * operands; the tie-break compares node ids, not slots.  umin[r] is a lower
  * bound on the minimum of slot r's upper run D[off[r] + r+1 .. off[r] +
  * n-1], exact unless stale[r], and inf for a retired slot; bmin holds the
  * smallest bound of each block of slots.  A merge keeps every bound valid:

@@ -3,11 +3,15 @@
 They are the fallback for environments without the compiled `_compiled`
 extension and the reference it is tested against: each gives the compiled
 loop's bits on the same memory, and trusts its caller, `cobar.kernels`, to
-have checked every argument.  All but the Ward loop and the CSR layout run
-the compiled loop's steps in the same order; the two Ward loops merge the
-same pair with the same operands at every step, each with its own
-bookkeeping, and the CSR layout sorts where the compiled one counts, which
-the unique pairs make the same order.  The two queries are bound to their
+have checked every argument.  The cosine pass and the Ward loop are the
+compiled algorithms vectorised: the cosine pass over the products of one
+row at a time, the Ward loop over the active slots of each merge, with
+the compiled loop's slots, lazy bounds and rescans.  Where the steps
+differ, the order of every sum is kept: the CSR layout sorts where the
+compiled one counts, which the unique pairs make the same order, the
+stats build joins its gaps in rounds where the compiled one pops them off
+a stack, and the kNN query sums every dot product of the entity where the
+compiled one sums those it reads.  The two queries are bound to their
 arrays once, as compiled, here with `functools.partial`.  The compiled
 tokenizer has no numpy twin: its `tokenize` here declines every input.
 """
@@ -42,48 +46,51 @@ def csr_fill(keys: np.ndarray, others: np.ndarray, ratings: np.ndarray, n_others
     data[:] = ratings[order]
 
 
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions of the runs of `lengths` entries from `starts`, one
+    run after the other; there is at least one run."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
+
+
 def cosine_rows(rows_indptr: np.ndarray, rows_indices: np.ndarray, rows_data: np.ndarray, cols_indptr: np.ndarray,
                 cols_indices: np.ndarray, cols_data: np.ndarray, norms: np.ndarray, dist: np.ndarray,
                 threads: int) -> None:
     """The distance pass of `cobar.kernels.cosine_distance_matrix`, which
     lays out the ratings of its n users in CSR form by row and by column,
-    with the int32 indices scipy keeps without a copy, computes their norms
-    and allocates `dist`: fills the condensed distances
-    ``1 - (dot / norm_i) / norm_j``, clipped to [0, 2], in pdist order.
+    each sorted, with int32 indices, computes their norms and allocates
+    `dist`: fills the condensed distances ``1 - (dot / norm_i) / norm_j``,
+    clipped to [0, 2] with NaN passing, in pdist order.
 
-    The dot products are scipy's sparse product, which sums each one item by
-    item in row i's order, as the compiled loop does.  It is formed for a
-    block of at most n/32 rows at a time against every row, as slicing off
-    the rows before the block would copy the column arrays, through a dense
-    buffer of at most 1/32 of the n x n entries; each row's share of the
-    upper triangle is copied out of it.  Only this loop imports
-    `scipy.sparse`.  It runs on one thread for any `threads`.
+    Row i's dot products with the rows j > i are the products of its
+    ratings with the later rows' ratings in each column it rated, summed
+    per row j by `np.bincount`, column by column in row i's order, as the
+    compiled loop sums them.  A cursor per column skips the rows j <= i:
+    every earlier row that rated the column has passed it, so it points at
+    row i's own rating.  Row i's distances are written straight into
+    `dist`.  It runs on one thread for any `threads`.
     """
     _check_threads(threads)
-    from scipy import sparse
-    n, n_columns = len(norms), len(cols_indptr) - 1
-    R = sparse.csr_matrix((rows_data, rows_indices, rows_indptr), shape=(n, n_columns))
-    RT = sparse.csr_matrix((cols_data, cols_indices, cols_indptr), shape=(n_columns, n))
-    step = max(1, -(-n // 32))
+    n = len(norms)
+    cursor = cols_indptr[:-1].copy()
     pos = 0
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        block = (R[start:stop] @ RT).toarray()
-        np.divide(block, norms[start:stop, None], out=block)
-        np.divide(block, norms[None, :], out=block)
+    for i in range(n - 1):
+        ratings = slice(rows_indptr[i], rows_indptr[i + 1])
+        columns = rows_indices[ratings]
+        starts = cursor[columns] + 1
+        cursor[columns] = starts
+        lengths = cols_indptr[columns + 1] - starts
+        at = _runs(starts, lengths)
+        products = np.repeat(rows_data[ratings], lengths) * cols_data[at]
+        out = dist[pos:pos + n - i - 1]
+        np.divide(np.bincount(cols_indices[at], products, minlength=n)[i + 1:], norms[i], out=out)
+        np.divide(out, norms[i + 1:], out=out)
         # 1 - cos clipped to [0, 2] equals 1 - (cos clipped to [-1, 1])
-        np.subtract(1.0, block, out=block)
-        np.clip(block, 0.0, 2.0, out=block)
-        for row in range(start, stop):
-            count = n - row - 1
-            dist[pos:pos + count] = block[row - start, row + 1:]
-            pos += count
-        del block   # freed before the next block's product is made
+        np.subtract(1.0, out, out=out)
+        np.clip(out, 0.0, 2.0, out=out)
+        pos += n - i - 1
 
 
-# the entries a rescan gathers at once, at most: its scratch stays small
-# next to the n^2 distances the loop works in
-_RESCAN_ENTRIES = 1 << 10
 # the input the Ward loops reject, worded as the compiled loop words it
 _WARD_BAD_INPUT = "distances must be finite and nonnegative, with finite squares"
 
@@ -94,26 +101,21 @@ def ward_loop(d: np.ndarray, merges: np.ndarray, heights: np.ndarray, threads: i
     layout of `d` and allocates `merges` and `heights`; fills the n-1 rows
     of both for the condensed distances `d` of n >= 2 clusters.
 
-    It squares `d` in place first, and raises `ValueError` before any merge
-    is written when a distance is NaN, negative or infinite or its square
-    overflows, as the compiled loop's first bounds do.  It works inside the
-    squares, pair r < c at ``d[off[r] + c]`` as in the compiled loop, but
-    keeps its own slots: the a active clusters sit in slots 0..a-1, and
-    merging slots i < j writes the Ward update into slot i's pairs and moves
-    the last active slot into the freed slot j, where the compiled loop
-    keeps its clusters in the top slots and retires the first.  The
-    tie-break compares node ids, not slots, and the update's operands of i
-    and j are symmetric, so where a cluster sits leaves the result
-    unchanged.  Each height is the square root of the merge's linkage.
-
-    What the two loops share is the pair merged at each step, the
-    lexicographically smallest id pair at the smallest distance, and the
-    operands and order of its Lance-Williams updates.  How they find the
-    pair differs: this loop keeps each row's exact minimum over its whole
-    row and, vectorised, recomputes at once every row whose minimum was its
-    distance to i or j; the compiled loop keeps lazy lower bounds on the
-    minima of the rows' contiguous upper runs and rescans a row only when
-    its bound is the smallest.
+    The compiled loop, vectorised over slots.  It squares `d` in place
+    first, and raises `ValueError` before any merge is written when a
+    distance is NaN, negative or infinite or its square overflows.  Slots
+    lo..n-1 hold the active clusters, pair r < c at ``d[off[r] + c]``, and
+    merge m retires slot lo = m: merging slots i < j writes the Ward update
+    into slot j's pairs and moves slot lo into slot i, unless i is lo, in
+    one pass.  So row r's upper run, its pairs with the slots above it, is
+    one contiguous run of active pairs.  ``umin[r]`` is a lower bound on
+    its minimum, exact unless ``stale[r]``; a merge lowers a bound to a
+    new entry below it, and marks a row stale whose exact minimum it
+    removed.  At each merge the stale rows at the smallest bound g are
+    rescanned until none is left; then g is the smallest distance, and
+    the tie scan reads only the rows whose bound is g for the
+    lexicographically smallest id pair at g.  Each height is the square
+    root of the merge's linkage.
 
     A minimum that is not finite (the Ward updates overflowed) is written
     to `heights` and ends the loop, as in the compiled loop, and the entry
@@ -131,96 +133,71 @@ def ward_loop(d: np.ndarray, merges: np.ndarray, heights: np.ndarray, threads: i
     n = len(heights) + 1
     slot = np.arange(n)
     off = slot * (2 * n - slot - 3) // 2 - 1
+    run_length = n - 1 - slot
     node_id = slot.copy()
     size = np.ones(n)
-    # row minima in one pass over the runs, keeping running column minima
-    row_min = np.full(n, np.inf)
-    for r in range(n - 1):
-        run = d[off[r] + r + 1:off[r] + n]
-        row_min[r] = min(row_min[r], run.min())
-        np.minimum(row_min[r + 1:], run, out=row_min[r + 1:])
+    umin = np.full(n, np.inf)
+    umin[:-1] = np.minimum.reduceat(d, off[:-1] + slot[:-1] + 1)
+    stale = np.zeros(n, dtype=bool)
 
-    def row(x: int, a: int) -> np.ndarray:
-        """Slot x's distances to the active slots 0..a-1, inf at x itself."""
-        return np.concatenate((d[off[:x] + x], [np.inf], d[off[x] + x + 1:off[x] + a]))
-
-    for m in range(n - 1):
-        a = n - m
-        g = row_min[:a].min()
+    for lo in range(n - 1):
+        while True:
+            g = umin[lo:].min()
+            rows = lo + np.flatnonzero((umin[lo:] == g) & stale[lo:])
+            if not len(rows):
+                break
+            lengths = run_length[rows]
+            umin[rows] = np.minimum.reduceat(d[_runs(off[rows] + rows + 1, lengths)], np.cumsum(lengths) - lengths)
+            stale[rows] = False
         if not g < np.inf:
-            heights[m] = g
+            heights[lo] = g
             return
 
-        # all pairs (r, c > r) at the minimum, lexicographic smallest id pair
-        # wins; each such pair sits in the upper run of a row whose minimum is g
-        rows = np.flatnonzero(row_min[:a] == g)
-        lengths = a - 1 - rows
-        ends = np.cumsum(lengths)
-        at = np.repeat(off[rows] + rows + 1 - ends + lengths, lengths) + np.arange(ends[-1])
+        # every pair at g lies in a row whose bound is g; the smallest id
+        # pair wins, ids below 2n
+        rows = lo + np.flatnonzero(umin[lo:] == g)
+        at = _runs(off[rows] + rows + 1, run_length[rows])
         hit = d[at] == g
-        r = np.repeat(rows, lengths)[hit]
+        r = np.repeat(rows, run_length[rows])[hit]
         c = at[hit] - off[r]
-        x, y = node_id[r], node_id[c]
-        lo, hi = np.minimum(x, y), np.maximum(x, y)
-        best = np.lexsort((hi, lo))[0]
+        low, high = np.minimum(node_id[r], node_id[c]), np.maximum(node_id[r], node_id[c])
+        best = np.argmin(low * 2 * n + high)
         i, j = int(r[best]), int(c[best])
-        merges[m, 0], merges[m, 1] = lo[best], hi[best]
-        heights[m] = np.sqrt(g)
+        merges[lo] = low[best], high[best]
+        heights[lo] = np.sqrt(g)
 
-        # Ward update of slot i against every active slot; the inf of rows
-        # i and j at their own slots makes new_d inf there, and the one at
-        # j is written to the dead pair (i, j)
-        old_i = row(i, a)
-        old_j = row(j, a)
-        s = size[:a]
-        new_d = ((size[i] + s) * old_i + (size[j] + s) * old_j - s * g) / (size[i] + size[j] + s)
-        np.maximum(new_d, 0.0, out=new_d)
+        # slot k's pairs with i and j, and slot lo's pair with k; k = lo,
+        # when i is not lo, writes only pairs of the retired row lo, and its
+        # update also goes to the pair (i, j)
+        k = slot[lo:]
+        k = k[(k != i) & (k != j)]
+        at_i, at_j = off[np.minimum(k, i)] + np.maximum(k, i), off[np.minimum(k, j)] + np.maximum(k, j)
+        old_i, old_j, moved, s = d[at_i], d[at_j], d[off[lo] + k], size[k]
+        v = ((size[i] + s) * old_i + (size[j] + s) * old_j - s * g) / ((size[i] + size[j]) + s)
+        np.maximum(v, 0.0, out=v)
+        d[at_i] = moved
+        d[at_j] = v
+        if i != lo:
+            d[off[i] + j] = v[0]
 
-        # row minima: direct improvement, else recompute rows whose old
-        # minimum was their distance to i or j (row i is recomputed below,
-        # row j leaves)
-        rm = row_min[:a]
-        improved = new_d < rm
-        stale = ~improved & ((rm == old_i) | (rm == old_j))
-        stale[j] = False
-        rm[improved] = new_d[improved]
-        d[off[:i] + i] = new_d[:i]
-        d[off[i] + i + 1:off[i] + a] = new_d[i + 1:]
-        size[i] += size[j]
-        node_id[i] = n + m
+        # rows k < j gain v, and rows k < i also the moved entry, in their
+        # upper runs; rows k > j keep theirs
+        below = (k < j) & (k != lo)
+        k, under_i = k[below], k[below] < i
+        new = np.where(under_i, np.fmin(v[below], moved[below]), v[below])
+        bound = umin[k]
+        improved = new < bound
+        lost = (bound == old_j[below]) | (under_i & (bound == old_i[below]))
+        stale[k] = ~improved & (stale[k] | lost)
+        umin[k] = np.where(improved, new, bound)
 
-        # the last active slot moves into the freed slot j
-        last = a - 1
-        if j != last:
-            moved = d[off[:last] + last]
-            d[off[:j] + j] = moved[:j]
-            d[off[j] + j + 1:off[j] + last] = moved[j + 1:]
-            size[j] = size[last]
-            node_id[j] = node_id[last]
-            row_min[j] = row_min[last]
-            stale[j] = stale[last]
-        stale[i] = True
-        _rescan(d, off, row_min, np.flatnonzero(stale[:last]), last)
-
-
-def _rescan(d: np.ndarray, off: np.ndarray, row_min: np.ndarray, rows: np.ndarray, a: int) -> None:
-    """Sets the minimum of each of the slots `rows` over its distances to
-    the active slots 0..a-1, itself left out, gathering the rows' entries
-    in blocks of at most `_RESCAN_ENTRIES`.  A minimum is the same in any
-    order: after squaring, no distance is NaN or -0.0."""
-    slots = np.arange(a)
-    step = max(1, _RESCAN_ENTRIES // a)
-    for start in range(0, len(rows), step):
-        block = rows[start:start + step, None]
-        # pair (lo, hi) sits at d[off[lo] + hi]; at a row's own slot this
-        # reads some other entry, which inf replaces
-        at = np.minimum(block, slots)
-        np.take(off, at, out=at)
-        at += np.maximum(block, slots)
-        entries = d[at]
-        del at
-        entries[np.arange(len(block)), block[:, 0]] = np.inf
-        row_min[block[:, 0]] = entries.min(axis=1)
+        size[j] += size[i]
+        node_id[j] = n + lo
+        size[i], node_id[i] = size[lo], node_id[lo]
+        for x in (i, j):
+            umin[x] = np.fmin.reduce(d[off[x] + x + 1:off[x] + n], initial=np.inf)
+        stale[[i, j, lo]] = False
+        umin[lo] = np.inf
 
 
 def sgd_epoch(
@@ -293,8 +270,7 @@ def knn_query(
     lo, hi = rp[entity], rp[entity + 1]
     starts = cp[ri[lo:hi]]
     lengths = cp[ri[lo:hi] + 1] - starts
-    ends = np.cumsum(lengths)
-    pos = np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
+    pos = _runs(starts, lengths)
     who = ci[pos]
     dots = np.bincount(who, weights=np.repeat(rd[lo:hi], lengths) * cd[pos], minlength=len(norms))[neighbors]
     # an all-zero neighbor has no direction: similarity 0, not 0/0

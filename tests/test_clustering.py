@@ -178,11 +178,10 @@ class TestAgglomerate:
         assert heights.tolist() == [0.0, 0.0]
 
     def test_peak_memory_half_matrix(self, kernel_backend):
-        # the condensed distances (n(n-1)/2 doubles), the ratings laid out
-        # along both axes, and with the numpy loops one block of the sparse
-        # product; both merge loops work inside the distances.  Here 0.62
-        # (compiled) and 0.71 (numpy): 40 ratings per user make the layout
-        # large next to the distances
+        # the condensed distances (n(n-1)/2 doubles) and the ratings laid
+        # out along both axes; both merge loops work inside the distances.
+        # Here 0.62 (compiled) and 0.65 (numpy): 40 ratings per user make
+        # the layout large next to the distances
         rng = np.random.default_rng(12)
         rows = [
             (f"u{u}", f"i{i}", int(rng.integers(1, 11)) / 2.0)

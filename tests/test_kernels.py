@@ -405,8 +405,9 @@ class TestWardKernel:
             np.fill_diagonal(repeated, 0.0)
             cases += [_tie_heavy_dist(rng, n), repeated, _random_dist(rng, n)]
             if n < 300:
-                # every pair tied; at n=300 the numpy loops' tie scans
-                # would take about 12 s
+                # every pair tied; at n=300 the oracle takes about 1.9 s on
+                # each such input, so the backends check those against each
+                # other alone, in test_backends_agree_on_a_benchmark_fold
                 cases += [np.ones((n, n)) - np.eye(n), np.zeros((n, n))]
         for d in cases:
             merges, heights = ward_linkage(condensed(d))
@@ -428,14 +429,23 @@ class TestWardKernel:
 
     def test_backends_agree_on_a_benchmark_fold(self, each_backend):
         # the training set of one fold of the FilmTrust-shaped benchmark
-        # data: 1,500 users, whose hierarchy the compiled loop builds with
-        # about 3,000 lazy rescans
+        # data: 1,500 users, whose hierarchy the loops build with about
+        # 3,000 lazy rescans; then the plateaus of sparse data, where the
+        # tie scan does most of the work: every pair tied at n=300, and
+        # 1,500 clusterable users on 50 items, 93% of whose distances are
+        # exactly 1.0
         dataset = benchmark_dataset("ft", 1)
         train, _ = fold_train_test(dataset, kfold_split(dataset, 10, 42), 0)
-        d = kernels.cosine_distance_matrix(train, clusterable_users(train))
-        (merges, heights), (c_merges, c_heights) = [kernels.ward_linkage(d.copy()) for _ in each_backend]
-        assert merges.tobytes() == c_merges.tobytes()
-        assert heights.tobytes() == c_heights.tobytes()
+        cases = [kernels.cosine_distance_matrix(train, clusterable_users(train))]
+        cases += [np.ones(300 * 299 // 2), np.zeros(300 * 299 // 2)]
+        sparse = _plateau_dataset(np.random.default_rng(80), n_users=1539, n_items=50)
+        plateau = [kernels.cosine_distance_matrix(sparse, clusterable_users(sparse)) for _ in each_backend]
+        assert plateau[0].tobytes() == plateau[1].tobytes()
+        assert len(plateau[0]) == 1500 * 1499 // 2 and round(np.mean(plateau[0] == 1.0), 2) == 0.93
+        for d in cases + plateau[:1]:
+            (merges, heights), (c_merges, c_heights) = [kernels.ward_linkage(d.copy()) for _ in each_backend]
+            assert merges.tobytes() == c_merges.tobytes()
+            assert heights.tobytes() == c_heights.tobytes()
 
     def test_merge_ids_form_a_tree(self, ward_linkage):
         rng = np.random.default_rng(72)
