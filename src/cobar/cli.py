@@ -103,7 +103,10 @@ def _load_dataset(args):
 
 
 def _check_output_dir(path) -> None:
-    """Fail before any work when the directory an output goes to is missing."""
+    """Fail before any work when the directory an output goes to is missing,
+    or when the output path is a directory itself."""
+    if path and Path(path).is_dir():
+        raise IsADirectoryError(f"output path is a directory: {path}")
     if path and not Path(path).parent.is_dir():
         raise FileNotFoundError(f"output directory not found: {Path(path).parent} (for {path})")
 
@@ -203,7 +206,7 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(args)
         return cmd_predict(args)
-    except (FileNotFoundError, ParseError, KeyError, ValueError) as exc:
+    except (OSError, ParseError, KeyError, ValueError) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) else str(exc)
         print(f"error: {message}", file=sys.stderr)

@@ -28,18 +28,20 @@ does, and clip ``1 - (dot / norm_i) / norm_j`` to [0, 2] with NaN passing.
 The two Ward loops are one algorithm: they square the distances in place,
 checking each as they square it, and merge the same pair with the same
 Lance-Williams operands at every step, found through the same slots and
-lazy bounds on the rows' minima.  Both backends give the same distances, merges, heights, CSR layouts, MF updates, kNN
-aggregates, cluster statistics and parsed datasets bit for bit: only speed
-depends on BACKEND.
+lazy bounds on the rows' minima.  Both backends give the same distances,
+merges, heights, CSR layouts, MF updates, kNN aggregates, cluster
+statistics and parsed datasets bit for bit: only speed depends on BACKEND.
 
-The two n^2 loops of a fit take a thread count, which `_threads` picks: 2
-when the input is above the compiled loop's floor (`COSINE_FLOOR` users,
-`WARD_FLOOR` clusters, 2,000 each) and the process may run on two CPUs
-(`os.sched_getaffinity`), 1 otherwise; there is no option for it.  The
-compiled cosine pass and Ward loop release the GIL, and with 2 threads
-split their rows, or each merge's update and move, with one worker
-thread; the compiled queries keep the GIL.  The numpy loops run on one
-thread for either count.  Results never depend on the thread count.
+Only data crosses into a loop: no entry hands one a thread count or a
+work buffer.  The compiled cosine pass and Ward loop release the GIL and
+pick their own thread count: 2 when the input is above the loop's floor
+(`COSINE_FLOOR` users, `WARD_FLOOR` clusters, 2,000 each) and the process
+may run on two CPUs, 1 otherwise, with no option for it.  They return the
+count, which the entries ignore.  With 2 they split their rows, or each
+merge's update and move, with one worker thread.  The numpy loops run on
+one thread.  Results never depend on the thread count.  The compiled kNN
+query allocates its work buffers once, when it is bound, and the compiled
+queries keep the GIL.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ import functools
 import importlib.util
 import math
 import operator
-import os
 from collections.abc import Callable, Mapping
 
 import numpy as np
@@ -80,7 +81,7 @@ if _missing:
     )
 # the layout of the arguments the entries below hand the compiled loops,
 # `LAYOUT` in `_compiled.c`; an extension from before it has layout 1
-_LAYOUT = 6
+_LAYOUT = 7
 if _compiled and getattr(_compiled, "LAYOUT", 1) != _LAYOUT:
     # e.g. an extension whose queries read int32 indices as int64
     raise ImportError(
@@ -136,19 +137,8 @@ def cosine_distance_matrix(dataset: RatingDataset, users) -> np.ndarray:
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise ValueError(f"user at position {bad} has a zero-norm rating vector")
     dist = np.empty(n * (n - 1) // 2, dtype=np.float64)
-    _loops.cosine_rows(*rows, *cols, norms, dist, _threads(n, "COSINE_FLOOR"))
+    _loops.cosine_rows(*rows, *cols, norms, dist)
     return dist
-
-
-def _threads(n: int, floor: str) -> int:
-    """The threads an n^2 loop of `_loops` over n rows gets: 2 when n is
-    above the loop's `floor`, a constant only the compiled loops have, and
-    this process may run on two CPUs or more; 1 otherwise."""
-    limit = getattr(_loops, floor, None)
-    if limit is None or n <= limit:
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return 2 if cpus > 1 else 1
 
 
 def _nonzero_square_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -228,7 +218,7 @@ def ward_linkage(d) -> tuple[np.ndarray, np.ndarray]:
     merges = np.empty((n - 1, 2), dtype=np.int64)
     heights = np.empty(n - 1, dtype=np.float64)
     if n > 1:
-        _loops.ward_loop(d, merges, heights, _threads(n, "WARD_FLOOR"))
+        _loops.ward_loop(d, merges, heights)
         # a loop stops at the first height that is not finite
         if not np.isfinite(heights).all():
             raise OverflowError("Ward linkage overflowed: a merge height is not finite")
@@ -325,11 +315,11 @@ class KnnIndex:
     in ascending column order from +0.0, as the numpy loop's `bincount`
     does; the walk also adds a zero product for each column the entity did
     not rate, which changes no bit, as a sum of finite terms begun at +0.0
-    is never -0.0.  Its two buffers are allocated here: one slot per entity
-    of the longest column, and the scratch of max(entities, columns) zeros,
-    which each query zeroes again.  The loop is bound to its arrays and k
-    here, once; the bound query holds them, the scratch too, so two threads
-    must not query one index at once, and the compiled query keeps the GIL.
+    is never -0.0.  The loop is bound to its arrays and k here, once; the
+    compiled bound query then allocates its work buffers, the scratch among
+    them, which each query leaves zeroed, and holds them until it is freed.
+    It keeps the GIL throughout a query, so queries from several threads
+    never see each other's work.
     """
 
     def __init__(self, train: RatingDataset, user_major: bool, means, k: int):
@@ -350,12 +340,7 @@ class KnnIndex:
         # each row's squares summed in ascending column order
         entity_of = np.repeat(np.arange(self.n_entities), np.diff(rows[0]))
         norms = np.sqrt(np.bincount(entity_of, weights=rows[2] * rows[2], minlength=self.n_entities))
-        # the compiled loop's buffers: one slot per position in the longest
-        # column, and a scratch indexed by entity or by column that each
-        # query leaves zeroed
-        neighbours = np.empty(int(np.diff(cols[0]).max(initial=0)))
-        scratch = np.zeros(max(self.n_entities, self.n_columns))
-        self._arrays = (*rows, *cols, norms, means.copy(), neighbours, scratch)
+        self._arrays = (*rows, *cols, norms, means.copy())
         self._query = _loops.bind_knn_query(*self._arrays, self.k)
 
     def __getstate__(self):

@@ -24,18 +24,19 @@
  * block of 32 rows and prefetches the strided column entries it updates
  * and moves.
  *
- * These two n^2 loops release the GIL, and each takes a thread count, 1 or
- * 2 (`ValueError` otherwise, before any thread starts).  With 2, above its
- * floor (COSINE_FLOOR rows, WARD_FLOOR clusters), a loop splits its work
- * with one POSIX worker thread: the cosine pass its rows, in two ranges of
- * about half the pairs each; the Ward loop its first bounds and, at each
- * merge, the update and the move over the active slots, while the pair
- * search, the rescans and the tie scan stay on the calling thread.  Every
- * entry is computed as on one thread and row minima are combined in slot
- * order, so the results never depend on the thread count.  The calling
- * thread allocates every buffer and joins the worker before it returns,
- * also when the Ward loop stops at an overflow.  Without POSIX threads, or
- * when the worker cannot start, the loops run on the calling thread.
+ * These two n^2 loops release the GIL and choose their own thread count,
+ * which they return: 2 when the input is above the loop's floor
+ * (COSINE_FLOOR rows, WARD_FLOOR clusters) and the process may run on two
+ * CPUs or more, 1 otherwise.  With 2, a loop splits its work with one POSIX
+ * worker thread: the cosine pass its rows, in two ranges of about half the
+ * pairs each; the Ward loop its first bounds and, at each merge, the
+ * update and the move over the active slots, while the pair search, the
+ * rescans and the tie scan stay on the calling thread.  Every entry is
+ * computed as on one thread and row minima are combined in slot order, so
+ * the results never depend on the thread count.  The calling thread
+ * allocates every buffer and joins the worker before it returns, also when
+ * the Ward loop stops at an overflow.  Without POSIX threads, or when the
+ * worker cannot start, the loops run on the calling thread.
  *
  * `sgd_epoch` performs the steps of `cobar.kernels._python.sgd_epoch` in
  * the same order: the prediction is global mean + user bias + item bias +
@@ -72,7 +73,9 @@
  * The two queries run once per prediction, so they are bound: a
  * `bind_knn_query` or `bind_stats_query` call takes the arrays once and
  * returns a `BoundQuery`, which holds their buffers until it is freed and
- * whose call parses only the two indices of a query.
+ * whose call parses only the two indices of a query.  The bound kNN query
+ * also owns its work buffers, allocated once at the bind, so a query
+ * allocates nothing.
  *
  * No loop checks its arrays: `cobar.kernels` checks every shape, element
  * type, length and index before it calls in, and only the buffer codes
@@ -95,6 +98,7 @@
 #include <sched.h>
 #include <stdatomic.h>
 #include <time.h>
+#include <unistd.h>
 #endif
 
 /* Each n^2 loop splits only above its floor: the cosine pass over more than
@@ -243,11 +247,31 @@ pair_stop(Pair *pair)
                           memory_order_release);
     pthread_join(pair->thread, NULL);
 }
+
+/* Whether this process may run on two CPUs or more: the CPUs of its
+ * affinity, as `os.sched_getaffinity` counts them, or where that cannot be
+ * read, those online, as `os.cpu_count` counts them. */
+static int
+two_cpus(void)
+{
+#if defined(HAVE_SCHED_SETAFFINITY) && defined(CPU_COUNT)
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof set, &set) == 0)
+        return CPU_COUNT(&set) > 1;
+#endif
+    return sysconf(_SC_NPROCESSORS_ONLN) > 1;
+}
 #else
 /* No worker ever starts, and every part runs on the calling thread. */
 typedef struct {
     int stalls;
 } Pair;
+
+static int
+two_cpus(void)
+{
+    return 0;
+}
 
 static int
 pair_start(Pair *pair, void (*run)(void *, int), void *ctx)
@@ -265,16 +289,6 @@ pair_stop(Pair *pair)
 {
 }
 #endif
-
-/* The thread count a loop was handed, 1 or 2; ValueError otherwise. */
-static int
-check_threads(int threads)
-{
-    if (threads == 1 || threads == 2)
-        return 0;
-    PyErr_Format(PyExc_ValueError, "threads must be 1 or 2, got %d", threads);
-    return -1;
-}
 
 /* The layout of `cobar.kernels.csr_rows`: the n rating triples (int32
  * keys and others, ratings) in CSR form with the keys as rows, each row
@@ -412,18 +426,17 @@ cosine_part(void *ctx, int part)
  * j > i are summed in `acc`, item by item in row i's order; a cursor per
  * column skips the rows j <= i, which every earlier row that rated the item
  * has passed.  Row i's distances are then written to `dist`, in pdist
- * order, and its sums zeroed for the next row.  With two threads and more
- * than COSINE_FLOOR rows, the rows split in two ranges of about half the
- * pairs each, the first n(1 - 1/sqrt 2) rows and the rest; each range has
- * its own sums and cursors, which skip the rows before it as they skip row
- * i's, and writes its own pairs. */
+ * order, and its sums zeroed for the next row.  Above COSINE_FLOOR rows, on
+ * two CPUs, the rows split in two ranges of about half the pairs each, the
+ * first n(1 - 1/sqrt 2) rows and the rest; each range has its own sums and
+ * cursors, which skip the rows before it as they skip row i's, and writes
+ * its own pairs.  Returns the number of threads the pass ran on. */
 static PyObject *
 cosine_rows(PyObject *self, PyObject *args)
 {
     Py_buffer b[8];
-    int threads;
-    if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*y*w*i:cosine_rows", &b[0], &b[1], &b[2], &b[3], &b[4], &b[5],
-                          &b[6], &b[7], &threads))
+    if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*y*w*:cosine_rows", &b[0], &b[1], &b[2], &b[3], &b[4], &b[5],
+                          &b[6], &b[7]))
         return NULL;
     Cosine c = {
         .rp = b[0].buf, .ri = b[1].buf, .rd = b[2].buf, .cp = b[3].buf, .ci = b[4].buf, .cd = b[5].buf,
@@ -431,9 +444,7 @@ cosine_rows(PyObject *self, PyObject *args)
         .n = b[6].len / (Py_ssize_t)sizeof(double), .n_columns = b[3].len / (Py_ssize_t)sizeof(int64_t) - 1,
     };
     PyObject *result = NULL;
-    if (check_threads(threads) < 0)
-        goto done;
-    int parts = threads == 2 && c.n > COSINE_FLOOR ? 2 : 1;
+    int parts = c.n > COSINE_FLOOR && two_cpus() ? 2 : 1;
     c.split = parts == 2 ? c.n - (Py_ssize_t)(c.n / sqrt(2.0)) : c.n;
     /* the worker's buffers too are allocated here, by the calling thread */
     for (int part = 0; part < parts; part++) {
@@ -450,10 +461,12 @@ cosine_rows(PyObject *self, PyObject *args)
         pair_run(&pair);
         pair_stop(&pair);
     }
-    else
+    else {
+        parts = 1;
         cosine_range(&c, 0, c.n, c.acc[0], c.cursor[0]);
+    }
     Py_END_ALLOW_THREADS
-    result = Py_NewRef(Py_None);
+    result = PyLong_FromLong(parts);
 done:
     for (int part = 0; part < 2; part++) {
         PyMem_Free(c.acc[part]);
@@ -700,21 +713,20 @@ ward_part(void *ctx, int part)
  * reads only those rows.  A rescan reads one contiguous run, up to its
  * first entry equal to g.
  *
- * The search, the rescans and the tie scan run on the calling thread.  With
- * two threads and more than WARD_FLOOR clusters, the first bounds split at
- * half the entries, as the cosine pass splits, and while more than
- * WARD_FLOOR slots are active, a merge's pass runs in two parts, over the
- * active slots below and above WARD_SHARE percent of the way up.  Row i's
- * and row j's minima are the parts' taken in slot order, the first
- * smallest as a serial scan finds it, so the bits do not depend on the
- * split.  After MAX_STALLS stalls the loop runs on the calling thread
- * alone. */
+ * The search, the rescans and the tie scan run on the calling thread.  Above
+ * WARD_FLOOR clusters, on two CPUs, the first bounds split at half the
+ * entries, as the cosine pass splits, and while more than WARD_FLOOR slots
+ * are active, a merge's pass runs in two parts, over the active slots below
+ * and above WARD_SHARE percent of the way up.  Row i's and row j's minima
+ * are the parts' taken in slot order, the first smallest as a serial scan
+ * finds it, so the bits do not depend on the split.  After MAX_STALLS
+ * stalls the loop runs on the calling thread alone.  Returns the number of
+ * threads the loop started on. */
 static PyObject *
 ward_loop(PyObject *self, PyObject *args)
 {
     Py_buffer d, merges_view, heights_view;
-    int threads;
-    if (!PyArg_ParseTuple(args, "w*w*w*i:ward_loop", &d, &merges_view, &heights_view, &threads))
+    if (!PyArg_ParseTuple(args, "w*w*w*:ward_loop", &d, &merges_view, &heights_view))
         return NULL;
     double *D = d.buf, *heights = heights_view.buf;
     int64_t *merges = merges_view.buf;
@@ -725,8 +737,6 @@ ward_loop(PyObject *self, PyObject *args)
     double *size = NULL, *umin = NULL, *bmin = NULL;
     char *stale = NULL;
     PyObject *result = NULL;
-    if (check_threads(threads) < 0)
-        goto done;
     off = PyMem_New(Py_ssize_t, n);
     node_id = PyMem_New(int64_t, n);
     size = PyMem_New(double, n);
@@ -738,7 +748,7 @@ ward_loop(PyObject *self, PyObject *args)
         goto done;
     }
     Ward w = {.D = D, .size = size, .umin = umin, .bmin = bmin, .off = off, .stale = stale, .n = n, .first = 1};
-    int bad;
+    int bad, threads;
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t r = 0; r < n_blocks * WARD_BLOCK; r++)
         umin[r] = INFINITY;
@@ -750,7 +760,8 @@ ward_loop(PyObject *self, PyObject *args)
     /* the worker runs while more than WARD_FLOOR slots are active; the
      * first bounds split as the cosine pass does, at half the pairs */
     Pair pair;
-    int split = threads == 2 && n > WARD_FLOOR && pair_start(&pair, ward_part, &w);
+    int split = n > WARD_FLOOR && two_cpus() && pair_start(&pair, ward_part, &w);
+    threads = 1 + split;
     if (split) {
         w.split = n - (Py_ssize_t)(n / sqrt(2.0));
         pair_run(&pair);
@@ -870,7 +881,7 @@ ward_loop(PyObject *self, PyObject *args)
     if (bad)
         PyErr_SetString(PyExc_ValueError, WARD_BAD_INPUT);
     else
-        result = Py_NewRef(Py_None);
+        result = PyLong_FromLong(threads);
 done:
     PyMem_Free(off);
     PyMem_Free(node_id);
@@ -962,8 +973,9 @@ similarity(double dot, double norm_e, double norm_nb)
 }
 
 /* A query loop bound to its arrays: `views` holds the buffers of a
- * `bind_*` call's arrays, released when the object is freed, and `k` the
- * kNN query's neighbour count.  A call parses the query's two indices and
+ * `bind_*` call's arrays, released when the object is freed, and `k` and
+ * the four work buffers, one allocation at `neighbours` freed with the
+ * object, are the kNN query's.  A call parses the query's two indices and
  * runs `run` on them. */
 typedef struct BoundQuery BoundQuery;
 
@@ -972,8 +984,9 @@ struct BoundQuery {
     vectorcallfunc vectorcall;
     PyObject *(*run)(BoundQuery *, Py_ssize_t, Py_ssize_t);
     Py_ssize_t k;
+    double *neighbours, *scratch, *sims, *terms;
     int n_views;
-    Py_buffer views[10];
+    Py_buffer views[8];
 };
 
 static PyObject *
@@ -999,6 +1012,7 @@ bound_dealloc(PyObject *op)
     BoundQuery *self = (BoundQuery *)op;
     for (int a = 0; a < self->n_views; a++)
         PyBuffer_Release(&self->views[a]);
+    PyMem_Free(self->neighbours);
     Py_TYPE(op)->tp_free(op);
 }
 
@@ -1013,17 +1027,15 @@ static PyTypeObject BoundQueryType = {
     .tp_doc = "A query loop bound to its arrays, called with the query's two indices.",
 };
 
-/* A new BoundQuery of `run`, holding no buffer yet. */
+/* A new BoundQuery of `run`, zeroed: it holds no buffer yet. */
 static BoundQuery *
 bound_new(PyObject *(*run)(BoundQuery *, Py_ssize_t, Py_ssize_t))
 {
-    BoundQuery *self = PyObject_New(BoundQuery, &BoundQueryType);
+    BoundQuery *self = (BoundQuery *)PyType_GenericAlloc(&BoundQueryType, 0);
     if (self == NULL)
         return NULL;
     self->vectorcall = bound_call;
     self->run = run;
-    self->k = 0;
-    self->n_views = 0;
     return self;
 }
 
@@ -1032,10 +1044,11 @@ bound_new(PyObject *(*run)(BoundQuery *, Py_ssize_t, Py_ssize_t))
  * against 1.0-1.1 ns per element on FilmTrust-shaped folds, x86-64, gcc). */
 #define SCATTER_COST 2
 
-/* The query of `_python.knn_query` on the CSR arrays of both axes.  The
- * dot products of `entity` with the entities rated in `column` are summed
- * into `neighbours`, one slot per position in the column, from the side
- * that visits fewer elements:
+/* The query of `_python.knn_query` on the CSR arrays of both axes, in the
+ * work buffers of `bind_knn_query`, so a call allocates nothing.  The dot
+ * products of `entity` with the entities rated in `column` are summed into
+ * `neighbours`, one slot per position in the column, from the side that
+ * visits fewer elements:
  *  - scatter: every rating of every column the entity rated is added, times
  *    the entity's rating there, to an entity-indexed `scratch`, which is
  *    read at the column's entities and zeroed again;
@@ -1048,9 +1061,9 @@ bound_new(PyObject *(*run)(BoundQuery *, Py_ssize_t, Py_ssize_t))
  * rate; a sum of finite terms begun at +0.0 is never -0.0 under
  * round-to-nearest, so those terms change no bit.  `scratch` holds
  * max(entities, columns) zeros between calls; the GIL is held throughout,
- * so no other query can see it in between.  Returns the weighted mean
- * deviation of the top k positive neighbours in `column`, or None when no
- * neighbour is positive. */
+ * so no other query can see it in between.  The top k go to `sims` and
+ * `terms`.  Returns the weighted mean deviation of the top k positive
+ * neighbours in `column`, or None when no neighbour is positive. */
 static PyObject *
 knn_query(BoundQuery *bound, Py_ssize_t entity, Py_ssize_t column)
 {
@@ -1059,16 +1072,12 @@ knn_query(BoundQuery *bound, Py_ssize_t entity, Py_ssize_t column)
     const int64_t *rp = b[0].buf, *cp = b[3].buf;
     const int32_t *ri = b[1].buf, *ci = b[4].buf;
     const double *rd = b[2].buf, *cd = b[5].buf, *norms = b[6].buf, *means = b[7].buf;
-    double *neighbours = b[8].buf, *scratch = b[9].buf;
+    double *neighbours = bound->neighbours, *scratch = bound->scratch, *sims = bound->sims, *terms = bound->terms;
     double norm_e = norms[entity];
     int64_t first = cp[column], end = cp[column + 1], lo = rp[entity], hi = rp[entity + 1];
-    PyObject *result = NULL;
-    double *sims = NULL, *terms = NULL;
 
-    if (norm_e == 0.0 || first == end) {
-        result = Py_NewRef(Py_None);
-        goto done;
-    }
+    if (norm_e == 0.0 || first == end)
+        Py_RETURN_NONE;
     /* each int32 index is widened as it is read: under Python's -fwrapv,
      * cp[ri[p] + 1] adds in 32 bits and extends the sum again, which made
      * the query 5-6% slower than on int64 indices (ft, gcc 12, x86-64) */
@@ -1120,16 +1129,8 @@ knn_query(BoundQuery *bound, Py_ssize_t entity, Py_ssize_t column)
             positive++;
     }
     Py_ssize_t m = positive < k ? positive : k;
-    if (m == 0) {
-        result = Py_NewRef(Py_None);
-        goto done;
-    }
-    sims = PyMem_New(double, m);
-    terms = PyMem_New(double, m);
-    if (!sims || !terms) {
-        PyErr_NoMemory();
-        goto done;
-    }
+    if (m == 0)
+        Py_RETURN_NONE;
     /* the positive neighbours in column order; with more than k of them,
      * the top k by (-similarity, position), kept sorted by insertion, which
      * are the ones the stable argsort on -similarity picks, in its order */
@@ -1155,16 +1156,14 @@ knn_query(BoundQuery *bound, Py_ssize_t entity, Py_ssize_t column)
     }
     for (Py_ssize_t j = 0; j < m; j++)
         terms[j] = sims[j] * terms[j];
-    result = PyFloat_FromDouble(pairwise_sum(terms, m) / pairwise_sum(sims, m));
-
-done:
-    PyMem_Free(sims);
-    PyMem_Free(terms);
-    return result;
+    return PyFloat_FromDouble(pairwise_sum(terms, m) / pairwise_sum(sims, m));
 }
 
-/* The kNN query bound to the ten arrays of `cobar.kernels.KnnIndex`, in
- * the order `_python.knn_query` takes them, and k. */
+/* The kNN query bound to the eight arrays of `cobar.kernels.KnnIndex`, in
+ * the order `_python.knn_query` takes them, and k >= 1, with its work
+ * buffers: one slot per position in the longest column for `neighbours`,
+ * max(entities, columns) zeros for `scratch`, and min(k, longest column)
+ * slots each for `sims` and `terms`. */
 static PyObject *
 bind_knn_query(PyObject *module, PyObject *args)
 {
@@ -1173,12 +1172,28 @@ bind_knn_query(PyObject *module, PyObject *args)
         return NULL;
     Py_buffer *b = bound->views;
     /* on failure the parser releases the buffers it took */
-    if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*y*y*w*w*n:bind_knn_query", &b[0], &b[1], &b[2], &b[3], &b[4],
-                          &b[5], &b[6], &b[7], &b[8], &b[9], &bound->k)) {
+    if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*y*y*n:bind_knn_query", &b[0], &b[1], &b[2], &b[3], &b[4], &b[5],
+                          &b[6], &b[7], &bound->k)) {
         Py_DECREF(bound);
         return NULL;
     }
-    bound->n_views = 10;
+    bound->n_views = 8;
+    const int64_t *cp = b[3].buf;
+    Py_ssize_t n_columns = b[3].len / (Py_ssize_t)sizeof(int64_t) - 1;
+    Py_ssize_t n_entities = b[6].len / (Py_ssize_t)sizeof(double), longest = 0;
+    for (Py_ssize_t c = 0; c < n_columns; c++)
+        if (cp[c + 1] - cp[c] > longest)
+            longest = cp[c + 1] - cp[c];
+    Py_ssize_t width = n_entities > n_columns ? n_entities : n_columns;
+    Py_ssize_t top = bound->k < longest ? bound->k : longest;
+    bound->neighbours = PyMem_Calloc(longest + width + 2 * top, sizeof(double));
+    if (bound->neighbours == NULL) {
+        Py_DECREF(bound);
+        return PyErr_NoMemory();
+    }
+    bound->scratch = bound->neighbours + longest;
+    bound->sims = bound->scratch + width;
+    bound->terms = bound->sims + top;
     return (PyObject *)bound;
 }
 
@@ -1573,22 +1588,23 @@ static PyMethodDef methods[] = {
      "csr_fill(keys, others, ratings, n_others, indptr, indices, data)\n--\n\n"
      "The layout of `cobar.kernels.csr_rows`, which allocates its arrays, by a counting sort."},
     {"cosine_rows", cosine_rows, METH_VARARGS,
-     "cosine_rows(rows_indptr, rows_indices, rows_data, cols_indptr, cols_indices, cols_data, norms, dist,"
-     " threads)\n--\n\n"
-     "The distance pass of `cobar.kernels.cosine_distance_matrix`, which lays out its arguments, on 1 or 2"
-     " threads."},
+     "cosine_rows(rows_indptr, rows_indices, rows_data, cols_indptr, cols_indices, cols_data, norms, dist)"
+     "\n--\n\n"
+     "The distance pass of `cobar.kernels.cosine_distance_matrix`, which lays out its arguments; returns"
+     " the number of threads it ran on, 1 or 2."},
     {"ward_loop", ward_loop, METH_VARARGS,
-     "ward_loop(d, merges, heights, threads)\n--\n\n"
-     "The merge loop of `cobar.kernels.ward_linkage`, which checks its arguments, on 1 or 2 threads."},
+     "ward_loop(d, merges, heights)\n--\n\n"
+     "The merge loop of `cobar.kernels.ward_linkage`, which checks its arguments; returns the number of"
+     " threads it started on, 1 or 2."},
     {"sgd_epoch", sgd_epoch, METH_VARARGS,
      "sgd_epoch(users, items, ratings, order, user_factors, item_factors, user_bias, item_bias,"
      " global_mean, learning_rate, regularization)\n--\n\n"
      "The epoch of `cobar.kernels.mf_sgd_epoch`, which checks its arguments."},
     {"bind_knn_query", bind_knn_query, METH_VARARGS,
      "bind_knn_query(rows_indptr, rows_indices, rows_data, cols_indptr, cols_indices, cols_data, norms, means,"
-     " neighbours, scratch, k)\n--\n\n"
-     "The query of `cobar.kernels.KnnIndex`, which checks its arguments, bound to its arrays and k:"
-     " a `query(entity, column)`."},
+     " k)\n--\n\n"
+     "The query of `cobar.kernels.KnnIndex`, which checks its arguments, bound to its arrays and k, with"
+     " work buffers of its own: a `query(entity, column)`."},
     {"stats_build", stats_build, METH_VARARGS,
      "stats_build(index, positions, ratings, nodes, gap_nodes, gaps)\n--\n\n"
      "The build of `cobar.kernels.ClusterStatsIndex`, which lays out its arguments."},
@@ -1607,7 +1623,7 @@ static PyMethodDef methods[] = {
  * import.  Raise it with every change to an argument's type or order, so
  * that an extension built from older source is rejected instead of reading
  * arguments laid out for another. */
-#define LAYOUT 6
+#define LAYOUT 7
 
 static int
 exec_module(PyObject *module)

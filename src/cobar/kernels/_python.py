@@ -12,7 +12,10 @@ compiled one counts, which the unique pairs make the same order, the
 stats build joins its gaps in rounds where the compiled one pops them off
 a stack, and the kNN query sums every dot product of the entity where the
 compiled one sums those it reads.  The two queries are bound to their
-arrays once, as compiled, here with `functools.partial`.  The compiled
+arrays once, as compiled, here with `functools.partial`, over the same
+arrays: the compiled kNN query allocates its work buffers itself when it
+is bound.  Where the compiled cosine pass and Ward loop choose a thread
+count of their own, these run on the calling thread.  The compiled
 tokenizer has no numpy twin: its `tokenize` here declines every input.
 """
 
@@ -23,13 +26,6 @@ import math
 from bisect import bisect_left
 
 import numpy as np
-
-
-def _check_threads(threads: int) -> None:
-    """The thread count a loop was handed, 1 or 2, as the compiled loops
-    check it; these loops run on the calling thread either way."""
-    if threads not in (1, 2):
-        raise ValueError(f"threads must be 1 or 2, got {threads}")
 
 
 def csr_fill(keys: np.ndarray, others: np.ndarray, ratings: np.ndarray, n_others: int, indptr: np.ndarray,
@@ -54,8 +50,7 @@ def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def cosine_rows(rows_indptr: np.ndarray, rows_indices: np.ndarray, rows_data: np.ndarray, cols_indptr: np.ndarray,
-                cols_indices: np.ndarray, cols_data: np.ndarray, norms: np.ndarray, dist: np.ndarray,
-                threads: int) -> None:
+                cols_indices: np.ndarray, cols_data: np.ndarray, norms: np.ndarray, dist: np.ndarray) -> None:
     """The distance pass of `cobar.kernels.cosine_distance_matrix`, which
     lays out the ratings of its n users in CSR form by row and by column,
     each sorted, with int32 indices, computes their norms and allocates
@@ -68,9 +63,8 @@ def cosine_rows(rows_indptr: np.ndarray, rows_indices: np.ndarray, rows_data: np
     compiled loop sums them.  A cursor per column skips the rows j <= i:
     every earlier row that rated the column has passed it, so it points at
     row i's own rating.  Row i's distances are written straight into
-    `dist`.  It runs on one thread for any `threads`.
+    `dist`.
     """
-    _check_threads(threads)
     n = len(norms)
     cursor = cols_indptr[:-1].copy()
     pos = 0
@@ -96,7 +90,7 @@ _WARD_BAD_INPUT = "distances must be finite and nonnegative, with finite squares
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def ward_loop(d: np.ndarray, merges: np.ndarray, heights: np.ndarray, threads: int) -> None:
+def ward_loop(d: np.ndarray, merges: np.ndarray, heights: np.ndarray) -> None:
     """The merge loop of `cobar.kernels.ward_linkage`, which checks the
     layout of `d` and allocates `merges` and `heights`; fills the n-1 rows
     of both for the condensed distances `d` of n >= 2 clusters.
@@ -119,10 +113,8 @@ def ward_loop(d: np.ndarray, merges: np.ndarray, heights: np.ndarray, threads: i
 
     A minimum that is not finite (the Ward updates overflowed) is written
     to `heights` and ends the loop, as in the compiled loop, and the entry
-    rejects it; the overflow itself raises no warning.  It runs on one
-    thread for any `threads`.
+    rejects it; the overflow itself raises no warning.
     """
-    _check_threads(threads)
     # min() propagates NaN, so one comparison catches it; inf, and a
     # square that overflows, leave an infinite square
     if not d.min() >= 0.0:
@@ -244,8 +236,6 @@ def knn_query(
     cols_data: np.ndarray,
     norms: np.ndarray,
     means: np.ndarray,
-    neighbours: np.ndarray,
-    scratch: np.ndarray,
     entity: int,
     column: int,
     k: int,
@@ -254,8 +244,7 @@ def knn_query(
     checks k once, and `entity` and `column` on every call: the
     similarity-weighted mean deviation of the k most similar positive
     neighbours of `entity` in `column`, or None when no neighbour has
-    positive similarity.  The compiled loop's buffers `neighbours` and
-    `scratch` are not needed here."""
+    positive similarity."""
     cp, ci, cd = cols_indptr, cols_indices, cols_data
     neighbors, ratings = ci[cp[column]:cp[column + 1]], cd[cp[column]:cp[column + 1]]
     keep = neighbors != entity
@@ -282,11 +271,11 @@ def knn_query(
 
 def bind_knn_query(rows_indptr: np.ndarray, rows_indices: np.ndarray, rows_data: np.ndarray, cols_indptr: np.ndarray,
                    cols_indices: np.ndarray, cols_data: np.ndarray, norms: np.ndarray, means: np.ndarray,
-                   neighbours: np.ndarray, scratch: np.ndarray, k: int) -> functools.partial:
+                   k: int) -> functools.partial:
     """`knn_query` bound to the arrays of `cobar.kernels.KnnIndex` and k:
     a `query(entity, column)`, as the compiled bind returns one."""
     return functools.partial(knn_query, rows_indptr, rows_indices, rows_data, cols_indptr, cols_indices, cols_data,
-                             norms, means, neighbours, scratch, k=k)
+                             norms, means, k=k)
 
 
 def _top_k_aggregate(sims: np.ndarray, deviations: np.ndarray, k: int) -> float | None:

@@ -1,6 +1,8 @@
 """Popularity, kNN and matrix-factorization predictors."""
 
+import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from cobar import CobarModel, ItemKnn, KnnConfig, MatrixFactorization, MfConfig, MostPopular, UserKnn
 from cobar import kernels, kfold_split
 from cobar.data import fold_train_test
+from cobar.evaluation import build_algorithms
 from cobar.kernels import _python
 from conftest import RATING_SCALES, benchmark_dataset, make_dataset, random_grid_dataset
 from oracles import dense_ratings, knn_prediction, mf_training_mse
@@ -483,3 +486,35 @@ def test_pickled_model_keeps_its_arrays_read_only(kernel_backend, two_clusters_d
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
     assert loaded.stats._arrays[4] is loaded.dendrogram.nodes
+
+
+@pytest.mark.parametrize("source", ["two_clusters", "ft", *RATING_SCALES])
+def test_power_of_two_scales_every_prediction(source, each_backend, two_clusters_dataset):
+    # scaling the ratings by 2^k is exact while nothing overflows or
+    # underflows, and every step of cobar, mp and both kNNs is scale-free
+    # (MF's learning rate is not), so each prediction scales by exactly 2^k
+    if source == "two_clusters":
+        datasets = [two_clusters_dataset]
+    elif source == "ft":
+        datasets = [benchmark_dataset("ft", 1)]
+    else:
+        rng = np.random.default_rng(61)
+        datasets = [random_grid_dataset(rng, draw=RATING_SCALES[source]) for _ in range(3)]
+    names = ["cobar", "mp", "uknn", "iknn"]
+    for ds in datasets:
+        train, test = fold_train_test(ds, kfold_split(ds, 5, 42), 0)
+        # the ft fold's first 300 test pairs keep the numpy backend's kNN queries brief
+        queries = [(int(u), int(i)) for u, i in zip(ds.users[test], ds.items[test])][:300]
+        for _ in each_backend:
+            for clamp in (True, False):
+                algorithms = build_algorithms(names, clamp=clamp)
+                want = {name: np.array([model.predict(u, i) for u, i in queries])
+                        for name, model in ((name, make().fit(train)) for name, make in algorithms.items())}
+                for k in (8, -8, 100, -100, 500, -500):
+                    scaled = replace(train, ratings=np.ldexp(train.ratings, k),
+                                     rating_min=math.ldexp(train.rating_min, k),
+                                     rating_max=math.ldexp(train.rating_max, k))
+                    for name, make in algorithms.items():
+                        model = make().fit(scaled)
+                        got = np.array([model.predict(u, i) for u, i in queries])
+                        assert got.tobytes() == np.ldexp(want[name], k).tobytes(), (name, clamp, k)

@@ -43,6 +43,13 @@ class TestEvaluate:
         assert code != 0
         assert "/nope/missing.tsv" in stderr
 
+    def test_data_directory_exits_2(self, tmp_path, capsys):
+        # the path exists, but reading it fails
+        code, stdout, stderr = run_cli(capsys, "evaluate", "--data", str(tmp_path), "--algos", "mp")
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: ") and str(tmp_path) in stderr
+
     def test_deterministic_reports(self, data_dir, tmp_path, capsys):
         args = [
             "evaluate",
@@ -92,13 +99,14 @@ class TestEvaluate:
         ["--confidence", "1.5"],
         ["--out", "{missing}/r.json"],
         ["--mf-lr", "nan"],
+        ["--out", "{directory}"],
     ])
     def test_bad_input_exits_2_before_any_fold(self, data_dir, tmp_path, capsys, monkeypatch, argv):
         def no_fold(*args):
             raise AssertionError("a fold was built")
 
         monkeypatch.setattr(evaluation, "fold_train_test", no_fold)
-        argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+        argv = [arg.format(missing=tmp_path / "missing", directory=tmp_path) for arg in argv]
         code, stdout, stderr = run_cli(
             capsys, "evaluate", "--data", str(data_dir / "two_clusters.tsv"), "--algos", "mp", *argv
         )
@@ -259,6 +267,17 @@ class TestPredict:
         assert code == 2
         assert stdout == ""
         assert stderr == f"error: output directory not found: {out.parent} (for {out})\n"
+
+    def test_dendrogram_out_directory_exits_2_before_loading(self, data_dir, tmp_path, capsys, monkeypatch):
+        def no_parse(*args, **kwargs):
+            raise AssertionError("the data was loaded")
+
+        monkeypatch.setattr(cli, "parse_ratings", no_parse)
+        code, stdout, stderr = run_cli(capsys, "predict", "--data", str(data_dir / "demo.tsv"), "--user", "1",
+                                       "--item", "100", "--dendrogram-out", str(tmp_path))
+        assert code == 2
+        assert stdout == ""
+        assert stderr == f"error: output path is a directory: {tmp_path}\n"
 
     def test_dendrogram_export(self, data_dir, tmp_path, capsys):
         out = tmp_path / "tree.txt"

@@ -4,6 +4,7 @@ Ward loop, the MF epoch and the kNN query."""
 
 import array
 import ast
+import contextlib
 import gc
 import os
 import re
@@ -171,7 +172,7 @@ class TestDispatch:
             last = out.stderr.strip().splitlines()[-1]
             assert last == f"ImportError: stale extension /old/build/_compiled.so lacks {missing}; {REBUILD}"
 
-    @pytest.mark.parametrize("layout", [None, 1, 2, 3, 4, 5, 7])
+    @pytest.mark.parametrize("layout", [None, 1, 2, 3, 4, 5, 6, 8])
     def test_extension_of_another_layout_rejected(self, layout):
         # an extension that has every loop but reads their arguments in
         # another layout, e.g. one built before the cosine pass took int32
@@ -179,8 +180,10 @@ class TestDispatch:
         # of layout 2, whose queries took their arrays on every call, one
         # of layout 3, whose n^2 loops took no thread count, one of layout
         # 4, whose Ward loop took squared distances and whose stats build
-        # took the gap nodes, or one of layout 5, whose queries and stats
-        # build read int64 indices and positions
+        # took the gap nodes, one of layout 5, whose queries and stats
+        # build read int64 indices and positions, one of layout 6, whose
+        # n^2 loops took a thread count and whose kNN query took its two
+        # work buffers, or one built from newer source
         code = (
             "import sys, types; "
             "stub = types.ModuleType('cobar.kernels._compiled'); "
@@ -340,7 +343,7 @@ class TestWardKernel:
         d[-1] = bad
         merges, heights = np.full((n - 1, 2), -7, dtype=np.int64), np.full(n - 1, -7.0)
         with pytest.raises(ValueError, match="finite and nonnegative, with finite squares"):
-            loops.ward_loop(d, merges, heights, 1)
+            loops.ward_loop(d, merges, heights)
         assert (merges == -7).all() and (heights == -7.0).all()
 
     def test_overflow_raises_alike(self, each_backend):
@@ -487,24 +490,25 @@ def cap_fold():
 
 
 class _Recorder:
-    """The loops of `module`, recording the arguments each n^2 loop is handed."""
+    """The loops of `module`, recording the arguments each n^2 loop is
+    handed and the thread count it returns."""
 
     def __init__(self, module):
-        self.module, self.args = module, {}
+        self.module, self.args, self.threads = module, {}, {}
 
     def __getattr__(self, name):
         return getattr(self.module, name)
 
+    def _run(self, name, args):
+        self.args[name] = args
+        self.threads[name] = getattr(self.module, name)(*args)
+        return self.threads[name]
+
     def cosine_rows(self, *args):
-        self.args["cosine_rows"] = args
-        return self.module.cosine_rows(*args)
+        return self._run("cosine_rows", args)
 
     def ward_loop(self, *args):
-        self.args["ward_loop"] = args
-        return self.module.ward_loop(*args)
-
-    def threads(self):
-        return {name: args[-1] for name, args in self.args.items()}
+        return self._run("ward_loop", args)
 
 
 def _cosine_arguments(module, train, users):
@@ -514,16 +518,43 @@ def _cosine_arguments(module, train, users):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_loops", recorder)
         kernels.cosine_distance_matrix(train, users)
-    return recorder.args["cosine_rows"][:-2]
+    return recorder.args["cosine_rows"][:-1]
 
 
-def _raw_ward(loops, d, threads):
+@contextlib.contextmanager
+def _cpus(count=None):
+    """This thread pinned to the lowest `count` CPUs it may run on, for the
+    block; a thread it starts inherits them.  None pins nothing."""
+    if count is None:
+        yield
+        return
+    saved = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, sorted(saved)[:count])
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, saved)
+
+
+def _want_threads(n: int, floor: int) -> int:
+    """The threads a compiled n^2 loop over n rows runs on when called from
+    this thread: 2 above its floor when the thread may run on two CPUs or
+    more, 1 otherwise."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return 2 if n > floor and cpus > 1 else 1
+
+
+def _raw_ward(loops, d, cpus=None):
     """The bytes of the merges and heights `loops.ward_loop` writes for a
-    copy of the condensed distances `d` with `threads`, before the entry's
-    overflow check."""
+    copy of the condensed distances `d`, before the entry's overflow check,
+    pinned to `cpus` CPUs (`_cpus`).  A compiled loop must return the thread
+    count `_want_threads` gives."""
     n = (1 + int(np.sqrt(1 + 8 * len(d)))) // 2
     merges, heights = np.empty((n - 1, 2), dtype=np.int64), np.empty(n - 1)
-    loops.ward_loop(d.copy(), merges, heights, threads)
+    with _cpus(cpus):
+        threads = loops.ward_loop(d.copy(), merges, heights)
+        if loops is not _python:
+            assert threads == _want_threads(n, loops.WARD_FLOOR)
     return merges.tobytes(), heights.tobytes()
 
 
@@ -543,14 +574,19 @@ def _threads_after(before: int) -> int:
 
 needs_task_list = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                                      reason="counts threads in /proc/self/task")
+# a test that compares a serial run with a split one pins this process to
+# one CPU for the serial run
+needs_two_cpus = pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                                    reason="runs on one CPU and on two")
 
 
 class TestTwoThreads:
-    """Above their floors, the compiled cosine pass and Ward loop split over
-    two threads; the bits never depend on the thread count.  `split_kernels`
-    lowers both floors to SPLIT_FLOOR, so small inputs on both sides of it
-    take both paths."""
+    """Above their floors, on two CPUs, the compiled cosine pass and Ward
+    loop split over two threads and return 2, else they return 1; the bits
+    never depend on the thread count.  `split_kernels` lowers both floors
+    to SPLIT_FLOOR, so small inputs on both sides of it take both paths."""
 
+    @needs_two_cpus
     @pytest.mark.parametrize("scale", RATING_SCALES)
     def test_cosine_bits_do_not_depend_on_threads(self, split_kernels, monkeypatch, scale):
         rng = np.random.default_rng(131)
@@ -560,18 +596,20 @@ class TestTwoThreads:
         # every user alike (all distances 0) and no two users sharing an item (all 1)
         datasets.append(make_dataset([(f"u{u}", f"i{i}", 2.5) for u in range(n) for i in range(4)]))
         datasets.append(make_dataset([(f"u{u}", f"i{u}", 1.5) for u in range(n)]))
-        sizes = set()
+        runs = set()
+        recorder = _Recorder(split_kernels)
         for ds in datasets:
             users = clusterable_users(ds)
-            sizes.add(len(users) > SPLIT_FLOOR)
             monkeypatch.setattr(kernels, "_loops", _python)
             want = kernels.cosine_distance_matrix(ds, users).tobytes()
-            monkeypatch.setattr(kernels, "_loops", split_kernels)
-            for threads in (1, 2):
-                monkeypatch.setattr(kernels, "_threads", lambda n, floor, threads=threads: threads)
-                assert kernels.cosine_distance_matrix(ds, users).tobytes() == want
-        assert sizes == {False, True}
+            monkeypatch.setattr(kernels, "_loops", recorder)
+            for cpus in (1, 2):
+                with _cpus(cpus):
+                    assert kernels.cosine_distance_matrix(ds, users).tobytes() == want
+                runs.add((len(users) > SPLIT_FLOOR, cpus, recorder.threads["cosine_rows"]))
+        assert runs == {(False, 1, 1), (False, 2, 1), (True, 1, 1), (True, 2, 2)}
 
+    @needs_two_cpus
     def test_ward_bits_do_not_depend_on_threads(self, split_kernels):
         rng = np.random.default_rng(132)
         cases = [_tie_heavy_dist(rng, int(rng.integers(2, 130))) for _ in range(120)]
@@ -588,15 +626,16 @@ class TestTwoThreads:
             cases.append(repeated)
         for d in cases:
             d = condensed(d)
-            assert _raw_ward(split_kernels, d, 1) == _raw_ward(split_kernels, d, 2) == _raw_ward(_python, d, 1)
+            assert _raw_ward(split_kernels, d, 1) == _raw_ward(split_kernels, d, 2) == _raw_ward(_python, d)
         for _ in range(40):
             # -0.0 among the zeros, which either thread's part of the first
             # bounds squares to +0.0
             n = int(rng.integers(SPLIT_FLOOR, 130))
             d = rng.integers(0, 3, size=n * (n - 1) // 2) / 2.0
             d[rng.random(len(d)) < 0.5] = -0.0
-            assert _raw_ward(split_kernels, d, 1) == _raw_ward(split_kernels, d, 2) == _raw_ward(_python, d, 1)
+            assert _raw_ward(split_kernels, d, 1) == _raw_ward(split_kernels, d, 2) == _raw_ward(_python, d)
 
+    @needs_two_cpus
     def test_compaction_paths_do_not_depend_on_threads(self, split_kernels):
         # above SPLIT_FLOOR active slots each merge's pass splits WARD_SHARE
         # (40) percent of the way up the active slots, rounded down to a
@@ -609,7 +648,7 @@ class TestTwoThreads:
             ref_merges, ref_heights = _reference(d)
             d = condensed(d)
             raw = _raw_ward(split_kernels, d, 2)
-            assert raw == _raw_ward(split_kernels, d, 1) == _raw_ward(_python, d, 1)
+            assert raw == _raw_ward(split_kernels, d, 1) == _raw_ward(_python, d)
             assert raw == (ref_merges.tobytes(), ref_heights.tobytes())
             merge_slots = list(_compiled_slots(ref_merges))
             assert merge_slots[0] == first
@@ -617,6 +656,7 @@ class TestTwoThreads:
         _assert_compaction_covered(slots)
 
     @needs_task_list
+    @needs_two_cpus
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 1e155])
     def test_bad_distance_rejected_in_either_part(self, split_kernels, bad):
         # the first bounds split at row n - n/sqrt(2); a bad entry in a row
@@ -627,16 +667,17 @@ class TestTwoThreads:
         off = lambda r: r * n - r * (r + 1) // 2   # the first pair of row r
         before = _os_threads()
         for rows in ([0], [first_of_part_1 - 1], [first_of_part_1], [n - 2], [1, n - 3]):
-            for threads in (1, 2):
+            for cpus in (1, 2):
                 d = condensed(_random_dist(np.random.default_rng(79), n))
                 for r in rows:
                     d[off(r)] = bad
                 merges, heights = np.full((n - 1, 2), -7, dtype=np.int64), np.full(n - 1, -7.0)
-                with pytest.raises(ValueError, match="finite and nonnegative, with finite squares"):
-                    split_kernels.ward_loop(d, merges, heights, threads)
+                with _cpus(cpus), pytest.raises(ValueError, match="finite and nonnegative, with finite squares"):
+                    split_kernels.ward_loop(d, merges, heights)
                 assert (merges == -7).all() and (heights == -7.0).all()
         assert _threads_after(before) == before
 
+    @needs_two_cpus
     def test_overflow_stop_does_not_depend_on_threads(self, split_kernels, monkeypatch):
         # the first merge's updates overflow to inf, and the loop stops once
         # only infinite pairs are left, with the worker still running
@@ -645,42 +686,44 @@ class TestTwoThreads:
         cases = [np.full(n * (n - 1) // 2, 1e154), np.sqrt((1.0 + condensed(_random_dist(rng, n)) / 4.0) * 0.5e308)]
         monkeypatch.setattr(kernels, "_loops", split_kernels)
         for d in cases:
-            raw = [_raw_ward(split_kernels, d, threads) for threads in (1, 2)]
+            raw = [_raw_ward(split_kernels, d, cpus) for cpus in (1, 2)]
             assert raw[0] == raw[1]
             assert not np.isfinite(np.frombuffer(raw[0][1])).all()
-            for threads in (1, 2):
-                monkeypatch.setattr(kernels, "_threads", lambda n, floor, threads=threads: threads)
-                with pytest.raises(OverflowError, match="not finite"):
+            for cpus in (1, 2):
+                with _cpus(cpus), pytest.raises(OverflowError, match="not finite"):
                     kernels.ward_linkage(d.copy())
 
+    @needs_two_cpus
     def test_cap_fold_bits_do_not_depend_on_threads(self, compiled_kernels, cap_fold):
         # the real floors, on a fit above both; repeated to catch races
         train, users = cap_fold
         assert len(users) > max(compiled_kernels.COSINE_FLOOR, compiled_kernels.WARD_FLOOR)
         args = _cosine_arguments(compiled_kernels, train, users)
         results = set()
-        for threads in (1, 2, 2, 2, 2):
+        for cpus in (1, 2, 2, 2, 2):
             dist = np.empty(len(users) * (len(users) - 1) // 2)
-            compiled_kernels.cosine_rows(*args, dist, threads)
-            results.add((dist.tobytes(), _raw_ward(compiled_kernels, dist, threads)))
+            with _cpus(cpus):
+                assert compiled_kernels.cosine_rows(*args, dist) == cpus
+            results.add((dist.tobytes(), _raw_ward(compiled_kernels, dist, cpus)))
         assert len(results) == 1
 
+    @needs_two_cpus
     def test_threads_follow_affinity_and_size(self, compiled_kernels, cap_fold, monkeypatch):
+        # 2 above the floor when the process may run on two CPUs or more; 1
+        # at or below it, and when the process is pinned to one CPU
         train, users = cap_fold
-        above = users[:max(compiled_kernels.COSINE_FLOOR, compiled_kernels.WARD_FLOOR) + 1]
+        floor = compiled_kernels.COSINE_FLOOR
+        assert compiled_kernels.WARD_FLOOR == floor
         recorder = _Recorder(compiled_kernels)
         monkeypatch.setattr(kernels, "_loops", recorder)
-        for cpus, subset, want in [({0}, above, 1), ({0, 1}, above, 2), ({0, 1, 2, 3}, above, 2),
-                                   ({0, 1}, users[:SPLIT_FLOOR], 1)]:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
-            kernels.ward_linkage(kernels.cosine_distance_matrix(train, subset))
-            assert recorder.threads() == {"cosine_rows": want, "ward_loop": want}
-        # the numpy loops have no floor and run on one thread
-        monkeypatch.setattr(kernels, "_loops", _python)
-        assert kernels._threads(10**6, "WARD_FLOOR") == kernels._threads(10**6, "COSINE_FLOOR") == 1
+        for cpus, subset, want in [(1, users[:floor + 1], 1), (2, users[:floor + 1], 2),
+                                   (None, users[:floor + 1], 2), (None, users[:floor], 1),
+                                   (None, users[:SPLIT_FLOOR + 1], 1)]:
+            with _cpus(cpus):
+                kernels.ward_linkage(kernels.cosine_distance_matrix(train, subset))
+            assert recorder.threads == {"cosine_rows": want, "ward_loop": want}
 
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-                        reason="pins threads to two CPUs")
+    @needs_two_cpus
     def test_bits_hold_with_the_cpus_taken(self, compiled_kernels, cap_fold):
         # two busy processes on the two CPUs this process runs on: the
         # worker loses its CPU in the middle of parts, and the loop waits
@@ -690,17 +733,18 @@ class TestTwoThreads:
         n = len(args[-1])
         runs = {}
         saved = os.sched_getaffinity(0)
-        cpus = set(sorted(saved)[:2])
-        busy = f"import os\nos.sched_setaffinity(0, {cpus!r})\nwhile True: pass"
+        two = set(sorted(saved)[:2])
+        busy = f"import os\nos.sched_setaffinity(0, {two!r})\nwhile True: pass"
         hogs = []
         try:
-            os.sched_setaffinity(0, cpus)
-            for threads in (1, 2, 1, 2):
-                if threads == 2 and not hogs:
-                    hogs = [subprocess.Popen([sys.executable, "-c", busy]) for _ in cpus]
+            os.sched_setaffinity(0, two)
+            for cpus in (1, 2, 1, 2):
+                if cpus == 2 and not hogs:
+                    hogs = [subprocess.Popen([sys.executable, "-c", busy]) for _ in two]
                 dist = np.empty(n * (n - 1) // 2)
-                compiled_kernels.cosine_rows(*args, dist, threads)
-                runs.setdefault(threads, set()).add((dist.tobytes(), _raw_ward(compiled_kernels, dist, threads)))
+                with _cpus(cpus):
+                    assert compiled_kernels.cosine_rows(*args, dist) == cpus
+                runs.setdefault(cpus, set()).add((dist.tobytes(), _raw_ward(compiled_kernels, dist, cpus)))
         finally:
             for hog in hogs:
                 hog.kill()
@@ -708,35 +752,20 @@ class TestTwoThreads:
             os.sched_setaffinity(0, saved)
         assert len(runs[1]) == 1 and runs[1] == runs[2]
 
-    @pytest.mark.parametrize("threads", [0, 3])
-    @pytest.mark.parametrize("backend", ["python", "c"])
-    def test_thread_count_outside_one_or_two_rejected(self, compiled_kernels, cap_fold, backend, threads):
-        loops = _python if backend == "python" else compiled_kernels
-        train, users = cap_fold
-        args = _cosine_arguments(compiled_kernels, train, users[:compiled_kernels.COSINE_FLOOR + 1])
-        n = compiled_kernels.WARD_FLOOR + 1
-        dist, heights = np.full(len(args[-1]) * (len(args[-1]) - 1) // 2, -1.0), np.full(n - 1, -1.0)
-        before = _os_threads() if os.path.isdir("/proc/self/task") else None
-        message = f"threads must be 1 or 2, got {threads}"
-        with pytest.raises(ValueError, match=message):
-            loops.cosine_rows(*args, dist, threads)
-        with pytest.raises(ValueError, match=message):
-            loops.ward_loop(np.ones(n * (n - 1) // 2), np.empty((n - 1, 2), dtype=np.int64), heights, threads)
-        assert (dist == -1.0).all() and (heights == -1.0).all()
-        if before is not None:
-            assert _os_threads() == before
-
     @needs_task_list
     def test_no_worker_outlives_a_call(self, compiled_kernels, split_kernels, cap_fold, monkeypatch):
         train, users = cap_fold
-        monkeypatch.setattr(kernels, "_loops", compiled_kernels)
-        monkeypatch.setattr(kernels, "_threads", lambda n, floor: 2)
+        recorder = _Recorder(compiled_kernels)
+        monkeypatch.setattr(kernels, "_loops", recorder)
         before = _os_threads()
-        kernels.ward_linkage(kernels.cosine_distance_matrix(train, users[:compiled_kernels.WARD_FLOOR + 1]))
+        n = compiled_kernels.WARD_FLOOR + 1
+        kernels.ward_linkage(kernels.cosine_distance_matrix(train, users[:n]))
+        assert recorder.threads == {"cosine_rows": _want_threads(n, compiled_kernels.COSINE_FLOOR),
+                                    "ward_loop": _want_threads(n, compiled_kernels.WARD_FLOOR)}
         assert _threads_after(before) == before
         # the overflow stop leaves the merge loop with the worker running
         n = 3 * SPLIT_FLOOR
-        raw = _raw_ward(split_kernels, np.full(n * (n - 1) // 2, 1e154), 2)
+        raw = _raw_ward(split_kernels, np.full(n * (n - 1) // 2, 1e154))
         assert not np.isfinite(np.frombuffer(raw[1])).all()
         assert _threads_after(before) == before
 
@@ -750,10 +779,10 @@ class TestTwoThreads:
         args = _cosine_arguments(compiled_kernels, train, users[:compiled_kernels.WARD_FLOOR + 1])
         n = len(args[-1])
         dist = np.empty(n * (n - 1) // 2)
-        compiled_kernels.cosine_rows(*args, dist, 1)
+        compiled_kernels.cosine_rows(*args, dist)
         d, merges, heights = dist.copy(), np.empty((n - 1, 2), dtype=np.int64), np.empty(n - 1)
-        call = {"cosine_rows": lambda: compiled_kernels.cosine_rows(*args, dist, 2),
-                "ward_loop": lambda: compiled_kernels.ward_loop(d.copy(), merges, heights, 2)}[loop]
+        call = {"cosine_rows": lambda: compiled_kernels.cosine_rows(*args, dist),
+                "ward_loop": lambda: compiled_kernels.ward_loop(d.copy(), merges, heights)}[loop]
         before = _os_threads()
         failures = 0
         for start in range(200):
@@ -944,7 +973,7 @@ class TestCompiledLoopsTakeBuffers:
     def test_ward_loop_refuses_read_only(self, compiled_kernels):
         d = _read_only(np.array([1.0, 4.0, 2.0]))
         with pytest.raises(TypeError, match="read-write"):
-            compiled_kernels.ward_loop(d, np.empty((2, 2), dtype=np.int64), np.empty(2), 1)
+            compiled_kernels.ward_loop(d, np.empty((2, 2), dtype=np.int64), np.empty(2))
 
     @pytest.mark.parametrize("name, value, error", [
         ("ratings", lambda a: np.repeat(a, 2)[::2], ValueError),
@@ -1130,7 +1159,6 @@ class TestKnnQuery:
             order = np.random.default_rng(1).permutation(len(queries))
             again = [index.query(*queries[q]) for q in order]
             assert again == [first[q] for q in order]
-            assert not index._arrays[-1].any()
         assert sides == {"scatter", "gather"}
 
     @pytest.mark.parametrize("user_major", [True, False])
@@ -1147,7 +1175,6 @@ class TestKnnQuery:
             results.append([_bits(query(e, c)) for e, c in SIDES_QUERIES for query in queries])
         assert results[0] == results[1]
         assert sum(v is not None for v in results[0]) > len(SIDES_QUERIES)
-        assert not index._arrays[-1].any()
 
     def test_keeps_frozen_copies(self):
         # the index lays the triples out in arrays of its own and copies the
@@ -1339,9 +1366,9 @@ class TestBoundQueries:
                 for entity in range(index.n_entities):
                     for column in range(index.n_columns):
                         want = _bits(_python.knn_query(*arrays, entity, column, k))
+                        # after every earlier query of the bound loop, which
+                        # must leave its scratch zeroed
                         assert [_bits(query(entity, column)) for query in bound] == [want, want]
-                        # the compiled query leaves its scratch zeroed
-                        assert not arrays[-1].any()
                         answered += want is not None
             stats = kernels.ClusterStatsIndex(**_stats_problem(ds))
             for level in (0.9, 0.95, 0.99):
@@ -1394,3 +1421,25 @@ class TestBoundQueries:
         with pytest.raises(TypeError, match="positional|integer"):
             query(*args, **kwargs)
         assert query(np.int64(0), True) == _python.knn_query(*arrays, 0, 1, 30)
+
+    def test_failed_allocation_in_the_knn_bind_raises(self, compiled_kernels):
+        # each allocation of the bind fails in turn, up to the first bind
+        # that allocates all it needs, the work buffers last: each failure
+        # raises MemoryError and frees what the bind took
+        testcapi = pytest.importorskip("_testcapi")
+        arrays = kernels.KnnIndex(**_counting_problem("signed"), k=5)._arrays
+        want = [_bits(_python.knn_query(*arrays, e, c, 5)) for e, c in SPREAD]
+        compiled_kernels.bind_knn_query(*arrays, 5)   # numpy caches each array's buffer layout
+        failures = 0
+        for start in range(100):
+            testcapi.set_nomemory(start, 0)
+            try:
+                query = compiled_kernels.bind_knn_query(*arrays, 5)
+            except MemoryError:
+                failures += 1
+            else:
+                break
+            finally:
+                testcapi.remove_mem_hooks()
+        assert 1 < failures == start
+        assert [_bits(query(e, c)) for e, c in SPREAD] == want
