@@ -273,9 +273,10 @@ def tokenize(data, delimiter: str, skip_header: bool) -> tuple | None:
     ASCII delimiter, every byte ASCII after an optional UTF-8 byte-order
     mark, lines ending in ``\n`` or ``\r\n``, and on every line that is
     neither blank nor the skipped header, at least three fields, non-empty
-    ids and a finite decimal rating of at most 63 characters,
-    ``[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?``.  It returns None for
-    any other input, as the numpy backend does for every input.
+    ids and a rating that `float()`'s parser reads whole, with no
+    underscore, to a finite value; the loop runs that parser in place.  It
+    returns None for any other input, as the numpy backend does for every
+    input.
     """
     if not isinstance(data, bytes):
         raise TypeError(f"data must be bytes, not {type(data).__name__}")

@@ -66,9 +66,11 @@
  * the int32 indices it writes, beside int64 indptrs and node ids.
  *
  * `tokenize` splits a rating file's bytes as the line loop of
- * `cobar.data.parse_ratings` splits its text, for the inputs of a strict
- * ASCII subset on which the two read alike, and returns None for every
- * other; the numpy backend has no tokenizer, as the line loop is its parse.
+ * `cobar.data.parse_ratings` splits its text, and reads each rating in
+ * place with the parser `float()` calls, for the inputs of a strict ASCII
+ * subset on which the two read alike; it returns None for every other
+ * input.  The numpy backend has no tokenizer, as the line loop is its
+ * parse.
  *
  * The two queries run once per prediction, so they are bound: a
  * `bind_knn_query` or `bind_stats_query` call takes the arrays once and
@@ -1395,12 +1397,6 @@ is_float_space(unsigned char c)
     return c == ' ' || (c >= '\t' && c <= '\r');
 }
 
-static inline int
-is_digit(unsigned char c)
-{
-    return c >= '0' && c <= '9';
-}
-
 /* First of the m-byte `delim` in [p, end) or NULL: `str.split` cuts its
  * fields at these, left to right, without overlap. */
 static const unsigned char *
@@ -1413,37 +1409,6 @@ find_delimiter(const unsigned char *p, const unsigned char *end, const unsigned 
         p = hit + 1;
     }
     return NULL;
-}
-
-/* Whether [p, end) reads [+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)? */
-static int
-is_decimal(const unsigned char *p, const unsigned char *end)
-{
-    if (p < end && (*p == '+' || *p == '-'))
-        p++;
-    const unsigned char *digits = p;
-    while (p < end && is_digit(*p))
-        p++;
-    int whole = p > digits;
-    if (p < end && *p == '.') {
-        digits = ++p;
-        while (p < end && is_digit(*p))
-            p++;
-        if (!whole && p == digits)
-            return 0;
-    }
-    else if (!whole)
-        return 0;
-    if (p < end && (*p == 'e' || *p == 'E')) {
-        if (++p < end && (*p == '+' || *p == '-'))
-            p++;
-        digits = p;
-        while (p < end && is_digit(*p))
-            p++;
-        if (p == digits)
-            return 0;
-    }
-    return p == end;
 }
 
 /* The index of the ASCII id [p, end) in `index`, a dict from id to index
@@ -1469,9 +1434,6 @@ id_index(PyObject *index, PyObject *ids, const unsigned char *p, const unsigned 
     return i;
 }
 
-/* The longest rating token read here; a longer one takes the line loop. */
-#define RATING_CHARS 63
-
 /* Splits the bytes of a rating file into `users`, `items` and `ratings`,
  * one entry per record in line order, repeats kept, with room for one
  * entry per line.  Returns (user_ids, item_ids, records), the ids in
@@ -1479,8 +1441,8 @@ id_index(PyObject *index, PyObject *ids, const unsigned char *p, const unsigned 
  * `cobar.data.parse_ratings`'s line loop reads it: every byte ASCII after
  * an optional UTF-8 byte-order mark, every \r followed by \n, and every
  * line that is neither blank nor the skipped header holding non-empty ids
- * and a short, finite decimal rating in its first three fields.  The
- * rating goes through `PyOS_string_to_double`, as `float()` does. */
+ * and a rating in its first three fields that `float()`'s parser reads
+ * whole, with no underscore, to a finite value. */
 static PyObject *
 tokenize(PyObject *self, PyObject *args)
 {
@@ -1507,7 +1469,6 @@ tokenize(PyObject *self, PyObject *args)
     /* the previous record's user id and index */
     const unsigned char *last_user = NULL;
     Py_ssize_t last_len = 0, user = 0, n = 0;
-    char token[RATING_CHARS + 1];
     for (Py_ssize_t line_no = 1; p < end; line_no++) {
         const unsigned char *line = p, *stop = memchr(p, '\n', end - p);
         p = stop ? stop + 1 : end;
@@ -1542,15 +1503,24 @@ tokenize(PyObject *self, PyObject *args)
             rs++;
         while (re > rs && is_float_space(re[-1]))
             re--;
-        if (us == ue || is == ie || re - rs > RATING_CHARS || !is_decimal(rs, re))
+        if (us == ue || is == ie)
             goto outside;
 
-        memcpy(token, rs, re - rs);
-        token[re - rs] = '\0';
-        double rating = PyOS_string_to_double(token, NULL, NULL);
-        if (rating == -1.0 && PyErr_Occurred())
-            goto done;
-        if (!isfinite(rating))
+        /* As `float()` reads it: the same whitespace stripped, then its
+         * parser run in place, the number taken only if it ends at `re`.
+         * One that runs on into a delimiter such as `e` falls to the line
+         * loop.  The parser stops at the NUL that ends every `bytes`, the
+         * only type `cobar.kernels.tokenize` passes here, so the last
+         * token of the file is bounded too. */
+        char *parsed;
+        double rating = PyOS_string_to_double((const char *)rs, &parsed, NULL);
+        if (rating == -1.0 && PyErr_Occurred()) {
+            if (!PyErr_ExceptionMatches(PyExc_ValueError))
+                goto done;
+            PyErr_Clear();
+            goto outside;
+        }
+        if ((const unsigned char *)parsed != re || !isfinite(rating))
             goto outside;
 
         if (last_user == NULL || ue - us != last_len || memcmp(us, last_user, last_len) != 0) {

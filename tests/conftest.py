@@ -199,6 +199,19 @@ def each_backend(request, monkeypatch):
 
 ACCEPTANCE_RESULTS: dict[str, str] = {}
 
+# a criterion's status over its cases: FAIL over SKIP over PASS
+_SEVERITY = {"PASS": 0, "SKIP": 1, "FAIL": 2}
+
+
+def worst_status(previous: str | None, status: str) -> str:
+    """The summary of a criterion whose cases so far gave `previous` (None
+    before the first) once the next case gives `status`: the more severe
+    of the two, and of two equally severe the earlier, so that the summary
+    names the first case that gave it."""
+    if previous is None or _SEVERITY[status.split()[0]] > _SEVERITY[previous.split()[0]]:
+        return status
+    return previous
+
 
 def pytest_configure(config):
     config.addinivalue_line("markers", "acceptance(label): criterion of the acceptance suite")
@@ -209,15 +222,16 @@ def pytest_runtest_makereport(item, call):
     outcome = yield
     report = outcome.get_result()
     marker = item.get_closest_marker("acceptance")
-    if marker and report.when == "call":
-        label = marker.args[0]
-        if report.skipped:
-            status = f"SKIP ({report.longrepr[2] if isinstance(report.longrepr, tuple) else 'skipped'})"
-        else:
-            status = "PASS" if report.passed else "FAIL"
-        ACCEPTANCE_RESULTS[label] = status
-    elif marker and report.when == "setup" and report.skipped:
-        ACCEPTANCE_RESULTS[marker.args[0]] = "SKIP"
+    # a case counts once: by its call, or by a setup that did not pass
+    if marker is None or report.when == "teardown" or (report.when == "setup" and report.passed):
+        return
+    if report.skipped:
+        reason = report.longrepr[2] if isinstance(report.longrepr, tuple) else "skipped"
+        status = f"SKIP ({item.name}: {reason})"
+    else:
+        status = "PASS" if report.passed else f"FAIL ({item.name})"
+    label = marker.args[0]
+    ACCEPTANCE_RESULTS[label] = worst_status(ACCEPTANCE_RESULTS.get(label), status)
 
 
 def pytest_report_header(config):

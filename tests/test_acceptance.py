@@ -30,7 +30,7 @@ from cobar.baselines import MfConfig
 from cobar.clustering import agglomerate
 from cobar.core import build_item_stats
 from cobar.kernels import _t_critical_table
-from conftest import DATA_DIR, RATING_SCALES, random_grid_dataset
+from conftest import DATA_DIR, RATING_SCALES, random_grid_dataset, worst_status
 from oracles import T_TABLE_95, WILCOXON_CRITICAL, BruteForceOracle, leaves_under
 from test_clustering import check_dendrogram_invariants
 from test_core import entry_half_width, unit_variance_entry
@@ -224,3 +224,17 @@ def test_c8_fallback_exactness():
                 assert value == min(max(expected, lo), hi)
     assert checked_single > 100
     assert checked_cold_user > 0
+
+
+def test_summary_keeps_each_criterions_worst_case():
+    # C2 runs one case per rating scale and C4 one per file: a later case
+    # must not hide an earlier failure or skip
+    fail = "FAIL (test_c2_brute_force_equivalence[half_grid])"
+    skip = "SKIP (test_c4_subsample_ordering[bookcrossing.tsv]: bookcrossing.tsv not found)"
+    assert worst_status(None, "PASS") == "PASS"
+    assert worst_status(fail, "PASS") == fail
+    assert worst_status(skip, "PASS") == skip
+    assert worst_status("PASS", fail) == fail
+    assert worst_status(skip, fail) == fail
+    assert worst_status(fail, skip) == fail
+    assert worst_status(skip, "SKIP (test_c4_subsample_ordering[amazon_digital_music.tsv]: not found)") == skip

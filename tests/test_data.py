@@ -531,8 +531,15 @@ PATH_CASES = {
     "inf": (b"u1\ti1\t4\nu1\ti2\t-inf\n", {}, False),
     "overflow": (b"u1\ti1\t4\nu1\ti2\t1e999\n", {}, False),
     "underflow": (b"u1\ti1\t4\nu1\ti2\t1e-999\n", {}, True),
-    "long-rating": (b"u1\ti1\t4.0" + b"0" * 80 + b"1\nu1\ti2\t3\n", {}, False),
+    "long-rating": (b"u1\ti1\t4.0" + b"0" * 80 + b"1\nu1\ti2\t3\n", {}, True),
     "longest-short-rating": (b"u1\ti1\t4." + b"0" * 60 + b"1\n", {}, True),
+    "300-digit-rating": (b"u1\ti1\t4." + b"0" * 300 + b"1\nu1\ti2\t3\n", {}, True),
+    # the parser reads on through a delimiter that extends the number, and
+    # stops at a NUL inside the token as at the NUL that ends the bytes
+    "exponent-delimiter": (b"u1ei1e4.5e7\n", {"delimiter": "e"}, False),
+    "digit-delimiter": (b"u5i54.55\n", {"delimiter": "5"}, False),
+    "nul-after-rating": (b"u1\ti1\t4\x00\n", {}, False),
+    "unterminated-last-line": (b"u1\ti1\t4\nu2\ti1\t-3.25e-1", {}, True),
     "many-digits": (b"u1\ti1\t0.1000000000000000055511151231257827\n", {}, True),
     "lone-point": (b"u1\ti1\t.\n", {}, False),
     "bare-exponent": (b"u1\ti1\t5e\n", {}, False),
@@ -589,7 +596,7 @@ class TestParsePathsAgree:
             st.lists(st.sampled_from(["u1", "u2", " i1", "i2\t", "\x1cu1", "", " ", "José", "x::y"]),
                      min_size=1, max_size=5),
             st.sampled_from(["4", "+4", ".5", "5.", "1e0", "-2.5E+1", " 3 ", "1_0", "nan", "1e999", "x", "",
-                             "\x1c4", "4." + "0" * 70]),
+                             "\x1c4", "4." + "0" * 70, "4." + "0" * 300]),
             st.sampled_from(["\n", "\r\n", "\r", ""]),
         ), max_size=8),
         delimiter=st.sampled_from(["\t", "::", " ", ","]),
