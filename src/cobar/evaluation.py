@@ -17,8 +17,8 @@ from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._special import ndtr
 from .baselines import ItemKnn, KnnConfig, MatrixFactorization, MfConfig, MostPopular, UserKnn
 from .core import CobarConfig, CobarModel
 from .data import RatingDataset, fold_train_test, kfold_split

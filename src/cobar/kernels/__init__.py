@@ -53,8 +53,8 @@ import operator
 from collections.abc import Callable, Mapping
 
 import numpy as np
-from scipy.special import stdtrit
 
+from .._special import stdtrit
 from ..data import RatingDataset, _check_range, _checked
 from . import _python
 
