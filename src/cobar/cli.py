@@ -31,6 +31,18 @@ from .evaluation import ALGORITHM_NAMES, build_algorithms, run_cross_validation
 MAX_CLUSTERING_USERS = 3000
 
 
+def _seed(text: str) -> int:
+    """A seed option's value: numpy's generators take no negative seed, so
+    argparse refuses one, naming the option, before any work."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
+    return value
+
+
 def _add_data_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", required=True, help="rating file: user<delim>item<delim>rating per line")
     parser.add_argument(
@@ -41,7 +53,7 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--skip-header", action="store_true", help="ignore the first line")
     parser.add_argument("--max-users", type=int, default=None, metavar="N",
                         help="subsample to at most N users before anything else")
-    parser.add_argument("--subsample-seed", type=int, default=7, metavar="S",
+    parser.add_argument("--subsample-seed", type=_seed, default=7, metavar="S",
                         help="seed for --max-users subsampling (default: 7)")
 
 
@@ -77,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--algos", default=",".join(ALGORITHM_NAMES),
                     help=f"comma-separated algorithms from {{{','.join(ALGORITHM_NAMES)}}} (default: all)")
     ev.add_argument("--folds", type=int, default=10, help="cross-validation folds (default: 10)")
-    ev.add_argument("--seed", type=int, default=42, help="fold-split and MF seed (default: 42)")
+    ev.add_argument("--seed", type=_seed, default=42, help="fold-split and MF seed (default: 42)")
     ev.add_argument("--wilcoxon-level", type=float, default=0.99,
                     help="confidence level for the significance tests (default: 0.99)")
     ev.add_argument("--out", default=None, metavar="PATH", help="write the JSON report here")

@@ -11,6 +11,7 @@ cold-start paths in the predictors).
 
 from __future__ import annotations
 
+import io
 import logging
 import math
 import operator
@@ -167,11 +168,13 @@ def parse_ratings(
     appearance, and the records keep the order of each pair's first line.
     The rating scale is the observed min/max of the kept ratings.
 
-    A file's bytes are read once and split by the compiled tokenizer,
-    `cobar.kernels.tokenize`, when they fit its strict ASCII subset.  Every
-    other input, every iterable and every input on the numpy backend goes
-    through the line loop, which reads the file again as text: both give
-    the same dataset, bit for bit.
+    A file is read once, as bytes, so a pipe, a FIFO or a ``<(...)``
+    substitution parses as a regular file does.  The compiled tokenizer,
+    `cobar.kernels.tokenize`, splits the bytes when they fit its strict
+    ASCII subset.  Every other file, every iterable and every input on the
+    numpy backend goes through the line loop, which decodes the bytes
+    already read and holds them while it runs: both give the same dataset,
+    bit for bit.
 
     Raises :class:`ParseError` for empty input, short lines, an empty user
     or item id, non-numeric or non-finite ratings, or a file line that is
@@ -181,17 +184,30 @@ def parse_ratings(
     delimiter = DELIMITER_ALIASES.get(delimiter, delimiter)
     if not delimiter:
         raise ValueError("empty delimiter '': fields need a separator of at least one character")
-    columns = None
-    if isinstance(source, (str, Path)):
-        from . import kernels   # which imports this module
-        with open(source, "rb") as fh:
-            columns = kernels.tokenize(fh.read(), delimiter, skip_header)
+    if not isinstance(source, (str, Path)):
+        return _keep_last(*_read_lines(source, delimiter, skip_header), name)
+    from . import kernels   # which imports this module
+    with open(source, "rb") as fh:
+        data = fh.read()
+    columns = kernels.tokenize(data, delimiter, skip_header)
     if columns is None:
-        columns = _read_lines(source, delimiter, skip_header)
+        try:
+            # utf-8-sig strips a byte-order mark, which would join the first
+            # id; the reader decodes newlines as a text-mode open does
+            columns = _read_lines(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig"), delimiter, skip_header)
+        except UnicodeDecodeError:
+            # the reader decodes in chunks, so the error gives no line
+            for line_no, raw in enumerate(io.BytesIO(data), start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(str(exc), line_no) from None
+            raise
+    del data   # free the bytes before `_keep_last` sorts and copies the records
     return _keep_last(*columns, name)
 
 
-def _read_lines(source: str | Path | Iterable[str], delimiter: str, skip_header: bool):
+def _read_lines(lines: Iterable[str], delimiter: str, skip_header: bool):
     """The line loop of `parse_ratings`: ``(user_ids, item_ids, users,
     items, ratings)``, the ids in first-seen order and one entry per record
     in line order, repeated pairs included."""
@@ -200,50 +216,30 @@ def _read_lines(source: str | Path | Iterable[str], delimiter: str, skip_header:
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
     users, items, ratings = array("i"), array("i"), array("d")
-
-    opened = isinstance(source, (str, Path))
-    # utf-8-sig strips a byte-order mark, which would join the first id
-    lines = open(source, "r", encoding="utf-8-sig") if opened else source
-    try:
-        for line_no, raw in enumerate(lines, start=1):
-            if line_no == 1 and skip_header:
-                continue
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                continue
-            parts = line.split(delimiter)
-            if len(parts) < 3:
-                raise ParseError(
-                    f"expected at least 3 fields separated by {delimiter!r}, got {len(parts)}",
-                    line_no,
-                )
-            user_key, item_key = parts[0].strip(), parts[1].strip()
-            if not user_key or not item_key:
-                raise ParseError("empty user or item id", line_no)
-            try:
-                rating = float(parts[2])
-            except ValueError:
-                raise ParseError(f"non-numeric rating {parts[2]!r}", line_no) from None
-            if not math.isfinite(rating):
-                raise ParseError(f"non-finite rating {parts[2]!r}", line_no)
-            users.append(user_index.setdefault(user_key, len(user_index)))
-            items.append(item_index.setdefault(item_key, len(item_index)))
-            ratings.append(rating)
-    except UnicodeDecodeError:
-        if not opened:
-            raise
-        # the reader decodes in chunks, so the error gives no line; read the
-        # file again, line by line, on this error path only
-        with open(source, "rb") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ParseError(str(exc), line_no) from None
-        raise
-    finally:
-        if opened:
-            lines.close()
+    for line_no, raw in enumerate(lines, start=1):
+        if line_no == 1 and skip_header:
+            continue
+        line = raw.rstrip("\r\n")
+        if not line.strip():
+            continue
+        parts = line.split(delimiter)
+        if len(parts) < 3:
+            raise ParseError(
+                f"expected at least 3 fields separated by {delimiter!r}, got {len(parts)}",
+                line_no,
+            )
+        user_key, item_key = parts[0].strip(), parts[1].strip()
+        if not user_key or not item_key:
+            raise ParseError("empty user or item id", line_no)
+        try:
+            rating = float(parts[2])
+        except ValueError:
+            raise ParseError(f"non-numeric rating {parts[2]!r}", line_no) from None
+        if not math.isfinite(rating):
+            raise ParseError(f"non-finite rating {parts[2]!r}", line_no)
+        users.append(user_index.setdefault(user_key, len(user_index)))
+        items.append(item_index.setdefault(item_key, len(item_index)))
+        ratings.append(rating)
     return (list(user_index), list(item_index), np.asarray(users, dtype=np.int32),
             np.asarray(items, dtype=np.int32), np.asarray(ratings))
 

@@ -316,7 +316,8 @@ class KnnIndex:
     in ascending column order from +0.0, as the numpy loop's `bincount`
     does; the walk also adds a zero product for each column the entity did
     not rate, which changes no bit, as a sum of finite terms begun at +0.0
-    is never -0.0.  The loop is bound to its arrays and k here, once; the
+    is never -0.0.  The loop is bound to its arrays and k here, once, with k
+    capped at the entity count, which changes no neighbour set; the
     compiled bound query then allocates its work buffers, the scratch among
     them, which each query leaves zeroed, and holds them until it is freed.
     It keeps the GIL throughout a query, so queries from several threads
@@ -342,7 +343,11 @@ class KnnIndex:
         entity_of = np.repeat(np.arange(self.n_entities), np.diff(rows[0]))
         norms = np.sqrt(np.bincount(entity_of, weights=rows[2] * rows[2], minlength=self.n_entities))
         self._arrays = (*rows, *cols, norms, means.copy())
-        self._query = _loops.bind_knn_query(*self._arrays, self.k)
+        self._bind()
+
+    def _bind(self):
+        # the compiled bind reads k as a C integer
+        self._query = _loops.bind_knn_query(*self._arrays, min(self.k, max(self.n_entities, 1)))
 
     def __getstate__(self):
         # a compiled bound query cannot be pickled; the arrays it reads can
@@ -350,7 +355,7 @@ class KnnIndex:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._query = _loops.bind_knn_query(*self._arrays, self.k)
+        self._bind()
 
     def query(self, entity: int, column: int) -> float | None:
         """The similarity-weighted mean deviation of the `k` neighbours most

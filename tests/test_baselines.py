@@ -270,6 +270,24 @@ class TestKnnEdgeCases:
         assert value == pytest.approx(oracle, abs=1e-12)
 
 
+@pytest.mark.parametrize("cls", [UserKnn, ItemKnn])
+def test_k_past_a_c_integer_predicts_as_k_at_the_entity_count(cls, each_backend):
+    # the compiled bind once read k as a C integer and overflowed; no query
+    # has more neighbours than there are entities
+    ds = random_grid_dataset(np.random.default_rng(31))
+    n_entities = ds.n_users if cls is UserKnn else ds.n_items
+
+    def every_prediction(model):
+        return np.array([model.predict(u, i) for u in range(ds.n_users) for i in range(ds.n_items)]).tobytes()
+
+    for _ in each_backend:
+        huge = cls(KnnConfig(k=2**70), clamp=False).fit(ds)
+        want = every_prediction(cls(KnnConfig(k=n_entities), clamp=False).fit(ds))
+        assert huge._index.k == 2**70
+        assert every_prediction(huge) == want
+        assert every_prediction(pickle.loads(pickle.dumps(huge))) == want
+
+
 def _knn_predictions(dataset, queries):
     """Every query's prediction by UserKnn and ItemKnn, at k=30 clamped and
     at k=3 unclamped."""

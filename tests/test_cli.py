@@ -114,6 +114,26 @@ class TestEvaluate:
         assert stdout == ""
         assert stderr.startswith("error: ")
 
+    def test_knn_k_past_a_c_integer_runs(self, data_dir, capsys, each_backend):
+        for _ in each_backend:
+            code, stdout, stderr = run_cli(
+                capsys, "evaluate", "--data", str(data_dir / "two_clusters.tsv"), "--algos", "uknn,iknn",
+                "--folds", "3", "--knn-k", "99999999999999999999",
+            )
+            assert (code, stderr) == (0, "")
+            assert "uknn" in stdout and "iknn" in stdout
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-5"), ("--subsample-seed", "-1")])
+    def test_negative_seed_named_before_the_parse(self, data_dir, capsys, monkeypatch, flag, value):
+        def no_parse(*args, **kwargs):
+            raise AssertionError("the file was parsed")
+
+        monkeypatch.setattr(cli, "parse_ratings", no_parse)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evaluate", "--data", str(data_dir / "two_clusters.tsv"), "--max-users", "5", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: seed must be non-negative, got {value}" in capsys.readouterr().err
+
     def test_budget_ignored_without_cobar(self, data_dir, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_CLUSTERING_USERS", 3)
         code, _, _ = run_cli(

@@ -2,6 +2,7 @@
 
 import logging
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -157,6 +158,19 @@ class TestSubset:
         with pytest.raises(IndexError):
             ds.subset([5])
 
+
+def _latin1_file() -> bytes:
+    """5,000 lines, the 3,001st of them Latin-1; the bad byte lies past the
+    text reader's first chunk, whose decode error gives only a position in
+    that chunk."""
+    lines = [f"u{n % 50}\ti{n % 97}\t{n % 9 / 2 + 0.5}\n".encode() for n in range(5000)]
+    lines[3000] = "Jos\u00e9\ti2\t4.0\n".encode("latin-1")
+    return b"".join(lines)
+
+
+LATIN1_ERROR = "line 3001: 'utf-8' codec can't decode byte 0xe9 in position 3: invalid continuation byte"
+
+
 class TestParseRatings:
     def test_single_record(self):
         ds = parse_ratings(["1\t5\t4.0"])
@@ -180,15 +194,11 @@ class TestParseRatings:
             parse_ratings(["1\t5\t4.0", "2\t5\t3.0", "3\t5"])
 
     def test_non_utf8_line_named(self, tmp_path):
-        # the bad byte lies past the text reader's first chunk, whose decode
-        # error gives only a position in that chunk
-        lines = [f"u{n % 50}\ti{n % 97}\t{n % 9 / 2 + 0.5}\n".encode() for n in range(5000)]
-        lines[3000] = "Jos\u00e9\ti2\t4.0\n".encode("latin-1")
         path = tmp_path / "latin1.tsv"
-        path.write_bytes(b"".join(lines))
+        path.write_bytes(_latin1_file())
         with pytest.raises(ParseError) as exc:
             parse_ratings(path)
-        assert str(exc.value) == "line 3001: 'utf-8' codec can't decode byte 0xe9 in position 3: invalid continuation byte"
+        assert str(exc.value) == LATIN1_ERROR
 
     def test_empty_input_rejected(self):
         with pytest.raises(ParseError, match="no rating records"):
@@ -609,3 +619,100 @@ class TestParsePathsAgree:
         path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + text.encode())
         loop, tokenized, _ = _both_paths(path, compiled_kernels, delimiter=delimiter, skip_header=skip_header)
         assert tokenized == loop
+
+
+# a child process of `TestReadOnce`: parses each path on the compiled
+# extension named, or on the numpy loops when none is, and prints the
+# outcomes pickled, as `_parse_outcome` gives them without the warnings
+_READER = """
+import importlib.util, pickle, sys
+from cobar import ParseError, kernels, parse_ratings
+from cobar.kernels import _python
+
+extension, *paths = sys.argv[1:]
+kernels._loops = _python
+if extension:
+    spec = importlib.util.spec_from_file_location("cobar.kernels._compiled", extension)
+    kernels._loops = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernels._loops)
+outcomes = []
+for path in paths:
+    try:
+        ds = parse_ratings(path)
+    except ParseError as exc:
+        outcomes.append(("ParseError", str(exc)))
+    else:
+        outcomes.append((ds.user_ids, ds.item_ids, ds.users.tobytes(), ds.items.tobytes(), ds.ratings.tobytes(),
+                         ds.rating_min, ds.rating_max))
+sys.stdout.buffer.write(pickle.dumps(outcomes))
+"""
+
+# writes the file named first into the FIFO named second, or to stdout
+_WRITER = """
+import sys
+data = open(sys.argv[1], "rb").read()
+(open(sys.argv[2], "wb") if len(sys.argv) > 2 else sys.stdout.buffer).write(data)
+"""
+
+# long enough for a child to start and parse a few hundred kilobytes
+READ_TIMEOUT_S = 30
+
+
+class TestReadOnce:
+    """`parse_ratings` opens a path once, so a source that can be read once
+    parses as the regular file does: a named FIFO, which a second open
+    would wait on for a writer that never comes, and a pipe passed as
+    ``/dev/fd/N``, as ``--data <(cat f)`` passes it, which a second open
+    would find drained."""
+
+    @pytest.mark.parametrize("kind", ["fifo", "pipe"])
+    def test_read_once_sources_parse_as_the_file(self, kind, kernel_backend, tmp_path):
+        if kind == "fifo" and not hasattr(os, "mkfifo"):
+            pytest.skip("os.mkfifo is missing")
+        if kind == "pipe" and not Path("/dev/fd").is_dir():
+            pytest.skip("no /dev/fd to name a pipe by")
+        datagen = load_datagen()
+        files = {"tokenized": tmp_path / "ft-1.tsv"}
+        datagen.write_rating_file(files["tokenized"], datagen.SHAPES["ft"], 1)
+        for name, data in (("non-ascii-id", PATH_CASES["non-ascii-id"][0]), ("lone-cr", PATH_CASES["lone-cr"][0]),
+                           ("non-utf8", _latin1_file())):
+            files[name] = tmp_path / f"{name}.tsv"
+            files[name].write_bytes(data)
+        compiled = kernels._loops is not _python
+        if compiled:
+            assert kernels.tokenize(files["tokenized"].read_bytes(), "\t", False) is not None
+        assert kernels.tokenize(files["non-ascii-id"].read_bytes(), "\t", False) is None
+
+        writers, sources, fds = [], [], []
+        try:
+            for name, path in files.items():
+                if kind == "fifo":
+                    source = tmp_path / f"{name}.fifo"
+                    os.mkfifo(source)
+                    writers.append(subprocess.Popen([sys.executable, "-c", _WRITER, str(path), str(source)]))
+                else:
+                    writer = subprocess.Popen([sys.executable, "-c", _WRITER, str(path)], stdout=subprocess.PIPE)
+                    writers.append(writer)
+                    fds.append(writer.stdout.fileno())
+                    source = f"/dev/fd/{fds[-1]}"
+                sources.append(str(source))
+            extension = kernels._loops.__file__ if compiled else ""
+            environ = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+            try:
+                out = subprocess.run([sys.executable, "-c", _READER, extension, *sources], env=environ,
+                                     capture_output=True, pass_fds=fds, timeout=READ_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                out = None
+        finally:
+            for writer in writers:
+                writer.kill()
+                writer.wait()
+                if writer.stdout:
+                    writer.stdout.close()
+        assert out is not None, f"parse_ratings did not return within {READ_TIMEOUT_S} s: it opened a {kind} twice"
+        assert out.returncode == 0, out.stderr.decode()
+        outcomes = dict(zip(files, pickle.loads(out.stdout)))
+        for name, path in files.items():
+            # the file's outcome without the warnings, which the child drops
+            assert outcomes[name] == _parse_outcome(path)[:7], name
+        assert outcomes["non-utf8"] == ("ParseError", LATIN1_ERROR)
