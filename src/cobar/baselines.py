@@ -46,8 +46,10 @@ class MfConfig:
     def __post_init__(self):
         if operator.index(self.factors) < 1:
             raise ValueError("factors must be >= 1")
-        if not (0 < self.learning_rate < np.inf and 0 <= self.regularization < np.inf):
-            raise ValueError("learning_rate must be finite and > 0, regularization finite and >= 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.regularization < np.inf:
+            raise ValueError(f"regularization must be finite and >= 0, got {self.regularization}")
         if operator.index(self.epochs) < 0:
             raise ValueError("epochs must be >= 0")
 
@@ -76,14 +78,16 @@ class _CosineKnn(_PredictorMixin):
     The *entities* (users or items) are the rows compared with each other.
     A query (entity, column) takes as neighbors the other entities rated in
     that column and aggregates the deviations of the k most similar
-    positive ones.  `fit` hands the training dataset, the means and k to a
-    `kernels.KnnIndex`, which lays the ratings out itself;
-    its query computes the similarities per query, compiled when the
-    extension is built, so memory stays O(ratings).  The compiled query
-    computes only the neighbours' dot products, from the cheaper of the
-    entity's columns and the neighbours' rows, with the numpy query's bits.
-    Subclasses set `user_major` (entities are users) and `compute_stats`
-    (the means deviations are centered on).
+    positive ones.  `fit` hands the training dataset, the entities' means
+    and k to a `kernels.KnnIndex`, which reads the dataset's two cached
+    layouts, so a fold's `UserKnn` and `ItemKnn` share them; its query
+    computes the similarities per query, compiled when the extension is
+    built, so memory stays O(ratings).  The compiled query computes only
+    the neighbours' dot products, from the cheaper of the entity's columns
+    and the neighbours' rows, with the numpy query's bits.  Subclasses set
+    `user_major`: the entities are users and the deviations are centered
+    on `compute_user_stats`, or they are items, centered on
+    `compute_item_stats`.
     """
 
     def __init__(self, config: KnnConfig | None = None, clamp: bool = True):
@@ -93,7 +97,9 @@ class _CosineKnn(_PredictorMixin):
 
     def fit(self, train: RatingDataset) -> "_CosineKnn":
         self.train = train
-        self.stats = self.compute_stats(train)
+        # looked up on every fit, not bound at import, so a patched module
+        # attribute takes effect
+        self.stats = (compute_user_stats if self.user_major else compute_item_stats)(train)
         self._index = kernels.KnnIndex(train, self.user_major, self.stats.means, self.config.k)
         return self
 
@@ -121,7 +127,6 @@ class UserKnn(_CosineKnn):
     """
 
     user_major = True
-    compute_stats = staticmethod(compute_user_stats)
 
 
 class ItemKnn(_CosineKnn):
@@ -133,7 +138,6 @@ class ItemKnn(_CosineKnn):
     """
 
     user_major = False
-    compute_stats = staticmethod(compute_item_stats)
 
 
 class MatrixFactorization(_PredictorMixin):
@@ -153,14 +157,16 @@ class MatrixFactorization(_PredictorMixin):
     def fit(self, train: RatingDataset) -> "MatrixFactorization":
         cfg = self.config
         self.train = train
+        user_stats, item_stats = compute_user_stats(train), compute_item_stats(train)
         rng = np.random.default_rng(cfg.seed)
-        self.global_mean = float(train.ratings.mean())
+        self.global_mean = user_stats.global_mean
         self.user_factors = rng.normal(0.0, INIT_SCALE, (train.n_users, cfg.factors))
         self.item_factors = rng.normal(0.0, INIT_SCALE, (train.n_items, cfg.factors))
         self.user_bias = np.zeros(train.n_users)
         self.item_bias = np.zeros(train.n_items)
-        self.user_seen = np.bincount(train.users, minlength=train.n_users) > 0
-        self.item_seen = np.bincount(train.items, minlength=train.n_items) > 0
+        # a mean is NaN just where there is no rating: a sum of finite ratings is never NaN
+        self.user_seen = ~np.isnan(user_stats.means)
+        self.item_seen = ~np.isnan(item_stats.means)
 
         users, items, ratings = train.users, train.items, train.ratings
         for _ in range(cfg.epochs):

@@ -25,8 +25,8 @@ from . import kernels
 from .baselines import KnnConfig, MfConfig
 from .clustering import clusterable_users
 from .core import CobarConfig, CobarModel, Fallback
-from .data import ParseError, parse_ratings, subsample_users
-from .evaluation import ALGORITHM_NAMES, build_algorithms, run_cross_validation
+from .data import ParseError, _check_fold_count, _check_user_cap, parse_ratings, subsample_users
+from .evaluation import ALGORITHM_NAMES, _check_level, build_algorithms, run_cross_validation
 
 MAX_CLUSTERING_USERS = 3000
 
@@ -134,16 +134,41 @@ def _check_clustering_budget(dataset) -> None:
         )
 
 
+# the library's own check of each option's value, by its argparse dest
+_OPTION_CHECKS = {
+    "gamma": lambda value: CobarConfig(gamma=value),
+    "confidence": lambda value: CobarConfig(confidence_level=value),
+    "knn_k": lambda value: KnnConfig(k=value),
+    "mf_factors": lambda value: MfConfig(factors=value),
+    "mf_lr": lambda value: MfConfig(learning_rate=value),
+    "mf_reg": lambda value: MfConfig(regularization=value),
+    "mf_epochs": lambda value: MfConfig(epochs=value),
+    "folds": _check_fold_count,
+    "wilcoxon_level": _check_level,
+    "max_users": lambda value: value is None or _check_user_cap(value),
+}
+
+
+def _check_options(args) -> None:
+    """Check the value of every option the subcommand has, before the rating
+    file is read; a `ValueError` names the option."""
+    for dest, check in _OPTION_CHECKS.items():
+        if hasattr(args, dest):
+            value = getattr(args, dest)
+            try:
+                check(value)
+            except ValueError as exc:
+                raise ValueError(f"--{dest.replace('_', '-')} {value}: {exc}") from None
+
+
 def _cobar_config(args) -> CobarConfig:
     return CobarConfig(gamma=args.gamma, confidence_level=args.confidence)
 
 
 def cmd_evaluate(args) -> int:
     _check_output_dir(args.out)
-    dataset = _load_dataset(args)
+    _check_options(args)
     names = [n.strip() for n in args.algos.split(",") if n.strip()]
-    if "cobar" in names:
-        _check_clustering_budget(dataset)
     algorithms = build_algorithms(
         names,
         cobar_config=_cobar_config(args),
@@ -157,6 +182,9 @@ def cmd_evaluate(args) -> int:
         ),
         clamp=not args.no_clamp,
     )
+    dataset = _load_dataset(args)
+    if "cobar" in names:
+        _check_clustering_budget(dataset)
     metadata = {
         "data_path": str(args.data),
         "gamma": args.gamma,
@@ -186,6 +214,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     _check_output_dir(args.dendrogram_out)
+    _check_options(args)
     dataset = _load_dataset(args)
     user = dataset.user_index(args.user)
     item = dataset.item_index(args.item)

@@ -17,7 +17,6 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -60,6 +59,33 @@ def _check_range(name: str, index: np.ndarray, bound: int) -> None:
         raise IndexError(f"{name} holds an index out of range [0, {bound})")
 
 
+class _Derived:
+    """A read-only attribute of a `RatingDataset`, built on first read and
+    kept in the dataset's `_derived` dict.  `functools.cached_property`
+    would keep it in the instance `__dict__` instead, and once CPython
+    3.11 materialises that dict every attribute read of the instance is
+    slower: each prediction reads its training set, and cobar's
+    predictions on a perfbench ft fold ran 6% slower."""
+
+    def __init__(self, build):
+        self._build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self._name = name
+
+    def __get__(self, dataset, owner=None):
+        if dataset is None:
+            return self
+        derived = dataset._derived
+        if self._name not in derived:
+            derived[self._name] = self._build(dataset)
+        return derived[self._name]
+
+    def __set__(self, dataset, value):
+        raise AttributeError(f"{self._name} is derived from the triples and cannot be set")
+
+
 @dataclass
 class RatingDataset:
     """Sparse user x item rating store with contiguous internal indices.
@@ -72,6 +98,13 @@ class RatingDataset:
     dataset, and not through the arrays it was built from, which stay the
     caller's.  `rating_min` and `rating_max` are clamp bounds, not checked
     against the ratings.
+
+    The state every model derives from the triples is built on first read
+    and cached on the dataset, read-only, so the models fit on one
+    training set share it: the CSR layouts `user_layout` and
+    `item_layout`, and the `MeanStats` `user_stats` and `item_stats`.  A
+    `subset` starts with nothing cached, and a pickle keeps what was
+    built.
     """
 
     user_ids: list[str]
@@ -99,12 +132,16 @@ class RatingDataset:
         for name, array in (("users", users), ("items", items), ("ratings", ratings)):
             array.flags.writeable = False
             setattr(self, name, array)
+        self._derived = {}
 
     def __setstate__(self, state):
-        # numpy loads a pickled array writable: keep the checked ones read-only
+        # numpy loads a pickled array writable: keep the checked ones and
+        # the cached layouts read-only
         self.__dict__.update(state)
-        for name in ("users", "items", "ratings"):
-            getattr(self, name).flags.writeable = False
+        derived = self._derived
+        for array in (self.users, self.items, self.ratings, *derived.get("user_layout", ()),
+                      *derived.get("item_layout", ())):
+            array.flags.writeable = False
 
     @property
     def n_users(self) -> int:
@@ -118,13 +155,45 @@ class RatingDataset:
     def n_ratings(self) -> int:
         return len(self.ratings)
 
-    @cached_property
+    @_Derived
     def _user_map(self) -> dict[str, int]:
         return {u: i for i, u in enumerate(self.user_ids)}
 
-    @cached_property
+    @_Derived
     def _item_map(self) -> dict[str, int]:
         return {u: i for i, u in enumerate(self.item_ids)}
+
+    @_Derived
+    def user_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ratings with users as rows, each row sorted by item, as
+        `cobar.kernels.csr_rows` lays them out: int64 indptr, int32 item
+        indices and float64 ratings, explicit zeros kept."""
+        return self._layout(self.users, self.items, self.n_users, self.n_items)
+
+    @_Derived
+    def item_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The transpose of `user_layout`: items as rows, each row sorted by
+        user."""
+        return self._layout(self.items, self.users, self.n_items, self.n_users)
+
+    def _layout(self, keys: np.ndarray, others: np.ndarray, n_keys: int, n_others: int):
+        from . import kernels   # which imports this module
+        layout = kernels.csr_rows(keys, others, self.ratings, n_keys, n_others)
+        for array in layout:
+            array.flags.writeable = False
+        return layout
+
+    @_Derived
+    def user_stats(self) -> MeanStats:
+        """Each user's mean rating and the global mean; `ValueError` for a
+        dataset with no ratings."""
+        return _mean_stats(self, self.users, self.n_users)
+
+    @_Derived
+    def item_stats(self) -> MeanStats:
+        """Each item's mean rating and the global mean; `ValueError` for a
+        dataset with no ratings."""
+        return _mean_stats(self, self.items, self.n_items)
 
     def user_index(self, external_id: str) -> int:
         try:
@@ -280,10 +349,23 @@ def _keep_last(user_ids: list[str], item_ids: list[str], users: np.ndarray, item
 @dataclass
 class MeanStats:
     """Per-user or per-item training means; NaN marks a user or item with no
-    training ratings."""
+    training ratings.
+
+    Building the stats makes the `means` array read-only, and a loaded
+    pickle keeps it so: a training set's stats are shared by every model
+    fit on it, so a write would reach them all.
+    """
 
     means: np.ndarray    # float64 (n_keys,), NaN when undefined
     global_mean: float
+
+    def __post_init__(self):
+        self.means.flags.writeable = False
+
+    def __setstate__(self, state):
+        # numpy loads a pickled array writable
+        self.__dict__.update(state)
+        self.means.flags.writeable = False
 
     def mean(self, key: int) -> float | None:
         m = self.means[key]
@@ -306,13 +388,15 @@ def _mean_stats(train: RatingDataset, keys: np.ndarray, n_keys: int) -> MeanStat
 
 
 def compute_user_stats(train: RatingDataset) -> MeanStats:
-    """Arithmetic mean of each user's training ratings plus the global mean."""
-    return _mean_stats(train, train.users, train.n_users)
+    """Arithmetic mean of each user's training ratings plus the global mean:
+    the training set's one `user_stats`, built on first read."""
+    return train.user_stats
 
 
 def compute_item_stats(train: RatingDataset) -> MeanStats:
-    """Arithmetic mean of each item's training ratings plus the global mean."""
-    return _mean_stats(train, train.items, train.n_items)
+    """Arithmetic mean of each item's training ratings plus the global mean:
+    the training set's one `item_stats`, built on first read."""
+    return train.item_stats
 
 
 class _PredictorMixin:
@@ -355,11 +439,15 @@ class FoldSplit:
         return np.flatnonzero(self.assignment != fold)
 
 
+def _check_fold_count(k: int) -> None:
+    if k < 2:
+        raise ValueError(f"fold count must be >= 2, got {k}")
+
+
 def kfold_split(dataset: RatingDataset, k: int, seed: int) -> FoldSplit:
     """Uniform seeded shuffle of the triples into k folds (sizes differ by <= 1)."""
     n = dataset.n_ratings
-    if k < 2:
-        raise ValueError(f"fold count must be >= 2, got {k}")
+    _check_fold_count(k)
     if k > n:
         raise ValueError(f"cannot split {n} ratings into {k} folds")
     rng = np.random.default_rng(seed)
@@ -377,14 +465,18 @@ def fold_train_test(dataset: RatingDataset, split: FoldSplit, fold: int) -> tupl
     return train, split.test_indices(fold)
 
 
+def _check_user_cap(max_users: int) -> None:
+    if max_users < 1:
+        raise ValueError("max_users must be >= 1")
+
+
 def subsample_users(dataset: RatingDataset, max_users: int, seed: int) -> RatingDataset:
     """Keep a seeded random subset of users and rebuild contiguous indices.
 
     Items left without any rating are dropped; external ids are preserved.
     Returns the dataset unchanged when it already fits the cap.
     """
-    if max_users < 1:
-        raise ValueError("max_users must be >= 1")
+    _check_user_cap(max_users)
     if dataset.n_users <= max_users:
         return dataset
     rng = np.random.default_rng(seed)

@@ -13,19 +13,22 @@ loops' arguments in another layout, stops the import with the rebuild
 command.  `csr_rows`, `cosine_distance_matrix`, `ward_linkage`,
 `mf_sgd_epoch`, `KnnIndex`, `ClusterStatsIndex` and `tokenize` check their
 arguments, once for both backends, before they call the selected loop,
-which trusts its caller.  `cosine_distance_matrix` and `KnnIndex` lay
-out the triples of a `RatingDataset`, checked when it was built, along
-both axes with `csr_rows`, the package's one CSR builder, whose int32
-indices, beside int64 indptrs, every loop reads; `ClusterStatsIndex` lays
-them out with it per item over the leaf ranges of a `Dendrogram`, which
-checked its tree when built, and its loop finds each gap's int64 node as
-it fills the gap's entry.  The two query loops, which run once per
-prediction, are bound to their arrays once: `KnnIndex` at construction,
-`ClusterStatsIndex` per confidence level on its first query; a pickle holds
-the arrays, and both bind again when it is loaded.  The cosine loops sum
-each dot product item by item in ascending order, as scipy's sparse product
-does, and clip ``1 - (dot / norm_i) / norm_j`` to [0, 2] with NaN passing.
-The two Ward loops are one algorithm: they square the distances in place,
+which trusts its caller.  `csr_rows` is the package's one CSR builder,
+whose int32 indices, beside int64 indptrs, every loop reads.  A
+`RatingDataset`, which checked its triples when it was built, lays them
+out with it along both axes once, on first read, and `KnnIndex` reads
+those two read-only layouts.  `cosine_distance_matrix` lays out along
+both axes only the ratings of the users it is given, by their position
+in that list; `ClusterStatsIndex` lays them out per item over the leaf
+ranges of a `Dendrogram`, which checked its tree when built, and its loop
+finds each gap's int64 node as it fills the gap's entry.  The two query
+loops, which run once per prediction, are bound to their arrays once:
+`KnnIndex` at construction, `ClusterStatsIndex` per confidence level on
+its first query; a pickle holds the arrays, and both bind again when it
+is loaded.  The cosine loops sum each dot product item by item in
+ascending order, as scipy's sparse product does, and clip
+``1 - (dot / norm_i) / norm_j`` to [0, 2] with NaN passing.  The two Ward
+loops are one algorithm: they square the distances in place,
 checking each as they square it, and merge the same pair with the same
 Lance-Williams operands at every step, found through the same slots and
 lazy bounds on the rows' minima.  Both backends give the same distances,
@@ -168,10 +171,11 @@ def csr_rows(keys, others, ratings, n_keys: int, n_others: int) -> tuple[np.ndar
     width, before the loop runs.  The triples are a `RatingDataset`'s,
     checked there, so every index is in range and no pair repeats.  The
     package's one CSR builder: the cosine pass, the cluster statistics and
-    `KnnIndex` all read the ratings through it.  The compiled backend
-    orders the triples by a two-pass counting sort, O(ratings + n_keys +
-    n_others), the numpy one by an argsort of ``key * n_others + other``;
-    the pairs are unique, so both give the same arrays."""
+    a `RatingDataset`'s two cached layouts, which `KnnIndex` reads, are all
+    built by it.  The compiled backend orders the triples by a two-pass
+    counting sort, O(ratings + n_keys + n_others), the numpy one by an
+    argsort of ``key * n_others + other``; the pairs are unique, so both
+    give the same arrays."""
     keys = _checked("keys", keys, 1, "int32")
     others = _checked("others", others, 1, "int32")
     indptr, indices = np.empty(n_keys + 1, dtype=np.int64), np.empty(len(keys), dtype=np.int32)
@@ -303,10 +307,13 @@ class KnnIndex:
     *columns* the other axis: the users and items of the training
     `RatingDataset`, which checked its triples, when `user_major` is true,
     its items and users otherwise.  `means` holds one float64 per entity
-    and `k` >= 1; `TypeError` or `ValueError` otherwise.  It lays the
-    ratings out with `csr_rows`, in CSR form along both axes with every row
-    sorted and int32 indices, plus the norms, so each query checks only its
-    own arguments before the loop reads the arrays unchecked.
+    and `k` >= 1; `TypeError` or `ValueError` otherwise.  The index lays
+    nothing out: it reads the dataset's `user_layout` and `item_layout`,
+    built once per dataset by `csr_rows` with every row sorted and int32
+    indices, and the means as given, not copied, as a `MeanStats` holds
+    them read-only.  It adds the entities' norms, so each query checks only
+    its own arguments before the loop reads the arrays unchecked.  All of
+    them stay read-only when a pickle is loaded.
 
     The compiled loop computes only the dot products a query reads, those
     of the entity with the neighbours in the column, from the side that
@@ -327,22 +334,20 @@ class KnnIndex:
     def __init__(self, train: RatingDataset, user_major: bool, means, k: int):
         if not isinstance(train, RatingDataset):
             raise TypeError(f"train must be a RatingDataset, not {type(train).__name__}")
-        if user_major:
-            entities, columns, self.n_entities, self.n_columns = train.users, train.items, train.n_users, train.n_items
-        else:
-            entities, columns, self.n_entities, self.n_columns = train.items, train.users, train.n_items, train.n_users
+        layouts = (train.user_layout, train.item_layout)
+        rows, cols = layouts if user_major else layouts[::-1]
+        self.n_entities, self.n_columns = len(rows[0]) - 1, len(cols[0]) - 1
         means = _checked("means", means, 1, "float64")
         if len(means) != self.n_entities:
             raise ValueError(f"means has {len(means)} entries, not one per entity ({self.n_entities})")
         self.k = operator.index(k)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        rows = csr_rows(entities, columns, train.ratings, self.n_entities, self.n_columns)
-        cols = csr_rows(columns, entities, train.ratings, self.n_columns, self.n_entities)
         # each row's squares summed in ascending column order
         entity_of = np.repeat(np.arange(self.n_entities), np.diff(rows[0]))
         norms = np.sqrt(np.bincount(entity_of, weights=rows[2] * rows[2], minlength=self.n_entities))
-        self._arrays = (*rows, *cols, norms, means.copy())
+        norms.flags.writeable = False
+        self._arrays = (*rows, *cols, norms, means)
         self._bind()
 
     def _bind(self):
@@ -354,7 +359,10 @@ class KnnIndex:
         return {**self.__dict__, "_query": None}
 
     def __setstate__(self, state):
+        # numpy loads a pickled array writable: keep the bound query's read-only
         self.__dict__.update(state)
+        for array in self._arrays:
+            array.flags.writeable = False
         self._bind()
 
     def query(self, entity: int, column: int) -> float | None:

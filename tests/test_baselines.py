@@ -506,6 +506,68 @@ def test_pickled_model_keeps_its_arrays_read_only(kernel_backend, two_clusters_d
     assert loaded.stats._arrays[4] is loaded.dendrogram.nodes
 
 
+def _fold(seed):
+    ds = random_grid_dataset(np.random.default_rng(seed), max_users=30, max_items=25)
+    return fold_train_test(ds, kfold_split(ds, 5, seed=seed), 0)[0]
+
+
+def test_a_folds_models_share_its_derived_state(each_backend, monkeypatch):
+    # uknn and iknn read the same two layouts, built once per training set,
+    # and every model reads the training set's one MeanStats per axis
+    for _ in each_backend:
+        train = _fold(21)
+        calls = []
+        monkeypatch.setattr(kernels._loops, "csr_fill", lambda *args, fill=kernels._loops.csr_fill:
+                            calls.append(fill(*args)))
+        uknn, iknn = UserKnn().fit(train), ItemKnn().fit(train)
+        assert len(calls) == 2
+        layouts = (*train.user_layout, *train.item_layout)
+        assert all(a is b for a, b in zip(uknn._index._arrays, layouts))
+        assert all(a is b for a, b in zip(iknn._index._arrays, layouts[3:] + layouts[:3]))
+        assert uknn.stats is train.user_stats and uknn._index._arrays[7] is train.user_stats.means
+        assert iknn.stats is train.item_stats and iknn._index._arrays[7] is train.item_stats.means
+        assert CobarModel().fit(train).user_stats is train.user_stats
+        assert MostPopular().fit(train).item_stats is train.item_stats
+        mf = MatrixFactorization(MfConfig(epochs=1)).fit(train)
+        assert mf.global_mean == float(train.ratings.mean())
+        assert np.array_equal(mf.user_seen, np.bincount(train.users, minlength=train.n_users) > 0)
+        assert np.array_equal(mf.item_seen, np.bincount(train.items, minlength=train.n_items) > 0)
+
+
+def test_knns_pickled_together_share_read_only_arrays(kernel_backend):
+    train = _fold(22)
+    models = UserKnn().fit(train), ItemKnn().fit(train)
+
+    def every_prediction(ms):
+        return [np.array([m.predict(u, i) for u in range(train.n_users) for i in range(train.n_items)]).tobytes()
+                for m in ms]
+
+    want = every_prediction(models)
+    uknn, iknn = loaded = pickle.loads(pickle.dumps(models))
+    assert uknn.train is iknn.train
+    layouts = (*uknn.train.user_layout, *uknn.train.item_layout)
+    assert all(a is b for a, b in zip(uknn._index._arrays, layouts))
+    assert all(a is b for a, b in zip(iknn._index._arrays, layouts[3:] + layouts[:3]))
+    for array in (*uknn._index._arrays, *iknn._index._arrays):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert every_prediction(loaded) == want
+
+
+@pytest.mark.parametrize("name", ["cobar", "mp", "mf"])
+def test_a_fit_without_knn_builds_no_layout(name, kernel_backend):
+    train = _fold(23)
+    PREDICTORS[name]().fit(train)
+    assert not {"user_layout", "item_layout"} & set(train._derived)
+
+
+@pytest.mark.parametrize("name", list(PREDICTORS))
+def test_empty_training_set_rejected(name):
+    empty = _fold(24).subset([])
+    with pytest.raises(ValueError, match="empty training set"):
+        PREDICTORS[name]().fit(empty)
+
+
 @pytest.mark.parametrize("source", ["two_clusters", "ft", *RATING_SCALES])
 def test_power_of_two_scales_every_prediction(source, each_backend, two_clusters_dataset):
     # scaling the ratings by 2^k is exact while nothing overflows or

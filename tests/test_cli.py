@@ -372,6 +372,31 @@ class TestParsing:
         assert code != 0
         assert "line 1" in stderr
 
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("evaluate", "--knn-k", "0", "neighbor count must be >= 1, got 0"),
+        ("evaluate", "--mf-factors", "0", "factors must be >= 1"),
+        ("evaluate", "--mf-lr", "nan", "learning_rate must be finite and > 0, got nan"),
+        ("evaluate", "--mf-reg", "-1", "regularization must be finite and >= 0, got -1.0"),
+        ("evaluate", "--mf-epochs", "-1", "epochs must be >= 0"),
+        ("evaluate", "--folds", "1", "fold count must be >= 2, got 1"),
+        ("evaluate", "--max-users", "0", "max_users must be >= 1"),
+        ("evaluate", "--wilcoxon-level", "1.5", "Wilcoxon level must be in (0, 1), got 1.5"),
+        ("evaluate", "--gamma", "2", "gamma must be in [0, 1], got 2.0"),
+        ("evaluate", "--confidence", "1", "confidence level must be in (0, 1), got 1.0"),
+        ("predict", "--max-users", "0", "max_users must be >= 1"),
+        ("predict", "--gamma", "-0.5", "gamma must be in [0, 1], got -0.5"),
+        ("predict", "--confidence", "0", "confidence level must be in (0, 1), got 0.0"),
+    ])
+    def test_bad_option_named_before_the_parse(self, tmp_path, capsys, command, flag, value, message):
+        # the file cannot be parsed: the option's error must come first
+        path = tmp_path / "bad.tsv"
+        path.write_text("u1\ti1\tgood\n")
+        extra = ["--user", "u1", "--item", "i1"] if command == "predict" else []
+        code, stdout, stderr = run_cli(capsys, command, "--data", str(path), *extra, flag, value)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"error: {flag} ")
+        assert stderr.endswith(f": {message}\n")
+
     def test_non_utf8_file_reported(self, tmp_path, capsys):
         path = tmp_path / "latin1.tsv"
         path.write_bytes("u1\ti1\t3.0\nJos\u00e9\ti2\t4.0\n".encode("latin-1"))

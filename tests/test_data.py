@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from cobar import (
     CobarModel,
+    MeanStats,
     ParseError,
     RatingDataset,
+    compute_item_stats,
     compute_user_stats,
     fold_train_test,
     kernels,
@@ -380,6 +382,88 @@ class TestUserStats:
             merged = compute_user_stats(union)
             assert merged.global_mean == pytest.approx(full.global_mean, abs=1e-12)
             np.testing.assert_allclose(merged.means, full.means, atol=1e-12)
+
+
+DERIVED = ("user_layout", "item_layout", "user_stats", "item_stats")
+
+
+def _derived_arrays(ds):
+    return (*ds.user_layout, *ds.item_layout, ds.user_stats.means, ds.item_stats.means)
+
+
+class TestDerivedState:
+    """The layouts and means a dataset derives from its triples once, on
+    first read, for every model fit on it."""
+
+    def test_layouts_are_csr_rows_of_the_triples(self, each_backend):
+        rng = np.random.default_rng(12)
+        for _ in each_backend:
+            # a dataset per backend, so that each backend builds the layouts
+            ds = random_grid_dataset(rng, draw=lambda r: r.choice([0.0, -0.0, 1.5, 3.25]))
+            assert np.count_nonzero(ds.ratings == 0.0) > 0
+            for layout, args in ((ds.user_layout, (ds.users, ds.items, ds.ratings, ds.n_users, ds.n_items)),
+                                 (ds.item_layout, (ds.items, ds.users, ds.ratings, ds.n_items, ds.n_users))):
+                assert [a.tobytes() for a in layout] == [a.tobytes() for a in csr_rows(*args)]
+                assert [a.tobytes() for a in layout] == [a.tobytes() for a in _csr_reference(*args)]
+                # explicit zeros, and their signs, are kept
+                assert np.array_equal(np.sort(layout[2].view(np.int64)), np.sort(ds.ratings.view(np.int64)))
+
+    def test_built_once_and_read_only(self, each_backend):
+        rng = np.random.default_rng(13)
+        for _ in each_backend:
+            ds = random_grid_dataset(rng)
+            assert not set(DERIVED) & set(ds._derived)
+            first = [getattr(ds, name) for name in DERIVED]
+            assert all(getattr(ds, name) is built for name, built in zip(DERIVED, first))
+            assert compute_user_stats(ds) is ds.user_stats and compute_item_stats(ds) is ds.item_stats
+            for array in _derived_arrays(ds):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+            with pytest.raises(AttributeError, match="cannot be set"):
+                ds.user_layout = first[0]
+
+    def test_subset_and_subsample_start_with_nothing_cached(self):
+        ds = random_grid_dataset(np.random.default_rng(14))
+        built = _derived_arrays(ds)
+        for derived in (ds.subset(np.arange(ds.n_ratings)), subsample_users(ds, ds.n_users - 1, seed=0)):
+            assert not set(DERIVED) & set(derived._derived)
+            assert not any(a is b for a, b in zip(_derived_arrays(derived), built))
+
+    def test_empty_training_set_still_raises(self):
+        empty = random_grid_dataset(np.random.default_rng(15)).subset([])
+        for stats in (compute_user_stats, compute_item_stats, compute_user_stats):
+            with pytest.raises(ValueError, match="empty training set"):
+                stats(empty)
+        assert not {"user_stats", "item_stats"} & set(empty._derived)
+
+    def test_pickle_keeps_the_cache_read_only(self):
+        ds = random_grid_dataset(np.random.default_rng(16))
+        want = [a.tobytes() for a in _derived_arrays(ds)]
+        loaded = pickle.loads(pickle.dumps(ds))
+        assert set(DERIVED) <= set(loaded._derived)
+        assert [a.tobytes() for a in _derived_arrays(loaded)] == want
+        for array in _derived_arrays(loaded):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+
+class TestMeanStatsReadOnly:
+    def test_a_write_cannot_reach_a_fitted_model(self, demo_dataset):
+        # the stats are the training set's, shared by every model fit on
+        # it; before they were frozen, this write moved the README's
+        # worked example from 3.1 to 1.4
+        model = CobarModel().fit(demo_dataset)
+        user, item = demo_dataset.user_index("1"), demo_dataset.item_index("100")
+        want = model.predict(user, item)
+        for fitted in (model, pickle.loads(pickle.dumps(model))):
+            with pytest.raises(ValueError, match="read-only"):
+                fitted.user_stats.means[user] = 0.0
+            assert fitted.predict(user, item) == want == pytest.approx(3.1)
+
+    def test_stays_read_only_after_a_pickle(self):
+        loaded = pickle.loads(pickle.dumps(MeanStats(means=np.array([1.0, np.nan]), global_mean=1.0)))
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.means[0] = 0.0
 
 
 class TestKfoldSplit:

@@ -1176,20 +1176,25 @@ class TestKnnQuery:
         assert results[0] == results[1]
         assert sum(v is not None for v in results[0]) > len(SIDES_QUERIES)
 
-    def test_keeps_frozen_copies(self):
-        # the index lays the triples out in arrays of its own and copies the
-        # means, so overwriting the means changes no query; the dataset keeps
-        # copies of the arrays it was built from, so overwriting those
-        # reaches neither the dataset nor the index
+    def test_reads_the_datasets_frozen_layouts(self):
+        # the index reads the dataset's read-only layouts and adds read-only
+        # norms; the dataset keeps copies of the arrays it was built from,
+        # so overwriting those reaches neither the dataset nor the index.
+        # The means are read as given, read-only in a `MeanStats`, not copied
         problem = _counting_problem("continuous")
         triples = [a.copy() for a in (problem["train"].users, problem["train"].items, problem["train"].ratings)]
         train = problem["train"] = replace(problem["train"], users=triples[0], items=triples[1], ratings=triples[2])
         index = kernels.KnnIndex(**problem, k=7)
+        assert all(kept is laid for kept, laid in zip(index._arrays, (*train.user_layout, *train.item_layout)))
+        assert index._arrays[7] is problem["means"]
         assert not any(np.shares_memory(kept, given) for kept in index._arrays
-                       for given in (train.users, train.items, train.ratings, problem["means"]))
+                       for given in (train.users, train.items, train.ratings, *triples))
+        for array in index._arrays[:7]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
         before = [index.query(e, c) for e, c in SPREAD]
         checked = train.ratings.copy()
-        for array in (*triples, problem["means"]):
+        for array in triples:
             array[:] = 0
         assert np.array_equal(train.ratings, checked)
         assert [index.query(e, c) for e, c in SPREAD] == before
