@@ -57,6 +57,8 @@ class MfConfig:
 class MostPopular(_PredictorMixin):
     """Non-personalized baseline: each item's global mean training rating."""
 
+    _BOUND = ("_means",)
+
     def __init__(self, clamp: bool = True):
         self.clamp = clamp
         self.train = None
@@ -65,11 +67,18 @@ class MostPopular(_PredictorMixin):
     def fit(self, train: RatingDataset) -> "MostPopular":
         self.train = train
         self.item_stats = compute_item_stats(train)
+        means = self.item_stats.means
+        # each item's mean, and the global mean for an item with no rating
+        self.item_means = np.where(np.isnan(means), self.item_stats.global_mean, means)
+        self._fitted_on(train)
         return self
 
-    def predict(self, user: int, item: int) -> float:
-        _, item = self._check_query(user, item)
-        return self._clamp(self.item_stats.mean_or_global(item))
+    def _bind(self) -> None:
+        # indexing a memoryview gives a Python float, with no numpy scalar
+        self._means = memoryview(self.item_means)
+
+    def _value(self, user: int, item: int) -> float:
+        return self._means[item]
 
 
 class _CosineKnn(_PredictorMixin):
@@ -84,11 +93,15 @@ class _CosineKnn(_PredictorMixin):
     computes the similarities per query, compiled when the extension is
     built, so memory stays O(ratings).  The compiled query computes only
     the neighbours' dot products, from the cheaper of the entity's columns
-    and the neighbours' rows, with the numpy query's bits.  Subclasses set
-    `user_major`: the entities are users and the deviations are centered
-    on `compute_user_stats`, or they are items, centered on
-    `compute_item_stats`.
+    and the neighbours' rows, with the numpy query's bits.  `predict` has
+    checked the pair against the training set the index was built on, so
+    it calls the index's bound loop directly, not the checked
+    `KnnIndex.query`.  Subclasses set `user_major`: the entities are users
+    and the deviations are centered on `compute_user_stats`, or they are
+    items, centered on `compute_item_stats`.
     """
+
+    _BOUND = ("_means", "_query")
 
     def __init__(self, config: KnnConfig | None = None, clamp: bool = True):
         self.config = config or KnnConfig()
@@ -101,21 +114,21 @@ class _CosineKnn(_PredictorMixin):
         # attribute takes effect
         self.stats = (compute_user_stats if self.user_major else compute_item_stats)(train)
         self._index = kernels.KnnIndex(train, self.user_major, self.stats.means, self.config.k)
+        self._fitted_on(train)
         return self
 
-    def _predict(self, entity: int, column: int) -> float:
-        mean = self.stats.mean(entity)
-        if mean is None:
-            return self._clamp(self.stats.global_mean)
-        agg = self._index.query(entity, column)
-        if agg is None:
-            # no other rater in the column has positive similarity
-            return self._clamp(mean)
-        return self._clamp(mean + agg)
+    def _bind(self) -> None:
+        self._means = memoryview(self.stats.means)
+        self._query = self._index._query
 
-    def predict(self, user: int, item: int) -> float:
-        user, item = self._check_query(user, item)
-        return self._predict(user, item) if self.user_major else self._predict(item, user)
+    def _value(self, user: int, item: int) -> float:
+        entity, column = (user, item) if self.user_major else (item, user)
+        mean = self._means[entity]
+        if mean != mean:   # NaN: the entity has no training rating
+            return self.stats.global_mean
+        agg = self._query(entity, column)
+        # None: no other rater in the column has positive similarity
+        return mean if agg is None else mean + agg
 
 
 class UserKnn(_CosineKnn):
@@ -148,6 +161,8 @@ class MatrixFactorization(_PredictorMixin):
     under a fixed seed.  Terms belonging to users or items unseen in
     training are dropped at prediction time.
     """
+
+    _BOUND = ("_user_bias", "_item_bias", "_user_seen", "_item_seen")
 
     def __init__(self, config: MfConfig | None = None, clamp: bool = True):
         self.config = config or MfConfig()
@@ -184,15 +199,21 @@ class MatrixFactorization(_PredictorMixin):
                 cfg.learning_rate,
                 cfg.regularization,
             )
+        self._fitted_on(train)
         return self
 
-    def predict(self, user: int, item: int) -> float:
-        user, item = self._check_query(user, item)
+    def _bind(self) -> None:
+        self._user_bias, self._item_bias = memoryview(self.user_bias), memoryview(self.item_bias)
+        self._user_seen, self._item_seen = memoryview(self.user_seen), memoryview(self.item_seen)
+
+    def _value(self, user: int, item: int) -> float:
         value = self.global_mean
-        if self.user_seen[user]:
-            value += self.user_bias[user]
-        if self.item_seen[item]:
-            value += self.item_bias[item]
-        if self.user_seen[user] and self.item_seen[item]:
-            value += float(self.user_factors[user] @ self.item_factors[item])
-        return self._clamp(value)
+        user_seen, item_seen = self._user_seen[user], self._item_seen[item]
+        if user_seen:
+            value += self._user_bias[user]
+        if item_seen:
+            value += self._item_bias[item]
+        if user_seen and item_seen:
+            # the cblas_ddot call of `@`, without its operator dispatch
+            value += float(self.user_factors[user].dot(self.item_factors[item]))
+        return value

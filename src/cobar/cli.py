@@ -134,8 +134,14 @@ def _check_clustering_budget(dataset) -> None:
         )
 
 
+def _algo_names(text: str) -> list[str]:
+    """The names of a comma-separated `--algos` value, blanks dropped."""
+    return [n.strip() for n in text.split(",") if n.strip()]
+
+
 # the library's own check of each option's value, by its argparse dest
 _OPTION_CHECKS = {
+    "algos": lambda value: build_algorithms(_algo_names(value)),
     "gamma": lambda value: CobarConfig(gamma=value),
     "confidence": lambda value: CobarConfig(confidence_level=value),
     "knn_k": lambda value: KnnConfig(k=value),
@@ -168,7 +174,7 @@ def _cobar_config(args) -> CobarConfig:
 def cmd_evaluate(args) -> int:
     _check_output_dir(args.out)
     _check_options(args)
-    names = [n.strip() for n in args.algos.split(",") if n.strip()]
+    names = _algo_names(args.algos)
     algorithms = build_algorithms(
         names,
         cobar_config=_cobar_config(args),

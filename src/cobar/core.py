@@ -92,7 +92,11 @@ class CobarModel(_PredictorMixin):
     clamped to the training scale unless constructed with `clamp=False`.
 
     All state is immutable after :meth:`fit`; predictions are pure reads.
+    The fit stores on the model what every query reads: the config's gamma
+    and confidence level and the leaves' chains.
     """
+
+    _BOUND = ("_user_means", "_leaves", "_sizes")
 
     def __init__(self, config: CobarConfig | None = None, clamp: bool = True):
         self.config = config or CobarConfig()
@@ -103,9 +107,6 @@ class CobarModel(_PredictorMixin):
         self.stats: ClusterStatsIndex | None = None
         self._leaf_of: np.ndarray | None = None   # per user, its leaf or -1
         self._item_counts: np.ndarray | None = None
-        self._user_means: memoryview | None = None
-        self._leaves: memoryview | None = None
-        self._sizes: memoryview | None = None
 
     def fit(self, train: RatingDataset) -> "CobarModel":
         self.train = train
@@ -115,24 +116,17 @@ class CobarModel(_PredictorMixin):
         self._leaf_of = np.full(train.n_users, -1, dtype=np.int64)
         self._leaf_of[self.dendrogram.leaf_users] = np.arange(self.dendrogram.n_leaves)
         self._item_counts = np.bincount(train.items, minlength=train.n_items)
-        self._bind_views()
+        self._chains = self.dendrogram.chains
+        self._gamma, self._level = self.config.gamma, self.config.confidence_level
+        self._fitted_on(train)
         return self
 
-    def _bind_views(self) -> None:
+    def _bind(self) -> None:
         # views that every query indexes to Python floats and ints, with no
         # copy: numpy's scalar indexing and int()/float() cost 3-4x more
         self._user_means = memoryview(self.user_stats.means)
         self._leaves = memoryview(self._leaf_of)
         self._sizes = memoryview(self.dendrogram.sizes)
-
-    def __getstate__(self):
-        # a memoryview cannot be pickled; the arrays it views can
-        return {**self.__dict__, "_user_means": None, "_leaves": None, "_sizes": None}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        if self.train is not None:
-            self._bind_views()
 
     def predict_detailed(self, user: int, item: int) -> Prediction:
         user, item = self._check_query(user, item)
@@ -144,8 +138,7 @@ class CobarModel(_PredictorMixin):
         leaf = self._leaves[user]
         choice = None
         if leaf >= 0:
-            choice = select_optimal_cluster(self.dendrogram.chains[leaf], item, self.stats,
-                                            self.config.confidence_level)
+            choice = select_optimal_cluster(self._chains[leaf], item, self.stats, self._level)
         if choice is None:
             # the user has no leaf (a rating vector of norm 0) or the item
             # has at most one training rating in the user's chain: predict
@@ -160,7 +153,7 @@ class CobarModel(_PredictorMixin):
 
         node, half_width, n, total = choice
         cluster_mean = total / n
-        gamma = self.config.gamma
+        gamma = self._gamma
         value = gamma * user_mean + (1.0 - gamma) * cluster_mean
         # positional: the fields in declaration order
         return Prediction(self._clamp(value), Fallback.NONE, node, self._sizes[node], cluster_mean, half_width,

@@ -25,8 +25,12 @@ finds each gap's int64 node as it fills the gap's entry.  The two query
 loops, which run once per prediction, are bound to their arrays once:
 `KnnIndex` at construction, `ClusterStatsIndex` per confidence level on
 its first query; a pickle holds the arrays, and both bind again when it
-is loaded.  The cosine loops sum each dot product item by item in
-ascending order, as scipy's sparse product does, and clip
+is loaded.  `KnnIndex.query` and `ClusterStatsIndex.query` are the checked
+entries for every caller but one: a predictor that has checked the
+(user, item) pair against the training set the index was built on may
+call the bound loop, `KnnIndex._query`, directly, as `UserKnn` and
+`ItemKnn` do once per prediction.  The cosine loops sum each dot product
+item by item in ascending order, as scipy's sparse product does, and clip
 ``1 - (dot / norm_i) / norm_j`` to [0, 2] with NaN passing.  The two Ward
 loops are one algorithm: they square the distances in place,
 checking each as they square it, and merge the same pair with the same
@@ -313,7 +317,9 @@ class KnnIndex:
     indices, and the means as given, not copied, as a `MeanStats` holds
     them read-only.  It adds the entities' norms, so each query checks only
     its own arguments before the loop reads the arrays unchecked.  All of
-    them stay read-only when a pickle is loaded.
+    them stay read-only when a pickle is loaded.  `query` checks the
+    indices and calls the bound loop, `_query`; only a caller that has
+    checked them against the training set may call `_query` itself.
 
     The compiled loop computes only the dot products a query reads, those
     of the entity with the neighbours in the column, from the side that
@@ -443,7 +449,10 @@ class ClusterStatsIndex:
         return {**self.__dict__, "_queries": list(self._queries)}
 
     def __setstate__(self, state):
-        self.__dict__.update(state, _queries={})
+        # one by one, not through the instance __dict__, which CPython 3.11
+        # would materialise: every later query would read the index slower
+        for name, value in {**state, "_queries": {}}.items():
+            setattr(self, name, value)
         for level in state["_queries"]:
             self._bind(level)
 

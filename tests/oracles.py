@@ -12,7 +12,9 @@ match bit for bit, and the per-query prediction reference is the earlier
 method-per-node chain walk, which the flat interval loop must match bit for
 bit.  The per-(node, item) dict maps of cluster statistics and the chain
 walk over them are the earlier implementation of `cobar.core`, which the
-O(ratings) index must match bit for bit.
+O(ratings) index must match bit for bit.  `composed_prediction` builds
+each fitted predictor's value from its public pieces, one call per step,
+which the predictors' own query paths must match bit for bit.
 """
 
 import math
@@ -568,7 +570,8 @@ def select_optimal_cluster_dict(chain, item, stats, level):
 class CobarReference:
     """The earlier `CobarModel.predict_detailed` over a fitted model's state,
     through the reference chain walk and accessors above; verbatim but for
-    the `unclustered_user` label of a user without a leaf."""
+    the `unclustered_user` label of a user without a leaf and the user's
+    mean, read from the `MeanStats` array."""
 
     def __init__(self, model):
         self.config = model.config
@@ -591,8 +594,8 @@ class CobarReference:
         if not 0 <= item < self.train.n_items:
             raise ValueError(f"item index {item} out of range")
 
-        user_mean = self.user_stats.mean(user)
-        if user_mean is None:
+        user_mean = float(self.user_stats.means[user])
+        if math.isnan(user_mean):
             return Prediction(
                 value=self._clamp(self.user_stats.global_mean),
                 fallback=Fallback.COLD_USER,
@@ -625,3 +628,54 @@ class CobarReference:
             half_width=choice.half_width,
             user_mean=user_mean,
         )
+
+
+def composed_prediction(model, user, item):
+    """A fitted predictor's prediction for an in-range (user, item), built
+    from public pieces one call at a time: the training set's means with a
+    fresh `KnnIndex.query` for the kNNs, ``float(U[u] @ V[i])`` for MF,
+    `select_optimal_cluster` on the user's chain for cobar, and
+    ``min(max(value, lo), hi)`` with the training scale for the clamp."""
+    from cobar import CobarModel, ItemKnn, MatrixFactorization, MostPopular, UserKnn
+    from cobar.core import select_optimal_cluster
+    from cobar.kernels import KnnIndex
+
+    train = model.train
+    if isinstance(model, MostPopular):
+        mean = float(model.item_stats.means[item])
+        value = model.item_stats.global_mean if math.isnan(mean) else mean
+    elif isinstance(model, (UserKnn, ItemKnn)):
+        entity, column = (user, item) if isinstance(model, UserKnn) else (item, user)
+        mean = float(model.stats.means[entity])
+        if math.isnan(mean):
+            value = model.stats.global_mean
+        else:
+            index = KnnIndex(train, isinstance(model, UserKnn), model.stats.means, model.config.k)
+            agg = index.query(entity, column)
+            value = mean if agg is None else mean + agg
+    elif isinstance(model, MatrixFactorization):
+        value = model.global_mean
+        if model.user_seen[user]:
+            value += model.user_bias[user]
+        if model.item_seen[item]:
+            value += model.item_bias[item]
+        if model.user_seen[user] and model.item_seen[item]:
+            value += float(model.user_factors[user] @ model.item_factors[item])
+    elif isinstance(model, CobarModel):
+        mean = float(model.user_stats.means[user])
+        leaves = model.dendrogram.leaf_users.tolist()
+        choice = None
+        if math.isnan(mean):
+            value = model.user_stats.global_mean
+        elif user in leaves:
+            chain = model.dendrogram.chains[leaves.index(user)]
+            choice = select_optimal_cluster(chain, item, model.stats, model.config.confidence_level)
+        if choice is not None:
+            _, _, n, total = choice
+            gamma = model.config.gamma
+            value = gamma * mean + (1.0 - gamma) * (total / n)
+        elif not math.isnan(mean):
+            value = mean
+    else:
+        raise TypeError(f"no composed prediction for {type(model).__name__}")
+    return min(max(value, train.rating_min), train.rating_max) if model.clamp else value

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from cobar import CobarModel, ItemKnn, KnnConfig, MatrixFactorization, MfConfig, MostPopular, UserKnn
-from cobar import kernels, kfold_split
+from cobar import RatingDataset, kernels, kfold_split
 from cobar.data import fold_train_test
 from cobar.evaluation import build_algorithms
 from cobar.kernels import _python
 from conftest import RATING_SCALES, benchmark_dataset, make_dataset, random_grid_dataset
-from oracles import dense_ratings, knn_prediction, mf_training_mse
+from oracles import composed_prediction, dense_ratings, knn_prediction, mf_training_mse
 
 
 class TestConfigChecks:
@@ -491,6 +491,48 @@ def test_fitted_predictor_pickles(name, kernel_backend, two_clusters_dataset):
     want = every_prediction(model).tobytes()
     for dumped in (fresh, pickle.dumps(model)):
         assert every_prediction(pickle.loads(dumped)).tobytes() == want
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_every_prediction_keeps_the_bits_of_its_composed_value(seed, each_backend):
+    # each predictor checks the pair once and reads sizes, bounds and means
+    # stored at fit; the value must be the one its public pieces compose
+    dataset = benchmark_dataset("ft", seed)
+    train, test = fold_train_test(dataset, kfold_split(dataset, 10, 42), seed)
+    # the fold's first 300 test pairs keep the numpy backend's kNN queries brief
+    queries = [(int(u), int(i)) for u, i in zip(dataset.users[test], dataset.items[test])][:300]
+    for _ in each_backend:
+        for clamp in (True, False):
+            for name, make in build_algorithms(list(PREDICTORS), mf_config=MfConfig(epochs=2), clamp=clamp).items():
+                model = make().fit(train)
+                got = [model.predict(u, i) for u, i in queries]
+                want = [composed_prediction(model, u, i) for u, i in queries]
+                assert all(type(v) is float for v in got), name
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (name, clamp)
+
+
+class _Unreadable(RatingDataset):
+    """A training set that no query may read: every attribute read raises."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"a query read the training set's {name}")
+
+
+@pytest.mark.parametrize("name", list(PREDICTORS))
+def test_a_query_reads_nothing_of_the_training_set(name, kernel_backend, two_clusters_dataset):
+    # the sizes and clamp bounds are stored on the model at fit: a query
+    # reads no attribute of the training set, whose instance dict a pickle
+    # round trip materialises and so makes slower to read
+    train = two_clusters_dataset.subset(np.arange(two_clusters_dataset.n_ratings))
+    model = PREDICTORS[name]().fit(train)
+    pairs = [(u, i) for u in range(train.n_users) for i in range(train.n_items)]
+
+    def every_prediction():
+        return np.array([model.predict(u, i) for u, i in pairs]).tobytes()
+
+    want = every_prediction()
+    train.__class__ = _Unreadable
+    assert every_prediction() == want
 
 
 def test_pickled_model_keeps_its_arrays_read_only(kernel_backend, two_clusters_dataset):

@@ -383,6 +383,10 @@ class TestParsing:
         ("evaluate", "--wilcoxon-level", "1.5", "Wilcoxon level must be in (0, 1), got 1.5"),
         ("evaluate", "--gamma", "2", "gamma must be in [0, 1], got 2.0"),
         ("evaluate", "--confidence", "1", "confidence level must be in (0, 1), got 1.0"),
+        ("evaluate", "--algos", "mp,foo", "unknown algorithm(s) ['foo']; registered: "
+                                          "['cobar', 'iknn', 'mf', 'mp', 'uknn']"),
+        ("evaluate", "--algos", "mp,cobar,mp", "algorithm(s) ['mp'] named more than once"),
+        ("evaluate", "--algos", ", ,", "no algorithm selected"),
         ("predict", "--max-users", "0", "max_users must be >= 1"),
         ("predict", "--gamma", "-0.5", "gamma must be in [0, 1], got -0.5"),
         ("predict", "--confidence", "0", "confidence level must be in (0, 1), got 0.0"),
