@@ -18,6 +18,7 @@ hierarchy; such a user's queries also get the user's mean.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,12 @@ class Fallback(enum.Enum):
     COLD_ITEM = "cold_item"
     COLD_USER = "cold_user"
     UNCLUSTERED_USER = "unclustered_user"
+
+
+# the members a query hands its `Prediction`, read once: on CPython 3.11 a
+# read of `Fallback.NONE` takes about 0.08 us, a tenth of a prediction
+_NONE, _SINGLE_RATING, _COLD_ITEM = Fallback.NONE, Fallback.SINGLE_RATING, Fallback.COLD_ITEM
+_COLD_USER, _UNCLUSTERED_USER = Fallback.COLD_USER, Fallback.UNCLUSTERED_USER
 
 
 @dataclass
@@ -93,10 +100,12 @@ class CobarModel(_PredictorMixin):
 
     All state is immutable after :meth:`fit`; predictions are pure reads.
     The fit stores on the model what every query reads: the config's gamma
-    and confidence level and the leaves' chains.
+    and confidence level and the leaves' chains.  `predict_detailed` makes
+    the mixin's check of the pair and its clamp inline, as the mixin's
+    `predict` does.
     """
 
-    _BOUND = ("_user_means", "_leaves", "_sizes")
+    _BOUND = ("_user_means", "_leaves", "_sizes", "_counts")
 
     def __init__(self, config: CobarConfig | None = None, clamp: bool = True):
         self.config = config or CobarConfig()
@@ -127,13 +136,28 @@ class CobarModel(_PredictorMixin):
         self._user_means = memoryview(self.user_stats.means)
         self._leaves = memoryview(self._leaf_of)
         self._sizes = memoryview(self.dendrogram.sizes)
+        self._counts = memoryview(self._item_counts)
 
     def predict_detailed(self, user: int, item: int) -> Prediction:
-        user, item = self._check_query(user, item)
+        # the mixin's check and clamp, inline as in its `predict`
+        limits = self._limits
+        if limits is None:
+            raise RuntimeError("model is not fitted")
+        n_users, n_items, lo, hi = limits
+        user, item = operator.index(user), operator.index(item)
+        if not 0 <= user < n_users:
+            raise ValueError(f"user index {user} out of range")
+        if not 0 <= item < n_items:
+            raise ValueError(f"item index {item} out of range")
 
         user_mean = self._user_means[user]
         if user_mean != user_mean:   # NaN: the user has no training rating
-            return Prediction(self._clamp(self.user_stats.global_mean), Fallback.COLD_USER)
+            value = self.user_stats.global_mean
+            if value < lo:
+                value = lo
+            if value > hi:
+                value = hi
+            return Prediction(value, _COLD_USER)
 
         leaf = self._leaves[user]
         choice = None
@@ -144,20 +168,28 @@ class CobarModel(_PredictorMixin):
             # has at most one training rating in the user's chain: predict
             # the plain user mean
             if leaf < 0:
-                fallback = Fallback.UNCLUSTERED_USER
-            elif self._item_counts[item] == 0:
-                fallback = Fallback.COLD_ITEM
+                fallback = _UNCLUSTERED_USER
+            elif self._counts[item] == 0:
+                fallback = _COLD_ITEM
             else:
-                fallback = Fallback.SINGLE_RATING
-            return Prediction(self._clamp(user_mean), fallback, None, None, None, None, user_mean)
+                fallback = _SINGLE_RATING
+            value = user_mean
+            if value < lo:
+                value = lo
+            if value > hi:
+                value = hi
+            return Prediction(value, fallback, None, None, None, None, user_mean)
 
         node, half_width, n, total = choice
         cluster_mean = total / n
         gamma = self._gamma
         value = gamma * user_mean + (1.0 - gamma) * cluster_mean
+        if value < lo:
+            value = lo
+        if value > hi:
+            value = hi
         # positional: the fields in declaration order
-        return Prediction(self._clamp(value), Fallback.NONE, node, self._sizes[node], cluster_mean, half_width,
-                          user_mean)
+        return Prediction(value, _NONE, node, self._sizes[node], cluster_mean, half_width, user_mean)
 
     def predict(self, user: int, item: int) -> float:
         return self.predict_detailed(user, item).value

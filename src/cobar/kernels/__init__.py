@@ -13,11 +13,11 @@ loops' arguments in another layout, stops the import with the rebuild
 command.  `csr_rows`, `cosine_distance_matrix`, `ward_linkage`,
 `mf_sgd_epoch`, `KnnIndex`, `ClusterStatsIndex` and `tokenize` check their
 arguments, once for both backends, before they call the selected loop,
-which trusts its caller.  `csr_rows` is the package's one CSR builder,
-whose int32 indices, beside int64 indptrs, every loop reads.  A
-`RatingDataset`, which checked its triples when it was built, lays them
-out with it along both axes once, on first read, and `KnnIndex` reads
-those two read-only layouts.  `cosine_distance_matrix` lays out along
+which trusts its caller with every array.  `csr_rows` is the package's
+one CSR builder, whose int32 indices, beside int64 indptrs, every loop
+reads.  A `RatingDataset`, which checked its triples when it was built,
+lays them out with it along both axes once, on first read, and `KnnIndex`
+reads those two read-only layouts.  `cosine_distance_matrix` lays out along
 both axes only the ratings of the users it is given, by their position
 in that list; `ClusterStatsIndex` lays them out per item over the leaf
 ranges of a `Dendrogram`, which checked its tree when built, and its loop
@@ -25,12 +25,14 @@ finds each gap's int64 node as it fills the gap's entry.  The two query
 loops, which run once per prediction, are bound to their arrays once:
 `KnnIndex` at construction, `ClusterStatsIndex` per confidence level on
 its first query; a pickle holds the arrays, and both bind again when it
-is loaded.  `KnnIndex.query` and `ClusterStatsIndex.query` are the checked
-entries for every caller but one: a predictor that has checked the
-(user, item) pair against the training set the index was built on may
-call the bound loop, `KnnIndex._query`, directly, as `UserKnn` and
-`ItemKnn` do once per prediction.  The cosine loops sum each dot product
-item by item in ascending order, as scipy's sparse product does, and clip
+is loaded.  A bound query checks its own two indices, with the same
+`TypeError` or `IndexError` on both backends, so `KnnIndex.query` only
+calls it, `ClusterStatsIndex.query` only finds the level's, and `UserKnn`
+and `ItemKnn` call `KnnIndex._query` once per prediction.  The t
+quantiles of a confidence level are computed once per process, in one
+read-only table that grows by doubling; each bound stats query reads a
+prefix of it.  The cosine loops sum each dot product item by item in
+ascending order, as scipy's sparse product does, and clip
 ``1 - (dot / norm_i) / norm_j`` to [0, 2] with NaN passing.  The two Ward
 loops are one algorithm: they square the distances in place,
 checking each as they square it, and merge the same pair with the same
@@ -87,8 +89,9 @@ if _missing:
         f"stale extension {getattr(_compiled, '__file__', _compiled.__name__)} lacks {', '.join(_missing)}; {_REBUILD}"
     )
 # the layout of the arguments the entries below hand the compiled loops,
-# `LAYOUT` in `_compiled.c`; an extension from before it has layout 1
-_LAYOUT = 7
+# and of the checks the loops make, `LAYOUT` in `_compiled.c`; an extension
+# from before it has layout 1
+_LAYOUT = 8
 if _compiled and getattr(_compiled, "LAYOUT", 1) != _LAYOUT:
     # e.g. an extension whose queries read int32 indices as int64
     raise ImportError(
@@ -316,10 +319,9 @@ class KnnIndex:
     built once per dataset by `csr_rows` with every row sorted and int32
     indices, and the means as given, not copied, as a `MeanStats` holds
     them read-only.  It adds the entities' norms, so each query checks only
-    its own arguments before the loop reads the arrays unchecked.  All of
-    them stay read-only when a pickle is loaded.  `query` checks the
-    indices and calls the bound loop, `_query`; only a caller that has
-    checked them against the training set may call `_query` itself.
+    its own two indices before the loop reads the arrays unchecked.  All of
+    them stay read-only when a pickle is loaded.  The bound loop, `_query`,
+    makes that check itself, and `query` only calls it.
 
     The compiled loop computes only the dot products a query reads, those
     of the entity with the neighbours in the column, from the side that
@@ -376,20 +378,30 @@ class KnnIndex:
         similar to `entity` among the other entities rated in `column`,
         counting only positive similarities; at equal similarity the lower
         entity index wins.  None when no neighbour has positive similarity.
-        An index out of range raises `IndexError`."""
-        entity, column = operator.index(entity), operator.index(column)
-        if not 0 <= entity < self.n_entities:
-            raise IndexError(f"entity {entity} out of range [0, {self.n_entities})")
-        if not 0 <= column < self.n_columns:
-            raise IndexError(f"column {column} out of range [0, {self.n_columns})")
+        An index that is no integer raises `TypeError`, and one out of range
+        `IndexError`, from the bound loop."""
         return self._query(entity, column)
+
+
+# per confidence level, its read-only table of t quantiles so far
+_t_tables: dict[float, np.ndarray] = {}
 
 
 def _t_critical_table(level: float, size: int) -> np.ndarray:
     """Entry d is the two-sided Student-t critical value at `level` with d
     degrees of freedom (NaN at d = 0): the kernel behind scipy's
-    ``t.ppf(0.5 + level / 2, d)``, with the same bits."""
-    return stdtrit(np.arange(size), 0.5 + level / 2.0)
+    ``t.ppf(0.5 + level / 2, d)``, with the same bits.  The `size` entries
+    are a read-only prefix of the level's table, which is computed once
+    per process and grows by doubling; each entry depends only on its
+    index and the level, so a prefix has the bits of a table of `size`."""
+    table = _t_tables.get(level)
+    if table is None or len(table) < size:
+        length = 64 if table is None else len(table)
+        while length < size:
+            length *= 2
+        table = _t_tables[level] = stdtrit(np.arange(length), 0.5 + level / 2.0)
+        table.flags.writeable = False
+    return table[:size]
 
 
 class ClusterStatsIndex:
@@ -441,7 +453,8 @@ class ClusterStatsIndex:
         self._arrays = (index, positions, gap_nodes, gaps, nodes)
         self._ratings = ratings
         self._most_raters = max(2, int(counts.max(initial=0)))
-        # per level, the query bound to the arrays and the level's t quantiles
+        # per level, the query bound to the arrays and a prefix of the
+        # level's t quantiles
         self._queries: dict[float, Callable[[int, int], tuple[int, float, int, float] | None]] = {}
 
     def __getstate__(self):
@@ -457,7 +470,8 @@ class ClusterStatsIndex:
             self._bind(level)
 
     def _bind(self, level: float) -> Callable[[int, int], tuple[int, float, int, float] | None]:
-        # n ratings read the entry at n - 1 degrees of freedom
+        # n ratings read the entry at n - 1 degrees of freedom; the bound
+        # query checks its leaf and item itself
         table = _t_critical_table(level, self._most_raters)
         query = self._queries[level] = _loops.bind_stats_query(*self._arrays, table)
         return query
@@ -475,15 +489,11 @@ class ClusterStatsIndex:
         total)`` with the node's count and sum of the item's ratings; None
         when no cluster on the chain holds two.  Walking from the leaf up, a
         wider cluster must be strictly narrower, so at equal width the
-        smaller one wins.  An index out of range raises `IndexError`.  The
-        first query at a level checks it, `ValueError` outside (0, 1) or
-        NaN, and binds the loop to the arrays and that level's table of t
-        quantiles."""
-        leaf, item = operator.index(leaf), operator.index(item)
-        if not 0 <= leaf < self.n_leaves:
-            raise IndexError(f"leaf {leaf} out of range [0, {self.n_leaves})")
-        if not 0 <= item < self.n_items:
-            raise IndexError(f"item {item} out of range [0, {self.n_items})")
+        smaller one wins.  The first query at a level checks it,
+        `ValueError` outside (0, 1) or NaN, before the indices, and binds
+        the loop to the arrays and a prefix of that level's t quantiles.
+        The bound query checks the indices: `TypeError` for one that is no
+        integer, `IndexError` for one out of range."""
         query = self._queries.get(level)
         if query is None:
             if not 0.0 < level < 1.0:

@@ -75,13 +75,14 @@
  * The two queries run once per prediction, so they are bound: a
  * `bind_knn_query` or `bind_stats_query` call takes the arrays once and
  * returns a `BoundQuery`, which holds their buffers until it is freed and
- * whose call parses only the two indices of a query.  The bound kNN query
- * also owns its work buffers, allocated once at the bind, so a query
- * allocates nothing.
+ * whose call reads the two indices of a query and checks them against the
+ * sizes it found in the arrays at the bind, so no caller checks them
+ * again.  The bound kNN query also owns its work buffers, allocated once
+ * at the bind, so a query allocates nothing.
  *
  * No loop checks its arrays: `cobar.kernels` checks every shape, element
- * type, length and index before it calls in, and only the buffer codes
- * `y*` (C-contiguous) and `w*` (also writable) remain here.  The
+ * type and length before it calls in, and only the buffer codes `y*`
+ * (C-contiguous) and `w*` (also writable) remain here.  The
  * kernels promise the numpy backend's bits, so the build turns off
  * floating-point contraction (`-ffp-contract=off`).
  */
@@ -977,19 +978,34 @@ similarity(double dot, double norm_e, double norm_nb)
 /* A query loop bound to its arrays: `views` holds the buffers of a
  * `bind_*` call's arrays, released when the object is freed, and `k` and
  * the four work buffers, one allocation at `neighbours` freed with the
- * object, are the kNN query's.  A call parses the query's two indices and
- * runs `run` on them. */
+ * object, are the kNN query's.  A call reads the query's two indices,
+ * checks each against its size and runs `run` on them. */
 typedef struct BoundQuery BoundQuery;
 
 struct BoundQuery {
     PyObject_HEAD
     vectorcallfunc vectorcall;
     PyObject *(*run)(BoundQuery *, Py_ssize_t, Py_ssize_t);
+    const char *names[2];   /* the indices, as an error names them */
+    Py_ssize_t sizes[2];    /* index a lies in [0, sizes[a]) */
     Py_ssize_t k;
     double *neighbours, *scratch, *sims, *terms;
     int n_views;
     Py_buffer views[8];
 };
+
+/* The IndexError of index `arg` of the query, worded as `cobar.kernels`
+ * words it with the index read by `operator.index`; NULL. */
+static PyObject *
+out_of_range(const char *name, PyObject *arg, Py_ssize_t size)
+{
+    PyObject *value = PyNumber_Index(arg);
+    if (value != NULL) {
+        PyErr_Format(PyExc_IndexError, "%s %S out of range [0, %zd)", name, value, size);
+        Py_DECREF(value);
+    }
+    return NULL;
+}
 
 static PyObject *
 bound_call(PyObject *op, PyObject *const *args, size_t nargsf, PyObject *kwnames)
@@ -999,12 +1015,19 @@ bound_call(PyObject *op, PyObject *const *args, size_t nargsf, PyObject *kwnames
         PyErr_SetString(PyExc_TypeError, "a bound query takes exactly 2 positional arguments");
         return NULL;
     }
-    Py_ssize_t a = PyNumber_AsSsize_t(args[0], PyExc_OverflowError);
+    /* both indices are read before either is checked, as `operator.index`
+     * reads them; one beyond Py_ssize_t is clipped to its end, so it is out
+     * of range, not an OverflowError */
+    Py_ssize_t a = PyNumber_AsSsize_t(args[0], NULL);
     if (a == -1 && PyErr_Occurred())
         return NULL;
-    Py_ssize_t b = PyNumber_AsSsize_t(args[1], PyExc_OverflowError);
+    Py_ssize_t b = PyNumber_AsSsize_t(args[1], NULL);
     if (b == -1 && PyErr_Occurred())
         return NULL;
+    if (a < 0 || a >= self->sizes[0])
+        return out_of_range(self->names[0], args[0], self->sizes[0]);
+    if (b < 0 || b >= self->sizes[1])
+        return out_of_range(self->names[1], args[1], self->sizes[1]);
     return self->run(self, a, b);
 }
 
@@ -1029,15 +1052,18 @@ static PyTypeObject BoundQueryType = {
     .tp_doc = "A query loop bound to its arrays, called with the query's two indices.",
 };
 
-/* A new BoundQuery of `run`, zeroed: it holds no buffer yet. */
+/* A new BoundQuery of `run`, whose indices are named `first` and `second`,
+ * zeroed: it holds no buffer yet, and its sizes are set with its buffers. */
 static BoundQuery *
-bound_new(PyObject *(*run)(BoundQuery *, Py_ssize_t, Py_ssize_t))
+bound_new(PyObject *(*run)(BoundQuery *, Py_ssize_t, Py_ssize_t), const char *first, const char *second)
 {
     BoundQuery *self = (BoundQuery *)PyType_GenericAlloc(&BoundQueryType, 0);
     if (self == NULL)
         return NULL;
     self->vectorcall = bound_call;
     self->run = run;
+    self->names[0] = first;
+    self->names[1] = second;
     return self;
 }
 
@@ -1165,11 +1191,12 @@ knn_query(BoundQuery *bound, Py_ssize_t entity, Py_ssize_t column)
  * the order `_python.knn_query` takes them, and k >= 1, with its work
  * buffers: one slot per position in the longest column for `neighbours`,
  * max(entities, columns) zeros for `scratch`, and min(k, longest column)
- * slots each for `sims` and `terms`. */
+ * slots each for `sims` and `terms`.  Its entities are the norms', its
+ * columns the column indptr's. */
 static PyObject *
 bind_knn_query(PyObject *module, PyObject *args)
 {
-    BoundQuery *bound = bound_new(knn_query);
+    BoundQuery *bound = bound_new(knn_query, "entity", "column");
     if (bound == NULL)
         return NULL;
     Py_buffer *b = bound->views;
@@ -1183,6 +1210,8 @@ bind_knn_query(PyObject *module, PyObject *args)
     const int64_t *cp = b[3].buf;
     Py_ssize_t n_columns = b[3].len / (Py_ssize_t)sizeof(int64_t) - 1;
     Py_ssize_t n_entities = b[6].len / (Py_ssize_t)sizeof(double), longest = 0;
+    bound->sizes[0] = n_entities;
+    bound->sizes[1] = n_columns;
     for (Py_ssize_t c = 0; c < n_columns; c++)
         if (cp[c + 1] - cp[c] > longest)
             longest = cp[c + 1] - cp[c];
@@ -1365,11 +1394,13 @@ stats_query(BoundQuery *bound, Py_ssize_t leaf, Py_ssize_t item)
 }
 
 /* The cluster statistics query bound to the five arrays of
- * `cobar.kernels.ClusterStatsIndex` and one level's t quantiles. */
+ * `cobar.kernels.ClusterStatsIndex` and one level's t quantiles.  Its
+ * leaves are the first half of the tree's 2n - 1 nodes, its items the
+ * index's. */
 static PyObject *
 bind_stats_query(PyObject *module, PyObject *args)
 {
-    BoundQuery *bound = bound_new(stats_query);
+    BoundQuery *bound = bound_new(stats_query, "leaf", "item");
     if (bound == NULL)
         return NULL;
     Py_buffer *b = bound->views;
@@ -1378,6 +1409,8 @@ bind_stats_query(PyObject *module, PyObject *args)
         return NULL;
     }
     bound->n_views = 6;
+    bound->sizes[0] = (b[4].len / (Py_ssize_t)(3 * sizeof(int64_t)) + 1) / 2;
+    bound->sizes[1] = b[0].len / (Py_ssize_t)(2 * sizeof(int64_t)) - 1;
     return (PyObject *)bound;
 }
 
@@ -1573,15 +1606,15 @@ static PyMethodDef methods[] = {
     {"bind_knn_query", bind_knn_query, METH_VARARGS,
      "bind_knn_query(rows_indptr, rows_indices, rows_data, cols_indptr, cols_indices, cols_data, norms, means,"
      " k)\n--\n\n"
-     "The query of `cobar.kernels.KnnIndex`, which checks its arguments, bound to its arrays and k, with"
-     " work buffers of its own: a `query(entity, column)`."},
+     "The query of `cobar.kernels.KnnIndex`, which checks its arrays and k, bound to them, with work"
+     " buffers of its own: a `query(entity, column)` that checks its two indices."},
     {"stats_build", stats_build, METH_VARARGS,
      "stats_build(index, positions, ratings, nodes, gap_nodes, gaps)\n--\n\n"
      "The build of `cobar.kernels.ClusterStatsIndex`, which lays out its arguments."},
     {"bind_stats_query", bind_stats_query, METH_VARARGS,
      "bind_stats_query(index, positions, gap_nodes, gaps, nodes, t_critical)\n--\n\n"
-     "The query of `cobar.kernels.ClusterStatsIndex`, which checks its arguments, bound to its arrays and"
-     " one level's t quantiles: a `query(leaf, item)`."},
+     "The query of `cobar.kernels.ClusterStatsIndex`, which lays out its arrays, bound to them and one"
+     " level's t quantiles: a `query(leaf, item)` that checks its two indices."},
     {"tokenize", tokenize, METH_VARARGS,
      "tokenize(data, delimiter, skip_header, users, items, ratings)\n--\n\n"
      "The compiled tokenizer of `cobar.kernels.tokenize`, which sizes the three columns:"
@@ -1590,10 +1623,11 @@ static PyMethodDef methods[] = {
 };
 
 /* The layout of the loops' arguments, which `cobar.kernels` checks at
- * import.  Raise it with every change to an argument's type or order, so
- * that an extension built from older source is rejected instead of reading
- * arguments laid out for another. */
-#define LAYOUT 7
+ * import.  Raise it with every change to an argument's type or order, or
+ * to what a loop checks itself, so that an extension built from older
+ * source is rejected instead of reading arguments laid out for another or
+ * trusting a check no entry makes any more. */
+#define LAYOUT 8
 
 static int
 exec_module(PyObject *module)

@@ -3,7 +3,8 @@
 They are the fallback for environments without the compiled `_compiled`
 extension and the reference it is tested against: each gives the compiled
 loop's bits on the same memory, and trusts its caller, `cobar.kernels`, to
-have checked every argument.  The cosine pass and the Ward loop are the
+have checked every array.  The two queries check their own two indices,
+with the compiled queries' errors and words.  The cosine pass and the Ward loop are the
 compiled algorithms vectorised: the cosine pass over the products of one
 row at a time, the Ward loop over the active slots of each merge, with
 the compiled loop's slots, lazy bounds and rescans.  Where the steps
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from bisect import bisect_left
 
 import numpy as np
@@ -227,6 +229,17 @@ def sgd_epoch(
         q += lr * (err * p_old - reg * q)
 
 
+def _check_indices(names: tuple[str, str], sizes: tuple[int, int], first, second) -> tuple[int, int]:
+    """A query's two indices read by `operator.index`, `TypeError` for
+    either that is no integer, then `IndexError` for the first of them
+    outside ``[0, size)``, as a compiled bound query checks them."""
+    first, second = operator.index(first), operator.index(second)
+    for name, value, size in zip(names, (first, second), sizes):
+        if not 0 <= value < size:
+            raise IndexError(f"{name} {value} out of range [0, {size})")
+    return first, second
+
+
 def knn_query(
     rows_indptr: np.ndarray,
     rows_indices: np.ndarray,
@@ -241,10 +254,11 @@ def knn_query(
     k: int,
 ) -> float | None:
     """The query of `cobar.kernels.KnnIndex`, which builds the arrays and
-    checks k once, and `entity` and `column` on every call: the
-    similarity-weighted mean deviation of the k most similar positive
-    neighbours of `entity` in `column`, or None when no neighbour has
-    positive similarity."""
+    checks k once: the similarity-weighted mean deviation of the k most
+    similar positive neighbours of `entity` in `column`, or None when no
+    neighbour has positive similarity.  It checks `entity` against the
+    norms and `column` against the column layout."""
+    entity, column = _check_indices(("entity", "column"), (len(norms), len(cols_indptr) - 1), entity, column)
     cp, ci, cd = cols_indptr, cols_indices, cols_data
     neighbors, ratings = ci[cp[column]:cp[column + 1]], cd[cp[column]:cp[column + 1]]
     keep = neighbors != entity
@@ -273,7 +287,8 @@ def bind_knn_query(rows_indptr: np.ndarray, rows_indices: np.ndarray, rows_data:
                    cols_indices: np.ndarray, cols_data: np.ndarray, norms: np.ndarray, means: np.ndarray,
                    k: int) -> functools.partial:
     """`knn_query` bound to the arrays of `cobar.kernels.KnnIndex` and k:
-    a `query(entity, column)`, as the compiled bind returns one."""
+    a `query(entity, column)` that checks its indices, as the compiled bind
+    returns one."""
     return functools.partial(knn_query, rows_indptr, rows_indices, rows_data, cols_indptr, cols_indices, cols_data,
                              norms, means, k=k)
 
@@ -356,9 +371,10 @@ def stats_build(index: np.ndarray, positions: np.ndarray, ratings: np.ndarray, n
 
 def stats_query(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray, gaps: np.ndarray,
                 nodes: np.ndarray, t_critical: np.ndarray, leaf: int, item: int) -> tuple | None:
-    """The query of `cobar.kernels.ClusterStatsIndex`, which checks `leaf`
-    and `item`: ``(node, half_width, n, total)`` of the narrowest interval on
-    the leaf's chain, or None.
+    """The query of `cobar.kernels.ClusterStatsIndex`, which lays out the
+    arrays: ``(node, half_width, n, total)`` of the narrowest interval on the
+    leaf's chain, or None.  It checks `leaf` against the first half of the
+    tree's 2n - 1 nodes and `item` against the index.
 
     The window ``[a, b)`` of the item's raters inside the current node
     widens by bisection as the walk climbs.  When it first holds ratings,
@@ -367,6 +383,7 @@ def stats_query(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray,
     own.  Only nodes where the window grew can be narrower than the node
     below, so only they are scored.
     """
+    leaf, item = _check_indices(("leaf", "item"), ((nodes.shape[1] + 1) // 2, index.shape[1] - 1), leaf, item)
     ptr, gptr = index
     lows, highs, parents = nodes
     start, end = int(ptr[item]), int(ptr[item + 1])
@@ -406,8 +423,8 @@ def stats_query(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray,
 def bind_stats_query(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray, gaps: np.ndarray,
                      nodes: np.ndarray, t_critical: np.ndarray) -> functools.partial:
     """`stats_query` bound to the arrays of `cobar.kernels.ClusterStatsIndex`
-    and one level's t quantiles: a `query(leaf, item)`, as the compiled bind
-    returns one."""
+    and one level's t quantiles: a `query(leaf, item)` that checks its
+    indices, as the compiled bind returns one."""
     return functools.partial(stats_query, index, positions, gap_nodes, gaps, nodes, t_critical)
 
 

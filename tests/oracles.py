@@ -582,7 +582,7 @@ class CobarReference:
         self.stats = ClusterItemStatsReference(maps, model.config.confidence_level)
         self._leaf_of = model._leaf_of
         self._item_counts = model._item_counts
-        self._clamp = model._clamp
+        self._clamp = lambda value: _clamp(value, model.train, model.clamp)
 
     def predict_detailed(self, user, item):
         from cobar import Fallback, Prediction

@@ -327,7 +327,7 @@ class TestBuildAlgorithms:
         for name in ALGORITHM_NAMES:
             on, off = clamped[name]().fit(train), raw[name]().fit(train)
             assert on.clamp is True and off.clamp is False, name
-            assert off._clamp(hi + 1.0) == hi + 1.0 and on._clamp(hi + 1.0) == hi, name
+            assert off._limits[2:] == (-np.inf, np.inf) and on._limits[2:] == (lo, hi), name
             for u in range(ds.n_users):
                 for i in range(ds.n_items):
                     value = off.predict(u, i)

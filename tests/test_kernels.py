@@ -7,6 +7,7 @@ import ast
 import contextlib
 import gc
 import os
+import pickle
 import re
 import shutil
 import subprocess
@@ -20,6 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 
 from cobar import ItemKnn, KnnConfig, RatingDataset, UserKnn, agglomerate, kernels, kfold_split
 from cobar.clustering import Dendrogram, clusterable_users
@@ -172,7 +174,7 @@ class TestDispatch:
             last = out.stderr.strip().splitlines()[-1]
             assert last == f"ImportError: stale extension /old/build/_compiled.so lacks {missing}; {REBUILD}"
 
-    @pytest.mark.parametrize("layout", [None, 1, 2, 3, 4, 5, 6, 8])
+    @pytest.mark.parametrize("layout", [None, 1, 2, 3, 4, 5, 6, 7, 9])
     def test_extension_of_another_layout_rejected(self, layout):
         # an extension that has every loop but reads their arguments in
         # another layout, e.g. one built before the cosine pass took int32
@@ -183,7 +185,8 @@ class TestDispatch:
         # took the gap nodes, one of layout 5, whose queries and stats
         # build read int64 indices and positions, one of layout 6, whose
         # n^2 loops took a thread count and whose kNN query took its two
-        # work buffers, or one built from newer source
+        # work buffers, one of layout 7, whose bound queries left their
+        # indices to the checked entries, or one built from newer source
         code = (
             "import sys, types; "
             "stub = types.ModuleType('cobar.kernels._compiled'); "
@@ -1218,6 +1221,16 @@ class TestKnnQuery:
         assert [again.query(e, c) for e, c in SPREAD] == [index.query(e, c) for e, c in SPREAD]
 
 
+NOT_AN_INTEGER = "'{}' object cannot be interpreted as an integer"
+
+
+def _query_cases(cases):
+    """The (args, error, message) cases of a bad-query test, each with the
+    id pytest gives an (args, error) case at its position, so a case keeps
+    its id when a message is added to it."""
+    return [pytest.param(*case, id=f"args{k}-{case[1].__name__}") for k, case in enumerate(cases)]
+
+
 class TestKnnIndexChecksInputs:
     """The checked kNN entry rejects a training set that is not a
     `RatingDataset`, whose construction checked the triples, and malformed
@@ -1240,14 +1253,32 @@ class TestKnnIndexChecksInputs:
             with pytest.raises(error, match=match):
                 kernels.KnnIndex(**problem)
 
-    @pytest.mark.parametrize("args, error", [
-        ((-1, 2), IndexError), ((6, 2), IndexError), ((0, -1), IndexError), ((0, 3), IndexError),
-        ((np.int64(6), 2), IndexError), ((0, np.int32(-4)), IndexError), ((0.0, 2), TypeError), ((0, 2.5), TypeError),
-    ])
-    def test_bad_query_rejected(self, each_backend, args, error):
-        index = kernels.KnnIndex(**_hand_problem(), k=30)
+    @pytest.mark.parametrize("args, error, message", _query_cases([
+        ((-1, 2), IndexError, "entity -1 out of range [0, 6)"),
+        ((6, 2), IndexError, "entity 6 out of range [0, 6)"),
+        ((0, -1), IndexError, "column -1 out of range [0, 3)"),
+        ((0, 3), IndexError, "column 3 out of range [0, 3)"),
+        ((np.int64(6), 2), IndexError, "entity 6 out of range [0, 6)"),
+        ((0, np.int32(-4)), IndexError, "column -4 out of range [0, 3)"),
+        ((0.0, 2), TypeError, NOT_AN_INTEGER.format("float")),
+        ((0, 2.5), TypeError, NOT_AN_INTEGER.format("float")),
+        ((2**70, 2), IndexError, f"entity {2**70} out of range [0, 6)"),
+        ((-2**70, 2), IndexError, f"entity {-2**70} out of range [0, 6)"),
+        ((0, 2**70), IndexError, f"column {2**70} out of range [0, 3)"),
+        ((0, -2**70), IndexError, f"column {-2**70} out of range [0, 3)"),
+        ((True, 3), IndexError, "column 3 out of range [0, 3)"),
+        ((6, True), IndexError, "entity 6 out of range [0, 6)"),
+        ((np.uint64(2**64 - 1), 2), IndexError, f"entity {2**64 - 1} out of range [0, 6)"),
+        ((0, np.int8(-1)), IndexError, "column -1 out of range [0, 3)"),
+        # both indices are read before either is checked
+        ((-1, 2.5), TypeError, NOT_AN_INTEGER.format("float")),
+        ((2**70, "0"), TypeError, NOT_AN_INTEGER.format("str")),
+    ]))
+    def test_bad_query_rejected(self, each_backend, args, error, message):
         for _ in each_backend:
-            with pytest.raises(error):
+            # built per backend: the index binds that backend's query
+            index = kernels.KnnIndex(**_hand_problem(), k=30)
+            with pytest.raises(error, match=re.escape(message)):
                 index.query(*args)
 
 
@@ -1297,14 +1328,31 @@ class TestClusterStatsIndex:
             with pytest.raises(error, match=match):
                 kernels.ClusterStatsIndex(**problem)
 
-    @pytest.mark.parametrize("args, error", [
-        ((-1, 0), IndexError), ((5, 0), IndexError), ((0, -1), IndexError), ((0, 4), IndexError),
-        ((np.int64(5), 0), IndexError), ((0.0, 0), TypeError), ((0, 2.5), TypeError),
-    ])
-    def test_bad_query_rejected(self, each_backend, demo_dataset, args, error):
-        index = kernels.ClusterStatsIndex(**_stats_problem(demo_dataset))
+    @pytest.mark.parametrize("args, error, message", _query_cases([
+        ((-1, 0), IndexError, "leaf -1 out of range [0, 5)"),
+        ((5, 0), IndexError, "leaf 5 out of range [0, 5)"),
+        ((0, -1), IndexError, "item -1 out of range [0, 4)"),
+        ((0, 4), IndexError, "item 4 out of range [0, 4)"),
+        ((np.int64(5), 0), IndexError, "leaf 5 out of range [0, 5)"),
+        ((0.0, 0), TypeError, NOT_AN_INTEGER.format("float")),
+        ((0, 2.5), TypeError, NOT_AN_INTEGER.format("float")),
+        ((2**70, 0), IndexError, f"leaf {2**70} out of range [0, 5)"),
+        ((-2**70, 0), IndexError, f"leaf {-2**70} out of range [0, 5)"),
+        ((0, 2**70), IndexError, f"item {2**70} out of range [0, 4)"),
+        ((0, -2**70), IndexError, f"item {-2**70} out of range [0, 4)"),
+        ((True, 4), IndexError, "item 4 out of range [0, 4)"),
+        ((5, True), IndexError, "leaf 5 out of range [0, 5)"),
+        ((np.uint64(2**64 - 1), 0), IndexError, f"leaf {2**64 - 1} out of range [0, 5)"),
+        ((0, np.int16(-3)), IndexError, "item -3 out of range [0, 4)"),
+        # both indices are read before either is checked
+        ((-1, 2.5), TypeError, NOT_AN_INTEGER.format("float")),
+        ((2**70, "0"), TypeError, NOT_AN_INTEGER.format("str")),
+    ]))
+    def test_bad_query_rejected(self, each_backend, demo_dataset, args, error, message):
         for _ in each_backend:
-            with pytest.raises(error):
+            # built per backend: the first query binds that backend's loop
+            index = kernels.ClusterStatsIndex(**_stats_problem(demo_dataset))
+            with pytest.raises(error, match=re.escape(message)):
                 index.query(*args, 0.95)
 
     @pytest.mark.parametrize("scale", [*RATING_SCALES, "plateau"])
@@ -1347,6 +1395,69 @@ class TestClusterStatsIndex:
             bound = index._queries[0.95]
             index.query(1, 0, np.float64(0.95))
             assert index._queries == {0.95: bound}
+
+    def test_a_new_bad_level_is_named_before_bad_indices(self, each_backend, demo_dataset):
+        # the level is checked before its query is bound, and the bound
+        # query checks the indices: a bad new level wins over bad indices,
+        # and a bound level leaves them to the query
+        for _ in each_backend:
+            index = kernels.ClusterStatsIndex(**_stats_problem(demo_dataset))
+            for args in ((-1, 0), (0, 4), (2**70, 2.5)):
+                with pytest.raises(ValueError, match=r"confidence level must be in \(0, 1\)"):
+                    index.query(*args, 1.5)
+            index.query(0, 0, 0.95)
+            with pytest.raises(IndexError, match=re.escape("leaf -1 out of range [0, 5)")):
+                index.query(-1, 4, 0.95)
+
+
+class TestTCriticalTables:
+    """Each confidence level's t quantiles are computed once per process,
+    in one read-only table that grows by doubling, and every stats query
+    bound at that level reads a prefix of it."""
+
+    @pytest.mark.parametrize("sizes", [[2, 70, 5000, 3], [5000, 2, 129, 64, 65], [1, 1000, 999, 1001, 4097]])
+    def test_prefixes_keep_the_bits_of_a_fresh_table(self, monkeypatch, sizes):
+        # in whatever order the sizes grow the table
+        monkeypatch.setattr(kernels, "_t_tables", {})
+        for level in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+            for size in sizes:
+                want = stdtrit(np.arange(size), 0.5 + level / 2)
+                assert kernels._t_critical_table(level, size).tobytes() == want.tobytes(), (level, size)
+
+    def test_one_read_only_table_per_level(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_t_tables", {})
+        small = kernels._t_critical_table(0.95, 10)
+        with pytest.raises(ValueError, match="read-only"):
+            small[1] = 0.0
+        large = kernels._t_critical_table(0.95, 1000)
+        assert not large.flags.writeable
+        # grown by doubling, once per level; a smaller prefix is a view of it
+        assert list(kernels._t_tables) == [0.95] and len(kernels._t_tables[0.95]) == 1024
+        assert np.shares_memory(kernels._t_critical_table(np.float64(0.95), 10), large)
+        kernels._t_critical_table(0.9, 3)
+        assert sorted(kernels._t_tables) == [0.9, 0.95]
+
+    def test_pickled_index_rebinds_from_the_cache(self, kernel_backend, demo_dataset, monkeypatch):
+        levels = (0.8, 0.95)
+        stats = kernel_backend.ClusterStatsIndex(**_stats_problem(demo_dataset))
+        pairs = [(leaf, item) for leaf in range(stats.n_leaves) for item in range(stats.n_items)]
+        want = [repr(stats.query(leaf, item, level)) for level in levels for leaf, item in pairs]
+        dumped = pickle.dumps(stats)
+        computed = []
+
+        def counting(*args):
+            computed.append(args)
+            return stdtrit(*args)
+
+        monkeypatch.setattr(kernels, "stdtrit", counting)
+        loaded = pickle.loads(dumped)
+        assert not computed
+        assert [repr(loaded.query(leaf, item, level)) for level in levels for leaf, item in pairs] == want
+        # in a process whose cache is empty, the load computes the tables
+        monkeypatch.setattr(kernels, "_t_tables", {})
+        loaded = pickle.loads(dumped)
+        assert len(computed) == len(levels)
+        assert [repr(loaded.query(leaf, item, level)) for level in levels for leaf, item in pairs] == want
 
 
 def _knn_indexes(ds):
@@ -1419,13 +1530,32 @@ class TestBoundQueries:
     @pytest.mark.parametrize("args, kwargs", [((), {}), ((0,), {}), ((0, 0, 0), {}), ((0.0, 0), {}), ((0, "0"), {}),
                                               ((0,), {"column": 0})])
     def test_compiled_call_takes_two_indices(self, compiled_kernels, args, kwargs):
-        # the compiled call parses two integers and nothing else; the
-        # checked `query` methods reject bad indices before it
+        # the compiled call parses two integers and nothing else, and
+        # checks them itself: see test_bound_queries_check_their_indices
         arrays = kernels.KnnIndex(**_hand_problem(), k=30)._arrays
         query = compiled_kernels.bind_knn_query(*arrays, 30)
         with pytest.raises(TypeError, match="positional|integer"):
             query(*args, **kwargs)
         assert query(np.int64(0), True) == _python.knn_query(*arrays, 0, 1, 30)
+
+    def test_bound_queries_check_their_indices(self, each_backend, demo_dataset):
+        # no caller checks a pair before a bound query: each backend's
+        # query rejects an index out of range itself, one beyond 64 bits
+        # too, and reads True as 1, as `operator.index` does
+        bad = [(-1, 0), (None, 0), (0, -1), (0, None), (2**70, 0), (0, -2**70), (-2**63, 0), (0, 2**63 - 1),
+               (np.int64(2**63 - 1), 0)]
+        for name in each_backend:
+            knn = kernels.KnnIndex(**_hand_problem(), k=30)
+            stats = kernels.ClusterStatsIndex(**_stats_problem(demo_dataset))
+            for query, names, sizes in ((knn._query, ("entity", "column"), (6, 3)),
+                                        (stats._bind(0.95), ("leaf", "item"), (5, 4))):
+                for args in bad:
+                    args = tuple(sizes[k] if a is None else a for k, a in enumerate(args))
+                    k = 0 if not 0 <= args[0] < sizes[0] else 1
+                    message = f"{names[k]} {int(args[k])} out of range [0, {sizes[k]})"
+                    with pytest.raises(IndexError, match=re.escape(message)):
+                        query(*args)
+                assert repr(query(True, 0)) == repr(query(1, 0)), name
 
     def test_failed_allocation_in_the_knn_bind_raises(self, compiled_kernels):
         # each allocation of the bind fails in turn, up to the first bind
