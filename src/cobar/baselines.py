@@ -52,24 +52,22 @@ class MfConfig:
             raise ValueError(f"regularization must be finite and >= 0, got {self.regularization}")
         if operator.index(self.epochs) < 0:
             raise ValueError("epochs must be >= 0")
+        if operator.index(self.seed) < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class MostPopular(_PredictorMixin):
     """Non-personalized baseline: each item's global mean training rating."""
 
-    _BOUND = ("_means",)
+    _READ_ONLY, _BOUND = ("item_means",), ("_means",)
 
     def __init__(self, clamp: bool = True):
         self.clamp = clamp
-        self.train = None
-        self.item_stats = None
 
     def fit(self, train: RatingDataset) -> "MostPopular":
-        self.train = train
-        self.item_stats = compute_item_stats(train)
-        means = self.item_stats.means
+        stats = compute_item_stats(train)
         # each item's mean, and the global mean for an item with no rating
-        self.item_means = np.where(np.isnan(means), self.item_stats.global_mean, means)
+        self.item_means = np.where(np.isnan(stats.means), stats.global_mean, stats.means)
         self._fitted_on(train)
         return self
 
@@ -93,12 +91,11 @@ class _CosineKnn(_PredictorMixin):
     computes the similarities per query, compiled when the extension is
     built, so memory stays O(ratings).  The compiled query computes only
     the neighbours' dot products, from the cheaper of the entity's columns
-    and the neighbours' rows, with the numpy query's bits.  `predict` has
-    checked the pair against the training set the index was built on, so
-    it calls the index's bound loop directly, not the checked
-    `KnnIndex.query`.  Subclasses set `user_major`: the entities are users
-    and the deviations are centered on `compute_user_stats`, or they are
-    items, centered on `compute_item_stats`.
+    and the neighbours' rows, with the numpy query's bits.  Each
+    prediction calls `KnnIndex.query`, the bound loop, once.  Subclasses
+    set `user_major`: the entities are users and the deviations are
+    centered on `compute_user_stats`, or they are items, centered on
+    `compute_item_stats`.
     """
 
     _BOUND = ("_means", "_query")
@@ -106,10 +103,8 @@ class _CosineKnn(_PredictorMixin):
     def __init__(self, config: KnnConfig | None = None, clamp: bool = True):
         self.config = config or KnnConfig()
         self.clamp = clamp
-        self.train = None
 
     def fit(self, train: RatingDataset) -> "_CosineKnn":
-        self.train = train
         # looked up on every fit, not bound at import, so a patched module
         # attribute takes effect
         self.stats = (compute_user_stats if self.user_major else compute_item_stats)(train)
@@ -119,7 +114,7 @@ class _CosineKnn(_PredictorMixin):
 
     def _bind(self) -> None:
         self._means = memoryview(self.stats.means)
-        self._query = self._index._query
+        self._query = self._index.query
 
     def _value(self, user: int, item: int) -> float:
         entity, column = (user, item) if self.user_major else (item, user)
@@ -162,16 +157,15 @@ class MatrixFactorization(_PredictorMixin):
     training are dropped at prediction time.
     """
 
+    _READ_ONLY = ("user_factors", "item_factors", "user_bias", "item_bias", "user_seen", "item_seen")
     _BOUND = ("_user_bias", "_item_bias", "_user_seen", "_item_seen")
 
     def __init__(self, config: MfConfig | None = None, clamp: bool = True):
         self.config = config or MfConfig()
         self.clamp = clamp
-        self.train = None
 
     def fit(self, train: RatingDataset) -> "MatrixFactorization":
         cfg = self.config
-        self.train = train
         user_stats, item_stats = compute_user_stats(train), compute_item_stats(train)
         rng = np.random.default_rng(cfg.seed)
         self.global_mean = user_stats.global_mean

@@ -104,14 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_dataset(args):
+def _read_dataset(args):
     path = Path(args.data)
     if not path.exists():
         raise FileNotFoundError(f"rating file not found: {path}")
-    dataset = parse_ratings(path, delimiter=args.delimiter, skip_header=args.skip_header, name=path.name)
-    if args.max_users is not None:
-        dataset = subsample_users(dataset, args.max_users, args.subsample_seed)
-    return dataset
+    return parse_ratings(path, delimiter=args.delimiter, skip_header=args.skip_header, name=path.name)
 
 
 def _check_output_dir(path) -> None:
@@ -188,7 +185,9 @@ def cmd_evaluate(args) -> int:
         ),
         clamp=not args.no_clamp,
     )
-    dataset = _load_dataset(args)
+    dataset = _read_dataset(args)
+    if args.max_users is not None:
+        dataset = subsample_users(dataset, args.max_users, args.subsample_seed)
     if "cobar" in names:
         _check_clustering_budget(dataset)
     metadata = {
@@ -221,9 +220,15 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     _check_output_dir(args.dendrogram_out)
     _check_options(args)
-    dataset = _load_dataset(args)
-    user = dataset.user_index(args.user)
-    item = dataset.item_index(args.item)
+    dataset = _read_dataset(args)
+    user, item = dataset.user_index(args.user), dataset.item_index(args.item)
+    if args.max_users is not None:
+        dataset = subsample_users(dataset, args.max_users, args.subsample_seed)
+        try:
+            user, item = dataset.user_index(args.user), dataset.item_index(args.item)
+        except KeyError as exc:
+            raise KeyError(f"{exc.args[0]} in the --max-users {args.max_users} subsample "
+                           f"(--subsample-seed {args.subsample_seed}); the file has it") from None
     _check_clustering_budget(dataset)
     model = CobarModel(_cobar_config(args), clamp=not args.no_clamp).fit(dataset)
     if args.dendrogram_out:

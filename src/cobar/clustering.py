@@ -24,12 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .data import RatingDataset, _checked
+from .data import RatingDataset, _ReadOnlyState, _checked
 from .kernels import cosine_distance_matrix
 
 
 @dataclass
-class Dendrogram:
+class Dendrogram(_ReadOnlyState):
     """Binary merge tree; leaves 0..n-1 are users, node n+m is merge m.
 
     Construction checks the tree once, for every reader: n >= 1 distinct
@@ -39,6 +39,8 @@ class Dendrogram:
     arrays, and it derives the layout once: the leaves are numbered
     depth-first, so node v covers the leaf positions lows[v] <= p < highs[v].
     """
+
+    _READ_ONLY = ("merges", "heights", "leaf_users", "sizes", "nodes")
 
     merges: np.ndarray      # (n-1, 2) int64 node ids, row-sorted
     heights: np.ndarray     # (n-1,) float64, non-decreasing
@@ -76,18 +78,11 @@ class Dendrogram:
             lows[right] = lows[n + m] + sizes[left]
             up = chains[n + m]
             chains[left], chains[right] = (left,) + up, (right,) + up
-        nodes = np.array([lows, np.add(lows, sizes).tolist(), parents], dtype=np.int64)
-        for name, array in (("merges", merges), ("heights", heights), ("leaf_users", leaf_users),
-                            ("sizes", np.array(sizes, dtype=np.int64)), ("nodes", nodes)):
-            array.flags.writeable = False
-            setattr(self, name, array)
+        self.merges, self.heights, self.leaf_users = merges, heights, leaf_users
+        self.sizes = np.array(sizes, dtype=np.int64)
+        self.nodes = np.array([lows, np.add(lows, sizes).tolist(), parents], dtype=np.int64)
         self.chains = tuple(chains[:n])
-
-    def __setstate__(self, state):
-        # numpy loads a pickled array writable: keep the checked ones read-only
-        self.__dict__.update(state)
-        for name in ("merges", "heights", "leaf_users", "sizes", "nodes"):
-            getattr(self, name).flags.writeable = False
+        self._restore()
 
     @property
     def n_leaves(self) -> int:

@@ -100,17 +100,17 @@ class CobarModel(_PredictorMixin):
 
     All state is immutable after :meth:`fit`; predictions are pure reads.
     The fit stores on the model what every query reads: the config's gamma
-    and confidence level and the leaves' chains.  `predict_detailed` makes
-    the mixin's check of the pair and its clamp inline, as the mixin's
-    `predict` does.
+    and confidence level and the leaves' chains.  It keeps the user means
+    and the dendrogram, which `cobar predict` also reads, and not the
+    training set.  `predict_detailed` makes the mixin's check of the pair
+    and its clamp inline, as the mixin's `predict` does.
     """
 
-    _BOUND = ("_user_means", "_leaves", "_sizes", "_counts")
+    _READ_ONLY, _BOUND = ("_leaf_of", "_item_counts"), ("_user_means", "_leaves", "_sizes", "_counts")
 
     def __init__(self, config: CobarConfig | None = None, clamp: bool = True):
         self.config = config or CobarConfig()
         self.clamp = clamp
-        self.train: RatingDataset | None = None
         self.user_stats: MeanStats | None = None
         self.dendrogram: Dendrogram | None = None
         self.stats: ClusterStatsIndex | None = None
@@ -118,7 +118,6 @@ class CobarModel(_PredictorMixin):
         self._item_counts: np.ndarray | None = None
 
     def fit(self, train: RatingDataset) -> "CobarModel":
-        self.train = train
         self.user_stats = compute_user_stats(train)
         self.dendrogram = agglomerate(train)
         self.stats = build_item_stats(self.dendrogram, train)

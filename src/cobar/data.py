@@ -1,5 +1,6 @@
-"""Rating data ingestion, per-user/per-item statistics, the query check and
-clamp every predictor shares, and k-fold splits.
+"""Rating data ingestion, per-user/per-item statistics, the fitted-state
+protocol, the query check and clamp every predictor shares, and k-fold
+splits.
 
 A :class:`RatingDataset` stores the ratings as three parallel arrays plus
 external-id maps.  Cross-validation works on *triple indices*: a fold's
@@ -59,13 +60,51 @@ def _check_range(name: str, index: np.ndarray, bound: int) -> None:
         raise IndexError(f"{name} holds an index out of range [0, {bound})")
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    """Make each array read-only: the package's one place that does."""
+    for array in arrays:
+        array.flags.writeable = False
+
+
+class _ReadOnlyState:
+    """The fitted-state protocol of every class that holds checked or fitted
+    arrays.  A class names in `_READ_ONLY` its attributes that hold an
+    array or a tuple of arrays, and in `_BOUND` the memoryviews and bound
+    queries its `_bind` sets from them, which cannot be pickled.  Its
+    construction, its fit and a pickle load end with `_restore`: the arrays
+    become read-only, as numpy loads a pickled one writable, then `_bind`.
+    A pickle drops the `_BOUND` attributes, and loading sets the rest one
+    by one, not through the instance `__dict__`, which CPython 3.11 would
+    materialise, slowing every later attribute read; pickling reads it.
+    """
+
+    _READ_ONLY: tuple[str, ...] = ()
+    _BOUND: tuple[str, ...] = ()
+
+    def _restore(self) -> None:
+        for name in self._READ_ONLY:
+            value = getattr(self, name)
+            _read_only(*(value if isinstance(value, tuple) else (value,)))
+        self._bind()
+
+    def _bind(self) -> None:
+        """Set the `_BOUND` attributes from the arrays."""
+
+    def __getstate__(self):
+        return {**self.__dict__, **dict.fromkeys(self._BOUND)}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._restore()
+
+
 class _Derived:
     """A read-only attribute of a `RatingDataset`, built on first read and
     kept in the dataset's `_derived` dict.  `functools.cached_property`
     would keep it in the instance `__dict__` instead, and once CPython
     3.11 materialises that dict every attribute read of the instance is
-    slower: each prediction reads its training set, and cobar's
-    predictions on a perfbench ft fold ran 6% slower."""
+    slower."""
 
     def __init__(self, build):
         self._build = build
@@ -87,7 +126,7 @@ class _Derived:
 
 
 @dataclass
-class RatingDataset:
+class RatingDataset(_ReadOnlyState):
     """Sparse user x item rating store with contiguous internal indices.
 
     Construction checks the triples once, for every model that reads them:
@@ -106,6 +145,8 @@ class RatingDataset:
     `subset` starts with nothing cached, and a pickle keeps what was
     built.
     """
+
+    _READ_ONLY = ("users", "items", "ratings", "_layouts")
 
     user_ids: list[str]
     item_ids: list[str]
@@ -129,19 +170,9 @@ class RatingDataset:
         pairs = np.sort(users.astype(np.int64) * self.n_items + items)
         if np.any(pairs[1:] == pairs[:-1]):
             raise ValueError("users and items hold a repeated (user, item) pair")
-        for name, array in (("users", users), ("items", items), ("ratings", ratings)):
-            array.flags.writeable = False
-            setattr(self, name, array)
+        self.users, self.items, self.ratings = users, items, ratings
         self._derived = {}
-
-    def __setstate__(self, state):
-        # numpy loads a pickled array writable: keep the checked ones and
-        # the cached layouts read-only
-        self.__dict__.update(state)
-        derived = self._derived
-        for array in (self.users, self.items, self.ratings, *derived.get("user_layout", ()),
-                      *derived.get("item_layout", ())):
-            array.flags.writeable = False
+        self._restore()
 
     @property
     def n_users(self) -> int:
@@ -179,9 +210,13 @@ class RatingDataset:
     def _layout(self, keys: np.ndarray, others: np.ndarray, n_keys: int, n_others: int):
         from . import kernels   # which imports this module
         layout = kernels.csr_rows(keys, others, self.ratings, n_keys, n_others)
-        for array in layout:
-            array.flags.writeable = False
+        _read_only(*layout)
         return layout
+
+    @property
+    def _layouts(self) -> tuple[np.ndarray, ...]:
+        """The arrays of the layouts built so far, which a pickle keeps."""
+        return (*self._derived.get("user_layout", ()), *self._derived.get("item_layout", ()))
 
     @_Derived
     def user_stats(self) -> MeanStats:
@@ -347,7 +382,7 @@ def _keep_last(user_ids: list[str], item_ids: list[str], users: np.ndarray, item
 
 
 @dataclass
-class MeanStats:
+class MeanStats(_ReadOnlyState):
     """Per-user or per-item training means; NaN marks a user or item with no
     training ratings.
 
@@ -356,16 +391,13 @@ class MeanStats:
     fit on it, so a write would reach them all.
     """
 
+    _READ_ONLY = ("means",)
+
     means: np.ndarray    # float64 (n_keys,), NaN when undefined
     global_mean: float
 
     def __post_init__(self):
-        self.means.flags.writeable = False
-
-    def __setstate__(self, state):
-        # numpy loads a pickled array writable
-        self.__dict__.update(state)
-        self.means.flags.writeable = False
+        self._restore()
 
 
 def _mean_stats(train: RatingDataset, keys: np.ndarray, n_keys: int) -> MeanStats:
@@ -391,28 +423,21 @@ def compute_item_stats(train: RatingDataset) -> MeanStats:
     return train.item_stats
 
 
-class _PredictorMixin:
+class _PredictorMixin(_ReadOnlyState):
     """Shared by every predictor: the bounds of the query check and the
-    clamp, `predict` for the four baselines, and pickling.
+    clamp, `predict` for the four baselines, and the fitted-state protocol.
 
     A fit ends with `_fitted_on(train)`, which stores the training set's
     `(n_users, n_items)` and the clamp bounds, its rating scale or +-inf
     when the predictor was built with `clamp=False`, on the model, then
-    calls the predictor's `_bind`, which sets the attributes its class
-    names in `_BOUND` from its fitted arrays.  A query reads only those
-    and the model's own arrays, never the training set.  `predict(user,
-    item)` raises `RuntimeError` before the fit, reads both indices with
-    `operator.index`, raises `ValueError` for a user and then for an item
-    out of range, and clamps the predictor's `_value(user, item)` with two
-    comparisons, which keep the bits of ``min(max(value, lo), hi)``,
-    NaN included.  Cobar's `predict_detailed` makes the same check and
-    clamp inline.
-
-    The `_BOUND` attributes, memoryviews and bound compiled queries, cannot
-    be pickled: a pickle drops them and `_bind` sets them again when it is
-    loaded.  Loading sets the attributes one by one, not through the
-    instance `__dict__`, which CPython 3.11 would materialise: every later
-    attribute read of the model would be slower.
+    calls `_restore`.  A query reads only the model's own arrays and
+    `_BOUND` attributes, and no model keeps its training set.
+    `predict(user, item)` raises `RuntimeError` before the fit, reads both
+    indices with `operator.index`, raises `ValueError` for a user and then
+    for an item out of range, and clamps the predictor's `_value(user,
+    item)` with two comparisons, which keep the bits of ``min(max(value,
+    lo), hi)``, NaN included.  Cobar's `predict_detailed` makes the same
+    check and clamp inline.
     """
 
     _limits: tuple | None = None   # (n_users, n_items, lo, hi), stored by the fit
@@ -420,16 +445,12 @@ class _PredictorMixin:
     def _fitted_on(self, train: RatingDataset) -> None:
         lo, hi = (train.rating_min, train.rating_max) if self.clamp else (-math.inf, math.inf)
         self._limits = (len(train.user_ids), len(train.item_ids), lo, hi)
-        self._bind()
+        self._restore()
 
-    def __getstate__(self):
-        return {**self.__dict__, **dict.fromkeys(self._BOUND)}
-
-    def __setstate__(self, state):
-        for name, value in state.items():
-            setattr(self, name, value)
+    def _restore(self) -> None:
+        # an unfitted model holds no array and binds nothing
         if self._limits is not None:
-            self._bind()
+            super()._restore()
 
     def predict(self, user: int, item: int) -> float:
         # the check and the clamp inline: two method frames would cost
@@ -473,6 +494,7 @@ def _check_fold_count(k: int) -> None:
 def kfold_split(dataset: RatingDataset, k: int, seed: int) -> FoldSplit:
     """Uniform seeded shuffle of the triples into k folds (sizes differ by <= 1)."""
     n = dataset.n_ratings
+    k = operator.index(k)
     _check_fold_count(k)
     if k > n:
         raise ValueError(f"cannot split {n} ratings into {k} folds")
@@ -485,6 +507,7 @@ def kfold_split(dataset: RatingDataset, k: int, seed: int) -> FoldSplit:
 
 def fold_train_test(dataset: RatingDataset, split: FoldSplit, fold: int) -> tuple[RatingDataset, np.ndarray]:
     """Training subset and test triple indices for one fold."""
+    fold = operator.index(fold)
     if not 0 <= fold < split.k:
         raise ValueError(f"fold {fold} out of range [0, {split.k})")
     train = dataset.subset(split.train_indices(fold))

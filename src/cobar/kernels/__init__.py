@@ -26,9 +26,9 @@ loops, which run once per prediction, are bound to their arrays once:
 `KnnIndex` at construction, `ClusterStatsIndex` per confidence level on
 its first query; a pickle holds the arrays, and both bind again when it
 is loaded.  A bound query checks its own two indices, with the same
-`TypeError` or `IndexError` on both backends, so `KnnIndex.query` only
-calls it, `ClusterStatsIndex.query` only finds the level's, and `UserKnn`
-and `ItemKnn` call `KnnIndex._query` once per prediction.  The t
+`TypeError` or `IndexError` on both backends, so `KnnIndex.query` is the
+bound kNN query itself, `ClusterStatsIndex.query` only finds the level's,
+and `UserKnn` and `ItemKnn` call `KnnIndex.query` once per prediction.  The t
 quantiles of a confidence level are computed once per process, in one
 read-only table that grows by doubling; each bound stats query reads a
 prefix of it.  The cosine loops sum each dot product item by item in
@@ -64,7 +64,7 @@ from collections.abc import Callable, Mapping
 import numpy as np
 
 from .._special import stdtrit
-from ..data import RatingDataset, _check_range, _checked
+from ..data import RatingDataset, _check_range, _checked, _read_only, _ReadOnlyState
 from . import _python
 
 _REBUILD = "rebuild it with: python setup.py build_ext --inplace --force"
@@ -307,7 +307,7 @@ def tokenize(data, delimiter: str, skip_header: bool) -> tuple | None:
     return user_ids, item_ids, users[:n], items[:n], ratings[:n]
 
 
-class KnnIndex:
+class KnnIndex(_ReadOnlyState):
     """The mean-centred cosine kNN query of `UserKnn` and `ItemKnn`.
 
     The *entities* are the rows compared with each other, and the
@@ -318,10 +318,16 @@ class KnnIndex:
     nothing out: it reads the dataset's `user_layout` and `item_layout`,
     built once per dataset by `csr_rows` with every row sorted and int32
     indices, and the means as given, not copied, as a `MeanStats` holds
-    them read-only.  It adds the entities' norms, so each query checks only
-    its own two indices before the loop reads the arrays unchecked.  All of
-    them stay read-only when a pickle is loaded.  The bound loop, `_query`,
-    makes that check itself, and `query` only calls it.
+    them read-only; like every array the index reads, they are made
+    read-only.  It adds the entities' norms, so each query checks only its
+    own two indices before the loop reads the arrays unchecked.
+
+    `query(entity, column)`, the loop bound to the arrays, gives the
+    similarity-weighted mean deviation of the `k` neighbours most similar
+    to `entity` among the other entities rated in `column`, counting only
+    positive similarities; at equal similarity the lower entity index wins.
+    None when no neighbour has positive similarity.  An index that is no
+    integer raises `TypeError`, and one out of range `IndexError`.
 
     The compiled loop computes only the dot products a query reads, those
     of the entity with the neighbours in the column, from the side that
@@ -339,6 +345,8 @@ class KnnIndex:
     never see each other's work.
     """
 
+    _READ_ONLY, _BOUND = ("_arrays",), ("query",)
+
     def __init__(self, train: RatingDataset, user_major: bool, means, k: int):
         if not isinstance(train, RatingDataset):
             raise TypeError(f"train must be a RatingDataset, not {type(train).__name__}")
@@ -354,33 +362,12 @@ class KnnIndex:
         # each row's squares summed in ascending column order
         entity_of = np.repeat(np.arange(self.n_entities), np.diff(rows[0]))
         norms = np.sqrt(np.bincount(entity_of, weights=rows[2] * rows[2], minlength=self.n_entities))
-        norms.flags.writeable = False
         self._arrays = (*rows, *cols, norms, means)
-        self._bind()
+        self._restore()
 
     def _bind(self):
         # the compiled bind reads k as a C integer
-        self._query = _loops.bind_knn_query(*self._arrays, min(self.k, max(self.n_entities, 1)))
-
-    def __getstate__(self):
-        # a compiled bound query cannot be pickled; the arrays it reads can
-        return {**self.__dict__, "_query": None}
-
-    def __setstate__(self, state):
-        # numpy loads a pickled array writable: keep the bound query's read-only
-        self.__dict__.update(state)
-        for array in self._arrays:
-            array.flags.writeable = False
-        self._bind()
-
-    def query(self, entity: int, column: int) -> float | None:
-        """The similarity-weighted mean deviation of the `k` neighbours most
-        similar to `entity` among the other entities rated in `column`,
-        counting only positive similarities; at equal similarity the lower
-        entity index wins.  None when no neighbour has positive similarity.
-        An index that is no integer raises `TypeError`, and one out of range
-        `IndexError`, from the bound loop."""
-        return self._query(entity, column)
+        self.query = _loops.bind_knn_query(*self._arrays, min(self.k, max(self.n_entities, 1)))
 
 
 # per confidence level, its read-only table of t quantiles so far
@@ -400,11 +387,11 @@ def _t_critical_table(level: float, size: int) -> np.ndarray:
         while length < size:
             length *= 2
         table = _t_tables[level] = stdtrit(np.arange(length), 0.5 + level / 2.0)
-        table.flags.writeable = False
+        _read_only(table)
     return table[:size]
 
 
-class ClusterStatsIndex:
+class ClusterStatsIndex(_ReadOnlyState):
     """The rating statistics of every cluster of a user hierarchy, per item,
     for cobar's narrowest-interval query, in O(ratings) arrays.
 
@@ -423,8 +410,11 @@ class ClusterStatsIndex:
     `csr_rows`, their raters' leaf positions int32; the selected loop then
     finds each gap's node, an int64 node id, walking up from the left
     rater's leaf until the node's range holds the right rater, and fills the
-    gap's entry in the same pass.
+    gap's entry in the same pass.  A loaded pickle binds again the levels
+    bound when it was made.
     """
+
+    _READ_ONLY, _BOUND = ("_arrays", "_ratings"), ("_queries",)
 
     def __init__(self, dendrogram, train: RatingDataset):
         from ..clustering import Dendrogram   # which imports this module
@@ -453,28 +443,18 @@ class ClusterStatsIndex:
         self._arrays = (index, positions, gap_nodes, gaps, nodes)
         self._ratings = ratings
         self._most_raters = max(2, int(counts.max(initial=0)))
+        self._levels: list[float] = []   # the levels bound so far, which a pickle keeps
+        self._restore()
+
+    def _bind(self) -> None:
         # per level, the query bound to the arrays and a prefix of the
         # level's t quantiles
-        self._queries: dict[float, Callable[[int, int], tuple[int, float, int, float] | None]] = {}
+        self._queries = {level: self._bind_level(level) for level in self._levels}
 
-    def __getstate__(self):
-        # a compiled bound query cannot be pickled: keep only its level
-        return {**self.__dict__, "_queries": list(self._queries)}
-
-    def __setstate__(self, state):
-        # one by one, not through the instance __dict__, which CPython 3.11
-        # would materialise: every later query would read the index slower
-        for name, value in {**state, "_queries": {}}.items():
-            setattr(self, name, value)
-        for level in state["_queries"]:
-            self._bind(level)
-
-    def _bind(self, level: float) -> Callable[[int, int], tuple[int, float, int, float] | None]:
+    def _bind_level(self, level: float) -> Callable[[int, int], tuple[int, float, int, float] | None]:
         # n ratings read the entry at n - 1 degrees of freedom; the bound
         # query checks its leaf and item itself
-        table = _t_critical_table(level, self._most_raters)
-        query = self._queries[level] = _loops.bind_stats_query(*self._arrays, table)
-        return query
+        return _loops.bind_stats_query(*self._arrays, _t_critical_table(level, self._most_raters))
 
     @property
     def n_entries(self) -> int:
@@ -498,7 +478,8 @@ class ClusterStatsIndex:
         if query is None:
             if not 0.0 < level < 1.0:
                 raise ValueError(f"confidence level must be in (0, 1), got {level}")
-            query = self._bind(level)
+            query = self._queries[level] = self._bind_level(level)
+            self._levels.append(level)
         return query(leaf, item)
 
     def items_at(self, node: int) -> Mapping[int, tuple[int, float, float, float, float]]:

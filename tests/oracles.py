@@ -568,21 +568,21 @@ def select_optimal_cluster_dict(chain, item, stats, level):
 
 
 class CobarReference:
-    """The earlier `CobarModel.predict_detailed` over a fitted model's state,
-    through the reference chain walk and accessors above; verbatim but for
-    the `unclustered_user` label of a user without a leaf and the user's
-    mean, read from the `MeanStats` array."""
+    """The earlier `CobarModel.predict_detailed` over the state of a model
+    fit on `train`, through the reference chain walk and accessors above;
+    verbatim but for the `unclustered_user` label of a user without a leaf
+    and the user's mean, read from the `MeanStats` array."""
 
-    def __init__(self, model):
+    def __init__(self, model, train):
         self.config = model.config
-        self.train = model.train
+        self.train = train
         self.user_stats = model.user_stats
         self.dendrogram = model.dendrogram
-        maps = build_item_stats_dict(model.dendrogram, model.train)._maps
+        maps = build_item_stats_dict(model.dendrogram, train)._maps
         self.stats = ClusterItemStatsReference(maps, model.config.confidence_level)
         self._leaf_of = model._leaf_of
         self._item_counts = model._item_counts
-        self._clamp = lambda value: _clamp(value, model.train, model.clamp)
+        self._clamp = lambda value: _clamp(value, train, model.clamp)
 
     def predict_detailed(self, user, item):
         from cobar import Fallback, Prediction
@@ -630,20 +630,20 @@ class CobarReference:
         )
 
 
-def composed_prediction(model, user, item):
-    """A fitted predictor's prediction for an in-range (user, item), built
-    from public pieces one call at a time: the training set's means with a
-    fresh `KnnIndex.query` for the kNNs, ``float(U[u] @ V[i])`` for MF,
-    `select_optimal_cluster` on the user's chain for cobar, and
-    ``min(max(value, lo), hi)`` with the training scale for the clamp."""
+def composed_prediction(model, train, user, item):
+    """The prediction of a predictor fit on `train` for an in-range (user,
+    item), built from public pieces one call at a time: the training set's
+    means with a fresh `KnnIndex.query` for the kNNs, ``float(U[u] @
+    V[i])`` for MF, `select_optimal_cluster` on the user's chain for cobar,
+    and ``min(max(value, lo), hi)`` with the training scale for the
+    clamp."""
     from cobar import CobarModel, ItemKnn, MatrixFactorization, MostPopular, UserKnn
     from cobar.core import select_optimal_cluster
     from cobar.kernels import KnnIndex
 
-    train = model.train
     if isinstance(model, MostPopular):
-        mean = float(model.item_stats.means[item])
-        value = model.item_stats.global_mean if math.isnan(mean) else mean
+        mean = float(train.item_stats.means[item])
+        value = train.item_stats.global_mean if math.isnan(mean) else mean
     elif isinstance(model, (UserKnn, ItemKnn)):
         entity, column = (user, item) if isinstance(model, UserKnn) else (item, user)
         mean = float(model.stats.means[entity])

@@ -1,15 +1,18 @@
 """Popularity, kNN and matrix-factorization predictors."""
 
+import functools
+import gc
 import math
 import pickle
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cobar import CobarModel, ItemKnn, KnnConfig, MatrixFactorization, MfConfig, MostPopular, UserKnn
-from cobar import RatingDataset, kernels, kfold_split
-from cobar.data import fold_train_test
+from cobar import RatingDataset, data, kernels, kfold_split
+from cobar.data import _ReadOnlyState, fold_train_test
 from cobar.evaluation import build_algorithms
 from cobar.kernels import _python
 from conftest import RATING_SCALES, benchmark_dataset, make_dataset, random_grid_dataset
@@ -25,15 +28,22 @@ class TestConfigChecks:
         lambda: KnnConfig(k=np.float64(3.0)),
         lambda: MfConfig(factors=2.5),
         lambda: MfConfig(epochs=2.5),
-    ], ids=["k", "k-float64", "factors", "epochs"])
+        lambda: MfConfig(seed=2.5),
+    ], ids=["k", "k-float64", "factors", "epochs", "seed"])
     def test_non_integer_count_rejected(self, make):
         with pytest.raises(TypeError):
             make()
 
     def test_numpy_integer_counts_accepted(self):
         assert KnnConfig(k=np.int64(3)).k == 3
-        config = MfConfig(factors=np.int32(4), epochs=np.int64(0))
-        assert (config.factors, config.epochs) == (4, 0)
+        config = MfConfig(factors=np.int32(4), epochs=np.int64(0), seed=np.uint8(5))
+        assert (config.factors, config.epochs, config.seed) == (4, 0, 5)
+
+    def test_negative_seed_rejected(self):
+        # numpy's generators take no negative seed: refused with the config,
+        # before a cross-validation fits anything
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            MfConfig(seed=-1)
 
     @pytest.mark.parametrize("field", ["learning_rate", "regularization"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -506,7 +516,7 @@ def test_every_prediction_keeps_the_bits_of_its_composed_value(seed, each_backen
             for name, make in build_algorithms(list(PREDICTORS), mf_config=MfConfig(epochs=2), clamp=clamp).items():
                 model = make().fit(train)
                 got = [model.predict(u, i) for u, i in queries]
-                want = [composed_prediction(model, u, i) for u, i in queries]
+                want = [composed_prediction(model, train, u, i) for u, i in queries]
                 assert all(type(v) is float for v in got), name
                 assert np.array(got).tobytes() == np.array(want).tobytes(), (name, clamp)
 
@@ -538,8 +548,9 @@ def test_a_query_reads_nothing_of_the_training_set(name, kernel_backend, two_clu
 def test_pickled_model_keeps_its_arrays_read_only(kernel_backend, two_clusters_dataset):
     # numpy loads a pickled array writable; a write to a loaded model's
     # layout would reach the stats index and the bound query reading it
-    loaded = pickle.loads(pickle.dumps(CobarModel().fit(two_clusters_dataset)))
-    arrays = {**{name: getattr(loaded.train, name) for name in ("users", "items", "ratings")},
+    train = two_clusters_dataset
+    loaded_train, loaded = pickle.loads(pickle.dumps((train, CobarModel().fit(train))))
+    arrays = {**{name: getattr(loaded_train, name) for name in ("users", "items", "ratings")},
               **{name: getattr(loaded.dendrogram, name)
                  for name in ("merges", "heights", "leaf_users", "sizes", "nodes")}}
     for name, array in arrays.items():
@@ -569,7 +580,12 @@ def test_a_folds_models_share_its_derived_state(each_backend, monkeypatch):
         assert uknn.stats is train.user_stats and uknn._index._arrays[7] is train.user_stats.means
         assert iknn.stats is train.item_stats and iknn._index._arrays[7] is train.item_stats.means
         assert CobarModel().fit(train).user_stats is train.user_stats
-        assert MostPopular().fit(train).item_stats is train.item_stats
+        # mp reads the training set's item stats, built by iknn: no new ones
+        with monkeypatch.context() as patch:
+            patch.setattr(data, "_mean_stats", None)
+            mp = MostPopular().fit(train)
+        stats = train.item_stats
+        assert mp.item_means.tobytes() == np.where(np.isnan(stats.means), stats.global_mean, stats.means).tobytes()
         mf = MatrixFactorization(MfConfig(epochs=1)).fit(train)
         assert mf.global_mean == float(train.ratings.mean())
         assert np.array_equal(mf.user_seen, np.bincount(train.users, minlength=train.n_users) > 0)
@@ -585,15 +601,101 @@ def test_knns_pickled_together_share_read_only_arrays(kernel_backend):
                 for m in ms]
 
     want = every_prediction(models)
-    uknn, iknn = loaded = pickle.loads(pickle.dumps(models))
-    assert uknn.train is iknn.train
-    layouts = (*uknn.train.user_layout, *uknn.train.item_layout)
+    loaded_train, loaded = pickle.loads(pickle.dumps((train, models)))
+    uknn, iknn = loaded
+    layouts = (*loaded_train.user_layout, *loaded_train.item_layout)
     assert all(a is b for a, b in zip(uknn._index._arrays, layouts))
     assert all(a is b for a, b in zip(iknn._index._arrays, layouts[3:] + layouts[:3]))
     for array in (*uknn._index._arrays, *iknn._index._arrays):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
     assert every_prediction(loaded) == want
+
+
+def _reachable_arrays(obj, path, seen):
+    """``(path, array)`` for every ndarray reachable from `obj` through the
+    package's objects, tuples, lists, dicts, memoryviews and the numpy
+    backend's bound queries; a compiled bound query is opaque, and its
+    arrays are reached through its owner's."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif isinstance(obj, memoryview):
+        assert obj.readonly, path
+        yield from _reachable_arrays(obj.obj, f"{path}.obj", seen)
+    elif isinstance(obj, (tuple, list)):
+        for k, value in enumerate(obj):
+            yield from _reachable_arrays(value, f"{path}[{k}]", seen)
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _reachable_arrays(value, f"{path}[{key!r}]", seen)
+    elif isinstance(obj, functools.partial):
+        yield from _reachable_arrays(obj.args, f"{path}.args", seen)
+    elif type(obj).__module__.startswith("cobar.") and hasattr(obj, "__dict__"):
+        for name, value in vars(obj).items():
+            yield from _reachable_arrays(value, f"{path}.{name}", seen)
+
+
+@pytest.mark.parametrize("name", list(PREDICTORS))
+def test_every_array_of_a_fitted_model_is_read_only(name, kernel_backend, two_clusters_dataset):
+    # a write to a fitted array would move later predictions, and a write
+    # to an array a compiled query reads unchecked could crash the process
+    ds = two_clusters_dataset
+    pairs = [(u, i) for u in range(ds.n_users) for i in range(ds.n_items)]
+    model = PREDICTORS[name]().fit(ds)
+    want = [model.predict(u, i) for u, i in pairs]
+    loaded = pickle.loads(pickle.dumps(model))
+    assert [loaded.predict(u, i) for u, i in pairs] == want
+    for which, fitted in (("fresh", model), ("loaded", loaded)):
+        arrays = list(_reachable_arrays(fitted, name, set()))
+        assert arrays, which
+        for path, array in arrays:
+            assert not array.flags.writeable, (which, path)
+
+
+@pytest.mark.parametrize("name", list(PREDICTORS))
+def test_a_fitted_model_keeps_no_training_set(name, kernel_backend, two_clusters_dataset):
+    # a query reads only what the fit stored, so once its caller drops the
+    # training set, nothing holds it
+    train = two_clusters_dataset.subset(np.arange(two_clusters_dataset.n_ratings))
+    pairs = [(u, i) for u in range(train.n_users) for i in range(train.n_items)]
+    model = PREDICTORS[name]().fit(train)
+    want = [model.predict(u, i) for u, i in pairs]
+    kept = weakref.ref(train)
+    del train
+    gc.collect()
+    assert kept() is None
+    assert [model.predict(u, i) for u, i in pairs] == want
+
+
+def _protocol_classes(cls=_ReadOnlyState):
+    """The package's classes below `cls` that no other class extends."""
+    found = set()
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("cobar."):
+            found |= _protocol_classes(sub) or {sub}
+    return found
+
+
+def test_every_declared_attribute_is_set(kernel_backend, two_clusters_dataset):
+    # a name in `_READ_ONLY` or `_BOUND` that no instance sets, a typo say,
+    # would leave an array writable or a bound query in a pickle
+    train = two_clusters_dataset.subset(np.arange(two_clusters_dataset.n_ratings))
+    models = {name: make().fit(train) for name, make in PREDICTORS.items()}
+    cobar = models["cobar"]
+    cobar.predict(0, 0)   # binds the stats query of its level
+    instances = [train, train.user_stats, cobar.dendrogram, cobar.stats, models["uknn"]._index, *models.values()]
+    assert {type(obj) for obj in instances} == _protocol_classes()
+    for obj in instances:
+        for name in type(obj)._READ_ONLY:
+            value = getattr(obj, name)
+            arrays = value if isinstance(value, tuple) else (value,)
+            assert arrays and all(isinstance(a, np.ndarray) for a in arrays), (type(obj).__name__, name)
+        for name in type(obj)._BOUND:
+            assert vars(obj).get(name) is not None, (type(obj).__name__, name)
+    assert cobar.stats._queries
 
 
 @pytest.mark.parametrize("name", ["cobar", "mp", "mf"])

@@ -270,6 +270,24 @@ class TestPredict:
         assert stderr == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("user,item,message", [
+        ("1", "100", "unknown user id '1' in the --max-users 2 subsample (--subsample-seed 7); the file has it"),
+        ("4", "200", "unknown item id '200' in the --max-users 2 subsample (--subsample-seed 7); the file has it"),
+        ("nobody", "100", "unknown user id 'nobody'"),
+        ("4", "nothing", "unknown item id 'nothing'"),
+    ], ids=["dropped-user", "dropped-item", "unknown-user", "unknown-item"])
+    def test_id_dropped_by_the_subsample_is_named_so(self, data_dir, capsys, user, item, message):
+        # seed 7 keeps users 4 and 5 of the demo file, and so not item 200
+        code, stdout, stderr = run_cli(
+            capsys,
+            "predict",
+            "--data", str(data_dir / "demo.tsv"),
+            "--user", user,
+            "--item", item,
+            "--max-users", "2",
+        )
+        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+
     def test_missing_dendrogram_dir_exits_2_before_loading(self, data_dir, tmp_path, capsys, monkeypatch):
         def no_parse(*args, **kwargs):
             raise AssertionError("the data was loaded")

@@ -5,7 +5,6 @@ import gc
 import math
 from collections import Counter
 from dataclasses import astuple, replace
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -52,15 +51,16 @@ def unit_variance_entry(n):
     return (n, 0.0, float(n - 1), -1.0, 1.0)
 
 
-@lru_cache(maxsize=4)
-def dict_stats(model):
-    """The reference per-node dict maps of a fitted model's hierarchy."""
-    return build_item_stats_dict(model.dendrogram, model.train)
+def dict_stats(model, train):
+    """The reference per-node dict maps of the hierarchy of a model fit on
+    `train`."""
+    return build_item_stats_dict(model.dendrogram, train)
 
 
-def node_half_width(model, node, item):
-    """The half-width the reference chain walk gives the node on its own."""
-    return select_optimal_cluster_dict((node,), item, dict_stats(model), model.config.confidence_level)[1]
+def node_half_width(model, reference, node, item):
+    """The half-width the reference chain walk gives the node on its own,
+    over the model's `dict_stats`."""
+    return select_optimal_cluster_dict((node,), item, reference, model.config.confidence_level)[1]
 
 
 class TestConfidenceHalfWidth:
@@ -182,7 +182,7 @@ class TestClusterStatsIndex:
             queries = chosen = 0
             for ds, model in zip(datasets, models):
                 dend = model.dendrogram
-                stats, reference = build_item_stats(dend, ds), dict_stats(model)
+                stats, reference = build_item_stats(dend, ds), dict_stats(model, ds)
                 assert [stats.items_at(node) for node in range(dend.n_nodes)] == reference._maps
                 assert [len(stats.items_at(node)) for node in range(dend.n_nodes)] == list(map(len, reference._maps))
                 for level in (0.9, 0.95, 0.99):
@@ -272,19 +272,20 @@ class TestSelectOptimalCluster:
             for i in rng.choice(12, size=3, replace=False):
                 rows.append((f"u{u}", f"y{i}", round(float(rng.integers(1, 10)) / 10, 1)))
         ds, model = self._model(rows)
-        item = ds.item_index("x")
+        item, reference = ds.item_index("x"), dict_stats(model, ds)
         for leaf in range(model.dendrogram.n_leaves):
             chain = model.dendrogram.ancestor_chain(leaf)
             first = next(int(node) for node in chain if _count(model.stats, int(node), item) >= 2)
             choice = select_optimal_cluster(chain, item, model.stats, model.config.confidence_level)
             assert choice[:2] == (first, 0.0)
-            assert all(node_half_width(model, int(node), item) == 0.0 for node in chain[chain >= first])
+            assert all(node_half_width(model, reference, int(node), item) == 0.0 for node in chain[chain >= first])
 
     def test_selected_width_is_minimal(self):
         rng = np.random.default_rng(37)
         for _ in range(10):
             ds = random_grid_dataset(rng, max_users=12, max_items=6)
             model = CobarModel().fit(ds)
+            reference = dict_stats(model, ds)
             for user in range(ds.n_users):
                 leaf = int(model._leaf_of[user])
                 if leaf < 0:
@@ -295,7 +296,7 @@ class TestSelectOptimalCluster:
                     if choice is None:
                         continue
                     widths = [
-                        node_half_width(model, int(node), item)
+                        node_half_width(model, reference, int(node), item)
                         for node in chain
                         if _count(model.stats, int(node), item) >= 2
                     ]
@@ -427,7 +428,7 @@ class TestPredict:
 
     def test_half_width_consistent_with_raw_recomputation(self, demo_dataset):
         model = CobarModel().fit(demo_dataset)
-        item = demo_dataset.item_index("100")
+        item, reference = demo_dataset.item_index("100"), dict_stats(model, demo_dataset)
         chain = model.dendrogram.ancestor_chain(0)
         for node in chain:
             entry = model.stats.items_at(int(node)).get(item)
@@ -439,7 +440,7 @@ class TestPredict:
                 for u, i, r in zip(demo_dataset.users, demo_dataset.items, demo_dataset.ratings)
                 if int(i) == item and int(u) in members
             )
-            assert node_half_width(model, int(node), item) == pytest.approx(
+            assert node_half_width(model, reference, int(node), item) == pytest.approx(
                 interval_half_width(raw), abs=1e-9
             )
 
@@ -489,7 +490,7 @@ class TestPredictionAgainstReference:
         # a scale narrower than the ratings, so that clamping changes values
         train = replace(train, rating_min=2.0, rating_max=8.0)
         model = CobarModel(CobarConfig(confidence_level=level), clamp=clamp).fit(train)
-        reference = CobarReference(model)
+        reference = CobarReference(model, train)
         fallbacks = Counter()
         off_scale = zero_widths = ties = 0
         for user in range(ds.n_users):

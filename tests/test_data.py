@@ -501,6 +501,26 @@ class TestKfoldSplit:
             seen = np.concatenate([split.test_indices(f) for f in range(k)])
             assert len(seen) == ds.n_ratings and len(np.unique(seen)) == ds.n_ratings
 
+    @pytest.mark.parametrize("k", [2.5, np.float64(3.0), "3"])
+    def test_non_integer_fold_count_rejected(self, k):
+        ds = make_dataset([(f"u{i}", "x", 3.0) for i in range(10)])
+        with pytest.raises(TypeError):
+            kfold_split(ds, k, seed=0)
+
+    @pytest.mark.parametrize("fold", [1.0, np.float64(1.0), "1"])
+    def test_non_integer_fold_rejected(self, fold):
+        ds = make_dataset([(f"u{i}", "x", 3.0) for i in range(10)])
+        split = kfold_split(ds, 3, seed=2)
+        with pytest.raises(TypeError):
+            fold_train_test(ds, split, fold)
+
+    def test_numpy_integer_fold_count_and_fold_accepted(self):
+        ds = make_dataset([(f"u{i}", "x", 3.0) for i in range(10)])
+        split = kfold_split(ds, np.int64(3), seed=2)
+        assert type(split.k) is int and split.k == 3
+        assert split.assignment.tolist() == kfold_split(ds, 3, seed=2).assignment.tolist()
+        np.testing.assert_array_equal(fold_train_test(ds, split, np.int32(1))[1], split.test_indices(1))
+
     def test_fold_train_test_disjoint(self):
         rng = np.random.default_rng(31)
         ds = random_grid_dataset(rng)

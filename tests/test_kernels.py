@@ -1504,7 +1504,7 @@ class TestBoundQueries:
         problem = _counting_problem("signed")
         index = kernel_backend.KnnIndex(**problem, k=5)
         want = [_bits(index.query(e, c)) for e, c in SPREAD]
-        query, kept = index._query, weakref.ref(index._arrays[4])
+        query, kept = index.query, weakref.ref(index._arrays[4])
         del index, problem
         gc.collect()
         junk = [np.full(n, 7.0) for n in range(1, 2000, 7)]   # reuse freed memory
@@ -1547,8 +1547,8 @@ class TestBoundQueries:
         for name in each_backend:
             knn = kernels.KnnIndex(**_hand_problem(), k=30)
             stats = kernels.ClusterStatsIndex(**_stats_problem(demo_dataset))
-            for query, names, sizes in ((knn._query, ("entity", "column"), (6, 3)),
-                                        (stats._bind(0.95), ("leaf", "item"), (5, 4))):
+            for query, names, sizes in ((knn.query, ("entity", "column"), (6, 3)),
+                                        (stats._bind_level(0.95), ("leaf", "item"), (5, 4))):
                 for args in bad:
                     args = tuple(sizes[k] if a is None else a for k, a in enumerate(args))
                     k = 0 if not 0 <= args[0] < sizes[0] else 1
