@@ -243,7 +243,8 @@ def cmd_predict(args) -> int:
     if pred.fallback is Fallback.NONE:
         print(f"  cluster mean     : {pred.cluster_mean:.4f}")
         print(f"  chosen cluster   : node {pred.chosen_node} ({pred.cluster_size} users)")
-        print(f"  interval half-width at {model.config.confidence_level:.0%}: {pred.half_width:.4f}")
+        # the level as given, 0.975 as 97.5%, not rounded to a whole percent
+        print(f"  interval half-width at {model.config.confidence_level * 100:.12g}%: {pred.half_width:.4f}")
     else:
         print(f"  fallback         : {pred.fallback.value}")
         if pred.fallback is Fallback.COLD_USER:

@@ -80,7 +80,8 @@ class Dendrogram(_ReadOnlyState):
             chains[left], chains[right] = (left,) + up, (right,) + up
         self.merges, self.heights, self.leaf_users = merges, heights, leaf_users
         self.sizes = np.array(sizes, dtype=np.int64)
-        self.nodes = np.array([lows, np.add(lows, sizes).tolist(), parents], dtype=np.int64)
+        lows = np.array(lows, dtype=np.int64)
+        self.nodes = np.stack([lows, lows + self.sizes, np.array(parents, dtype=np.int64)])
         self.chains = tuple(chains[:n])
         self._restore()
 

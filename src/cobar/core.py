@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,20 +79,20 @@ def build_item_stats(dendrogram: Dendrogram, train: RatingDataset) -> ClusterSta
 def select_optimal_cluster(
     chain: tuple[int, ...] | np.ndarray,
     item: int,
-    stats: ClusterStatsIndex,
-    level: float,
+    query: Callable[[int, int], tuple[int, float, int, float] | None],
 ) -> tuple[int, float, int, float] | None:
     """Narrowest-interval cluster for the item on a user's leaf-to-root
-    `chain`, as ``(node, half_width, n, total)`` at the given confidence
-    level, with the item's rating count and sum in that node.
+    `chain`, as ``(node, half_width, n, total)`` with the item's rating
+    count and sum in that node, by `query`, a `ClusterStatsIndex.bind` at
+    one confidence level.
 
     The chain is the one `Dendrogram.chains` holds for the user's leaf; the
-    index walks it up from the leaf, ``chain[0]``.  Only nodes with >= 2
+    query walks it up from the leaf, ``chain[0]``.  Only nodes with >= 2
     ratings for the item qualify.  Walking leaf to root, a strict
     improvement is required, so at equal half-width the smaller (earlier)
     cluster wins.  Returns None when no chain node qualifies.
     """
-    return stats.query(chain[0], item, level)
+    return query(chain[0], item)
 
 
 class CobarModel(_PredictorMixin):
@@ -102,11 +103,13 @@ class CobarModel(_PredictorMixin):
     The fit stores on the model what every query reads: the config's gamma
     and confidence level and the leaves' chains.  It keeps the user means
     and the dendrogram, which `cobar predict` also reads, and not the
-    training set.  `predict_detailed` makes the mixin's check of the pair
-    and its clamp inline, as the mixin's `predict` does.
+    training set.  Its stats query is bound at the level stored at fit, as
+    is a loaded pickle's, whatever `config` holds by then.
+    `predict_detailed` makes the mixin's check of the pair and its clamp
+    inline, as the mixin's `predict` does.
     """
 
-    _READ_ONLY, _BOUND = ("_leaf_of", "_item_counts"), ("_user_means", "_leaves", "_sizes", "_counts")
+    _READ_ONLY, _BOUND = ("_leaf_of", "_item_counts"), ("_user_means", "_leaves", "_sizes", "_counts", "_query")
 
     def __init__(self, config: CobarConfig | None = None, clamp: bool = True):
         self.config = config or CobarConfig()
@@ -136,6 +139,7 @@ class CobarModel(_PredictorMixin):
         self._leaves = memoryview(self._leaf_of)
         self._sizes = memoryview(self.dendrogram.sizes)
         self._counts = memoryview(self._item_counts)
+        self._query = self.stats.bind(self._level)
 
     def predict_detailed(self, user: int, item: int) -> Prediction:
         # the mixin's check and clamp, inline as in its `predict`
@@ -161,7 +165,7 @@ class CobarModel(_PredictorMixin):
         leaf = self._leaves[user]
         choice = None
         if leaf >= 0:
-            choice = select_optimal_cluster(self._chains[leaf], item, self.stats, self._level)
+            choice = select_optimal_cluster(self._chains[leaf], item, self._query)
         if choice is None:
             # the user has no leaf (a rating vector of norm 0) or the item
             # has at most one training rating in the user's chain: predict

@@ -12,6 +12,7 @@ cold-start paths in the predictors).
 
 from __future__ import annotations
 
+import functools
 import io
 import logging
 import math
@@ -73,9 +74,10 @@ class _ReadOnlyState:
     queries its `_bind` sets from them, which cannot be pickled.  Its
     construction, its fit and a pickle load end with `_restore`: the arrays
     become read-only, as numpy loads a pickled one writable, then `_bind`.
-    A pickle drops the `_BOUND` attributes, and loading sets the rest one
-    by one, not through the instance `__dict__`, which CPython 3.11 would
-    materialise, slowing every later attribute read; pickling reads it.
+    A pickle drops the `_BOUND` attributes and any `cached_property` value,
+    built again on first read, and loading sets the rest one by one, not
+    through the instance `__dict__`, which CPython 3.11 would materialise,
+    slowing every later attribute read; pickling reads it.
     """
 
     _READ_ONLY: tuple[str, ...] = ()
@@ -91,7 +93,10 @@ class _ReadOnlyState:
         """Set the `_BOUND` attributes from the arrays."""
 
     def __getstate__(self):
-        return {**self.__dict__, **dict.fromkeys(self._BOUND)}
+        cls = type(self)
+        state = {name: value for name, value in self.__dict__.items()
+                 if not isinstance(getattr(cls, name, None), functools.cached_property)}
+        return {**state, **dict.fromkeys(self._BOUND)}
 
     def __setstate__(self, state):
         for name, value in state.items():
@@ -514,9 +519,11 @@ def fold_train_test(dataset: RatingDataset, split: FoldSplit, fold: int) -> tupl
     return train, split.test_indices(fold)
 
 
-def _check_user_cap(max_users: int) -> None:
+def _check_user_cap(max_users: int) -> int:
+    max_users = operator.index(max_users)
     if max_users < 1:
         raise ValueError("max_users must be >= 1")
+    return max_users
 
 
 def subsample_users(dataset: RatingDataset, max_users: int, seed: int) -> RatingDataset:
@@ -525,7 +532,7 @@ def subsample_users(dataset: RatingDataset, max_users: int, seed: int) -> Rating
     Items left without any rating are dropped; external ids are preserved.
     Returns the dataset unchanged when it already fits the cap.
     """
-    _check_user_cap(max_users)
+    max_users = _check_user_cap(max_users)
     if dataset.n_users <= max_users:
         return dataset
     rng = np.random.default_rng(seed)

@@ -23,12 +23,12 @@ in that list; `ClusterStatsIndex` lays them out per item over the leaf
 ranges of a `Dendrogram`, which checked its tree when built, and its loop
 finds each gap's int64 node as it fills the gap's entry.  The two query
 loops, which run once per prediction, are bound to their arrays once:
-`KnnIndex` at construction, `ClusterStatsIndex` per confidence level on
-its first query; a pickle holds the arrays, and both bind again when it
-is loaded.  A bound query checks its own two indices, with the same
+`KnnIndex` at construction, and the stats query of one confidence level
+by `ClusterStatsIndex.bind(level)`, which a cobar fit calls once; a
+pickle holds the arrays, and a loaded `KnnIndex` or cobar model binds
+again.  A bound query checks its own two indices, with the same
 `TypeError` or `IndexError` on both backends, so `KnnIndex.query` is the
-bound kNN query itself, `ClusterStatsIndex.query` only finds the level's,
-and `UserKnn` and `ItemKnn` call `KnnIndex.query` once per prediction.  The t
+bound kNN query itself, and each prediction calls one bound query.  The t
 quantiles of a confidence level are computed once per process, in one
 read-only table that grows by doubling; each bound stats query reads a
 prefix of it.  The cosine loops sum each dot product item by item in
@@ -410,11 +410,11 @@ class ClusterStatsIndex(_ReadOnlyState):
     `csr_rows`, their raters' leaf positions int32; the selected loop then
     finds each gap's node, an int64 node id, walking up from the left
     rater's leaf until the node's range holds the right rater, and fills the
-    gap's entry in the same pass.  A loaded pickle binds again the levels
-    bound when it was made.
+    gap's entry in the same pass.  `bind` makes the query of one confidence
+    level; the index, and so its pickle, holds no level.
     """
 
-    _READ_ONLY, _BOUND = ("_arrays", "_ratings"), ("_queries",)
+    _READ_ONLY = ("_arrays", "_ratings")
 
     def __init__(self, dendrogram, train: RatingDataset):
         from ..clustering import Dendrogram   # which imports this module
@@ -443,18 +443,7 @@ class ClusterStatsIndex(_ReadOnlyState):
         self._arrays = (index, positions, gap_nodes, gaps, nodes)
         self._ratings = ratings
         self._most_raters = max(2, int(counts.max(initial=0)))
-        self._levels: list[float] = []   # the levels bound so far, which a pickle keeps
         self._restore()
-
-    def _bind(self) -> None:
-        # per level, the query bound to the arrays and a prefix of the
-        # level's t quantiles
-        self._queries = {level: self._bind_level(level) for level in self._levels}
-
-    def _bind_level(self, level: float) -> Callable[[int, int], tuple[int, float, int, float] | None]:
-        # n ratings read the entry at n - 1 degrees of freedom; the bound
-        # query checks its leaf and item itself
-        return _loops.bind_stats_query(*self._arrays, _t_critical_table(level, self._most_raters))
 
     @property
     def n_entries(self) -> int:
@@ -462,25 +451,20 @@ class ClusterStatsIndex(_ReadOnlyState):
         and one per gap, 2r - 1 for an item with r >= 1 raters."""
         return len(self._ratings) + len(self._arrays[2])
 
-    def query(self, leaf: int, item: int, level: float) -> tuple[int, float, int, float] | None:
-        """The narrowest two-sided Student-t interval at `level` for the
-        item's mean rating among the clusters on `leaf`'s chain to the root
-        that hold at least two of its ratings, as ``(node, half_width, n,
-        total)`` with the node's count and sum of the item's ratings; None
-        when no cluster on the chain holds two.  Walking from the leaf up, a
-        wider cluster must be strictly narrower, so at equal width the
-        smaller one wins.  The first query at a level checks it,
-        `ValueError` outside (0, 1) or NaN, before the indices, and binds
-        the loop to the arrays and a prefix of that level's t quantiles.
-        The bound query checks the indices: `TypeError` for one that is no
-        integer, `IndexError` for one out of range."""
-        query = self._queries.get(level)
-        if query is None:
-            if not 0.0 < level < 1.0:
-                raise ValueError(f"confidence level must be in (0, 1), got {level}")
-            query = self._queries[level] = self._bind_level(level)
-            self._levels.append(level)
-        return query(leaf, item)
+    def bind(self, level: float) -> Callable[[int, int], tuple[int, float, int, float] | None]:
+        """`query(leaf, item)` at confidence `level`, in (0, 1) or `ValueError`,
+        bound to the arrays and a prefix of the level's t quantiles: the
+        narrowest two-sided Student-t interval for the item's mean rating
+        among the clusters on `leaf`'s chain to the root that hold two or
+        more of its ratings, as ``(node, half_width, n, total)`` with the
+        node's count and sum of the item's ratings; None when none does.
+        Walking from the leaf up, a wider cluster must be strictly narrower,
+        so at equal width the smaller one wins.  `TypeError` for an index
+        that is no integer, `IndexError` for one out of range."""
+        if not 0.0 < level < 1.0:
+            raise ValueError(f"confidence level must be in (0, 1), got {level}")
+        # n ratings read the entry at n - 1 degrees of freedom
+        return _loops.bind_stats_query(*self._arrays, _t_critical_table(level, self._most_raters))
 
     def items_at(self, node: int) -> Mapping[int, tuple[int, float, float, float, float]]:
         """A read-only mapping ``{item: (n, sum, sum of squares, min, max)}``
@@ -538,7 +522,9 @@ class ClusterStatsIndex(_ReadOnlyState):
         np.cumsum(np.bincount(positions, minlength=self.n_leaves), out=starts[1:])
         # one more entry, so that a last reduceat bound may equal the gap count
         ranked = np.append(gap_nodes * len(gap_nodes) + np.arange(len(gap_nodes)), 0)
-        return items * self.n_leaves + positions, items[np.lexsort((items, positions))], starts, ranked
+        view = items * self.n_leaves + positions, items[np.lexsort((items, positions))], starts, ranked
+        _read_only(*view)
+        return view
 
 
 class _NodeItems(Mapping):

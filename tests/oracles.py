@@ -634,9 +634,9 @@ def composed_prediction(model, train, user, item):
     """The prediction of a predictor fit on `train` for an in-range (user,
     item), built from public pieces one call at a time: the training set's
     means with a fresh `KnnIndex.query` for the kNNs, ``float(U[u] @
-    V[i])`` for MF, `select_optimal_cluster` on the user's chain for cobar,
-    and ``min(max(value, lo), hi)`` with the training scale for the
-    clamp."""
+    V[i])`` for MF, `select_optimal_cluster` on the user's chain with a
+    fresh `ClusterStatsIndex.bind` for cobar, and ``min(max(value, lo),
+    hi)`` with the training scale for the clamp."""
     from cobar import CobarModel, ItemKnn, MatrixFactorization, MostPopular, UserKnn
     from cobar.core import select_optimal_cluster
     from cobar.kernels import KnnIndex
@@ -669,7 +669,7 @@ def composed_prediction(model, train, user, item):
             value = model.user_stats.global_mean
         elif user in leaves:
             chain = model.dendrogram.chains[leaves.index(user)]
-            choice = select_optimal_cluster(chain, item, model.stats, model.config.confidence_level)
+            choice = select_optimal_cluster(chain, item, model.stats.bind(model.config.confidence_level))
         if choice is not None:
             _, _, n, total = choice
             gamma = model.config.gamma

@@ -685,7 +685,6 @@ def test_every_declared_attribute_is_set(kernel_backend, two_clusters_dataset):
     train = two_clusters_dataset.subset(np.arange(two_clusters_dataset.n_ratings))
     models = {name: make().fit(train) for name, make in PREDICTORS.items()}
     cobar = models["cobar"]
-    cobar.predict(0, 0)   # binds the stats query of its level
     instances = [train, train.user_stats, cobar.dendrogram, cobar.stats, models["uknn"]._index, *models.values()]
     assert {type(obj) for obj in instances} == _protocol_classes()
     for obj in instances:
@@ -695,7 +694,35 @@ def test_every_declared_attribute_is_set(kernel_backend, two_clusters_dataset):
             assert arrays and all(isinstance(a, np.ndarray) for a in arrays), (type(obj).__name__, name)
         for name in type(obj)._BOUND:
             assert vars(obj).get(name) is not None, (type(obj).__name__, name)
-    assert cobar.stats._queries
+    # the fit bound the stats query of its level
+    assert repr(cobar._query(0, 0)) == repr(cobar.stats.bind(cobar.config.confidence_level)(0, 0))
+
+
+def _cached_properties(cls):
+    return {name for klass in cls.__mro__ for name, attr in vars(klass).items()
+            if isinstance(attr, functools.cached_property)}
+
+
+def test_no_pickle_holds_a_cached_property(kernel_backend, two_clusters_dataset):
+    # a cache is built again on first read: a pickle that held one would
+    # carry arrays that no `_READ_ONLY` names, so the load would not freeze them
+    train = two_clusters_dataset.subset(np.arange(two_clusters_dataset.n_ratings))
+    models = {name: make().fit(train) for name, make in PREDICTORS.items()}
+    cobar = models["cobar"]
+    nodes = range(cobar.stats.n_nodes)
+    want = [(len(cobar.stats.items_at(node)), dict(cobar.stats.items_at(node))) for node in nodes]
+    instances = [train, train.user_stats, cobar.dendrogram, cobar.stats, models["uknn"]._index, *models.values()]
+    assert {type(obj) for obj in instances} == _protocol_classes()
+    assert _cached_properties(type(cobar.stats)) == {"_view", "_items_per_node"}
+    for obj in instances:
+        cached = _cached_properties(type(obj))
+        assert cached <= set(vars(obj)), type(obj).__name__   # every cache is built
+        assert not cached & set(obj.__getstate__()), type(obj).__name__
+    assert all(not array.flags.writeable for array in cobar.stats._view)
+    loaded = pickle.loads(pickle.dumps(cobar))
+    assert not _cached_properties(type(loaded.stats)) & set(vars(loaded.stats))
+    assert [(len(loaded.stats.items_at(node)), dict(loaded.stats.items_at(node))) for node in nodes] == want
+    assert all(not array.flags.writeable for array in loaded.stats._view)
 
 
 @pytest.mark.parametrize("name", ["cobar", "mp", "mf"])

@@ -200,7 +200,15 @@ class TestPredict:
         assert "user mean        : 3.4000" in stdout
         assert "cluster mean     : 2.8000" in stdout
         assert "3 users" in stdout
-        assert "0.5000" in stdout
+        assert "  interval half-width at 95%: 0.5000\n" in stdout   # the README's line
+
+    @pytest.mark.parametrize("level, shown", [("0.999", "99.9%"), ("0.975", "97.5%")])
+    def test_level_is_shown_unrounded(self, data_dir, capsys, level, shown):
+        # not rounded to a whole percent, where 0.999 would read 100%
+        code, stdout, _ = run_cli(capsys, "predict", "--data", str(data_dir / "demo.tsv"), "--user", "1",
+                                  "--item", "100", "--confidence", level)
+        assert code == 0
+        assert f"  interval half-width at {shown}: " in stdout
 
     def test_gamma_zero_is_cluster_mean(self, data_dir, capsys):
         code, stdout, _ = run_cli(

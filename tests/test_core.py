@@ -119,7 +119,7 @@ class TestBuildItemStats:
         stats = build_item_stats(dend, ds)
         assert stats.items_at(2) == {0: (2, 6.0, 20.0, 2.0, 4.0)}
         # the leaf's single rating gives no interval, so the parent is chosen
-        assert select_optimal_cluster((0, 2), 0, stats, 0.95)[0] == 2
+        assert select_optimal_cluster((0, 2), 0, stats.bind(0.95))[0] == 2
 
     def test_root_equals_global(self):
         rng = np.random.default_rng(14)
@@ -186,6 +186,7 @@ class TestClusterStatsIndex:
                 assert [stats.items_at(node) for node in range(dend.n_nodes)] == reference._maps
                 assert [len(stats.items_at(node)) for node in range(dend.n_nodes)] == list(map(len, reference._maps))
                 for level in (0.9, 0.95, 0.99):
+                    query = stats.bind(level)
                     for leaf, chain in enumerate(dend.chains):
                         for item in range(ds.n_items):
                             want = select_optimal_cluster_dict(chain, item, reference, level)
@@ -193,7 +194,7 @@ class TestClusterStatsIndex:
                                 want = (*want, *reference.items_at(want[0])[item][:2])
                                 chosen += 1
                             # repr tells -0.0 from 0.0 and numpy scalars from Python ones
-                            assert repr(select_optimal_cluster(chain, item, stats, level)) == repr(want)
+                            assert repr(select_optimal_cluster(chain, item, query)) == repr(want)
                             queries += 1
             assert chosen > queries // 4
 
@@ -209,7 +210,7 @@ class TestClusterStatsIndex:
             clustered = np.isin(ds.users, dend.leaf_users)
             raters = np.bincount(ds.items[clustered], minlength=ds.n_items)
             assert stats.n_entries == int(np.sum(2 * raters[raters > 0] - 1)) <= 2 * ds.n_ratings
-            stats.query(0, 0, 0.95)
+            stats.bind(0.95)(0, 0)   # a bound query leaves nothing on the index
             objects, arrays, stack = 0, 0, [vars(stats)]
             while stack:
                 obj = stack.pop()
@@ -220,7 +221,7 @@ class TestClusterStatsIndex:
                 stack.extend(ref for ref in gc.get_referents(obj) if isinstance(ref, (np.ndarray, tuple, dict)))
             assert objects < 10
             # the arrays: positions, ratings and gap entries, plus the node
-            # ranges, the item offsets and the t table
+            # ranges and the item offsets
             assert arrays <= 6 * stats.n_entries + 3 * dend.n_nodes + 2 * (ds.n_items + 1) + ds.n_users
         # 12 ratings of 4 items
         assert build_item_stats(agglomerate(demo_dataset), demo_dataset).n_entries == 20
@@ -241,7 +242,7 @@ class TestSelectOptimalCluster:
     def test_single_rating_item_yields_none(self):
         ds, model = self._model([("a", "x", 4.0), ("a", "z", 3.0), ("b", "y", 2.0), ("b", "z", 4.0)])
         chain = model.dendrogram.ancestor_chain(0)
-        choice = select_optimal_cluster(chain, ds.item_index("x"), model.stats, model.config.confidence_level)
+        choice = select_optimal_cluster(chain, ds.item_index("x"), model.stats.bind(model.config.confidence_level))
         assert choice is None
 
     def test_smaller_cluster_wins_ties(self):
@@ -255,7 +256,7 @@ class TestSelectOptimalCluster:
         ds, model = self._model(rows)
         chain = model.dendrogram.ancestor_chain(0)
         item = ds.item_index("x")
-        choice = select_optimal_cluster(chain, item, model.stats, model.config.confidence_level)
+        choice = select_optimal_cluster(chain, item, model.stats.bind(model.config.confidence_level))
         node, half_width, n, total = choice
         assert model.dendrogram.sizes[node] == 2   # the pair, not the 3-user root
         assert (half_width, n, total) == (0.0, 2, 6.0)
@@ -276,7 +277,7 @@ class TestSelectOptimalCluster:
         for leaf in range(model.dendrogram.n_leaves):
             chain = model.dendrogram.ancestor_chain(leaf)
             first = next(int(node) for node in chain if _count(model.stats, int(node), item) >= 2)
-            choice = select_optimal_cluster(chain, item, model.stats, model.config.confidence_level)
+            choice = select_optimal_cluster(chain, item, model.stats.bind(model.config.confidence_level))
             assert choice[:2] == (first, 0.0)
             assert all(node_half_width(model, reference, int(node), item) == 0.0 for node in chain[chain >= first])
 
@@ -292,7 +293,7 @@ class TestSelectOptimalCluster:
                     continue
                 chain = model.dendrogram.ancestor_chain(leaf)
                 for item in range(ds.n_items):
-                    choice = select_optimal_cluster(chain, item, model.stats, model.config.confidence_level)
+                    choice = select_optimal_cluster(chain, item, model.stats.bind(model.config.confidence_level))
                     if choice is None:
                         continue
                     widths = [

@@ -534,6 +534,15 @@ class TestSubsampleUsers:
     def test_noop_when_under_cap(self):
         ds = make_dataset([("a", "x", 3.0), ("b", "y", 2.0)])
         assert subsample_users(ds, 5, seed=1) is ds
+        assert subsample_users(ds, np.int64(2), seed=1) is ds
+
+    @pytest.mark.parametrize("cap", [99.5, 2.5, np.float64(3.0), "3"])
+    def test_non_integer_cap_rejected(self, cap):
+        # read as kfold_split reads k: 99.5 would keep the dataset silently,
+        # and 2.5 reach numpy's sampler
+        ds = make_dataset([(f"u{i}", "x", 3.0) for i in range(10)])
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            subsample_users(ds, cap, seed=0)
 
     def test_deterministic_and_reindexed(self):
         rng = np.random.default_rng(17)

@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 from scipy.special import stdtrit
 
-from cobar import ItemKnn, KnnConfig, RatingDataset, UserKnn, agglomerate, kernels, kfold_split
+from cobar import (CobarConfig, CobarModel, ItemKnn, KnnConfig, RatingDataset, UserKnn, agglomerate, kernels,
+                   kfold_split)
 from cobar.clustering import Dendrogram, clusterable_users
 from cobar.data import fold_train_test
 from cobar.kernels import _python
@@ -1350,10 +1351,10 @@ class TestClusterStatsIndex:
     ]))
     def test_bad_query_rejected(self, each_backend, demo_dataset, args, error, message):
         for _ in each_backend:
-            # built per backend: the first query binds that backend's loop
-            index = kernels.ClusterStatsIndex(**_stats_problem(demo_dataset))
+            # bound per backend: `bind` binds the selected backend's loop
+            query = kernels.ClusterStatsIndex(**_stats_problem(demo_dataset)).bind(0.95)
             with pytest.raises(error, match=re.escape(message)):
-                index.query(*args, 0.95)
+                query(*args)
 
     @pytest.mark.parametrize("scale", [*RATING_SCALES, "plateau"])
     def test_each_gap_node_is_the_lowest_common_ancestor(self, each_backend, scale):
@@ -1382,32 +1383,39 @@ class TestClusterStatsIndex:
         assert checked["python"] == checked["c"] > 0
 
     @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, float("nan"), float("inf")])
-    def test_level_outside_the_unit_interval_rejected(self, each_backend, demo_dataset, level):
-        # checked once, when the level's query is first bound, so that a
-        # query costs no more; unchecked, a level above 1 or NaN gives NaN
+    def test_level_outside_the_unit_interval_rejected(self, each_backend, demo_dataset, level, monkeypatch):
+        # checked once, when the level's query is bound, so that a query
+        # costs no more; unchecked, a level above 1 or NaN gives NaN
         # half-widths and 0.0 gives zero widths
+        pairs = [(leaf, item) for leaf in range(5) for item in range(4)]
         for _ in each_backend:
+            monkeypatch.setattr(kernels, "_t_tables", {})
             index = kernels.ClusterStatsIndex(**_stats_problem(demo_dataset))
             with pytest.raises(ValueError, match=r"confidence level must be in \(0, 1\)"):
-                index.query(0, 0, level)
-            assert not index._queries
-            assert index.query(0, 0, 0.95) is not None
-            bound = index._queries[0.95]
-            index.query(1, 0, np.float64(0.95))
-            assert index._queries == {0.95: bound}
+                index.bind(level)
+            assert not kernels._t_tables
+            query = index.bind(0.95)
+            assert query(0, 0) is not None
+            table = kernels._t_tables[0.95]
+            again = index.bind(np.float64(0.95))
+            # the same level's table, not one more
+            assert list(kernels._t_tables) == [0.95] and kernels._t_tables[0.95] is table
+            assert [repr(again(*pair)) for pair in pairs] == [repr(query(*pair)) for pair in pairs]
 
-    def test_a_new_bad_level_is_named_before_bad_indices(self, each_backend, demo_dataset):
-        # the level is checked before its query is bound, and the bound
-        # query checks the indices: a bad new level wins over bad indices,
-        # and a bound level leaves them to the query
-        for _ in each_backend:
-            index = kernels.ClusterStatsIndex(**_stats_problem(demo_dataset))
-            for args in ((-1, 0), (0, 4), (2**70, 2.5)):
-                with pytest.raises(ValueError, match=r"confidence level must be in \(0, 1\)"):
-                    index.query(*args, 1.5)
-            index.query(0, 0, 0.95)
-            with pytest.raises(IndexError, match=re.escape("leaf -1 out of range [0, 5)")):
-                index.query(-1, 4, 0.95)
+    @pytest.mark.parametrize("data", ["demo", "random"])
+    def test_one_index_serves_every_level(self, kernel_backend, demo_dataset, data):
+        # the index depends on the training set alone: bound at a level, it
+        # answers as the query of a model fitted at that level
+        ds = demo_dataset if data == "demo" else random_grid_dataset(np.random.default_rng(408), max_users=30)
+        stats = kernel_backend.ClusterStatsIndex(**_stats_problem(ds))
+        pairs = [(leaf, item) for leaf in range(stats.n_leaves) for item in range(stats.n_items)]
+        answers = {}
+        for level in (0.8, 0.95):
+            model = CobarModel(CobarConfig(confidence_level=level)).fit(ds)
+            query = stats.bind(level)
+            answers[level] = [repr(query(leaf, item)) for leaf, item in pairs]
+            assert answers[level] == [repr(model._query(leaf, item)) for leaf, item in pairs]
+        assert answers[0.8] != answers[0.95]
 
 
 class TestTCriticalTables:
@@ -1438,10 +1446,16 @@ class TestTCriticalTables:
         assert sorted(kernels._t_tables) == [0.9, 0.95]
 
     def test_pickled_index_rebinds_from_the_cache(self, kernel_backend, demo_dataset, monkeypatch):
+        # a pickle of the index holds no level: loading it computes no t
+        # quantiles, and each bind reads its level's table from the cache
         levels = (0.8, 0.95)
         stats = kernel_backend.ClusterStatsIndex(**_stats_problem(demo_dataset))
         pairs = [(leaf, item) for leaf in range(stats.n_leaves) for item in range(stats.n_items)]
-        want = [repr(stats.query(leaf, item, level)) for level in levels for leaf, item in pairs]
+
+        def answers(index):
+            return [repr(query(leaf, item)) for query in map(index.bind, levels) for leaf, item in pairs]
+
+        want = answers(stats)
         dumped = pickle.dumps(stats)
         computed = []
 
@@ -1451,13 +1465,27 @@ class TestTCriticalTables:
 
         monkeypatch.setattr(kernels, "stdtrit", counting)
         loaded = pickle.loads(dumped)
+        assert answers(loaded) == want
         assert not computed
-        assert [repr(loaded.query(leaf, item, level)) for level in levels for leaf, item in pairs] == want
-        # in a process whose cache is empty, the load computes the tables
+        # in a process whose cache is empty, each level's first bind computes its table
         monkeypatch.setattr(kernels, "_t_tables", {})
         loaded = pickle.loads(dumped)
+        assert not computed
+        assert answers(loaded) == want
         assert len(computed) == len(levels)
-        assert [repr(loaded.query(leaf, item, level)) for level in levels for leaf, item in pairs] == want
+
+    def test_pickled_model_rebinds_at_its_fitted_level(self, kernel_backend, demo_dataset, monkeypatch):
+        # the level stored at fit, not the config's, which may be edited later
+        model = CobarModel(CobarConfig(confidence_level=0.8)).fit(demo_dataset)
+        pairs = [(user, item) for user in range(demo_dataset.n_users) for item in range(demo_dataset.n_items)]
+        want = [repr(model.predict_detailed(user, item)) for user, item in pairs]
+        model.config.confidence_level = 0.95
+        monkeypatch.setattr(kernels, "_t_tables", {})
+        loaded = pickle.loads(pickle.dumps(model))
+        assert list(kernels._t_tables) == [0.8]
+        assert [repr(loaded.predict_detailed(user, item)) for user, item in pairs] == want
+        other = CobarModel(CobarConfig(confidence_level=0.95)).fit(demo_dataset)
+        assert [repr(other.predict_detailed(user, item)) for user, item in pairs] != want
 
 
 def _knn_indexes(ds):
@@ -1516,8 +1544,8 @@ class TestBoundQueries:
 
         stats = kernel_backend.ClusterStatsIndex(**_stats_problem(demo_dataset))
         pairs = [(leaf, item) for leaf in range(stats.n_leaves) for item in range(stats.n_items)]
-        want = [repr(stats.query(leaf, item, 0.95)) for leaf, item in pairs]
-        query, kept = stats._queries[0.95], weakref.ref(stats._arrays[3])
+        query, kept = stats.bind(0.95), weakref.ref(stats._arrays[3])
+        want = [repr(query(leaf, item)) for leaf, item in pairs]
         del stats
         gc.collect()
         junk += [np.full(n, 7.0) for n in range(1, 2000, 7)]
@@ -1548,7 +1576,7 @@ class TestBoundQueries:
             knn = kernels.KnnIndex(**_hand_problem(), k=30)
             stats = kernels.ClusterStatsIndex(**_stats_problem(demo_dataset))
             for query, names, sizes in ((knn.query, ("entity", "column"), (6, 3)),
-                                        (stats._bind_level(0.95), ("leaf", "item"), (5, 4))):
+                                        (stats.bind(0.95), ("leaf", "item"), (5, 4))):
                 for args in bad:
                     args = tuple(sizes[k] if a is None else a for k, a in enumerate(args))
                     k = 0 if not 0 <= args[0] < sizes[0] else 1
