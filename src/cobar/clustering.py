@@ -37,7 +37,9 @@ class Dendrogram(_ReadOnlyState):
     nodes made before it, no node twice; `TypeError` or `ValueError`
     otherwise.  Like `RatingDataset`, it keeps read-only copies of the
     arrays, and it derives the layout once: the leaves are numbered
-    depth-first, so node v covers the leaf positions lows[v] <= p < highs[v].
+    depth-first, so node v covers the leaf positions lows[v] <= p < highs[v],
+    and a leaf's path to the root follows the parent ids.  It holds only
+    these five arrays.
     """
 
     _READ_ONLY = ("merges", "heights", "leaf_users", "sizes", "nodes")
@@ -47,7 +49,6 @@ class Dendrogram(_ReadOnlyState):
     leaf_users: np.ndarray  # (n_leaves,) int64 dataset user index per leaf
     sizes: np.ndarray = field(init=False, repr=False)   # (2n-1,) int64 leaves per node
     nodes: np.ndarray = field(init=False, repr=False)   # (3, 2n-1) int64 lows, highs, parents (root: -1)
-    chains: tuple[tuple[int, ...], ...] = field(init=False, repr=False)  # per leaf, up to the root
 
     def __post_init__(self):
         merges = _checked("merges", self.merges, 2, "int64").copy()
@@ -69,20 +70,16 @@ class Dendrogram(_ReadOnlyState):
         for m, (left, right) in enumerate(pairs):
             sizes[n + m] = sizes[left] + sizes[right]
             parents[left] = parents[right] = n + m
-        # top down: a parent's id is above its children's, so its low and its
-        # chain up to the root, (root,) for the root, are set before theirs
-        chains = [(2 * n - 2,)] * (2 * n - 1)
+        # top down: a parent's id is above its children's, so its low is set
+        # before theirs
         for m in range(n - 2, -1, -1):
             left, right = pairs[m]
             lows[left] = lows[n + m]
             lows[right] = lows[n + m] + sizes[left]
-            up = chains[n + m]
-            chains[left], chains[right] = (left,) + up, (right,) + up
         self.merges, self.heights, self.leaf_users = merges, heights, leaf_users
         self.sizes = np.array(sizes, dtype=np.int64)
         lows = np.array(lows, dtype=np.int64)
         self.nodes = np.stack([lows, lows + self.sizes, np.array(parents, dtype=np.int64)])
-        self.chains = tuple(chains[:n])
         self._restore()
 
     @property
@@ -94,10 +91,15 @@ class Dendrogram(_ReadOnlyState):
         return 2 * self.n_leaves - 1
 
     def ancestor_chain(self, leaf: int) -> np.ndarray:
-        """Node ids from the user's leaf up to the root, inclusive."""
+        """Node ids from the user's leaf up to the root, inclusive, by the
+        parent ids."""
         if not 0 <= leaf < self.n_leaves:
             raise ValueError(f"leaf index {leaf} out of range [0, {self.n_leaves})")
-        return np.asarray(self.chains[leaf], dtype=np.int64)
+        parents = self.nodes[2]
+        chain = [leaf]
+        while parents[chain[-1]] >= 0:
+            chain.append(parents[chain[-1]])
+        return np.array(chain, dtype=np.int64)
 
     def save(self, path: str | Path) -> None:
         """Text export, one merge per line: `left right height new_id`."""

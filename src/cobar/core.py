@@ -1,10 +1,10 @@
 """Confidence-based rating prediction over the user hierarchy.
 
-For a (user, item) query the model walks the user's leaf-to-root ancestor
-chain, computes a two-sided Student-t confidence interval for the item's
-mean rating inside each cluster with at least two ratings, picks the
-cluster whose interval is narrowest, and blends that cluster's item mean
-with the user's own mean rating:
+For a (user, item) query the model walks from the user's leaf up to the
+root by the parent ids, computes a two-sided Student-t confidence interval
+for the item's mean rating inside each cluster with at least two ratings,
+picks the cluster whose interval is narrowest, and blends that cluster's
+item mean with the user's own mean rating:
 
     predicted = gamma * user_mean + (1 - gamma) * cluster_item_mean
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import operator
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,35 +75,17 @@ def build_item_stats(dendrogram: Dendrogram, train: RatingDataset) -> ClusterSta
     return ClusterStatsIndex(dendrogram, train)
 
 
-def select_optimal_cluster(
-    chain: tuple[int, ...] | np.ndarray,
-    item: int,
-    query: Callable[[int, int], tuple[int, float, int, float] | None],
-) -> tuple[int, float, int, float] | None:
-    """Narrowest-interval cluster for the item on a user's leaf-to-root
-    `chain`, as ``(node, half_width, n, total)`` with the item's rating
-    count and sum in that node, by `query`, a `ClusterStatsIndex.bind` at
-    one confidence level.
-
-    The chain is the one `Dendrogram.chains` holds for the user's leaf; the
-    query walks it up from the leaf, ``chain[0]``.  Only nodes with >= 2
-    ratings for the item qualify.  Walking leaf to root, a strict
-    improvement is required, so at equal half-width the smaller (earlier)
-    cluster wins.  Returns None when no chain node qualifies.
-    """
-    return query(chain[0], item)
-
-
 class CobarModel(_PredictorMixin):
     """Trains the hierarchy and statistics, then serves predictions,
     clamped to the training scale unless constructed with `clamp=False`.
 
     All state is immutable after :meth:`fit`; predictions are pure reads.
     The fit stores on the model what every query reads: the config's gamma
-    and confidence level and the leaves' chains.  It keeps the user means
-    and the dendrogram, which `cobar predict` also reads, and not the
-    training set.  Its stats query is bound at the level stored at fit, as
-    is a loaded pickle's, whatever `config` holds by then.
+    and confidence level and each user's leaf.  It keeps the user means and
+    the dendrogram, which `cobar predict` also reads, and not the training
+    set.  Its stats query, which walks up from the user's leaf, is bound at
+    the level stored at fit, as is a loaded pickle's, whatever `config`
+    holds by then.
     `predict_detailed` makes the mixin's check of the pair and its clamp
     inline, as the mixin's `predict` does.
     """
@@ -127,7 +108,6 @@ class CobarModel(_PredictorMixin):
         self._leaf_of = np.full(train.n_users, -1, dtype=np.int64)
         self._leaf_of[self.dendrogram.leaf_users] = np.arange(self.dendrogram.n_leaves)
         self._item_counts = np.bincount(train.items, minlength=train.n_items)
-        self._chains = self.dendrogram.chains
         self._gamma, self._level = self.config.gamma, self.config.confidence_level
         self._fitted_on(train)
         return self
@@ -163,12 +143,13 @@ class CobarModel(_PredictorMixin):
             return Prediction(value, _COLD_USER)
 
         leaf = self._leaves[user]
-        choice = None
-        if leaf >= 0:
-            choice = select_optimal_cluster(self._chains[leaf], item, self._query)
+        # the narrowest interval on the leaf's path to the root, the smaller
+        # cluster at equal width, among the clusters with two or more
+        # ratings of the item
+        choice = self._query(leaf, item) if leaf >= 0 else None
         if choice is None:
             # the user has no leaf (a rating vector of norm 0) or the item
-            # has at most one training rating in the user's chain: predict
+            # has at most one training rating on the leaf's path: predict
             # the plain user mean
             if leaf < 0:
                 fallback = _UNCLUSTERED_USER

@@ -12,7 +12,6 @@ cold-start paths in the predictors).
 
 from __future__ import annotations
 
-import functools
 import io
 import logging
 import math
@@ -74,10 +73,11 @@ class _ReadOnlyState:
     queries its `_bind` sets from them, which cannot be pickled.  Its
     construction, its fit and a pickle load end with `_restore`: the arrays
     become read-only, as numpy loads a pickled one writable, then `_bind`.
-    A pickle drops the `_BOUND` attributes and any `cached_property` value,
-    built again on first read, and loading sets the rest one by one, not
-    through the instance `__dict__`, which CPython 3.11 would materialise,
-    slowing every later attribute read; pickling reads it.
+    A pickle drops the `_BOUND` attributes, and loading sets the rest one
+    by one, not through the instance `__dict__`, which CPython 3.11 would
+    materialise, slowing every later attribute read; pickling reads it.  A
+    class keeps no `functools.cached_property`: its value would be pickled
+    as an array that no `_READ_ONLY` names, and load writable.
     """
 
     _READ_ONLY: tuple[str, ...] = ()
@@ -93,10 +93,7 @@ class _ReadOnlyState:
         """Set the `_BOUND` attributes from the arrays."""
 
     def __getstate__(self):
-        cls = type(self)
-        state = {name: value for name, value in self.__dict__.items()
-                 if not isinstance(getattr(cls, name, None), functools.cached_property)}
-        return {**state, **dict.fromkeys(self._BOUND)}
+        return {**self.__dict__, **dict.fromkeys(self._BOUND)}
 
     def __setstate__(self, state):
         for name, value in state.items():

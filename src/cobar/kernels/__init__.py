@@ -21,7 +21,8 @@ reads those two read-only layouts.  `cosine_distance_matrix` lays out along
 both axes only the ratings of the users it is given, by their position
 in that list; `ClusterStatsIndex` lays them out per item over the leaf
 ranges of a `Dendrogram`, which checked its tree when built, and its loop
-finds each gap's int64 node as it fills the gap's entry.  The two query
+finds each gap's int64 node as it fills the gap's entry; its query walks
+from a leaf up to the root by the tree's parent ids.  The two query
 loops, which run once per prediction, are bound to their arrays once:
 `KnnIndex` at construction, and the stats query of one confidence level
 by `ClusterStatsIndex.bind(level)`, which a cobar fit calls once; a
@@ -55,11 +56,10 @@ queries keep the GIL.
 
 from __future__ import annotations
 
-import functools
 import importlib.util
 import math
 import operator
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 
 import numpy as np
 
@@ -455,9 +455,10 @@ class ClusterStatsIndex(_ReadOnlyState):
         """`query(leaf, item)` at confidence `level`, in (0, 1) or `ValueError`,
         bound to the arrays and a prefix of the level's t quantiles: the
         narrowest two-sided Student-t interval for the item's mean rating
-        among the clusters on `leaf`'s chain to the root that hold two or
-        more of its ratings, as ``(node, half_width, n, total)`` with the
-        node's count and sum of the item's ratings; None when none does.
+        among the clusters on `leaf`'s path up to the root, by the parent
+        ids, that hold two or more of its ratings, as ``(node, half_width,
+        n, total)`` with the node's count and sum of the item's ratings;
+        None when none does.
         Walking from the leaf up, a wider cluster must be strictly narrower,
         so at equal width the smaller one wins.  `TypeError` for an index
         that is no integer, `IndexError` for one out of range."""
@@ -465,87 +466,3 @@ class ClusterStatsIndex(_ReadOnlyState):
             raise ValueError(f"confidence level must be in (0, 1), got {level}")
         # n ratings read the entry at n - 1 degrees of freedom
         return _loops.bind_stats_query(*self._arrays, _t_critical_table(level, self._most_raters))
-
-    def items_at(self, node: int) -> Mapping[int, tuple[int, float, float, float, float]]:
-        """A read-only mapping ``{item: (n, sum, sum of squares, min, max)}``
-        of every item rated inside cluster `node`: what a bottom-up merge of
-        per-node maps would hold there.  Its length comes from a count per
-        node; its entries are built from the arrays when first read."""
-        node = operator.index(node)
-        if not 0 <= node < self.n_nodes:
-            raise IndexError(f"node {node} out of range [0, {self.n_nodes})")
-        return _NodeItems(self, node)
-
-    def _entries_at(self, node: int) -> dict[int, tuple[int, float, float, float, float]]:
-        (ptr, gptr), _, _, gaps, nodes = self._arrays
-        keys, by_position, starts, ranked = self._view
-        lo, hi = nodes[0, node], nodes[1, node]
-        items = np.unique(by_position[starts[lo]:starts[hi]])
-        first = np.searchsorted(keys, items * self.n_leaves + lo)
-        count = np.searchsorted(keys, items * self.n_leaves + hi) - first
-        entries = np.empty((4, len(items)))
-        one = count == 1
-        lone = self._ratings[first[one]]
-        entries[:, one] = lone, lone * lone, lone, lone
-        many = ~one
-        if many.any():
-            # the entry of the largest gap between the ratings, whose
-            # (gap node, gap index) pair ranks highest
-            gap_first = gptr[items[many]] + first[many] - ptr[items[many]]
-            bounds = np.column_stack([gap_first, gap_first + count[many] - 1]).ravel()
-            entries[:, many] = gaps[:, np.maximum.reduceat(ranked, bounds)[::2] % len(gaps[0])]
-        return dict(zip(items.tolist(), zip(count.tolist(), *entries.tolist())))
-
-    @functools.cached_property
-    def _items_per_node(self) -> list[int]:
-        """How many items have a rating inside each node: its children's
-        items, less those rated under both, whose gaps are the node's."""
-        _, positions, gap_nodes, _, nodes = self._arrays
-        counts = np.bincount(positions, minlength=self.n_leaves)[nodes[0, :self.n_leaves]].tolist()
-        counts += [0] * (self.n_nodes - self.n_leaves)
-        shared = np.bincount(gap_nodes, minlength=self.n_nodes).tolist()
-        # a child's id is below its parent's, so each count is final when read
-        for node, parent in enumerate(nodes[2].tolist()):
-            counts[node] -= shared[node]
-            if parent >= 0:
-                counts[parent] += counts[node]
-        return counts
-
-    @functools.cached_property
-    def _view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """What `items_at` searches: the sorted (item, position) keys of the
-        ratings, their items in (position, item) order, where each leaf
-        position starts in that order, and each gap's (node, index) rank."""
-        (ptr, _), positions, gap_nodes, _, _ = self._arrays
-        items = np.repeat(np.arange(self.n_items), np.diff(ptr))
-        starts = np.zeros(self.n_leaves + 1, dtype=np.int64)
-        np.cumsum(np.bincount(positions, minlength=self.n_leaves), out=starts[1:])
-        # one more entry, so that a last reduceat bound may equal the gap count
-        ranked = np.append(gap_nodes * len(gap_nodes) + np.arange(len(gap_nodes)), 0)
-        view = items * self.n_leaves + positions, items[np.lexsort((items, positions))], starts, ranked
-        _read_only(*view)
-        return view
-
-
-class _NodeItems(Mapping):
-    """The statistics of one node of a `ClusterStatsIndex` per item, as its
-    `items_at` returns them."""
-
-    def __init__(self, stats: ClusterStatsIndex, node: int):
-        self._stats, self._node = stats, node
-
-    @functools.cached_property
-    def _entries(self) -> dict[int, tuple[int, float, float, float, float]]:
-        return self._stats._entries_at(self._node)
-
-    def __len__(self) -> int:
-        return self._stats._items_per_node[self._node]
-
-    def __getitem__(self, item: int) -> tuple[int, float, float, float, float]:
-        return self._entries[item]
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __repr__(self) -> str:
-        return repr(self._entries)

@@ -700,7 +700,8 @@ ward_part(void *ctx, int part)
  * unless i is lo, in one pass (`ward_range`).  Row lo is contiguous, as
  * every active slot lies above it, and a row's upper run never shrinks.
  * Fills the n-1 merges and heights, each height the square root of a
- * merge's linkage, or stops at the first linkage that overflowed to inf.
+ * merge's linkage, or stops at the first linkage that overflowed to inf
+ * and writes the merges from there as -1 and their heights as inf.
  *
  * `_python.ward_loop` runs this loop vectorised over the slots, so each
  * step merges the same pair in the same slots with the same Lance-Williams
@@ -831,8 +832,12 @@ ward_loop(PyObject *self, PyObject *args)
             }
         }
         if (i < 0) {
-            /* the Ward updates overflowed: the entry rejects this height */
-            heights[lo] = INFINITY;
+            /* the Ward updates overflowed: the entry rejects this height;
+             * the merges not made are -1 and their heights inf */
+            for (Py_ssize_t m = lo; m < n - 1; m++) {
+                merges[2 * m] = merges[2 * m + 1] = -1;
+                heights[m] = INFINITY;
+            }
             break;
         }
         merges[2 * lo] = low_id;

@@ -113,9 +113,10 @@ def ward_loop(d: np.ndarray, merges: np.ndarray, heights: np.ndarray) -> None:
     lexicographically smallest id pair at g.  Each height is the square
     root of the merge's linkage.
 
-    A minimum that is not finite (the Ward updates overflowed) is written
-    to `heights` and ends the loop, as in the compiled loop, and the entry
-    rejects it; the overflow itself raises no warning.
+    A minimum that is not finite (the Ward updates overflowed) ends the
+    loop, as in the compiled loop: the merges not made are written as -1
+    and their heights as inf, which the entry rejects, and the overflow
+    itself raises no warning.
     """
     # min() propagates NaN, so one comparison catches it; inf, and a
     # square that overflows, leave an infinite square
@@ -144,7 +145,8 @@ def ward_loop(d: np.ndarray, merges: np.ndarray, heights: np.ndarray) -> None:
             umin[rows] = np.minimum.reduceat(d[_runs(off[rows] + rows + 1, lengths)], np.cumsum(lengths) - lengths)
             stale[rows] = False
         if not g < np.inf:
-            heights[lo] = g
+            merges[lo:] = -1
+            heights[lo:] = np.inf
             return
 
         # every pair at g lies in a row whose bound is g; the smallest id
@@ -373,8 +375,8 @@ def stats_query(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray,
                 nodes: np.ndarray, t_critical: np.ndarray, leaf: int, item: int) -> tuple | None:
     """The query of `cobar.kernels.ClusterStatsIndex`, which lays out the
     arrays: ``(node, half_width, n, total)`` of the narrowest interval on the
-    leaf's chain, or None.  It checks `leaf` against the first half of the
-    tree's 2n - 1 nodes and `item` against the index.
+    leaf's path to the root, or None.  It checks `leaf` against the first
+    half of the tree's 2n - 1 nodes and `item` against the index.
 
     The window ``[a, b)`` of the item's raters inside the current node
     widens by bisection as the walk climbs.  When it first holds ratings,

@@ -12,7 +12,8 @@ match bit for bit, and the per-query prediction reference is the earlier
 method-per-node chain walk, which the flat interval loop must match bit for
 bit.  The per-(node, item) dict maps of cluster statistics and the chain
 walk over them are the earlier implementation of `cobar.core`, which the
-O(ratings) index must match bit for bit.  `composed_prediction` builds
+O(ratings) index must match bit for bit; `node_items` reads one node's
+entries back out of that index's arrays.  `composed_prediction` builds
 each fitted predictor's value from its public pieces, one call per step,
 which the predictors' own query paths must match bit for bit.
 """
@@ -512,6 +513,32 @@ class ClusterItemStats:
         return self._maps[node]
 
 
+def node_items(stats, node) -> dict[int, tuple[int, float, float, float, float]]:
+    """``{item: (n, sum, sum of squares, min, max)}`` for every item rated
+    inside cluster `node` of the `ClusterStatsIndex` `stats`, rebuilt from
+    its arrays: what a bottom-up merge of per-node maps holds there.
+
+    The item's raters inside the node are a run of its sorted leaf
+    positions.  One rater's entry is its rating; for more, the entry is
+    that of the run's gap with the highest node, the lowest node that holds
+    them all, whose two ranges hold just them.
+    """
+    (ptr, gptr), positions, gap_nodes, gaps, nodes = stats._arrays
+    lo, hi = nodes[0, node], nodes[1, node]
+    entries = {}
+    for item in range(stats.n_items):
+        start, end = int(ptr[item]), int(ptr[item + 1])
+        a, b = start + np.searchsorted(positions[start:end], [lo, hi])
+        if b - a == 1:
+            rating = float(stats._ratings[a])
+            entries[item] = (1, rating, rating * rating, rating, rating)
+        elif b - a > 1:
+            first = int(gptr[item]) + a - start   # gap k joins ratings k and k + 1
+            top = first + int(np.argmax(gap_nodes[first:first + b - a - 1]))
+            entries[item] = (int(b - a), *gaps[:, top].tolist())
+    return entries
+
+
 def build_item_stats_dict(dendrogram, train) -> ClusterItemStats:
     """The earlier `cobar.core.build_item_stats`, verbatim: accumulate (n,
     sum, sum_sq, min, max) per item for every node of the hierarchy."""
@@ -634,11 +661,10 @@ def composed_prediction(model, train, user, item):
     """The prediction of a predictor fit on `train` for an in-range (user,
     item), built from public pieces one call at a time: the training set's
     means with a fresh `KnnIndex.query` for the kNNs, ``float(U[u] @
-    V[i])`` for MF, `select_optimal_cluster` on the user's chain with a
-    fresh `ClusterStatsIndex.bind` for cobar, and ``min(max(value, lo),
+    V[i])`` for MF, a fresh `ClusterStatsIndex.bind` queried at the user's
+    leaf for cobar, and ``min(max(value, lo),
     hi)`` with the training scale for the clamp."""
     from cobar import CobarModel, ItemKnn, MatrixFactorization, MostPopular, UserKnn
-    from cobar.core import select_optimal_cluster
     from cobar.kernels import KnnIndex
 
     if isinstance(model, MostPopular):
@@ -668,8 +694,7 @@ def composed_prediction(model, train, user, item):
         if math.isnan(mean):
             value = model.user_stats.global_mean
         elif user in leaves:
-            chain = model.dendrogram.chains[leaves.index(user)]
-            choice = select_optimal_cluster(chain, item, model.stats.bind(model.config.confidence_level))
+            choice = model.stats.bind(model.config.confidence_level)(leaves.index(user), item)
         if choice is not None:
             _, _, n, total = choice
             gamma = model.config.gamma

@@ -31,7 +31,7 @@ from cobar.clustering import agglomerate
 from cobar.core import build_item_stats
 from cobar.kernels import _t_critical_table
 from conftest import DATA_DIR, RATING_SCALES, random_grid_dataset, worst_status
-from oracles import T_TABLE_95, WILCOXON_CRITICAL, BruteForceOracle, leaves_under
+from oracles import T_TABLE_95, WILCOXON_CRITICAL, BruteForceOracle, leaves_under, node_items
 from test_clustering import check_dendrogram_invariants
 from test_core import entry_half_width, unit_variance_entry
 
@@ -187,12 +187,12 @@ def test_c7_aggregation_exactness():
                     r = float(r)
                     n, s, q, lo, hi = expected.get(int(i), (0, 0.0, 0.0, r, r))
                     expected[int(i)] = (n + 1, s + r, q + r * r, min(lo, r), max(hi, r))
-            assert stats.items_at(node) == expected
+            assert node_items(stats, node) == expected
         for m, (left, right) in enumerate(dend.merges):
             parent = dend.n_leaves + m
             for child in (int(left), int(right)):
-                for item, (n, *_) in stats.items_at(child).items():
-                    assert stats.items_at(parent)[item][0] >= n
+                for item, (n, *_) in node_items(stats, child).items():
+                    assert node_items(stats, parent)[item][0] >= n
 
 
 @pytest.mark.acceptance("C8 sparse items fall back to the user mean exactly")

@@ -21,7 +21,8 @@ from cobar import (
     UserKnn,
     agglomerate,
 )
-from cobar.core import build_item_stats, select_optimal_cluster
+from cobar.clustering import Dendrogram
+from cobar.core import build_item_stats
 from cobar.kernels import _t_critical_table
 from conftest import RATING_SCALES, make_dataset, random_grid_dataset
 from oracles import (
@@ -33,6 +34,7 @@ from oracles import (
     build_item_stats_dict,
     interval_half_width,
     leaves_under,
+    node_items,
     select_optimal_cluster_dict,
 )
 
@@ -111,15 +113,15 @@ class TestBuildItemStats:
         ds = make_dataset([("a", "x", 4.0), ("b", "x", 2.0)])
         dend = agglomerate(ds)
         stats = build_item_stats(dend, ds)
-        assert stats.items_at(0) == {0: (1, 4.0, 16.0, 4.0, 4.0)}
+        assert node_items(stats, 0) == {0: (1, 4.0, 16.0, 4.0, 4.0)}
 
     def test_parent_merges_children(self):
         ds = make_dataset([("a", "x", 2.0), ("b", "x", 4.0)])
         dend = agglomerate(ds)
         stats = build_item_stats(dend, ds)
-        assert stats.items_at(2) == {0: (2, 6.0, 20.0, 2.0, 4.0)}
+        assert node_items(stats, 2) == {0: (2, 6.0, 20.0, 2.0, 4.0)}
         # the leaf's single rating gives no interval, so the parent is chosen
-        assert select_optimal_cluster((0, 2), 0, stats.bind(0.95))[0] == 2
+        assert stats.bind(0.95)(0, 0)[0] == 2
 
     def test_root_equals_global(self):
         rng = np.random.default_rng(14)
@@ -128,7 +130,7 @@ class TestBuildItemStats:
         stats = build_item_stats(dend, ds)
         for item in range(ds.n_items):
             ratings = ds.ratings[ds.items == item]
-            entry = stats.items_at(dend.n_nodes - 1)[item]
+            entry = node_items(stats, dend.n_nodes - 1)[item]
             assert entry[0] == len(ratings)
             assert entry[1] == pytest.approx(ratings.sum(), abs=1e-12)
 
@@ -147,7 +149,7 @@ class TestBuildItemStats:
                         r = float(r)
                         n, s, q, lo, hi = expected.get(int(i), (0, 0.0, 0.0, r, r))
                         expected[int(i)] = (n + 1, s + r, q + r * r, min(lo, r), max(hi, r))
-                got = stats.items_at(node)
+                got = node_items(stats, node)
                 assert set(got) == set(expected)
                 for item, (n, s, q, lo, hi) in expected.items():
                     gn, gs, gq, glo, ghi = got[item]
@@ -161,8 +163,8 @@ class TestBuildItemStats:
         for m, (left, right) in enumerate(dend.merges):
             node = dend.n_leaves + m
             for child in (int(left), int(right)):
-                for item, (n, *_) in stats.items_at(child).items():
-                    assert stats.items_at(node)[item][0] >= n
+                for item, (n, *_) in node_items(stats, child).items():
+                    assert node_items(stats, node)[item][0] >= n
 
 
 class TestClusterStatsIndex:
@@ -183,18 +185,19 @@ class TestClusterStatsIndex:
             for ds, model in zip(datasets, models):
                 dend = model.dendrogram
                 stats, reference = build_item_stats(dend, ds), dict_stats(model, ds)
-                assert [stats.items_at(node) for node in range(dend.n_nodes)] == reference._maps
-                assert [len(stats.items_at(node)) for node in range(dend.n_nodes)] == list(map(len, reference._maps))
+                assert [node_items(stats, node) for node in range(dend.n_nodes)] == reference._maps
+                assert [len(node_items(stats, node)) for node in range(dend.n_nodes)] == list(map(len, reference._maps))
                 for level in (0.9, 0.95, 0.99):
                     query = stats.bind(level)
-                    for leaf, chain in enumerate(dend.chains):
+                    for leaf in range(dend.n_leaves):
+                        chain = ancestor_chain_reference(dend, leaf).tolist()
                         for item in range(ds.n_items):
                             want = select_optimal_cluster_dict(chain, item, reference, level)
                             if want is not None:
                                 want = (*want, *reference.items_at(want[0])[item][:2])
                                 chosen += 1
                             # repr tells -0.0 from 0.0 and numpy scalars from Python ones
-                            assert repr(select_optimal_cluster(chain, item, query)) == repr(want)
+                            assert repr(query(leaf, item)) == repr(want)
                             queries += 1
             assert chosen > queries // 4
 
@@ -229,7 +232,7 @@ class TestClusterStatsIndex:
 
 def _count(stats, node, item):
     """Ratings of the item inside the node's cluster, 0 when it has none."""
-    entry = stats.items_at(node).get(item)
+    entry = node_items(stats, node).get(item)
     return entry[0] if entry else 0
 
 
@@ -241,8 +244,7 @@ class TestSelectOptimalCluster:
 
     def test_single_rating_item_yields_none(self):
         ds, model = self._model([("a", "x", 4.0), ("a", "z", 3.0), ("b", "y", 2.0), ("b", "z", 4.0)])
-        chain = model.dendrogram.ancestor_chain(0)
-        choice = select_optimal_cluster(chain, ds.item_index("x"), model.stats.bind(model.config.confidence_level))
+        choice = model._query(0, ds.item_index("x"))
         assert choice is None
 
     def test_smaller_cluster_wins_ties(self):
@@ -254,9 +256,8 @@ class TestSelectOptimalCluster:
             ("c", "z", 2.0), ("c", "y", 1.0),
         ]
         ds, model = self._model(rows)
-        chain = model.dendrogram.ancestor_chain(0)
         item = ds.item_index("x")
-        choice = select_optimal_cluster(chain, item, model.stats.bind(model.config.confidence_level))
+        choice = model._query(0, item)
         node, half_width, n, total = choice
         assert model.dendrogram.sizes[node] == 2   # the pair, not the 3-user root
         assert (half_width, n, total) == (0.0, 2, 6.0)
@@ -277,7 +278,7 @@ class TestSelectOptimalCluster:
         for leaf in range(model.dendrogram.n_leaves):
             chain = model.dendrogram.ancestor_chain(leaf)
             first = next(int(node) for node in chain if _count(model.stats, int(node), item) >= 2)
-            choice = select_optimal_cluster(chain, item, model.stats.bind(model.config.confidence_level))
+            choice = model._query(leaf, item)
             assert choice[:2] == (first, 0.0)
             assert all(node_half_width(model, reference, int(node), item) == 0.0 for node in chain[chain >= first])
 
@@ -293,7 +294,7 @@ class TestSelectOptimalCluster:
                     continue
                 chain = model.dendrogram.ancestor_chain(leaf)
                 for item in range(ds.n_items):
-                    choice = select_optimal_cluster(chain, item, model.stats.bind(model.config.confidence_level))
+                    choice = model._query(leaf, item)
                     if choice is None:
                         continue
                     widths = [
@@ -432,7 +433,7 @@ class TestPredict:
         item, reference = demo_dataset.item_index("100"), dict_stats(model, demo_dataset)
         chain = model.dendrogram.ancestor_chain(0)
         for node in chain:
-            entry = model.stats.items_at(int(node)).get(item)
+            entry = node_items(model.stats, int(node)).get(item)
             if entry is None or entry[0] < 2:
                 continue
             members = set(model.dendrogram.leaf_users[leaves_under(model.dendrogram, int(node))].tolist())
@@ -548,9 +549,8 @@ class TestPredictionIsPureRead:
         model = CobarModel().fit(train)
         state = dict(vars(model))
         lengths = {key: len(value) for key, value in state.items() if hasattr(value, "__len__")}
-        chains = model.dendrogram.chains
-        chain_lengths = [len(chain) for chain in chains]
-        entries = [len(model.stats.items_at(node)) for node in range(model.dendrogram.n_nodes)]
+        tree = [getattr(model.dendrogram, name).tobytes() for name in Dendrogram._READ_ONLY]
+        entries = [len(node_items(model.stats, node)) for node in range(model.dendrogram.n_nodes)]
 
         pairs = [(user, item) for user in range(ds.n_users) for item in range(ds.n_items)]
         forwards = np.array([model.predict(user, item) for user, item in pairs])
@@ -560,6 +560,5 @@ class TestPredictionIsPureRead:
         assert vars(model).keys() == state.keys()
         assert all(vars(model)[key] is value for key, value in state.items())
         assert {key: len(vars(model)[key]) for key in lengths} == lengths
-        assert model.dendrogram.chains is chains
-        assert [len(chain) for chain in model.dendrogram.chains] == chain_lengths
-        assert [len(model.stats.items_at(node)) for node in range(model.dendrogram.n_nodes)] == entries
+        assert [getattr(model.dendrogram, name).tobytes() for name in Dendrogram._READ_ONLY] == tree
+        assert [len(node_items(model.stats, node)) for node in range(model.dendrogram.n_nodes)] == entries

@@ -514,6 +514,9 @@ class _Recorder:
     def ward_loop(self, *args):
         return self._run("ward_loop", args)
 
+    def stats_build(self, *args):
+        return self._run("stats_build", args)
+
 
 def _cosine_arguments(module, train, users):
     """The six CSR arrays and the norms `cosine_distance_matrix` hands
@@ -548,18 +551,43 @@ def _want_threads(n: int, floor: int) -> int:
     return 2 if n > floor and cpus > 1 else 1
 
 
+# two byte patterns the output buffers of a loop are prefilled with: a byte
+# the loop leaves unwritten tells the two runs apart
+_FILLS = (0x00, 0xA5)
+
+
+def _filled_runs(loop, args, outputs, written=None):
+    """Runs `loop(*args, *outputs)` once per pattern of `_FILLS`, on copies of
+    the arrays in `args` and on arrays shaped as `outputs` with every byte
+    set to the pattern.  Asserts that both runs return the same and leave
+    the same bytes in every output, all of them or the first
+    ``written(result)`` entries of each; returns the result and those
+    bytes."""
+    runs = []
+    for fill in _FILLS:
+        copies = [arg.copy() if isinstance(arg, np.ndarray) else arg for arg in args]
+        filled = [np.empty_like(output) for output in outputs]
+        for output in filled:
+            output.view(np.uint8).fill(fill)
+        result = loop(*copies, *filled)
+        count = None if written is None else written(result)
+        runs.append((result, tuple(output[:count].tobytes() for output in filled)))
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
 def _raw_ward(loops, d, cpus=None):
     """The bytes of the merges and heights `loops.ward_loop` writes for a
     copy of the condensed distances `d`, before the entry's overflow check,
-    pinned to `cpus` CPUs (`_cpus`).  A compiled loop must return the thread
+    pinned to `cpus` CPUs (`_cpus`): the same on outputs prefilled with
+    either pattern (`_filled_runs`).  A compiled loop must return the thread
     count `_want_threads` gives."""
     n = (1 + int(np.sqrt(1 + 8 * len(d)))) // 2
-    merges, heights = np.empty((n - 1, 2), dtype=np.int64), np.empty(n - 1)
     with _cpus(cpus):
-        threads = loops.ward_loop(d.copy(), merges, heights)
+        threads, raw = _filled_runs(loops.ward_loop, (d,), (np.empty((n - 1, 2), dtype=np.int64), np.empty(n - 1)))
         if loops is not _python:
             assert threads == _want_threads(n, loops.WARD_FLOOR)
-    return merges.tobytes(), heights.tobytes()
+    return raw
 
 
 def _os_threads() -> int:
@@ -691,8 +719,12 @@ class TestTwoThreads:
         monkeypatch.setattr(kernels, "_loops", split_kernels)
         for d in cases:
             raw = [_raw_ward(split_kernels, d, cpus) for cpus in (1, 2)]
-            assert raw[0] == raw[1]
-            assert not np.isfinite(np.frombuffer(raw[0][1])).all()
+            assert raw[0] == raw[1] == _raw_ward(_python, d)
+            # from the first merge that overflowed on, merges -1 and heights inf
+            merges, heights = np.frombuffer(raw[0][0], dtype=np.int64), np.frombuffer(raw[0][1])
+            stop = int(np.argmin(np.isfinite(heights)))
+            assert 0 < stop and np.isfinite(heights[:stop]).all() and (heights[stop:] == np.inf).all()
+            assert (merges[:2 * stop] >= 0).all() and (merges[2 * stop:] == -1).all()
             for cpus in (1, 2):
                 with _cpus(cpus), pytest.raises(OverflowError, match="not finite"):
                     kernels.ward_linkage(d.copy())
@@ -802,6 +834,89 @@ class TestTwoThreads:
             assert _threads_after(before) == before
         assert 0 < failures == start
         assert _threads_after(before) == before
+
+class TestEveryOutputByteIsWritten:
+    """The loops that fill buffers their entry allocates write every byte
+    of them, on both backends and both sides of the split: run on buffers
+    prefilled with two byte patterns, each gives the same bytes both times
+    (`_filled_runs`), and the numpy loop the compiled one's.  The Ward loop
+    runs through `_raw_ward`, here and in TestTwoThreads, at every exit:
+    each merge made, or the overflow stop, which writes the merges not
+    made as -1 and their heights as inf; its rejection of bad input writes
+    nothing (`test_bad_distance_rejected_in_either_part`).  `tokenize` is
+    handed one entry per line and writes only the first n, the records it
+    reports; the rest stays unwritten, and `kernels.tokenize` slices it
+    off.  `sgd_epoch` updates its buffers in place, so it is not run here.
+    """
+
+    @staticmethod
+    def _datasets(rng):
+        return [*(random_grid_dataset(rng, max_users=100, max_items=30, draw=draw) for draw in RATING_SCALES.values()),
+                _plateau_dataset(rng)]
+
+    def test_csr_fill(self, compiled_kernels):
+        rng = np.random.default_rng(141)
+        # no triples, and keys without a triple: only the indptr is written
+        empty = np.zeros(0, dtype=np.int32)
+        cases = [(empty, empty, np.zeros(0), 3, 4)]
+        for ds in self._datasets(rng):
+            cases += [(ds.users, ds.items, ds.ratings, ds.n_users, ds.n_items),
+                      (ds.items, ds.users, ds.ratings, ds.n_items + 2, ds.n_users)]
+        for keys, others, ratings, n_keys, n_others in cases:
+            outputs = np.empty(n_keys + 1, dtype=np.int64), np.empty(len(keys), dtype=np.int32), np.empty(len(keys))
+            runs = [_filled_runs(loops.csr_fill, (keys, others, ratings, n_others), outputs)
+                    for loops in (_python, compiled_kernels)]
+            assert runs[0] == runs[1]
+
+    def test_cosine_rows(self, compiled_kernels, split_kernels):
+        rng = np.random.default_rng(142)
+        split = 0
+        for ds in self._datasets(rng):
+            users = clusterable_users(ds)
+            n = len(users)
+            split += n > SPLIT_FLOOR
+            runs = [_filled_runs(loops.cosine_rows, _cosine_arguments(loops, ds, users), (np.empty(n * (n - 1) // 2),))
+                    for loops in (_python, compiled_kernels, split_kernels)]
+            assert runs[0][1] == runs[1][1] == runs[2][1]
+        assert split > 0
+
+    def test_ward_loop(self, compiled_kernels, split_kernels):
+        rng = np.random.default_rng(143)
+        n = 3 * SPLIT_FLOOR
+        cases = [condensed(_tie_heavy_dist(rng, int(rng.integers(2, 130)))) for _ in range(10)]
+        cases.append(np.full(n * (n - 1) // 2, 1e154))   # the first merge's updates overflow
+        for d in cases:
+            assert _raw_ward(_python, d) == _raw_ward(compiled_kernels, d) == _raw_ward(split_kernels, d)
+
+    def test_stats_build(self, compiled_kernels, monkeypatch):
+        rng = np.random.default_rng(144)
+        for ds in self._datasets(rng):
+            runs = []
+            for loops in (_python, compiled_kernels):
+                recorder = _Recorder(loops)
+                monkeypatch.setattr(kernels, "_loops", recorder)
+                kernels.ClusterStatsIndex(agglomerate(ds), ds)
+                args = recorder.args["stats_build"]
+                runs.append(_filled_runs(loops.stats_build, args[:4], args[4:]))
+            assert runs[0] == runs[1]
+
+    def test_tokenize(self, compiled_kernels):
+        # blank lines, a skipped header and a declined input leave entries
+        # unwritten
+        cases = [(b"u1\ti1\t4.0\n\nu2\ti1\t3.5\r\n\n", False, 2),
+                 (b"user\titem\trating\nu1\ti1\t4\nu1\ti2\t5\n", True, 2),
+                 (b"u1\ti1\t4.0\nu2\ti1\tfour\n", False, None)]
+        for data, skip_header, records in cases:
+            size = data.count(b"\n") + 1
+            outputs = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32), np.empty(size)
+            for loops in (_python, compiled_kernels):
+                found, _ = _filled_runs(loops.tokenize, (data, b"\t", skip_header), outputs,
+                                        written=lambda found: 0 if found is None else found[2])
+                if loops is compiled_kernels and records is not None:
+                    assert found[2] == records < size
+                else:
+                    assert found is None
+
 
 def _read_only(a):
     a.setflags(write=False)
