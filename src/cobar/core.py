@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Dendrogram, agglomerate
-from .data import MeanStats, RatingDataset, _PredictorMixin, compute_user_stats
+from .data import MeanStats, RatingDataset, _PredictorMixin, compute_item_stats, compute_user_stats
 from .kernels import ClusterStatsIndex
 
 
@@ -81,33 +81,33 @@ class CobarModel(_PredictorMixin):
 
     All state is immutable after :meth:`fit`; predictions are pure reads.
     The fit stores on the model what every query reads: the config's gamma
-    and confidence level and each user's leaf.  It keeps the user means and
-    the dendrogram, which `cobar predict` also reads, and not the training
-    set.  Its stats query, which walks up from the user's leaf, is bound at
-    the level stored at fit, as is a loaded pickle's, whatever `config`
-    holds by then.
+    and confidence level and each user's leaf.  It keeps the dendrogram,
+    which `cobar predict` also reads, and the training set's user and item
+    means, shared with the baselines fit on it, and not the training set: a
+    NaN item mean marks a `cold_item`.  Its stats query, which walks up from
+    the user's leaf, is bound at the level stored at fit, as is a loaded
+    pickle's, whatever `config` holds by then.
     `predict_detailed` makes the mixin's check of the pair and its clamp
     inline, as the mixin's `predict` does.
     """
 
-    _READ_ONLY, _BOUND = ("_leaf_of", "_item_counts"), ("_user_means", "_leaves", "_sizes", "_counts", "_query")
+    _READ_ONLY, _BOUND = ("_leaf_of",), ("_user_means", "_item_means", "_leaves", "_sizes", "_query")
 
     def __init__(self, config: CobarConfig | None = None, clamp: bool = True):
         self.config = config or CobarConfig()
         self.clamp = clamp
         self.user_stats: MeanStats | None = None
+        self.item_stats: MeanStats | None = None
         self.dendrogram: Dendrogram | None = None
         self.stats: ClusterStatsIndex | None = None
         self._leaf_of: np.ndarray | None = None   # per user, its leaf or -1
-        self._item_counts: np.ndarray | None = None
 
     def fit(self, train: RatingDataset) -> "CobarModel":
-        self.user_stats = compute_user_stats(train)
+        self.user_stats, self.item_stats = compute_user_stats(train), compute_item_stats(train)
         self.dendrogram = agglomerate(train)
         self.stats = build_item_stats(self.dendrogram, train)
         self._leaf_of = np.full(train.n_users, -1, dtype=np.int64)
         self._leaf_of[self.dendrogram.leaf_users] = np.arange(self.dendrogram.n_leaves)
-        self._item_counts = np.bincount(train.items, minlength=train.n_items)
         self._gamma, self._level = self.config.gamma, self.config.confidence_level
         self._fitted_on(train)
         return self
@@ -116,9 +116,9 @@ class CobarModel(_PredictorMixin):
         # views that every query indexes to Python floats and ints, with no
         # copy: numpy's scalar indexing and int()/float() cost 3-4x more
         self._user_means = memoryview(self.user_stats.means)
+        self._item_means = memoryview(self.item_stats.means)
         self._leaves = memoryview(self._leaf_of)
         self._sizes = memoryview(self.dendrogram.sizes)
-        self._counts = memoryview(self._item_counts)
         self._query = self.stats.bind(self._level)
 
     def predict_detailed(self, user: int, item: int) -> Prediction:
@@ -133,47 +133,33 @@ class CobarModel(_PredictorMixin):
         if not 0 <= item < n_items:
             raise ValueError(f"item index {item} out of range")
 
-        user_mean = self._user_means[user]
+        user_mean, leaf = self._user_means[user], self._leaves[user]
         if user_mean != user_mean:   # NaN: the user has no training rating
-            value = self.user_stats.global_mean
-            if value < lo:
-                value = lo
-            if value > hi:
-                value = hi
-            return Prediction(value, _COLD_USER)
-
-        leaf = self._leaves[user]
+            fallback, value, user_mean = _COLD_USER, self.user_stats.global_mean, None
+        elif leaf < 0:   # a rating vector of norm 0, so no place in the hierarchy
+            fallback, value = _UNCLUSTERED_USER, user_mean
         # the narrowest interval on the leaf's path to the root, the smaller
         # cluster at equal width, among the clusters with two or more
         # ratings of the item
-        choice = self._query(leaf, item) if leaf >= 0 else None
-        if choice is None:
-            # the user has no leaf (a rating vector of norm 0) or the item
-            # has at most one training rating on the leaf's path: predict
-            # the plain user mean
-            if leaf < 0:
-                fallback = _UNCLUSTERED_USER
-            elif self._counts[item] == 0:
-                fallback = _COLD_ITEM
-            else:
-                fallback = _SINGLE_RATING
-            value = user_mean
-            if value < lo:
-                value = lo
-            if value > hi:
-                value = hi
-            return Prediction(value, fallback, None, None, None, None, user_mean)
-
-        node, half_width, n, total = choice
-        cluster_mean = total / n
-        gamma = self._gamma
-        value = gamma * user_mean + (1.0 - gamma) * cluster_mean
+        elif (choice := self._query(leaf, item)) is not None:
+            node, half_width, n, total = choice
+            cluster_mean = total / n
+            gamma = self._gamma
+            fallback, value = _NONE, gamma * user_mean + (1.0 - gamma) * cluster_mean
+        # at most one training rating of the item on the leaf's path: none
+        # at all when its training mean is NaN
+        elif (item_mean := self._item_means[item]) != item_mean:
+            fallback, value = _COLD_ITEM, user_mean
+        else:
+            fallback, value = _SINGLE_RATING, user_mean
         if value < lo:
             value = lo
         if value > hi:
             value = hi
         # positional: the fields in declaration order
-        return Prediction(value, _NONE, node, self._sizes[node], cluster_mean, half_width, user_mean)
+        if fallback is _NONE:
+            return Prediction(value, _NONE, node, self._sizes[node], cluster_mean, half_width, user_mean)
+        return Prediction(value, fallback, None, None, None, None, user_mean)
 
     def predict(self, user: int, item: int) -> float:
         return self.predict_detailed(user, item).value

@@ -101,32 +101,6 @@ class _ReadOnlyState:
         self._restore()
 
 
-class _Derived:
-    """A read-only attribute of a `RatingDataset`, built on first read and
-    kept in the dataset's `_derived` dict.  `functools.cached_property`
-    would keep it in the instance `__dict__` instead, and once CPython
-    3.11 materialises that dict every attribute read of the instance is
-    slower."""
-
-    def __init__(self, build):
-        self._build = build
-        self.__doc__ = build.__doc__
-
-    def __set_name__(self, owner, name):
-        self._name = name
-
-    def __get__(self, dataset, owner=None):
-        if dataset is None:
-            return self
-        derived = dataset._derived
-        if self._name not in derived:
-            derived[self._name] = self._build(dataset)
-        return derived[self._name]
-
-    def __set__(self, dataset, value):
-        raise AttributeError(f"{self._name} is derived from the triples and cannot be set")
-
-
 @dataclass
 class RatingDataset(_ReadOnlyState):
     """Sparse user x item rating store with contiguous internal indices.
@@ -143,9 +117,9 @@ class RatingDataset(_ReadOnlyState):
     The state every model derives from the triples is built on first read
     and cached on the dataset, read-only, so the models fit on one
     training set share it: the CSR layouts `user_layout` and
-    `item_layout`, and the `MeanStats` `user_stats` and `item_stats`.  A
-    `subset` starts with nothing cached, and a pickle keeps what was
-    built.
+    `item_layout`, and the `MeanStats` `user_stats` and `item_stats`, each
+    a property that cannot be set.  A `subset` starts with nothing cached,
+    and a pickle keeps what was built.
     """
 
     _READ_ONLY = ("users", "items", "ratings", "_layouts")
@@ -188,26 +162,36 @@ class RatingDataset(_ReadOnlyState):
     def n_ratings(self) -> int:
         return len(self.ratings)
 
-    @_Derived
+    def _cached(self, name: str, build):
+        """The derived value `name`, built by ``build()`` on first read and
+        kept in `_derived`: `functools.cached_property` would keep it in the
+        instance `__dict__`, and once CPython 3.11 materialises that dict
+        every attribute read of the instance is slower."""
+        derived = self._derived
+        if name not in derived:
+            derived[name] = build()
+        return derived[name]
+
+    @property
     def _user_map(self) -> dict[str, int]:
-        return {u: i for i, u in enumerate(self.user_ids)}
+        return self._cached("_user_map", lambda: {u: i for i, u in enumerate(self.user_ids)})
 
-    @_Derived
+    @property
     def _item_map(self) -> dict[str, int]:
-        return {u: i for i, u in enumerate(self.item_ids)}
+        return self._cached("_item_map", lambda: {u: i for i, u in enumerate(self.item_ids)})
 
-    @_Derived
+    @property
     def user_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The ratings with users as rows, each row sorted by item, as
         `cobar.kernels.csr_rows` lays them out: int64 indptr, int32 item
         indices and float64 ratings, explicit zeros kept."""
-        return self._layout(self.users, self.items, self.n_users, self.n_items)
+        return self._cached("user_layout", lambda: self._layout(self.users, self.items, self.n_users, self.n_items))
 
-    @_Derived
+    @property
     def item_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The transpose of `user_layout`: items as rows, each row sorted by
         user."""
-        return self._layout(self.items, self.users, self.n_items, self.n_users)
+        return self._cached("item_layout", lambda: self._layout(self.items, self.users, self.n_items, self.n_users))
 
     def _layout(self, keys: np.ndarray, others: np.ndarray, n_keys: int, n_others: int):
         from . import kernels   # which imports this module
@@ -220,17 +204,17 @@ class RatingDataset(_ReadOnlyState):
         """The arrays of the layouts built so far, which a pickle keeps."""
         return (*self._derived.get("user_layout", ()), *self._derived.get("item_layout", ()))
 
-    @_Derived
+    @property
     def user_stats(self) -> MeanStats:
         """Each user's mean rating and the global mean; `ValueError` for a
         dataset with no ratings."""
-        return _mean_stats(self, self.users, self.n_users)
+        return self._cached("user_stats", lambda: _mean_stats(self, self.users, self.n_users))
 
-    @_Derived
+    @property
     def item_stats(self) -> MeanStats:
         """Each item's mean rating and the global mean; `ValueError` for a
         dataset with no ratings."""
-        return _mean_stats(self, self.items, self.n_items)
+        return self._cached("item_stats", lambda: _mean_stats(self, self.items, self.n_items))
 
     def user_index(self, external_id: str) -> int:
         try:

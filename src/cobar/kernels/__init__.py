@@ -21,9 +21,9 @@ reads those two read-only layouts.  `cosine_distance_matrix` lays out along
 both axes only the ratings of the users it is given, by their position
 in that list; `ClusterStatsIndex` lays them out per item over the leaf
 ranges of a `Dendrogram`, which checked its tree when built, and its loop
-finds each gap's int64 node as it fills the gap's entry; its query walks
-from a leaf up to the root by the tree's parent ids.  The two query
-loops, which run once per prediction, are bound to their arrays once:
+finds each gap's int64 node as it fills the gap's entry; it keeps no
+ratings, and its query walks from a leaf up by the tree's parent ids.  The
+two query loops, which run once per prediction, are bound to their arrays once:
 `KnnIndex` at construction, and the stats query of one confidence level
 by `ClusterStatsIndex.bind(level)`, which a cobar fit calls once; a
 pickle holds the arrays, and a loaded `KnnIndex` or cobar model binds
@@ -400,21 +400,21 @@ class ClusterStatsIndex(_ReadOnlyState):
     only their types and that the leaf users are in range: `TypeError` or
     `IndexError` otherwise.  It reads the dendrogram's `nodes`, not a copy,
     where every node covers a contiguous range of leaf positions.  For each
-    item the index keeps its r raters' sorted positions and ratings and, for
-    each of the r - 1 gaps between adjacent raters, one entry (sum, sum of
-    squares, min, max): the statistics of the lowest node that holds both
-    raters, the sum of the two ranges that node joins.  That is the addition
-    a bottom-up merge of per-node maps makes, so every (node, item) statistic
-    is, bit for bit, one of these 2r - 1 entries.  Ratings of users outside
-    the hierarchy are left out.  The ratings are laid out by item with
-    `csr_rows`, their raters' leaf positions int32; the selected loop then
-    finds each gap's node, an int64 node id, walking up from the left
-    rater's leaf until the node's range holds the right rater, and fills the
-    gap's entry in the same pass.  `bind` makes the query of one confidence
-    level; the index, and so its pickle, holds no level.
+    item the index keeps its r raters' sorted positions, not their ratings,
+    and for each of the r - 1 gaps between adjacent raters one entry (sum,
+    sum of squares, min, max): the statistics of the lowest node that holds
+    both raters, the sum of the two ranges that node joins.  That is the
+    addition a bottom-up merge of per-node maps makes, so every (node, item)
+    statistic of two or more ratings is, bit for bit, one of these entries.
+    Ratings of users outside the hierarchy are left out.  The ratings are
+    laid out by item with `csr_rows`, their raters' leaf positions int32;
+    the selected loop then finds each gap's node, an int64 node id, walking
+    up from the left rater's leaf until the node's range holds the right
+    rater, and fills the gap's entry in the same pass.  `bind` makes the
+    query of one confidence level; the index holds no level.
     """
 
-    _READ_ONLY = ("_arrays", "_ratings")
+    _READ_ONLY = ("_arrays",)
 
     def __init__(self, dendrogram, train: RatingDataset):
         from ..clustering import Dendrogram   # which imports this module
@@ -441,15 +441,14 @@ class ClusterStatsIndex(_ReadOnlyState):
         gaps = np.empty((4, len(gap_nodes)))
         _loops.stats_build(index, positions, ratings, nodes, gap_nodes, gaps)
         self._arrays = (index, positions, gap_nodes, gaps, nodes)
-        self._ratings = ratings
         self._most_raters = max(2, int(counts.max(initial=0)))
         self._restore()
 
     @property
     def n_entries(self) -> int:
-        """Stored (n, sum, sum of squares, min, max) entries: one per rating
-        and one per gap, 2r - 1 for an item with r >= 1 raters."""
-        return len(self._ratings) + len(self._arrays[2])
+        """Stored (n, sum, sum of squares, min, max) statistics: one per rating,
+        as its rater's position, and one per gap: 2r - 1 for r >= 1 raters."""
+        return len(self._arrays[1]) + len(self._arrays[2])
 
     def bind(self, level: float) -> Callable[[int, int], tuple[int, float, int, float] | None]:
         """`query(leaf, item)` at confidence `level`, in (0, 1) or `ValueError`,

@@ -13,9 +13,10 @@ method-per-node chain walk, which the flat interval loop must match bit for
 bit.  The per-(node, item) dict maps of cluster statistics and the chain
 walk over them are the earlier implementation of `cobar.core`, which the
 O(ratings) index must match bit for bit; `node_items` reads one node's
-entries back out of that index's arrays.  `composed_prediction` builds
-each fitted predictor's value from its public pieces, one call per step,
-which the predictors' own query paths must match bit for bit.
+entries back out of that index's arrays, and its single ratings out of the
+training set.  `composed_prediction` builds each fitted predictor's value
+from its public pieces, one call per step, which the predictors' own query
+paths must match bit for bit.
 """
 
 import math
@@ -513,26 +514,36 @@ class ClusterItemStats:
         return self._maps[node]
 
 
-def node_items(stats, node) -> dict[int, tuple[int, float, float, float, float]]:
+def node_items(stats, dendrogram, train, node) -> dict[int, tuple[int, float, float, float, float]]:
     """``{item: (n, sum, sum of squares, min, max)}`` for every item rated
-    inside cluster `node` of the `ClusterStatsIndex` `stats`, rebuilt from
-    its arrays: what a bottom-up merge of per-node maps holds there.
+    inside cluster `node` of the `ClusterStatsIndex` `stats`, built over
+    `dendrogram` and `train`: what a bottom-up merge of per-node maps holds
+    there.
 
-    The item's raters inside the node are a run of its sorted leaf
-    positions.  One rater's entry is its rating; for more, the entry is
-    that of the run's gap with the highest node, the lowest node that holds
-    them all, whose two ranges hold just them.
+    A single rater's entry is its rating, read from `train` through the
+    dendrogram's leaf positions, as the index keeps no rating.  For more,
+    the raters inside the node are a run of the item's sorted leaf
+    positions in the index, and the entry is that of the run's gap with
+    the highest node, the lowest node that holds them all, whose two
+    ranges hold just them.
     """
     (ptr, gptr), positions, gap_nodes, gaps, nodes = stats._arrays
     lo, hi = nodes[0, node], nodes[1, node]
+    position = np.full(train.n_users, -1, dtype=np.int64)
+    position[dendrogram.leaf_users] = dendrogram.nodes[0, :dendrogram.n_leaves]
+    rated = position[train.users]
+    inside = (lo <= rated) & (rated < hi)
+    rated_by: dict[int, list[float]] = {}
+    for item, rating in zip(train.items[inside].tolist(), train.ratings[inside].tolist()):
+        rated_by.setdefault(item, []).append(rating)
     entries = {}
-    for item in range(stats.n_items):
-        start, end = int(ptr[item]), int(ptr[item + 1])
-        a, b = start + np.searchsorted(positions[start:end], [lo, hi])
-        if b - a == 1:
-            rating = float(stats._ratings[a])
+    for item in sorted(rated_by):
+        if len(rated_by[item]) == 1:
+            rating, = rated_by[item]
             entries[item] = (1, rating, rating * rating, rating, rating)
-        elif b - a > 1:
+        else:
+            start, end = int(ptr[item]), int(ptr[item + 1])
+            a, b = start + np.searchsorted(positions[start:end], [lo, hi])
             first = int(gptr[item]) + a - start   # gap k joins ratings k and k + 1
             top = first + int(np.argmax(gap_nodes[first:first + b - a - 1]))
             entries[item] = (int(b - a), *gaps[:, top].tolist())
@@ -608,7 +619,7 @@ class CobarReference:
         maps = build_item_stats_dict(model.dendrogram, train)._maps
         self.stats = ClusterItemStatsReference(maps, model.config.confidence_level)
         self._leaf_of = model._leaf_of
-        self._item_counts = model._item_counts
+        self._item_counts = np.bincount(train.items, minlength=train.n_items)
         self._clamp = lambda value: _clamp(value, train, model.clamp)
 
     def predict_detailed(self, user, item):

@@ -187,12 +187,12 @@ def test_c7_aggregation_exactness():
                     r = float(r)
                     n, s, q, lo, hi = expected.get(int(i), (0, 0.0, 0.0, r, r))
                     expected[int(i)] = (n + 1, s + r, q + r * r, min(lo, r), max(hi, r))
-            assert node_items(stats, node) == expected
+            assert node_items(stats, dend, ds, node) == expected
         for m, (left, right) in enumerate(dend.merges):
             parent = dend.n_leaves + m
             for child in (int(left), int(right)):
-                for item, (n, *_) in node_items(stats, child).items():
-                    assert node_items(stats, parent)[item][0] >= n
+                for item, (n, *_) in node_items(stats, dend, ds, child).items():
+                    assert node_items(stats, dend, ds, parent)[item][0] >= n
 
 
 @pytest.mark.acceptance("C8 sparse items fall back to the user mean exactly")

@@ -113,13 +113,13 @@ class TestBuildItemStats:
         ds = make_dataset([("a", "x", 4.0), ("b", "x", 2.0)])
         dend = agglomerate(ds)
         stats = build_item_stats(dend, ds)
-        assert node_items(stats, 0) == {0: (1, 4.0, 16.0, 4.0, 4.0)}
+        assert node_items(stats, dend, ds, 0) == {0: (1, 4.0, 16.0, 4.0, 4.0)}
 
     def test_parent_merges_children(self):
         ds = make_dataset([("a", "x", 2.0), ("b", "x", 4.0)])
         dend = agglomerate(ds)
         stats = build_item_stats(dend, ds)
-        assert node_items(stats, 2) == {0: (2, 6.0, 20.0, 2.0, 4.0)}
+        assert node_items(stats, dend, ds, 2) == {0: (2, 6.0, 20.0, 2.0, 4.0)}
         # the leaf's single rating gives no interval, so the parent is chosen
         assert stats.bind(0.95)(0, 0)[0] == 2
 
@@ -130,7 +130,7 @@ class TestBuildItemStats:
         stats = build_item_stats(dend, ds)
         for item in range(ds.n_items):
             ratings = ds.ratings[ds.items == item]
-            entry = node_items(stats, dend.n_nodes - 1)[item]
+            entry = node_items(stats, dend, ds, dend.n_nodes - 1)[item]
             assert entry[0] == len(ratings)
             assert entry[1] == pytest.approx(ratings.sum(), abs=1e-12)
 
@@ -149,7 +149,7 @@ class TestBuildItemStats:
                         r = float(r)
                         n, s, q, lo, hi = expected.get(int(i), (0, 0.0, 0.0, r, r))
                         expected[int(i)] = (n + 1, s + r, q + r * r, min(lo, r), max(hi, r))
-                got = node_items(stats, node)
+                got = node_items(stats, dend, ds, node)
                 assert set(got) == set(expected)
                 for item, (n, s, q, lo, hi) in expected.items():
                     gn, gs, gq, glo, ghi = got[item]
@@ -163,8 +163,8 @@ class TestBuildItemStats:
         for m, (left, right) in enumerate(dend.merges):
             node = dend.n_leaves + m
             for child in (int(left), int(right)):
-                for item, (n, *_) in node_items(stats, child).items():
-                    assert node_items(stats, node)[item][0] >= n
+                for item, (n, *_) in node_items(stats, dend, ds, child).items():
+                    assert node_items(stats, dend, ds, node)[item][0] >= n
 
 
 class TestClusterStatsIndex:
@@ -185,8 +185,9 @@ class TestClusterStatsIndex:
             for ds, model in zip(datasets, models):
                 dend = model.dendrogram
                 stats, reference = build_item_stats(dend, ds), dict_stats(model, ds)
-                assert [node_items(stats, node) for node in range(dend.n_nodes)] == reference._maps
-                assert [len(node_items(stats, node)) for node in range(dend.n_nodes)] == list(map(len, reference._maps))
+                entries = [node_items(stats, dend, ds, node) for node in range(dend.n_nodes)]
+                assert entries == reference._maps
+                assert list(map(len, entries)) == list(map(len, reference._maps))
                 for level in (0.9, 0.95, 0.99):
                     query = stats.bind(level)
                     for leaf in range(dend.n_leaves):
@@ -223,16 +224,19 @@ class TestClusterStatsIndex:
                 objects += 1
                 stack.extend(ref for ref in gc.get_referents(obj) if isinstance(ref, (np.ndarray, tuple, dict)))
             assert objects < 10
-            # the arrays: positions, ratings and gap entries, plus the node
-            # ranges and the item offsets
-            assert arrays <= 6 * stats.n_entries + 3 * dend.n_nodes + 2 * (ds.n_items + 1) + ds.n_users
+            # the arrays: a position per clustered rating, and a node id
+            # and four floats per gap, plus the node ranges and parents and
+            # the item offsets
+            gaps = stats.n_entries - int(clustered.sum())
+            assert arrays <= stats.n_entries + 4 * gaps + 3 * dend.n_nodes + 2 * (ds.n_items + 1)
         # 12 ratings of 4 items
         assert build_item_stats(agglomerate(demo_dataset), demo_dataset).n_entries == 20
 
 
-def _count(stats, node, item):
-    """Ratings of the item inside the node's cluster, 0 when it has none."""
-    entry = node_items(stats, node).get(item)
+def _count(model, train, node, item):
+    """Ratings of the item inside the node's cluster of a model fit on
+    `train`, 0 when it has none."""
+    entry = node_items(model.stats, model.dendrogram, train, node).get(item)
     return entry[0] if entry else 0
 
 
@@ -277,7 +281,7 @@ class TestSelectOptimalCluster:
         item, reference = ds.item_index("x"), dict_stats(model, ds)
         for leaf in range(model.dendrogram.n_leaves):
             chain = model.dendrogram.ancestor_chain(leaf)
-            first = next(int(node) for node in chain if _count(model.stats, int(node), item) >= 2)
+            first = next(int(node) for node in chain if _count(model, ds, int(node), item) >= 2)
             choice = model._query(leaf, item)
             assert choice[:2] == (first, 0.0)
             assert all(node_half_width(model, reference, int(node), item) == 0.0 for node in chain[chain >= first])
@@ -300,7 +304,7 @@ class TestSelectOptimalCluster:
                     widths = [
                         node_half_width(model, reference, int(node), item)
                         for node in chain
-                        if _count(model.stats, int(node), item) >= 2
+                        if _count(model, ds, int(node), item) >= 2
                     ]
                     assert choice[1] <= min(widths)
 
@@ -365,6 +369,24 @@ class TestPredict:
         pred = model.predict_detailed(ds.user_index("a"), ds.item_index("y"))
         assert pred.fallback is Fallback.COLD_ITEM
         assert pred.value == 3.0   # a's training mean
+
+    def test_unclustered_raters_still_rate_an_item(self, each_backend):
+        # y's only training raters, a and b, rate everything 0, so they
+        # have no leaf and the index holds no rating of y: y is rated once
+        # or more, not cold, for a clustered user; v has no training rating
+        ds = make_dataset([("a", "y", 0.0), ("a", "w", 0.0), ("b", "y", 0.0), ("c", "x", 3.0), ("c", "w", 4.0),
+                           ("d", "x", 1.0), ("d", "v", 2.0)])
+        train = ds.subset(np.arange(ds.n_ratings - 1))   # v unrated in train
+        for _ in each_backend:
+            model = CobarModel().fit(train)
+            assert model.stats.n_entries == 4   # x twice and w once, one gap
+            c = ds.user_index("c")
+            for item, fallback in (("y", Fallback.SINGLE_RATING), ("v", Fallback.COLD_ITEM),
+                                   ("x", Fallback.NONE)):
+                pred = model.predict_detailed(c, ds.item_index(item))
+                assert pred.fallback is fallback
+                if fallback is not Fallback.NONE:
+                    assert pred.value == pred.user_mean == 3.5
 
     def test_unclustered_user_labelled(self):
         # a's ratings are all 0, so a has no leaf; x has three ratings
@@ -433,7 +455,7 @@ class TestPredict:
         item, reference = demo_dataset.item_index("100"), dict_stats(model, demo_dataset)
         chain = model.dendrogram.ancestor_chain(0)
         for node in chain:
-            entry = node_items(model.stats, int(node)).get(item)
+            entry = node_items(model.stats, model.dendrogram, demo_dataset, int(node)).get(item)
             if entry is None or entry[0] < 2:
                 continue
             members = set(model.dendrogram.leaf_users[leaves_under(model.dendrogram, int(node))].tolist())
@@ -509,7 +531,7 @@ class TestPredictionAgainstReference:
                 chain = ancestor_chain_reference(model.dendrogram, model._leaf_of[user]).tolist()
                 later = chain[chain.index(got.chosen_node) + 1:]
                 ties += any(
-                    _count(model.stats, node, item) >= 2
+                    _count(model, train, node, item) >= 2
                     and reference.stats.half_width(node, item) == got.half_width
                     for node in later
                 )
@@ -550,7 +572,8 @@ class TestPredictionIsPureRead:
         state = dict(vars(model))
         lengths = {key: len(value) for key, value in state.items() if hasattr(value, "__len__")}
         tree = [getattr(model.dendrogram, name).tobytes() for name in Dendrogram._READ_ONLY]
-        entries = [len(node_items(model.stats, node)) for node in range(model.dendrogram.n_nodes)]
+        nodes = range(model.dendrogram.n_nodes)
+        entries = [len(node_items(model.stats, model.dendrogram, train, node)) for node in nodes]
 
         pairs = [(user, item) for user in range(ds.n_users) for item in range(ds.n_items)]
         forwards = np.array([model.predict(user, item) for user, item in pairs])
@@ -561,4 +584,4 @@ class TestPredictionIsPureRead:
         assert all(vars(model)[key] is value for key, value in state.items())
         assert {key: len(vars(model)[key]) for key in lengths} == lengths
         assert [getattr(model.dendrogram, name).tobytes() for name in Dendrogram._READ_ONLY] == tree
-        assert [len(node_items(model.stats, node)) for node in range(model.dendrogram.n_nodes)] == entries
+        assert [len(node_items(model.stats, model.dendrogram, train, node)) for node in nodes] == entries

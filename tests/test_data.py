@@ -1,5 +1,6 @@
 """The dataset's checks, parsing, statistics, fold splits and subsampling."""
 
+import gc
 import logging
 import os
 import pickle
@@ -419,8 +420,20 @@ class TestDerivedState:
             for array in _derived_arrays(ds):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0
-            with pytest.raises(AttributeError, match="cannot be set"):
+            with pytest.raises(AttributeError, match="has no setter"):
                 ds.user_layout = first[0]
+
+    def test_reads_leave_the_instance_dict_unmade(self):
+        # the values live in `_derived`, not in the instance `__dict__`:
+        # once CPython 3.11 makes that dict, every attribute read is slower,
+        # and `gc.get_referents` lists it in place of the attribute values
+        ds = random_grid_dataset(np.random.default_rng(17))
+        for name in ("_user_map", "_item_map", *DERIVED):
+            getattr(ds, name)
+        assert set(ds._derived) == {"_user_map", "_item_map", *DERIVED}
+        dicts = [ref for ref in gc.get_referents(ds) if isinstance(ref, dict)]
+        assert len(dicts) == 1 and dicts[0] is ds._derived
+        assert any(ref is ds.users for ref in gc.get_referents(ds))
 
     def test_subset_and_subsample_start_with_nothing_cached(self):
         ds = random_grid_dataset(np.random.default_rng(14))

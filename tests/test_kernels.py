@@ -1427,7 +1427,7 @@ class TestClusterStatsIndex:
                 index = kernels.ClusterStatsIndex(**problem)
                 # int32 leaf positions beside int64 indptrs and gap nodes
                 assert [a.dtype for a in index._arrays[:3]] == [np.int64, np.int32, np.int64]
-                built.append(b"".join(a.tobytes() for a in (*index._arrays, index._ratings)))
+                built.append(b"".join(a.tobytes() for a in index._arrays))
             assert built[0] == built[1]
 
     # the tree itself is checked once, when the `Dendrogram` is built: see
