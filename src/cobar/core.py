@@ -18,7 +18,6 @@ hierarchy; such a user's queries also get the user's mean.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +33,6 @@ class Fallback(enum.Enum):
     COLD_ITEM = "cold_item"
     COLD_USER = "cold_user"
     UNCLUSTERED_USER = "unclustered_user"
-
-
-# the members a query hands its `Prediction`, read once: on CPython 3.11 a
-# read of `Fallback.NONE` takes about 0.08 us, a tenth of a prediction
-_NONE, _SINGLE_RATING, _COLD_ITEM = Fallback.NONE, Fallback.SINGLE_RATING, Fallback.COLD_ITEM
-_COLD_USER, _UNCLUSTERED_USER = Fallback.COLD_USER, Fallback.UNCLUSTERED_USER
 
 
 @dataclass
@@ -84,14 +77,15 @@ class CobarModel(_PredictorMixin):
     and confidence level and each user's leaf.  It keeps the dendrogram,
     which `cobar predict` also reads, and the training set's user and item
     means, shared with the baselines fit on it, and not the training set: a
-    NaN item mean marks a `cold_item`.  Its stats query, which walks up from
-    the user's leaf, is bound at the level stored at fit, as is a loaded
-    pickle's, whatever `config` holds by then.
-    `predict_detailed` makes the mixin's check of the pair and its clamp
-    inline, as the mixin's `predict` does.
+    NaN item mean marks a `cold_item`.  The whole query, the mixin's check
+    of the pair, the fallback chain, the blend and the clamp, is one call
+    of the index's `bind_prediction`, bound at the level stored at fit, as
+    is a loaded pickle's, whatever `config` holds by then: `predict`
+    returns its float and `predict_detailed` builds a `Prediction` of its
+    detail.
     """
 
-    _READ_ONLY, _BOUND = ("_leaf_of",), ("_user_means", "_item_means", "_leaves", "_sizes", "_query")
+    _READ_ONLY, _BOUND = ("_leaf_of",), ("_predict", "_detail")
 
     def __init__(self, config: CobarConfig | None = None, clamp: bool = True):
         self.config = config or CobarConfig()
@@ -113,53 +107,16 @@ class CobarModel(_PredictorMixin):
         return self
 
     def _bind(self) -> None:
-        # views that every query indexes to Python floats and ints, with no
-        # copy: numpy's scalar indexing and int()/float() cost 3-4x more
-        self._user_means = memoryview(self.user_stats.means)
-        self._item_means = memoryview(self.item_stats.means)
-        self._leaves = memoryview(self._leaf_of)
-        self._sizes = memoryview(self.dendrogram.sizes)
-        self._query = self.stats.bind(self._level)
+        self._predict, self._detail = self.stats.bind_prediction(
+            self._level, self.user_stats.means, self.item_stats.means, self._leaf_of, self.user_stats.global_mean,
+            self._gamma, *self._limits[2:], tuple(Fallback))
 
     def predict_detailed(self, user: int, item: int) -> Prediction:
-        # the mixin's check and clamp, inline as in its `predict`
-        limits = self._limits
-        if limits is None:
+        if self._limits is None:
             raise RuntimeError("model is not fitted")
-        n_users, n_items, lo, hi = limits
-        user, item = operator.index(user), operator.index(item)
-        if not 0 <= user < n_users:
-            raise ValueError(f"user index {user} out of range")
-        if not 0 <= item < n_items:
-            raise ValueError(f"item index {item} out of range")
-
-        user_mean, leaf = self._user_means[user], self._leaves[user]
-        if user_mean != user_mean:   # NaN: the user has no training rating
-            fallback, value, user_mean = _COLD_USER, self.user_stats.global_mean, None
-        elif leaf < 0:   # a rating vector of norm 0, so no place in the hierarchy
-            fallback, value = _UNCLUSTERED_USER, user_mean
-        # the narrowest interval on the leaf's path to the root, the smaller
-        # cluster at equal width, among the clusters with two or more
-        # ratings of the item
-        elif (choice := self._query(leaf, item)) is not None:
-            node, half_width, n, total = choice
-            cluster_mean = total / n
-            gamma = self._gamma
-            fallback, value = _NONE, gamma * user_mean + (1.0 - gamma) * cluster_mean
-        # at most one training rating of the item on the leaf's path: none
-        # at all when its training mean is NaN
-        elif (item_mean := self._item_means[item]) != item_mean:
-            fallback, value = _COLD_ITEM, user_mean
-        else:
-            fallback, value = _SINGLE_RATING, user_mean
-        if value < lo:
-            value = lo
-        if value > hi:
-            value = hi
-        # positional: the fields in declaration order
-        if fallback is _NONE:
-            return Prediction(value, _NONE, node, self._sizes[node], cluster_mean, half_width, user_mean)
-        return Prediction(value, fallback, None, None, None, None, user_mean)
+        return Prediction(*self._detail(user, item))
 
     def predict(self, user: int, item: int) -> float:
-        return self.predict_detailed(user, item).value
+        if self._limits is None:
+            raise RuntimeError("model is not fitted")
+        return self._predict(user, item)

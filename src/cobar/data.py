@@ -422,8 +422,8 @@ class _PredictorMixin(_ReadOnlyState):
     indices with `operator.index`, raises `ValueError` for a user and then
     for an item out of range, and clamps the predictor's `_value(user,
     item)` with two comparisons, which keep the bits of ``min(max(value,
-    lo), hi)``, NaN included.  Cobar's `predict_detailed` makes the same
-    check and clamp inline.
+    lo), hi)``, NaN included.  Cobar's bound query, which its `predict`
+    and `predict_detailed` call, makes the same check and clamp itself.
     """
 
     _limits: tuple | None = None   # (n_users, n_items, lo, hi), stored by the fit

@@ -1,9 +1,10 @@
-/* Compiled kernels, seven loops: the cosine distance pass and the Ward
+/* Compiled kernels, eight loops: the cosine distance pass and the Ward
  * merge loop of cobar's user hierarchy, the SGD epoch of the biased matrix
  * factorization baseline, the query of the cosine kNN baselines, cobar's
  * per-item cluster statistics, whose build and query are one function
- * each, the tokenizer of a rating file, and the counting sort that lays
- * the ratings out in CSR form.
+ * each, cobar's whole prediction over that query's walk, the tokenizer of
+ * a rating file, and the counting sort that lays the ratings out in CSR
+ * form.
  *
  * `cosine_rows` fills the condensed distances that
  * `cobar.kernels._python.cosine_rows` fills with `np.bincount`, summing
@@ -57,8 +58,10 @@
  * `cobar.kernels._python.stats_build` finds and fills, each entry the sum
  * of the two ranges its gap joins with the left one first, but walks each
  * gap up the tree as it reaches it and pops the gaps off a stack, where
- * the numpy loop walks and joins all gaps in rounds.  `stats_query` runs
- * the steps of `cobar.kernels._python.stats_query`.
+ * the numpy loop walks and joins all gaps in rounds.  `stats_walk` runs
+ * the steps of `cobar.kernels._python._stats_walk`, for `stats_query` and
+ * for cobar's prediction, whose `cobar_value` and `cobar_detail` walk the
+ * fallback chain of `_python.cobar_detail` around it, blend and clamp.
  *
  * `csr_fill` lays the rating triples out in CSR form, each row sorted, by
  * a two-pass counting sort; `cobar.kernels._python.csr_fill` argsorts, and
@@ -72,13 +75,13 @@
  * input.  The numpy backend has no tokenizer, as the line loop is its
  * parse.
  *
- * The two queries run once per prediction, so they are bound: a
- * `bind_knn_query` or `bind_stats_query` call takes the arrays once and
- * returns a `BoundQuery`, which holds their buffers until it is freed and
- * whose call reads the two indices of a query and checks them against the
- * sizes it found in the arrays at the bind, so no caller checks them
- * again.  The bound kNN query also owns its work buffers, allocated once
- * at the bind, so a query allocates nothing.
+ * The queries run once per prediction, so they are bound: a
+ * `bind_knn_query`, `bind_stats_query` or `bind_cobar_query` call takes
+ * the arrays once and returns a `BoundQuery`, which holds their buffers
+ * until it is freed and whose call reads the two indices of a query and
+ * checks them against the sizes it found in the arrays at the bind, so no
+ * caller checks them again.  The bound kNN query also owns its work
+ * buffers, allocated once at the bind, so a query allocates nothing.
  *
  * No loop checks its arrays: `cobar.kernels` checks every shape, element
  * type and length before it calls in, and only the buffer codes `y*`
@@ -983,8 +986,10 @@ similarity(double dot, double norm_e, double norm_nb)
 /* A query loop bound to its arrays: `views` holds the buffers of a
  * `bind_*` call's arrays, released when the object is freed, and `k` and
  * the four work buffers, one allocation at `neighbours` freed with the
- * object, are the kNN query's.  A call reads the query's two indices,
- * checks each against its size and runs `run` on them. */
+ * object, are the kNN query's; the four numbers and the labels after them
+ * are cobar's prediction's.  A call reads the query's two indices, checks
+ * each against its size, raising `error` worded by `format` for one out of
+ * range, and runs `run` on them. */
 typedef struct BoundQuery BoundQuery;
 
 struct BoundQuery {
@@ -993,20 +998,24 @@ struct BoundQuery {
     PyObject *(*run)(BoundQuery *, Py_ssize_t, Py_ssize_t);
     const char *names[2];   /* the indices, as an error names them */
     Py_ssize_t sizes[2];    /* index a lies in [0, sizes[a]) */
+    PyObject *error;        /* borrowed: a built-in exception type */
+    const char *format;     /* of the name, the index and its size */
     Py_ssize_t k;
     double *neighbours, *scratch, *sims, *terms;
+    double global_mean, gamma, lo, hi;
+    PyObject *labels;       /* owned: a tuple of the five fallbacks */
     int n_views;
-    Py_buffer views[8];
+    Py_buffer views[9];
 };
 
-/* The IndexError of index `arg` of the query, worded as `cobar.kernels`
+/* The error of index a of the query, `arg`, worded as the numpy query
  * words it with the index read by `operator.index`; NULL. */
 static PyObject *
-out_of_range(const char *name, PyObject *arg, Py_ssize_t size)
+out_of_range(const BoundQuery *bound, int a, PyObject *arg)
 {
     PyObject *value = PyNumber_Index(arg);
     if (value != NULL) {
-        PyErr_Format(PyExc_IndexError, "%s %S out of range [0, %zd)", name, value, size);
+        PyErr_Format(bound->error, bound->format, bound->names[a], value, bound->sizes[a]);
         Py_DECREF(value);
     }
     return NULL;
@@ -1030,9 +1039,9 @@ bound_call(PyObject *op, PyObject *const *args, size_t nargsf, PyObject *kwnames
     if (b == -1 && PyErr_Occurred())
         return NULL;
     if (a < 0 || a >= self->sizes[0])
-        return out_of_range(self->names[0], args[0], self->sizes[0]);
+        return out_of_range(self, 0, args[0]);
     if (b < 0 || b >= self->sizes[1])
-        return out_of_range(self->names[1], args[1], self->sizes[1]);
+        return out_of_range(self, 1, args[1]);
     return self->run(self, a, b);
 }
 
@@ -1043,6 +1052,7 @@ bound_dealloc(PyObject *op)
     for (int a = 0; a < self->n_views; a++)
         PyBuffer_Release(&self->views[a]);
     PyMem_Free(self->neighbours);
+    Py_XDECREF(self->labels);
     Py_TYPE(op)->tp_free(op);
 }
 
@@ -1058,7 +1068,9 @@ static PyTypeObject BoundQueryType = {
 };
 
 /* A new BoundQuery of `run`, whose indices are named `first` and `second`,
- * zeroed: it holds no buffer yet, and its sizes are set with its buffers. */
+ * zeroed: it holds no buffer yet, and its sizes are set with its buffers.
+ * An index out of range raises the IndexError of the numpy query's
+ * `_check_indices`. */
 static BoundQuery *
 bound_new(PyObject *(*run)(BoundQuery *, Py_ssize_t, Py_ssize_t), const char *first, const char *second)
 {
@@ -1069,6 +1081,8 @@ bound_new(PyObject *(*run)(BoundQuery *, Py_ssize_t, Py_ssize_t), const char *fi
     self->run = run;
     self->names[0] = first;
     self->names[1] = second;
+    self->error = PyExc_IndexError;
+    self->format = "%s %S out of range [0, %zd)";
     return self;
 }
 
@@ -1334,14 +1348,23 @@ lower_bound(const int32_t *positions, Py_ssize_t lo, Py_ssize_t hi, int64_t x)
     return lo;
 }
 
-/* The query of `_python.stats_query` on the arrays of `stats_build`, the
- * leaf positions and the node ranges and parents `nodes` (3 rows) and the
- * t quantiles by degrees of freedom.  Returns (node, half_width, n, total)
- * or None. */
-static PyObject *
-stats_query(BoundQuery *bound, Py_ssize_t leaf, Py_ssize_t item)
+/* The narrowest interval a walk found: its node, the node's count and
+ * sum of the item's ratings, and its half-width. */
+typedef struct {
+    Py_ssize_t node, n;
+    double half_width, total;
+} Interval;
+
+/* The walk of `_python._stats_walk` on the arrays of `stats_build`, the
+ * first six views of a bound stats or cobar query: the leaf positions, the
+ * node ranges and parents `nodes` (3 rows) and the t quantiles by degrees
+ * of freedom, for a leaf and an item its caller checked.  Returns 1 with
+ * the narrowest interval in `best`, or 0 when no cluster on the leaf's
+ * path holds two ratings of the item.  The stats query and both cobar
+ * runs walk through it, so every backend has one walk. */
+static int
+stats_walk(const Py_buffer *buf, Py_ssize_t leaf, Py_ssize_t item, Interval *best)
 {
-    const Py_buffer *buf = bound->views;
     const int64_t *ptr = buf[0].buf, *gap_nodes = buf[2].buf, *lows = buf[4].buf;
     const int32_t *positions = buf[1].buf;
     const int64_t *gptr = ptr + buf[0].len / (Py_ssize_t)(2 * sizeof(int64_t));
@@ -1351,51 +1374,59 @@ stats_query(BoundQuery *bound, Py_ssize_t leaf, Py_ssize_t item)
     const double *total = buf[3].buf, *squares = total + n_gaps, *low = squares + n_gaps, *high = low + n_gaps;
     const double *t_critical = buf[5].buf;
     Py_ssize_t start = ptr[item], end = ptr[item + 1];
-    Py_ssize_t best = -1, best_n = 0;
-    double best_hw = 0.0, best_total = 0.0;
+    int found = 0;
 
-    if (end - start >= 2) {
-        Py_ssize_t to_gap = gptr[item] - start, top = -1;
-        int64_t at = lows[leaf];
-        Py_ssize_t a = lower_bound(positions, start, end, at);
-        Py_ssize_t b = a < end && positions[a] == at ? a + 1 : a;
-        for (int64_t node = parents[leaf]; node >= 0; node = parents[node]) {
-            int64_t lo = lows[node], hi = highs[node];
-            Py_ssize_t new_a = a > start && positions[a - 1] >= lo ? lower_bound(positions, start, a, lo) : a;
-            Py_ssize_t new_b = b < end && positions[b] < hi ? lower_bound(positions, b, end, hi) : b;
-            if (new_a == a && new_b == b)
-                continue;
-            if (a == b) {
-                top = -1;
-                for (Py_ssize_t k = to_gap + new_a; k < to_gap + new_b - 1; k++)
-                    if (top < 0 || gap_nodes[k] > gap_nodes[top])
-                        top = k;
-            }
-            else
-                top = to_gap + (new_a < a ? a - 1 : b - 1);
-            a = new_a;
-            b = new_b;
-            Py_ssize_t n = b - a;
-            if (n < 2)
-                continue;
-            double variance = 0.0;
-            if (low[top] != high[top]) {
-                variance = (squares[top] - total[top] * total[top] / (double)n) / (double)(n - 1);
-                if (variance < 0.0)   /* max(variance, 0.0): NaN passes */
-                    variance = 0.0;
-            }
-            double hw = t_critical[n - 1] * sqrt(variance / (double)n);
-            if (best < 0 || hw < best_hw) {
-                best = node;
-                best_hw = hw;
-                best_n = n;
-                best_total = total[top];
-            }
+    if (end - start < 2)
+        return 0;
+    Py_ssize_t to_gap = gptr[item] - start, top = -1;
+    int64_t at = lows[leaf];
+    Py_ssize_t a = lower_bound(positions, start, end, at);
+    Py_ssize_t b = a < end && positions[a] == at ? a + 1 : a;
+    for (int64_t node = parents[leaf]; node >= 0; node = parents[node]) {
+        int64_t lo = lows[node], hi = highs[node];
+        Py_ssize_t new_a = a > start && positions[a - 1] >= lo ? lower_bound(positions, start, a, lo) : a;
+        Py_ssize_t new_b = b < end && positions[b] < hi ? lower_bound(positions, b, end, hi) : b;
+        if (new_a == a && new_b == b)
+            continue;
+        if (a == b) {
+            top = -1;
+            for (Py_ssize_t k = to_gap + new_a; k < to_gap + new_b - 1; k++)
+                if (top < 0 || gap_nodes[k] > gap_nodes[top])
+                    top = k;
+        }
+        else
+            top = to_gap + (new_a < a ? a - 1 : b - 1);
+        a = new_a;
+        b = new_b;
+        Py_ssize_t n = b - a;
+        if (n < 2)
+            continue;
+        double variance = 0.0;
+        if (low[top] != high[top]) {
+            variance = (squares[top] - total[top] * total[top] / (double)n) / (double)(n - 1);
+            if (variance < 0.0)   /* max(variance, 0.0): NaN passes */
+                variance = 0.0;
+        }
+        double hw = t_critical[n - 1] * sqrt(variance / (double)n);
+        if (!found || hw < best->half_width) {
+            found = 1;
+            best->node = node;
+            best->half_width = hw;
+            best->n = n;
+            best->total = total[top];
         }
     }
-    if (best < 0)
+    return found;
+}
+
+/* The query of `_python.stats_query`: (node, half_width, n, total) or None. */
+static PyObject *
+stats_query(BoundQuery *bound, Py_ssize_t leaf, Py_ssize_t item)
+{
+    Interval best;
+    if (!stats_walk(bound->views, leaf, item, &best))
         Py_RETURN_NONE;
-    return Py_BuildValue("(ndnd)", best, best_hw, best_n, best_total);
+    return Py_BuildValue("(ndnd)", best.node, best.half_width, best.n, best.total);
 }
 
 /* The cluster statistics query bound to the five arrays of
@@ -1416,6 +1447,115 @@ bind_stats_query(PyObject *module, PyObject *args)
     bound->n_views = 6;
     bound->sizes[0] = (b[4].len / (Py_ssize_t)(3 * sizeof(int64_t)) + 1) / 2;
     bound->sizes[1] = b[0].len / (Py_ssize_t)(2 * sizeof(int64_t)) - 1;
+    return (PyObject *)bound;
+}
+
+/* The fallbacks of cobar's chain, in the order of its labels. */
+enum { INTERVAL, SINGLE_RATING, COLD_ITEM, COLD_USER, UNCLUSTERED_USER };
+
+/* A prediction of `cobar_answer`: its clamped value, fallback and user
+ * mean, and for INTERVAL the chosen interval and its cluster's mean. */
+typedef struct {
+    double value, user_mean, mean;
+    int fallback;
+    Interval interval;
+} Answer;
+
+/* The chain of `_python.cobar_detail` for a user and an item the bound
+ * call checked, on the views of `bind_cobar_query`: the stats query's six,
+ * then the user means, item means and leaves.  The blend and the clamp
+ * keep the bits of the numpy run's Python floats. */
+static void
+cobar_answer(const BoundQuery *bound, Py_ssize_t user, Py_ssize_t item, Answer *out)
+{
+    const Py_buffer *buf = bound->views;
+    const double *user_means = buf[6].buf, *item_means = buf[7].buf;
+    const int64_t *leaf_of = buf[8].buf;
+    double user_mean = user_means[user], value = user_mean;
+    int64_t leaf = leaf_of[user];
+
+    if (user_mean != user_mean) {   /* NaN: the user has no training rating */
+        out->fallback = COLD_USER;
+        value = bound->global_mean;
+    }
+    else if (leaf < 0)
+        out->fallback = UNCLUSTERED_USER;
+    else if (stats_walk(buf, leaf, item, &out->interval)) {
+        out->fallback = INTERVAL;
+        out->mean = out->interval.total / (double)out->interval.n;
+        value = bound->gamma * user_mean + (1.0 - bound->gamma) * out->mean;
+    }
+    else if (item_means[item] != item_means[item])
+        out->fallback = COLD_ITEM;
+    else
+        out->fallback = SINGLE_RATING;
+    if (value < bound->lo)
+        value = bound->lo;
+    if (value > bound->hi)
+        value = bound->hi;
+    out->value = value;
+    out->user_mean = user_mean;
+}
+
+/* `_python.cobar_value`: the prediction's float. */
+static PyObject *
+cobar_value(BoundQuery *bound, Py_ssize_t user, Py_ssize_t item)
+{
+    Answer answer;
+    cobar_answer(bound, user, item, &answer);
+    return PyFloat_FromDouble(answer.value);
+}
+
+/* `_python.cobar_detail`: (value, label, node, size, cluster_mean,
+ * half_width, user_mean), None where the fallback has no such field; a
+ * node's size is its range of leaf positions. */
+static PyObject *
+cobar_detail(BoundQuery *bound, Py_ssize_t user, Py_ssize_t item)
+{
+    Answer answer;
+    cobar_answer(bound, user, item, &answer);
+    PyObject *label = PyTuple_GET_ITEM(bound->labels, answer.fallback);
+    if (answer.fallback == COLD_USER)
+        return Py_BuildValue("(dOOOOOO)", answer.value, label, Py_None, Py_None, Py_None, Py_None, Py_None);
+    if (answer.fallback != INTERVAL)
+        return Py_BuildValue("(dOOOOOd)", answer.value, label, Py_None, Py_None, Py_None, Py_None,
+                             answer.user_mean);
+    const int64_t *lows = bound->views[4].buf;
+    Py_ssize_t node = answer.interval.node, n_nodes = bound->views[4].len / (Py_ssize_t)(3 * sizeof(int64_t));
+    return Py_BuildValue("(dOnnddd)", answer.value, label, node, (Py_ssize_t)(lows[n_nodes + node] - lows[node]),
+                         answer.mean, answer.interval.half_width, answer.user_mean);
+}
+
+/* Cobar's prediction bound to the stats query's six arrays, the user
+ * means, item means and leaves, the global mean, gamma, the clamp bounds
+ * and a tuple of the five fallback labels, all checked by
+ * `cobar.kernels.ClusterStatsIndex.bind_prediction`: `cobar_detail` when
+ * `detailed`, `cobar_value` otherwise.  Its users are the user means',
+ * its items the item means', and an index out of range raises the
+ * ValueError of `_PredictorMixin.predict`. */
+static PyObject *
+bind_cobar_query(PyObject *module, PyObject *args)
+{
+    BoundQuery *bound = bound_new(NULL, "user", "item");
+    if (bound == NULL)
+        return NULL;
+    Py_buffer *b = bound->views;
+    PyObject *labels;
+    int detailed;
+    if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*y*y*y*ddddO!p:bind_cobar_query", &b[0], &b[1], &b[2], &b[3], &b[4],
+                          &b[5], &b[6], &b[7], &b[8], &bound->global_mean, &bound->gamma, &bound->lo, &bound->hi,
+                          &PyTuple_Type, &labels, &detailed)) {
+        Py_DECREF(bound);
+        return NULL;
+    }
+    bound->n_views = 9;
+    Py_INCREF(labels);
+    bound->labels = labels;
+    bound->run = detailed ? cobar_detail : cobar_value;
+    bound->error = PyExc_ValueError;
+    bound->format = "%s index %S out of range";
+    bound->sizes[0] = b[6].len / (Py_ssize_t)sizeof(double);
+    bound->sizes[1] = b[7].len / (Py_ssize_t)sizeof(double);
     return (PyObject *)bound;
 }
 
@@ -1620,6 +1760,12 @@ static PyMethodDef methods[] = {
      "bind_stats_query(index, positions, gap_nodes, gaps, nodes, t_critical)\n--\n\n"
      "The query of `cobar.kernels.ClusterStatsIndex`, which lays out its arrays, bound to them and one"
      " level's t quantiles: a `query(leaf, item)` that checks its two indices."},
+    {"bind_cobar_query", bind_cobar_query, METH_VARARGS,
+     "bind_cobar_query(index, positions, gap_nodes, gaps, nodes, t_critical, user_means, item_means, leaf_of,"
+     " global_mean, gamma, lo, hi, labels, detailed)\n--\n\n"
+     "Cobar's prediction of `cobar.kernels.ClusterStatsIndex.bind_prediction`, which checks its arguments,"
+     " bound to them: a `predict(user, item)` that checks its two indices and returns the float, or with"
+     " `detailed` the tuple of a `Prediction`."},
     {"tokenize", tokenize, METH_VARARGS,
      "tokenize(data, delimiter, skip_header, users, items, ratings)\n--\n\n"
      "The compiled tokenizer of `cobar.kernels.tokenize`, which sizes the three columns:"
@@ -1632,7 +1778,7 @@ static PyMethodDef methods[] = {
  * to what a loop checks itself, so that an extension built from older
  * source is rejected instead of reading arguments laid out for another or
  * trusting a check no entry makes any more. */
-#define LAYOUT 8
+#define LAYOUT 9
 
 static int
 exec_module(PyObject *module)
@@ -1652,8 +1798,8 @@ static PyModuleDef_Slot slots[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_compiled",
-    "Compiled cosine distances, Ward merge loop, MF SGD epoch, kNN query, cluster statistics, rating-file"
-    " tokenizer and CSR layout.", 0, methods,
+    "Compiled cosine distances, Ward merge loop, MF SGD epoch, kNN query, cluster statistics, cobar's"
+    " prediction, rating-file tokenizer and CSR layout.", 0, methods,
     slots,
 };
 

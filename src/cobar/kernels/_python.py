@@ -3,7 +3,7 @@
 They are the fallback for environments without the compiled `_compiled`
 extension and the reference it is tested against: each gives the compiled
 loop's bits on the same memory, and trusts its caller, `cobar.kernels`, to
-have checked every array.  The two queries check their own two indices,
+have checked every array.  The queries check their own two indices,
 with the compiled queries' errors and words.  The cosine pass and the Ward loop are the
 compiled algorithms vectorised: the cosine pass over the products of one
 row at a time, the Ward loop over the active slots of each merge, with
@@ -12,12 +12,14 @@ differ, the order of every sum is kept: the CSR layout sorts where the
 compiled one counts, which the unique pairs make the same order, the
 stats build joins its gaps in rounds where the compiled one pops them off
 a stack, and the kNN query sums every dot product of the entity where the
-compiled one sums those it reads.  The two queries are bound to their
-arrays once, as compiled, here with `functools.partial`, over the same
-arrays: the compiled kNN query allocates its work buffers itself when it
-is bound.  Where the compiled cosine pass and Ward loop choose a thread
-count of their own, these run on the calling thread.  The compiled
-tokenizer has no numpy twin: its `tokenize` here declines every input.
+compiled one sums those it reads.  The queries (the kNN query, the stats
+query and cobar's two prediction runs over the stats query's walk) are
+bound to their arrays once, as compiled, here with `functools.partial`,
+over the same arrays: the compiled kNN query allocates its work buffers
+itself when it is bound.  Where the compiled cosine pass and Ward loop
+choose a thread count of their own, these run on the calling thread.  The
+compiled tokenizer has no numpy twin: its `tokenize` here declines every
+input.
 """
 
 from __future__ import annotations
@@ -371,12 +373,11 @@ def stats_build(index: np.ndarray, positions: np.ndarray, ratings: np.ndarray, n
         open_gaps = open_gaps[~ready]
 
 
-def stats_query(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray, gaps: np.ndarray,
+def _stats_walk(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray, gaps: np.ndarray,
                 nodes: np.ndarray, t_critical: np.ndarray, leaf: int, item: int) -> tuple | None:
-    """The query of `cobar.kernels.ClusterStatsIndex`, which lays out the
-    arrays: ``(node, half_width, n, total)`` of the narrowest interval on the
-    leaf's path to the root, or None.  It checks `leaf` against the first
-    half of the tree's 2n - 1 nodes and `item` against the index.
+    """The interval walk of `stats_query` and `cobar_detail`, on a leaf and
+    an item their callers checked: ``(node, half_width, n, total)`` of the
+    narrowest interval on the leaf's path to the root, or None.
 
     The window ``[a, b)`` of the item's raters inside the current node
     widens by bisection as the walk climbs.  When it first holds ratings,
@@ -385,7 +386,6 @@ def stats_query(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray,
     own.  Only nodes where the window grew can be narrower than the node
     below, so only they are scored.
     """
-    leaf, item = _check_indices(("leaf", "item"), ((nodes.shape[1] + 1) // 2, index.shape[1] - 1), leaf, item)
     ptr, gptr = index
     lows, highs, parents = nodes
     start, end = int(ptr[item]), int(ptr[item + 1])
@@ -422,12 +422,82 @@ def stats_query(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray,
     return best
 
 
+def stats_query(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray, gaps: np.ndarray,
+                nodes: np.ndarray, t_critical: np.ndarray, leaf: int, item: int) -> tuple | None:
+    """The query of `cobar.kernels.ClusterStatsIndex`, which lays out the
+    arrays: `_stats_walk` once it has checked `leaf` against the first half
+    of the tree's 2n - 1 nodes and `item` against the index."""
+    leaf, item = _check_indices(("leaf", "item"), ((nodes.shape[1] + 1) // 2, index.shape[1] - 1), leaf, item)
+    return _stats_walk(index, positions, gap_nodes, gaps, nodes, t_critical, leaf, item)
+
+
 def bind_stats_query(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray, gaps: np.ndarray,
                      nodes: np.ndarray, t_critical: np.ndarray) -> functools.partial:
     """`stats_query` bound to the arrays of `cobar.kernels.ClusterStatsIndex`
     and one level's t quantiles: a `query(leaf, item)` that checks its
     indices, as the compiled bind returns one."""
     return functools.partial(stats_query, index, positions, gap_nodes, gaps, nodes, t_critical)
+
+
+def cobar_detail(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray, gaps: np.ndarray,
+                 nodes: np.ndarray, t_critical: np.ndarray, user_means: np.ndarray, item_means: np.ndarray,
+                 leaf_of: np.ndarray, global_mean: float, gamma: float, lo: float, hi: float, labels: tuple,
+                 user: int, item: int) -> tuple:
+    """Cobar's prediction of `cobar.kernels.ClusterStatsIndex.bind_prediction`,
+    which checks the arrays: ``(value, label, node, size, cluster_mean,
+    half_width, user_mean)``, the fields of a `cobar.core.Prediction`.
+
+    Both indices are read by `operator.index`, then `ValueError` names the
+    user and then the item out of range, as `_PredictorMixin.predict`
+    words it.  The fallback chain, in order: a user with a NaN mean gets
+    the global mean, `labels[3]`, and no user mean; one without a leaf, -1
+    in `leaf_of`, gets the user's mean, `labels[4]`; the narrowest interval
+    of `_stats_walk` on the leaf's path gets the blend ``gamma * user_mean
+    + (1 - gamma) * total / n``, `labels[0]`, with the node, its size and
+    the mean; then an item with a NaN mean gets the user's mean,
+    `labels[2]`, and any other item too, `labels[1]`.  The value is then
+    clamped to [lo, hi] by two comparisons, which let NaN pass.
+    """
+    user, item = operator.index(user), operator.index(item)
+    if not 0 <= user < len(user_means):
+        raise ValueError(f"user index {user} out of range")
+    if not 0 <= item < len(item_means):
+        raise ValueError(f"item index {item} out of range")
+    user_mean, leaf, chosen = float(user_means[user]), int(leaf_of[user]), (None,) * 4
+    if user_mean != user_mean:
+        label, value, user_mean = labels[3], global_mean, None
+    elif leaf < 0:
+        label, value = labels[4], user_mean
+    elif (interval := _stats_walk(index, positions, gap_nodes, gaps, nodes, t_critical, leaf, item)) is not None:
+        node, half_width, n, total = interval
+        mean = total / n
+        chosen = (node, int(nodes[1, node] - nodes[0, node]), mean, half_width)
+        label, value = labels[0], gamma * user_mean + (1.0 - gamma) * mean
+    elif item_means[item] != item_means[item]:
+        label, value = labels[2], user_mean
+    else:
+        label, value = labels[1], user_mean
+    if value < lo:
+        value = lo
+    if value > hi:
+        value = hi
+    return (value, label, *chosen, user_mean)
+
+
+def cobar_value(*args) -> float:
+    """The value of `cobar_detail` alone: the float of `predict`."""
+    return cobar_detail(*args)[0]
+
+
+def bind_cobar_query(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray, gaps: np.ndarray,
+                     nodes: np.ndarray, t_critical: np.ndarray, user_means: np.ndarray, item_means: np.ndarray,
+                     leaf_of: np.ndarray, global_mean: float, gamma: float, lo: float, hi: float, labels: tuple,
+                     detailed: bool) -> functools.partial:
+    """`cobar_detail`, or `cobar_value` when not `detailed`, bound to every
+    argument but the query's two indices, as the compiled bind returns one."""
+    run = cobar_detail if detailed else cobar_value
+    return functools.partial(run, index, positions, gap_nodes, gaps, nodes, t_critical, user_means, item_means,
+                             leaf_of, global_mean, gamma, lo, hi, labels)
 
 
 def tokenize(data: bytes, delimiter: bytes, skip_header: bool, users: np.ndarray, items: np.ndarray,

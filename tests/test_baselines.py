@@ -695,8 +695,11 @@ def test_every_declared_attribute_is_set(kernel_backend, two_clusters_dataset):
             assert arrays and all(isinstance(a, np.ndarray) for a in arrays), (type(obj).__name__, name)
         for name in type(obj)._BOUND:
             assert vars(obj).get(name) is not None, (type(obj).__name__, name)
-    # the fit bound the stats query of its level
-    assert repr(cobar._query(0, 0)) == repr(cobar.stats.bind(cobar.config.confidence_level)(0, 0))
+    # the fit bound its prediction at its level: leaf 0's user picks the
+    # node and half-width of the index's query at that level
+    node, half_width, _, _ = cobar.stats.bind(cobar.config.confidence_level)(0, 0)
+    picked = cobar.predict_detailed(cobar.dendrogram.leaf_users[0], 0)
+    assert (picked.chosen_node, repr(picked.half_width)) == (node, repr(half_width))
 
 
 def _cached_properties(cls):

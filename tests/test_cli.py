@@ -162,14 +162,14 @@ class TestEvaluate:
         unclustered = set(range(ds.n_users)) - set(clusterable_users(ds).tolist())
         assert {ds.user_index(f"u{u}") for u in range(0, 80, 10)} <= unclustered
         fallbacks = Counter()
-        detailed = CobarModel.predict_detailed
+        predict = CobarModel.predict
 
         def counted(model, user, item):
-            prediction = detailed(model, user, item)
-            fallbacks[prediction.fallback] += 1
-            return prediction
+            # `predict` does not pass through `predict_detailed`
+            fallbacks[model.predict_detailed(user, item).fallback] += 1
+            return predict(model, user, item)
 
-        monkeypatch.setattr(CobarModel, "predict_detailed", counted)
+        monkeypatch.setattr(CobarModel, "predict", counted)
         fold_rmse = {}
         for backend in each_backend:
             out = tmp_path / f"{backend}.json"

@@ -241,14 +241,17 @@ def _count(model, train, node, item):
 
 
 class TestSelectOptimalCluster:
+    """The narrowest-interval query of a fitted model's index, bound at the
+    model's level as its prediction binds it."""
+
     def _model(self, rows):
         ds = make_dataset(rows)
         model = CobarModel().fit(ds)
-        return ds, model
+        return ds, model, model.stats.bind(model.config.confidence_level)
 
     def test_single_rating_item_yields_none(self):
-        ds, model = self._model([("a", "x", 4.0), ("a", "z", 3.0), ("b", "y", 2.0), ("b", "z", 4.0)])
-        choice = model._query(0, ds.item_index("x"))
+        ds, model, query = self._model([("a", "x", 4.0), ("a", "z", 3.0), ("b", "y", 2.0), ("b", "z", 4.0)])
+        choice = query(0, ds.item_index("x"))
         assert choice is None
 
     def test_smaller_cluster_wins_ties(self):
@@ -259,9 +262,9 @@ class TestSelectOptimalCluster:
             ("b", "x", 3.0), ("b", "y", 3.5),
             ("c", "z", 2.0), ("c", "y", 1.0),
         ]
-        ds, model = self._model(rows)
+        ds, model, query = self._model(rows)
         item = ds.item_index("x")
-        choice = model._query(0, item)
+        choice = query(0, item)
         node, half_width, n, total = choice
         assert model.dendrogram.sizes[node] == 2   # the pair, not the 3-user root
         assert (half_width, n, total) == (0.0, 2, 6.0)
@@ -277,12 +280,12 @@ class TestSelectOptimalCluster:
             rows.append((f"u{u}", "x", 0.7))
             for i in rng.choice(12, size=3, replace=False):
                 rows.append((f"u{u}", f"y{i}", round(float(rng.integers(1, 10)) / 10, 1)))
-        ds, model = self._model(rows)
+        ds, model, query = self._model(rows)
         item, reference = ds.item_index("x"), dict_stats(model, ds)
         for leaf in range(model.dendrogram.n_leaves):
             chain = model.dendrogram.ancestor_chain(leaf)
             first = next(int(node) for node in chain if _count(model, ds, int(node), item) >= 2)
-            choice = model._query(leaf, item)
+            choice = query(leaf, item)
             assert choice[:2] == (first, 0.0)
             assert all(node_half_width(model, reference, int(node), item) == 0.0 for node in chain[chain >= first])
 
@@ -291,14 +294,14 @@ class TestSelectOptimalCluster:
         for _ in range(10):
             ds = random_grid_dataset(rng, max_users=12, max_items=6)
             model = CobarModel().fit(ds)
-            reference = dict_stats(model, ds)
+            reference, query = dict_stats(model, ds), model.stats.bind(model.config.confidence_level)
             for user in range(ds.n_users):
                 leaf = int(model._leaf_of[user])
                 if leaf < 0:
                     continue
                 chain = model.dendrogram.ancestor_chain(leaf)
                 for item in range(ds.n_items):
-                    choice = model._query(leaf, item)
+                    choice = query(leaf, item)
                     if choice is None:
                         continue
                     widths = [
@@ -505,64 +508,77 @@ def _non_grid_split(seed):
 
 class TestPredictionAgainstReference:
     """Every `Prediction` field, bit for bit, against the earlier
-    method-per-node chain walk kept in `oracles.CobarReference`."""
+    method-per-node chain walk kept in `oracles.CobarReference`, and
+    `predict`, a run of its own, against the reference's value."""
 
     @pytest.mark.parametrize("clamp", [True, False])
-    @pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
-    def test_every_pair_bit_identical(self, level, clamp):
+    @pytest.mark.parametrize("level, gamma", [
+        # the default gamma keeps the ids the cases had before gamma varied
+        pytest.param(level, gamma, id=str(level) if gamma == 0.5 else f"{level}-gamma{gamma}")
+        for level in (0.9, 0.95, 0.99) for gamma in (0.5, 0.0, 1.0)
+    ])
+    def test_every_pair_bit_identical(self, level, gamma, clamp, each_backend):
         ds, train = _non_grid_split(71)
         # a scale narrower than the ratings, so that clamping changes values
         train = replace(train, rating_min=2.0, rating_max=8.0)
-        model = CobarModel(CobarConfig(confidence_level=level), clamp=clamp).fit(train)
-        reference = CobarReference(model, train)
-        fallbacks = Counter()
-        off_scale = zero_widths = ties = 0
-        for user in range(ds.n_users):
-            for item in range(ds.n_items):
-                got = model.predict_detailed(user, item)
-                want = reference.predict_detailed(user, item)
-                # repr tells -0.0 from 0.0 and a numpy scalar from a Python one
-                assert repr(astuple(got)) == repr(astuple(want)), (user, item)
-                fallbacks[got.fallback] += 1
-                off_scale += not 2.0 <= got.value <= 8.0
-                if got.fallback is not Fallback.NONE:
-                    continue
-                zero_widths += got.half_width == 0.0
-                chain = ancestor_chain_reference(model.dendrogram, model._leaf_of[user]).tolist()
-                later = chain[chain.index(got.chosen_node) + 1:]
-                ties += any(
-                    _count(model, train, node, item) >= 2
-                    and reference.stats.half_width(node, item) == got.half_width
-                    for node in later
-                )
-        assert set(fallbacks) == set(Fallback)
-        assert zero_widths > 0 and ties > 0
-        assert (off_scale == 0) if clamp else (off_scale > 0)
+        for _ in each_backend:
+            model = CobarModel(CobarConfig(gamma=gamma, confidence_level=level), clamp=clamp).fit(train)
+            reference = CobarReference(model, train)
+            fallbacks = Counter()
+            off_scale = zero_widths = ties = 0
+            for user in range(ds.n_users):
+                for item in range(ds.n_items):
+                    got = model.predict_detailed(user, item)
+                    want = reference.predict_detailed(user, item)
+                    # repr tells -0.0 from 0.0 and a numpy scalar from a Python one
+                    assert repr(astuple(got)) == repr(astuple(want)), (user, item)
+                    assert repr(model.predict(user, item)) == repr(want.value), (user, item)
+                    fallbacks[got.fallback] += 1
+                    off_scale += not 2.0 <= got.value <= 8.0
+                    if got.fallback is not Fallback.NONE:
+                        continue
+                    zero_widths += got.half_width == 0.0
+                    chain = ancestor_chain_reference(model.dendrogram, model._leaf_of[user]).tolist()
+                    later = chain[chain.index(got.chosen_node) + 1:]
+                    ties += any(
+                        _count(model, train, node, item) >= 2
+                        and reference.stats.half_width(node, item) == got.half_width
+                        for node in later
+                    )
+            assert set(fallbacks) == set(Fallback)
+            assert zero_widths > 0 and ties > 0
+            assert (off_scale == 0) if clamp else (off_scale > 0)
 
 
 class TestPredictIsTheDetailedValue:
     @pytest.mark.parametrize("scale", RATING_SCALES)
-    def test_every_pair(self, scale):
-        # `predict` returns `predict_detailed(...).value`, and a chosen
-        # cluster's size is the dendrogram's, as a Python int
+    def test_every_pair(self, scale, each_backend):
+        # `predict` returns `predict_detailed(...).value` and the reference's
+        # value, and a chosen cluster's size is the dendrogram's, as a
+        # Python int; gamma and the clamp vary with the dataset
         rng = np.random.default_rng(95)
-        fallbacks = Counter()
+        trains = []
         for _ in range(8):
             ds = random_grid_dataset(rng, draw=RATING_SCALES[scale])
             # training drops about a quarter of the ratings: cold users and items
             train = ds.subset(np.flatnonzero(rng.random(ds.n_ratings) < 0.75))
-            if train.n_ratings == 0 or not np.any(np.bincount(train.users, weights=train.ratings**2) > 0):
-                continue
-            model = CobarModel().fit(train)
-            for user in range(ds.n_users):
-                for item in range(ds.n_items):
-                    detailed = model.predict_detailed(user, item)
-                    assert repr(model.predict(user, item)) == repr(detailed.value)
-                    fallbacks[detailed.fallback] += 1
-                    if detailed.fallback is Fallback.NONE:
-                        size = detailed.cluster_size
-                        assert type(size) is int and size == model.dendrogram.sizes[detailed.chosen_node]
-        assert fallbacks[Fallback.NONE] > 0 and fallbacks[Fallback.COLD_USER] + fallbacks[Fallback.COLD_ITEM] > 0
+            if train.n_ratings and np.any(np.bincount(train.users, weights=train.ratings**2) > 0):
+                trains.append((ds, train))
+        for _ in each_backend:
+            fallbacks = Counter()
+            for k, (ds, train) in enumerate(trains):
+                model = CobarModel(CobarConfig(gamma=(0.5, 0.0, 1.0)[k % 3]), clamp=k % 2 == 0).fit(train)
+                reference = CobarReference(model, train)
+                for user in range(ds.n_users):
+                    for item in range(ds.n_items):
+                        detailed = model.predict_detailed(user, item)
+                        value = repr(model.predict(user, item))
+                        assert value == repr(detailed.value) == repr(reference.predict_detailed(user, item).value)
+                        fallbacks[detailed.fallback] += 1
+                        if detailed.fallback is Fallback.NONE:
+                            size = detailed.cluster_size
+                            assert type(size) is int and size == model.dendrogram.sizes[detailed.chosen_node]
+            assert fallbacks[Fallback.NONE] > 0 and fallbacks[Fallback.COLD_USER] + fallbacks[Fallback.COLD_ITEM] > 0
 
 
 class TestPredictionIsPureRead:

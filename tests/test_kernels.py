@@ -17,14 +17,15 @@ import time
 import tracemalloc
 import warnings
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import stdtrit
 
-from cobar import (CobarConfig, CobarModel, ItemKnn, KnnConfig, RatingDataset, UserKnn, agglomerate, kernels,
-                   kfold_split)
+from cobar import (CobarConfig, CobarModel, Fallback, ItemKnn, KnnConfig, MostPopular, RatingDataset, UserKnn,
+                   agglomerate, kernels, kfold_split)
 from cobar.clustering import Dendrogram, clusterable_users
 from cobar.data import fold_train_test
 from cobar.kernels import _python
@@ -98,8 +99,8 @@ def _assert_compaction_covered(slots):
     assert {32, 64, 96, 128, 160} <= moved_at
 
 
-LOOPS = ("ward_loop", "sgd_epoch", "bind_knn_query", "stats_build", "bind_stats_query", "cosine_rows", "tokenize",
-         "csr_fill")
+LOOPS = ("ward_loop", "sgd_epoch", "bind_knn_query", "stats_build", "bind_stats_query", "bind_cobar_query",
+         "cosine_rows", "tokenize", "csr_fill")
 EXTENSION = f"_compiled{sysconfig.get_config_var('EXT_SUFFIX')}"
 REBUILD = "rebuild it with: python setup.py build_ext --inplace --force"
 
@@ -146,20 +147,23 @@ class TestDispatch:
         # kernels of before, or not every loop
         stale = {"ward_linkage, mf_sgd_epoch": ", ".join(LOOPS),
                  "ward_loop, sgd_epoch":
-                     "bind_knn_query, stats_build, bind_stats_query, cosine_rows, tokenize, csr_fill",
+                     "bind_knn_query, stats_build, bind_stats_query, bind_cobar_query, cosine_rows, tokenize, csr_fill",
                  "ward_loop, sgd_epoch, bind_knn_query":
-                     "stats_build, bind_stats_query, cosine_rows, tokenize, csr_fill",
+                     "stats_build, bind_stats_query, bind_cobar_query, cosine_rows, tokenize, csr_fill",
                  "ward_loop, sgd_epoch, bind_knn_query, stats_build, bind_stats_query":
-                     "cosine_rows, tokenize, csr_fill",
+                     "bind_cobar_query, cosine_rows, tokenize, csr_fill",
                  # an extension from before the queries were bound
                  "ward_loop, sgd_epoch, knn_query, stats_build, stats_query, cosine_rows":
-                     "bind_knn_query, bind_stats_query, tokenize, csr_fill",
+                     "bind_knn_query, bind_stats_query, bind_cobar_query, tokenize, csr_fill",
                  # an extension from before the tokenizer
                  "ward_loop, sgd_epoch, bind_knn_query, stats_build, bind_stats_query, cosine_rows":
-                     "tokenize, csr_fill",
+                     "bind_cobar_query, tokenize, csr_fill",
                  # an extension from before the counting sort
                  "ward_loop, sgd_epoch, bind_knn_query, stats_build, bind_stats_query, cosine_rows, tokenize":
-                     "csr_fill"}
+                     "bind_cobar_query, csr_fill",
+                 # an extension from before cobar's whole query was compiled
+                 "ward_loop, sgd_epoch, bind_knn_query, stats_build, bind_stats_query, cosine_rows, tokenize, csr_fill":
+                     "bind_cobar_query"}
         for present, missing in stale.items():
             code = (
                 "import sys, types; "
@@ -175,7 +179,7 @@ class TestDispatch:
             last = out.stderr.strip().splitlines()[-1]
             assert last == f"ImportError: stale extension /old/build/_compiled.so lacks {missing}; {REBUILD}"
 
-    @pytest.mark.parametrize("layout", [None, 1, 2, 3, 4, 5, 6, 7, 9])
+    @pytest.mark.parametrize("layout", [None, 1, 2, 3, 4, 5, 6, 7, 8, 10])
     def test_extension_of_another_layout_rejected(self, layout):
         # an extension that has every loop but reads their arguments in
         # another layout, e.g. one built before the cosine pass took int32
@@ -187,7 +191,9 @@ class TestDispatch:
         # build read int64 indices and positions, one of layout 6, whose
         # n^2 loops took a thread count and whose kNN query took its two
         # work buffers, one of layout 7, whose bound queries left their
-        # indices to the checked entries, or one built from newer source
+        # indices to the checked entries, one of layout 8, from before
+        # cobar's whole prediction was one bound query, or one built from
+        # newer source
         code = (
             "import sys, types; "
             "stub = types.ModuleType('cobar.kernels._compiled'); "
@@ -1529,8 +1535,117 @@ class TestClusterStatsIndex:
             model = CobarModel(CobarConfig(confidence_level=level)).fit(ds)
             query = stats.bind(level)
             answers[level] = [repr(query(leaf, item)) for leaf, item in pairs]
-            assert answers[level] == [repr(model._query(leaf, item)) for leaf, item in pairs]
+            # the model's own bind, asked for each leaf's user
+            details = [model.predict_detailed(model.dendrogram.leaf_users[leaf], item) for leaf, item in pairs]
+            chosen = [(d.chosen_node, d.half_width) if d.fallback is Fallback.NONE else None for d in details]
+            assert [repr(answer and answer[:2]) for answer in map(query, *zip(*pairs))] == list(map(repr, chosen))
         assert answers[0.8] != answers[0.95]
+
+
+def _prediction_problem(ds):
+    """A cobar fit of `ds` and writable copies of the arguments its index's
+    `bind_prediction` takes."""
+    model = CobarModel().fit(ds)
+    lo, hi = model._limits[2:]
+    return model, {"level": 0.95, "user_means": model.user_stats.means.copy(),
+                   "item_means": model.item_stats.means.copy(), "leaf_of": model._leaf_of.copy(),
+                   "global_mean": model.user_stats.global_mean, "gamma": 0.5, "lo": lo, "hi": hi,
+                   "labels": tuple(Fallback)}
+
+
+def _with_leaf(leaf):
+    def edit(leaf_of):
+        leaf_of[-1] = leaf
+        return leaf_of
+    return edit
+
+
+class _CountingLoops:
+    """The loops of `module`, counting the calls of each."""
+
+    def __init__(self, module):
+        self.module, self.calls = module, Counter()
+
+    def __getattr__(self, name):
+        self.calls[name] += 1
+        return getattr(self.module, name)
+
+
+class TestBindPrediction:
+    """Cobar's whole query, bound by `ClusterStatsIndex.bind_prediction`:
+    its arguments are checked once, at the bind, before any loop runs, and
+    its two indices by every call, with the errors of every predictor's
+    `predict`, on both backends."""
+
+    # the demo file's 5 users are all clustered, in 5 leaves
+    @pytest.mark.parametrize("name, value, error, match", [
+        ("user_means", lambda a: a.astype(np.float32), TypeError, "user_means must hold float64"),
+        ("item_means", lambda a: a.astype(np.int64), TypeError, "item_means must hold float64"),
+        ("leaf_of", lambda a: a.astype(np.int32), TypeError, "leaf_of must hold int64"),
+        ("leaf_of", lambda a: np.stack([a, a]), ValueError, "1-dimensional"),
+        ("user_means", lambda a: np.repeat(a, 2)[::2], ValueError, "C-contiguous"),
+        ("item_means", lambda a: a[:-1], ValueError, r"item_means has 3 entries, not one per item \(4\)"),
+        ("item_means", lambda a: np.append(a, 1.0), ValueError, "not one per item"),
+        ("user_means", lambda a: a[:-1], ValueError, r"leaf_of has 5 entries, not one per user \(4\)"),
+        ("leaf_of", _with_leaf(-2), IndexError, r"leaf_of holds a leaf out of range \[-1, 5\)"),
+        ("leaf_of", _with_leaf(5), IndexError, r"leaf_of holds a leaf out of range \[-1, 5\)"),
+        ("labels", lambda labels: list(labels), TypeError, "labels must be a tuple of five"),
+        ("labels", lambda labels: labels[:4], TypeError, "labels must be a tuple of five"),
+        ("level", lambda level: 1.0, ValueError, r"confidence level must be in \(0, 1\)"),
+    ], ids=["float32-user-means", "int-item-means", "int32-leaves", "2-d-leaves", "strided-user-means",
+            "short-item-means", "long-item-means", "short-user-means", "leaf-minus-2", "leaf-n-leaves",
+            "list-labels", "four-labels", "level-one"])
+    def test_bad_argument_rejected(self, each_backend, demo_dataset, monkeypatch, name, value, error, match):
+        model, problem = _prediction_problem(demo_dataset)
+        problem[name] = value(problem[name])
+        for _ in each_backend:
+            loops = _CountingLoops(kernels._loops)
+            monkeypatch.setattr(kernels, "_loops", loops)
+            with pytest.raises(error, match=match):
+                model.stats.bind_prediction(**problem)
+            assert not loops.calls
+            # a rejected bind freezes nothing
+            assert all(problem[key].flags.writeable for key in ("user_means", "item_means", "leaf_of"))
+
+    def test_a_good_bind_freezes_its_arrays(self, each_backend, demo_dataset):
+        model, problem = _prediction_problem(demo_dataset)
+        for _ in each_backend:
+            predict, detail = model.stats.bind_prediction(**problem)
+            assert not any(problem[key].flags.writeable for key in ("user_means", "item_means", "leaf_of"))
+            pairs = [(user, item) for user in range(demo_dataset.n_users) for item in range(demo_dataset.n_items)]
+            assert [repr(detail(*pair)) for pair in pairs] == [repr(model._detail(*pair)) for pair in pairs]
+            assert [repr(predict(*pair)) for pair in pairs] == [repr(model.predict(*pair)) for pair in pairs]
+
+    @pytest.mark.parametrize("args", [
+        (-1, 0), (5, 0), (0, -1), (0, 4), (5, 4), (-1, 4), (np.int64(5), 0), (0, np.int16(-3)), (True, 4),
+        (5, True), (2**70, 0), (-2**70, 0), (0, 2**70), (0, -2**70), (np.uint64(2**64 - 1), 0), (0.0, 0),
+        (0, 2.5), (-1, 2.5), (2**70, "0"), (None, 0), (0, np.float64(1.0)),
+    ], ids=str)
+    def test_bad_query_rejected_as_every_predictor_rejects_it(self, each_backend, demo_dataset, args):
+        # the mixin's `predict`, which mp runs, reads both indices by
+        # `operator.index`, then checks the user and then the item
+        with pytest.raises((TypeError, ValueError)) as mixin:
+            MostPopular().fit(demo_dataset).predict(*args)
+        for _ in each_backend:
+            model = CobarModel().fit(demo_dataset)
+            for query in (model.predict, model.predict_detailed):
+                with pytest.raises(mixin.type, match=f"^{re.escape(str(mixin.value))}$"):
+                    query(*args)
+
+    def test_pickle_round_trip(self, each_backend, demo_dataset):
+        pairs = [(user, item) for user in range(demo_dataset.n_users) for item in range(demo_dataset.n_items)]
+        for _ in each_backend:
+            model = CobarModel().fit(demo_dataset)
+            want = [(repr(model.predict(*pair)), repr(model.predict_detailed(*pair))) for pair in pairs]
+            loaded = pickle.loads(pickle.dumps(model))
+            assert [(repr(loaded.predict(*pair)), repr(loaded.predict_detailed(*pair))) for pair in pairs] == want
+            unfitted = pickle.loads(pickle.dumps(CobarModel()))
+            for query in (unfitted.predict, unfitted.predict_detailed):
+                with pytest.raises(RuntimeError, match="model is not fitted"):
+                    query(0, 0)
+            # and a loaded unfitted model fits as a new one does
+            refit = unfitted.fit(demo_dataset)
+            assert [(repr(refit.predict(*pair)), repr(refit.predict_detailed(*pair))) for pair in pairs] == want
 
 
 class TestTCriticalTables:

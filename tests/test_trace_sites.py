@@ -1,19 +1,22 @@
 """The call sites and names the benchmark (`perfbench/`) reads in cobar.
 
 Its tracer records each per-layer span by replacing a module attribute at
-the place where the caller looks the function up, and by wrapping
-`predict_detailed` on a `CobarModel` instance.  A refactor that renames one
-of these or binds it early raises no error; the layer's metric just reads
-0.  The first test wraps the same attributes with counters and checks that
-one fit of `CobarModel`, `UserKnn` and `MatrixFactorization` plus one
-prediction reach all of them, with the arguments the tracer's counters
-read.  The second pins the tree names the benchmark reads to pick its
-catalogue users.
+the place where the caller looks the function up, and counts fallbacks by
+wrapping `predict_detailed` on a `CobarModel` instance.  A refactor that
+renames one of these or binds it early raises no error; the layer's metric
+just reads 0.  The first test wraps the same attributes with counters and
+checks that one fit of `CobarModel`, `UserKnn` and `MatrixFactorization`
+reaches all of them, with the arguments the tracer's counters read, and
+that `predict_detailed` returns the `Prediction` whose fallback the tracer
+reads.  `predict` does not pass through `predict_detailed`, so the
+benchmark's fallback counters see only the calls made to it.  The second
+pins the tree names the benchmark reads to pick its catalogue users.
 """
 
 import numpy as np
 
-from cobar import CobarModel, MatrixFactorization, MfConfig, UserKnn, agglomerate, baselines, clustering, core, kernels
+from cobar import (CobarModel, Fallback, MatrixFactorization, MfConfig, Prediction, UserKnn, agglomerate, baselines,
+                   clustering, core, kernels)
 from conftest import random_grid_dataset
 from oracles import ancestor_chain_reference
 
@@ -43,10 +46,15 @@ def test_every_traced_call_site_is_used(monkeypatch, demo_dataset):
     model = CobarModel().fit(demo_dataset)
     UserKnn().fit(demo_dataset)
     MatrixFactorization(MfConfig(epochs=2)).fit(demo_dataset)
-    model.predict_detailed = counting("predict_detailed", model.predict_detailed)
-    model.predict(demo_dataset.user_index("1"), demo_dataset.item_index("100"))
+    user, item = demo_dataset.user_index("1"), demo_dataset.item_index("100")
+    value = model.predict(user, item)
 
-    assert set(calls) == {f"{module.__name__}.{attr}" for module, attr in SITES} | {"predict_detailed"}
+    assert set(calls) == {f"{module.__name__}.{attr}" for module, attr in SITES}
+    # the tracer's fallback counter reads `.fallback.value` of what the
+    # instance's `predict_detailed` returns
+    prediction = model.predict_detailed(user, item)
+    assert type(prediction) is Prediction and type(prediction.fallback) is Fallback
+    assert (prediction.fallback.value, prediction.value) == ("none", value)
     (args, stats), = calls["cobar.core.build_item_stats"]
     assert args[0] is model.dendrogram and stats is model.stats
     # 12 ratings of 4 items, each rated by at least one of the 5 users
