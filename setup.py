@@ -1,7 +1,7 @@
 """Build script for the optional compiled kernels (cosine distance pass,
-Ward merge loop, MF SGD epoch, kNN query, the build and query of cobar's
-cluster statistics, cobar's prediction, the rating-file tokenizer and the
-CSR layout, one C extension).
+Ward merge loop, MF SGD epoch, kNN query, the build of cobar's cluster
+statistics, cobar's prediction over them, the rating-file tokenizer and
+the CSR layout, one C extension).
 
 The package works without the extension: cobar.kernels falls back to the
 pure numpy implementations when the compiled module is missing.

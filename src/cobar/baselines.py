@@ -60,6 +60,7 @@ class MostPopular(_PredictorMixin):
     """Non-personalized baseline: each item's global mean training rating."""
 
     _READ_ONLY, _BOUND = ("item_means",), ("_means",)
+    _STATE = (*_PredictorMixin._STATE, *_READ_ONLY)
 
     def __init__(self, clamp: bool = True):
         self.clamp = clamp
@@ -98,7 +99,7 @@ class _CosineKnn(_PredictorMixin):
     `compute_item_stats`.
     """
 
-    _BOUND = ("_means", "_query")
+    _BOUND, _STATE = ("_means", "_query"), (*_PredictorMixin._STATE, "config", "stats", "_index")
 
     def __init__(self, config: KnnConfig | None = None, clamp: bool = True):
         self.config = config or KnnConfig()
@@ -159,6 +160,7 @@ class MatrixFactorization(_PredictorMixin):
 
     _READ_ONLY = ("user_factors", "item_factors", "user_bias", "item_bias", "user_seen", "item_seen")
     _BOUND = ("_user_bias", "_item_bias", "_user_seen", "_item_seen")
+    _STATE = (*_PredictorMixin._STATE, "config", "global_mean", *_READ_ONLY)
 
     def __init__(self, config: MfConfig | None = None, clamp: bool = True):
         self.config = config or MfConfig()

@@ -28,7 +28,7 @@ from .data import RatingDataset, _ReadOnlyState, _checked
 from .kernels import cosine_distance_matrix
 
 
-@dataclass
+@dataclass(eq=False)
 class Dendrogram(_ReadOnlyState):
     """Binary merge tree; leaves 0..n-1 are users, node n+m is merge m.
 
@@ -38,16 +38,15 @@ class Dendrogram(_ReadOnlyState):
     otherwise.  Like `RatingDataset`, it keeps read-only copies of the
     arrays, and it derives the layout once: the leaves are numbered
     depth-first, so node v covers the leaf positions lows[v] <= p < highs[v],
-    and a leaf's path to the root follows the parent ids.  It holds only
-    these five arrays.
+    highs[v] - lows[v] of them, and a leaf's path to the root follows the
+    parent ids.  It holds only these four arrays.  Equality is identity.
     """
 
-    _READ_ONLY = ("merges", "heights", "leaf_users", "sizes", "nodes")
+    _READ_ONLY = ("merges", "heights", "leaf_users", "nodes")
 
     merges: np.ndarray      # (n-1, 2) int64 node ids, row-sorted
     heights: np.ndarray     # (n-1,) float64, non-decreasing
     leaf_users: np.ndarray  # (n_leaves,) int64 dataset user index per leaf
-    sizes: np.ndarray = field(init=False, repr=False)   # (2n-1,) int64 leaves per node
     nodes: np.ndarray = field(init=False, repr=False)   # (3, 2n-1) int64 lows, highs, parents (root: -1)
 
     def __post_init__(self):
@@ -77,9 +76,8 @@ class Dendrogram(_ReadOnlyState):
             lows[left] = lows[n + m]
             lows[right] = lows[n + m] + sizes[left]
         self.merges, self.heights, self.leaf_users = merges, heights, leaf_users
-        self.sizes = np.array(sizes, dtype=np.int64)
         lows = np.array(lows, dtype=np.int64)
-        self.nodes = np.stack([lows, lows + self.sizes, np.array(parents, dtype=np.int64)])
+        self.nodes = np.stack([lows, lows + np.array(sizes, dtype=np.int64), np.array(parents, dtype=np.int64)])
         self._restore()
 
     @property

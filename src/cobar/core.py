@@ -35,6 +35,10 @@ class Fallback(enum.Enum):
     UNCLUSTERED_USER = "unclustered_user"
 
 
+# by the code a bound cobar query returns for each
+_FALLBACKS = tuple(Fallback)
+
+
 @dataclass
 class CobarConfig:
     gamma: float = 0.5
@@ -79,13 +83,15 @@ class CobarModel(_PredictorMixin):
     means, shared with the baselines fit on it, and not the training set: a
     NaN item mean marks a `cold_item`.  The whole query, the mixin's check
     of the pair, the fallback chain, the blend and the clamp, is one call
-    of the index's `bind_prediction`, bound at the level stored at fit, as
-    is a loaded pickle's, whatever `config` holds by then: `predict`
-    returns its float and `predict_detailed` builds a `Prediction` of its
-    detail.
+    of a query from the index's `bind`, bound at the level stored at fit,
+    as is a loaded pickle's, whatever `config` holds by then: `predict`
+    returns its float, and `predict_detailed` builds a `Prediction` of its
+    detail, whose fallback code indexes `Fallback` in declaration order.
     """
 
     _READ_ONLY, _BOUND = ("_leaf_of",), ("_predict", "_detail")
+    _STATE = (*_PredictorMixin._STATE, "config", "user_stats", "item_stats", "dendrogram", "stats", *_READ_ONLY,
+              "_gamma", "_level")
 
     def __init__(self, config: CobarConfig | None = None, clamp: bool = True):
         self.config = config or CobarConfig()
@@ -107,14 +113,15 @@ class CobarModel(_PredictorMixin):
         return self
 
     def _bind(self) -> None:
-        self._predict, self._detail = self.stats.bind_prediction(
+        self._predict, self._detail = self.stats.bind(
             self._level, self.user_stats.means, self.item_stats.means, self._leaf_of, self.user_stats.global_mean,
-            self._gamma, *self._limits[2:], tuple(Fallback))
+            self._gamma, *self._limits[2:])
 
     def predict_detailed(self, user: int, item: int) -> Prediction:
         if self._limits is None:
             raise RuntimeError("model is not fitted")
-        return Prediction(*self._detail(user, item))
+        value, fallback, *chosen = self._detail(user, item)
+        return Prediction(value, _FALLBACKS[fallback], *chosen)
 
     def predict(self, user: int, item: int) -> float:
         if self._limits is None:

@@ -17,7 +17,7 @@ import logging
 import math
 import operator
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -69,19 +69,21 @@ def _read_only(*arrays: np.ndarray) -> None:
 class _ReadOnlyState:
     """The fitted-state protocol of every class that holds checked or fitted
     arrays.  A class names in `_READ_ONLY` its attributes that hold an
-    array or a tuple of arrays, and in `_BOUND` the memoryviews and bound
-    queries its `_bind` sets from them, which cannot be pickled.  Its
-    construction, its fit and a pickle load end with `_restore`: the arrays
-    become read-only, as numpy loads a pickled one writable, then `_bind`.
-    A pickle drops the `_BOUND` attributes, and loading sets the rest one
-    by one, not through the instance `__dict__`, which CPython 3.11 would
-    materialise, slowing every later attribute read; pickling reads it.  A
-    class keeps no `functools.cached_property`: its value would be pickled
-    as an array that no `_READ_ONLY` names, and load writable.
+    array or a tuple of arrays, in `_BOUND` the memoryviews and bound
+    queries its `_bind` sets from them, which cannot be pickled, and in
+    `_STATE` the attributes a pickle holds beside a dataclass's fields.
+    Its construction, its fit and a pickle load end with `_restore`: the
+    arrays become read-only, as numpy loads a pickled one writable, then
+    `_bind`.  Pickling reads the named attributes that are set, and
+    loading sets them, one by one, never through the instance `__dict__`:
+    CPython 3.11 would materialise it, and every later attribute read of
+    the instance would be slower.  So a class keeps no
+    `functools.cached_property`, which stores its value in that dict.
     """
 
     _READ_ONLY: tuple[str, ...] = ()
     _BOUND: tuple[str, ...] = ()
+    _STATE: tuple[str, ...] = ()
 
     def _restore(self) -> None:
         for name in self._READ_ONLY:
@@ -93,7 +95,8 @@ class _ReadOnlyState:
         """Set the `_BOUND` attributes from the arrays."""
 
     def __getstate__(self):
-        return {**self.__dict__, **dict.fromkeys(self._BOUND)}
+        names = (*(f.name for f in fields(self)), *self._STATE) if is_dataclass(self) else self._STATE
+        return {name: getattr(self, name) for name in names if hasattr(self, name)}
 
     def __setstate__(self, state):
         for name, value in state.items():
@@ -101,7 +104,7 @@ class _ReadOnlyState:
         self._restore()
 
 
-@dataclass
+@dataclass(eq=False)
 class RatingDataset(_ReadOnlyState):
     """Sparse user x item rating store with contiguous internal indices.
 
@@ -119,10 +122,10 @@ class RatingDataset(_ReadOnlyState):
     training set share it: the CSR layouts `user_layout` and
     `item_layout`, and the `MeanStats` `user_stats` and `item_stats`, each
     a property that cannot be set.  A `subset` starts with nothing cached,
-    and a pickle keeps what was built.
+    and a pickle keeps what was built.  Equality is identity.
     """
 
-    _READ_ONLY = ("users", "items", "ratings", "_layouts")
+    _READ_ONLY, _STATE = ("users", "items", "ratings", "_layouts"), ("_derived",)
 
     user_ids: list[str]
     item_ids: list[str]
@@ -367,14 +370,14 @@ def _keep_last(user_ids: list[str], item_ids: list[str], users: np.ndarray, item
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class MeanStats(_ReadOnlyState):
     """Per-user or per-item training means; NaN marks a user or item with no
     training ratings.
 
     Building the stats makes the `means` array read-only, and a loaded
     pickle keeps it so: a training set's stats are shared by every model
-    fit on it, so a write would reach them all.
+    fit on it, so a write would reach them all.  Equality is identity.
     """
 
     _READ_ONLY = ("means",)
@@ -426,6 +429,7 @@ class _PredictorMixin(_ReadOnlyState):
     and `predict_detailed` call, makes the same check and clamp itself.
     """
 
+    _STATE = ("clamp", "_limits")
     _limits: tuple | None = None   # (n_users, n_items, lo, hi), stored by the fit
 
     def _fitted_on(self, train: RatingDataset) -> None:
@@ -458,9 +462,10 @@ class _PredictorMixin(_ReadOnlyState):
         return value
 
 
-@dataclass
+@dataclass(eq=False)
 class FoldSplit:
-    """Seeded partition of triple indices into k near-equal folds."""
+    """Seeded partition of triple indices into k near-equal folds; equality
+    is identity."""
 
     k: int
     assignment: np.ndarray  # int32 (n_ratings,), values in [0, k)

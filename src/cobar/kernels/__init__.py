@@ -3,11 +3,10 @@
 Eight compiled loops, in the C extension `_compiled` when a C compiler is
 available at install time: the cosine distance pass and the Ward merge
 loop of cobar's user hierarchy, the MF SGD epoch, the kNN query, the build
-and query of cobar's cluster statistics, cobar's whole prediction over
-that query's walk, the tokenizer of a rating file, and the counting sort
-behind `csr_rows`.  Without it the numpy loops in
-`_python` run, and every rating file takes the line loop of
-`cobar.data.parse_ratings`.  ``BACKEND`` names the loops selected at
+of cobar's cluster statistics, cobar's whole prediction, which walks them,
+the tokenizer of a rating file, and the counting sort behind `csr_rows`.
+Without it the numpy loops in `_python` run, and every rating file takes
+the line loop of `cobar.data.parse_ratings`.  ``BACKEND`` names the loops selected at
 import: ``"c"`` when `_compiled` imports, ``"python"`` when there is no
 `_compiled`; one that exists but cannot load, lacks a loop, or reads the
 loops' arguments in another layout, stops the import with the rebuild
@@ -23,21 +22,20 @@ both axes only the ratings of the users it is given, by their position
 in that list; `ClusterStatsIndex` lays them out per item over the leaf
 ranges of a `Dendrogram`, which checked its tree when built, and its loop
 finds each gap's int64 node as it fills the gap's entry; it keeps no
-ratings, and its query walks from a leaf up by the tree's parent ids.  The
-query loops, which run once per prediction, are bound to their arrays
-once: the kNN query by `KnnIndex` at construction, the stats query of one
-confidence level by `ClusterStatsIndex.bind(level)`, and cobar's whole
-prediction at one level, a float run and a detail run that share the
-stats query's walk, by `ClusterStatsIndex.bind_prediction`, which a cobar
-fit calls once; a pickle holds the arrays, and a loaded `KnnIndex` or
-cobar model binds again.  A bound query checks its own two indices, with
+ratings, and cobar's query walks from a leaf up by the tree's parent ids.
+The query loops, which run once per prediction, are bound to their arrays
+once: the kNN query by `KnnIndex` at construction, and cobar's whole
+prediction at one confidence level, a float run and a detail run that
+share one interval walk, by `ClusterStatsIndex.bind`, which a cobar fit
+calls once; a pickle holds the arrays, and a loaded `KnnIndex` or cobar
+model binds again.  A bound query checks its own two indices, with
 the same `TypeError` or `IndexError` on both backends, and cobar's with
 the `ValueError` of every predictor's `predict`, so `KnnIndex.query` is
 the bound kNN query itself, and each kNN or cobar prediction calls one
 bound query, which for cobar also walks the fallback chain, blends and
 clamps.  The t quantiles of a confidence level are computed once per
-process, in one read-only table that grows by doubling; each bound stats
-or cobar query reads a prefix of it.  The cosine loops sum each dot
+process, in one read-only table that grows by doubling; each bound cobar
+query reads a prefix of it.  The cosine loops sum each dot
 product item by item in ascending order, as scipy's sparse product does,
 and clip ``1 - (dot / norm_i) / norm_j`` to [0, 2] with NaN passing.  The two Ward
 loops are one algorithm: they square the distances in place,
@@ -84,8 +82,8 @@ except ImportError as exc:
         raise ImportError(f"extension {_spec.origin} cannot be loaded; {_REBUILD}") from exc
     _compiled = None
 
-_missing = [name for name in ("ward_loop", "sgd_epoch", "bind_knn_query", "stats_build", "bind_stats_query",
-                              "bind_cobar_query", "cosine_rows", "tokenize", "csr_fill")
+_missing = [name for name in ("ward_loop", "sgd_epoch", "bind_knn_query", "stats_build", "bind_cobar_query",
+                              "cosine_rows", "tokenize", "csr_fill")
             if _compiled and not hasattr(_compiled, name)]
 if _missing:
     # an extension built from older source, e.g. one a build reused
@@ -96,7 +94,7 @@ if _missing:
 # the layout of the arguments the entries below hand the compiled loops,
 # and of the checks the loops make, `LAYOUT` in `_compiled.c`; an extension
 # from before it has layout 1
-_LAYOUT = 9
+_LAYOUT = 10
 if _compiled and getattr(_compiled, "LAYOUT", 1) != _LAYOUT:
     # e.g. an extension whose queries read int32 indices as int64
     raise ImportError(
@@ -350,7 +348,7 @@ class KnnIndex(_ReadOnlyState):
     never see each other's work.
     """
 
-    _READ_ONLY, _BOUND = ("_arrays",), ("query",)
+    _READ_ONLY, _BOUND, _STATE = ("_arrays",), ("query",), ("_arrays", "n_entities", "n_columns", "k")
 
     def __init__(self, train: RatingDataset, user_major: bool, means, k: int):
         if not isinstance(train, RatingDataset):
@@ -415,12 +413,11 @@ class ClusterStatsIndex(_ReadOnlyState):
     laid out by item with `csr_rows`, their raters' leaf positions int32;
     the selected loop then finds each gap's node, an int64 node id, walking
     up from the left rater's leaf until the node's range holds the right
-    rater, and fills the gap's entry in the same pass.  `bind` makes the
-    stats query of one confidence level and `bind_prediction` cobar's whole
-    query over it; the index holds no level.
+    rater, and fills the gap's entry in the same pass.  `bind` makes
+    cobar's whole query at one confidence level; the index holds no level.
     """
 
-    _READ_ONLY = ("_arrays",)
+    _READ_ONLY, _STATE = ("_arrays",), ("_arrays", "n_leaves", "n_items", "_most_raters")
 
     def __init__(self, dendrogram, train: RatingDataset):
         from ..clustering import Dendrogram   # which imports this module
@@ -430,7 +427,7 @@ class ClusterStatsIndex(_ReadOnlyState):
             raise TypeError(f"train must be a RatingDataset, not {type(train).__name__}")
         _check_range("leaf_users", dendrogram.leaf_users, train.n_users)
         n = self.n_leaves = dendrogram.n_leaves
-        self.n_nodes, self.n_items = dendrogram.n_nodes, train.n_items
+        self.n_items = train.n_items
         nodes = dendrogram.nodes
 
         # the leaf users' ratings in (item, position) order
@@ -456,42 +453,35 @@ class ClusterStatsIndex(_ReadOnlyState):
         as its rater's position, and one per gap: 2r - 1 for r >= 1 raters."""
         return len(self._arrays[1]) + len(self._arrays[2])
 
-    def bind(self, level: float) -> Callable[[int, int], tuple[int, float, int, float] | None]:
-        """`query(leaf, item)` at confidence `level`, in (0, 1) or `ValueError`,
-        bound to the arrays and a prefix of the level's t quantiles: the
-        narrowest two-sided Student-t interval for the item's mean rating
-        among the clusters on `leaf`'s path up to the root, by the parent
-        ids, that hold two or more of its ratings, as ``(node, half_width,
-        n, total)`` with the node's count and sum of the item's ratings;
-        None when none does.
-        Walking from the leaf up, a wider cluster must be strictly narrower,
-        so at equal width the smaller one wins.  `TypeError` for an index
-        that is no integer, `IndexError` for one out of range."""
-        return _loops.bind_stats_query(*self._arrays, self._t_critical(level))
-
-    def bind_prediction(self, level: float, user_means, item_means, leaf_of, global_mean: float, gamma: float,
-                        lo: float, hi: float, labels: tuple) -> tuple[Callable[[int, int], float], Callable]:
-        """Cobar's whole query at confidence `level`, bound as `bind` binds
-        the stats query: ``(predict, detail)``, two calls of ``(user, item)``.
+    def bind(self, level: float, user_means, item_means, leaf_of, global_mean: float, gamma: float, lo: float,
+             hi: float) -> tuple[Callable[[int, int], float], Callable[[int, int], tuple]]:
+        """Cobar's whole query at confidence `level`, in (0, 1), bound to the
+        arrays and a prefix of the level's t quantiles: ``(predict,
+        detail)``, two calls of ``(user, item)``.
 
         `user_means` and `item_means` are C-contiguous 1-D float64 arrays,
         NaN for a user or item with no training rating, one per item of
         the index; `leaf_of` a C-contiguous 1-D int64 array of each user's
-        leaf, -1 for a user outside the hierarchy, one per user mean;
-        `labels` a tuple of the five values the detail names its fallback
-        by: the interval, a single rating, a cold item, a cold user and an
-        unclustered user.  `TypeError`, `ValueError` or `IndexError`
-        otherwise, before any loop runs; the three arrays are made
-        read-only.  Both calls read the indices by `operator.index` and
-        raise `ValueError` for a user, then an item, out of range, as
-        `predict` of every predictor does.  A user with a NaN mean gets
-        `global_mean`, one outside the hierarchy the user's mean; otherwise
-        the narrowest interval of `bind`'s query on the leaf's path gets
-        ``gamma * user_mean + (1 - gamma) * total / n``, and an item
+        leaf, -1 for a user outside the hierarchy, one per user mean.
+        `TypeError`, `ValueError` or `IndexError` otherwise, before any
+        loop runs; the three arrays are made read-only.  Both calls read
+        the indices by `operator.index` and raise `ValueError` for a user,
+        then an item, out of range, as `predict` of every predictor does.
+
+        A user with a NaN mean gets `global_mean`, one outside the
+        hierarchy the user's mean.  Otherwise the walk scores every cluster
+        on the leaf's path up to the root, by the parent ids, that holds
+        two or more of the item's ratings, by its two-sided Student-t
+        interval for the item's mean rating; a wider cluster must be
+        strictly narrower, so at equal width the smaller one wins.  The
+        narrowest gets ``gamma * user_mean + (1 - gamma) * total / n``,
+        with the node's count and sum of the item's ratings, and an item
         without one the user's mean.  The value is clamped to [lo, hi] by
         two comparisons, which let NaN pass.  `predict` returns it as a
-        float, `detail` as ``(value, label, node, size, cluster_mean,
-        half_width, user_mean)``, the fields of a `cobar.core.Prediction`.
+        float, `detail` as ``(value, fallback, node, size, cluster_mean,
+        half_width, user_mean)``, the fields of a `cobar.core.Prediction`
+        with the fallback as its code: 0 to 4 for the interval, a single
+        rating, a cold item, a cold user and an unclustered user.
         """
         user_means = _checked("user_means", user_means, 1, "float64")
         item_means = _checked("item_means", item_means, 1, "float64")
@@ -502,17 +492,11 @@ class ClusterStatsIndex(_ReadOnlyState):
             raise ValueError(f"leaf_of has {len(leaf_of)} entries, not one per user ({len(user_means)})")
         if len(leaf_of) and (leaf_of.min() < -1 or leaf_of.max() >= self.n_leaves):
             raise IndexError(f"leaf_of holds a leaf out of range [-1, {self.n_leaves})")
-        if not (isinstance(labels, tuple) and len(labels) == 5):
-            raise TypeError("labels must be a tuple of five fallbacks")
-        table = self._t_critical(level)
-        _read_only(user_means, item_means, leaf_of)
-        args = (*self._arrays, table, user_means, item_means, leaf_of, float(global_mean), float(gamma), float(lo),
-                float(hi), labels)
-        return _loops.bind_cobar_query(*args, False), _loops.bind_cobar_query(*args, True)
-
-    def _t_critical(self, level: float) -> np.ndarray:
-        """The t quantiles the queries at `level` read, in (0, 1) or `ValueError`."""
         if not 0.0 < level < 1.0:
             raise ValueError(f"confidence level must be in (0, 1), got {level}")
         # n ratings read the entry at n - 1 degrees of freedom
-        return _t_critical_table(level, self._most_raters)
+        table = _t_critical_table(level, self._most_raters)
+        _read_only(user_means, item_means, leaf_of)
+        args = (*self._arrays, table, user_means, item_means, leaf_of, float(global_mean), float(gamma), float(lo),
+                float(hi))
+        return _loops.bind_cobar_query(*args, False), _loops.bind_cobar_query(*args, True)

@@ -1,10 +1,9 @@
 /* Compiled kernels, eight loops: the cosine distance pass and the Ward
  * merge loop of cobar's user hierarchy, the SGD epoch of the biased matrix
- * factorization baseline, the query of the cosine kNN baselines, cobar's
- * per-item cluster statistics, whose build and query are one function
- * each, cobar's whole prediction over that query's walk, the tokenizer of
- * a rating file, and the counting sort that lays the ratings out in CSR
- * form.
+ * factorization baseline, the query of the cosine kNN baselines, the build
+ * of cobar's per-item cluster statistics, cobar's whole prediction, which
+ * walks them, the tokenizer of a rating file, and the counting sort that
+ * lays the ratings out in CSR form.
  *
  * `cosine_rows` fills the condensed distances that
  * `cobar.kernels._python.cosine_rows` fills with `np.bincount`, summing
@@ -59,9 +58,9 @@
  * of the two ranges its gap joins with the left one first, but walks each
  * gap up the tree as it reaches it and pops the gaps off a stack, where
  * the numpy loop walks and joins all gaps in rounds.  `stats_walk` runs
- * the steps of `cobar.kernels._python._stats_walk`, for `stats_query` and
- * for cobar's prediction, whose `cobar_value` and `cobar_detail` walk the
- * fallback chain of `_python.cobar_detail` around it, blend and clamp.
+ * the steps of `cobar.kernels._python._stats_walk` for cobar's prediction,
+ * whose `cobar_value` and `cobar_detail` walk the fallback chain of
+ * `_python.cobar_detail` around it, blend and clamp.
  *
  * `csr_fill` lays the rating triples out in CSR form, each row sorted, by
  * a two-pass counting sort; `cobar.kernels._python.csr_fill` argsorts, and
@@ -76,11 +75,11 @@
  * parse.
  *
  * The queries run once per prediction, so they are bound: a
- * `bind_knn_query`, `bind_stats_query` or `bind_cobar_query` call takes
- * the arrays once and returns a `BoundQuery`, which holds their buffers
- * until it is freed and whose call reads the two indices of a query and
- * checks them against the sizes it found in the arrays at the bind, so no
- * caller checks them again.  The bound kNN query also owns its work
+ * `bind_knn_query` or `bind_cobar_query` call takes the arrays once and
+ * returns a `BoundQuery`, which holds their buffers until it is freed and
+ * whose call reads the two indices of a query and checks them against the
+ * sizes it found in the arrays at the bind, so no caller checks them
+ * again.  The bound kNN query also owns its work
  * buffers, allocated once at the bind, so a query allocates nothing.
  *
  * No loop checks its arrays: `cobar.kernels` checks every shape, element
@@ -986,9 +985,9 @@ similarity(double dot, double norm_e, double norm_nb)
 /* A query loop bound to its arrays: `views` holds the buffers of a
  * `bind_*` call's arrays, released when the object is freed, and `k` and
  * the four work buffers, one allocation at `neighbours` freed with the
- * object, are the kNN query's; the four numbers and the labels after them
- * are cobar's prediction's.  A call reads the query's two indices, checks
- * each against its size, raising `error` worded by `format` for one out of
+ * object, are the kNN query's; the four numbers after them are cobar's
+ * prediction's.  A call reads the query's two indices, checks each
+ * against its size, raising `error` worded by `format` for one out of
  * range, and runs `run` on them. */
 typedef struct BoundQuery BoundQuery;
 
@@ -1003,7 +1002,6 @@ struct BoundQuery {
     Py_ssize_t k;
     double *neighbours, *scratch, *sims, *terms;
     double global_mean, gamma, lo, hi;
-    PyObject *labels;       /* owned: a tuple of the five fallbacks */
     int n_views;
     Py_buffer views[9];
 };
@@ -1052,7 +1050,6 @@ bound_dealloc(PyObject *op)
     for (int a = 0; a < self->n_views; a++)
         PyBuffer_Release(&self->views[a]);
     PyMem_Free(self->neighbours);
-    Py_XDECREF(self->labels);
     Py_TYPE(op)->tp_free(op);
 }
 
@@ -1356,12 +1353,12 @@ typedef struct {
 } Interval;
 
 /* The walk of `_python._stats_walk` on the arrays of `stats_build`, the
- * first six views of a bound stats or cobar query: the leaf positions, the
- * node ranges and parents `nodes` (3 rows) and the t quantiles by degrees
- * of freedom, for a leaf and an item its caller checked.  Returns 1 with
- * the narrowest interval in `best`, or 0 when no cluster on the leaf's
- * path holds two ratings of the item.  The stats query and both cobar
- * runs walk through it, so every backend has one walk. */
+ * first six views of a bound cobar query: the leaf positions, the node
+ * ranges and parents `nodes` (3 rows) and the t quantiles by degrees of
+ * freedom, for a leaf and an item its caller checked.  Returns 1 with the
+ * narrowest interval in `best`, or 0 when no cluster on the leaf's path
+ * holds two ratings of the item.  Both cobar runs walk through it, so
+ * every backend has one walk. */
 static int
 stats_walk(const Py_buffer *buf, Py_ssize_t leaf, Py_ssize_t item, Interval *best)
 {
@@ -1419,38 +1416,8 @@ stats_walk(const Py_buffer *buf, Py_ssize_t leaf, Py_ssize_t item, Interval *bes
     return found;
 }
 
-/* The query of `_python.stats_query`: (node, half_width, n, total) or None. */
-static PyObject *
-stats_query(BoundQuery *bound, Py_ssize_t leaf, Py_ssize_t item)
-{
-    Interval best;
-    if (!stats_walk(bound->views, leaf, item, &best))
-        Py_RETURN_NONE;
-    return Py_BuildValue("(ndnd)", best.node, best.half_width, best.n, best.total);
-}
-
-/* The cluster statistics query bound to the five arrays of
- * `cobar.kernels.ClusterStatsIndex` and one level's t quantiles.  Its
- * leaves are the first half of the tree's 2n - 1 nodes, its items the
- * index's. */
-static PyObject *
-bind_stats_query(PyObject *module, PyObject *args)
-{
-    BoundQuery *bound = bound_new(stats_query, "leaf", "item");
-    if (bound == NULL)
-        return NULL;
-    Py_buffer *b = bound->views;
-    if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*:bind_stats_query", &b[0], &b[1], &b[2], &b[3], &b[4], &b[5])) {
-        Py_DECREF(bound);
-        return NULL;
-    }
-    bound->n_views = 6;
-    bound->sizes[0] = (b[4].len / (Py_ssize_t)(3 * sizeof(int64_t)) + 1) / 2;
-    bound->sizes[1] = b[0].len / (Py_ssize_t)(2 * sizeof(int64_t)) - 1;
-    return (PyObject *)bound;
-}
-
-/* The fallbacks of cobar's chain, in the order of its labels. */
+/* The fallbacks of cobar's chain: the codes the detail run returns, in
+ * the order of `cobar.core.Fallback`. */
 enum { INTERVAL, SINGLE_RATING, COLD_ITEM, COLD_USER, UNCLUSTERED_USER };
 
 /* A prediction of `cobar_answer`: its clamped value, fallback and user
@@ -1462,8 +1429,8 @@ typedef struct {
 } Answer;
 
 /* The chain of `_python.cobar_detail` for a user and an item the bound
- * call checked, on the views of `bind_cobar_query`: the stats query's six,
- * then the user means, item means and leaves.  The blend and the clamp
+ * call checked, on the views of `bind_cobar_query`: the walk's six, then
+ * the user means, item means and leaves.  The blend and the clamp
  * keep the bits of the numpy run's Python floats. */
 static void
 cobar_answer(const BoundQuery *bound, Py_ssize_t user, Py_ssize_t item, Answer *out)
@@ -1506,30 +1473,32 @@ cobar_value(BoundQuery *bound, Py_ssize_t user, Py_ssize_t item)
     return PyFloat_FromDouble(answer.value);
 }
 
-/* `_python.cobar_detail`: (value, label, node, size, cluster_mean,
- * half_width, user_mean), None where the fallback has no such field; a
- * node's size is its range of leaf positions. */
+/* `_python.cobar_detail`: (value, fallback, node, size, cluster_mean,
+ * half_width, user_mean), the fallback's code an int, None where the
+ * fallback has no such field; a node's size is its range of leaf
+ * positions. */
 static PyObject *
 cobar_detail(BoundQuery *bound, Py_ssize_t user, Py_ssize_t item)
 {
     Answer answer;
     cobar_answer(bound, user, item, &answer);
-    PyObject *label = PyTuple_GET_ITEM(bound->labels, answer.fallback);
     if (answer.fallback == COLD_USER)
-        return Py_BuildValue("(dOOOOOO)", answer.value, label, Py_None, Py_None, Py_None, Py_None, Py_None);
+        return Py_BuildValue("(diOOOOO)", answer.value, answer.fallback, Py_None, Py_None, Py_None, Py_None,
+                             Py_None);
     if (answer.fallback != INTERVAL)
-        return Py_BuildValue("(dOOOOOd)", answer.value, label, Py_None, Py_None, Py_None, Py_None,
+        return Py_BuildValue("(diOOOOd)", answer.value, answer.fallback, Py_None, Py_None, Py_None, Py_None,
                              answer.user_mean);
     const int64_t *lows = bound->views[4].buf;
     Py_ssize_t node = answer.interval.node, n_nodes = bound->views[4].len / (Py_ssize_t)(3 * sizeof(int64_t));
-    return Py_BuildValue("(dOnnddd)", answer.value, label, node, (Py_ssize_t)(lows[n_nodes + node] - lows[node]),
-                         answer.mean, answer.interval.half_width, answer.user_mean);
+    return Py_BuildValue("(dinnddd)", answer.value, answer.fallback, node,
+                         (Py_ssize_t)(lows[n_nodes + node] - lows[node]), answer.mean, answer.interval.half_width,
+                         answer.user_mean);
 }
 
-/* Cobar's prediction bound to the stats query's six arrays, the user
- * means, item means and leaves, the global mean, gamma, the clamp bounds
- * and a tuple of the five fallback labels, all checked by
- * `cobar.kernels.ClusterStatsIndex.bind_prediction`: `cobar_detail` when
+/* Cobar's prediction bound to the five arrays of
+ * `cobar.kernels.ClusterStatsIndex` and one level's t quantiles, the user
+ * means, item means and leaves, the global mean, gamma and the clamp
+ * bounds, all checked by `ClusterStatsIndex.bind`: `cobar_detail` when
  * `detailed`, `cobar_value` otherwise.  Its users are the user means',
  * its items the item means', and an index out of range raises the
  * ValueError of `_PredictorMixin.predict`. */
@@ -1540,17 +1509,14 @@ bind_cobar_query(PyObject *module, PyObject *args)
     if (bound == NULL)
         return NULL;
     Py_buffer *b = bound->views;
-    PyObject *labels;
     int detailed;
-    if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*y*y*y*ddddO!p:bind_cobar_query", &b[0], &b[1], &b[2], &b[3], &b[4],
+    if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*y*y*y*ddddp:bind_cobar_query", &b[0], &b[1], &b[2], &b[3], &b[4],
                           &b[5], &b[6], &b[7], &b[8], &bound->global_mean, &bound->gamma, &bound->lo, &bound->hi,
-                          &PyTuple_Type, &labels, &detailed)) {
+                          &detailed)) {
         Py_DECREF(bound);
         return NULL;
     }
     bound->n_views = 9;
-    Py_INCREF(labels);
-    bound->labels = labels;
     bound->run = detailed ? cobar_detail : cobar_value;
     bound->error = PyExc_ValueError;
     bound->format = "%s index %S out of range";
@@ -1756,16 +1722,12 @@ static PyMethodDef methods[] = {
     {"stats_build", stats_build, METH_VARARGS,
      "stats_build(index, positions, ratings, nodes, gap_nodes, gaps)\n--\n\n"
      "The build of `cobar.kernels.ClusterStatsIndex`, which lays out its arguments."},
-    {"bind_stats_query", bind_stats_query, METH_VARARGS,
-     "bind_stats_query(index, positions, gap_nodes, gaps, nodes, t_critical)\n--\n\n"
-     "The query of `cobar.kernels.ClusterStatsIndex`, which lays out its arrays, bound to them and one"
-     " level's t quantiles: a `query(leaf, item)` that checks its two indices."},
     {"bind_cobar_query", bind_cobar_query, METH_VARARGS,
      "bind_cobar_query(index, positions, gap_nodes, gaps, nodes, t_critical, user_means, item_means, leaf_of,"
-     " global_mean, gamma, lo, hi, labels, detailed)\n--\n\n"
-     "Cobar's prediction of `cobar.kernels.ClusterStatsIndex.bind_prediction`, which checks its arguments,"
-     " bound to them: a `predict(user, item)` that checks its two indices and returns the float, or with"
-     " `detailed` the tuple of a `Prediction`."},
+     " global_mean, gamma, lo, hi, detailed)\n--\n\n"
+     "Cobar's prediction of `cobar.kernels.ClusterStatsIndex.bind`, which checks its arguments, bound to"
+     " them: a `predict(user, item)` that checks its two indices and returns the float, or with `detailed`"
+     " the fields of a `Prediction`, its fallback as a code."},
     {"tokenize", tokenize, METH_VARARGS,
      "tokenize(data, delimiter, skip_header, users, items, ratings)\n--\n\n"
      "The compiled tokenizer of `cobar.kernels.tokenize`, which sizes the three columns:"
@@ -1778,7 +1740,7 @@ static PyMethodDef methods[] = {
  * to what a loop checks itself, so that an extension built from older
  * source is rejected instead of reading arguments laid out for another or
  * trusting a check no entry makes any more. */
-#define LAYOUT 9
+#define LAYOUT 10
 
 static int
 exec_module(PyObject *module)
@@ -1798,7 +1760,7 @@ static PyModuleDef_Slot slots[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_compiled",
-    "Compiled cosine distances, Ward merge loop, MF SGD epoch, kNN query, cluster statistics, cobar's"
+    "Compiled cosine distances, Ward merge loop, MF SGD epoch, kNN query, cluster statistics build, cobar's"
     " prediction, rating-file tokenizer and CSR layout.", 0, methods,
     slots,
 };

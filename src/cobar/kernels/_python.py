@@ -12,11 +12,11 @@ differ, the order of every sum is kept: the CSR layout sorts where the
 compiled one counts, which the unique pairs make the same order, the
 stats build joins its gaps in rounds where the compiled one pops them off
 a stack, and the kNN query sums every dot product of the entity where the
-compiled one sums those it reads.  The queries (the kNN query, the stats
-query and cobar's two prediction runs over the stats query's walk) are
-bound to their arrays once, as compiled, here with `functools.partial`,
-over the same arrays: the compiled kNN query allocates its work buffers
-itself when it is bound.  Where the compiled cosine pass and Ward loop
+compiled one sums those it reads.  The queries (the kNN query and cobar's
+two prediction runs over one interval walk) are bound to their arrays
+once, as compiled, here with `functools.partial`, over the same arrays:
+the compiled kNN query allocates its work buffers itself when it is
+bound.  Where the compiled cosine pass and Ward loop
 choose a thread count of their own, these run on the calling thread.  The
 compiled tokenizer has no numpy twin: its `tokenize` here declines every
 input.
@@ -375,8 +375,8 @@ def stats_build(index: np.ndarray, positions: np.ndarray, ratings: np.ndarray, n
 
 def _stats_walk(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray, gaps: np.ndarray,
                 nodes: np.ndarray, t_critical: np.ndarray, leaf: int, item: int) -> tuple | None:
-    """The interval walk of `stats_query` and `cobar_detail`, on a leaf and
-    an item their callers checked: ``(node, half_width, n, total)`` of the
+    """The interval walk of `cobar_detail`, on a leaf and an item it
+    checked: ``(node, half_width, n, total)`` of the
     narrowest interval on the leaf's path to the root, or None.
 
     The window ``[a, b)`` of the item's raters inside the current node
@@ -422,40 +422,28 @@ def _stats_walk(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray,
     return best
 
 
-def stats_query(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray, gaps: np.ndarray,
-                nodes: np.ndarray, t_critical: np.ndarray, leaf: int, item: int) -> tuple | None:
-    """The query of `cobar.kernels.ClusterStatsIndex`, which lays out the
-    arrays: `_stats_walk` once it has checked `leaf` against the first half
-    of the tree's 2n - 1 nodes and `item` against the index."""
-    leaf, item = _check_indices(("leaf", "item"), ((nodes.shape[1] + 1) // 2, index.shape[1] - 1), leaf, item)
-    return _stats_walk(index, positions, gap_nodes, gaps, nodes, t_critical, leaf, item)
-
-
-def bind_stats_query(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray, gaps: np.ndarray,
-                     nodes: np.ndarray, t_critical: np.ndarray) -> functools.partial:
-    """`stats_query` bound to the arrays of `cobar.kernels.ClusterStatsIndex`
-    and one level's t quantiles: a `query(leaf, item)` that checks its
-    indices, as the compiled bind returns one."""
-    return functools.partial(stats_query, index, positions, gap_nodes, gaps, nodes, t_critical)
+# the fallbacks of `cobar_detail`, as codes in the order of `cobar.core.Fallback`
+INTERVAL, SINGLE_RATING, COLD_ITEM, COLD_USER, UNCLUSTERED_USER = range(5)
 
 
 def cobar_detail(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray, gaps: np.ndarray,
                  nodes: np.ndarray, t_critical: np.ndarray, user_means: np.ndarray, item_means: np.ndarray,
-                 leaf_of: np.ndarray, global_mean: float, gamma: float, lo: float, hi: float, labels: tuple,
-                 user: int, item: int) -> tuple:
-    """Cobar's prediction of `cobar.kernels.ClusterStatsIndex.bind_prediction`,
-    which checks the arrays: ``(value, label, node, size, cluster_mean,
-    half_width, user_mean)``, the fields of a `cobar.core.Prediction`.
+                 leaf_of: np.ndarray, global_mean: float, gamma: float, lo: float, hi: float, user: int,
+                 item: int) -> tuple:
+    """Cobar's prediction of `cobar.kernels.ClusterStatsIndex.bind`, which
+    checks the arrays: ``(value, fallback, node, size, cluster_mean,
+    half_width, user_mean)``, the fields of a `cobar.core.Prediction` with
+    the fallback as its code.
 
     Both indices are read by `operator.index`, then `ValueError` names the
     user and then the item out of range, as `_PredictorMixin.predict`
     words it.  The fallback chain, in order: a user with a NaN mean gets
-    the global mean, `labels[3]`, and no user mean; one without a leaf, -1
-    in `leaf_of`, gets the user's mean, `labels[4]`; the narrowest interval
-    of `_stats_walk` on the leaf's path gets the blend ``gamma * user_mean
-    + (1 - gamma) * total / n``, `labels[0]`, with the node, its size and
-    the mean; then an item with a NaN mean gets the user's mean,
-    `labels[2]`, and any other item too, `labels[1]`.  The value is then
+    the global mean, `COLD_USER`, and no user mean; one without a leaf, -1
+    in `leaf_of`, gets the user's mean, `UNCLUSTERED_USER`; the narrowest
+    interval of `_stats_walk` on the leaf's path gets the blend ``gamma *
+    user_mean + (1 - gamma) * total / n``, `INTERVAL`, with the node, its
+    size and the mean; then an item with a NaN mean gets the user's mean,
+    `COLD_ITEM`, and any other item too, `SINGLE_RATING`.  The value is then
     clamped to [lo, hi] by two comparisons, which let NaN pass.
     """
     user, item = operator.index(user), operator.index(item)
@@ -465,23 +453,23 @@ def cobar_detail(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray
         raise ValueError(f"item index {item} out of range")
     user_mean, leaf, chosen = float(user_means[user]), int(leaf_of[user]), (None,) * 4
     if user_mean != user_mean:
-        label, value, user_mean = labels[3], global_mean, None
+        fallback, value, user_mean = COLD_USER, global_mean, None
     elif leaf < 0:
-        label, value = labels[4], user_mean
+        fallback, value = UNCLUSTERED_USER, user_mean
     elif (interval := _stats_walk(index, positions, gap_nodes, gaps, nodes, t_critical, leaf, item)) is not None:
         node, half_width, n, total = interval
         mean = total / n
         chosen = (node, int(nodes[1, node] - nodes[0, node]), mean, half_width)
-        label, value = labels[0], gamma * user_mean + (1.0 - gamma) * mean
+        fallback, value = INTERVAL, gamma * user_mean + (1.0 - gamma) * mean
     elif item_means[item] != item_means[item]:
-        label, value = labels[2], user_mean
+        fallback, value = COLD_ITEM, user_mean
     else:
-        label, value = labels[1], user_mean
+        fallback, value = SINGLE_RATING, user_mean
     if value < lo:
         value = lo
     if value > hi:
         value = hi
-    return (value, label, *chosen, user_mean)
+    return (value, fallback, *chosen, user_mean)
 
 
 def cobar_value(*args) -> float:
@@ -491,13 +479,13 @@ def cobar_value(*args) -> float:
 
 def bind_cobar_query(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray, gaps: np.ndarray,
                      nodes: np.ndarray, t_critical: np.ndarray, user_means: np.ndarray, item_means: np.ndarray,
-                     leaf_of: np.ndarray, global_mean: float, gamma: float, lo: float, hi: float, labels: tuple,
+                     leaf_of: np.ndarray, global_mean: float, gamma: float, lo: float, hi: float,
                      detailed: bool) -> functools.partial:
     """`cobar_detail`, or `cobar_value` when not `detailed`, bound to every
     argument but the query's two indices, as the compiled bind returns one."""
     run = cobar_detail if detailed else cobar_value
     return functools.partial(run, index, positions, gap_nodes, gaps, nodes, t_critical, user_means, item_means,
-                             leaf_of, global_mean, gamma, lo, hi, labels)
+                             leaf_of, global_mean, gamma, lo, hi)
 
 
 def tokenize(data: bytes, delimiter: bytes, skip_header: bool, users: np.ndarray, items: np.ndarray,

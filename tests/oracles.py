@@ -643,7 +643,8 @@ class CobarReference:
         choice = None
         if leaf >= 0:
             chain = ancestor_chain_reference(self.dendrogram, leaf)
-            choice = select_optimal_cluster_reference(chain, item, self.stats, self.dendrogram.sizes)
+            sizes = self.dendrogram.nodes[1] - self.dendrogram.nodes[0]
+            choice = select_optimal_cluster_reference(chain, item, self.stats, sizes)
         if choice is None:
             if leaf < 0:
                 fallback = Fallback.UNCLUSTERED_USER
@@ -668,13 +669,21 @@ class CobarReference:
         )
 
 
+@lru_cache(maxsize=4)
+def _item_stats_dict(dendrogram, train) -> ClusterItemStats:
+    """`build_item_stats_dict` once per hierarchy and training set, both
+    hashed by identity."""
+    return build_item_stats_dict(dendrogram, train)
+
+
 def composed_prediction(model, train, user, item):
     """The prediction of a predictor fit on `train` for an in-range (user,
     item), built from public pieces one call at a time: the training set's
     means with a fresh `KnnIndex.query` for the kNNs, ``float(U[u] @
-    V[i])`` for MF, a fresh `ClusterStatsIndex.bind` queried at the user's
-    leaf for cobar, and ``min(max(value, lo),
-    hi)`` with the training scale for the clamp."""
+    V[i])`` for MF, the dict maps of `build_item_stats_dict` walked by
+    `select_optimal_cluster_dict` along the chain of the user's leaf for
+    cobar, and ``min(max(value, lo), hi)`` with the training scale for the
+    clamp."""
     from cobar import CobarModel, ItemKnn, MatrixFactorization, MostPopular, UserKnn
     from cobar.kernels import KnnIndex
 
@@ -705,9 +714,11 @@ def composed_prediction(model, train, user, item):
         if math.isnan(mean):
             value = model.user_stats.global_mean
         elif user in leaves:
-            choice = model.stats.bind(model.config.confidence_level)(leaves.index(user), item)
+            stats = _item_stats_dict(model.dendrogram, train)
+            chain = ancestor_chain_reference(model.dendrogram, leaves.index(user)).tolist()
+            choice = select_optimal_cluster_dict(chain, item, stats, model.config.confidence_level)
         if choice is not None:
-            _, _, n, total = choice
+            n, total = stats.items_at(choice[0])[item][:2]
             gamma = model.config.gamma
             value = gamma * mean + (1.0 - gamma) * (total / n)
         elif not math.isnan(mean):

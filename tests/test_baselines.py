@@ -16,7 +16,8 @@ from cobar.data import _ReadOnlyState, fold_train_test
 from cobar.evaluation import build_algorithms
 from cobar.kernels import _python
 from conftest import RATING_SCALES, benchmark_dataset, make_dataset, random_grid_dataset
-from oracles import composed_prediction, dense_ratings, knn_prediction, mf_training_mse
+from oracles import (ancestor_chain_reference, build_item_stats_dict, composed_prediction, dense_ratings,
+                     knn_prediction, mf_training_mse, select_optimal_cluster_dict)
 
 
 class TestConfigChecks:
@@ -551,8 +552,7 @@ def test_pickled_model_keeps_its_arrays_read_only(kernel_backend, two_clusters_d
     train = two_clusters_dataset
     loaded_train, loaded = pickle.loads(pickle.dumps((train, CobarModel().fit(train))))
     arrays = {**{name: getattr(loaded_train, name) for name in ("users", "items", "ratings")},
-              **{name: getattr(loaded.dendrogram, name)
-                 for name in ("merges", "heights", "leaf_users", "sizes", "nodes")}}
+              **{name: getattr(loaded.dendrogram, name) for name in ("merges", "heights", "leaf_users", "nodes")}}
     for name, array in arrays.items():
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
@@ -680,13 +680,20 @@ def _protocol_classes(cls=_ReadOnlyState):
     return found
 
 
+def _fitted_state(dataset):
+    """A new training set of `dataset`, fitted state of each class of the
+    fitted-state protocol on it, and the five predictors fit on it, all
+    built anew on every call; the training set first, then cobar."""
+    train = dataset.subset(np.arange(dataset.n_ratings))
+    models = {name: make().fit(train) for name, make in PREDICTORS.items()}
+    cobar = models["cobar"]
+    return [train, train.user_stats, cobar.dendrogram, cobar.stats, models["uknn"]._index, *models.values()]
+
+
 def test_every_declared_attribute_is_set(kernel_backend, two_clusters_dataset):
     # a name in `_READ_ONLY` or `_BOUND` that no instance sets, a typo say,
     # would leave an array writable or a bound query in a pickle
-    train = two_clusters_dataset.subset(np.arange(two_clusters_dataset.n_ratings))
-    models = {name: make().fit(train) for name, make in PREDICTORS.items()}
-    cobar = models["cobar"]
-    instances = [train, train.user_stats, cobar.dendrogram, cobar.stats, models["uknn"]._index, *models.values()]
+    instances = _fitted_state(two_clusters_dataset)
     assert {type(obj) for obj in instances} == _protocol_classes()
     for obj in instances:
         for name in type(obj)._READ_ONLY:
@@ -696,10 +703,41 @@ def test_every_declared_attribute_is_set(kernel_backend, two_clusters_dataset):
         for name in type(obj)._BOUND:
             assert vars(obj).get(name) is not None, (type(obj).__name__, name)
     # the fit bound its prediction at its level: leaf 0's user picks the
-    # node and half-width of the index's query at that level
-    node, half_width, _, _ = cobar.stats.bind(cobar.config.confidence_level)(0, 0)
+    # node and half-width of the reference walk at that level
+    train, cobar = instances[0], instances[5]
+    chain = ancestor_chain_reference(cobar.dendrogram, 0).tolist()
+    stats = build_item_stats_dict(cobar.dendrogram, train)
+    node, half_width = select_optimal_cluster_dict(chain, 0, stats, cobar.config.confidence_level)
     picked = cobar.predict_detailed(cobar.dendrogram.leaf_users[0], 0)
     assert (picked.chosen_node, repr(picked.half_width)) == (node, repr(half_width))
+
+
+def test_pickling_leaves_the_instance_dict_unmade(kernel_backend, two_clusters_dataset):
+    # pickling reads, and loading sets, the named attributes one by one:
+    # once CPython 3.11 makes an instance's `__dict__`, every later
+    # attribute read of it is slower, and `gc.get_referents` lists that
+    # dict in place of the attribute values
+    unfitted = [make() for make in PREDICTORS.values()]
+    for obj in [*_fitted_state(two_clusters_dataset), *unfitted]:
+        loaded = pickle.loads(pickle.dumps(obj))
+        for which in (obj, loaded):
+            # an unfitted model's `_limits` is its class's None
+            values = [value for value in which.__getstate__().values() if value is not None]
+            referents = gc.get_referents(which)
+            # the attribute values, among them the training set's cache, a dict
+            assert all(any(ref is value for ref in referents) for value in values), type(obj).__name__
+            dicts = [ref for ref in referents if type(ref) is dict]
+            assert all(any(ref is value for value in values) for ref in dicts), type(obj).__name__
+
+
+def test_a_pickle_holds_every_attribute_but_the_bound_ones(kernel_backend, two_clusters_dataset):
+    # the names a pickle holds are fixed per class: compared with the
+    # attributes of a separate fit, whose `vars` makes its dict, so that
+    # an attribute a fit adds cannot drop out of a pickle unseen
+    pickled = [obj.__getstate__() for obj in _fitted_state(two_clusters_dataset)]
+    for state, obj in zip(pickled, _fitted_state(two_clusters_dataset)):
+        bound = set(type(obj)._BOUND)
+        assert not bound & state.keys() and vars(obj).keys() == state.keys() | bound, type(obj).__name__
 
 
 def _cached_properties(cls):
@@ -708,36 +746,35 @@ def _cached_properties(cls):
 
 
 def test_no_fitted_state_defines_a_cached_property():
-    # `_ReadOnlyState.__getstate__` pickles the whole instance dict: a
-    # cached value there would be pickled as an array that no `_READ_ONLY`
-    # names, so the load would not freeze it
+    # a cached value lives in the instance dict, which it makes, so every
+    # later attribute read of the instance is slower, and no pickle holds it
     classes = _protocol_classes()
     assert {"Dendrogram", "ClusterStatsIndex", "CobarModel"} <= {cls.__name__ for cls in classes}
     assert not {(cls.__name__, name) for cls in classes for name in _cached_properties(cls)}
 
 
-def test_a_dendrogram_pickles_to_its_five_arrays(kernel_backend):
-    # the tree holds its five arrays and no Python object per leaf or node:
+def test_a_dendrogram_pickles_to_its_four_arrays(kernel_backend):
+    # the tree holds its four arrays and no Python object per leaf or node:
     # its pickle is their bytes plus a constant, about 400 bytes with
     # numpy 2.4 on CPython 3.11 (a tuple per leaf added 3.6 kB here)
     train = random_grid_dataset(np.random.default_rng(26), max_users=300, max_items=40)
     tree = CobarModel().fit(train).dendrogram
     assert tree.n_leaves > 100
-    assert vars(tree).keys() == set(type(tree)._READ_ONLY) == {"merges", "heights", "leaf_users", "sizes", "nodes"}
+    assert vars(tree).keys() == set(type(tree)._READ_ONLY) == {"merges", "heights", "leaf_users", "nodes"}
     arrays = [getattr(tree, name) for name in type(tree)._READ_ONLY]
     assert all(type(array) is np.ndarray for array in arrays)
     assert len(pickle.dumps(tree)) < sum(array.nbytes for array in arrays) + 512
 
 
 def test_a_cluster_stats_index_pickles_to_its_arrays(kernel_backend):
-    # the index holds what its query reads, its five arrays and four ints,
+    # the index holds what its query reads, its five arrays and three ints,
     # and no copy of the ratings: its pickle is the arrays' bytes plus about
     # 490 bytes with numpy 2.4 on CPython 3.11 (a copy added 8 bytes per
     # clustered rating, 19.5 kB here)
     train = random_grid_dataset(np.random.default_rng(26), max_users=300, max_items=40)
     stats = CobarModel().fit(train).stats
     assert stats.n_entries > 4_000
-    assert vars(stats).keys() == {"_arrays", "n_leaves", "n_nodes", "n_items", "_most_raters"}
+    assert vars(stats).keys() == {"_arrays", "n_leaves", "n_items", "_most_raters"}
     assert len(pickle.dumps(stats)) < sum(array.nbytes for array in stats._arrays) + 1024
 
 

@@ -241,7 +241,7 @@ def check_dendrogram_invariants(dend: Dendrogram):
     for node in range(dend.n_nodes):
         assert sorted(np.flatnonzero((lows[:n] >= lows[node]) & (lows[:n] < highs[node]))) == \
             sorted(leaves_under(dend, node).tolist())
-        assert highs[node] - lows[node] == dend.sizes[node]
+        assert highs[node] - lows[node] == len(leaves_under(dend, node))
     # sibling memberships are disjoint and union to the parent
     for m, (left, right) in enumerate(dend.merges):
         node = n + m
@@ -249,7 +249,7 @@ def check_dendrogram_invariants(dend: Dendrogram):
         right_set = set(leaves_under(dend, int(right)).tolist())
         assert not left_set & right_set
         assert left_set | right_set == set(leaves_under(dend, node).tolist())
-        assert dend.sizes[node] == len(left_set) + len(right_set)
+        assert highs[node] - lows[node] == len(left_set) + len(right_set)
 
 
 class TestDendrogramChecksInputs:
@@ -279,7 +279,7 @@ class TestDendrogramChecksInputs:
         given = {name: getattr(dend, name).copy() for name in ("merges", "heights", "leaf_users")}
         kept = {name: array.copy() for name, array in given.items()}
         built = Dendrogram(**given)
-        for name in ("merges", "heights", "leaf_users", "sizes", "nodes"):
+        for name in ("merges", "heights", "leaf_users", "nodes"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(built, name)[0] = 0
         for name, array in given.items():
@@ -338,7 +338,7 @@ class TestDendrogramStructure:
         dend = agglomerate(demo_dataset)
         chain = dend.ancestor_chain(0)
         assert chain.tolist() == [0, 5, 6, 8]
-        assert dend.sizes[chain].tolist() == [1, 2, 3, 5]
+        assert (dend.nodes[1] - dend.nodes[0])[chain].tolist() == [1, 2, 3, 5]
 
     def test_unknown_leaf_rejected(self):
         ds = make_dataset([("a", "x", 4.0), ("b", "y", 3.0)])

@@ -1,6 +1,7 @@
 """Confidence intervals, per-cluster stats aggregation, cluster selection,
 and the blended prediction, checked against from-scratch recomputation."""
 
+import functools
 import gc
 import math
 from collections import Counter
@@ -121,7 +122,7 @@ class TestBuildItemStats:
         stats = build_item_stats(dend, ds)
         assert node_items(stats, dend, ds, 2) == {0: (2, 6.0, 20.0, 2.0, 4.0)}
         # the leaf's single rating gives no interval, so the parent is chosen
-        assert stats.bind(0.95)(0, 0)[0] == 2
+        assert CobarModel().fit(ds).predict_detailed(ds.user_index("a"), 0).chosen_node == 2
 
     def test_root_equals_global(self):
         rng = np.random.default_rng(14)
@@ -188,17 +189,25 @@ class TestClusterStatsIndex:
                 entries = [node_items(stats, dend, ds, node) for node in range(dend.n_nodes)]
                 assert entries == reference._maps
                 assert list(map(len, entries)) == list(map(len, reference._maps))
+                sizes = dend.nodes[1] - dend.nodes[0]
                 for level in (0.9, 0.95, 0.99):
-                    query = stats.bind(level)
+                    _, detail = stats.bind(level, model.user_stats.means, model.item_stats.means, model._leaf_of,
+                                           model.user_stats.global_mean, 0.5, -math.inf, math.inf)
                     for leaf in range(dend.n_leaves):
                         chain = ancestor_chain_reference(dend, leaf).tolist()
                         for item in range(ds.n_items):
                             want = select_optimal_cluster_dict(chain, item, reference, level)
-                            if want is not None:
-                                want = (*want, *reference.items_at(want[0])[item][:2])
+                            if want is None:
+                                want = (None,) * 4
+                            else:
+                                node, half_width = want
+                                n, total = reference.items_at(node)[item][:2]
+                                want = (node, int(sizes[node]), total / n, half_width)
                                 chosen += 1
-                            # repr tells -0.0 from 0.0 and numpy scalars from Python ones
-                            assert repr(query(leaf, item)) == repr(want)
+                            # the chosen node, its size, mean and half-width; repr
+                            # tells -0.0 from 0.0 and numpy scalars from Python ones
+                            got = detail(int(dend.leaf_users[leaf]), item)[2:6]
+                            assert repr(got) == repr(want)
                             queries += 1
             assert chosen > queries // 4
 
@@ -209,12 +218,12 @@ class TestClusterStatsIndex:
         datasets = [demo_dataset, random_grid_dataset(rng, max_users=60, max_items=40),
                     random_grid_dataset(rng, max_users=60, max_items=40, draw=RATING_SCALES["int_0_10_zeros"])]
         for ds in datasets:
-            dend = agglomerate(ds)
-            stats = build_item_stats(dend, ds)
+            model = CobarModel().fit(ds)
+            dend, stats = model.dendrogram, model.stats
             clustered = np.isin(ds.users, dend.leaf_users)
             raters = np.bincount(ds.items[clustered], minlength=ds.n_items)
             assert stats.n_entries == int(np.sum(2 * raters[raters > 0] - 1)) <= 2 * ds.n_ratings
-            stats.bind(0.95)(0, 0)   # a bound query leaves nothing on the index
+            model.predict(int(dend.leaf_users[0]), 0)   # a bound query leaves nothing on the index
             objects, arrays, stack = 0, 0, [vars(stats)]
             while stack:
                 obj = stack.pop()
@@ -240,14 +249,24 @@ def _count(model, train, node, item):
     return entry[0] if entry else 0
 
 
+def _chosen(model, leaf, item):
+    """``(node, half_width, size, mean)`` of the cluster the model's
+    prediction for the user at `leaf` and the item chose, None when a
+    fallback fired."""
+    detailed = model.predict_detailed(int(model.dendrogram.leaf_users[leaf]), item)
+    if detailed.fallback is not Fallback.NONE:
+        return None
+    return detailed.chosen_node, detailed.half_width, detailed.cluster_size, detailed.cluster_mean
+
+
 class TestSelectOptimalCluster:
-    """The narrowest-interval query of a fitted model's index, bound at the
-    model's level as its prediction binds it."""
+    """The narrowest-interval choice of a fitted model's query, bound at the
+    model's level."""
 
     def _model(self, rows):
         ds = make_dataset(rows)
         model = CobarModel().fit(ds)
-        return ds, model, model.stats.bind(model.config.confidence_level)
+        return ds, model, functools.partial(_chosen, model)
 
     def test_single_rating_item_yields_none(self):
         ds, model, query = self._model([("a", "x", 4.0), ("a", "z", 3.0), ("b", "y", 2.0), ("b", "z", 4.0)])
@@ -265,9 +284,9 @@ class TestSelectOptimalCluster:
         ds, model, query = self._model(rows)
         item = ds.item_index("x")
         choice = query(0, item)
-        node, half_width, n, total = choice
-        assert model.dendrogram.sizes[node] == 2   # the pair, not the 3-user root
-        assert (half_width, n, total) == (0.0, 2, 6.0)
+        node, half_width, size, mean = choice
+        assert size == 2 == _count(model, ds, node, item)   # the pair, not the 3-user root
+        assert (half_width, mean) == (0.0, 3.0)
 
     def test_smallest_constant_cluster_wins_off_grid(self):
         # every user rates x exactly 0.7: each qualifying node has width 0,
@@ -294,7 +313,7 @@ class TestSelectOptimalCluster:
         for _ in range(10):
             ds = random_grid_dataset(rng, max_users=12, max_items=6)
             model = CobarModel().fit(ds)
-            reference, query = dict_stats(model, ds), model.stats.bind(model.config.confidence_level)
+            reference, query = dict_stats(model, ds), functools.partial(_chosen, model)
             for user in range(ds.n_users):
                 leaf = int(model._leaf_of[user])
                 if leaf < 0:
@@ -577,7 +596,8 @@ class TestPredictIsTheDetailedValue:
                         fallbacks[detailed.fallback] += 1
                         if detailed.fallback is Fallback.NONE:
                             size = detailed.cluster_size
-                            assert type(size) is int and size == model.dendrogram.sizes[detailed.chosen_node]
+                            nodes = model.dendrogram.nodes[:, detailed.chosen_node]
+                            assert type(size) is int and size == nodes[1] - nodes[0]
             assert fallbacks[Fallback.NONE] > 0 and fallbacks[Fallback.COLD_USER] + fallbacks[Fallback.COLD_ITEM] > 0
 
 

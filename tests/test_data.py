@@ -479,6 +479,23 @@ class TestMeanStatsReadOnly:
             loaded.means[0] = 0.0
 
 
+def test_array_holders_compare_by_identity(demo_dataset):
+    # a field-wise `==` would compare arrays, whose truth value numpy
+    # refuses, and leave the classes unhashable
+    from cobar.clustering import Dendrogram, agglomerate
+
+    ds, tree = demo_dataset, agglomerate(demo_dataset)
+    stats = ds.user_stats
+    pairs = [(ds, ds.subset(np.arange(ds.n_ratings))),
+             (stats, MeanStats(means=stats.means.copy(), global_mean=stats.global_mean)),
+             (tree, Dendrogram(tree.merges, tree.heights, tree.leaf_users)),
+             (kfold_split(ds, 5, seed=0), kfold_split(ds, 5, seed=0))]
+    for same, twin in pairs:
+        assert same == same and not same != same
+        assert same != twin and not same == twin
+        assert len({same, twin, same}) == 2
+
+
 class TestKfoldSplit:
     def test_exact_fold_of_one_each(self):
         ds = make_dataset([(f"u{i}", "x", 3.0) for i in range(10)])

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from scipy.special import stdtrit
 
-from cobar import (CobarConfig, CobarModel, Fallback, ItemKnn, KnnConfig, MostPopular, RatingDataset, UserKnn,
+from cobar import (CobarConfig, CobarModel, ItemKnn, KnnConfig, MostPopular, RatingDataset, UserKnn,
                    agglomerate, kernels, kfold_split)
 from cobar.clustering import Dendrogram, clusterable_users
 from cobar.data import fold_train_test
@@ -99,8 +99,8 @@ def _assert_compaction_covered(slots):
     assert {32, 64, 96, 128, 160} <= moved_at
 
 
-LOOPS = ("ward_loop", "sgd_epoch", "bind_knn_query", "stats_build", "bind_stats_query", "bind_cobar_query",
-         "cosine_rows", "tokenize", "csr_fill")
+LOOPS = ("ward_loop", "sgd_epoch", "bind_knn_query", "stats_build", "bind_cobar_query", "cosine_rows", "tokenize",
+         "csr_fill")
 EXTENSION = f"_compiled{sysconfig.get_config_var('EXT_SUFFIX')}"
 REBUILD = "rebuild it with: python setup.py build_ext --inplace --force"
 
@@ -135,26 +135,27 @@ class TestDispatch:
                    kernels.ClusterStatsIndex, kernels.tokenize, kernels.csr_rows)
         assert {entry.__module__ for entry in entries} == {"cobar.kernels"}
 
-    def test_built_extension_selected(self, compiled_build, tmp_path):
+    def test_built_extension_selected(self, compiled_build, compiled_kernels, tmp_path):
         # the package as installed: sources plus the extension beside them
         pkg = _package_copy(tmp_path)
         for ext in (compiled_build / "cobar" / "kernels").glob("_compiled*"):
             shutil.copy(ext, pkg / "kernels")
         assert _kernels_in_fresh_process(tmp_path) == ["c", "cobar.kernels._compiled", *LOOPS]
+        # and nothing else: a loop no entry calls cannot linger in the C source
+        public = {name for name in dir(compiled_kernels) if not name.startswith("_")}
+        assert {name for name in public if callable(getattr(compiled_kernels, name))} == set(LOOPS)
 
     def test_stale_extension_rejected(self):
         # extensions built from older source import, but hold the checked
         # kernels of before, or not every loop
         stale = {"ward_linkage, mf_sgd_epoch": ", ".join(LOOPS),
-                 "ward_loop, sgd_epoch":
-                     "bind_knn_query, stats_build, bind_stats_query, bind_cobar_query, cosine_rows, tokenize, csr_fill",
-                 "ward_loop, sgd_epoch, bind_knn_query":
-                     "stats_build, bind_stats_query, bind_cobar_query, cosine_rows, tokenize, csr_fill",
+                 "ward_loop, sgd_epoch": "bind_knn_query, stats_build, bind_cobar_query, cosine_rows, tokenize, csr_fill",
+                 "ward_loop, sgd_epoch, bind_knn_query": "stats_build, bind_cobar_query, cosine_rows, tokenize, csr_fill",
                  "ward_loop, sgd_epoch, bind_knn_query, stats_build, bind_stats_query":
                      "bind_cobar_query, cosine_rows, tokenize, csr_fill",
                  # an extension from before the queries were bound
                  "ward_loop, sgd_epoch, knn_query, stats_build, stats_query, cosine_rows":
-                     "bind_knn_query, bind_stats_query, bind_cobar_query, tokenize, csr_fill",
+                     "bind_knn_query, bind_cobar_query, tokenize, csr_fill",
                  # an extension from before the tokenizer
                  "ward_loop, sgd_epoch, bind_knn_query, stats_build, bind_stats_query, cosine_rows":
                      "bind_cobar_query, tokenize, csr_fill",
@@ -179,7 +180,7 @@ class TestDispatch:
             last = out.stderr.strip().splitlines()[-1]
             assert last == f"ImportError: stale extension /old/build/_compiled.so lacks {missing}; {REBUILD}"
 
-    @pytest.mark.parametrize("layout", [None, 1, 2, 3, 4, 5, 6, 7, 8, 10])
+    @pytest.mark.parametrize("layout", [None, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11])
     def test_extension_of_another_layout_rejected(self, layout):
         # an extension that has every loop but reads their arguments in
         # another layout, e.g. one built before the cosine pass took int32
@@ -192,8 +193,9 @@ class TestDispatch:
         # n^2 loops took a thread count and whose kNN query took its two
         # work buffers, one of layout 7, whose bound queries left their
         # indices to the checked entries, one of layout 8, from before
-        # cobar's whole prediction was one bound query, or one built from
-        # newer source
+        # cobar's whole prediction was one bound query, one of layout 9,
+        # whose cobar query took the labels of its fallbacks beside the
+        # bare stats query, or one built from newer source
         code = (
             "import sys, types; "
             "stub = types.ModuleType('cobar.kernels._compiled'); "
@@ -1450,33 +1452,6 @@ class TestClusterStatsIndex:
             with pytest.raises(error, match=match):
                 kernels.ClusterStatsIndex(**problem)
 
-    @pytest.mark.parametrize("args, error, message", _query_cases([
-        ((-1, 0), IndexError, "leaf -1 out of range [0, 5)"),
-        ((5, 0), IndexError, "leaf 5 out of range [0, 5)"),
-        ((0, -1), IndexError, "item -1 out of range [0, 4)"),
-        ((0, 4), IndexError, "item 4 out of range [0, 4)"),
-        ((np.int64(5), 0), IndexError, "leaf 5 out of range [0, 5)"),
-        ((0.0, 0), TypeError, NOT_AN_INTEGER.format("float")),
-        ((0, 2.5), TypeError, NOT_AN_INTEGER.format("float")),
-        ((2**70, 0), IndexError, f"leaf {2**70} out of range [0, 5)"),
-        ((-2**70, 0), IndexError, f"leaf {-2**70} out of range [0, 5)"),
-        ((0, 2**70), IndexError, f"item {2**70} out of range [0, 4)"),
-        ((0, -2**70), IndexError, f"item {-2**70} out of range [0, 4)"),
-        ((True, 4), IndexError, "item 4 out of range [0, 4)"),
-        ((5, True), IndexError, "leaf 5 out of range [0, 5)"),
-        ((np.uint64(2**64 - 1), 0), IndexError, f"leaf {2**64 - 1} out of range [0, 5)"),
-        ((0, np.int16(-3)), IndexError, "item -3 out of range [0, 4)"),
-        # both indices are read before either is checked
-        ((-1, 2.5), TypeError, NOT_AN_INTEGER.format("float")),
-        ((2**70, "0"), TypeError, NOT_AN_INTEGER.format("str")),
-    ]))
-    def test_bad_query_rejected(self, each_backend, demo_dataset, args, error, message):
-        for _ in each_backend:
-            # bound per backend: `bind` binds the selected backend's loop
-            query = kernels.ClusterStatsIndex(**_stats_problem(demo_dataset)).bind(0.95)
-            with pytest.raises(error, match=re.escape(message)):
-                query(*args)
-
     @pytest.mark.parametrize("scale", [*RATING_SCALES, "plateau"])
     def test_each_gap_node_is_the_lowest_common_ancestor(self, each_backend, scale):
         # each backend's build finds the gap nodes itself
@@ -1508,49 +1483,46 @@ class TestClusterStatsIndex:
         # checked once, when the level's query is bound, so that a query
         # costs no more; unchecked, a level above 1 or NaN gives NaN
         # half-widths and 0.0 gives zero widths
-        pairs = [(leaf, item) for leaf in range(5) for item in range(4)]
+        pairs = [(user, item) for user in range(5) for item in range(4)]
         for _ in each_backend:
+            model, problem = _prediction_problem(demo_dataset)
             monkeypatch.setattr(kernels, "_t_tables", {})
-            index = kernels.ClusterStatsIndex(**_stats_problem(demo_dataset))
             with pytest.raises(ValueError, match=r"confidence level must be in \(0, 1\)"):
-                index.bind(level)
+                model.stats.bind(**{**problem, "level": level})
             assert not kernels._t_tables
-            query = index.bind(0.95)
-            assert query(0, 0) is not None
+            _, detail = model.stats.bind(**problem)
+            assert detail(0, 0)[1] == _python.INTERVAL
             table = kernels._t_tables[0.95]
-            again = index.bind(np.float64(0.95))
+            _, again = model.stats.bind(**{**problem, "level": np.float64(0.95)})
             # the same level's table, not one more
             assert list(kernels._t_tables) == [0.95] and kernels._t_tables[0.95] is table
-            assert [repr(again(*pair)) for pair in pairs] == [repr(query(*pair)) for pair in pairs]
+            assert [repr(again(*pair)) for pair in pairs] == [repr(detail(*pair)) for pair in pairs]
 
     @pytest.mark.parametrize("data", ["demo", "random"])
     def test_one_index_serves_every_level(self, kernel_backend, demo_dataset, data):
         # the index depends on the training set alone: bound at a level, it
-        # answers as the query of a model fitted at that level
+        # answers as a model fitted at that level
         ds = demo_dataset if data == "demo" else random_grid_dataset(np.random.default_rng(408), max_users=30)
-        stats = kernel_backend.ClusterStatsIndex(**_stats_problem(ds))
-        pairs = [(leaf, item) for leaf in range(stats.n_leaves) for item in range(stats.n_items)]
+        model, problem = _prediction_problem(ds)
+        pairs = [(user, item) for user in range(ds.n_users) for item in range(ds.n_items)]
         answers = {}
         for level in (0.8, 0.95):
-            model = CobarModel(CobarConfig(confidence_level=level)).fit(ds)
-            query = stats.bind(level)
-            answers[level] = [repr(query(leaf, item)) for leaf, item in pairs]
-            # the model's own bind, asked for each leaf's user
-            details = [model.predict_detailed(model.dendrogram.leaf_users[leaf], item) for leaf, item in pairs]
-            chosen = [(d.chosen_node, d.half_width) if d.fallback is Fallback.NONE else None for d in details]
-            assert [repr(answer and answer[:2]) for answer in map(query, *zip(*pairs))] == list(map(repr, chosen))
+            fitted = CobarModel(CobarConfig(confidence_level=level)).fit(ds)
+            predict, detail = model.stats.bind(**{**problem, "level": level})
+            answers[level] = [repr(detail(*pair)) for pair in pairs]
+            assert answers[level] == [repr(fitted._detail(*pair)) for pair in pairs]
+            assert [repr(predict(*pair)) for pair in pairs] == [repr(fitted.predict(*pair)) for pair in pairs]
         assert answers[0.8] != answers[0.95]
 
 
 def _prediction_problem(ds):
     """A cobar fit of `ds` and writable copies of the arguments its index's
-    `bind_prediction` takes."""
+    `bind` takes."""
     model = CobarModel().fit(ds)
     lo, hi = model._limits[2:]
     return model, {"level": 0.95, "user_means": model.user_stats.means.copy(),
                    "item_means": model.item_stats.means.copy(), "leaf_of": model._leaf_of.copy(),
-                   "global_mean": model.user_stats.global_mean, "gamma": 0.5, "lo": lo, "hi": hi,
-                   "labels": tuple(Fallback)}
+                   "global_mean": model.user_stats.global_mean, "gamma": 0.5, "lo": lo, "hi": hi}
 
 
 def _with_leaf(leaf):
@@ -1572,7 +1544,7 @@ class _CountingLoops:
 
 
 class TestBindPrediction:
-    """Cobar's whole query, bound by `ClusterStatsIndex.bind_prediction`:
+    """Cobar's whole query, bound by `ClusterStatsIndex.bind`:
     its arguments are checked once, at the bind, before any loop runs, and
     its two indices by every call, with the errors of every predictor's
     `predict`, on both backends."""
@@ -1589,12 +1561,10 @@ class TestBindPrediction:
         ("user_means", lambda a: a[:-1], ValueError, r"leaf_of has 5 entries, not one per user \(4\)"),
         ("leaf_of", _with_leaf(-2), IndexError, r"leaf_of holds a leaf out of range \[-1, 5\)"),
         ("leaf_of", _with_leaf(5), IndexError, r"leaf_of holds a leaf out of range \[-1, 5\)"),
-        ("labels", lambda labels: list(labels), TypeError, "labels must be a tuple of five"),
-        ("labels", lambda labels: labels[:4], TypeError, "labels must be a tuple of five"),
         ("level", lambda level: 1.0, ValueError, r"confidence level must be in \(0, 1\)"),
     ], ids=["float32-user-means", "int-item-means", "int32-leaves", "2-d-leaves", "strided-user-means",
             "short-item-means", "long-item-means", "short-user-means", "leaf-minus-2", "leaf-n-leaves",
-            "list-labels", "four-labels", "level-one"])
+            "level-one"])
     def test_bad_argument_rejected(self, each_backend, demo_dataset, monkeypatch, name, value, error, match):
         model, problem = _prediction_problem(demo_dataset)
         problem[name] = value(problem[name])
@@ -1602,7 +1572,7 @@ class TestBindPrediction:
             loops = _CountingLoops(kernels._loops)
             monkeypatch.setattr(kernels, "_loops", loops)
             with pytest.raises(error, match=match):
-                model.stats.bind_prediction(**problem)
+                model.stats.bind(**problem)
             assert not loops.calls
             # a rejected bind freezes nothing
             assert all(problem[key].flags.writeable for key in ("user_means", "item_means", "leaf_of"))
@@ -1610,7 +1580,7 @@ class TestBindPrediction:
     def test_a_good_bind_freezes_its_arrays(self, each_backend, demo_dataset):
         model, problem = _prediction_problem(demo_dataset)
         for _ in each_backend:
-            predict, detail = model.stats.bind_prediction(**problem)
+            predict, detail = model.stats.bind(**problem)
             assert not any(problem[key].flags.writeable for key in ("user_means", "item_means", "leaf_of"))
             pairs = [(user, item) for user in range(demo_dataset.n_users) for item in range(demo_dataset.n_items)]
             assert [repr(detail(*pair)) for pair in pairs] == [repr(model._detail(*pair)) for pair in pairs]
@@ -1650,7 +1620,7 @@ class TestBindPrediction:
 
 class TestTCriticalTables:
     """Each confidence level's t quantiles are computed once per process,
-    in one read-only table that grows by doubling, and every stats query
+    in one read-only table that grows by doubling, and every cobar query
     bound at that level reads a prefix of it."""
 
     @pytest.mark.parametrize("sizes", [[2, 70, 5000, 3], [5000, 2, 129, 64, 65], [1, 1000, 999, 1001, 4097]])
@@ -1679,11 +1649,13 @@ class TestTCriticalTables:
         # a pickle of the index holds no level: loading it computes no t
         # quantiles, and each bind reads its level's table from the cache
         levels = (0.8, 0.95)
-        stats = kernel_backend.ClusterStatsIndex(**_stats_problem(demo_dataset))
-        pairs = [(leaf, item) for leaf in range(stats.n_leaves) for item in range(stats.n_items)]
+        model, problem = _prediction_problem(demo_dataset)
+        stats = model.stats
+        pairs = [(user, item) for user in range(demo_dataset.n_users) for item in range(demo_dataset.n_items)]
 
         def answers(index):
-            return [repr(query(leaf, item)) for query in map(index.bind, levels) for leaf, item in pairs]
+            details = [index.bind(**{**problem, "level": level})[1] for level in levels]
+            return [repr(detail(*pair)) for detail in details for pair in pairs]
 
         want = answers(stats)
         dumped = pickle.dumps(stats)
@@ -1744,16 +1716,20 @@ class TestBoundQueries:
                         # must leave its scratch zeroed
                         assert [_bits(query(entity, column)) for query in bound] == [want, want]
                         answered += want is not None
-            stats = kernels.ClusterStatsIndex(**_stats_problem(ds))
+            model = CobarModel().fit(ds)
             for level in (0.9, 0.95, 0.99):
-                table = kernels._t_critical_table(level, stats._most_raters)
-                bound = [loops.bind_stats_query(*stats._arrays, table) for loops in (_python, compiled_kernels)]
-                for leaf in range(stats.n_leaves):
-                    for item in range(stats.n_items):
+                table = kernels._t_critical_table(level, model.stats._most_raters)
+                args = (*model.stats._arrays, table, model.user_stats.means, model.item_stats.means, model._leaf_of,
+                        model.user_stats.global_mean, 0.5, *model._limits[2:])
+                bound = [loops.bind_cobar_query(*args, detailed) for loops in (_python, compiled_kernels)
+                         for detailed in (False, True)]
+                for user in range(ds.n_users):
+                    for item in range(ds.n_items):
                         # repr tells -0.0 from 0.0 and numpy scalars from Python ones
-                        want = repr(_python.stats_query(*stats._arrays, table, leaf, item))
-                        assert [repr(query(leaf, item)) for query in bound] == [want, want]
-                        answered += want != "None"
+                        detail = _python.cobar_detail(*args, user, item)
+                        want = [repr(_python.cobar_value(*args, user, item)), repr(detail)]
+                        assert [repr(query(user, item)) for query in bound] == want * 2
+                        answered += detail[1] == _python.INTERVAL
         assert answered > 0
 
     def test_bound_query_keeps_its_arrays_alive(self, kernel_backend, demo_dataset):
@@ -1772,16 +1748,17 @@ class TestBoundQueries:
         gc.collect()
         assert kept() is None
 
-        stats = kernel_backend.ClusterStatsIndex(**_stats_problem(demo_dataset))
-        pairs = [(leaf, item) for leaf in range(stats.n_leaves) for item in range(stats.n_items)]
-        query, kept = stats.bind(0.95), weakref.ref(stats._arrays[3])
-        want = [repr(query(leaf, item)) for leaf, item in pairs]
+        model, problem = _prediction_problem(demo_dataset)
+        stats = kernel_backend.ClusterStatsIndex(model.dendrogram, demo_dataset)
+        pairs = [(user, item) for user in range(demo_dataset.n_users) for item in range(demo_dataset.n_items)]
+        queries, kept = stats.bind(**problem), weakref.ref(stats._arrays[3])
+        want = [repr(query(*pair)) for query in queries for pair in pairs]
         del stats
         gc.collect()
         junk += [np.full(n, 7.0) for n in range(1, 2000, 7)]
         assert kept() is not None
-        assert [repr(query(leaf, item)) for leaf, item in pairs] == want
-        del query
+        assert [repr(query(*pair)) for query in queries for pair in pairs] == want
+        del queries
         gc.collect()
         assert kept() is None
 
@@ -1804,14 +1781,17 @@ class TestBoundQueries:
                (np.int64(2**63 - 1), 0)]
         for name in each_backend:
             knn = kernels.KnnIndex(**_hand_problem(), k=30)
-            stats = kernels.ClusterStatsIndex(**_stats_problem(demo_dataset))
-            for query, names, sizes in ((knn.query, ("entity", "column"), (6, 3)),
-                                        (stats.bind(0.95), ("leaf", "item"), (5, 4))):
+            cobar = CobarModel().fit(demo_dataset)
+            checks = [(knn.query, ("entity", "column"), (6, 3), IndexError, "{} {} out of range [0, {})")]
+            # cobar's two runs word it as every predictor's `predict`
+            checks += [(run, ("user", "item"), (5, 4), ValueError, "{} index {} out of range")
+                       for run in (cobar._predict, cobar._detail)]
+            for query, names, sizes, error, words in checks:
                 for args in bad:
                     args = tuple(sizes[k] if a is None else a for k, a in enumerate(args))
                     k = 0 if not 0 <= args[0] < sizes[0] else 1
-                    message = f"{names[k]} {int(args[k])} out of range [0, {sizes[k]})"
-                    with pytest.raises(IndexError, match=re.escape(message)):
+                    message = words.format(names[k], int(args[k]), sizes[k])
+                    with pytest.raises(error, match=f"^{re.escape(message)}$"):
                         query(*args)
                 assert repr(query(True, 0)) == repr(query(1, 0)), name
 
