@@ -20,10 +20,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from .clustering import Dendrogram, agglomerate
-from .data import MeanStats, RatingDataset, _PredictorMixin, compute_item_stats, compute_user_stats
+from .data import MeanStats, RatingDataset, _PredictorMixin, compute_user_stats
 from .kernels import ClusterStatsIndex
 
 
@@ -68,7 +66,8 @@ class Prediction:
 
 def build_item_stats(dendrogram: Dendrogram, train: RatingDataset) -> ClusterStatsIndex:
     """Every node's (n, sum, sum_sq, min, max) per item, as 2r - 1 entries
-    for an item with r raters, over the layout the dendrogram checked."""
+    for an item with r raters, over the layout the dendrogram checked, and
+    the per-user and per-item values cobar's query reads beside them."""
     return ClusterStatsIndex(dendrogram, train)
 
 
@@ -77,45 +76,40 @@ class CobarModel(_PredictorMixin):
     clamped to the training scale unless constructed with `clamp=False`.
 
     All state is immutable after :meth:`fit`; predictions are pure reads.
-    The fit stores on the model what every query reads: the config's gamma
-    and confidence level and each user's leaf.  It keeps the dendrogram,
-    which `cobar predict` also reads, and the training set's user and item
-    means, shared with the baselines fit on it, and not the training set: a
-    NaN item mean marks a `cold_item`.  The whole query, the mixin's check
-    of the pair, the fallback chain, the blend and the clamp, is one call
-    of a query from the index's `bind`, bound at the level stored at fit,
-    as is a loaded pickle's, whatever `config` holds by then: `predict`
-    returns its float, and `predict_detailed` builds a `Prediction` of its
-    detail, whose fallback code indexes `Fallback` in declaration order.
+    The fit stores on the model the config's gamma and confidence level,
+    the dendrogram, which `cobar predict` also reads, and the
+    `ClusterStatsIndex`, which holds every array the query reads, not the
+    training set.  It also keeps the training set's shared `user_stats`:
+    its first read, which rejects an empty training set, and the global
+    mean `cobar predict` prints for a cold user.  The whole query, the
+    mixin's check of the pair, the fallback chain, the blend and the
+    clamp, is one call of a query from the index's `bind`, bound at the
+    gamma and level stored at fit, as is a loaded pickle's, whatever
+    `config` holds by then: `predict` returns its float, and
+    `predict_detailed` builds a `Prediction` of its detail, whose fallback
+    code indexes `Fallback` in declaration order.
     """
 
-    _READ_ONLY, _BOUND = ("_leaf_of",), ("_predict", "_detail")
-    _STATE = (*_PredictorMixin._STATE, "config", "user_stats", "item_stats", "dendrogram", "stats", *_READ_ONLY,
-              "_gamma", "_level")
+    _BOUND = ("_predict", "_detail")
+    _STATE = (*_PredictorMixin._STATE, "config", "user_stats", "dendrogram", "stats", "_gamma", "_level")
 
     def __init__(self, config: CobarConfig | None = None, clamp: bool = True):
         self.config = config or CobarConfig()
         self.clamp = clamp
         self.user_stats: MeanStats | None = None
-        self.item_stats: MeanStats | None = None
         self.dendrogram: Dendrogram | None = None
         self.stats: ClusterStatsIndex | None = None
-        self._leaf_of: np.ndarray | None = None   # per user, its leaf or -1
 
     def fit(self, train: RatingDataset) -> "CobarModel":
-        self.user_stats, self.item_stats = compute_user_stats(train), compute_item_stats(train)
+        self.user_stats = compute_user_stats(train)
         self.dendrogram = agglomerate(train)
         self.stats = build_item_stats(self.dendrogram, train)
-        self._leaf_of = np.full(train.n_users, -1, dtype=np.int64)
-        self._leaf_of[self.dendrogram.leaf_users] = np.arange(self.dendrogram.n_leaves)
         self._gamma, self._level = self.config.gamma, self.config.confidence_level
         self._fitted_on(train)
         return self
 
     def _bind(self) -> None:
-        self._predict, self._detail = self.stats.bind(
-            self._level, self.user_stats.means, self.item_stats.means, self._leaf_of, self.user_stats.global_mean,
-            self._gamma, *self._limits[2:])
+        self._predict, self._detail = self.stats.bind(self._level, self._gamma, *self._limits[2:])
 
     def predict_detailed(self, user: int, item: int) -> Prediction:
         if self._limits is None:

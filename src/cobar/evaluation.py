@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
@@ -130,7 +131,7 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float], level: float = 
     return WilcoxonResult(
         statistic=statistic,
         p_value=p,
-        significant=p < (1.0 - level),
+        significant=bool(p < (1.0 - level)),
         n_nonzero=m,
         method=method,
     )
@@ -222,9 +223,12 @@ def run_cross_validation(
     unfitted predictor (`fit(train)` / `predict(user, item)`).  Cold-start
     test pairs are included in the RMSE; every predictor defines a fallback,
     so coverage is total.  A `wilcoxon_level` outside (0, 1) is rejected
-    before the first fold.
+    before the first fold.  `folds` and `seed` are read by `operator.index`
+    and the level by `float`, so a report of numpy scalars saves as one of
+    Python scalars does.
     """
     _check_level(wilcoxon_level)
+    folds, seed, wilcoxon_level = operator.index(folds), operator.index(seed), float(wilcoxon_level)
     split = kfold_split(dataset, folds, seed)
     names = list(algorithms)
     fold_rmse: dict[str, list[float]] = {name: [] for name in names}

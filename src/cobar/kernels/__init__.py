@@ -8,9 +8,9 @@ the tokenizer of a rating file, and the counting sort behind `csr_rows`.
 Without it the numpy loops in `_python` run, and every rating file takes
 the line loop of `cobar.data.parse_ratings`.  ``BACKEND`` names the loops selected at
 import: ``"c"`` when `_compiled` imports, ``"python"`` when there is no
-`_compiled`; one that exists but cannot load, lacks a loop, or reads the
-loops' arguments in another layout, stops the import with the rebuild
-command.  `csr_rows`, `cosine_distance_matrix`, `ward_linkage`,
+`_compiled`; one that exists but cannot load, or reads the loops'
+arguments in another layout, as every extension that lacks a loop does,
+stops the import with the rebuild command.  `csr_rows`, `cosine_distance_matrix`, `ward_linkage`,
 `mf_sgd_epoch`, `KnnIndex`, `ClusterStatsIndex` and `tokenize` check their
 arguments, once for both backends, before they call the selected loop,
 which trusts its caller with every array.  `csr_rows` is the package's
@@ -23,12 +23,15 @@ in that list; `ClusterStatsIndex` lays them out per item over the leaf
 ranges of a `Dendrogram`, which checked its tree when built, and its loop
 finds each gap's int64 node as it fills the gap's entry; it keeps no
 ratings, and cobar's query walks from a leaf up by the tree's parent ids.
-The query loops, which run once per prediction, are bound to their arrays
-once: the kNN query by `KnnIndex` at construction, and cobar's whole
-prediction at one confidence level, a float run and a detail run that
-share one interval walk, by `ClusterStatsIndex.bind`, which a cobar fit
-calls once; a pickle holds the arrays, and a loaded `KnnIndex` or cobar
-model binds again.  A bound query checks its own two indices, with
+The index builds or references every array cobar's query reads, each
+user's leaf and the training set's user and item means among them, so no
+array crosses its `bind`.  The query loops, which run once per
+prediction, are bound to their arrays once: the kNN query by `KnnIndex` at
+construction, and cobar's whole prediction at one confidence level and
+one gamma, a float run and a detail run that share one interval walk, by
+`ClusterStatsIndex.bind(level, gamma, lo, hi)`, which a cobar fit calls
+once; a pickle holds the arrays, and a loaded `KnnIndex` or cobar model
+binds again.  A bound query checks its own two indices, with
 the same `TypeError` or `IndexError` on both backends, and cobar's with
 the `ValueError` of every predictor's `predict`, so `KnnIndex.query` is
 the bound kNN query itself, and each kNN or cobar prediction calls one
@@ -82,18 +85,11 @@ except ImportError as exc:
         raise ImportError(f"extension {_spec.origin} cannot be loaded; {_REBUILD}") from exc
     _compiled = None
 
-_missing = [name for name in ("ward_loop", "sgd_epoch", "bind_knn_query", "stats_build", "bind_cobar_query",
-                              "cosine_rows", "tokenize", "csr_fill")
-            if _compiled and not hasattr(_compiled, name)]
-if _missing:
-    # an extension built from older source, e.g. one a build reused
-    # because its file times looked up to date
-    raise ImportError(
-        f"stale extension {getattr(_compiled, '__file__', _compiled.__name__)} lacks {', '.join(_missing)}; {_REBUILD}"
-    )
 # the layout of the arguments the entries below hand the compiled loops,
 # and of the checks the loops make, `LAYOUT` in `_compiled.c`; an extension
-# from before it has layout 1
+# from before it has layout 1.  Every change of a loop raised it, so this
+# also rejects an extension built from older source that lacks a loop,
+# e.g. one a build reused because its file times looked up to date
 _LAYOUT = 10
 if _compiled and getattr(_compiled, "LAYOUT", 1) != _LAYOUT:
     # e.g. an extension whose queries read int32 indices as int64
@@ -395,8 +391,10 @@ def _t_critical_table(level: float, size: int) -> np.ndarray:
 
 
 class ClusterStatsIndex(_ReadOnlyState):
-    """The rating statistics of every cluster of a user hierarchy, per item,
-    for cobar's narrowest-interval query, in O(ratings) arrays.
+    """Everything cobar's narrowest-interval query reads, in O(ratings +
+    users + items) arrays: the rating statistics of every cluster of a user
+    hierarchy, per item, and the per-user and per-item values of the
+    fallback chain and the blend.
 
     The hierarchy is a `Dendrogram` over users of `train`, a
     `RatingDataset`; both checked their arrays when built, so this checks
@@ -413,11 +411,14 @@ class ClusterStatsIndex(_ReadOnlyState):
     laid out by item with `csr_rows`, their raters' leaf positions int32;
     the selected loop then finds each gap's node, an int64 node id, walking
     up from the left rater's leaf until the node's range holds the right
-    rater, and fills the gap's entry in the same pass.  `bind` makes
-    cobar's whole query at one confidence level; the index holds no level.
+    rater, and fills the gap's entry in the same pass.  Beside them the
+    index holds each user's leaf, -1 outside the hierarchy, and references
+    to the training set's cached, read-only user and item means and its
+    global mean.  `bind` makes cobar's whole query at one confidence level
+    and one gamma; the index holds neither.
     """
 
-    _READ_ONLY, _STATE = ("_arrays",), ("_arrays", "n_leaves", "n_items", "_most_raters")
+    _READ_ONLY, _STATE = ("_arrays", "_lookup"), ("_arrays", "_lookup", "_global_mean", "_most_raters")
 
     def __init__(self, dendrogram, train: RatingDataset):
         from ..clustering import Dendrogram   # which imports this module
@@ -426,17 +427,15 @@ class ClusterStatsIndex(_ReadOnlyState):
         if not isinstance(train, RatingDataset):
             raise TypeError(f"train must be a RatingDataset, not {type(train).__name__}")
         _check_range("leaf_users", dendrogram.leaf_users, train.n_users)
-        n = self.n_leaves = dendrogram.n_leaves
-        self.n_items = train.n_items
-        nodes = dendrogram.nodes
+        n, n_items, nodes = dendrogram.n_leaves, train.n_items, dendrogram.nodes
 
         # the leaf users' ratings in (item, position) order
         position = np.full(train.n_users, -1, dtype=np.int32)
         position[dendrogram.leaf_users] = nodes[0, :n]
         rated = position[train.users]
         kept = rated >= 0
-        index = np.zeros((2, self.n_items + 1), dtype=np.int64)
-        index[0], positions, ratings = csr_rows(train.items[kept], rated[kept], train.ratings[kept], self.n_items, n)
+        index = np.zeros((2, n_items + 1), dtype=np.int64)
+        index[0], positions, ratings = csr_rows(train.items[kept], rated[kept], train.ratings[kept], n_items, n)
         counts = np.diff(index[0])
         np.cumsum(np.maximum(counts - 1, 0), out=index[1, 1:])
         # the loop finds each gap's node and fills its entry
@@ -445,6 +444,11 @@ class ClusterStatsIndex(_ReadOnlyState):
         _loops.stats_build(index, positions, ratings, nodes, gap_nodes, gaps)
         self._arrays = (index, positions, gap_nodes, gaps, nodes)
         self._most_raters = max(2, int(counts.max(initial=0)))
+        leaf_of = np.full(train.n_users, -1, dtype=np.int64)
+        leaf_of[dendrogram.leaf_users] = np.arange(n)
+        # (user_means, item_means, leaf_of): what the query reads per user and per item
+        self._lookup = (train.user_stats.means, train.item_stats.means, leaf_of)
+        self._global_mean = train.user_stats.global_mean
         self._restore()
 
     @property
@@ -453,50 +457,36 @@ class ClusterStatsIndex(_ReadOnlyState):
         as its rater's position, and one per gap: 2r - 1 for r >= 1 raters."""
         return len(self._arrays[1]) + len(self._arrays[2])
 
-    def bind(self, level: float, user_means, item_means, leaf_of, global_mean: float, gamma: float, lo: float,
+    def bind(self, level: float, gamma: float, lo: float,
              hi: float) -> tuple[Callable[[int, int], float], Callable[[int, int], tuple]]:
-        """Cobar's whole query at confidence `level`, in (0, 1), bound to the
-        arrays and a prefix of the level's t quantiles: ``(predict,
-        detail)``, two calls of ``(user, item)``.
+        """Cobar's whole query at confidence `level`, in (0, 1), and weight
+        `gamma`, clamped to [lo, hi], bound to the index's arrays and a
+        prefix of the level's t quantiles: ``(predict, detail)``, two calls
+        of ``(user, item)``.  A level outside (0, 1), or NaN, raises
+        `ValueError` before any loop runs.  Both calls read the indices by
+        `operator.index` and raise `ValueError` for a user, then an item,
+        out of range of the training set, as `predict` of every predictor
+        does.
 
-        `user_means` and `item_means` are C-contiguous 1-D float64 arrays,
-        NaN for a user or item with no training rating, one per item of
-        the index; `leaf_of` a C-contiguous 1-D int64 array of each user's
-        leaf, -1 for a user outside the hierarchy, one per user mean.
-        `TypeError`, `ValueError` or `IndexError` otherwise, before any
-        loop runs; the three arrays are made read-only.  Both calls read
-        the indices by `operator.index` and raise `ValueError` for a user,
-        then an item, out of range, as `predict` of every predictor does.
-
-        A user with a NaN mean gets `global_mean`, one outside the
-        hierarchy the user's mean.  Otherwise the walk scores every cluster
-        on the leaf's path up to the root, by the parent ids, that holds
-        two or more of the item's ratings, by its two-sided Student-t
-        interval for the item's mean rating; a wider cluster must be
-        strictly narrower, so at equal width the smaller one wins.  The
-        narrowest gets ``gamma * user_mean + (1 - gamma) * total / n``,
-        with the node's count and sum of the item's ratings, and an item
-        without one the user's mean.  The value is clamped to [lo, hi] by
-        two comparisons, which let NaN pass.  `predict` returns it as a
-        float, `detail` as ``(value, fallback, node, size, cluster_mean,
-        half_width, user_mean)``, the fields of a `cobar.core.Prediction`
-        with the fallback as its code: 0 to 4 for the interval, a single
-        rating, a cold item, a cold user and an unclustered user.
+        A user without training ratings, a NaN mean, gets the global mean,
+        one outside the hierarchy the user's mean.  Otherwise the walk
+        scores every cluster on the leaf's path up to the root, by the
+        parent ids, that holds two or more of the item's ratings, by its
+        two-sided Student-t interval for the item's mean rating; a wider
+        cluster must be strictly narrower, so at equal width the smaller
+        one wins.  The narrowest gets ``gamma * user_mean + (1 - gamma) *
+        total / n``, with the node's count and sum of the item's ratings,
+        and an item without one the user's mean.  The value is clamped to
+        [lo, hi] by two comparisons, which let NaN pass.  `predict` returns
+        it as a float, `detail` as ``(value, fallback, node, size,
+        cluster_mean, half_width, user_mean)``, the fields of a
+        `cobar.core.Prediction` with the fallback as its code: 0 to 4 for
+        the interval, a single rating, a cold item, a cold user and an
+        unclustered user.
         """
-        user_means = _checked("user_means", user_means, 1, "float64")
-        item_means = _checked("item_means", item_means, 1, "float64")
-        leaf_of = _checked("leaf_of", leaf_of, 1, "int64")
-        if len(item_means) != self.n_items:
-            raise ValueError(f"item_means has {len(item_means)} entries, not one per item ({self.n_items})")
-        if len(leaf_of) != len(user_means):
-            raise ValueError(f"leaf_of has {len(leaf_of)} entries, not one per user ({len(user_means)})")
-        if len(leaf_of) and (leaf_of.min() < -1 or leaf_of.max() >= self.n_leaves):
-            raise IndexError(f"leaf_of holds a leaf out of range [-1, {self.n_leaves})")
         if not 0.0 < level < 1.0:
             raise ValueError(f"confidence level must be in (0, 1), got {level}")
         # n ratings read the entry at n - 1 degrees of freedom
         table = _t_critical_table(level, self._most_raters)
-        _read_only(user_means, item_means, leaf_of)
-        args = (*self._arrays, table, user_means, item_means, leaf_of, float(global_mean), float(gamma), float(lo),
-                float(hi))
+        args = (*self._arrays, table, *self._lookup, self._global_mean, float(gamma), float(lo), float(hi))
         return _loops.bind_cobar_query(*args, False), _loops.bind_cobar_query(*args, True)

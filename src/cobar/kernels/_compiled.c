@@ -83,7 +83,8 @@
  * buffers, allocated once at the bind, so a query allocates nothing.
  *
  * No loop checks its arrays: `cobar.kernels` checks every shape, element
- * type and length before it calls in, and only the buffer codes `y*`
+ * type and length before it calls in, or builds the arrays itself, and
+ * only the buffer codes `y*`
  * (C-contiguous) and `w*` (also writable) remain here.  The
  * kernels promise the numpy backend's bits, so the build turns off
  * floating-point contraction (`-ffp-contract=off`).
@@ -1498,7 +1499,7 @@ cobar_detail(BoundQuery *bound, Py_ssize_t user, Py_ssize_t item)
 /* Cobar's prediction bound to the five arrays of
  * `cobar.kernels.ClusterStatsIndex` and one level's t quantiles, the user
  * means, item means and leaves, the global mean, gamma and the clamp
- * bounds, all checked by `ClusterStatsIndex.bind`: `cobar_detail` when
+ * bounds, all held or built by `ClusterStatsIndex`: `cobar_detail` when
  * `detailed`, `cobar_value` otherwise.  Its users are the user means',
  * its items the item means', and an index out of range raises the
  * ValueError of `_PredictorMixin.predict`. */
@@ -1725,7 +1726,7 @@ static PyMethodDef methods[] = {
     {"bind_cobar_query", bind_cobar_query, METH_VARARGS,
      "bind_cobar_query(index, positions, gap_nodes, gaps, nodes, t_critical, user_means, item_means, leaf_of,"
      " global_mean, gamma, lo, hi, detailed)\n--\n\n"
-     "Cobar's prediction of `cobar.kernels.ClusterStatsIndex.bind`, which checks its arguments, bound to"
+     "Cobar's prediction of `cobar.kernels.ClusterStatsIndex.bind`, whose index holds its arrays, bound to"
      " them: a `predict(user, item)` that checks its two indices and returns the float, or with `detailed`"
      " the fields of a `Prediction`, its fallback as a code."},
     {"tokenize", tokenize, METH_VARARGS,

@@ -3,7 +3,7 @@
 They are the fallback for environments without the compiled `_compiled`
 extension and the reference it is tested against: each gives the compiled
 loop's bits on the same memory, and trusts its caller, `cobar.kernels`, to
-have checked every array.  The queries check their own two indices,
+have checked or built every array.  The queries check their own two indices,
 with the compiled queries' errors and words.  The cosine pass and the Ward loop are the
 compiled algorithms vectorised: the cosine pass over the products of one
 row at a time, the Ward loop over the active slots of each merge, with
@@ -430,8 +430,8 @@ def cobar_detail(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray
                  nodes: np.ndarray, t_critical: np.ndarray, user_means: np.ndarray, item_means: np.ndarray,
                  leaf_of: np.ndarray, global_mean: float, gamma: float, lo: float, hi: float, user: int,
                  item: int) -> tuple:
-    """Cobar's prediction of `cobar.kernels.ClusterStatsIndex.bind`, which
-    checks the arrays: ``(value, fallback, node, size, cluster_mean,
+    """Cobar's prediction of `cobar.kernels.ClusterStatsIndex.bind`, whose
+    index builds the arrays: ``(value, fallback, node, size, cluster_mean,
     half_width, user_mean)``, the fields of a `cobar.core.Prediction` with
     the fallback as its code.
 

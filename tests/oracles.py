@@ -455,6 +455,13 @@ def ancestor_chain_reference(dendrogram, leaf):
     return np.asarray(chain, dtype=np.int64)
 
 
+def leaf_of_reference(dendrogram, user) -> int:
+    """The leaf of `user`, by a search of the dendrogram's leaf users; -1
+    for a user outside the hierarchy."""
+    found = np.flatnonzero(dendrogram.leaf_users == user)
+    return int(found[0]) if len(found) else -1
+
+
 @dataclass
 class ClusterChoiceReference:
     node: int
@@ -618,7 +625,6 @@ class CobarReference:
         self.dendrogram = model.dendrogram
         maps = build_item_stats_dict(model.dendrogram, train)._maps
         self.stats = ClusterItemStatsReference(maps, model.config.confidence_level)
-        self._leaf_of = model._leaf_of
         self._item_counts = np.bincount(train.items, minlength=train.n_items)
         self._clamp = lambda value: _clamp(value, train, model.clamp)
 
@@ -639,7 +645,7 @@ class CobarReference:
                 fallback=Fallback.COLD_USER,
             )
 
-        leaf = int(self._leaf_of[user])
+        leaf = leaf_of_reference(self.dendrogram, user)
         choice = None
         if leaf >= 0:
             chain = ancestor_chain_reference(self.dendrogram, leaf)

@@ -580,7 +580,8 @@ def test_a_folds_models_share_its_derived_state(each_backend, monkeypatch):
         assert uknn.stats is train.user_stats and uknn._index._arrays[7] is train.user_stats.means
         assert iknn.stats is train.item_stats and iknn._index._arrays[7] is train.item_stats.means
         cobar = CobarModel().fit(train)
-        assert cobar.user_stats is train.user_stats and cobar.item_stats is train.item_stats
+        assert cobar.user_stats is train.user_stats
+        assert cobar.stats._lookup[0] is train.user_stats.means and cobar.stats._lookup[1] is train.item_stats.means
         # mp reads the training set's item stats, built by iknn: no new ones
         with monkeypatch.context() as patch:
             patch.setattr(data, "_mean_stats", None)
@@ -767,15 +768,17 @@ def test_a_dendrogram_pickles_to_its_four_arrays(kernel_backend):
 
 
 def test_a_cluster_stats_index_pickles_to_its_arrays(kernel_backend):
-    # the index holds what its query reads, its five arrays and three ints,
-    # and no copy of the ratings: its pickle is the arrays' bytes plus about
-    # 490 bytes with numpy 2.4 on CPython 3.11 (a copy added 8 bytes per
+    # the index holds what its query reads, its five stats arrays, its
+    # three per-user and per-item arrays, the global mean and an int, and
+    # no copy of the ratings: its pickle is the arrays' bytes plus about
+    # 580 bytes with numpy 2.4 on CPython 3.11 (a copy added 8 bytes per
     # clustered rating, 19.5 kB here)
     train = random_grid_dataset(np.random.default_rng(26), max_users=300, max_items=40)
     stats = CobarModel().fit(train).stats
     assert stats.n_entries > 4_000
-    assert vars(stats).keys() == {"_arrays", "n_leaves", "n_items", "_most_raters"}
-    assert len(pickle.dumps(stats)) < sum(array.nbytes for array in stats._arrays) + 1024
+    assert vars(stats).keys() == {"_arrays", "_lookup", "_global_mean", "_most_raters"}
+    arrays = (*stats._arrays, *stats._lookup)
+    assert len(pickle.dumps(stats)) < sum(array.nbytes for array in arrays) + 1024
 
 
 @pytest.mark.parametrize("name", ["cobar", "mp", "mf"])

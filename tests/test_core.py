@@ -34,6 +34,7 @@ from oracles import (
     ancestor_chain_reference,
     build_item_stats_dict,
     interval_half_width,
+    leaf_of_reference,
     leaves_under,
     node_items,
     select_optimal_cluster_dict,
@@ -191,8 +192,7 @@ class TestClusterStatsIndex:
                 assert list(map(len, entries)) == list(map(len, reference._maps))
                 sizes = dend.nodes[1] - dend.nodes[0]
                 for level in (0.9, 0.95, 0.99):
-                    _, detail = stats.bind(level, model.user_stats.means, model.item_stats.means, model._leaf_of,
-                                           model.user_stats.global_mean, 0.5, -math.inf, math.inf)
+                    _, detail = stats.bind(level, 0.5, -math.inf, math.inf)
                     for leaf in range(dend.n_leaves):
                         chain = ancestor_chain_reference(dend, leaf).tolist()
                         for item in range(ds.n_items):
@@ -234,10 +234,11 @@ class TestClusterStatsIndex:
                 stack.extend(ref for ref in gc.get_referents(obj) if isinstance(ref, (np.ndarray, tuple, dict)))
             assert objects < 10
             # the arrays: a position per clustered rating, and a node id
-            # and four floats per gap, plus the node ranges and parents and
-            # the item offsets
+            # and four floats per gap, plus the node ranges and parents, the
+            # item offsets, and a mean and a leaf per user and a mean per item
             gaps = stats.n_entries - int(clustered.sum())
-            assert arrays <= stats.n_entries + 4 * gaps + 3 * dend.n_nodes + 2 * (ds.n_items + 1)
+            per_key = 2 * ds.n_users + ds.n_items
+            assert arrays <= stats.n_entries + 4 * gaps + 3 * dend.n_nodes + 2 * (ds.n_items + 1) + per_key
         # 12 ratings of 4 items
         assert build_item_stats(agglomerate(demo_dataset), demo_dataset).n_entries == 20
 
@@ -315,7 +316,7 @@ class TestSelectOptimalCluster:
             model = CobarModel().fit(ds)
             reference, query = dict_stats(model, ds), functools.partial(_chosen, model)
             for user in range(ds.n_users):
-                leaf = int(model._leaf_of[user])
+                leaf = leaf_of_reference(model.dendrogram, user)
                 if leaf < 0:
                     continue
                 chain = model.dendrogram.ancestor_chain(leaf)
@@ -557,7 +558,8 @@ class TestPredictionAgainstReference:
                     if got.fallback is not Fallback.NONE:
                         continue
                     zero_widths += got.half_width == 0.0
-                    chain = ancestor_chain_reference(model.dendrogram, model._leaf_of[user]).tolist()
+                    leaf = leaf_of_reference(model.dendrogram, user)
+                    chain = ancestor_chain_reference(model.dendrogram, leaf).tolist()
                     later = chain[chain.index(got.chosen_node) + 1:]
                     ties += any(
                         _count(model, train, node, item) >= 2

@@ -246,6 +246,20 @@ class TestRunCrossValidation:
         assert len(reports) == 2 and reports[0] == reports[1]
         assert set(json.loads(reports[0])["results"]) == set(ALGORITHM_NAMES)
 
+    def test_report_of_numpy_scalars_saves_as_one_of_python_scalars(self, two_clusters_dataset, tmp_path):
+        # numpy ints and a numpy level once reached the report unconverted,
+        # and `save` raised TypeError after every fold had run
+        saved = []
+        for folds, seed, level in ((3, 5, 0.9), (np.int64(3), np.int64(5), np.float64(0.9))):
+            report = run_cross_validation(two_clusters_dataset, build_algorithms(["cobar", "mp"]), folds=folds,
+                                          seed=seed, wilcoxon_level=level)
+            path = tmp_path / f"report-{len(saved)}.json"
+            report.save(path)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
+        assert type(json.loads(saved[1])["wilcoxon"][0]["significant"]) is bool
+        assert type(wilcoxon_signed_rank([1.0, 2.0, 3.0], [2.0, 4.0, 7.0], np.float64(0.9)).significant) is bool
+
     def test_report_schema(self, two_clusters_dataset):
         report = run_cross_validation(
             two_clusters_dataset, build_algorithms(["cobar", "mp"]), folds=3, seed=5

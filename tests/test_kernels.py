@@ -31,7 +31,7 @@ from cobar.data import fold_train_test
 from cobar.kernels import _python
 from conftest import (RATING_SCALES, REPO_ROOT, SPLIT_FLOOR, benchmark_dataset, c_compiler_found, make_dataset,
                       random_grid_dataset)
-from oracles import ancestor_chain_reference, condensed, ward_reference
+from oracles import ancestor_chain_reference, condensed, leaf_of_reference, ward_reference
 
 
 def _random_dist(rng, n):
@@ -145,44 +145,15 @@ class TestDispatch:
         public = {name for name in dir(compiled_kernels) if not name.startswith("_")}
         assert {name for name in public if callable(getattr(compiled_kernels, name))} == set(LOOPS)
 
-    def test_stale_extension_rejected(self):
-        # extensions built from older source import, but hold the checked
-        # kernels of before, or not every loop
-        stale = {"ward_linkage, mf_sgd_epoch": ", ".join(LOOPS),
-                 "ward_loop, sgd_epoch": "bind_knn_query, stats_build, bind_cobar_query, cosine_rows, tokenize, csr_fill",
-                 "ward_loop, sgd_epoch, bind_knn_query": "stats_build, bind_cobar_query, cosine_rows, tokenize, csr_fill",
-                 "ward_loop, sgd_epoch, bind_knn_query, stats_build, bind_stats_query":
-                     "bind_cobar_query, cosine_rows, tokenize, csr_fill",
-                 # an extension from before the queries were bound
-                 "ward_loop, sgd_epoch, knn_query, stats_build, stats_query, cosine_rows":
-                     "bind_knn_query, bind_cobar_query, tokenize, csr_fill",
-                 # an extension from before the tokenizer
-                 "ward_loop, sgd_epoch, bind_knn_query, stats_build, bind_stats_query, cosine_rows":
-                     "bind_cobar_query, tokenize, csr_fill",
-                 # an extension from before the counting sort
-                 "ward_loop, sgd_epoch, bind_knn_query, stats_build, bind_stats_query, cosine_rows, tokenize":
-                     "bind_cobar_query, csr_fill",
-                 # an extension from before cobar's whole query was compiled
-                 "ward_loop, sgd_epoch, bind_knn_query, stats_build, bind_stats_query, cosine_rows, tokenize, csr_fill":
-                     "bind_cobar_query"}
-        for present, missing in stale.items():
-            code = (
-                "import sys, types; "
-                "stub = types.ModuleType('cobar.kernels._compiled'); "
-                "stub.__file__ = '/old/build/_compiled.so'; "
-                f"stub.{present.replace(', ', ' = stub.')} = print; "
-                "sys.modules['cobar.kernels._compiled'] = stub; "
-                "import cobar"
-            )
-            environ = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-            out = subprocess.run([sys.executable, "-c", code], env=environ, capture_output=True, text=True)
-            assert out.returncode != 0
-            last = out.stderr.strip().splitlines()[-1]
-            assert last == f"ImportError: stale extension /old/build/_compiled.so lacks {missing}; {REBUILD}"
-
-    @pytest.mark.parametrize("layout", [None, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11])
-    def test_extension_of_another_layout_rejected(self, layout):
-        # an extension that has every loop but reads their arguments in
+    @pytest.mark.parametrize("layout, loops", [
+        *(pytest.param(layout, LOOPS, id=str(layout)) for layout in (None, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11)),
+        # an extension from before the queries were bound, which lacks
+        # loops as every extension older than the current layout does
+        pytest.param(None, ("ward_loop", "sgd_epoch", "knn_query", "stats_build", "stats_query", "cosine_rows"),
+                     id="old-loops"),
+    ])
+    def test_extension_of_another_layout_rejected(self, layout, loops):
+        # an extension that reads the loops' arguments in
         # another layout, e.g. one built before the cosine pass took int32
         # indices, which it would read as int64 past the arrays' ends, one
         # of layout 2, whose queries took their arrays on every call, one
@@ -200,7 +171,7 @@ class TestDispatch:
             "import sys, types; "
             "stub = types.ModuleType('cobar.kernels._compiled'); "
             "stub.__file__ = '/old/build/_compiled.so'; "
-            + "".join(f"stub.{name} = print; " for name in LOOPS)
+            + "".join(f"stub.{name} = print; " for name in loops)
             + ("" if layout is None else f"stub.LAYOUT = {layout}; ")
             + "sys.modules['cobar.kernels._compiled'] = stub; "
             "import cobar"
@@ -1478,6 +1449,24 @@ class TestClusterStatsIndex:
                         checked[name] += 1
         assert checked["python"] == checked["c"] > 0
 
+    def test_holds_each_users_leaf_and_the_training_means(self):
+        # every array the query reads beside the statistics: a leaf per
+        # user, -1 for one outside the hierarchy (here "d", whose only
+        # rating is 0), and the training set's cached means, not copies;
+        # all read-only, also after a pickle load
+        ds = make_dataset([("a", "x", 4.0), ("a", "y", 2.0), ("b", "x", 3.0), ("b", "z", 5.0), ("c", "y", 1.0),
+                           ("c", "z", 4.0), ("d", "x", 0.0), ("e", "z", 2.0)])
+        problem = _stats_problem(ds)
+        index = kernels.ClusterStatsIndex(**problem)
+        user_means, item_means, leaf_of = index._lookup
+        assert user_means is ds.user_stats.means and item_means is ds.item_stats.means
+        assert index._global_mean == ds.user_stats.global_mean
+        want = [leaf_of_reference(problem["dendrogram"], user) for user in range(ds.n_users)]
+        assert leaf_of.dtype == np.int64 and leaf_of.tolist() == want
+        assert want[ds.user_index("d")] == -1 and sorted(want) == [-1, 0, 1, 2, 3]
+        for held in (index, pickle.loads(pickle.dumps(index))):
+            assert not any(array.flags.writeable for array in held._lookup)
+
     @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, float("nan"), float("inf")])
     def test_level_outside_the_unit_interval_rejected(self, each_backend, demo_dataset, level, monkeypatch):
         # checked once, when the level's query is bound, so that a query
@@ -1500,36 +1489,28 @@ class TestClusterStatsIndex:
 
     @pytest.mark.parametrize("data", ["demo", "random"])
     def test_one_index_serves_every_level(self, kernel_backend, demo_dataset, data):
-        # the index depends on the training set alone: bound at a level, it
-        # answers as a model fitted at that level
+        # the index depends on the training set alone: bound at a gamma
+        # and a level, it answers as a model fitted with that config
         ds = demo_dataset if data == "demo" else random_grid_dataset(np.random.default_rng(408), max_users=30)
         model, problem = _prediction_problem(ds)
         pairs = [(user, item) for user in range(ds.n_users) for item in range(ds.n_items)]
         answers = {}
-        for level in (0.8, 0.95):
-            fitted = CobarModel(CobarConfig(confidence_level=level)).fit(ds)
-            predict, detail = model.stats.bind(**{**problem, "level": level})
-            answers[level] = [repr(detail(*pair)) for pair in pairs]
-            assert answers[level] == [repr(fitted._detail(*pair)) for pair in pairs]
-            assert [repr(predict(*pair)) for pair in pairs] == [repr(fitted.predict(*pair)) for pair in pairs]
-        assert answers[0.8] != answers[0.95]
+        for gamma in (0.0, 0.5, 1.0):
+            for level in (0.8, 0.95):
+                fitted = CobarModel(CobarConfig(gamma=gamma, confidence_level=level)).fit(ds)
+                predict, detail = model.stats.bind(**{**problem, "level": level, "gamma": gamma})
+                answers[gamma, level] = [repr(detail(*pair)) for pair in pairs]
+                assert answers[gamma, level] == [repr(fitted._detail(*pair)) for pair in pairs]
+                assert [repr(predict(*pair)) for pair in pairs] == [repr(fitted.predict(*pair)) for pair in pairs]
+        assert answers[0.5, 0.8] != answers[0.5, 0.95]
+        assert answers[0.0, 0.95] != answers[0.5, 0.95] != answers[1.0, 0.95]
 
 
 def _prediction_problem(ds):
-    """A cobar fit of `ds` and writable copies of the arguments its index's
-    `bind` takes."""
+    """A cobar fit of `ds` and the arguments its index's `bind` takes."""
     model = CobarModel().fit(ds)
     lo, hi = model._limits[2:]
-    return model, {"level": 0.95, "user_means": model.user_stats.means.copy(),
-                   "item_means": model.item_stats.means.copy(), "leaf_of": model._leaf_of.copy(),
-                   "global_mean": model.user_stats.global_mean, "gamma": 0.5, "lo": lo, "hi": hi}
-
-
-def _with_leaf(leaf):
-    def edit(leaf_of):
-        leaf_of[-1] = leaf
-        return leaf_of
-    return edit
+    return model, {"level": 0.95, "gamma": 0.5, "lo": lo, "hi": hi}
 
 
 class _CountingLoops:
@@ -1544,27 +1525,14 @@ class _CountingLoops:
 
 
 class TestBindPrediction:
-    """Cobar's whole query, bound by `ClusterStatsIndex.bind`:
-    its arguments are checked once, at the bind, before any loop runs, and
-    its two indices by every call, with the errors of every predictor's
-    `predict`, on both backends."""
+    """Cobar's whole query, bound by `ClusterStatsIndex.bind`: its level is
+    checked once, at the bind, before any loop runs, and its two indices by
+    every call, with the errors of every predictor's `predict`, on both
+    backends."""
 
-    # the demo file's 5 users are all clustered, in 5 leaves
     @pytest.mark.parametrize("name, value, error, match", [
-        ("user_means", lambda a: a.astype(np.float32), TypeError, "user_means must hold float64"),
-        ("item_means", lambda a: a.astype(np.int64), TypeError, "item_means must hold float64"),
-        ("leaf_of", lambda a: a.astype(np.int32), TypeError, "leaf_of must hold int64"),
-        ("leaf_of", lambda a: np.stack([a, a]), ValueError, "1-dimensional"),
-        ("user_means", lambda a: np.repeat(a, 2)[::2], ValueError, "C-contiguous"),
-        ("item_means", lambda a: a[:-1], ValueError, r"item_means has 3 entries, not one per item \(4\)"),
-        ("item_means", lambda a: np.append(a, 1.0), ValueError, "not one per item"),
-        ("user_means", lambda a: a[:-1], ValueError, r"leaf_of has 5 entries, not one per user \(4\)"),
-        ("leaf_of", _with_leaf(-2), IndexError, r"leaf_of holds a leaf out of range \[-1, 5\)"),
-        ("leaf_of", _with_leaf(5), IndexError, r"leaf_of holds a leaf out of range \[-1, 5\)"),
         ("level", lambda level: 1.0, ValueError, r"confidence level must be in \(0, 1\)"),
-    ], ids=["float32-user-means", "int-item-means", "int32-leaves", "2-d-leaves", "strided-user-means",
-            "short-item-means", "long-item-means", "short-user-means", "leaf-minus-2", "leaf-n-leaves",
-            "level-one"])
+    ], ids=["level-one"])
     def test_bad_argument_rejected(self, each_backend, demo_dataset, monkeypatch, name, value, error, match):
         model, problem = _prediction_problem(demo_dataset)
         problem[name] = value(problem[name])
@@ -1574,17 +1542,6 @@ class TestBindPrediction:
             with pytest.raises(error, match=match):
                 model.stats.bind(**problem)
             assert not loops.calls
-            # a rejected bind freezes nothing
-            assert all(problem[key].flags.writeable for key in ("user_means", "item_means", "leaf_of"))
-
-    def test_a_good_bind_freezes_its_arrays(self, each_backend, demo_dataset):
-        model, problem = _prediction_problem(demo_dataset)
-        for _ in each_backend:
-            predict, detail = model.stats.bind(**problem)
-            assert not any(problem[key].flags.writeable for key in ("user_means", "item_means", "leaf_of"))
-            pairs = [(user, item) for user in range(demo_dataset.n_users) for item in range(demo_dataset.n_items)]
-            assert [repr(detail(*pair)) for pair in pairs] == [repr(model._detail(*pair)) for pair in pairs]
-            assert [repr(predict(*pair)) for pair in pairs] == [repr(model.predict(*pair)) for pair in pairs]
 
     @pytest.mark.parametrize("args", [
         (-1, 0), (5, 0), (0, -1), (0, 4), (5, 4), (-1, 4), (np.int64(5), 0), (0, np.int16(-3)), (True, 4),
@@ -1719,8 +1676,8 @@ class TestBoundQueries:
             model = CobarModel().fit(ds)
             for level in (0.9, 0.95, 0.99):
                 table = kernels._t_critical_table(level, model.stats._most_raters)
-                args = (*model.stats._arrays, table, model.user_stats.means, model.item_stats.means, model._leaf_of,
-                        model.user_stats.global_mean, 0.5, *model._limits[2:])
+                args = (*model.stats._arrays, table, *model.stats._lookup, model.stats._global_mean, 0.5,
+                        *model._limits[2:])
                 bound = [loops.bind_cobar_query(*args, detailed) for loops in (_python, compiled_kernels)
                          for detailed in (False, True)]
                 for user in range(ds.n_users):
