@@ -32,15 +32,13 @@ class OptionalBuildExt(build_ext):
     def build_extension(self, ext):
         # the kernels promise the numpy backend's bits, so a*b + c must not
         # be fused into one rounding (gcc fuses by default where FMA exists);
-        # the cosine pass and the Ward loop run a second POSIX thread; each
-        # function and loop starts a 64-byte line, so an edit to one loop
-        # does not move the others across lines (on x86-64 with gcc 12, a
-        # shift of 16 to 336 bytes made the cosine pass or the kNN query up
-        # to 8% slower with the same instructions)
+        # each function and loop starts a 64-byte line, so an edit to one
+        # loop does not move the others across lines (on x86-64 with gcc 12,
+        # a shift of 16 to 336 bytes made the cosine pass or the kNN query
+        # up to 8% slower with the same instructions)
         if self.compiler.compiler_type == "unix":
-            ext.extra_compile_args = [*ext.extra_compile_args, "-ffp-contract=off", "-pthread",
-                                      "-falign-functions=64", "-falign-loops=64"]
-            ext.extra_link_args = [*ext.extra_link_args, "-pthread"]
+            ext.extra_compile_args = [*ext.extra_compile_args, "-ffp-contract=off", "-falign-functions=64",
+                                      "-falign-loops=64"]
         super().build_extension(ext)
 
 

@@ -48,16 +48,10 @@ lazy bounds on the rows' minima.  Both backends give the same distances,
 merges, heights, CSR layouts, MF updates, kNN aggregates, cluster
 statistics and parsed datasets bit for bit: only speed depends on BACKEND.
 
-Only data crosses into a loop: no entry hands one a thread count or a
-work buffer.  The compiled cosine pass and Ward loop release the GIL and
-pick their own thread count: 2 when the input is above the loop's floor
-(`COSINE_FLOOR` users, `WARD_FLOOR` clusters, 2,000 each) and the process
-may run on two CPUs, 1 otherwise, with no option for it.  They return the
-count, which the entries ignore.  With 2 they split their rows, or each
-merge's update and move, with one worker thread.  The numpy loops run on
-one thread.  Results never depend on the thread count.  The compiled kNN
-query allocates its work buffers once, when it is bound, and the compiled
-queries keep the GIL.
+Only data crosses into a loop: no entry hands one a work buffer.  Both
+backends' cosine pass and Ward loop run on the calling thread, and the
+compiled ones release the GIL.  The compiled kNN query allocates its work
+buffers once, when it is bound, and the compiled queries keep the GIL.
 """
 
 from __future__ import annotations

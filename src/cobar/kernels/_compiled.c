@@ -24,19 +24,7 @@
  * block of 32 rows and prefetches the strided column entries it updates
  * and moves.
  *
- * These two n^2 loops release the GIL and choose their own thread count,
- * which they return: 2 when the input is above the loop's floor
- * (COSINE_FLOOR rows, WARD_FLOOR clusters) and the process may run on two
- * CPUs or more, 1 otherwise.  With 2, a loop splits its work with one POSIX
- * worker thread: the cosine pass its rows, in two ranges of about half the
- * pairs each; the Ward loop its first bounds and, at each merge, the
- * update and the move over the active slots, while the pair search, the
- * rescans and the tie scan stay on the calling thread.  Every entry is
- * computed as on one thread and row minima are combined in slot order, so
- * the results never depend on the thread count.  The calling thread
- * allocates every buffer and joins the worker before it returns, also when
- * the Ward loop stops at an overflow.  Without POSIX threads, or when the
- * worker cannot start, the loops run on the calling thread.
+ * These two n^2 loops release the GIL and run on the calling thread.
  *
  * `sgd_epoch` performs the steps of `cobar.kernels._python.sgd_epoch` in
  * the same order: the prediction is global mean + user bias + item bias +
@@ -95,206 +83,6 @@
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
-
-/* The cosine pass and the Ward loop split their rows over two threads where
- * POSIX threads and C11 atomics exist; elsewhere they run serially. */
-#if defined(HAVE_PTHREAD_H) && defined(HAVE_SCHED_H) && !defined(__STDC_NO_ATOMICS__)
-#define HAVE_SPLIT 1
-#include <pthread.h>
-#include <sched.h>
-#include <stdatomic.h>
-#include <time.h>
-#include <unistd.h>
-#endif
-
-/* Each n^2 loop splits only above its floor: the cosine pass over more than
- * COSINE_FLOOR rows, and the Ward loop over more than WARD_FLOOR clusters,
- * for the merges while more than WARD_FLOOR are active.  On 2 vCPUs
- * (x86-64, gcc), two threads cut the cosine pass of 3,000 cap-shaped users
- * by 40-50% and its Ward loop by 20-30%; on 1,500 users the pass saved 1-3
- * ms of a 40 ms fit and Ward about nothing.  Below the floors, the second
- * CPU is left to other work, such as the other folds of an evaluation.  A
- * build may lower both with -D, as the tests do to split small inputs. */
-#ifndef COSINE_FLOOR
-#define COSINE_FLOOR 2000
-#endif
-#ifndef WARD_FLOOR
-#define WARD_FLOOR 2000
-#endif
-
-/* A waiting thread spins this many times, then yields its CPU between
- * polls.  A caller that yields for more than STALL_NS nanoseconds on the
- * worker's part waited for a worker without a CPU: a merge's part takes
- * microseconds, a time slice of another process milliseconds.  One such
- * stall in a call may be the host's; at MAX_STALLS, the CPUs are taken and
- * the Ward loop stops splitting. */
-#define SPIN_LIMIT 4096
-#define STALL_NS 500000
-#define MAX_STALLS 2
-
-#ifdef HAVE_SPLIT
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-#define CPU_PAUSE() __builtin_ia32_pause()
-#elif defined(__GNUC__) && defined(__aarch64__)
-#define CPU_PAUSE() __asm__ __volatile__("yield")
-#else
-#define CPU_PAUSE() ((void)0)
-#endif
-
-/* A calling thread and one worker running the two parts of a job.  The
- * caller runs part 0, and part 1 goes to whichever thread claims it first,
- * so a worker that is not running delays nothing: `posted` counts the jobs
- * posted, `taken` the jobs whose part 1 was claimed, and `finished` those
- * the worker finished.  A job's data is written before its post and read
- * after its claim (release, acquire), and what the worker writes is read
- * after its finish.  `stalls` counts the caller's waits of more than
- * STALL_NS on a claimed part.  The worker allocates nothing. */
-typedef struct {
-    pthread_t thread;
-    void (*run)(void *ctx, int part);
-    void *ctx;
-    atomic_uint posted, taken, finished;
-    atomic_int quit;
-    int stalls;
-} Pair;
-
-/* One poll of a wait: a pause for the first SPIN_LIMIT polls, then a
- * yield of the CPU. */
-static void
-backoff(int *spins)
-{
-    if (*spins < SPIN_LIMIT) {
-        ++*spins;
-        CPU_PAUSE();
-    }
-    else
-        sched_yield();
-}
-
-static int64_t
-now_ns(void)
-{
-    struct timespec t;
-    clock_gettime(CLOCK_MONOTONIC, &t);
-    return (int64_t)t.tv_sec * 1000000000 + t.tv_nsec;
-}
-
-/* Claims part 1 of job `job`; 0 when the other thread claimed it first. */
-static int
-pair_claim(Pair *pair, unsigned job)
-{
-    unsigned open = job - 1;
-    return atomic_compare_exchange_strong_explicit(&pair->taken, &open, job, memory_order_acq_rel,
-                                                   memory_order_acquire);
-}
-
-static void *
-pair_worker(void *arg)
-{
-    Pair *pair = arg;
-    unsigned job = 0, now;
-    for (;;) {
-        int spins = 0;
-        while ((now = atomic_load_explicit(&pair->posted, memory_order_acquire)) == job)
-            backoff(&spins);
-        job = now;
-        if (atomic_load_explicit(&pair->quit, memory_order_relaxed))
-            return NULL;
-        if (pair_claim(pair, job)) {
-            pair->run(pair->ctx, 1);
-            atomic_store_explicit(&pair->finished, job, memory_order_release);
-        }
-    }
-}
-
-/* Starts the worker of `run`; 0 when it cannot start, and the parts must
- * then run on the caller. */
-static int
-pair_start(Pair *pair, void (*run)(void *, int), void *ctx)
-{
-    pair->run = run;
-    pair->ctx = ctx;
-    pair->stalls = 0;
-    atomic_init(&pair->posted, 0);
-    atomic_init(&pair->taken, 0);
-    atomic_init(&pair->finished, 0);
-    atomic_init(&pair->quit, 0);
-    return pthread_create(&pair->thread, NULL, pair_worker, pair) == 0;
-}
-
-/* Runs both parts of one job and returns when both are done. */
-static void
-pair_run(Pair *pair)
-{
-    unsigned job = atomic_load_explicit(&pair->posted, memory_order_relaxed) + 1;
-    atomic_store_explicit(&pair->posted, job, memory_order_release);
-    pair->run(pair->ctx, 0);
-    if (pair_claim(pair, job))
-        pair->run(pair->ctx, 1);
-    else {
-        /* the worker claimed it: wait for this job, not an earlier one */
-        int spins = 0;
-        int64_t yielding = 0;
-        while (atomic_load_explicit(&pair->finished, memory_order_acquire) != job) {
-            if (spins == SPIN_LIMIT && yielding == 0)
-                yielding = now_ns();
-            backoff(&spins);
-        }
-        pair->stalls += yielding != 0 && now_ns() - yielding > STALL_NS;
-    }
-}
-
-/* Ends the worker and joins it. */
-static void
-pair_stop(Pair *pair)
-{
-    atomic_store_explicit(&pair->quit, 1, memory_order_relaxed);
-    atomic_store_explicit(&pair->posted, atomic_load_explicit(&pair->posted, memory_order_relaxed) + 1,
-                          memory_order_release);
-    pthread_join(pair->thread, NULL);
-}
-
-/* Whether this process may run on two CPUs or more: the CPUs of its
- * affinity, as `os.sched_getaffinity` counts them, or where that cannot be
- * read, those online, as `os.cpu_count` counts them. */
-static int
-two_cpus(void)
-{
-#if defined(HAVE_SCHED_SETAFFINITY) && defined(CPU_COUNT)
-    cpu_set_t set;
-    if (sched_getaffinity(0, sizeof set, &set) == 0)
-        return CPU_COUNT(&set) > 1;
-#endif
-    return sysconf(_SC_NPROCESSORS_ONLN) > 1;
-}
-#else
-/* No worker ever starts, and every part runs on the calling thread. */
-typedef struct {
-    int stalls;
-} Pair;
-
-static int
-two_cpus(void)
-{
-    return 0;
-}
-
-static int
-pair_start(Pair *pair, void (*run)(void *, int), void *ctx)
-{
-    return 0;
-}
-
-static void
-pair_run(Pair *pair)
-{
-}
-
-static void
-pair_stop(Pair *pair)
-{
-}
-#endif
 
 /* The layout of `cobar.kernels.csr_rows`: the n rating triples (int32
  * keys and others, ratings) in CSR form with the keys as rows, each row
@@ -362,40 +150,36 @@ done:
     return result;
 }
 
-/* The arrays of `cosine_rows`, and the sums and column cursors of its two
- * parts: part 0 takes the rows before `split`, part 1 the rest. */
-typedef struct {
-    const int64_t *rp, *cp;
-    const int32_t *ri, *ci;
-    const double *rd, *cd, *norms;
-    double *dist;
-    Py_ssize_t n, n_columns, split;
-    double *acc[2];
-    int64_t *cursor[2];
-} Cosine;
-
-/* Forces a function into each of its callers. */
-#if defined(__GNUC__) || defined(__clang__)
-#define ALWAYS_INLINE inline __attribute__((always_inline))
-#else
-#define ALWAYS_INLINE inline
-#endif
-
-/* The distance pass over rows first..stop-1, with the sums `acc`, n zeros,
- * and the column cursors `cursor`.  Inlined into both callers: as a call
- * of its own, with the same instructions, the serial pass over 1,500 and
- * 3,000 cap-shaped users ran 7-10% slower (interleaved runs, x86-64, gcc). */
-static ALWAYS_INLINE void
-cosine_range(const Cosine *c, Py_ssize_t first, Py_ssize_t stop, double *acc, int64_t *cursor)
+/* The distance pass of `_python.cosine_rows`, whose steps it takes one
+ * product at a time, for n rows, n the length of `norms`: the CSR arrays of
+ * the rows (rp, ri, rd) and of the columns (cp, ci, cd), each sorted, with
+ * int32 indices, hold the same ratings.  Row i's dot products with the rows
+ * j > i are summed in `acc`, item by item in row i's order; a cursor per
+ * column skips the rows j <= i, which every earlier row that rated the item
+ * has passed.  Row i's distances are then written to `dist`, in pdist
+ * order, and its sums zeroed for the next row. */
+static PyObject *
+cosine_rows(PyObject *self, PyObject *args)
 {
-    const int64_t *rp = c->rp, *cp = c->cp;
-    const int32_t *ri = c->ri, *ci = c->ci;
-    const double *rd = c->rd, *cd = c->cd, *norms = c->norms;
-    Py_ssize_t n = c->n;
-    /* row first's pairs start after those of the rows before it */
-    double *dist = c->dist + (first * n - first * (first + 1) / 2);
-    memcpy(cursor, cp, c->n_columns * sizeof(int64_t));
-    for (Py_ssize_t i = first; i < stop; i++) {
+    Py_buffer b[8];
+    if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*y*w*:cosine_rows", &b[0], &b[1], &b[2], &b[3], &b[4], &b[5],
+                          &b[6], &b[7]))
+        return NULL;
+    const int64_t *rp = b[0].buf, *cp = b[3].buf;
+    const int32_t *ri = b[1].buf, *ci = b[4].buf;
+    const double *rd = b[2].buf, *cd = b[5].buf, *norms = b[6].buf;
+    double *dist = b[7].buf;
+    Py_ssize_t n = b[6].len / (Py_ssize_t)sizeof(double), n_columns = b[3].len / (Py_ssize_t)sizeof(int64_t) - 1;
+    PyObject *result = NULL;
+    double *acc = PyMem_Calloc(n, sizeof(double));
+    int64_t *cursor = PyMem_New(int64_t, n_columns);
+    if (!acc || !cursor) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    memcpy(cursor, cp, n_columns * sizeof(int64_t));
+    for (Py_ssize_t i = 0; i < n; i++) {
         for (int64_t p = rp[i]; p < rp[i + 1]; p++) {
             int64_t k = ri[p], q = cursor[k], end = cp[k + 1];
             double w = rd[p];
@@ -416,68 +200,11 @@ cosine_range(const Cosine *c, Py_ssize_t first, Py_ssize_t stop, double *acc, in
             *dist++ = v;
         }
     }
-}
-
-static void
-cosine_part(void *ctx, int part)
-{
-    Cosine *c = ctx;
-    cosine_range(c, part ? c->split : 0, part ? c->n : c->split, c->acc[part], c->cursor[part]);
-}
-
-/* The distance pass of `_python.cosine_rows`, whose steps it takes one
- * product at a time, for n rows, n the length of `norms`: the CSR arrays of
- * the rows (rp, ri, rd) and of the columns (cp, ci, cd), each sorted, with
- * int32 indices, hold the same ratings.  Row i's dot products with the rows
- * j > i are summed in `acc`, item by item in row i's order; a cursor per
- * column skips the rows j <= i, which every earlier row that rated the item
- * has passed.  Row i's distances are then written to `dist`, in pdist
- * order, and its sums zeroed for the next row.  Above COSINE_FLOOR rows, on
- * two CPUs, the rows split in two ranges of about half the pairs each, the
- * first n(1 - 1/sqrt 2) rows and the rest; each range has its own sums and
- * cursors, which skip the rows before it as they skip row i's, and writes
- * its own pairs.  Returns the number of threads the pass ran on. */
-static PyObject *
-cosine_rows(PyObject *self, PyObject *args)
-{
-    Py_buffer b[8];
-    if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*y*w*:cosine_rows", &b[0], &b[1], &b[2], &b[3], &b[4], &b[5],
-                          &b[6], &b[7]))
-        return NULL;
-    Cosine c = {
-        .rp = b[0].buf, .ri = b[1].buf, .rd = b[2].buf, .cp = b[3].buf, .ci = b[4].buf, .cd = b[5].buf,
-        .norms = b[6].buf, .dist = b[7].buf,
-        .n = b[6].len / (Py_ssize_t)sizeof(double), .n_columns = b[3].len / (Py_ssize_t)sizeof(int64_t) - 1,
-    };
-    PyObject *result = NULL;
-    int parts = c.n > COSINE_FLOOR && two_cpus() ? 2 : 1;
-    c.split = parts == 2 ? c.n - (Py_ssize_t)(c.n / sqrt(2.0)) : c.n;
-    /* the worker's buffers too are allocated here, by the calling thread */
-    for (int part = 0; part < parts; part++) {
-        c.acc[part] = PyMem_Calloc(c.n, sizeof(double));
-        c.cursor[part] = PyMem_New(int64_t, c.n_columns);
-        if (!c.acc[part] || !c.cursor[part]) {
-            PyErr_NoMemory();
-            goto done;
-        }
-    }
-    Py_BEGIN_ALLOW_THREADS
-    Pair pair;
-    if (parts == 2 && pair_start(&pair, cosine_part, &c)) {
-        pair_run(&pair);
-        pair_stop(&pair);
-    }
-    else {
-        parts = 1;
-        cosine_range(&c, 0, c.n, c.acc[0], c.cursor[0]);
-    }
     Py_END_ALLOW_THREADS
-    result = PyLong_FromLong(parts);
+    result = Py_NewRef(Py_None);
 done:
-    for (int part = 0; part < 2; part++) {
-        PyMem_Free(c.acc[part]);
-        PyMem_Free(c.cursor[part]);
-    }
+    PyMem_Free(acc);
+    PyMem_Free(cursor);
     for (int a = 0; a < 8; a++)
         PyBuffer_Release(&b[a]);
     return result;
@@ -487,12 +214,6 @@ done:
  * the strided column entries it walks WARD_AHEAD slots ahead. */
 #define WARD_BLOCK 32
 #define WARD_AHEAD 16
-/* With two threads, a merge's pass splits WARD_SHARE percent of the way up
- * the active slots, rounded down to a block: a slot k < i walks two strided
- * column entries, a slot i < k < j one and a slot k > j none, so the first
- * slots cost more.  On 3,000 to 6,000 cap-shaped users (2 vCPUs, gcc) 40
- * was the fastest of 25 to 55 percent, by 1-3%. */
-#define WARD_SHARE 40
 /* The message of the input the first bounds reject, as the numpy loop
  * words it. */
 #define WARD_BAD_INPUT "distances must be finite and nonnegative, with finite squares"
@@ -524,19 +245,24 @@ block_minimum(const double *umin, Py_ssize_t r)
     return run_minimum(umin + r / WARD_BLOCK * WARD_BLOCK, WARD_BLOCK, -INFINITY);
 }
 
-/* The state of `ward_loop`, and the job its parts share: the first bounds
- * while `first` is set, then the merge of slots i < j at height g with the
- * active slots lo..n-1.  Part 0 takes the slots lo..split-1, part 1 the
- * rest; each flags its own bad input in the first bounds, bad[part], and
- * finds its own minima of rows i and j, row_i[part] and row_j[part]. */
+/* The state of `ward_loop` that its first bounds and each merge's pass
+ * read and write: the merge of slots i < j at squared linkage g with the
+ * active slots lo..n-1, and the minima of rows i and j that the pass
+ * finds. */
 typedef struct {
     double *D, *size, *umin, *bmin;
     const Py_ssize_t *off;
     char *stale;
-    Py_ssize_t n, lo, i, j, split;
-    double g, row_i[2], row_j[2];
-    int first, bad[2];
+    Py_ssize_t n, lo, i, j;
+    double g, row_i, row_j;
 } Ward;
+
+/* Forces a function into each of its callers. */
+#if defined(__GNUC__) || defined(__clang__)
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define ALWAYS_INLINE inline
+#endif
 
 /* The Lance-Williams update of the merge of clusters x and y at squared
  * linkage g, of sizes sx and sy, against a cluster of size s at squared
@@ -548,38 +274,31 @@ ward_update(double sx, double sy, double s, double dx, double dy, double g)
     return v < 0.0 ? 0.0 : v;
 }
 
-/* One pass over the slots k in [first, stop) of the merge of slots i < j:
- * the merged cluster takes slot j, and the cluster of slot lo, whose row
+/* The pass over the active slots k >= lo of the merge of slots i < j: the
+ * merged cluster takes slot j, and the cluster of slot lo, whose row
  * lies wholly in its upper run, moves into slot i, unless i is lo.  Slot k
  * writes v, the update against the merged cluster, at its pair with j and
  * lo's pair with k at its pair with i, or, for k = lo, v at the pair (i, j).
  * So a row k < j gains v in its upper run for the pair with j it loses, a
  * row k < i also lo's pair for the one with i, and rows k > j keep theirs;
  * rows i and j get whole new upper runs.  When i is lo the move writes each
- * entry of row i onto itself, and row i is retired.  Slot k reads and
- * writes only entries of row k and of rows lo, i and j at column k, and
- * bounds of slot k, and the step of lo writes only D(i, j), which no slot
- * reads, so parts over slot ranges split at a multiple of WARD_BLOCK write
- * disjoint entries and block bounds. */
+ * entry of row i onto itself, and row i is retired. */
 static void
-ward_range(Ward *w, Py_ssize_t first, Py_ssize_t stop, int part)
+ward_range(Ward *w)
 {
     double *D = w->D, *umin = w->umin, *bmin = w->bmin;
     const double *size = w->size;
     const Py_ssize_t *off = w->off;
     char *stale = w->stale;
-    Py_ssize_t lo = w->lo, i = w->i, j = w->j, k = first;
+    Py_ssize_t n = w->n, lo = w->lo, i = w->i, j = w->j, k = lo + 1;
     const double *moved = D + off[lo];
     double si = size[i], sj = size[j], g = w->g, row_i = INFINITY, row_j = INFINITY;
-    if (k == lo && k < stop) {
-        if (i != lo) {
-            row_i = ward_update(si, sj, size[lo], D[off[lo] + i], D[off[lo] + j], g);
-            D[off[i] + j] = row_i;
-        }
-        k++;
+    if (i != lo) {
+        row_i = ward_update(si, sj, size[lo], D[off[lo] + i], D[off[lo] + j], g);
+        D[off[i] + j] = row_i;
     }
     /* rows k < i: their pairs with i and j, two strided entries */
-    for (; k < stop && k < i; k++) {
+    for (; k < i; k++) {
         if (k + WARD_AHEAD < i) {
             PREFETCH(&D[off[k + WARD_AHEAD] + i]);
             PREFETCH(&D[off[k + WARD_AHEAD] + j]);
@@ -604,7 +323,7 @@ ward_range(Ward *w, Py_ssize_t first, Py_ssize_t stop, int part)
     if (k == i)
         k++;
     /* rows i < k < j: their pair with j, one strided entry */
-    for (; k < stop && k < j; k++) {
+    for (; k < j; k++) {
         if (k + WARD_AHEAD < j)
             PREFETCH(&D[off[k + WARD_AHEAD] + j]);
         double old_j = D[off[k] + j], in = moved[k];
@@ -625,7 +344,7 @@ ward_range(Ward *w, Py_ssize_t first, Py_ssize_t stop, int part)
     if (k == j)
         k++;
     /* rows k > j: rows i and j only, contiguous */
-    for (; k < stop; k++) {
+    for (; k < n; k++) {
         double in = moved[k];
         double v = ward_update(si, sj, size[k], D[off[i] + k], D[off[j] + k], g);
         D[off[i] + k] = in;
@@ -635,8 +354,8 @@ ward_range(Ward *w, Py_ssize_t first, Py_ssize_t stop, int part)
         if (v < row_j)
             row_j = v;
     }
-    w->row_i[part] = row_i;
-    w->row_j[part] = row_j;
+    w->row_i = row_i;
+    w->row_j = row_j;
 }
 
 /* Squares the len distances at `run` in place and returns the smallest
@@ -667,29 +386,16 @@ square_run(double *run, Py_ssize_t len, int *bad)
     return run_minimum(best, 4, -INFINITY);
 }
 
-/* The first bounds, for the rows r in [first, stop): squares the
- * distances of row r's upper run and sets umin[r] to the smallest square.
- * Flags the part's input bad when a distance is not accepted. */
-static void
-ward_bounds(Ward *w, Py_ssize_t first, Py_ssize_t stop, int part)
+/* The first bounds: squares the distances of each row r's upper run and
+ * sets umin[r] to the smallest square.  Returns 1, the input bad, when a
+ * distance is not accepted, else 0. */
+static int
+ward_bounds(Ward *w)
 {
     int bad = 0;
-    for (Py_ssize_t r = first; r < stop; r++)
+    for (Py_ssize_t r = 0; r < w->n; r++)
         w->umin[r] = square_run(w->D + w->off[r] + r + 1, w->n - r - 1, &bad);
-    w->bad[part] = bad;
-}
-
-/* One part of the job: the first bounds of its rows, or the merge's pass
- * over its slots. */
-static void
-ward_part(void *ctx, int part)
-{
-    Ward *w = ctx;
-    Py_ssize_t first = part ? w->split : w->lo, stop = part ? w->n : w->split;
-    if (w->first)
-        ward_bounds(w, first, stop, part);
-    else
-        ward_range(w, first, stop, part);
+    return bad;
 }
 
 /* The Ward merge loop of `cobar.kernels.ward_linkage` on the condensed
@@ -718,17 +424,7 @@ ward_part(void *ctx, int part)
  * smallest bound g has been rescanned, g is the smallest distance and
  * every row holding a pair at g has the exact bound g, so the tie scan
  * reads only those rows.  A rescan reads one contiguous run, up to its
- * first entry equal to g.
- *
- * The search, the rescans and the tie scan run on the calling thread.  Above
- * WARD_FLOOR clusters, on two CPUs, the first bounds split at half the
- * entries, as the cosine pass splits, and while more than WARD_FLOOR slots
- * are active, a merge's pass runs in two parts, over the active slots below
- * and above WARD_SHARE percent of the way up.  Row i's and row j's minima
- * are the parts' taken in slot order, the first smallest as a serial scan
- * finds it, so the bits do not depend on the split.  After MAX_STALLS
- * stalls the loop runs on the calling thread alone.  Returns the number of
- * threads the loop started on. */
+ * first entry equal to g. */
 static PyObject *
 ward_loop(PyObject *self, PyObject *args)
 {
@@ -754,8 +450,8 @@ ward_loop(PyObject *self, PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
-    Ward w = {.D = D, .size = size, .umin = umin, .bmin = bmin, .off = off, .stale = stale, .n = n, .first = 1};
-    int bad, threads;
+    Ward w = {.D = D, .size = size, .umin = umin, .bmin = bmin, .off = off, .stale = stale, .n = n};
+    int bad;
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t r = 0; r < n_blocks * WARD_BLOCK; r++)
         umin[r] = INFINITY;
@@ -764,26 +460,12 @@ ward_loop(PyObject *self, PyObject *args)
         node_id[r] = r;
         size[r] = 1.0;
     }
-    /* the worker runs while more than WARD_FLOOR slots are active; the
-     * first bounds split as the cosine pass does, at half the pairs */
-    Pair pair;
-    int split = n > WARD_FLOOR && two_cpus() && pair_start(&pair, ward_part, &w);
-    threads = 1 + split;
-    if (split) {
-        w.split = n - (Py_ssize_t)(n / sqrt(2.0));
-        pair_run(&pair);
-        /* a part of it takes milliseconds, and the worker has just started */
-        pair.stalls = 0;
-    }
-    else
-        ward_bounds(&w, 0, n, 0);
-    w.first = 0;
-    bad = w.bad[0] | w.bad[1];
+    bad = ward_bounds(&w);
     for (Py_ssize_t b = 0; b < n_blocks; b++)
         bmin[b] = block_minimum(umin, b * WARD_BLOCK);
 
     for (Py_ssize_t lo = 0; lo < n - 1 && !bad; lo++) {
-        Py_ssize_t a = n - lo, low_block = lo / WARD_BLOCK;
+        Py_ssize_t low_block = lo / WARD_BLOCK;
         double g;
         int rescanned;
         do {
@@ -851,32 +533,15 @@ ward_loop(PyObject *self, PyObject *args)
         w.i = i;
         w.j = j;
         w.g = g;
-        double row_i, row_j;
-        if (split && (a <= WARD_FLOOR || pair.stalls == MAX_STALLS)) {
-            pair_stop(&pair);
-            split = 0;
-        }
-        if (split) {
-            w.split = (lo + a * WARD_SHARE / 100) / WARD_BLOCK * WARD_BLOCK;
-            if (w.split < lo)
-                w.split = lo;
-            pair_run(&pair);
-            row_i = w.row_i[1] < w.row_i[0] ? w.row_i[1] : w.row_i[0];
-            row_j = w.row_j[1] < w.row_j[0] ? w.row_j[1] : w.row_j[0];
-        }
-        else {
-            ward_range(&w, lo, n, 0);
-            row_i = w.row_i[0];
-            row_j = w.row_j[0];
-        }
+        ward_range(&w);
         size[j] += size[i];
         node_id[j] = n + lo;
-        umin[j] = row_j;
+        umin[j] = w.row_j;
         stale[j] = 0;
         if (i != lo) {
             size[i] = size[lo];
             node_id[i] = node_id[lo];
-            umin[i] = row_i;
+            umin[i] = w.row_i;
             stale[i] = 0;
         }
         umin[lo] = INFINITY;
@@ -886,13 +551,11 @@ ward_loop(PyObject *self, PyObject *args)
         bmin[j / WARD_BLOCK] = block_minimum(umin, j);
         bmin[low_block] = block_minimum(umin, lo);
     }
-    if (split)
-        pair_stop(&pair);
     Py_END_ALLOW_THREADS
     if (bad)
         PyErr_SetString(PyExc_ValueError, WARD_BAD_INPUT);
     else
-        result = PyLong_FromLong(threads);
+        result = Py_NewRef(Py_None);
 done:
     PyMem_Free(off);
     PyMem_Free(node_id);
@@ -1705,12 +1368,10 @@ static PyMethodDef methods[] = {
     {"cosine_rows", cosine_rows, METH_VARARGS,
      "cosine_rows(rows_indptr, rows_indices, rows_data, cols_indptr, cols_indices, cols_data, norms, dist)"
      "\n--\n\n"
-     "The distance pass of `cobar.kernels.cosine_distance_matrix`, which lays out its arguments; returns"
-     " the number of threads it ran on, 1 or 2."},
+     "The distance pass of `cobar.kernels.cosine_distance_matrix`, which lays out its arguments."},
     {"ward_loop", ward_loop, METH_VARARGS,
      "ward_loop(d, merges, heights)\n--\n\n"
-     "The merge loop of `cobar.kernels.ward_linkage`, which checks its arguments; returns the number of"
-     " threads it started on, 1 or 2."},
+     "The merge loop of `cobar.kernels.ward_linkage`, which checks its arguments."},
     {"sgd_epoch", sgd_epoch, METH_VARARGS,
      "sgd_epoch(users, items, ratings, order, user_factors, item_factors, user_bias, item_bias,"
      " global_mean, learning_rate, regularization)\n--\n\n"
@@ -1747,9 +1408,6 @@ static int
 exec_module(PyObject *module)
 {
     if (PyType_Ready(&BoundQueryType) < 0)
-        return -1;
-    if (PyModule_AddIntConstant(module, "COSINE_FLOOR", COSINE_FLOOR) < 0
-        || PyModule_AddIntConstant(module, "WARD_FLOOR", WARD_FLOOR) < 0)
         return -1;
     return PyModule_AddIntConstant(module, "LAYOUT", LAYOUT);
 }

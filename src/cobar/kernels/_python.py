@@ -16,10 +16,8 @@ compiled one sums those it reads.  The queries (the kNN query and cobar's
 two prediction runs over one interval walk) are bound to their arrays
 once, as compiled, here with `functools.partial`, over the same arrays:
 the compiled kNN query allocates its work buffers itself when it is
-bound.  Where the compiled cosine pass and Ward loop
-choose a thread count of their own, these run on the calling thread.  The
-compiled tokenizer has no numpy twin: its `tokenize` here declines every
-input.
+bound.  The compiled tokenizer has no numpy twin: its `tokenize` here
+declines every input.
 """
 
 from __future__ import annotations

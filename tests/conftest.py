@@ -99,59 +99,31 @@ def c_compiler_found() -> bool:
     return shutil.which(shlex.split(compiler)[0]) is not None
 
 
-def _build_extension(build: Path, cflags: str = "") -> Path:
-    """`setup.py build_ext` run into `build`, with `cflags` added to the
-    compiler's flags; returns `build`, which holds `cobar/kernels/_compiled*`.
-    Skips only when no C compiler is found: with a compiler, a failed build
-    fails the test."""
+@pytest.fixture(scope="session")
+def compiled_build(tmp_path_factory) -> Path:
+    """`setup.py build_ext` run into a temporary directory, so nothing under
+    `src/` is written; returns the build directory, which holds
+    `cobar/kernels/_compiled*`.  Skips only when no C compiler is found:
+    with a compiler, a failed build fails the test."""
     if not c_compiler_found():
         pytest.skip("no C compiler found")
-    environ = dict(os.environ)
-    if cflags:
-        environ["CFLAGS"] = f"{environ.get('CFLAGS', '')} {cflags}".strip()
+    build = tmp_path_factory.mktemp("build_ext")
     out = subprocess.run(
         [sys.executable, "setup.py", "build_ext", "--build-lib", str(build), "--build-temp", str(build / "tmp")],
-        cwd=REPO_ROOT, env=environ, capture_output=True, text=True,
+        cwd=REPO_ROOT, capture_output=True, text=True,
     )
     if out.returncode != 0 or not list((build / "cobar" / "kernels").glob("_compiled*")):
         pytest.fail(f"building the compiled extension failed:\n{out.stdout}\n{out.stderr}")
     return build
 
 
-def _load_extension(build: Path):
-    path = next((build / "cobar" / "kernels").glob("_compiled*"))
-    spec = importlib.util.spec_from_file_location("cobar.kernels._compiled", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="session")
-def compiled_build(tmp_path_factory) -> Path:
-    """`setup.py build_ext` run into a temporary directory, so nothing under
-    `src/` is written; returns the build directory."""
-    return _build_extension(tmp_path_factory.mktemp("build_ext"))
-
-
 @pytest.fixture(scope="session")
 def compiled_kernels(compiled_build):
     """The `_compiled` extension module built from this checkout's source."""
-    return _load_extension(compiled_build)
-
-
-# the floors of the extension `split_kernels` builds
-SPLIT_FLOOR = 40
-
-
-@pytest.fixture(scope="session")
-def split_kernels(tmp_path_factory):
-    """The `_compiled` extension built with both n^2 loops' floors lowered
-    to SPLIT_FLOOR, so that they split inputs of a few dozen rows over two
-    threads."""
-    build = tmp_path_factory.mktemp("build_split")
-    module = _load_extension(_build_extension(build, f"-DCOSINE_FLOOR={SPLIT_FLOOR} -DWARD_FLOOR={SPLIT_FLOOR}"))
-    if (module.COSINE_FLOOR, module.WARD_FLOOR) != (SPLIT_FLOOR, SPLIT_FLOOR):
-        pytest.skip("the compiler does not take CFLAGS")
+    path = next((compiled_build / "cobar" / "kernels").glob("_compiled*"))
+    spec = importlib.util.spec_from_file_location("cobar.kernels._compiled", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
     return module
 
 

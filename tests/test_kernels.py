@@ -4,7 +4,6 @@ Ward loop, the MF epoch and the kNN query."""
 
 import array
 import ast
-import contextlib
 import gc
 import os
 import pickle
@@ -29,8 +28,7 @@ from cobar import (CobarConfig, CobarModel, ItemKnn, KnnConfig, MostPopular, Rat
 from cobar.clustering import Dendrogram, clusterable_users
 from cobar.data import fold_train_test
 from cobar.kernels import _python
-from conftest import (RATING_SCALES, REPO_ROOT, SPLIT_FLOOR, benchmark_dataset, c_compiler_found, make_dataset,
-                      random_grid_dataset)
+from conftest import RATING_SCALES, REPO_ROOT, benchmark_dataset, c_compiler_found, make_dataset, random_grid_dataset
 from oracles import ancestor_chain_reference, condensed, leaf_of_reference, ward_reference
 
 
@@ -74,9 +72,8 @@ def _compaction_cases(rng):
     """Distance matrices, with their expected first slots (lo, i, j), whose
     first merge takes each path of the compiled loop's compaction: i is lo,
     so nothing moves (0, 1 and 0, n-1), or slot lo moves into i (2, 5),
-    also with j the last slot (2, n-1 and n-2, n-1).  n = 33, 65 and 130
-    put lo across block boundaries, and n = 200 starts its two-thread
-    merges with the split a block or more above lo's block."""
+    also with j the last slot (2, n-1 and n-2, n-1).  n = 33, 65, 130 and
+    200 put lo across block boundaries."""
     cases = []
     for n in (33, 65, 130, 200):
         for p, q in ((0, 1), (0, n - 1), (2, 5), (2, n - 1), (n - 2, n - 1)):
@@ -315,19 +312,23 @@ class TestWardKernel:
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 ward_linkage(d)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 1e155])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 1e155])
     def test_bad_distance_rejected_before_any_merge(self, kernel_backend, bad):
-        # the loop itself checks as it squares: a bad entry in the last
-        # pair, which the first bounds read last, leaves merges and heights
-        # as they were
+        # the loop itself checks as it squares: a bad entry in the first
+        # pair of row 0, of a middle row or of row n-2, the last pair, which
+        # the first bounds read last, or in two rows at once, leaves merges
+        # and heights as they were
         loops = kernels._loops
         n = 40
-        d = condensed(_random_dist(np.random.default_rng(77), n))
-        d[-1] = bad
-        merges, heights = np.full((n - 1, 2), -7, dtype=np.int64), np.full(n - 1, -7.0)
-        with pytest.raises(ValueError, match="finite and nonnegative, with finite squares"):
-            loops.ward_loop(d, merges, heights)
-        assert (merges == -7).all() and (heights == -7.0).all()
+        first_pair = lambda r: r * n - r * (r + 1) // 2
+        for rows in ([0], [n // 2], [n - 2], [1, n - 3]):
+            d = condensed(_random_dist(np.random.default_rng(77), n))
+            for r in rows:
+                d[first_pair(r)] = bad
+            merges, heights = np.full((n - 1, 2), -7, dtype=np.int64), np.full(n - 1, -7.0)
+            with pytest.raises(ValueError, match="finite and nonnegative, with finite squares"):
+                loops.ward_loop(d, merges, heights)
+            assert (merges == -7).all() and (heights == -7.0).all()
 
     def test_overflow_raises_alike(self, each_backend):
         # the squares are finite, and the first Ward update overflows to
@@ -463,35 +464,22 @@ class TestNumpyWardMemory:
         assert peak <= 0.1 * 8 * n * n
 
 
-@pytest.fixture(scope="module")
-def cap_fold():
-    """The training set of fold 0 of the cap-shaped benchmark data, seed 1,
-    and its about 3,000 clusterable users, above both loops' floors."""
-    dataset = benchmark_dataset("cap", 1)
-    train, _ = fold_train_test(dataset, kfold_split(dataset, 10, 42), 0)
-    return train, clusterable_users(train)
-
-
 class _Recorder:
-    """The loops of `module`, recording the arguments each n^2 loop is
-    handed and the thread count it returns."""
+    """The loops of `module`, recording the arguments the cosine pass and
+    the stats build are handed."""
 
     def __init__(self, module):
-        self.module, self.args, self.threads = module, {}, {}
+        self.module, self.args = module, {}
 
     def __getattr__(self, name):
         return getattr(self.module, name)
 
     def _run(self, name, args):
         self.args[name] = args
-        self.threads[name] = getattr(self.module, name)(*args)
-        return self.threads[name]
+        return getattr(self.module, name)(*args)
 
     def cosine_rows(self, *args):
         return self._run("cosine_rows", args)
-
-    def ward_loop(self, *args):
-        return self._run("ward_loop", args)
 
     def stats_build(self, *args):
         return self._run("stats_build", args)
@@ -505,29 +493,6 @@ def _cosine_arguments(module, train, users):
         patch.setattr(kernels, "_loops", recorder)
         kernels.cosine_distance_matrix(train, users)
     return recorder.args["cosine_rows"][:-1]
-
-
-@contextlib.contextmanager
-def _cpus(count=None):
-    """This thread pinned to the lowest `count` CPUs it may run on, for the
-    block; a thread it starts inherits them.  None pins nothing."""
-    if count is None:
-        yield
-        return
-    saved = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, sorted(saved)[:count])
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, saved)
-
-
-def _want_threads(n: int, floor: int) -> int:
-    """The threads a compiled n^2 loop over n rows runs on when called from
-    this thread: 2 above its floor when the thread may run on two CPUs or
-    more, 1 otherwise."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return 2 if n > floor and cpus > 1 else 1
 
 
 # two byte patterns the output buffers of a loop are prefilled with: a byte
@@ -555,274 +520,27 @@ def _filled_runs(loop, args, outputs, written=None):
     return runs[0]
 
 
-def _raw_ward(loops, d, cpus=None):
+def _raw_ward(loops, d):
     """The bytes of the merges and heights `loops.ward_loop` writes for a
-    copy of the condensed distances `d`, before the entry's overflow check,
-    pinned to `cpus` CPUs (`_cpus`): the same on outputs prefilled with
-    either pattern (`_filled_runs`).  A compiled loop must return the thread
-    count `_want_threads` gives."""
+    copy of the condensed distances `d`, before the entry's overflow check:
+    the same on outputs prefilled with either pattern (`_filled_runs`).  The
+    loop must return None."""
     n = (1 + int(np.sqrt(1 + 8 * len(d)))) // 2
-    with _cpus(cpus):
-        threads, raw = _filled_runs(loops.ward_loop, (d,), (np.empty((n - 1, 2), dtype=np.int64), np.empty(n - 1)))
-        if loops is not _python:
-            assert threads == _want_threads(n, loops.WARD_FLOOR)
+    result, raw = _filled_runs(loops.ward_loop, (d,), (np.empty((n - 1, 2), dtype=np.int64), np.empty(n - 1)))
+    assert result is None
     return raw
 
 
-def _os_threads() -> int:
-    """The threads of this process, as the kernel lists them."""
-    return len(os.listdir("/proc/self/task"))
-
-
-def _threads_after(before: int) -> int:
-    """The process's threads once any thread beyond `before` has gone, or
-    after 5 s: a joined thread may be listed for a moment after its join."""
-    deadline = time.monotonic() + 5.0
-    while _os_threads() > before and time.monotonic() < deadline:
-        time.sleep(0.001)
-    return _os_threads()
-
-
-needs_task_list = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
-                                     reason="counts threads in /proc/self/task")
-# a test that compares a serial run with a split one pins this process to
-# one CPU for the serial run
-needs_two_cpus = pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-                                    reason="runs on one CPU and on two")
-
-
-class TestTwoThreads:
-    """Above their floors, on two CPUs, the compiled cosine pass and Ward
-    loop split over two threads and return 2, else they return 1; the bits
-    never depend on the thread count.  `split_kernels` lowers both floors
-    to SPLIT_FLOOR, so small inputs on both sides of it take both paths."""
-
-    @needs_two_cpus
-    @pytest.mark.parametrize("scale", RATING_SCALES)
-    def test_cosine_bits_do_not_depend_on_threads(self, split_kernels, monkeypatch, scale):
-        rng = np.random.default_rng(131)
-        datasets = [random_grid_dataset(rng, max_users=100, max_items=30, draw=RATING_SCALES[scale])
-                    for _ in range(20)]
-        n = SPLIT_FLOOR + 5
-        # every user alike (all distances 0) and no two users sharing an item (all 1)
-        datasets.append(make_dataset([(f"u{u}", f"i{i}", 2.5) for u in range(n) for i in range(4)]))
-        datasets.append(make_dataset([(f"u{u}", f"i{u}", 1.5) for u in range(n)]))
-        runs = set()
-        recorder = _Recorder(split_kernels)
-        for ds in datasets:
-            users = clusterable_users(ds)
-            monkeypatch.setattr(kernels, "_loops", _python)
-            want = kernels.cosine_distance_matrix(ds, users).tobytes()
-            monkeypatch.setattr(kernels, "_loops", recorder)
-            for cpus in (1, 2):
-                with _cpus(cpus):
-                    assert kernels.cosine_distance_matrix(ds, users).tobytes() == want
-                runs.add((len(users) > SPLIT_FLOOR, cpus, recorder.threads["cosine_rows"]))
-        assert runs == {(False, 1, 1), (False, 2, 1), (True, 1, 1), (True, 2, 2)}
-
-    @needs_two_cpus
-    def test_ward_bits_do_not_depend_on_threads(self, split_kernels):
-        rng = np.random.default_rng(132)
-        cases = [_tie_heavy_dist(rng, int(rng.integers(2, 130))) for _ in range(120)]
-        cases += [_random_dist(rng, int(rng.integers(2, 130))) for _ in range(20)]
-        for n in (2, SPLIT_FLOOR - 1, SPLIT_FLOOR, SPLIT_FLOOR + 1, SPLIT_FLOOR + 2, 64, 65, 100):
-            cases += [np.ones((n, n)) - np.eye(n), np.zeros((n, n))]   # every pair tied
-        for _ in range(20):
-            # points repeated: zero distances and identical Ward updates
-            n = int(rng.integers(SPLIT_FLOOR, 130))
-            base = _tie_heavy_dist(rng, int(rng.integers(1, n // 2)))
-            pick = rng.integers(0, len(base), size=n)
-            repeated = base[np.ix_(pick, pick)]
-            np.fill_diagonal(repeated, 0.0)
-            cases.append(repeated)
-        for d in cases:
-            d = condensed(d)
-            assert _raw_ward(split_kernels, d, 1) == _raw_ward(split_kernels, d, 2) == _raw_ward(_python, d)
-        for _ in range(40):
-            # -0.0 among the zeros, which either thread's part of the first
-            # bounds squares to +0.0
-            n = int(rng.integers(SPLIT_FLOOR, 130))
-            d = rng.integers(0, 3, size=n * (n - 1) // 2) / 2.0
-            d[rng.random(len(d)) < 0.5] = -0.0
-            assert _raw_ward(split_kernels, d, 1) == _raw_ward(split_kernels, d, 2) == _raw_ward(_python, d)
-
-    @needs_two_cpus
-    def test_compaction_paths_do_not_depend_on_threads(self, split_kernels):
-        # above SPLIT_FLOOR active slots each merge's pass splits WARD_SHARE
-        # (40) percent of the way up the active slots, rounded down to a
-        # block, and at lo when that falls below it: at n = 65 the first
-        # merges run all of the pass in part 1, at n = 130 and 200 part 1
-        # starts in a block above lo's, and at n = 200 and lo = 129 (71
-        # active) it starts at lo again
-        slots = []
-        for d, first in _compaction_cases(np.random.default_rng(134)):
-            ref_merges, ref_heights = _reference(d)
-            d = condensed(d)
-            raw = _raw_ward(split_kernels, d, 2)
-            assert raw == _raw_ward(split_kernels, d, 1) == _raw_ward(_python, d)
-            assert raw == (ref_merges.tobytes(), ref_heights.tobytes())
-            merge_slots = list(_compiled_slots(ref_merges))
-            assert merge_slots[0] == first
-            slots.append((len(ref_merges) + 1, merge_slots))
-        _assert_compaction_covered(slots)
-
-    @needs_task_list
-    @needs_two_cpus
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 1e155])
-    def test_bad_distance_rejected_in_either_part(self, split_kernels, bad):
-        # the first bounds split at row n - n/sqrt(2); a bad entry in a row
-        # of either part, or of both, is rejected before any merge, and the
-        # worker is joined
-        n = 2 * SPLIT_FLOOR
-        first_of_part_1 = n - int(n / np.sqrt(2.0))
-        off = lambda r: r * n - r * (r + 1) // 2   # the first pair of row r
-        before = _os_threads()
-        for rows in ([0], [first_of_part_1 - 1], [first_of_part_1], [n - 2], [1, n - 3]):
-            for cpus in (1, 2):
-                d = condensed(_random_dist(np.random.default_rng(79), n))
-                for r in rows:
-                    d[off(r)] = bad
-                merges, heights = np.full((n - 1, 2), -7, dtype=np.int64), np.full(n - 1, -7.0)
-                with _cpus(cpus), pytest.raises(ValueError, match="finite and nonnegative, with finite squares"):
-                    split_kernels.ward_loop(d, merges, heights)
-                assert (merges == -7).all() and (heights == -7.0).all()
-        assert _threads_after(before) == before
-
-    @needs_two_cpus
-    def test_overflow_stop_does_not_depend_on_threads(self, split_kernels, monkeypatch):
-        # the first merge's updates overflow to inf, and the loop stops once
-        # only infinite pairs are left, with the worker still running
-        rng = np.random.default_rng(133)
-        n = 3 * SPLIT_FLOOR
-        cases = [np.full(n * (n - 1) // 2, 1e154), np.sqrt((1.0 + condensed(_random_dist(rng, n)) / 4.0) * 0.5e308)]
-        monkeypatch.setattr(kernels, "_loops", split_kernels)
-        for d in cases:
-            raw = [_raw_ward(split_kernels, d, cpus) for cpus in (1, 2)]
-            assert raw[0] == raw[1] == _raw_ward(_python, d)
-            # from the first merge that overflowed on, merges -1 and heights inf
-            merges, heights = np.frombuffer(raw[0][0], dtype=np.int64), np.frombuffer(raw[0][1])
-            stop = int(np.argmin(np.isfinite(heights)))
-            assert 0 < stop and np.isfinite(heights[:stop]).all() and (heights[stop:] == np.inf).all()
-            assert (merges[:2 * stop] >= 0).all() and (merges[2 * stop:] == -1).all()
-            for cpus in (1, 2):
-                with _cpus(cpus), pytest.raises(OverflowError, match="not finite"):
-                    kernels.ward_linkage(d.copy())
-
-    @needs_two_cpus
-    def test_cap_fold_bits_do_not_depend_on_threads(self, compiled_kernels, cap_fold):
-        # the real floors, on a fit above both; repeated to catch races
-        train, users = cap_fold
-        assert len(users) > max(compiled_kernels.COSINE_FLOOR, compiled_kernels.WARD_FLOOR)
-        args = _cosine_arguments(compiled_kernels, train, users)
-        results = set()
-        for cpus in (1, 2, 2, 2, 2):
-            dist = np.empty(len(users) * (len(users) - 1) // 2)
-            with _cpus(cpus):
-                assert compiled_kernels.cosine_rows(*args, dist) == cpus
-            results.add((dist.tobytes(), _raw_ward(compiled_kernels, dist, cpus)))
-        assert len(results) == 1
-
-    @needs_two_cpus
-    def test_threads_follow_affinity_and_size(self, compiled_kernels, cap_fold, monkeypatch):
-        # 2 above the floor when the process may run on two CPUs or more; 1
-        # at or below it, and when the process is pinned to one CPU
-        train, users = cap_fold
-        floor = compiled_kernels.COSINE_FLOOR
-        assert compiled_kernels.WARD_FLOOR == floor
-        recorder = _Recorder(compiled_kernels)
-        monkeypatch.setattr(kernels, "_loops", recorder)
-        for cpus, subset, want in [(1, users[:floor + 1], 1), (2, users[:floor + 1], 2),
-                                   (None, users[:floor + 1], 2), (None, users[:floor], 1),
-                                   (None, users[:SPLIT_FLOOR + 1], 1)]:
-            with _cpus(cpus):
-                kernels.ward_linkage(kernels.cosine_distance_matrix(train, subset))
-            assert recorder.threads == {"cosine_rows": want, "ward_loop": want}
-
-    @needs_two_cpus
-    def test_bits_hold_with_the_cpus_taken(self, compiled_kernels, cap_fold):
-        # two busy processes on the two CPUs this process runs on: the
-        # worker loses its CPU in the middle of parts, and the loop waits
-        # for it or stops splitting
-        train, users = cap_fold
-        args = _cosine_arguments(compiled_kernels, train, users[:compiled_kernels.WARD_FLOOR + 100])
-        n = len(args[-1])
-        runs = {}
-        saved = os.sched_getaffinity(0)
-        two = set(sorted(saved)[:2])
-        busy = f"import os\nos.sched_setaffinity(0, {two!r})\nwhile True: pass"
-        hogs = []
-        try:
-            os.sched_setaffinity(0, two)
-            for cpus in (1, 2, 1, 2):
-                if cpus == 2 and not hogs:
-                    hogs = [subprocess.Popen([sys.executable, "-c", busy]) for _ in two]
-                dist = np.empty(n * (n - 1) // 2)
-                with _cpus(cpus):
-                    assert compiled_kernels.cosine_rows(*args, dist) == cpus
-                runs.setdefault(cpus, set()).add((dist.tobytes(), _raw_ward(compiled_kernels, dist, cpus)))
-        finally:
-            for hog in hogs:
-                hog.kill()
-                hog.wait(timeout=10)
-            os.sched_setaffinity(0, saved)
-        assert len(runs[1]) == 1 and runs[1] == runs[2]
-
-    @needs_task_list
-    def test_no_worker_outlives_a_call(self, compiled_kernels, split_kernels, cap_fold, monkeypatch):
-        train, users = cap_fold
-        recorder = _Recorder(compiled_kernels)
-        monkeypatch.setattr(kernels, "_loops", recorder)
-        before = _os_threads()
-        n = compiled_kernels.WARD_FLOOR + 1
-        kernels.ward_linkage(kernels.cosine_distance_matrix(train, users[:n]))
-        assert recorder.threads == {"cosine_rows": _want_threads(n, compiled_kernels.COSINE_FLOOR),
-                                    "ward_loop": _want_threads(n, compiled_kernels.WARD_FLOOR)}
-        assert _threads_after(before) == before
-        # the overflow stop leaves the merge loop with the worker running
-        n = 3 * SPLIT_FLOOR
-        raw = _raw_ward(split_kernels, np.full(n * (n - 1) // 2, 1e154))
-        assert not np.isfinite(np.frombuffer(raw[1])).all()
-        assert _threads_after(before) == before
-
-    @needs_task_list
-    @pytest.mark.parametrize("loop", ["cosine_rows", "ward_loop"])
-    def test_no_worker_outlives_a_failed_allocation(self, compiled_kernels, cap_fold, loop):
-        # each allocation of the call fails in turn, up to the first call
-        # that allocates all it needs
-        testcapi = pytest.importorskip("_testcapi")
-        train, users = cap_fold
-        args = _cosine_arguments(compiled_kernels, train, users[:compiled_kernels.WARD_FLOOR + 1])
-        n = len(args[-1])
-        dist = np.empty(n * (n - 1) // 2)
-        compiled_kernels.cosine_rows(*args, dist)
-        d, merges, heights = dist.copy(), np.empty((n - 1, 2), dtype=np.int64), np.empty(n - 1)
-        call = {"cosine_rows": lambda: compiled_kernels.cosine_rows(*args, dist),
-                "ward_loop": lambda: compiled_kernels.ward_loop(d.copy(), merges, heights)}[loop]
-        before = _os_threads()
-        failures = 0
-        for start in range(200):
-            testcapi.set_nomemory(start, 0)
-            try:
-                call()
-            except MemoryError:
-                failures += 1
-            else:
-                break
-            finally:
-                testcapi.remove_mem_hooks()
-            assert _threads_after(before) == before
-        assert 0 < failures == start
-        assert _threads_after(before) == before
-
 class TestEveryOutputByteIsWritten:
     """The loops that fill buffers their entry allocates write every byte
-    of them, on both backends and both sides of the split: run on buffers
-    prefilled with two byte patterns, each gives the same bytes both times
-    (`_filled_runs`), and the numpy loop the compiled one's.  The Ward loop
-    runs through `_raw_ward`, here and in TestTwoThreads, at every exit:
-    each merge made, or the overflow stop, which writes the merges not
-    made as -1 and their heights as inf; its rejection of bad input writes
-    nothing (`test_bad_distance_rejected_in_either_part`).  `tokenize` is
+    of them, on both backends: run on buffers prefilled with two byte
+    patterns, each gives the same bytes both times (`_filled_runs`), and
+    the numpy loop the compiled one's.  The Ward loop runs through
+    `_raw_ward` at every exit: each merge made, or the overflow stop, which
+    writes the merges not made as -1 and their heights as inf; its
+    rejection of bad input writes nothing
+    (`TestWardKernel.test_bad_distance_rejected_before_any_merge`), and
+    neither compiled n^2 loop writes when an allocation fails.  `tokenize` is
     handed one entry per line and writes only the first n, the records it
     reports; the rest stays unwritten, and `kernels.tokenize` slices it
     off.  `sgd_epoch` updates its buffers in place, so it is not run here.
@@ -847,25 +565,65 @@ class TestEveryOutputByteIsWritten:
                     for loops in (_python, compiled_kernels)]
             assert runs[0] == runs[1]
 
-    def test_cosine_rows(self, compiled_kernels, split_kernels):
+    def test_cosine_rows(self, compiled_kernels):
         rng = np.random.default_rng(142)
-        split = 0
-        for ds in self._datasets(rng):
+        # also every user alike (all distances 0) and no two users sharing
+        # an item (all 1)
+        alike = make_dataset([(f"u{u}", f"i{i}", 2.5) for u in range(45) for i in range(4)])
+        disjoint = make_dataset([(f"u{u}", f"i{u}", 1.5) for u in range(45)])
+        for ds in [*self._datasets(rng), alike, disjoint]:
             users = clusterable_users(ds)
             n = len(users)
-            split += n > SPLIT_FLOOR
             runs = [_filled_runs(loops.cosine_rows, _cosine_arguments(loops, ds, users), (np.empty(n * (n - 1) // 2),))
-                    for loops in (_python, compiled_kernels, split_kernels)]
-            assert runs[0][1] == runs[1][1] == runs[2][1]
-        assert split > 0
+                    for loops in (_python, compiled_kernels)]
+            assert runs[0] == runs[1]
 
-    def test_ward_loop(self, compiled_kernels, split_kernels):
+    def test_ward_loop(self, compiled_kernels):
         rng = np.random.default_rng(143)
-        n = 3 * SPLIT_FLOOR
+        n = 120
         cases = [condensed(_tie_heavy_dist(rng, int(rng.integers(2, 130)))) for _ in range(10)]
-        cases.append(np.full(n * (n - 1) // 2, 1e154))   # the first merge's updates overflow
-        for d in cases:
-            assert _raw_ward(_python, d) == _raw_ward(compiled_kernels, d) == _raw_ward(split_kernels, d)
+        # the first merge's updates overflow, or a later merge's
+        overflows = [np.full(n * (n - 1) // 2, 1e154), np.sqrt((1.0 + condensed(_random_dist(rng, n)) / 4.0) * 0.5e308)]
+        for d in cases + overflows:
+            assert _raw_ward(_python, d) == _raw_ward(compiled_kernels, d)
+        for d in overflows:
+            # from the first merge that overflowed on, merges -1 and heights inf
+            raw_merges, raw_heights = _raw_ward(compiled_kernels, d)
+            merges, heights = np.frombuffer(raw_merges, dtype=np.int64), np.frombuffer(raw_heights)
+            stop = int(np.argmin(np.isfinite(heights)))
+            assert 0 < stop and np.isfinite(heights[:stop]).all() and (heights[stop:] == np.inf).all()
+            assert (merges[:2 * stop] >= 0).all() and (merges[2 * stop:] == -1).all()
+
+    @pytest.mark.parametrize("loop", ["cosine_rows", "ward_loop"])
+    def test_failed_allocation_writes_nothing(self, compiled_kernels, loop):
+        # each allocation of the call fails in turn, up to the first call
+        # that allocates all it needs: each failure raises MemoryError and
+        # leaves every output as it was, the Ward loop's distances too
+        testcapi = pytest.importorskip("_testcapi")
+        ds = _plateau_dataset(np.random.default_rng(145))
+        args = _cosine_arguments(compiled_kernels, ds, clusterable_users(ds))
+        n = len(args[-1])
+        dist = np.empty(n * (n - 1) // 2)
+        compiled_kernels.cosine_rows(*args, dist)
+        if loop == "cosine_rows":
+            call, outputs = lambda out: compiled_kernels.cosine_rows(*args, out), (np.full_like(dist, -7.0),)
+        else:
+            call = compiled_kernels.ward_loop
+            outputs = dist, np.full((n - 1, 2), -7, dtype=np.int64), np.full(n - 1, -7.0)
+        before = [output.tobytes() for output in outputs]
+        failures = 0
+        for start in range(100):
+            testcapi.set_nomemory(start, 0)
+            try:
+                call(*outputs)
+            except MemoryError:
+                failures += 1
+            else:
+                break
+            finally:
+                testcapi.remove_mem_hooks()
+            assert [output.tobytes() for output in outputs] == before
+        assert 0 < failures == start
 
     def test_stats_build(self, compiled_kernels, monkeypatch):
         rng = np.random.default_rng(144)
