@@ -4,6 +4,7 @@ Ward loop, the MF epoch and the kNN query."""
 
 import array
 import ast
+import contextlib
 import gc
 import os
 import pickle
@@ -17,6 +18,7 @@ import tracemalloc
 import warnings
 import weakref
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -312,23 +314,19 @@ class TestWardKernel:
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 ward_linkage(d)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 1e155])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 1e155])
     def test_bad_distance_rejected_before_any_merge(self, kernel_backend, bad):
-        # the loop itself checks as it squares: a bad entry in the first
-        # pair of row 0, of a middle row or of row n-2, the last pair, which
-        # the first bounds read last, or in two rows at once, leaves merges
-        # and heights as they were
+        # the loop itself checks as it squares: a bad entry in the last
+        # pair, which the first bounds read last, leaves merges and heights
+        # as they were
         loops = kernels._loops
         n = 40
-        first_pair = lambda r: r * n - r * (r + 1) // 2
-        for rows in ([0], [n // 2], [n - 2], [1, n - 3]):
-            d = condensed(_random_dist(np.random.default_rng(77), n))
-            for r in rows:
-                d[first_pair(r)] = bad
-            merges, heights = np.full((n - 1, 2), -7, dtype=np.int64), np.full(n - 1, -7.0)
-            with pytest.raises(ValueError, match="finite and nonnegative, with finite squares"):
-                loops.ward_loop(d, merges, heights)
-            assert (merges == -7).all() and (heights == -7.0).all()
+        d = condensed(_random_dist(np.random.default_rng(77), n))
+        d[-1] = bad
+        merges, heights = np.full((n - 1, 2), -7, dtype=np.int64), np.full(n - 1, -7.0)
+        with pytest.raises(ValueError, match="finite and nonnegative, with finite squares"):
+            loops.ward_loop(d, merges, heights)
+        assert (merges == -7).all() and (heights == -7.0).all()
 
     def test_overflow_raises_alike(self, each_backend):
         # the squares are finite, and the first Ward update overflows to
@@ -520,15 +518,77 @@ def _filled_runs(loop, args, outputs, written=None):
     return runs[0]
 
 
-def _raw_ward(loops, d):
+def _raw_ward(loops, d, cpus=None):
     """The bytes of the merges and heights `loops.ward_loop` writes for a
-    copy of the condensed distances `d`, before the entry's overflow check:
-    the same on outputs prefilled with either pattern (`_filled_runs`).  The
-    loop must return None."""
+    copy of the condensed distances `d`, before the entry's overflow check,
+    pinned to `cpus` CPUs (`_cpus`): the same on outputs prefilled with
+    either pattern (`_filled_runs`).  The loop must return None."""
     n = (1 + int(np.sqrt(1 + 8 * len(d)))) // 2
-    result, raw = _filled_runs(loops.ward_loop, (d,), (np.empty((n - 1, 2), dtype=np.int64), np.empty(n - 1)))
+    with _cpus(cpus):
+        result, raw = _filled_runs(loops.ward_loop, (d,), (np.empty((n - 1, 2), dtype=np.int64), np.empty(n - 1)))
     assert result is None
     return raw
+
+
+@contextlib.contextmanager
+def _cpus(count=None):
+    """This thread pinned to the lowest `count` CPUs it may run on, for the
+    block.  None, or a platform without CPU affinity, pins nothing."""
+    if count is None or not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    saved = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, sorted(saved)[:count])
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, saved)
+
+
+class TestTwoThreads:
+    """The compiled Ward loop runs on the thread that calls it and releases
+    the GIL: what it writes or raises is the same pinned to one CPU
+    (`_cpus`) as on every CPU this process may use, and the same when two
+    threads call it at once."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 1e155])
+    def test_bad_distance_rejected_in_either_part(self, compiled_kernels, bad):
+        # the rows before n - n/sqrt(2) hold half the pairs; a bad entry in
+        # the first pair of a row of either part, at the ends or at the
+        # boundary, or in both parts at once, is rejected before any merge
+        n = 40
+        first_of_part_1 = n - int(n / np.sqrt(2.0))
+        first_pair = lambda r: r * n - r * (r + 1) // 2
+        for rows in ([0], [first_of_part_1 - 1], [first_of_part_1], [n - 2], [1, n - 3]):
+            for cpus in (1, None):
+                d = condensed(_random_dist(np.random.default_rng(79), n))
+                for r in rows:
+                    d[first_pair(r)] = bad
+                merges, heights = np.full((n - 1, 2), -7, dtype=np.int64), np.full(n - 1, -7.0)
+                with _cpus(cpus), pytest.raises(ValueError, match="finite and nonnegative, with finite squares"):
+                    compiled_kernels.ward_loop(d, merges, heights)
+                assert (merges == -7).all() and (heights == -7.0).all()
+
+    def test_overflow_stop_does_not_depend_on_threads(self, compiled_kernels, monkeypatch):
+        # the first merge's updates overflow to inf, or a later merge's; the
+        # loop stops once only infinite pairs are left
+        rng = np.random.default_rng(133)
+        n = 120
+        cases = [np.full(n * (n - 1) // 2, 1e154), np.sqrt((1.0 + condensed(_random_dist(rng, n)) / 4.0) * 0.5e308)]
+        monkeypatch.setattr(kernels, "_loops", compiled_kernels)
+        for d in cases:
+            raw = [_raw_ward(compiled_kernels, d, cpus) for cpus in (1, None)]
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                raw += list(pool.map(lambda _: _raw_ward(compiled_kernels, d), range(2)))
+            assert raw == [_raw_ward(_python, d)] * 4
+            # from the first merge that overflowed on, merges -1 and heights inf
+            merges, heights = np.frombuffer(raw[0][0], dtype=np.int64), np.frombuffer(raw[0][1])
+            stop = int(np.argmin(np.isfinite(heights)))
+            assert 0 < stop and np.isfinite(heights[:stop]).all() and (heights[stop:] == np.inf).all()
+            assert (merges[:2 * stop] >= 0).all() and (merges[2 * stop:] == -1).all()
+            for cpus in (1, None):
+                with _cpus(cpus), pytest.raises(OverflowError, match="not finite"):
+                    kernels.ward_linkage(d.copy())
 
 
 class TestEveryOutputByteIsWritten:
@@ -582,17 +642,9 @@ class TestEveryOutputByteIsWritten:
         rng = np.random.default_rng(143)
         n = 120
         cases = [condensed(_tie_heavy_dist(rng, int(rng.integers(2, 130)))) for _ in range(10)]
-        # the first merge's updates overflow, or a later merge's
-        overflows = [np.full(n * (n - 1) // 2, 1e154), np.sqrt((1.0 + condensed(_random_dist(rng, n)) / 4.0) * 0.5e308)]
-        for d in cases + overflows:
+        cases.append(np.full(n * (n - 1) // 2, 1e154))   # the first merge's updates overflow
+        for d in cases:
             assert _raw_ward(_python, d) == _raw_ward(compiled_kernels, d)
-        for d in overflows:
-            # from the first merge that overflowed on, merges -1 and heights inf
-            raw_merges, raw_heights = _raw_ward(compiled_kernels, d)
-            merges, heights = np.frombuffer(raw_merges, dtype=np.int64), np.frombuffer(raw_heights)
-            stop = int(np.argmin(np.isfinite(heights)))
-            assert 0 < stop and np.isfinite(heights[:stop]).all() and (heights[stop:] == np.inf).all()
-            assert (merges[:2 * stop] >= 0).all() and (merges[2 * stop:] == -1).all()
 
     @pytest.mark.parametrize("loop", ["cosine_rows", "ward_loop"])
     def test_failed_allocation_writes_nothing(self, compiled_kernels, loop):
