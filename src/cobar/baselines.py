@@ -59,7 +59,7 @@ class MfConfig:
 class MostPopular(_PredictorMixin):
     """Non-personalized baseline: each item's global mean training rating."""
 
-    _READ_ONLY, _BOUND = ("item_means",), ("_means",)
+    _READ_ONLY = ("item_means",)
     _STATE = (*_PredictorMixin._STATE, *_READ_ONLY)
 
     def __init__(self, clamp: bool = True):
@@ -86,20 +86,21 @@ class _CosineKnn(_PredictorMixin):
     The *entities* (users or items) are the rows compared with each other.
     A query (entity, column) takes as neighbors the other entities rated in
     that column and aggregates the deviations of the k most similar
-    positive ones.  `fit` hands the training dataset, the entities' means
-    and k to a `kernels.KnnIndex`, which reads the dataset's two cached
-    layouts, so a fold's `UserKnn` and `ItemKnn` share them; its query
-    computes the similarities per query, compiled when the extension is
-    built, so memory stays O(ratings).  The compiled query computes only
-    the neighbours' dot products, from the cheaper of the entity's columns
-    and the neighbours' rows, with the numpy query's bits.  Each
-    prediction calls `KnnIndex.query`, the bound loop, once.  Subclasses
+    positive ones.  `fit` hands the training dataset, the entities'
+    `MeanStats` and k to a `kernels.KnnIndex`, which reads the dataset's
+    two cached layouts, so a fold's `UserKnn` and `ItemKnn` share them; its
+    query computes the similarities per query, compiled when the extension
+    is built, so memory stays O(ratings).  The compiled query computes
+    only the neighbours' dot products, from the cheaper of the entity's
+    columns and the neighbours' rows, with the numpy query's bits.  Each
+    prediction is one call of the index's `bind`, bound at the clamp
+    bounds stored at fit, which checks the pair and clamps.  Subclasses
     set `user_major`: the entities are users and the deviations are
     centered on `compute_user_stats`, or they are items, centered on
     `compute_item_stats`.
     """
 
-    _BOUND, _STATE = ("_means", "_query"), (*_PredictorMixin._STATE, "config", "stats", "_index")
+    _STATE = (*_PredictorMixin._STATE, "config", "_index")
 
     def __init__(self, config: KnnConfig | None = None, clamp: bool = True):
         self.config = config or KnnConfig()
@@ -108,23 +109,18 @@ class _CosineKnn(_PredictorMixin):
     def fit(self, train: RatingDataset) -> "_CosineKnn":
         # looked up on every fit, not bound at import, so a patched module
         # attribute takes effect
-        self.stats = (compute_user_stats if self.user_major else compute_item_stats)(train)
-        self._index = kernels.KnnIndex(train, self.user_major, self.stats.means, self.config.k)
+        stats = (compute_user_stats if self.user_major else compute_item_stats)(train)
+        self._index = kernels.KnnIndex(train, self.user_major, stats, self.config.k)
         self._fitted_on(train)
         return self
 
     def _bind(self) -> None:
-        self._means = memoryview(self.stats.means)
-        self._query = self._index.query
+        self._predict = self._index.bind(*self._limits[2:])
 
-    def _value(self, user: int, item: int) -> float:
-        entity, column = (user, item) if self.user_major else (item, user)
-        mean = self._means[entity]
-        if mean != mean:   # NaN: the entity has no training rating
-            return self.stats.global_mean
-        agg = self._query(entity, column)
-        # None: no other rater in the column has positive similarity
-        return mean if agg is None else mean + agg
+    def predict(self, user: int, item: int) -> float:
+        if self._limits is None:
+            raise RuntimeError("model is not fitted")
+        return self._predict(user, item)
 
 
 class UserKnn(_CosineKnn):
@@ -159,7 +155,6 @@ class MatrixFactorization(_PredictorMixin):
     """
 
     _READ_ONLY = ("user_factors", "item_factors", "user_bias", "item_bias", "user_seen", "item_seen")
-    _BOUND = ("_user_bias", "_item_bias", "_user_seen", "_item_seen")
     _STATE = (*_PredictorMixin._STATE, "config", "global_mean", *_READ_ONLY)
 
     def __init__(self, config: MfConfig | None = None, clamp: bool = True):

@@ -90,7 +90,6 @@ class CobarModel(_PredictorMixin):
     code indexes `Fallback` in declaration order.
     """
 
-    _BOUND = ("_predict", "_detail")
     _STATE = (*_PredictorMixin._STATE, "config", "user_stats", "dendrogram", "stats", "_gamma", "_level")
 
     def __init__(self, config: CobarConfig | None = None, clamp: bool = True):

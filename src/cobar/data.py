@@ -69,9 +69,9 @@ def _read_only(*arrays: np.ndarray) -> None:
 class _ReadOnlyState:
     """The fitted-state protocol of every class that holds checked or fitted
     arrays.  A class names in `_READ_ONLY` its attributes that hold an
-    array or a tuple of arrays, in `_BOUND` the memoryviews and bound
-    queries its `_bind` sets from them, which cannot be pickled, and in
-    `_STATE` the attributes a pickle holds beside a dataclass's fields.
+    array or a tuple of arrays, and in `_STATE` the attributes a pickle
+    holds beside a dataclass's fields; the memoryviews and bound queries
+    its `_bind` sets from them, which cannot be pickled, are in neither.
     Its construction, its fit and a pickle load end with `_restore`: the
     arrays become read-only, as numpy loads a pickled one writable, then
     `_bind`.  Pickling reads the named attributes that are set, and
@@ -82,7 +82,6 @@ class _ReadOnlyState:
     """
 
     _READ_ONLY: tuple[str, ...] = ()
-    _BOUND: tuple[str, ...] = ()
     _STATE: tuple[str, ...] = ()
 
     def _restore(self) -> None:
@@ -92,7 +91,7 @@ class _ReadOnlyState:
         self._bind()
 
     def _bind(self) -> None:
-        """Set the `_BOUND` attributes from the arrays."""
+        """Set the memoryviews and bound queries a query reads from the arrays."""
 
     def __getstate__(self):
         names = (*(f.name for f in fields(self)), *self._STATE) if is_dataclass(self) else self._STATE
@@ -414,19 +413,20 @@ def compute_item_stats(train: RatingDataset) -> MeanStats:
 
 class _PredictorMixin(_ReadOnlyState):
     """Shared by every predictor: the bounds of the query check and the
-    clamp, `predict` for the four baselines, and the fitted-state protocol.
+    clamp, `predict` for mp and MF, and the fitted-state protocol.
 
     A fit ends with `_fitted_on(train)`, which stores the training set's
     `(n_users, n_items)` and the clamp bounds, its rating scale or +-inf
     when the predictor was built with `clamp=False`, on the model, then
-    calls `_restore`.  A query reads only the model's own arrays and
-    `_BOUND` attributes, and no model keeps its training set.
+    calls `_restore`.  A query reads only the model's own arrays and what
+    its `_bind` set from them, and no model keeps its training set.
     `predict(user, item)` raises `RuntimeError` before the fit, reads both
     indices with `operator.index`, raises `ValueError` for a user and then
     for an item out of range, and clamps the predictor's `_value(user,
     item)` with two comparisons, which keep the bits of ``min(max(value,
-    lo), hi)``, NaN included.  Cobar's bound query, which its `predict`
-    and `predict_detailed` call, makes the same check and clamp itself.
+    lo), hi)``, NaN included.  The kNNs and cobar override it: each calls
+    a bound query, bound at the stored bounds, which makes the same check
+    and clamp itself, so each prediction checks its pair once.
     """
 
     _STATE = ("clamp", "_limits")

@@ -26,17 +26,15 @@ ratings, and cobar's query walks from a leaf up by the tree's parent ids.
 The index builds or references every array cobar's query reads, each
 user's leaf and the training set's user and item means among them, so no
 array crosses its `bind`.  The query loops, which run once per
-prediction, are bound to their arrays once: the kNN query by `KnnIndex` at
-construction, and cobar's whole prediction at one confidence level and
-one gamma, a float run and a detail run that share one interval walk, by
-`ClusterStatsIndex.bind(level, gamma, lo, hi)`, which a cobar fit calls
-once; a pickle holds the arrays, and a loaded `KnnIndex` or cobar model
-binds again.  A bound query checks its own two indices, with
-the same `TypeError` or `IndexError` on both backends, and cobar's with
-the `ValueError` of every predictor's `predict`, so `KnnIndex.query` is
-the bound kNN query itself, and each kNN or cobar prediction calls one
-bound query, which for cobar also walks the fallback chain, blends and
-clamps.  The t quantiles of a confidence level are computed once per
+prediction, are bound to their arrays once: the whole kNN prediction by
+`KnnIndex.bind(lo, hi)`, and cobar's at one confidence level and one
+gamma, a float run and a detail run that share one interval walk, by
+`ClusterStatsIndex.bind(level, gamma, lo, hi)`, each called once by a
+fit; a pickle holds the arrays, and a loaded kNN or cobar model binds
+again.  Every bound query reads a (user, item) pair and checks it
+itself, with the `TypeError` and `ValueError` of every predictor's
+`predict` on both backends, so each kNN or cobar prediction is one
+bound call, which also walks the fallbacks and clamps.  The t quantiles of a confidence level are computed once per
 process, in one read-only table that grows by doubling; each bound cobar
 query reads a prefix of it.  The cosine loops sum each dot
 product item by item in ascending order, as scipy's sparse product does,
@@ -64,7 +62,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .._special import stdtrit
-from ..data import RatingDataset, _check_range, _checked, _read_only, _ReadOnlyState
+from ..data import MeanStats, RatingDataset, _check_range, _checked, _read_only, _ReadOnlyState
 from . import _python
 
 _REBUILD = "rebuild it with: python setup.py build_ext --inplace --force"
@@ -84,7 +82,7 @@ except ImportError as exc:
 # from before it has layout 1.  Every change of a loop raised it, so this
 # also rejects an extension built from older source that lacks a loop,
 # e.g. one a build reused because its file times looked up to date
-_LAYOUT = 10
+_LAYOUT = 11
 if _compiled and getattr(_compiled, "LAYOUT", 1) != _LAYOUT:
     # e.g. an extension whose queries read int32 indices as int64
     raise ImportError(
@@ -301,26 +299,20 @@ def tokenize(data, delimiter: str, skip_header: bool) -> tuple | None:
 
 
 class KnnIndex(_ReadOnlyState):
-    """The mean-centred cosine kNN query of `UserKnn` and `ItemKnn`.
+    """The mean-centred cosine kNN prediction of `UserKnn` and `ItemKnn`.
 
     The *entities* are the rows compared with each other, and the
     *columns* the other axis: the users and items of the training
     `RatingDataset`, which checked its triples, when `user_major` is true,
-    its items and users otherwise.  `means` holds one float64 per entity
-    and `k` >= 1; `TypeError` or `ValueError` otherwise.  The index lays
-    nothing out: it reads the dataset's `user_layout` and `item_layout`,
-    built once per dataset by `csr_rows` with every row sorted and int32
-    indices, and the means as given, not copied, as a `MeanStats` holds
-    them read-only; like every array the index reads, they are made
-    read-only.  It adds the entities' norms, so each query checks only its
-    own two indices before the loop reads the arrays unchecked.
-
-    `query(entity, column)`, the loop bound to the arrays, gives the
-    similarity-weighted mean deviation of the `k` neighbours most similar
-    to `entity` among the other entities rated in `column`, counting only
-    positive similarities; at equal similarity the lower entity index wins.
-    None when no neighbour has positive similarity.  An index that is no
-    integer raises `TypeError`, and one out of range `IndexError`.
+    its items and users otherwise.  `stats` is the entities' `MeanStats`,
+    with one float64 mean per entity, and `k` >= 1; `TypeError` or
+    `ValueError` otherwise.  The index lays nothing out: it reads the
+    dataset's `user_layout` and `item_layout`, built once per dataset by
+    `csr_rows` with every row sorted and int32 indices, and the read-only
+    means of the `MeanStats`, not copied, beside its global mean; like
+    every array the index reads, they are made read-only.  It adds the
+    entities' norms, so its bound query, the whole prediction of `bind`,
+    checks only its pair before the loop reads the arrays unchecked.
 
     The compiled loop computes only the dot products a query reads, those
     of the entity with the neighbours in the column, from the side that
@@ -330,7 +322,7 @@ class KnnIndex(_ReadOnlyState):
     in ascending column order from +0.0, as the numpy loop's `bincount`
     does; the walk also adds a zero product for each column the entity did
     not rate, which changes no bit, as a sum of finite terms begun at +0.0
-    is never -0.0.  The loop is bound to its arrays and k here, once, with k
+    is never -0.0.  Each `bind` binds the loop to the arrays and k, with k
     capped at the entity count, which changes no neighbour set; the
     compiled bound query then allocates its work buffers, the scratch among
     them, which each query leaves zeroed, and holds them until it is freed.
@@ -338,29 +330,45 @@ class KnnIndex(_ReadOnlyState):
     never see each other's work.
     """
 
-    _READ_ONLY, _BOUND, _STATE = ("_arrays",), ("query",), ("_arrays", "n_entities", "n_columns", "k")
+    _READ_ONLY, _STATE = ("_arrays",), ("_arrays", "_global_mean", "user_major", "k")
 
-    def __init__(self, train: RatingDataset, user_major: bool, means, k: int):
+    def __init__(self, train: RatingDataset, user_major: bool, stats: MeanStats, k: int):
         if not isinstance(train, RatingDataset):
             raise TypeError(f"train must be a RatingDataset, not {type(train).__name__}")
+        if not isinstance(stats, MeanStats):
+            raise TypeError(f"stats must be a MeanStats, not {type(stats).__name__}")
+        self.user_major = bool(user_major)
         layouts = (train.user_layout, train.item_layout)
-        rows, cols = layouts if user_major else layouts[::-1]
-        self.n_entities, self.n_columns = len(rows[0]) - 1, len(cols[0]) - 1
-        means = _checked("means", means, 1, "float64")
-        if len(means) != self.n_entities:
-            raise ValueError(f"means has {len(means)} entries, not one per entity ({self.n_entities})")
+        rows, cols = layouts if self.user_major else layouts[::-1]
+        n_entities = len(rows[0]) - 1
+        means = _checked("means", stats.means, 1, "float64")
+        if len(means) != n_entities:
+            raise ValueError(f"means has {len(means)} entries, not one per entity ({n_entities})")
         self.k = operator.index(k)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         # each row's squares summed in ascending column order
-        entity_of = np.repeat(np.arange(self.n_entities), np.diff(rows[0]))
-        norms = np.sqrt(np.bincount(entity_of, weights=rows[2] * rows[2], minlength=self.n_entities))
+        entity_of = np.repeat(np.arange(n_entities), np.diff(rows[0]))
+        norms = np.sqrt(np.bincount(entity_of, weights=rows[2] * rows[2], minlength=n_entities))
         self._arrays = (*rows, *cols, norms, means)
+        self._global_mean = float(stats.global_mean)
         self._restore()
 
-    def _bind(self):
-        # the compiled bind reads k as a C integer
-        self.query = _loops.bind_knn_query(*self._arrays, min(self.k, max(self.n_entities, 1)))
+    def bind(self, lo: float, hi: float) -> Callable[[int, int], float]:
+        """The whole prediction clamped to [lo, hi], bound to the index's
+        arrays: ``query(user, item)``.  It reads the pair by
+        `operator.index` and raises `ValueError` for a user, then an item,
+        out of range of the training set, as `predict` of every predictor
+        does.  An entity without training ratings, a NaN mean, gets the
+        global mean.  Any other gets its mean plus the similarity-weighted
+        mean deviation of the `k` neighbours most similar to it among the
+        other entities rated in the column, counting only positive
+        similarities, at equal similarity the lower entity index first; or
+        its mean alone when no neighbour has positive similarity.  The
+        value is clamped by two comparisons, which let NaN pass."""
+        # the compiled bind reads k as a C integer; the norms are one per entity
+        k = min(self.k, max(len(self._arrays[6]), 1))
+        return _loops.bind_knn_query(*self._arrays, self._global_mean, k, float(lo), float(hi), self.user_major)
 
 
 # per confidence level, its read-only table of t quantiles so far

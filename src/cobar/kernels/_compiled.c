@@ -31,15 +31,17 @@
  * the sequential dot product, the biases are updated first, and the item
  * factors are updated with the user factors from before the step.
  *
- * `knn_query` performs the numpy operations of
- * `cobar.kernels._python.knn_query` in numpy's order, but computes only the
- * dot products it reads, those of the entity with the neighbours in the
+ * `knn_aggregate` performs the numpy operations of
+ * `cobar.kernels._python.knn_aggregate` in numpy's order, but computes only
+ * the dot products it reads, those of the entity with the neighbours in the
  * query column.  It sums them from the cheaper of two sides, scattering the
  * entity's row over its columns or gathering each neighbour's row against
  * the entity's ratings; both add the products in ascending column order
  * from +0.0, as `np.bincount` does, and the gather's extra zero products
  * change no bit.  The top k are picked as the stable argsort picks them,
- * and the two sums are numpy's pairwise sum.
+ * and the two sums are numpy's pairwise sum.  `knn_value` makes the kNN
+ * prediction of `_python.knn_value` around it: the entity's mean or the
+ * global mean, the sum and the clamp.
  *
  * `stats_build` finds the gap nodes and fills the gap entries
  * `cobar.kernels._python.stats_build` finds and fills, each entry the sum
@@ -65,10 +67,11 @@
  * The queries run once per prediction, so they are bound: a
  * `bind_knn_query` or `bind_cobar_query` call takes the arrays once and
  * returns a `BoundQuery`, which holds their buffers until it is freed and
- * whose call reads the two indices of a query and checks them against the
- * sizes it found in the arrays at the bind, so no caller checks them
- * again.  The bound kNN query also owns its work
- * buffers, allocated once at the bind, so a query allocates nothing.
+ * whose call reads the user and the item of a query and checks them
+ * against the sizes it found in the arrays at the bind, with the
+ * ValueError of every predictor's `predict`, so no caller checks them
+ * again.  The bound kNN query also owns its work buffers, allocated once
+ * at the bind, so a query allocates nothing.
  *
  * No loop checks its arrays: `cobar.kernels` checks every shape, element
  * type and length before it calls in, or builds the arrays itself, and
@@ -646,23 +649,21 @@ similarity(double dot, double norm_e, double norm_nb)
     return denom > 0.0 ? dot / denom : 0.0;
 }
 
-/* A query loop bound to its arrays: `views` holds the buffers of a
+/* A prediction bound to its arrays: `views` holds the buffers of a
  * `bind_*` call's arrays, released when the object is freed, and `k` and
  * the four work buffers, one allocation at `neighbours` freed with the
- * object, are the kNN query's; the four numbers after them are cobar's
- * prediction's.  A call reads the query's two indices, checks each
- * against its size, raising `error` worded by `format` for one out of
- * range, and runs `run` on them. */
+ * object, are the kNN query's; `gamma` is cobar's, and the global mean
+ * and the clamp bounds are both's.  A call reads the query's user and
+ * item, checks each against its size, raising the ValueError of
+ * `_PredictorMixin.predict` for one out of range, and runs `run` on
+ * them. */
 typedef struct BoundQuery BoundQuery;
 
 struct BoundQuery {
     PyObject_HEAD
     vectorcallfunc vectorcall;
     PyObject *(*run)(BoundQuery *, Py_ssize_t, Py_ssize_t);
-    const char *names[2];   /* the indices, as an error names them */
-    Py_ssize_t sizes[2];    /* index a lies in [0, sizes[a]) */
-    PyObject *error;        /* borrowed: a built-in exception type */
-    const char *format;     /* of the name, the index and its size */
+    Py_ssize_t sizes[2];    /* the users, then the items */
     Py_ssize_t k;
     double *neighbours, *scratch, *sims, *terms;
     double global_mean, gamma, lo, hi;
@@ -670,14 +671,15 @@ struct BoundQuery {
     Py_buffer views[9];
 };
 
-/* The error of index a of the query, `arg`, worded as the numpy query
- * words it with the index read by `operator.index`; NULL. */
+/* The error of the user (a = 0) or the item (a = 1) of the query, `arg`,
+ * worded as `_python._check_pair` words it with the index read by
+ * `operator.index`; NULL. */
 static PyObject *
-out_of_range(const BoundQuery *bound, int a, PyObject *arg)
+out_of_range(int a, PyObject *arg)
 {
     PyObject *value = PyNumber_Index(arg);
     if (value != NULL) {
-        PyErr_Format(bound->error, bound->format, bound->names[a], value, bound->sizes[a]);
+        PyErr_Format(PyExc_ValueError, "%s index %S out of range", a ? "item" : "user", value);
         Py_DECREF(value);
     }
     return NULL;
@@ -701,9 +703,9 @@ bound_call(PyObject *op, PyObject *const *args, size_t nargsf, PyObject *kwnames
     if (b == -1 && PyErr_Occurred())
         return NULL;
     if (a < 0 || a >= self->sizes[0])
-        return out_of_range(self, 0, args[0]);
+        return out_of_range(0, args[0]);
     if (b < 0 || b >= self->sizes[1])
-        return out_of_range(self, 1, args[1]);
+        return out_of_range(1, args[1]);
     return self->run(self, a, b);
 }
 
@@ -725,26 +727,30 @@ static PyTypeObject BoundQueryType = {
     .tp_vectorcall_offset = offsetof(BoundQuery, vectorcall),
     .tp_call = PyVectorcall_Call,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_VECTORCALL,
-    .tp_doc = "A query loop bound to its arrays, called with the query's two indices.",
+    .tp_doc = "A prediction bound to its arrays, called with the query's user and item.",
 };
 
-/* A new BoundQuery of `run`, whose indices are named `first` and `second`,
- * zeroed: it holds no buffer yet, and its sizes are set with its buffers.
- * An index out of range raises the IndexError of the numpy query's
- * `_check_indices`. */
+/* A new BoundQuery, zeroed: it holds no buffer yet, and its run and sizes
+ * are set with its buffers. */
 static BoundQuery *
-bound_new(PyObject *(*run)(BoundQuery *, Py_ssize_t, Py_ssize_t), const char *first, const char *second)
+bound_new(void)
 {
     BoundQuery *self = (BoundQuery *)PyType_GenericAlloc(&BoundQueryType, 0);
-    if (self == NULL)
-        return NULL;
-    self->vectorcall = bound_call;
-    self->run = run;
-    self->names[0] = first;
-    self->names[1] = second;
-    self->error = PyExc_IndexError;
-    self->format = "%s %S out of range [0, %zd)";
+    if (self != NULL)
+        self->vectorcall = bound_call;
     return self;
+}
+
+/* `value` clamped to [lo, hi] by two comparisons, which let NaN pass, as
+ * `_python._clamp` clamps it. */
+static inline double
+clamp(double value, double lo, double hi)
+{
+    if (value < lo)
+        value = lo;
+    if (value > hi)
+        value = hi;
+    return value;
 }
 
 /* A scattered element costs about SCATTER_COST gathered ones: it is read,
@@ -752,8 +758,8 @@ bound_new(PyObject *(*run)(BoundQuery *, Py_ssize_t, Py_ssize_t), const char *fi
  * against 1.0-1.1 ns per element on FilmTrust-shaped folds, x86-64, gcc). */
 #define SCATTER_COST 2
 
-/* The query of `_python.knn_query` on the CSR arrays of both axes, in the
- * work buffers of `bind_knn_query`, so a call allocates nothing.  The dot
+/* `_python.knn_aggregate` on the CSR arrays of both axes, in the work
+ * buffers of `bind_knn_query`, so a call allocates nothing.  The dot
  * products of `entity` with the entities rated in `column` are summed into
  * `neighbours`, one slot per position in the column, from the side that
  * visits fewer elements:
@@ -770,10 +776,11 @@ bound_new(PyObject *(*run)(BoundQuery *, Py_ssize_t, Py_ssize_t), const char *fi
  * round-to-nearest, so those terms change no bit.  `scratch` holds
  * max(entities, columns) zeros between calls; the GIL is held throughout,
  * so no other query can see it in between.  The top k go to `sims` and
- * `terms`.  Returns the weighted mean deviation of the top k positive
- * neighbours in `column`, or None when no neighbour is positive. */
-static PyObject *
-knn_query(BoundQuery *bound, Py_ssize_t entity, Py_ssize_t column)
+ * `terms`.  Returns 1 with the weighted mean deviation of the top k
+ * positive neighbours in `column` in `agg`, or 0 when no neighbour is
+ * positive. */
+static int
+knn_aggregate(const BoundQuery *bound, Py_ssize_t entity, Py_ssize_t column, double *agg)
 {
     const Py_buffer *b = bound->views;
     Py_ssize_t k = bound->k;
@@ -785,7 +792,7 @@ knn_query(BoundQuery *bound, Py_ssize_t entity, Py_ssize_t column)
     int64_t first = cp[column], end = cp[column + 1], lo = rp[entity], hi = rp[entity + 1];
 
     if (norm_e == 0.0 || first == end)
-        Py_RETURN_NONE;
+        return 0;
     /* each int32 index is widened as it is read: under Python's -fwrapv,
      * cp[ri[p] + 1] adds in 32 bits and extends the sum again, which made
      * the query 5-6% slower than on int64 indices (ft, gcc 12, x86-64) */
@@ -838,7 +845,7 @@ knn_query(BoundQuery *bound, Py_ssize_t entity, Py_ssize_t column)
     }
     Py_ssize_t m = positive < k ? positive : k;
     if (m == 0)
-        Py_RETURN_NONE;
+        return 0;
     /* the positive neighbours in column order; with more than k of them,
      * the top k by (-similarity, position), kept sorted by insertion, which
      * are the ones the stable argsort on -similarity picks, in its order */
@@ -864,11 +871,34 @@ knn_query(BoundQuery *bound, Py_ssize_t entity, Py_ssize_t column)
     }
     for (Py_ssize_t j = 0; j < m; j++)
         terms[j] = sims[j] * terms[j];
-    return PyFloat_FromDouble(pairwise_sum(terms, m) / pairwise_sum(sims, m));
+    *agg = pairwise_sum(terms, m) / pairwise_sum(sims, m);
+    return 1;
 }
 
-/* The kNN query bound to the eight arrays of `cobar.kernels.KnnIndex`, in
- * the order `_python.knn_query` takes them, and k >= 1, with its work
+/* `_python.knn_value` for an entity and a column the bound call checked:
+ * the global mean for an entity with a NaN mean, else its mean plus the
+ * aggregate, or its mean alone, clamped.  It is the run of a user-major
+ * query, whose user is the entity. */
+static PyObject *
+knn_value(BoundQuery *bound, Py_ssize_t entity, Py_ssize_t column)
+{
+    const double *means = bound->views[7].buf;
+    double mean = means[entity], value = bound->global_mean, agg;
+    if (mean == mean)   /* not NaN: the entity has a training rating */
+        value = knn_aggregate(bound, entity, column, &agg) ? mean + agg : mean;
+    return PyFloat_FromDouble(clamp(value, bound->lo, bound->hi));
+}
+
+/* The run of an item-major query, whose item is the entity. */
+static PyObject *
+knn_value_by_item(BoundQuery *bound, Py_ssize_t user, Py_ssize_t item)
+{
+    return knn_value(bound, item, user);
+}
+
+/* The kNN prediction bound to the eight arrays of `cobar.kernels.KnnIndex`,
+ * in the order `_python.knn_value` takes them, its global mean, k >= 1,
+ * the clamp bounds and whether the entities are the users, with its work
  * buffers: one slot per position in the longest column for `neighbours`,
  * max(entities, columns) zeros for `scratch`, and min(k, longest column)
  * slots each for `sims` and `terms`.  Its entities are the norms', its
@@ -876,13 +906,14 @@ knn_query(BoundQuery *bound, Py_ssize_t entity, Py_ssize_t column)
 static PyObject *
 bind_knn_query(PyObject *module, PyObject *args)
 {
-    BoundQuery *bound = bound_new(knn_query, "entity", "column");
+    BoundQuery *bound = bound_new();
     if (bound == NULL)
         return NULL;
     Py_buffer *b = bound->views;
+    int user_major;
     /* on failure the parser releases the buffers it took */
-    if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*y*y*n:bind_knn_query", &b[0], &b[1], &b[2], &b[3], &b[4], &b[5],
-                          &b[6], &b[7], &bound->k)) {
+    if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*y*y*dnddp:bind_knn_query", &b[0], &b[1], &b[2], &b[3], &b[4], &b[5],
+                          &b[6], &b[7], &bound->global_mean, &bound->k, &bound->lo, &bound->hi, &user_major)) {
         Py_DECREF(bound);
         return NULL;
     }
@@ -890,8 +921,9 @@ bind_knn_query(PyObject *module, PyObject *args)
     const int64_t *cp = b[3].buf;
     Py_ssize_t n_columns = b[3].len / (Py_ssize_t)sizeof(int64_t) - 1;
     Py_ssize_t n_entities = b[6].len / (Py_ssize_t)sizeof(double), longest = 0;
-    bound->sizes[0] = n_entities;
-    bound->sizes[1] = n_columns;
+    bound->run = user_major ? knn_value : knn_value_by_item;
+    bound->sizes[!user_major] = n_entities;
+    bound->sizes[user_major] = n_columns;
     for (Py_ssize_t c = 0; c < n_columns; c++)
         if (cp[c + 1] - cp[c] > longest)
             longest = cp[c + 1] - cp[c];
@@ -1120,11 +1152,7 @@ cobar_answer(const BoundQuery *bound, Py_ssize_t user, Py_ssize_t item, Answer *
         out->fallback = COLD_ITEM;
     else
         out->fallback = SINGLE_RATING;
-    if (value < bound->lo)
-        value = bound->lo;
-    if (value > bound->hi)
-        value = bound->hi;
-    out->value = value;
+    out->value = clamp(value, bound->lo, bound->hi);
     out->user_mean = user_mean;
 }
 
@@ -1164,12 +1192,11 @@ cobar_detail(BoundQuery *bound, Py_ssize_t user, Py_ssize_t item)
  * means, item means and leaves, the global mean, gamma and the clamp
  * bounds, all held or built by `ClusterStatsIndex`: `cobar_detail` when
  * `detailed`, `cobar_value` otherwise.  Its users are the user means',
- * its items the item means', and an index out of range raises the
- * ValueError of `_PredictorMixin.predict`. */
+ * its items the item means'. */
 static PyObject *
 bind_cobar_query(PyObject *module, PyObject *args)
 {
-    BoundQuery *bound = bound_new(NULL, "user", "item");
+    BoundQuery *bound = bound_new();
     if (bound == NULL)
         return NULL;
     Py_buffer *b = bound->views;
@@ -1182,8 +1209,6 @@ bind_cobar_query(PyObject *module, PyObject *args)
     }
     bound->n_views = 9;
     bound->run = detailed ? cobar_detail : cobar_value;
-    bound->error = PyExc_ValueError;
-    bound->format = "%s index %S out of range";
     bound->sizes[0] = b[6].len / (Py_ssize_t)sizeof(double);
     bound->sizes[1] = b[7].len / (Py_ssize_t)sizeof(double);
     return (PyObject *)bound;
@@ -1378,9 +1403,9 @@ static PyMethodDef methods[] = {
      "The epoch of `cobar.kernels.mf_sgd_epoch`, which checks its arguments."},
     {"bind_knn_query", bind_knn_query, METH_VARARGS,
      "bind_knn_query(rows_indptr, rows_indices, rows_data, cols_indptr, cols_indices, cols_data, norms, means,"
-     " k)\n--\n\n"
-     "The query of `cobar.kernels.KnnIndex`, which checks its arrays and k, bound to them, with work"
-     " buffers of its own: a `query(entity, column)` that checks its two indices."},
+     " global_mean, k, lo, hi, user_major)\n--\n\n"
+     "The prediction of `cobar.kernels.KnnIndex.bind`, which checks its arrays and k, bound to them, with"
+     " work buffers of its own: a `query(user, item)` that checks its pair."},
     {"stats_build", stats_build, METH_VARARGS,
      "stats_build(index, positions, ratings, nodes, gap_nodes, gaps)\n--\n\n"
      "The build of `cobar.kernels.ClusterStatsIndex`, which lays out its arguments."},
@@ -1402,7 +1427,7 @@ static PyMethodDef methods[] = {
  * to what a loop checks itself, so that an extension built from older
  * source is rejected instead of reading arguments laid out for another or
  * trusting a check no entry makes any more. */
-#define LAYOUT 10
+#define LAYOUT 11
 
 static int
 exec_module(PyObject *module)

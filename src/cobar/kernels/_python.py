@@ -3,8 +3,9 @@
 They are the fallback for environments without the compiled `_compiled`
 extension and the reference it is tested against: each gives the compiled
 loop's bits on the same memory, and trusts its caller, `cobar.kernels`, to
-have checked or built every array.  The queries check their own two indices,
-with the compiled queries' errors and words.  The cosine pass and the Ward loop are the
+have checked or built every array.  The queries check their own pair by
+`_check_pair`, with the errors and words of every predictor's `predict`,
+and clamp by `_clamp`, as the compiled ones do.  The cosine pass and the Ward loop are the
 compiled algorithms vectorised: the cosine pass over the products of one
 row at a time, the Ward loop over the active slots of each merge, with
 the compiled loop's slots, lazy bounds and rescans.  Where the steps
@@ -12,9 +13,9 @@ differ, the order of every sum is kept: the CSR layout sorts where the
 compiled one counts, which the unique pairs make the same order, the
 stats build joins its gaps in rounds where the compiled one pops them off
 a stack, and the kNN query sums every dot product of the entity where the
-compiled one sums those it reads.  The queries (the kNN query and cobar's
-two prediction runs over one interval walk) are bound to their arrays
-once, as compiled, here with `functools.partial`, over the same arrays:
+compiled one sums those it reads.  The queries (the kNN prediction and
+cobar's two prediction runs over one interval walk) are bound to their
+arrays once, as compiled, here with `functools.partial`, over the same arrays:
 the compiled kNN query allocates its work buffers itself when it is
 bound.  The compiled tokenizer has no numpy twin: its `tokenize` here
 declines every input.
@@ -231,18 +232,28 @@ def sgd_epoch(
         q += lr * (err * p_old - reg * q)
 
 
-def _check_indices(names: tuple[str, str], sizes: tuple[int, int], first, second) -> tuple[int, int]:
-    """A query's two indices read by `operator.index`, `TypeError` for
-    either that is no integer, then `IndexError` for the first of them
-    outside ``[0, size)``, as a compiled bound query checks them."""
-    first, second = operator.index(first), operator.index(second)
-    for name, value, size in zip(names, (first, second), sizes):
-        if not 0 <= value < size:
-            raise IndexError(f"{name} {value} out of range [0, {size})")
-    return first, second
+def _check_pair(user, item, n_users: int, n_items: int) -> tuple[int, int]:
+    """A query's user and item read by `operator.index`, `TypeError` for
+    either that is no integer, then `ValueError` for the user and then the
+    item out of range, as `_PredictorMixin.predict` words it."""
+    user, item = operator.index(user), operator.index(item)
+    if not 0 <= user < n_users:
+        raise ValueError(f"user index {user} out of range")
+    if not 0 <= item < n_items:
+        raise ValueError(f"item index {item} out of range")
+    return user, item
 
 
-def knn_query(
+def _clamp(value: float, lo: float, hi: float) -> float:
+    """`value` clamped to [lo, hi] by two comparisons, which let NaN pass."""
+    if value < lo:
+        value = lo
+    if value > hi:
+        value = hi
+    return value
+
+
+def knn_aggregate(
     rows_indptr: np.ndarray,
     rows_indices: np.ndarray,
     rows_data: np.ndarray,
@@ -251,16 +262,14 @@ def knn_query(
     cols_data: np.ndarray,
     norms: np.ndarray,
     means: np.ndarray,
+    k: int,
     entity: int,
     column: int,
-    k: int,
 ) -> float | None:
-    """The query of `cobar.kernels.KnnIndex`, which builds the arrays and
-    checks k once: the similarity-weighted mean deviation of the k most
-    similar positive neighbours of `entity` in `column`, or None when no
-    neighbour has positive similarity.  It checks `entity` against the
-    norms and `column` against the column layout."""
-    entity, column = _check_indices(("entity", "column"), (len(norms), len(cols_indptr) - 1), entity, column)
+    """The aggregate of `knn_value` for an entity and a column it checked:
+    the similarity-weighted mean deviation of the k most similar positive
+    neighbours of `entity` in `column`, or None when no neighbour has
+    positive similarity."""
     cp, ci, cd = cols_indptr, cols_indices, cols_data
     neighbors, ratings = ci[cp[column]:cp[column + 1]], cd[cp[column]:cp[column + 1]]
     keep = neighbors != entity
@@ -285,14 +294,33 @@ def knn_query(
     return _top_k_aggregate(sims, deviations, k)
 
 
+def knn_value(rows_indptr: np.ndarray, rows_indices: np.ndarray, rows_data: np.ndarray, cols_indptr: np.ndarray,
+              cols_indices: np.ndarray, cols_data: np.ndarray, norms: np.ndarray, means: np.ndarray,
+              global_mean: float, k: int, lo: float, hi: float, user_major: bool, user: int, item: int) -> float:
+    """The kNN prediction of `cobar.kernels.KnnIndex.bind`, whose index
+    builds the arrays and checks k once.  The entity is the user when
+    `user_major` and the item otherwise; it gets the global mean for a NaN
+    mean, else its mean plus `knn_aggregate`, or its mean alone."""
+    sizes = (len(norms), len(cols_indptr) - 1)
+    user, item = _check_pair(user, item, *(sizes if user_major else sizes[::-1]))
+    entity, column = (user, item) if user_major else (item, user)
+    mean = float(means[entity])
+    if mean != mean:   # NaN: the entity has no training rating
+        value = global_mean
+    else:
+        agg = knn_aggregate(rows_indptr, rows_indices, rows_data, cols_indptr, cols_indices, cols_data, norms,
+                            means, k, entity, column)
+        value = mean if agg is None else mean + agg
+    return _clamp(value, lo, hi)
+
+
 def bind_knn_query(rows_indptr: np.ndarray, rows_indices: np.ndarray, rows_data: np.ndarray, cols_indptr: np.ndarray,
                    cols_indices: np.ndarray, cols_data: np.ndarray, norms: np.ndarray, means: np.ndarray,
-                   k: int) -> functools.partial:
-    """`knn_query` bound to the arrays of `cobar.kernels.KnnIndex` and k:
-    a `query(entity, column)` that checks its indices, as the compiled bind
-    returns one."""
-    return functools.partial(knn_query, rows_indptr, rows_indices, rows_data, cols_indptr, cols_indices, cols_data,
-                             norms, means, k=k)
+                   global_mean: float, k: int, lo: float, hi: float, user_major: bool) -> functools.partial:
+    """`knn_value` bound to every argument but the query's user and item,
+    as the compiled bind returns one."""
+    return functools.partial(knn_value, rows_indptr, rows_indices, rows_data, cols_indptr, cols_indices, cols_data,
+                             norms, means, global_mean, k, lo, hi, user_major)
 
 
 def _top_k_aggregate(sims: np.ndarray, deviations: np.ndarray, k: int) -> float | None:
@@ -444,11 +472,7 @@ def cobar_detail(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray
     `COLD_ITEM`, and any other item too, `SINGLE_RATING`.  The value is then
     clamped to [lo, hi] by two comparisons, which let NaN pass.
     """
-    user, item = operator.index(user), operator.index(item)
-    if not 0 <= user < len(user_means):
-        raise ValueError(f"user index {user} out of range")
-    if not 0 <= item < len(item_means):
-        raise ValueError(f"item index {item} out of range")
+    user, item = _check_pair(user, item, len(user_means), len(item_means))
     user_mean, leaf, chosen = float(user_means[user]), int(leaf_of[user]), (None,) * 4
     if user_mean != user_mean:
         fallback, value, user_mean = COLD_USER, global_mean, None
@@ -463,11 +487,7 @@ def cobar_detail(index: np.ndarray, positions: np.ndarray, gap_nodes: np.ndarray
         fallback, value = COLD_ITEM, user_mean
     else:
         fallback, value = SINGLE_RATING, user_mean
-    if value < lo:
-        value = lo
-    if value > hi:
-        value = hi
-    return (value, fallback, *chosen, user_mean)
+    return (_clamp(value, lo, hi), fallback, *chosen, user_mean)
 
 
 def cobar_value(*args) -> float:

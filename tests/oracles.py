@@ -685,25 +685,27 @@ def _item_stats_dict(dendrogram, train) -> ClusterItemStats:
 def composed_prediction(model, train, user, item):
     """The prediction of a predictor fit on `train` for an in-range (user,
     item), built from public pieces one call at a time: the training set's
-    means with a fresh `KnnIndex.query` for the kNNs, ``float(U[u] @
-    V[i])`` for MF, the dict maps of `build_item_stats_dict` walked by
+    means with the numpy aggregate over a fresh `KnnIndex`'s arrays for
+    the kNNs, ``float(U[u] @ V[i])`` for MF, the dict maps of `build_item_stats_dict` walked by
     `select_optimal_cluster_dict` along the chain of the user's leaf for
     cobar, and ``min(max(value, lo), hi)`` with the training scale for the
     clamp."""
     from cobar import CobarModel, ItemKnn, MatrixFactorization, MostPopular, UserKnn
-    from cobar.kernels import KnnIndex
+    from cobar.kernels import KnnIndex, _python
 
     if isinstance(model, MostPopular):
         mean = float(train.item_stats.means[item])
         value = train.item_stats.global_mean if math.isnan(mean) else mean
     elif isinstance(model, (UserKnn, ItemKnn)):
-        entity, column = (user, item) if isinstance(model, UserKnn) else (item, user)
-        mean = float(model.stats.means[entity])
+        user_major = isinstance(model, UserKnn)
+        entity, column = (user, item) if user_major else (item, user)
+        stats = train.user_stats if user_major else train.item_stats
+        mean = float(stats.means[entity])
         if math.isnan(mean):
-            value = model.stats.global_mean
+            value = stats.global_mean
         else:
-            index = KnnIndex(train, isinstance(model, UserKnn), model.stats.means, model.config.k)
-            agg = index.query(entity, column)
+            index = KnnIndex(train, user_major, stats, model.config.k)
+            agg = _python.knn_aggregate(*index._arrays, index.k, entity, column)
             value = mean if agg is None else mean + agg
     elif isinstance(model, MatrixFactorization):
         value = model.global_mean

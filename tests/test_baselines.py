@@ -577,8 +577,10 @@ def test_a_folds_models_share_its_derived_state(each_backend, monkeypatch):
         layouts = (*train.user_layout, *train.item_layout)
         assert all(a is b for a, b in zip(uknn._index._arrays, layouts))
         assert all(a is b for a, b in zip(iknn._index._arrays, layouts[3:] + layouts[:3]))
-        assert uknn.stats is train.user_stats and uknn._index._arrays[7] is train.user_stats.means
-        assert iknn.stats is train.item_stats and iknn._index._arrays[7] is train.item_stats.means
+        assert uknn._index._arrays[7] is train.user_stats.means
+        assert uknn._index._global_mean == train.user_stats.global_mean
+        assert iknn._index._arrays[7] is train.item_stats.means
+        assert iknn._index._global_mean == train.item_stats.global_mean
         cobar = CobarModel().fit(train)
         assert cobar.user_stats is train.user_stats
         assert cobar.stats._lookup[0] is train.user_stats.means and cobar.stats._lookup[1] is train.item_stats.means
@@ -691,9 +693,20 @@ def _fitted_state(dataset):
     return [train, train.user_stats, cobar.dendrogram, cobar.stats, models["uknn"]._index, *models.values()]
 
 
+def _bound_names(obj) -> set:
+    """The attributes `_bind` sets on a copy of `obj` that holds just its
+    pickled state: the names it adds or whose value it replaces."""
+    copy = object.__new__(type(obj))
+    for name, value in obj.__getstate__().items():
+        setattr(copy, name, value)
+    before = dict(vars(copy))
+    copy._bind()
+    return {name for name, value in vars(copy).items() if name not in before or before[name] is not value}
+
+
 def test_every_declared_attribute_is_set(kernel_backend, two_clusters_dataset):
-    # a name in `_READ_ONLY` or `_BOUND` that no instance sets, a typo say,
-    # would leave an array writable or a bound query in a pickle
+    # a name in `_READ_ONLY` that no instance sets, a typo say, would leave
+    # an array writable; what `_bind` sets is set again after a load
     instances = _fitted_state(two_clusters_dataset)
     assert {type(obj) for obj in instances} == _protocol_classes()
     for obj in instances:
@@ -701,8 +714,9 @@ def test_every_declared_attribute_is_set(kernel_backend, two_clusters_dataset):
             value = getattr(obj, name)
             arrays = value if isinstance(value, tuple) else (value,)
             assert arrays and all(isinstance(a, np.ndarray) for a in arrays), (type(obj).__name__, name)
-        for name in type(obj)._BOUND:
-            assert vars(obj).get(name) is not None, (type(obj).__name__, name)
+        loaded = pickle.loads(pickle.dumps(obj))
+        for name in _bound_names(obj):
+            assert vars(loaded).get(name) is not None, (type(obj).__name__, name)
     # the fit bound its prediction at its level: leaf 0's user picks the
     # node and half-width of the reference walk at that level
     train, cobar = instances[0], instances[5]
@@ -734,10 +748,11 @@ def test_pickling_leaves_the_instance_dict_unmade(kernel_backend, two_clusters_d
 def test_a_pickle_holds_every_attribute_but_the_bound_ones(kernel_backend, two_clusters_dataset):
     # the names a pickle holds are fixed per class: compared with the
     # attributes of a separate fit, whose `vars` makes its dict, so that
-    # an attribute a fit adds cannot drop out of a pickle unseen
+    # an attribute a fit adds cannot drop out of a pickle unseen; the bound
+    # ones are those `_bind` sets after a load
     pickled = [obj.__getstate__() for obj in _fitted_state(two_clusters_dataset)]
     for state, obj in zip(pickled, _fitted_state(two_clusters_dataset)):
-        bound = set(type(obj)._BOUND)
+        bound = _bound_names(obj)
         assert not bound & state.keys() and vars(obj).keys() == state.keys() | bound, type(obj).__name__
 
 

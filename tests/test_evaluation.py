@@ -1,5 +1,6 @@
 """RMSE, the signed-rank test, and the cross-validation runner."""
 
+import hashlib
 import json
 import math
 
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from cobar import MfConfig, build_algorithms, rmse, run_cross_validation, wilcoxon_signed_rank
+from cobar import MfConfig, build_algorithms, kfold_split, rmse, run_cross_validation, wilcoxon_signed_rank
+from cobar.data import fold_train_test
 from cobar.evaluation import ALGORITHM_NAMES, EXACT_WILCOXON_LIMIT, _average_ranks
-from conftest import RATING_SCALES, make_dataset, random_grid_dataset
+from cobar.kernels import _python
+from conftest import RATING_SCALES, REPO_ROOT, benchmark_dataset, make_dataset, random_grid_dataset
 from oracles import WILCOXON_CRITICAL, wilcoxon_enumerated_p, wilcoxon_normal_p
 
 
@@ -348,3 +351,23 @@ class TestBuildAlgorithms:
                     assert on.predict(u, i) == min(max(value, lo), hi), name
                     outside += not lo <= value <= hi
         assert outside > 0
+
+
+def test_predictions_keep_the_benchmarks_reference_digests(kernel_backend):
+    # perfbench's seed-1 ft protocol: ten folds split with seed 42 and each
+    # algorithm at its default config, clamped; a fold's digest is the
+    # first 16 hex digits of the sha256 of its predictions' float64 bytes,
+    # in test order.  mf, which the benchmark checks by a tolerance, is
+    # left out; the numpy backend runs the first two folds, as all ten
+    # take about 7 s there
+    want = json.loads((REPO_ROOT / "perfbench" / "reference.json").read_text())["ft"]["1"]["digest"]
+    dataset = benchmark_dataset("ft", 1)
+    split = kfold_split(dataset, 10, 42)
+    algorithms = build_algorithms(["cobar", "mp", "uknn", "iknn"])
+    for fold in range(2 if kernel_backend._loops is _python else 10):
+        train, test = fold_train_test(dataset, split, fold)
+        pairs = list(zip(dataset.users[test].tolist(), dataset.items[test].tolist()))
+        for name, make in algorithms.items():
+            model = make().fit(train)
+            values = np.array([model.predict(u, i) for u, i in pairs])
+            assert hashlib.sha256(values.tobytes()).hexdigest()[:16] == want[name][fold], (name, fold)

@@ -6,6 +6,7 @@ import array
 import ast
 import contextlib
 import gc
+import math
 import os
 import pickle
 import re
@@ -28,7 +29,7 @@ from scipy.special import stdtrit
 from cobar import (CobarConfig, CobarModel, ItemKnn, KnnConfig, MostPopular, RatingDataset, UserKnn,
                    agglomerate, kernels, kfold_split)
 from cobar.clustering import Dendrogram, clusterable_users
-from cobar.data import fold_train_test
+from cobar.data import MeanStats, fold_train_test
 from cobar.kernels import _python
 from conftest import RATING_SCALES, REPO_ROOT, benchmark_dataset, c_compiler_found, make_dataset, random_grid_dataset
 from oracles import ancestor_chain_reference, condensed, leaf_of_reference, ward_reference
@@ -145,7 +146,7 @@ class TestDispatch:
         assert {name for name in public if callable(getattr(compiled_kernels, name))} == set(LOOPS)
 
     @pytest.mark.parametrize("layout, loops", [
-        *(pytest.param(layout, LOOPS, id=str(layout)) for layout in (None, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11)),
+        *(pytest.param(layout, LOOPS, id=str(layout)) for layout in (None, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)),
         # an extension from before the queries were bound, which lacks
         # loops as every extension older than the current layout does
         pytest.param(None, ("ward_loop", "sgd_epoch", "knn_query", "stats_build", "stats_query", "cosine_rows"),
@@ -165,7 +166,9 @@ class TestDispatch:
         # indices to the checked entries, one of layout 8, from before
         # cobar's whole prediction was one bound query, one of layout 9,
         # whose cobar query took the labels of its fallbacks beside the
-        # bare stats query, or one built from newer source
+        # bare stats query, one of layout 10, whose kNN query returned the
+        # aggregate of an (entity, column) pair with an IndexError for
+        # one out of range, or one built from newer source
         code = (
             "import sys, types; "
             "stub = types.ModuleType('cobar.kernels._compiled'); "
@@ -900,7 +903,8 @@ class TestCompiledLoopsTakeBuffers:
 def _knn_problem(triples, n_entities, n_columns, rng, user_major=True):
     """`KnnIndex` arguments but k for (entity, column, rating) triples, in
     the order given: the training dataset, with the entities as its users
-    when `user_major` is true and as its items otherwise, and random means."""
+    when `user_major` is true and as its items otherwise, and random means
+    and global mean."""
     entities, columns, ratings = (np.array(a) for a in zip(*triples))
     users, items, n_users, n_items = ((entities, columns, n_entities, n_columns) if user_major
                                       else (columns, entities, n_columns, n_entities))
@@ -909,7 +913,32 @@ def _knn_problem(triples, n_entities, n_columns, rng, user_major=True):
         users=users.astype(np.int32), items=items.astype(np.int32), ratings=ratings.astype(np.float64),
         rating_min=float(ratings.min()), rating_max=float(ratings.max()),
     )
-    return {"train": train, "user_major": user_major, "means": rng.uniform(0.0, 5.0, n_entities)}
+    return {"train": train, "user_major": user_major, "stats": MeanStats(rng.uniform(0.0, 5.0, n_entities), 2.5)}
+
+
+def _zero_means(problem):
+    """`problem` with every entity's mean -0.0: a prediction is then its
+    aggregate bit for bit, as -0.0 + agg is agg, the sign of a zero
+    included, or -0.0 when no neighbour is positive."""
+    return {**problem, "stats": MeanStats(np.full(len(problem["stats"].means), -0.0), 0.0)}
+
+
+def _knn_args(index, k=None, lo=-math.inf, hi=math.inf):
+    """What `KnnIndex.bind(lo, hi)` hands a backend's `bind_knn_query`, at
+    `k` if given: `_python.knn_value`'s arguments but the pair."""
+    return (*index._arrays, index._global_mean, index.k if k is None else k, lo, hi, index.user_major)
+
+
+def _query(index):
+    """The index's bound query, unclamped, called with (entity, column)."""
+    query = index.bind(-math.inf, math.inf)
+    return query if index.user_major else lambda entity, column: query(column, entity)
+
+
+def _aggregate(index, entity, column, k=None):
+    """The numpy aggregate of (entity, column), None when no neighbour is
+    positive."""
+    return _python.knn_aggregate(*index._arrays, index.k if k is None else k, entity, column)
 
 
 def _hand_problem(user_major=True):
@@ -919,7 +948,7 @@ def _hand_problem(user_major=True):
     triples = [(0, 0, 1.0), (1, 0, 3.0), (1, 2, 4.0), (2, 0, 4.0), (2, 2, 3.0), (3, 1, 3.0), (3, 2, 4.0),
                (4, 0, -4.0), (4, 2, 3.0), (5, 0, 3.0), (5, 2, 4.0)]
     problem = _knn_problem(triples, 6, 3, np.random.default_rng(0), user_major)
-    problem["means"] = np.array([0.0, 3.0, 1.0, 0.0, 0.0, 5.0])
+    problem["stats"] = MeanStats(np.array([0.0, 3.0, 1.0, 0.0, 0.0, 5.0]), 2.5)
     return problem
 
 
@@ -1024,26 +1053,25 @@ class TestKnnQuery:
     def test_backends_agree_for_every_neighbour_count(self, compiled_kernels, variant):
         # the compiled loop re-implements np.sum's pairwise order; a numpy
         # release that changes it fails here.  The loops are bound per k
-        # over one index's layout, which serves every k.
-        arrays = kernels.KnnIndex(**_counting_problem(variant), k=1)._arrays
-        results = []
-        for loops in (_python, compiled_kernels):
-            values = []
-            for count in range(1, MAX_NEIGHBOURS + 1):
-                for k in sorted({count + 3, count, max(1, count - 1), max(1, count // 3), 1}):
-                    values.append(loops.bind_knn_query(*arrays, k)(0, PROFILE + count - 1))
-            results.append(values)
+        # over one index's layout, which serves every k, at zero means, so
+        # each value has its aggregate's bits
+        index = kernels.KnnIndex(**_zero_means(_counting_problem(variant)), k=1)
+        cases = [(PROFILE + count - 1, k) for count in range(1, MAX_NEIGHBOURS + 1)
+                 for k in sorted({count + 3, count, max(1, count - 1), max(1, count // 3), 1})]
+        results = [[_bits(loops.bind_knn_query(*_knn_args(index, k))(0, column)) for column, k in cases]
+                   for loops in (_python, compiled_kernels)]
         if variant != "signed":
-            assert None not in results[0]
+            assert all(_aggregate(index, 0, column, k) is not None for column, k in cases)
         assert results[0] == results[1]
 
     def test_equal_to_weighted_mean_of_top_k(self, kernel_backend):
         problem, transposed = _hand_problem(), _hand_problem(user_major=False)
 
+        # entity 0's mean is 0.0, so each value is its aggregate
         def query(column, k):
-            value = kernel_backend.KnnIndex(**problem, k=k).query(0, column)
+            value = _query(kernel_backend.KnnIndex(**problem, k=k))(0, column)
             # the entities as the items of the transposed dataset
-            assert kernel_backend.KnnIndex(**transposed, k=k).query(0, column) == value
+            assert _query(kernel_backend.KnnIndex(**transposed, k=k))(0, column) == value
             return value
 
         assert query(2, 1) == 2.0
@@ -1052,7 +1080,8 @@ class TestKnnQuery:
         assert query(2, 3) == pytest.approx((0.8 * 2.0 + 0.6 * 1.0 - 0.6) / 2.0, abs=1e-15)
         # the zero and the negative similarity never count
         assert query(2, 30) == query(2, 3)
-        assert query(1, 30) is None
+        # no positive neighbour: the entity's mean alone
+        assert query(1, 30) == 0.0 and _aggregate(kernel_backend.KnnIndex(**problem, k=30), 0, 1) is None
 
     def test_queries_leave_no_trace(self, kernel_backend):
         # the compiled loop's scratch is zeroed after every query, from
@@ -1063,9 +1092,10 @@ class TestKnnQuery:
         for problem, queries in cases:
             index = kernel_backend.KnnIndex(**problem, k=5)
             sides |= {_side(index, e, c) for e, c in queries}
-            first = [index.query(e, c) for e, c in queries]
+            query = _query(index)
+            first = [query(e, c) for e, c in queries]
             order = np.random.default_rng(1).permutation(len(queries))
-            again = [index.query(*queries[q]) for q in order]
+            again = [query(*queries[q]) for q in order]
             assert again == [first[q] for q in order]
         assert sides == {"scatter", "gather"}
 
@@ -1073,16 +1103,18 @@ class TestKnnQuery:
     @pytest.mark.parametrize("side", list(SIDES_QUERY))
     def test_both_sides_match_the_numpy_query(self, compiled_kernels, side, user_major):
         # each side adds the products in ascending column order from +0.0;
-        # the gather's extra +-0.0 products change no bit
-        index = kernels.KnnIndex(**_sides_problem(side, user_major), k=1)
+        # the gather's extra +-0.0 products change no bit.  At zero means
+        # each value has its aggregate's bits
+        index = kernels.KnnIndex(**_zero_means(_sides_problem(side, user_major)), k=1)
         assert _side(index, *SIDES_QUERY[side]) == side
         assert {_side(index, e, c) for e, c in SIDES_QUERIES} == {"scatter", "gather"}
+        pairs = [(e, c) if user_major else (c, e) for e, c in SIDES_QUERIES]
         results = []
         for loops in (_python, compiled_kernels):
-            queries = [loops.bind_knn_query(*index._arrays, k) for k in (1, 3, 30)]
-            results.append([_bits(query(e, c)) for e, c in SIDES_QUERIES for query in queries])
+            queries = [loops.bind_knn_query(*_knn_args(index, k)) for k in (1, 3, 30)]
+            results.append([_bits(query(*pair)) for pair in pairs for query in queries])
         assert results[0] == results[1]
-        assert sum(v is not None for v in results[0]) > len(SIDES_QUERIES)
+        assert sum(_aggregate(index, e, c, k) is not None for e, c in SIDES_QUERIES for k in (1, 3, 30)) > len(pairs)
 
     def test_reads_the_datasets_frozen_layouts(self):
         # the index reads the dataset's read-only layouts and adds read-only
@@ -1093,19 +1125,20 @@ class TestKnnQuery:
         triples = [a.copy() for a in (problem["train"].users, problem["train"].items, problem["train"].ratings)]
         train = problem["train"] = replace(problem["train"], users=triples[0], items=triples[1], ratings=triples[2])
         index = kernels.KnnIndex(**problem, k=7)
+        query = _query(index)
         assert all(kept is laid for kept, laid in zip(index._arrays, (*train.user_layout, *train.item_layout)))
-        assert index._arrays[7] is problem["means"]
+        assert index._arrays[7] is problem["stats"].means and index._global_mean == problem["stats"].global_mean
         assert not any(np.shares_memory(kept, given) for kept in index._arrays
                        for given in (train.users, train.items, train.ratings, *triples))
         for array in index._arrays[:7]:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
-        before = [index.query(e, c) for e, c in SPREAD]
+        before = [query(e, c) for e, c in SPREAD]
         checked = train.ratings.copy()
         for array in triples:
             array[:] = 0
         assert np.array_equal(train.ratings, checked)
-        assert [index.query(e, c) for e, c in SPREAD] == before
+        assert [query(e, c) for e, c in SPREAD] == before
 
     @pytest.mark.parametrize("user_major", [True, False])
     def test_index_holds_int32_indices(self, each_backend, user_major):
@@ -1122,8 +1155,8 @@ class TestKnnQuery:
         problem = _counting_problem("signed")
         order = np.random.default_rng(2).permutation(problem["train"].n_ratings)
         shuffled = {**problem, "train": problem["train"].subset(order)}
-        index, again = (kernel_backend.KnnIndex(**p, k=5) for p in (problem, shuffled))
-        assert [again.query(e, c) for e, c in SPREAD] == [index.query(e, c) for e, c in SPREAD]
+        index, again = (_query(kernel_backend.KnnIndex(**p, k=5)) for p in (problem, shuffled))
+        assert [again(e, c) for e, c in SPREAD] == [index(e, c) for e, c in SPREAD]
 
 
 NOT_AN_INTEGER = "'{}' object cannot be interpreted as an integer"
@@ -1131,9 +1164,11 @@ NOT_AN_INTEGER = "'{}' object cannot be interpreted as an integer"
 
 def _query_cases(cases):
     """The (args, error, message) cases of a bad-query test, each with the
-    id pytest gives an (args, error) case at its position, so a case keeps
-    its id when a message is added to it."""
-    return [pytest.param(*case, id=f"args{k}-{case[1].__name__}") for k, case in enumerate(cases)]
+    id `args{position}-{fault}`: the fault of its arguments is `TypeError`
+    for an index that is no integer and `IndexError` for one out of range,
+    which the query raises as the `ValueError` of every predictor."""
+    return [pytest.param(*case, id=f"args{k}-{'TypeError' if case[1] is TypeError else 'IndexError'}")
+            for k, case in enumerate(cases)]
 
 
 class TestKnnIndexChecksInputs:
@@ -1144,13 +1179,14 @@ class TestKnnIndexChecksInputs:
 
     @pytest.mark.parametrize("name, value, error, match", [
         ("train", lambda t: [t.users, t.items, t.ratings], TypeError, "must be a RatingDataset"),
-        ("means", lambda a: a.astype(np.float32), TypeError, "must hold float64"),
-        ("means", lambda a: np.stack([a, a]), ValueError, "1-dimensional"),
-        ("means", lambda a: a[:-1], ValueError, "not one per entity"),
+        ("stats", lambda s: MeanStats(s.means.astype(np.float32), 2.5), TypeError, "must hold float64"),
+        ("stats", lambda s: MeanStats(np.stack([s.means, s.means]), 2.5), ValueError, "1-dimensional"),
+        ("stats", lambda s: MeanStats(s.means[:-1], 2.5), ValueError, "not one per entity"),
+        ("stats", lambda s: s.means, TypeError, "must be a MeanStats"),
         ("k", lambda k: 0, ValueError, "k must be >= 1"),
         ("k", lambda k: -2, ValueError, "k must be >= 1"),
         ("k", lambda k: 2.5, TypeError, "integer"),
-    ], ids=["list", "float32-means", "2-d", "means-length", "k-zero", "k-negative", "k-float"])
+    ], ids=["list", "float32-means", "2-d", "means-length", "bare-means", "k-zero", "k-negative", "k-float"])
     def test_bad_array_rejected(self, each_backend, name, value, error, match):
         problem = {**_hand_problem(), "k": 30}
         problem[name] = value(problem[name])
@@ -1158,23 +1194,24 @@ class TestKnnIndexChecksInputs:
             with pytest.raises(error, match=match):
                 kernels.KnnIndex(**problem)
 
+    # the hand problem's 6 users are its entities and its 3 items its columns
     @pytest.mark.parametrize("args, error, message", _query_cases([
-        ((-1, 2), IndexError, "entity -1 out of range [0, 6)"),
-        ((6, 2), IndexError, "entity 6 out of range [0, 6)"),
-        ((0, -1), IndexError, "column -1 out of range [0, 3)"),
-        ((0, 3), IndexError, "column 3 out of range [0, 3)"),
-        ((np.int64(6), 2), IndexError, "entity 6 out of range [0, 6)"),
-        ((0, np.int32(-4)), IndexError, "column -4 out of range [0, 3)"),
+        ((-1, 2), ValueError, "user index -1 out of range"),
+        ((6, 2), ValueError, "user index 6 out of range"),
+        ((0, -1), ValueError, "item index -1 out of range"),
+        ((0, 3), ValueError, "item index 3 out of range"),
+        ((np.int64(6), 2), ValueError, "user index 6 out of range"),
+        ((0, np.int32(-4)), ValueError, "item index -4 out of range"),
         ((0.0, 2), TypeError, NOT_AN_INTEGER.format("float")),
         ((0, 2.5), TypeError, NOT_AN_INTEGER.format("float")),
-        ((2**70, 2), IndexError, f"entity {2**70} out of range [0, 6)"),
-        ((-2**70, 2), IndexError, f"entity {-2**70} out of range [0, 6)"),
-        ((0, 2**70), IndexError, f"column {2**70} out of range [0, 3)"),
-        ((0, -2**70), IndexError, f"column {-2**70} out of range [0, 3)"),
-        ((True, 3), IndexError, "column 3 out of range [0, 3)"),
-        ((6, True), IndexError, "entity 6 out of range [0, 6)"),
-        ((np.uint64(2**64 - 1), 2), IndexError, f"entity {2**64 - 1} out of range [0, 6)"),
-        ((0, np.int8(-1)), IndexError, "column -1 out of range [0, 3)"),
+        ((2**70, 2), ValueError, f"user index {2**70} out of range"),
+        ((-2**70, 2), ValueError, f"user index {-2**70} out of range"),
+        ((0, 2**70), ValueError, f"item index {2**70} out of range"),
+        ((0, -2**70), ValueError, f"item index {-2**70} out of range"),
+        ((True, 3), ValueError, "item index 3 out of range"),
+        ((6, True), ValueError, "user index 6 out of range"),
+        ((np.uint64(2**64 - 1), 2), ValueError, f"user index {2**64 - 1} out of range"),
+        ((0, np.int8(-1)), ValueError, "item index -1 out of range"),
         # both indices are read before either is checked
         ((-1, 2.5), TypeError, NOT_AN_INTEGER.format("float")),
         ((2**70, "0"), TypeError, NOT_AN_INTEGER.format("str")),
@@ -1182,9 +1219,9 @@ class TestKnnIndexChecksInputs:
     def test_bad_query_rejected(self, each_backend, args, error, message):
         for _ in each_backend:
             # built per backend: the index binds that backend's query
-            index = kernels.KnnIndex(**_hand_problem(), k=30)
-            with pytest.raises(error, match=re.escape(message)):
-                index.query(*args)
+            query = kernels.KnnIndex(**_hand_problem(), k=30).bind(-math.inf, math.inf)
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                query(*args)
 
 
 def _stats_problem(ds):
@@ -1360,12 +1397,13 @@ class TestBindPrediction:
     ], ids=str)
     def test_bad_query_rejected_as_every_predictor_rejects_it(self, each_backend, demo_dataset, args):
         # the mixin's `predict`, which mp runs, reads both indices by
-        # `operator.index`, then checks the user and then the item
+        # `operator.index`, then checks the user and then the item; so do
+        # the bound queries of cobar and both kNNs
         with pytest.raises((TypeError, ValueError)) as mixin:
             MostPopular().fit(demo_dataset).predict(*args)
         for _ in each_backend:
-            model = CobarModel().fit(demo_dataset)
-            for query in (model.predict, model.predict_detailed):
+            model, uknn, iknn = (cls().fit(demo_dataset) for cls in (CobarModel, UserKnn, ItemKnn))
+            for query in (model.predict, model.predict_detailed, uknn.predict, iknn.predict):
                 with pytest.raises(mixin.type, match=f"^{re.escape(str(mixin.value))}$"):
                     query(*args)
 
@@ -1458,8 +1496,14 @@ class TestTCriticalTables:
 
 
 def _knn_indexes(ds):
-    """The kNN indexes of the uknn and iknn fits of `ds`, with k 1, 3 and 30."""
-    return [cls(KnnConfig(k=k)).fit(ds)._index for cls in (UserKnn, ItemKnn) for k in (1, 3, 30)]
+    """The kNN indexes of `ds` at zero means, as `_zero_means` makes them,
+    with the users and then the items as the entities and k 1, 3 and 30."""
+    indexes = []
+    for user_major in (True, False):
+        stats = ds.user_stats if user_major else ds.item_stats
+        problem = _zero_means({"train": ds, "user_major": user_major, "stats": stats})
+        indexes += [kernels.KnnIndex(**problem, k=k) for k in (1, 3, 30)]
+    return indexes
 
 
 class TestBoundQueries:
@@ -1474,15 +1518,16 @@ class TestBoundQueries:
         answered = 0
         for ds in datasets:
             for index in _knn_indexes(ds):
-                arrays, k = index._arrays, index.k
-                bound = [loops.bind_knn_query(*arrays, k) for loops in (_python, compiled_kernels)]
-                for entity in range(index.n_entities):
-                    for column in range(index.n_columns):
-                        want = _bits(_python.knn_query(*arrays, entity, column, k))
+                args = _knn_args(index)
+                bound = [loops.bind_knn_query(*args) for loops in (_python, compiled_kernels)]
+                for user in range(ds.n_users):
+                    for item in range(ds.n_items):
+                        want = _bits(_python.knn_value(*args, user, item))
                         # after every earlier query of the bound loop, which
                         # must leave its scratch zeroed
-                        assert [_bits(query(entity, column)) for query in bound] == [want, want]
-                        answered += want is not None
+                        assert [_bits(query(user, item)) for query in bound] == [want, want]
+                        pair = (user, item) if index.user_major else (item, user)
+                        answered += _aggregate(index, *pair) is not None
             model = CobarModel().fit(ds)
             for level in (0.9, 0.95, 0.99):
                 table = kernels._t_critical_table(level, model.stats._most_raters)
@@ -1504,8 +1549,8 @@ class TestBoundQueries:
         # the bound query holds them until it is freed itself
         problem = _counting_problem("signed")
         index = kernel_backend.KnnIndex(**problem, k=5)
-        want = [_bits(index.query(e, c)) for e, c in SPREAD]
-        query, kept = index.query, weakref.ref(index._arrays[4])
+        query, kept = index.bind(-math.inf, math.inf), weakref.ref(index._arrays[4])
+        want = [_bits(query(e, c)) for e, c in SPREAD]
         del index, problem
         gc.collect()
         junk = [np.full(n, 7.0) for n in range(1, 2000, 7)]   # reuse freed memory
@@ -1530,51 +1575,50 @@ class TestBoundQueries:
         assert kept() is None
 
     @pytest.mark.parametrize("args, kwargs", [((), {}), ((0,), {}), ((0, 0, 0), {}), ((0.0, 0), {}), ((0, "0"), {}),
-                                              ((0,), {"column": 0})])
+                                              ((0,), {"item": 0})])
     def test_compiled_call_takes_two_indices(self, compiled_kernels, args, kwargs):
         # the compiled call parses two integers and nothing else, and
         # checks them itself: see test_bound_queries_check_their_indices
-        arrays = kernels.KnnIndex(**_hand_problem(), k=30)._arrays
-        query = compiled_kernels.bind_knn_query(*arrays, 30)
+        args_of = _knn_args(kernels.KnnIndex(**_hand_problem(), k=30))
+        query = compiled_kernels.bind_knn_query(*args_of)
         with pytest.raises(TypeError, match="positional|integer"):
             query(*args, **kwargs)
-        assert query(np.int64(0), True) == _python.knn_query(*arrays, 0, 1, 30)
+        assert query(np.int64(0), True) == _python.knn_value(*args_of, 0, 1)
 
     def test_bound_queries_check_their_indices(self, each_backend, demo_dataset):
         # no caller checks a pair before a bound query: each backend's
         # query rejects an index out of range itself, one beyond 64 bits
-        # too, and reads True as 1, as `operator.index` does
+        # too, the user before the item, also for iknn, whose entity is
+        # the item, and reads True as 1, as `operator.index` does
         bad = [(-1, 0), (None, 0), (0, -1), (0, None), (2**70, 0), (0, -2**70), (-2**63, 0), (0, 2**63 - 1),
-               (np.int64(2**63 - 1), 0)]
+               (np.int64(2**63 - 1), 0), (None, None), (-1, 2**70), (2**64, -1)]
+        sizes = (demo_dataset.n_users, demo_dataset.n_items)
         for name in each_backend:
-            knn = kernels.KnnIndex(**_hand_problem(), k=30)
-            cobar = CobarModel().fit(demo_dataset)
-            checks = [(knn.query, ("entity", "column"), (6, 3), IndexError, "{} {} out of range [0, {})")]
-            # cobar's two runs word it as every predictor's `predict`
-            checks += [(run, ("user", "item"), (5, 4), ValueError, "{} index {} out of range")
-                       for run in (cobar._predict, cobar._detail)]
-            for query, names, sizes, error, words in checks:
+            cobar, uknn, iknn = (cls().fit(demo_dataset) for cls in (CobarModel, UserKnn, ItemKnn))
+            # every run words it as every predictor's `predict`
+            for query in (cobar._predict, cobar._detail, uknn._predict, iknn._predict):
                 for args in bad:
                     args = tuple(sizes[k] if a is None else a for k, a in enumerate(args))
                     k = 0 if not 0 <= args[0] < sizes[0] else 1
-                    message = words.format(names[k], int(args[k]), sizes[k])
-                    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                    message = f"{('user', 'item')[k]} index {int(args[k])} out of range"
+                    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                         query(*args)
                 assert repr(query(True, 0)) == repr(query(1, 0)), name
+                assert repr(query(0, True)) == repr(query(0, 1)), name
 
     def test_failed_allocation_in_the_knn_bind_raises(self, compiled_kernels):
         # each allocation of the bind fails in turn, up to the first bind
         # that allocates all it needs, the work buffers last: each failure
         # raises MemoryError and frees what the bind took
         testcapi = pytest.importorskip("_testcapi")
-        arrays = kernels.KnnIndex(**_counting_problem("signed"), k=5)._arrays
-        want = [_bits(_python.knn_query(*arrays, e, c, 5)) for e, c in SPREAD]
-        compiled_kernels.bind_knn_query(*arrays, 5)   # numpy caches each array's buffer layout
+        args = _knn_args(kernels.KnnIndex(**_counting_problem("signed"), k=5))
+        want = [_bits(_python.knn_value(*args, e, c)) for e, c in SPREAD]
+        compiled_kernels.bind_knn_query(*args)   # numpy caches each array's buffer layout
         failures = 0
         for start in range(100):
             testcapi.set_nomemory(start, 0)
             try:
-                query = compiled_kernels.bind_knn_query(*arrays, 5)
+                query = compiled_kernels.bind_knn_query(*args)
             except MemoryError:
                 failures += 1
             else:
