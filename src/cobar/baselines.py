@@ -92,11 +92,12 @@ class _CosineKnn(_PredictorMixin):
     query computes the similarities per query, compiled when the extension
     is built, so memory stays O(ratings).  The compiled query computes
     only the neighbours' dot products, from the cheaper of the entity's
-    columns and the neighbours' rows, with the numpy query's bits.  Each
-    prediction is one call of the index's `bind`, bound at the clamp
-    bounds stored at fit, which checks the pair and clamps.  Subclasses
-    set `user_major`: the entities are users and the deviations are
-    centered on `compute_user_stats`, or they are items, centered on
+    columns and the neighbours' rows, with the numpy query's bits.
+    `_bind` sets `predict` to the query of the index's `bind`, bound at
+    the clamp bounds stored at fit, which checks the pair and clamps, so
+    each prediction is one call.  Subclasses set `user_major`: the
+    entities are users and the deviations are centered on
+    `compute_user_stats`, or they are items, centered on
     `compute_item_stats`.
     """
 
@@ -115,12 +116,7 @@ class _CosineKnn(_PredictorMixin):
         return self
 
     def _bind(self) -> None:
-        self._predict = self._index.bind(*self._limits[2:])
-
-    def predict(self, user: int, item: int) -> float:
-        if self._limits is None:
-            raise RuntimeError("model is not fitted")
-        return self._predict(user, item)
+        self.predict = self._index.bind(*self._limits[2:])
 
 
 class UserKnn(_CosineKnn):

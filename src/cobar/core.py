@@ -85,9 +85,9 @@ class CobarModel(_PredictorMixin):
     mixin's check of the pair, the fallback chain, the blend and the
     clamp, is one call of a query from the index's `bind`, bound at the
     gamma and level stored at fit, as is a loaded pickle's, whatever
-    `config` holds by then: `predict` returns its float, and
-    `predict_detailed` builds a `Prediction` of its detail, whose fallback
-    code indexes `Fallback` in declaration order.
+    `config` holds by then: `_bind` sets it as `predict`, which returns
+    its float, and `predict_detailed` builds a `Prediction` of its twin's
+    detail, whose fallback code indexes `Fallback` in declaration order.
     """
 
     _STATE = (*_PredictorMixin._STATE, "config", "user_stats", "dendrogram", "stats", "_gamma", "_level")
@@ -108,15 +108,10 @@ class CobarModel(_PredictorMixin):
         return self
 
     def _bind(self) -> None:
-        self._predict, self._detail = self.stats.bind(self._level, self._gamma, *self._limits[2:])
+        self.predict, self._detail = self.stats.bind(self._level, self._gamma, *self._limits[2:])
 
     def predict_detailed(self, user: int, item: int) -> Prediction:
         if self._limits is None:
             raise RuntimeError("model is not fitted")
         value, fallback, *chosen = self._detail(user, item)
         return Prediction(value, _FALLBACKS[fallback], *chosen)
-
-    def predict(self, user: int, item: int) -> float:
-        if self._limits is None:
-            raise RuntimeError("model is not fitted")
-        return self._predict(user, item)

@@ -71,7 +71,8 @@ class _ReadOnlyState:
     arrays.  A class names in `_READ_ONLY` its attributes that hold an
     array or a tuple of arrays, and in `_STATE` the attributes a pickle
     holds beside a dataclass's fields; the memoryviews and bound queries
-    its `_bind` sets from them, which cannot be pickled, are in neither.
+    its `_bind` sets from them, such as the kNNs' and cobar's `predict`,
+    cannot be pickled and are in neither.
     Its construction, its fit and a pickle load end with `_restore`: the
     arrays become read-only, as numpy loads a pickled one writable, then
     `_bind`.  Pickling reads the named attributes that are set, and
@@ -424,9 +425,10 @@ class _PredictorMixin(_ReadOnlyState):
     indices with `operator.index`, raises `ValueError` for a user and then
     for an item out of range, and clamps the predictor's `_value(user,
     item)` with two comparisons, which keep the bits of ``min(max(value,
-    lo), hi)``, NaN included.  The kNNs and cobar override it: each calls
-    a bound query, bound at the stored bounds, which makes the same check
-    and clamp itself, so each prediction checks its pair once.
+    lo), hi)``, NaN included.  The kNNs' and cobar's `_bind` shadow it
+    with their index's query, bound at the stored bounds, which makes the
+    same check and clamp, so each prediction is one call; before the fit
+    they keep this one.
     """
 
     _STATE = ("clamp", "_limits")

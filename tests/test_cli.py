@@ -162,14 +162,21 @@ class TestEvaluate:
         unclustered = set(range(ds.n_users)) - set(clusterable_users(ds).tolist())
         assert {ds.user_index(f"u{u}") for u in range(0, 80, 10)} <= unclustered
         fallbacks = Counter()
-        predict = CobarModel.predict
+        bind = CobarModel._bind
 
-        def counted(model, user, item):
-            # `predict` does not pass through `predict_detailed`
-            fallbacks[model.predict_detailed(user, item).fallback] += 1
-            return predict(model, user, item)
+        def counted_bind(model):
+            # `predict` is the bound query, set on the model by `_bind`,
+            # and does not pass through `predict_detailed`
+            bind(model)
+            predict = model.predict
 
-        monkeypatch.setattr(CobarModel, "predict", counted)
+            def counted(user, item):
+                fallbacks[model.predict_detailed(user, item).fallback] += 1
+                return predict(user, item)
+
+            model.predict = counted
+
+        monkeypatch.setattr(CobarModel, "_bind", counted_bind)
         fold_rmse = {}
         for backend in each_backend:
             out = tmp_path / f"{backend}.json"

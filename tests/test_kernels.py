@@ -5,6 +5,7 @@ Ward loop, the MF epoch and the kNN query."""
 import array
 import ast
 import contextlib
+import copy
 import gc
 import math
 import os
@@ -1407,20 +1408,51 @@ class TestBindPrediction:
                 with pytest.raises(mixin.type, match=f"^{re.escape(str(mixin.value))}$"):
                     query(*args)
 
-    def test_pickle_round_trip(self, each_backend, demo_dataset):
-        pairs = [(user, item) for user in range(demo_dataset.n_users) for item in range(demo_dataset.n_items)]
+    def test_pickle_round_trip(self, each_backend, demo_dataset, two_clusters_dataset, monkeypatch):
+        # `predict` of cobar and both kNNs is the very query their index's
+        # `bind` returned, set on the model, which no pickle holds: a load,
+        # a deep copy and a refit each bind their own, and an unfitted
+        # model, fresh or loaded, has none and raises
+        bound = []
+        for index in (kernels.KnnIndex, kernels.ClusterStatsIndex):
+            def recording(self, *args, bind=index.bind):
+                bound.append(bind(self, *args))
+                return bound[-1]
+
+            monkeypatch.setattr(index, "bind", recording)
+
+        def last_bound():
+            # cobar's bind returns (predict, detail)
+            return bound[-1][0] if isinstance(bound[-1], tuple) else bound[-1]
+
+        def calls(model):
+            return (model.predict, model.predict_detailed) if isinstance(model, CobarModel) else (model.predict,)
+
+        def answers(model, ds):
+            pairs = [(user, item) for user in range(ds.n_users) for item in range(ds.n_items)]
+            return [repr(call(*pair)) for pair in pairs for call in calls(model)]
+
         for _ in each_backend:
-            model = CobarModel().fit(demo_dataset)
-            want = [(repr(model.predict(*pair)), repr(model.predict_detailed(*pair))) for pair in pairs]
-            loaded = pickle.loads(pickle.dumps(model))
-            assert [(repr(loaded.predict(*pair)), repr(loaded.predict_detailed(*pair))) for pair in pairs] == want
-            unfitted = pickle.loads(pickle.dumps(CobarModel()))
-            for query in (unfitted.predict, unfitted.predict_detailed):
-                with pytest.raises(RuntimeError, match="model is not fitted"):
-                    query(0, 0)
-            # and a loaded unfitted model fits as a new one does
-            refit = unfitted.fit(demo_dataset)
-            assert [(repr(refit.predict(*pair)), repr(refit.predict_detailed(*pair))) for pair in pairs] == want
+            for cls in (CobarModel, UserKnn, ItemKnn):
+                model = cls().fit(demo_dataset)
+                assert model.predict is last_bound()
+                want = answers(model, demo_dataset)
+                for duplicate in (lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy):
+                    other = duplicate(model)
+                    assert other.predict is last_bound() and other.predict is not model.predict
+                    assert answers(other, demo_dataset) == want
+                for unfitted in (cls(), pickle.loads(pickle.dumps(cls()))):
+                    for query in calls(unfitted):
+                        with pytest.raises(RuntimeError, match="model is not fitted"):
+                            query(0, 0)
+                # a loaded unfitted model fits as a new one does
+                refit = unfitted.fit(demo_dataset)
+                assert answers(refit, demo_dataset) == want
+                # and a refit on another training set predicts as a new model fitted on it
+                model.fit(two_clusters_dataset)
+                assert model.predict is last_bound()
+                fresh = cls().fit(two_clusters_dataset)
+                assert answers(model, two_clusters_dataset) == answers(fresh, two_clusters_dataset)
 
 
 class TestTCriticalTables:
@@ -1596,7 +1628,7 @@ class TestBoundQueries:
         for name in each_backend:
             cobar, uknn, iknn = (cls().fit(demo_dataset) for cls in (CobarModel, UserKnn, ItemKnn))
             # every run words it as every predictor's `predict`
-            for query in (cobar._predict, cobar._detail, uknn._predict, iknn._predict):
+            for query in (cobar.predict, cobar._detail, uknn.predict, iknn.predict):
                 for args in bad:
                     args = tuple(sizes[k] if a is None else a for k, a in enumerate(args))
                     k = 0 if not 0 <= args[0] < sizes[0] else 1
